@@ -43,12 +43,12 @@ SPEEDUP_GATE = 3.0
 PIPELINE_DEPTH = 16
 
 
-def _make_service(*, batching: bool = True, seed: int = 0):
+def _make_service(*, batch_max: int = 128, seed: int = 0):
     spec = ClusterSpec(
         config="3-2-2", seed=seed, transport="asyncio", fanout="parallel"
     )
     directory = ShardedDirectory.create(spec, shards=SHARDS, shard_map="hash")
-    service = DirectoryService(directory, batching=batching).start()
+    service = DirectoryService(directory, batch_max=batch_max).start()
     return directory, service
 
 
@@ -135,9 +135,10 @@ def _batched_vs_control(ops: int = 1_000, burst: int = 32, seed: int = 99):
     """Gate 4: same seeded workload, batched vs unbatched, state equal.
 
     One pipelined connection replays an identical op sequence against a
-    batched service and a ``batching=False`` control; bursts keep many
-    same-shard ops concurrently in flight so the batcher actually forms
-    multi-op waves on the batched side.
+    batched service and a ``batch_max=1`` control — every wave one op,
+    so nothing ever groups and each op takes the classic path; bursts
+    keep many same-shard ops concurrently in flight so the batcher
+    actually forms multi-op waves on the batched side.
     """
     rng = random.Random(seed)
     script = []
@@ -151,8 +152,8 @@ def _batched_vs_control(ops: int = 1_000, burst: int = 32, seed: int = 99):
         else:
             script.append(("del", key, None))
     outcomes = {}
-    for label, batching in (("batched", True), ("control", False)):
-        directory, service = _make_service(batching=batching, seed=7)
+    for label, batch_max in (("batched", 128), ("control", 1)):
+        directory, service = _make_service(batch_max=batch_max, seed=7)
         try:
             with service:
                 from repro.service.client import DirectoryClient

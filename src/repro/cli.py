@@ -337,7 +337,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             directory,
             host=args.host,
             port=args.port,
-            batching=args.batching,
             batch_max=args.batch_max,
             pipeline_depth=args.pipeline_depth,
         ).start()
@@ -757,17 +756,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g = p.add_argument_group("batching")
     g.add_argument(
-        "--no-batching",
-        dest="batching",
-        action="store_false",
-        help="disable per-shard op batching (strict one-op-per-"
-        "transaction execution)",
-    )
-    g.add_argument(
         "--batch-max",
         type=int,
         default=128,
-        help="max ops per batched wave on one shard",
+        help="max ops per batched wave on one shard (1 = the unbatched "
+        "control: every wave is one op)",
     )
     g.add_argument(
         "--pipeline-depth",

@@ -16,8 +16,7 @@ and tests can reach inside (``cluster.representative("A")``,
 :class:`ClusterSpec` is the one construction path: every option,
 including which transport the cluster runs on (``transport="sim"`` /
 ``"asyncio"`` / a :class:`~repro.net.transport.Transport` instance),
-lives on the spec.  ``create(config, **kwargs)`` survives as a
-deprecated shim over the spec.  A spec can also point at an *existing*
+lives on the spec.  A spec can also point at an *existing*
 :class:`Network`, which is how the sharded directory (:mod:`repro.shard`)
 places many independent replica suites on one simulated substrate.
 """
@@ -25,8 +24,7 @@ places many independent replica suites on one simulated substrate.
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.core.config import SuiteConfig
@@ -171,12 +169,6 @@ class ClusterSpec:
         )
 
 
-#: ClusterSpec field names accepted by the ``create`` keyword shim.
-_SPEC_FIELDS = frozenset(
-    f.name for f in fields(ClusterSpec) if f.name != "config"
-)
-
-
 class DirectoryCluster:
     """A fully wired suite plus the substrate it runs on."""
 
@@ -223,9 +215,7 @@ class DirectoryCluster:
 
     @classmethod
     def create(
-        cls,
-        spec: "str | SuiteConfig | ClusterSpec" = "3-2-2",
-        **options: Any,
+        cls, spec: "str | SuiteConfig | ClusterSpec" = "3-2-2"
     ) -> "DirectoryCluster":
         """Build a cluster from a :class:`ClusterSpec`.
 
@@ -235,35 +225,9 @@ class DirectoryCluster:
 
             DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=7))
             DirectoryCluster.create("3-2-2")
-
-        Passing :class:`ClusterSpec` fields as keywords is the legacy
-        knob shim; it still works but emits a ``DeprecationWarning`` —
-        put the options inside a ``ClusterSpec``.
         """
-        if isinstance(spec, ClusterSpec):
-            if options:
-                raise TypeError(
-                    "pass options inside the ClusterSpec, not as keywords: "
-                    f"{sorted(options)}"
-                )
-            return cls._create(spec)
-        unknown = set(options) - _SPEC_FIELDS
-        if unknown:
-            raise TypeError(
-                f"unknown cluster option(s) {sorted(unknown)}; "
-                f"valid: {sorted(_SPEC_FIELDS)}"
-            )
-        if options:
-            warnings.warn(
-                f"{cls.__name__}.create(config, **options) is deprecated; "
-                f"pass {cls.__name__}.create(ClusterSpec(config=..., ...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return cls._create(ClusterSpec(config=spec, **options))
-
-    @classmethod
-    def _create(cls, spec: ClusterSpec) -> "DirectoryCluster":
+        if not isinstance(spec, ClusterSpec):
+            spec = ClusterSpec(config=spec)
         config = spec.suite_config()
         try:
             store_factory = STORE_FACTORIES[spec.store]

@@ -138,7 +138,7 @@ def execute_batch(suite: Any, ops: Any) -> "list[BatchOutcome]":
         # partial effects, so individual re-execution cannot double-
         # apply anything.
         suite._batch_fallbacks.inc()
-        return [_single(suite, op) for op in ops]
+        return [_fallback(suite, op) for op in ops]
 
 
 def _grouped(
@@ -280,21 +280,44 @@ def _grouped_write(
         suite._gather_all(suite._scatter(txn, calls, "rep_insert_many"))
 
 
-def _single(suite: Any, op: BatchOp) -> BatchOutcome:
-    """Fallback: one op through the plain public path, error captured."""
+def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:
+    """One op of ``kind`` through the plain public path, errors raised.
+
+    What a kind means *alone*: the front door runs a wave of one
+    through here (the paper's Figure 8/9 algorithm, with read-repair
+    and hedged reads), and a wave whose shared transaction aborted
+    falls back to it op by op.  Beside :data:`BATCH_KINDS` it knows the
+    two kinds that never group: ``delete`` and its lenient form
+    ``discard`` (1 if the key was present, else 0).
+    """
+    if kind == "lookup":
+        return suite.lookup(key)
+    if kind == "insert":
+        return suite.insert(key, value)
+    if kind == "update":
+        return suite.update(key, value)
+    if kind == "upsert":
+        # Race-free: the caller owns the suite's only worker thread.
+        try:
+            return suite.insert(key, value)
+        except KeyAlreadyPresentError:
+            return suite.update(key, value)
+    if kind == "delete":
+        return suite.delete(key)
+    if kind == "discard":
+        try:
+            suite.delete(key)
+        except KeyNotPresentError:
+            return 0
+        return 1
+    raise ValueError(f"unknown op kind {kind!r}")
+
+
+def _fallback(suite: Any, op: BatchOp) -> BatchOutcome:
+    """:func:`_single` with the error captured as the op's outcome."""
     outcome = BatchOutcome(op)
     try:
-        if op.kind == "lookup":
-            outcome.value = suite.lookup(op.key)
-        elif op.kind == "insert":
-            suite.insert(op.key, op.value)
-        elif op.kind == "update":
-            suite.update(op.key, op.value)
-        else:  # upsert — the same closure SET runs on the shard thread
-            try:
-                suite.insert(op.key, op.value)
-            except KeyAlreadyPresentError:
-                suite.update(op.key, op.value)
+        outcome.value = _single(suite, op.kind, op.key, op.value)
     except ReproError as exc:
         outcome.error = exc
     return outcome

@@ -200,10 +200,12 @@ class RollingHistogram:
         self._samples: deque[tuple[float, float]] = deque()
         self._lock = threading.Lock()
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` — ``count`` times over when that many
+        operations shared the one measured interval (a batched wave)."""
         t = self._now()
         with self._lock:
-            self._samples.append((t, value))
+            self._samples.extend(((t, value),) * count)
             self._prune(t)
 
     def _prune(self, t: float) -> None:

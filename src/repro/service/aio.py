@@ -289,6 +289,8 @@ class AsyncioTransport:
                     frame = await protocol.read_frame(reader)
                 except (ConnectionError, asyncio.IncompleteReadError):
                     return
+                except protocol.ProtocolError:
+                    return  # framing is lost: hang up without a word
                 writer.write(self._dispatch(node, frame))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):

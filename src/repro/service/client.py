@@ -2,19 +2,19 @@
 
 Two clients over the same wire protocol (:mod:`repro.service.protocol`):
 
-* :class:`AsyncDirectoryClient` — the primary implementation: an
-  asyncio client the load generator opens by the hundred, with a
+* :class:`AsyncDirectoryClient` — the implementation: an asyncio client
+  the load generator opens by the hundred, with a
   :meth:`~AsyncDirectoryClient.pipeline` context manager that queues
   operations and flushes them as **one pipelined burst** (the server
   reads frames continuously and replies strictly in order, so a burst
   of N requests costs one round trip instead of N);
-* :class:`DirectoryClient` — the blocking twin, now a thin wrapper
-  running the async client on a private event loop.  It still satisfies
-  the :class:`~repro.core.interface.Directory` protocol, so everything
-  that drives a simulated directory (conformance tests, benchmark
-  loops) drives a remote one unchanged, and the classic
-  one-call-one-roundtrip path remains the default — no behavior change
-  for existing callers.
+* :class:`DirectoryClient` — its blocking face, *derived* from it: a
+  private event loop plus one wrapper per coroutine of the async
+  client, generated at import, so a verb added there appears here with
+  the same name, signature and docstring.  It satisfies the
+  :class:`~repro.core.interface.Directory` protocol, so everything that
+  drives a simulated directory (conformance tests, benchmark loops)
+  drives a remote one unchanged.
 
 Both translate the strict error replies back into the repo's exception
 types (``-KEYEXISTS`` → :class:`KeyAlreadyPresentError`, ``-NOTFOUND``
@@ -44,12 +44,12 @@ client refreshes its shard map and re-issues only the moved slots as a
 follow-up burst, so a live reshard cannot desync the pipeline.
 
 Both clients stamp a unique trace id onto every request as a trailing
-``@trace=<id>`` metadata element (disable with ``trace=False``).  The
-server adopts the id onto the root span of the work the request
-triggers, so ``SLOW`` output can be correlated back to the exact client
-call that caused it; the last stamped id is kept on
-``client.last_trace``.  Servers that predate the field simply strip or
-ignore it — metadata is reserved, never an argument.
+``@trace=<id>`` metadata element.  The server adopts the id onto the
+root span of the work the request triggers, so ``SLOW`` output can be
+correlated back to the exact client call that caused it; the last
+stamped id is kept on ``client.last_trace``.  Servers that predate the
+field simply strip or ignore it — metadata is reserved, never an
+argument.
 
 The admin plane rides the same socket: :meth:`DirectoryClient.stats`
 (windowed rates and per-shard breakdown), :meth:`DirectoryClient.slow`
@@ -63,16 +63,19 @@ cached epoch onto every keyed request as ``@epoch=<n>`` metadata.  When
 a live reshard moves the key's range, the server answers ``-MOVED
 <epoch>``; the client refreshes its map and retries transparently
 (counted on ``client.redirects``), so a migration is invisible to
-callers.  Pass ``epochs=False`` (or talk to a server that predates
-``SHARDMAP``) and the client degrades to the plain, epoch-free
-protocol.
+callers.  A server that answers ``SHARDMAP`` with an error predates
+the epoch plane, and the client falls back to the plain, epoch-free
+protocol on its own.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import inspect
 import itertools
 import json
+import operator
 import re
 import uuid
 from dataclasses import dataclass, field
@@ -266,11 +269,7 @@ class AsyncPipeline:
         if not ops:
             return []
         client = self._client
-        if client._epoch_aware and client.epoch is None:
-            try:
-                await client.shardmap()
-            except ReplyError:  # a server that predates SHARDMAP
-                client._epoch_aware = False
+        await client._learn_epoch()
         pending = ops
         try:
             for round_no in range(_MAX_REDIRECTS + 1):
@@ -280,10 +279,8 @@ class AsyncPipeline:
                     await client.shardmap(refresh=True)
                 buf = bytearray()
                 for op in pending:
-                    parts = op.parts
-                    if client._stamper is not None:
-                        client.last_trace = client._stamper.next()
-                        parts = parts + (f"@trace={client.last_trace}",)
+                    client.last_trace = client._stamper.next()
+                    parts = op.parts + (f"@trace={client.last_trace}",)
                     if client.epoch is not None:
                         parts = parts + (f"@epoch={client.epoch}",)
                     buf += protocol.encode_command(*parts)
@@ -330,17 +327,15 @@ class AsyncDirectoryClient:
         writer: asyncio.StreamWriter,
         *,
         timeout: "float | None" = 30.0,
-        trace: bool = True,
-        epochs: bool = True,
     ) -> None:
         self._reader = reader
         self._writer = writer
         self._timeout = timeout
         self._closed = False
-        self._stamper = _TraceStamper() if trace else None
+        self._stamper = _TraceStamper()
         #: The trace id stamped onto the most recent request, if any.
         self.last_trace: "str | None" = None
-        self._epoch_aware = epochs
+        self._epoch_aware = True
         self._map: "dict[str, Any] | None" = None
         #: The shard-map epoch this client last saw from the server.
         self.epoch: "int | None" = None
@@ -354,33 +349,24 @@ class AsyncDirectoryClient:
         port: int = 7379,
         *,
         timeout: "float | None" = 30.0,
-        trace: bool = True,
-        epochs: bool = True,
     ) -> "AsyncDirectoryClient":
-        open_conn = asyncio.open_connection(host, port)
-        if timeout is not None:
-            reader, writer = await asyncio.wait_for(open_conn, timeout)
-        else:
-            reader, writer = await open_conn
-        return cls(
-            reader, writer, timeout=timeout, trace=trace, epochs=epochs
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(host, port), timeout
         )
+        return cls(reader, writer, timeout=timeout)
 
     def pipeline(self) -> AsyncPipeline:
         """A fresh :class:`AsyncPipeline` bound to this connection."""
         return AsyncPipeline(self)
 
     async def _read_frame(self) -> Any:
-        frame = protocol.read_frame(self._reader)
-        if self._timeout is None:
-            return await frame
-        return await asyncio.wait_for(frame, self._timeout)
+        return await asyncio.wait_for(
+            protocol.read_frame(self._reader), self._timeout
+        )
 
     async def _send(self, *parts: str) -> Any:
-        if self._stamper is not None:
-            self.last_trace = self._stamper.next()
-            parts = parts + (f"@trace={self.last_trace}",)
-        self._writer.write(protocol.encode_command(*parts))
+        self.last_trace = trace = self._stamper.next()
+        self._writer.write(protocol.encode_command(*parts, f"@trace={trace}"))
         await self._writer.drain()
         return await self._read_frame()
 
@@ -406,13 +392,18 @@ class AsyncDirectoryClient:
                 return reply[:-1]
         return reply
 
-    async def _keyed(self, *parts: str) -> Any:
-        """Send a keyed command, chasing ``-MOVED`` redirects."""
+    async def _learn_epoch(self) -> None:
+        """Before the first keyed op: fetch the shard map, or find out
+        the server predates ``SHARDMAP`` and stay epoch-free for good."""
         if self._epoch_aware and self.epoch is None:
             try:
                 await self.shardmap()
-            except ReplyError:  # a server that predates SHARDMAP
+            except ReplyError:
                 self._epoch_aware = False
+
+    async def _keyed(self, *parts: str) -> Any:
+        """Send a keyed command, chasing ``-MOVED`` redirects."""
+        await self._learn_epoch()
         for _ in range(_MAX_REDIRECTS):
             stamped = parts
             if self.epoch is not None:
@@ -430,8 +421,7 @@ class AsyncDirectoryClient:
     # -- the Directory surface ----------------------------------------------
 
     async def lookup(self, key: str) -> tuple[bool, Any]:
-        present, value = await self._keyed("LOOKUP", key)
-        return (present == "1", value)
+        return _decode_lookup(await self._keyed("LOOKUP", key))
 
     async def insert(self, key: str, value: str) -> None:
         await self._keyed("INSERT", key, value)
@@ -457,12 +447,14 @@ class AsyncDirectoryClient:
         await self._keyed("SET", key, value)
 
     async def remove(self, key: str) -> bool:
-        return await self._keyed("DEL", key) == 1
+        """Lenient delete (``DEL``): True if the key was present."""
+        return _decode_count(await self._keyed("DEL", key))
 
     async def shards(self) -> int:
         return await self._request("SHARDS")
 
     async def shardmap(self, *, refresh: bool = False) -> dict[str, Any]:
+        """``SHARDMAP``: the server's routing map, cached by epoch."""
         if self._map is None or refresh:
             info = json.loads(await self._request("SHARDMAP"))
             self._map = info
@@ -470,6 +462,7 @@ class AsyncDirectoryClient:
         return self._map
 
     async def reshard(self, boundary: str) -> dict[str, Any]:
+        """``RESHARD SPLIT boundary``: run a live split to completion."""
         result = json.loads(
             await self._request("RESHARD", "SPLIT", boundary)
         )
@@ -477,22 +470,27 @@ class AsyncDirectoryClient:
         return result
 
     async def reshard_status(self) -> dict[str, Any]:
+        """``RESHARD STATUS``: epoch, migration count, in-flight phase."""
         return json.loads(await self._request("RESHARD", "STATUS"))
 
     async def rejoin(self, replica: str, shard: int = 0) -> str:
+        """Admin verb: rejoin ``replica`` on ``shard``; returns its state."""
         target = f"s{shard}/{replica}" if shard else replica
         return await self._request("REJOIN", target)
 
     # -- the admin/telemetry plane -------------------------------------------
 
     async def stats(self, window: "float | None" = None) -> dict[str, Any]:
+        """``STATS [window]``: windowed rates + per-shard breakdown."""
         parts = ("STATS",) if window is None else ("STATS", str(window))
         return json.loads(await self._request(*parts))
 
     async def slow(self, n: int = 10) -> list[dict[str, Any]]:
+        """``SLOW n``: the slowest recent ops, each with its span tree."""
         return json.loads(await self._request("SLOW", str(n)))
 
     async def metrics(self) -> dict[str, Any]:
+        """``METRICS``: the server's raw registry snapshot."""
         return json.loads(await self._request("METRICS"))
 
     async def close(self) -> None:
@@ -512,45 +510,21 @@ class AsyncDirectoryClient:
         await self.close()
 
 
-class Pipeline:
+class Pipeline(AsyncPipeline):
     """The blocking face of :class:`AsyncPipeline`.
 
-    Obtained from :meth:`DirectoryClient.pipeline`.  Queueing methods
-    are identical (and still perform no I/O); :meth:`flush` runs the
-    burst on the client's private event loop.  Exiting the ``with``
-    block cleanly flushes implicitly.
+    Obtained from :meth:`DirectoryClient.pipeline`.  The queueing
+    methods are inherited — they perform no I/O — and :meth:`flush`
+    runs the burst on the client's private event loop.  Exiting the
+    ``with`` block cleanly flushes implicitly.
     """
 
     def __init__(self, client: "DirectoryClient") -> None:
-        self._client = client
-        self._inner = AsyncPipeline(client._inner)
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def lookup(self, key: str) -> PipelineResult:
-        return self._inner.lookup(key)
-
-    def insert(self, key: str, value: str) -> PipelineResult:
-        return self._inner.insert(key, value)
-
-    def update(self, key: str, value: str) -> PipelineResult:
-        return self._inner.update(key, value)
-
-    def delete(self, key: str) -> PipelineResult:
-        return self._inner.delete(key)
-
-    def get(self, key: str) -> PipelineResult:
-        return self._inner.get(key)
-
-    def set(self, key: str, value: str) -> PipelineResult:
-        return self._inner.set(key, value)
-
-    def remove(self, key: str) -> PipelineResult:
-        return self._inner.remove(key)
+        super().__init__(client._inner)
+        self._run = client._run
 
     def flush(self) -> "list[PipelineResult]":
-        return self._client._run(self._inner.flush())
+        return self._run(super().flush())
 
     def __enter__(self) -> "Pipeline":
         return self
@@ -563,11 +537,10 @@ class Pipeline:
 class DirectoryClient:
     """Blocking client; a remote :class:`Directory` on one socket.
 
-    A thin wrapper: it owns a private event loop and delegates every
-    call to an :class:`AsyncDirectoryClient` — one implementation of
-    the protocol, two calling conventions.  The classic
-    one-call-one-roundtrip methods behave exactly as before;
-    :meth:`pipeline` adds the batched path.
+    It owns a private event loop and an :class:`AsyncDirectoryClient`
+    — one implementation of the protocol, two calling conventions.
+    Only the lifecycle is written out here; every verb is generated
+    from the async client below the class.
     """
 
     def __init__(
@@ -576,8 +549,6 @@ class DirectoryClient:
         port: int = 7379,
         *,
         timeout: "float | None" = 30.0,
-        trace: bool = True,
-        epochs: bool = True,
     ) -> None:
         self.host = host
         self.port = port
@@ -585,9 +556,7 @@ class DirectoryClient:
         self._loop = asyncio.new_event_loop()
         try:
             self._inner = self._run(
-                AsyncDirectoryClient.connect(
-                    host, port, timeout=timeout, trace=trace, epochs=epochs
-                )
+                AsyncDirectoryClient.connect(host, port, timeout=timeout)
             )
         except BaseException:
             self._loop.close()
@@ -599,46 +568,6 @@ class DirectoryClient:
     def pipeline(self) -> Pipeline:
         """A fresh :class:`Pipeline` bound to this connection."""
         return Pipeline(self)
-
-    # -- delegated state -----------------------------------------------------
-
-    @property
-    def last_trace(self) -> "str | None":
-        """The trace id stamped onto the most recent request, if any."""
-        return self._inner.last_trace
-
-    @property
-    def epoch(self) -> "int | None":
-        """The shard-map epoch this client last saw from the server."""
-        return self._inner.epoch
-
-    @property
-    def redirects(self) -> int:
-        """How many ``-MOVED`` redirects this client has chased."""
-        return self._inner.redirects
-
-    def _request(self, *parts: str) -> Any:
-        return self._run(self._inner._request(*parts))
-
-    def _send(self, *parts: str) -> Any:
-        return self._run(self._inner._send(*parts))
-
-    # -- the Directory surface ----------------------------------------------
-
-    def lookup(self, key: str) -> tuple[bool, Any]:
-        return self._run(self._inner.lookup(key))
-
-    def insert(self, key: str, value: str) -> None:
-        self._run(self._inner.insert(key, value))
-
-    def update(self, key: str, value: str) -> None:
-        self._run(self._inner.update(key, value))
-
-    def delete(self, key: str) -> None:
-        self._run(self._inner.delete(key))
-
-    def size(self) -> int:
-        return self._run(self._inner.size())
 
     def close(self) -> None:
         if self._closed:
@@ -655,50 +584,27 @@ class DirectoryClient:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- service extras ------------------------------------------------------
 
-    def ping(self) -> bool:
-        return self._run(self._inner.ping())
+def _blocking(method: Any) -> Any:
+    """The blocking face of one :class:`AsyncDirectoryClient` coroutine."""
 
-    def get(self, key: str) -> "str | None":
-        return self._run(self._inner.get(key))
+    @functools.wraps(method)
+    def call(self: DirectoryClient, *args: Any, **kwargs: Any) -> Any:
+        return self._run(method(self._inner, *args, **kwargs))
 
-    def set(self, key: str, value: str) -> None:
-        self._run(self._inner.set(key, value))
+    return call
 
-    def remove(self, key: str) -> bool:
-        """Lenient delete (``DEL``): True if the key was present."""
-        return self._run(self._inner.remove(key))
 
-    def shards(self) -> int:
-        return self._run(self._inner.shards())
-
-    def shardmap(self, *, refresh: bool = False) -> dict[str, Any]:
-        """``SHARDMAP``: the server's routing map, cached by epoch."""
-        return self._run(self._inner.shardmap(refresh=refresh))
-
-    def reshard(self, boundary: str) -> dict[str, Any]:
-        """``RESHARD SPLIT boundary``: run a live split to completion."""
-        return self._run(self._inner.reshard(boundary))
-
-    def reshard_status(self) -> dict[str, Any]:
-        """``RESHARD STATUS``: epoch, migration count, in-flight phase."""
-        return self._run(self._inner.reshard_status())
-
-    def rejoin(self, replica: str, shard: int = 0) -> str:
-        """Admin verb: rejoin ``replica`` on ``shard``; returns its state."""
-        return self._run(self._inner.rejoin(replica, shard))
-
-    # -- the admin/telemetry plane -------------------------------------------
-
-    def stats(self, window: "float | None" = None) -> dict[str, Any]:
-        """``STATS [window]``: windowed rates + per-shard breakdown."""
-        return self._run(self._inner.stats(window))
-
-    def slow(self, n: int = 10) -> list[dict[str, Any]]:
-        """``SLOW n``: the slowest recent ops, each with its span tree."""
-        return self._run(self._inner.slow(n))
-
-    def metrics(self) -> dict[str, Any]:
-        """``METRICS``: the server's raw registry snapshot."""
-        return self._run(self._inner.metrics())
+# Every coroutine of the async client that DirectoryClient does not
+# define itself (``_request`` included: it is how a script sends a verb
+# the client has no method for), then its documented state, read-only.
+for _name, _member in vars(AsyncDirectoryClient).items():
+    if (
+        inspect.iscoroutinefunction(_member)
+        and not _name.startswith("__")
+        and _name not in vars(DirectoryClient)
+    ):
+        setattr(DirectoryClient, _name, _blocking(_member))
+for _name in ("last_trace", "epoch", "redirects"):
+    _read = operator.attrgetter(f"_inner.{_name}")
+    setattr(DirectoryClient, _name, property(_read))

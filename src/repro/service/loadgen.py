@@ -1,10 +1,8 @@
 """Load generator for the directory service: closed loop and open loop.
 
 One construction path — :class:`LoadSpec`, mirroring
-:class:`~repro.cluster.ClusterSpec` — consolidates every knob the
-``repro load`` CLI, the benchmarks, and the CI smoke jobs used to pass
-as loose keywords (the kwargs form of :func:`run_load` still works but
-emits a ``DeprecationWarning``).
+:class:`~repro.cluster.ClusterSpec` — holds every knob the ``repro
+load`` CLI, the benchmarks, and the CI smoke jobs set.
 
 **Closed loop** (the default): ``connections`` concurrent sockets (one
 :class:`~repro.service.client.AsyncDirectoryClient` each) drive a keyed
@@ -49,10 +47,8 @@ key ``h0``, which hashes to one shard — the shard the service's
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import random
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -131,12 +127,6 @@ class LoadSpec:
         if self.rates is not None:
             return self.rates
         return (self.rate,) if self.rate is not None else ()
-
-
-#: LoadSpec fields accepted by the deprecated kwargs form of run_load.
-_SPEC_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(LoadSpec) if f.name not in ("host", "port")
-)
 
 
 def _percentile(ordered: "list[float]", q: float) -> float:
@@ -429,45 +419,17 @@ async def _open_loop(spec: LoadSpec) -> dict[str, Any]:
 
 
 def run_load(
-    spec: "LoadSpec | str" = "127.0.0.1",
-    port: "int | None" = None,
-    *,
-    bench_dir: "str | None" = None,
-    **options: Any,
+    spec: LoadSpec, *, bench_dir: "str | None" = None
 ) -> dict[str, Any]:
     """Drive the service per ``spec``; return (and optionally write) results.
 
-    The one construction path is a :class:`LoadSpec`::
+    ::
 
         run_load(LoadSpec(host=host, port=port, ops=50_000, pipeline=16))
 
-    Passing ``host, port`` positionally with loose keywords is the
-    legacy shim; it still works but emits a ``DeprecationWarning``.
     With ``bench_dir`` set, also writes ``BENCH_<name>.json`` there and
     records the path under ``result["bench_path"]``.
     """
-    if isinstance(spec, LoadSpec):
-        if port is not None or options:
-            raise TypeError(
-                "pass options inside the LoadSpec, not as keywords: "
-                f"{sorted(options) if options else ['port']}"
-            )
-    else:
-        unknown = set(options) - _SPEC_FIELDS
-        if unknown:
-            raise TypeError(
-                f"unknown load option(s) {sorted(unknown)}; "
-                f"valid: {sorted(_SPEC_FIELDS)}"
-            )
-        warnings.warn(
-            "run_load(host, port, **options) is deprecated; "
-            "pass run_load(LoadSpec(host=..., port=..., ...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = LoadSpec(
-            host=spec, port=7379 if port is None else port, **options
-        )
     if spec.open_loop:
         result = asyncio.run(_open_loop(spec))
     else:

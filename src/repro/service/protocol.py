@@ -16,13 +16,17 @@ arguments); replies are any of the above.  The *internal* RPC surface
 *front door* (:mod:`repro.service.server`) uses plain strings, so a
 session really does look like talking to a tiny redis.
 
-Encoders return ``bytes`` to hand to a transport; decoders are asyncio
-coroutines over a :class:`asyncio.StreamReader` plus synchronous twins
-over a buffered binary file (the blocking client), both returning the
-same Python shapes: ``list`` for arrays, ``str`` for bulk/simple
-strings, ``None`` for null, ``int`` for integers, and
+Encoders return ``bytes`` to hand to a transport.  There is one
+decoder, a coroutine over an :class:`asyncio.StreamReader`;
+:func:`read_frame_sync` runs that same coroutine over a buffered binary
+file.  Both return the same Python shapes: ``list`` for arrays, ``str``
+for bulk/simple strings, ``None`` for null, ``int`` for integers, and
 :class:`ReplyError` *instances* (returned, not raised — the caller
-decides) for error replies.
+decides) for error replies.  Anything a peer can get wrong — an unknown
+type byte, a length that is not a number, bytes that are not UTF-8, a
+line past the reader's limit — raises :class:`ProtocolError` and
+nothing else; the connection's framing is lost at that point, so
+servers answer once and hang up.
 """
 
 from __future__ import annotations
@@ -112,31 +116,21 @@ TRACE_META = re.compile(r"@trace=([A-Za-z0-9][A-Za-z0-9._:~-]{0,127})\Z")
 EPOCH_META = re.compile(r"@epoch=(\d{1,18})\Z")
 
 
-def split_meta(frame: "list[str]") -> "tuple[list[str], str | None]":
-    """Split a request array into command parts and a trace id.
-
-    Strips *every* trailing ``@``-prefixed element — the reserved
-    metadata namespace — and returns ``(command_parts, trace_id)``.
-    Compatibility is deliberately one-sided and forgiving: a client that
-    stamps no metadata parses unchanged, and metadata the server does
-    not understand (an unknown ``@field``, a malformed ``@trace=``) is
-    dropped silently, never answered with an error, so old clients keep
-    working against new servers and vice versa.  When several trace ids
-    appear, the innermost (last-stamped, i.e. rightmost) one wins.
-    """
-    parts, trace, _epoch = split_meta_full(frame)
-    return parts, trace
-
-
-def split_meta_full(
+def split_meta(
     frame: "list[str]",
 ) -> "tuple[list[str], str | None, int | None]":
-    """:func:`split_meta` plus the ``@epoch=`` field, if stamped.
+    """Split a request array into command parts, trace id and epoch.
 
-    Returns ``(command_parts, trace_id, epoch)`` with the same
-    forgiving semantics: unknown or malformed metadata is dropped, and
-    ``epoch`` is None when the client stamped none (an epoch-unaware
-    client, which must keep working unchanged).
+    Strips *every* trailing ``@``-prefixed element — the reserved
+    metadata namespace — and returns ``(command_parts, trace_id,
+    epoch)``.  Compatibility is deliberately one-sided and forgiving: a
+    client that stamps no metadata parses unchanged (``epoch`` is None
+    for an epoch-unaware client, which must keep working), and metadata
+    the server does not understand (an unknown ``@field``, a malformed
+    ``@trace=``) is dropped silently, never answered with an error, so
+    old clients keep working against new servers and vice versa.  When
+    a field appears several times, the innermost (last-stamped, i.e.
+    rightmost) one wins.
     """
     parts = list(frame)
     trace: "str | None" = None
@@ -175,7 +169,7 @@ def stamp_epoch(reply: bytes, epoch: int) -> bytes:
     return reply
 
 
-# -- async decoding ----------------------------------------------------------
+# -- decoding ----------------------------------------------------------------
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Any:
@@ -183,10 +177,15 @@ async def read_frame(reader: asyncio.StreamReader) -> Any:
 
     Error replies are *returned* as :class:`ReplyError` instances.
     """
-    line = await reader.readline()
-    if not line:
-        raise ConnectionError("peer closed the connection")
-    return await _parse(line, reader)
+    try:
+        line = await reader.readline()
+        if not line:
+            raise ConnectionError("peer closed the connection")
+        return await _parse(line, reader)
+    except ValueError as exc:
+        # int() on a bad length, a bulk that is not UTF-8, or the
+        # reader's line limit: the peer's doing, all of them.
+        raise ProtocolError(f"malformed frame: {exc}") from None
 
 
 async def _parse(line: bytes, reader: asyncio.StreamReader) -> Any:
@@ -222,47 +221,33 @@ async def _parse(line: bytes, reader: asyncio.StreamReader) -> Any:
     raise ProtocolError(f"unknown frame type {kind!r}")
 
 
-# -- blocking decoding (the synchronous client) ------------------------------
+class _FileReader:
+    """The two reads :func:`_parse` awaits, over a blocking binary file.
+
+    Neither coroutine ever suspends, which is what lets
+    :func:`read_frame_sync` run the parser to completion in one step.
+    """
+
+    def __init__(self, stream: BinaryIO) -> None:
+        self._stream = stream
+
+    async def readline(self) -> bytes:
+        return self._stream.readline()
+
+    async def readexactly(self, n: int) -> bytes:
+        data = self._stream.read(n)
+        if len(data) != n:
+            raise ConnectionError("peer closed mid-bulk")
+        return data
 
 
 def read_frame_sync(stream: BinaryIO) -> Any:
-    """Blocking twin of :func:`read_frame` over a buffered binary file."""
-    line = stream.readline()
-    if not line:
-        raise ConnectionError("peer closed the connection")
-    return _parse_sync(line, stream)
+    """:func:`read_frame` over a buffered binary file, blocking.
 
-
-def _parse_sync(line: bytes, stream: BinaryIO) -> Any:
-    if not line.endswith(b"\r\n"):
-        raise ProtocolError(f"unterminated frame line: {line[:64]!r}")
-    kind, body = line[:1], line[1:-2]
-    if kind == b"+":
-        return body.decode("utf-8")
-    if kind == b"-":
-        code, _, detail = body.decode("utf-8").partition(" ")
-        return ReplyError(code, detail)
-    if kind == b":":
-        return int(body)
-    if kind == b"$":
-        n = int(body)
-        if n == -1:
-            return None
-        if not 0 <= n <= MAX_FRAME:
-            raise ProtocolError(f"bulk length out of range: {n}")
-        data = stream.read(n + 2)
-        if len(data) != n + 2:
-            raise ConnectionError("peer closed mid-bulk")
-        return data[:-2].decode("utf-8")
-    if kind == b"*":
-        n = int(body)
-        if not 0 <= n <= MAX_FRAME:
-            raise ProtocolError(f"array length out of range: {n}")
-        items = []
-        for _ in range(n):
-            element = stream.readline()
-            if not element:
-                raise ConnectionError("peer closed mid-array")
-            items.append(_parse_sync(element, stream))
-        return items
-    raise ProtocolError(f"unknown frame type {kind!r}")
+    The same parser, not a copy: the coroutine is stepped once and, its
+    reader never suspending, finishes inside that step.
+    """
+    try:
+        read_frame(_FileReader(stream)).send(None)
+    except StopIteration as done:
+        return done.value

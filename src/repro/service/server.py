@@ -5,7 +5,7 @@ event loop of an :class:`~repro.service.aio.AsyncioTransport` that is
 already hosting a :class:`~repro.shard.sharded.ShardedDirectory`'s
 representatives.  Clients speak the same redis-like protocol as the
 internal RPC surface (:mod:`repro.service.protocol`), but with plain
-string commands::
+string commands — one row of the verb table (:class:`_Verb`) each::
 
     PING                     -> +PONG
     LOOKUP key               -> *2  ("1"/"0", value or null bulk)
@@ -45,11 +45,14 @@ runs on the owning shard's worker thread, so it serializes against
 client operations on that shard and needs no extra locking.
 
 The strict verbs carry the paper's error contract across the wire; the
-lenient ``GET``/``SET``/``DEL`` triple is what load generators and
-casual ``nc`` sessions want.  Availability failures (quorum loss, node
-down) reply ``-UNAVAILABLE`` and any other server-side exception
-``-ERR`` — a client never sees a broken connection for an application
-error.
+lenient ``GET``/``SET``/``DEL`` triple is what load generators want.
+Availability failures (quorum loss, node down) reply ``-UNAVAILABLE``
+and any other server-side exception ``-ERR`` — a client never sees a
+broken connection for an application error.  The one thing that does
+end a connection is bytes that are not frames (a bare ``PING`` line
+typed into ``nc``, a length that is not a number, a bulk that is not
+UTF-8): framing cannot be recovered, so the server answers ``-ERR
+protocol <detail>`` behind whatever replies it still owes and closes.
 
 Concurrency model: connections are *pipelined* — the per-connection
 loop reads frames continuously, dispatches each as its own task, and a
@@ -65,14 +68,14 @@ executing as **one** grouped quorum transaction
 (:meth:`~repro.core.suite.DirectorySuite.execute_batch` — shared quorum
 selection, one 2PC group commit, per-op error results preserved).
 Arrival order is preserved item by item, so two pipelined ops on the
-same key observe each other exactly as they would have unbatched;
+same key observe each other exactly as they would have one at a time;
 ``DELETE``/``DEL`` and a wave's solitary ops run the classic one-op
-path, byte-identical to the previous release.  Distinct shards proceed
-in parallel; ``batching=False`` restores the strict per-op executor.
+path, so an unpipelined client gets the paper's algorithm unchanged.
+Distinct shards proceed in parallel.
 
-Live telemetry (:class:`ServiceTelemetry`, on by default) instruments
-that per-shard thread: every keyed operation runs inside a
-``service:<VERB>`` root span recorded by a bounded per-shard
+Live telemetry (:class:`ServiceTelemetry`) instruments that per-shard
+thread: every keyed operation runs inside a ``service:<VERB>`` root
+span recorded by a bounded per-shard
 :class:`~repro.obs.spans.RingTracer` (also bound into the shard's suite
 and RPC endpoint, so the full op/quorum/rpc/commit tree nests beneath
 it), feeds a rolling latency window, a space-saving hot-key sketch, and
@@ -91,7 +94,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.batch import BatchOp
+from repro.core.batch import BATCH_KINDS, BatchOp, _single
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
@@ -147,7 +150,9 @@ class _ShardTelemetry:
         # unlike the suite op counters, which all shards share.
         self.failed = cluster.metrics.counter("live.ops.failed")
 
-    def run(self, verb: str, key: str, trace: Any, fn: Any, *args: Any) -> Any:
+    def run(
+        self, verb: str, kind: str, key: str, value: Any, trace: Any
+    ) -> Any:
         """Execute one keyed operation on this shard, fully instrumented."""
         self._directory.note_routed(self.index)
         span = self.tracer.span(f"service:{verb}", key=key, shard=self.index)
@@ -155,18 +160,11 @@ class _ShardTelemetry:
             span.attrs["trace"] = trace
         try:
             with span:
-                return fn(self.cluster.suite, *args)
+                return _single(self.cluster.suite, kind, key, value)
         finally:
             # The ``with`` block sealed the span (end timestamp and
             # status) before this runs, success or failure.
-            self.latency.observe(span.duration)
-            self.hot_keys.offer(key)
-            if span.status != "ok":
-                self.failed.inc()
-            self.slow.record(
-                span, verb=verb, key=key, shard=self.index, trace=trace
-            )
-            self._recorded.inc()
+            self._account(span, verb, key, trace, (key,), span.status != "ok")
 
     def run_batch(
         self, ops: "list[BatchOp]", traces: "list[Any]"
@@ -174,42 +172,60 @@ class _ShardTelemetry:
         """Execute one batched wave segment, fully instrumented.
 
         One ``service:BATCH`` root span covers the grouped transaction
-        (the suite's ``op:batch`` tree nests beneath it); per-op
-        bookkeeping — routed counts, hot-key offers, failure counts —
-        still happens per operation, so ``STATS`` numbers stay exact
-        under batching.
+        (the suite's ``op:batch`` tree nests beneath it); the
+        bookkeeping is still per operation, so ``STATS`` numbers stay
+        exact under batching.
         """
         self._directory.note_routed(self.index, len(ops))
         stamped = [t for t in traces if t is not None]
+        trace = stamped[-1] if stamped else None
         span = self.tracer.span(
             "service:BATCH", size=len(ops), shard=self.index
         )
-        if stamped:
-            span.attrs["trace"] = stamped[-1]
+        if trace is not None:
+            span.attrs["trace"] = trace
         outcomes: "list[Any] | None" = None
         try:
             with span:
                 outcomes = self.cluster.suite.execute_batch(ops)
             return outcomes
         finally:
-            self.latency.observe(span.duration)
-            for op in ops:
-                self.hot_keys.offer(op.key)
-            failures = (
+            self._account(
+                span,
+                "BATCH",
+                f"[{len(ops)} ops]",
+                trace,
+                [op.key for op in ops],
                 len(ops)
                 if outcomes is None
-                else sum(1 for out in outcomes if out.error is not None)
+                else sum(1 for out in outcomes if out.error is not None),
             )
-            if failures:
-                self.failed.inc(failures)
-            self.slow.record(
-                span,
-                verb="BATCH",
-                key=f"[{len(ops)} ops]",
-                shard=self.index,
-                trace=stamped[-1] if stamped else None,
-            )
-            self._recorded.inc(len(ops))
+
+    def _account(
+        self,
+        span: Any,
+        verb: str,
+        label: str,
+        trace: Any,
+        keys: Any,
+        failed: int,
+    ) -> None:
+        """The bookkeeping :meth:`run` and :meth:`run_batch` share.
+
+        One latency sample and one hot-key offer per *operation*: every
+        op in a wave waited the wave's duration, so the rolling
+        percentiles stay per-op exactly when load arrives and
+        ``latency.n`` keeps step with ``live.ops.recorded``.
+        """
+        self.latency.observe(span.duration, len(keys))
+        for key in keys:
+            self.hot_keys.offer(key)
+        if failed:
+            self.failed.inc(failed)
+        self.slow.record(
+            span, verb=verb, key=label, shard=self.index, trace=trace
+        )
+        self._recorded.inc(len(keys))
 
 
 @dataclass(slots=True)
@@ -217,12 +233,10 @@ class _WaveItem:
     """One queued shard operation awaiting its wave."""
 
     verb: str
+    kind: str
     key: str
-    trace: Any
-    fn: Any
-    args: tuple
-    batch_kind: "str | None"
     value: Any
+    trace: Any
     future: Future
 
 
@@ -234,10 +248,10 @@ class _ShardBatcher:
     ``batch_max`` on the shard executor.  Within a wave, consecutive
     runs of batchable ops execute as one grouped quorum transaction via
     :meth:`~repro.core.suite.DirectorySuite.execute_batch`; unbatchable
-    verbs (``DELETE``/``DEL``) and solitary batchable ops take the
+    kinds (``delete``/``discard``) and solitary batchable ops take the
     classic single-op path.  Arrival order is preserved item by item —
-    a wave is the *same sequence* the unbatched executor would have
-    run, just paid for with shared quorum rounds.
+    a wave is the *same sequence* run one op at a time, just paid for
+    with shared quorum rounds.
 
     The drain task re-submits itself between waves instead of looping,
     so admin work sharing the executor (``SIZE``, ``REJOIN``, a live
@@ -258,14 +272,7 @@ class _ShardBatcher:
         self._draining = False
 
     def submit(
-        self,
-        verb: str,
-        key: str,
-        trace: Any,
-        fn: Any,
-        args: tuple,
-        batch_kind: "str | None",
-        value: Any,
+        self, verb: str, kind: str, trace: Any, key: str, value: Any
     ) -> "asyncio.Future":
         """Enqueue one op (loop thread); returns an awaitable result.
 
@@ -273,7 +280,7 @@ class _ShardBatcher:
         enqueue in exactly the order their tasks were created — the
         per-connection FIFO the reply writer depends on.
         """
-        item = _WaveItem(verb, key, trace, fn, args, batch_kind, value, Future())
+        item = _WaveItem(verb, kind, key, value, trace, Future())
         with self._lock:
             self._pending.append(item)
             start = not self._draining
@@ -308,59 +315,38 @@ class _ShardBatcher:
                 continue
 
     def _process(self, wave: "list[_WaveItem]") -> None:
-        i = 0
-        while i < len(wave):
-            if wave[i].batch_kind is None:
+        i, n = 0, len(wave)
+        while i < n:
+            j = i
+            while j < n and wave[j].kind in BATCH_KINDS:
+                j += 1
+            if j - i > 1:
+                self._run_batch(wave[i:j])
+                i = j
+            else:
+                # Alone in its wave, or a kind that never groups: the
+                # classic path — the paper's Figure 8/9 algorithm, the
+                # reference grouped waves are checked against, and the
+                # only one with read-repair and hedged reads.
                 self._run_single(wave[i])
                 i += 1
-                continue
-            j = i
-            while j < len(wave) and wave[j].batch_kind is not None:
-                j += 1
-            if j - i == 1:
-                # A solitary batchable op takes the classic path, so an
-                # unpipelined client sees bit-identical behavior.
-                self._run_single(wave[i])
-            else:
-                self._run_batch(wave[i:j])
-            i = j
-
-    def _shard(self) -> tuple[Any, Any]:
-        """(suite, telemetry shard or None) for this index, looked up at
-        drain time so a post-split rebind is always current."""
-        suite = self.service.directory.clusters[self.index].suite
-        telemetry = self.service.telemetry
-        if telemetry is not None and self.index < len(telemetry.shards):
-            return suite, telemetry.shards[self.index]
-        return suite, None
 
     def _run_single(self, item: _WaveItem) -> None:
-        suite, shard = self._shard()
         try:
-            if shard is not None:
-                result = shard.run(
-                    item.verb, item.key, item.trace, item.fn, *item.args
-                )
-            else:
-                result = item.fn(suite, *item.args)
+            result = self.service.telemetry.shards[self.index].run(
+                item.verb, item.kind, item.key, item.value, item.trace
+            )
         except BaseException as exc:
             item.future.set_exception(exc)
         else:
             item.future.set_result(result)
 
     def _run_batch(self, segment: "list[_WaveItem]") -> None:
-        suite, shard = self._shard()
-        ops = [
-            BatchOp(item.batch_kind, item.key, item.value)
-            for item in segment
-        ]
+        ops = [BatchOp(item.kind, item.key, item.value) for item in segment]
         try:
-            if shard is not None:
-                outcomes = shard.run_batch(
-                    ops, [item.trace for item in segment]
-                )
-            else:
-                outcomes = suite.execute_batch(ops)
+            outcomes = self.service.telemetry.shards[self.index].run_batch(
+                ops, [item.trace for item in segment]
+            )
         except BaseException as exc:
             for item in segment:
                 item.future.set_exception(exc)
@@ -504,6 +490,63 @@ class ServiceTelemetry:
         return self.metrics.snapshot()
 
 
+class _Usage(ReproError):
+    """A request does not fit its verb's usage line."""
+
+
+class _Verb:
+    """One row of the verb table; the usage line is its single source.
+
+    The usage line is what ``docs/SERVICE.md`` and the module docstring
+    list, what a bad request is answered with, and where the arity
+    comes from: one argument per word after the verb, a ``[bracketed]``
+    word optional, ``|`` between alternative forms.  A *keyed* verb
+    (first argument a key) names the ``kind`` that
+    :mod:`repro.core.batch` executes for it — alone or grouped is the
+    wave's business — and ``reply`` frames that result; an *admin* verb
+    has no kind and ``reply`` is its ``async (service, *args)`` handler.
+    """
+
+    __slots__ = ("usage", "kind", "reply", "fewest", "most")
+
+    def __init__(self, usage: str, reply: Any, kind: "str | None" = None):
+        self.usage, self.reply, self.kind = usage, reply, kind
+        counts = []
+        for form in usage.split("|"):
+            words = form.split()[1:]
+            optional = [w for w in words if w[0] == "[" and w[-1] == "]"]
+            counts += [len(words) - len(optional), len(words)]
+        self.fewest, self.most = min(counts), max(counts)
+
+
+def _text(value: Any) -> str:
+    """Stored values go back out as text (the front door stores strings)."""
+    return value if isinstance(value, str) else repr(value)
+
+
+def _found(result: "tuple[bool, Any]") -> bytes:
+    present, value = result
+    return protocol.encode_array(
+        ["1" if present else "0", _text(value) if present else None]
+    )
+
+
+def _value(result: "tuple[bool, Any]") -> bytes:
+    present, value = result
+    return protocol.encode_bulk(_text(value) if present else None)
+
+
+_OK = protocol.encode_simple("OK")
+
+
+def _ok(result: None) -> bytes:
+    return _OK
+
+
+def _json(body: Any) -> bytes:
+    return protocol.encode_bulk(json.dumps(body, default=str))
+
+
 class DirectoryService:
     """Serve a :class:`ShardedDirectory` over one loopback socket."""
 
@@ -513,9 +556,7 @@ class DirectoryService:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        live: bool = True,
         stats_window: float = 60.0,
-        batching: bool = True,
         batch_max: int = 128,
         pipeline_depth: int = 512,
     ) -> None:
@@ -536,7 +577,10 @@ class DirectoryService:
             raise ValueError(f"batch_max must be >= 1: {batch_max}")
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1: {pipeline_depth}")
-        self.batching = batching
+        #: Most ops one wave may hold.  ``1`` is the unbatched control:
+        #: every wave is one op, so nothing ever groups.  It exists for
+        #: gate 4 of ``benchmarks/bench_service.py``, which replays one
+        #: workload batched and unbatched and demands identical state.
         self.batch_max = batch_max
         self.pipeline_depth = pipeline_depth
         self._executors = [
@@ -552,13 +596,10 @@ class DirectoryService:
         metrics = transport.metrics
         self._ops = metrics.counter("service.front.ops")
         self._failures = metrics.counter("service.front.errors")
-        self.telemetry = (
-            ServiceTelemetry(directory, window=stats_window) if live else None
-        )
-        if self.telemetry is not None:
-            # A boot-time baseline sample: the very first STATS request
-            # already has something to difference against.
-            self.telemetry.sample()
+        self.telemetry = ServiceTelemetry(directory, window=stats_window)
+        # A boot-time baseline sample: the very first STATS request
+        # already has something to difference against.
+        self.telemetry.sample()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -619,7 +660,7 @@ class DirectoryService:
         one shard keep their wire order.
         """
         self._links.add(writer)
-        queue: "asyncio.Queue[asyncio.Task | None]" = asyncio.Queue(
+        queue: "asyncio.Queue[asyncio.Future | None]" = asyncio.Queue(
             maxsize=self.pipeline_depth
         )
         replier = asyncio.ensure_future(self._write_replies(queue, writer))
@@ -628,6 +669,17 @@ class DirectoryService:
                 try:
                     frame = await protocol.read_frame(reader)
                 except (ConnectionError, asyncio.IncompleteReadError):
+                    break
+                except protocol.ProtocolError as exc:
+                    # Framing is lost, so nothing after this can be
+                    # read: say why — behind the replies already owed —
+                    # and hang up.
+                    self._failures.inc()
+                    owed = asyncio.get_running_loop().create_future()
+                    owed.set_result(
+                        protocol.encode_error("ERR", f"protocol {exc}")
+                    )
+                    await queue.put(owed)
                     break
                 await queue.put(asyncio.ensure_future(self._dispatch(frame)))
         finally:
@@ -673,31 +725,39 @@ class DirectoryService:
         # Trailing @-metadata (trace id, client epoch) is stripped before
         # arity checks; unknown or malformed fields are ignored, never
         # errors.
-        parts, trace, epoch = protocol.split_meta_full(frame)
+        parts, trace, epoch = protocol.split_meta(frame)
         if not parts:
             self._failures.inc()
             return protocol.encode_error("ERR", "expected a command array")
         command, args = parts[0].upper(), parts[1:]
         try:
-            handler = self._COMMANDS[command]
+            row = self._VERBS[command]
         except KeyError:
             self._failures.inc()
             return protocol.encode_error("ERR", f"unknown command {command!r}")
         try:
-            if epoch is not None and command in self._KEYED and args:
-                # The client told us which map it routed with; refuse the
-                # op (cheaply, on the loop) if the key has since moved.
-                self.directory.require_epoch(args[0], epoch)
-            reply = await handler(self, args, trace)
+            if not row.fewest <= len(args) <= row.most:
+                raise _Usage
+            if row.kind is None:
+                reply = await row.reply(self, *args)
+            else:
+                if epoch is not None:
+                    # The client told us which map it routed with; refuse
+                    # the op (cheaply, on the loop) if the key has since
+                    # moved.
+                    self.directory.require_epoch(args[0], epoch)
+                reply = row.reply(
+                    await self._on_shard(command, row.kind, trace, *args)
+                )
             if epoch is not None:
                 reply = protocol.stamp_epoch(reply, self.directory.epoch)
             return reply
         except StaleEpochError as exc:
             # A redirect, not a failure: the client refreshes and retries.
             return protocol.encode_error("MOVED", str(exc.epoch))
-        except _Arity as exc:
+        except _Usage:
             self._failures.inc()
-            return protocol.encode_error("ERR", str(exc))
+            return protocol.encode_error("ERR", f"usage: {row.usage}")
         except KeyAlreadyPresentError as exc:
             return protocol.encode_error("KEYEXISTS", str(exc.key))
         except KeyNotPresentError as exc:
@@ -731,203 +791,76 @@ class DirectoryService:
             self._batchers.append(
                 _ShardBatcher(self, i, self._executors[i])
             )
-            if self.telemetry is not None:
-                self.telemetry.ensure_shard(i)
+            self.telemetry.ensure_shard(i)
 
     async def _on_shard(
-        self,
-        verb: str,
-        key: str,
-        trace: Any,
-        fn: Any,
-        *args: Any,
-        batch: "tuple[str, Any] | None" = None,
+        self, verb: str, kind: str, trace: Any, key: str, value: Any = None
     ) -> Any:
-        """Run ``fn(suite, *args)`` on the owning shard's worker thread.
+        """Run one keyed op on the owning shard's worker thread.
 
-        With batching enabled the op goes through the shard's
-        :class:`_ShardBatcher` instead of straight onto the executor;
-        ``batch`` names the grouped-transaction kind (and write value)
-        for verbs :meth:`~repro.core.suite.DirectorySuite.execute_batch`
-        can coalesce, ``None`` for ones that must run solo.
+        Every client op takes this one road: onto the shard's
+        :class:`_ShardBatcher`, whose waves decide — from what they
+        hold, not from a switch — whether it runs alone or grouped.
         """
         index = self.directory.shard_for(key)
-        if index >= len(self._executors):
+        if index >= len(self._batchers):
             # The current epoch routes to a shard a live split just
             # added; adopt it before dispatching (post-cutover, so the
             # new cluster is no longer being written by the migration).
             self._sync_shards()
-        if self.batching:
-            kind, value = batch if batch is not None else (None, None)
-            return await self._batchers[index].submit(
-                verb, key, trace, fn, args, kind, value
-            )
-        loop = asyncio.get_running_loop()
-        if self.telemetry is not None:
-            shard = self.telemetry.shards[index]
-            return await loop.run_in_executor(
-                self._executors[index], shard.run, verb, key, trace, fn, *args
-            )
-        suite = self.directory.clusters[index].suite
-        return await loop.run_in_executor(
-            self._executors[index], fn, suite, *args
+        return await self._batchers[index].submit(
+            verb, kind, trace, key, value
         )
 
-    # -- command handlers ----------------------------------------------------
+    async def _admin_on_shard(self, index: int, fn: Any, *args: Any) -> Any:
+        """Run admin work on shard ``index``'s worker thread.
 
-    async def _cmd_ping(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 0, "PING")
+        It shares the thread with that shard's waves, so it serializes
+        against client ops there (no extra locking) and interleaves
+        with them at wave granularity.
+        """
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executors[index], fn, *args
+        )
+
+    # -- admin verbs ---------------------------------------------------------
+
+    async def _ping(self) -> bytes:
         return protocol.encode_simple("PONG")
 
-    async def _cmd_lookup(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "LOOKUP key")
-        key = args[0]
-        present, value = await self._on_shard(
-            "LOOKUP",
-            key,
-            trace,
-            lambda suite: suite.lookup(key),
-            batch=("lookup", None),
-        )
-        return protocol.encode_array(
-            ["1" if present else "0", _text(value) if present else None]
-        )
-
-    async def _cmd_insert(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 2, "INSERT key value")
-        key, value = args
-        await self._on_shard(
-            "INSERT",
-            key,
-            trace,
-            lambda suite: suite.insert(key, value),
-            batch=("insert", value),
-        )
-        return protocol.encode_simple("OK")
-
-    async def _cmd_update(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 2, "UPDATE key value")
-        key, value = args
-        await self._on_shard(
-            "UPDATE",
-            key,
-            trace,
-            lambda suite: suite.update(key, value),
-            batch=("update", value),
-        )
-        return protocol.encode_simple("OK")
-
-    async def _cmd_delete(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "DELETE key")
-        key = args[0]
-        await self._on_shard(
-            "DELETE", key, trace, lambda suite: suite.delete(key)
-        )
-        return protocol.encode_simple("OK")
-
-    async def _cmd_get(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "GET key")
-        key = args[0]
-        present, value = await self._on_shard(
-            "GET",
-            key,
-            trace,
-            lambda suite: suite.lookup(key),
-            batch=("lookup", None),
-        )
-        return protocol.encode_bulk(_text(value) if present else None)
-
-    async def _cmd_set(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 2, "SET key value")
-        key, value = args
-
-        def upsert(suite: Any) -> None:
-            # Race-free: this closure owns the shard's only worker thread.
-            try:
-                suite.insert(key, value)
-            except KeyAlreadyPresentError:
-                suite.update(key, value)
-
-        await self._on_shard(
-            "SET", key, trace, upsert, batch=("upsert", value)
-        )
-        return protocol.encode_simple("OK")
-
-    async def _cmd_del(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "DEL key")
-        key = args[0]
-
-        def drop(suite: Any) -> int:
-            try:
-                suite.delete(key)
-            except KeyNotPresentError:
-                return 0
-            return 1
-
-        return protocol.encode_integer(
-            await self._on_shard("DEL", key, trace, drop)
-        )
-
-    async def _cmd_size(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 0, "SIZE")
-        loop = asyncio.get_running_loop()
+    async def _size(self) -> bytes:
         totals = await asyncio.gather(
             *(
-                loop.run_in_executor(
-                    self._executors[i], cluster.suite.size
-                )
+                self._admin_on_shard(i, cluster.suite.size)
                 for i, cluster in enumerate(self.directory.clusters)
             )
         )
         return protocol.encode_integer(sum(totals))
 
-    async def _cmd_shards(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 0, "SHARDS")
+    async def _shards(self) -> bytes:
         return protocol.encode_integer(len(self.directory.clusters))
 
-    def _require_live(self) -> ServiceTelemetry:
-        if self.telemetry is None:
-            raise ReproError("live telemetry is disabled on this server")
-        return self.telemetry
+    async def _stats(self, window: "str | None" = None) -> bytes:
+        try:
+            seconds = None if window is None else float(window)
+        except ValueError:
+            raise _Usage from None
+        return _json(self.telemetry.stats(seconds))
 
-    async def _cmd_stats(self, args: list[str], trace: Any) -> bytes:
-        if len(args) > 1:
-            raise _Arity("usage: STATS [window-seconds]")
-        window: float | None = None
-        if args:
-            try:
-                window = float(args[0])
-            except ValueError:
-                raise _Arity("usage: STATS [window-seconds]") from None
-        telemetry = self._require_live()
-        return protocol.encode_bulk(
-            json.dumps(telemetry.stats(window), default=str)
-        )
+    async def _slow(self, n: str = "10") -> bytes:
+        try:
+            count = int(n)
+        except ValueError:
+            raise _Usage from None
+        if count < 1:
+            raise _Usage
+        return _json(self.telemetry.slow(count))
 
-    async def _cmd_slow(self, args: list[str], trace: Any) -> bytes:
-        if len(args) > 1:
-            raise _Arity("usage: SLOW [n]")
-        n = 10
-        if args:
-            try:
-                n = int(args[0])
-            except ValueError:
-                raise _Arity("usage: SLOW [n]") from None
-            if n < 1:
-                raise _Arity("usage: SLOW [n]")
-        telemetry = self._require_live()
-        return protocol.encode_bulk(json.dumps(telemetry.slow(n), default=str))
+    async def _metrics(self) -> bytes:
+        return _json(self.telemetry.snapshot())
 
-    async def _cmd_metrics(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 0, "METRICS")
-        telemetry = self._require_live()
-        return protocol.encode_bulk(
-            json.dumps(telemetry.snapshot(), default=str)
-        )
-
-    async def _cmd_rejoin(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 1, "REJOIN [s<i>/]replica")
-        prefix, _, replica = args[0].rpartition("/")
+    async def _rejoin(self, target: str) -> bytes:
+        prefix, _, replica = target.rpartition("/")
         try:
             index = int(prefix.lstrip("s")) if prefix else 0
         except ValueError:
@@ -955,91 +888,64 @@ class DirectoryService:
             join.run()
             return cluster.suite.membership.state(replica).name
 
-        loop = asyncio.get_running_loop()
-        state = await loop.run_in_executor(self._executors[index], rejoin)
+        state = await self._admin_on_shard(index, rejoin)
         return protocol.encode_simple(state)
 
-    async def _cmd_shardmap(self, args: list[str], trace: Any) -> bytes:
-        _expect(args, 0, "SHARDMAP")
+    async def _shardmap(self) -> bytes:
         shard_map = self.directory.shard_map
         boundaries = getattr(shard_map, "boundaries", None)
-        body = {
-            "epoch": shard_map.epoch,
-            "shards": len(self.directory.clusters),
-            "describe": shard_map.describe(),
-            "kind": "range" if boundaries is not None else "hash",
-            "boundaries": boundaries,
-            "owners": getattr(shard_map, "owners", None),
-        }
-        return protocol.encode_bulk(json.dumps(body, default=str))
+        return _json(
+            {
+                "epoch": shard_map.epoch,
+                "shards": len(self.directory.clusters),
+                "describe": shard_map.describe(),
+                "kind": "range" if boundaries is not None else "hash",
+                "boundaries": boundaries,
+                "owners": getattr(shard_map, "owners", None),
+            }
+        )
 
-    async def _cmd_reshard(self, args: list[str], trace: Any) -> bytes:
-        usage = "RESHARD SPLIT boundary | RESHARD STATUS"
-        if not args:
-            raise _Arity(f"usage: {usage}")
-        sub = args[0].upper()
-        if sub == "STATUS":
-            _expect(args, 1, "RESHARD STATUS")
-            return protocol.encode_bulk(
-                json.dumps(self.directory.reshard_status(), default=str)
-            )
-        if sub != "SPLIT":
-            raise _Arity(f"usage: {usage}")
-        _expect(args, 2, "RESHARD SPLIT boundary")
-        boundary = args[1]
+    async def _reshard(self, sub: str, boundary: "str | None" = None) -> bytes:
         directory = self.directory
+        if sub.upper() == "STATUS" and boundary is None:
+            return _json(directory.reshard_status())
+        if sub.upper() != "SPLIT" or boundary is None:
+            raise _Usage
         # The migration runs on the SOURCE shard's worker thread, one
         # phase per hop, so it serializes against that shard's client
         # ops (no torn copies) while every other shard keeps serving.
         source = directory.shard_for(boundary)
-        loop = asyncio.get_running_loop()
-        executor = self._executors[source]
-        resharder = await loop.run_in_executor(
-            executor, directory.begin_split, boundary
+        resharder = await self._admin_on_shard(
+            source, directory.begin_split, boundary
         )
         while not resharder.done:
-            await loop.run_in_executor(executor, resharder.step)
+            await self._admin_on_shard(source, resharder.step)
         self._sync_shards()
         body: dict[str, Any] = {"epoch": directory.epoch, "done": True}
         if directory.reshard_log:
             body.update(directory.reshard_log[-1].summary())
-        return protocol.encode_bulk(json.dumps(body, default=str))
+        return _json(body)
 
-    #: Commands whose first argument is a key — the ones an ``@epoch=``
-    #: stamp gates through ``require_epoch``.
-    _KEYED = frozenset(
-        {"LOOKUP", "INSERT", "UPDATE", "DELETE", "GET", "SET", "DEL"}
-    )
-
-    _COMMANDS = {
-        "PING": _cmd_ping,
-        "LOOKUP": _cmd_lookup,
-        "INSERT": _cmd_insert,
-        "UPDATE": _cmd_update,
-        "DELETE": _cmd_delete,
-        "GET": _cmd_get,
-        "SET": _cmd_set,
-        "DEL": _cmd_del,
-        "SIZE": _cmd_size,
-        "SHARDS": _cmd_shards,
-        "REJOIN": _cmd_rejoin,
-        "STATS": _cmd_stats,
-        "SLOW": _cmd_slow,
-        "METRICS": _cmd_metrics,
-        "SHARDMAP": _cmd_shardmap,
-        "RESHARD": _cmd_reshard,
+    #: The verb table: every command the front door answers, keyed by
+    #: the first word of its usage line.
+    _VERBS = {
+        verb.usage.split()[0]: verb
+        for verb in (
+            _Verb("PING", _ping),
+            _Verb("LOOKUP key", _found, "lookup"),
+            _Verb("INSERT key value", _ok, "insert"),
+            _Verb("UPDATE key value", _ok, "update"),
+            _Verb("DELETE key", _ok, "delete"),
+            _Verb("GET key", _value, "lookup"),
+            _Verb("SET key value", _ok, "upsert"),
+            _Verb("DEL key", protocol.encode_integer, "discard"),
+            _Verb("SIZE", _size),
+            _Verb("SHARDS", _shards),
+            _Verb("REJOIN [s<i>/]replica", _rejoin),
+            _Verb("STATS [window]", _stats),
+            _Verb("SLOW [n]", _slow),
+            _Verb("METRICS", _metrics),
+            _Verb("SHARDMAP", _shardmap),
+            _Verb("RESHARD STATUS | RESHARD SPLIT boundary", _reshard),
+        )
     }
-
-
-class _Arity(ReproError):
-    """Wrong number of arguments for a front-door command."""
-
-
-def _expect(args: list[str], n: int, usage: str) -> None:
-    if len(args) != n:
-        raise _Arity(f"usage: {usage}")
-
-
-def _text(value: Any) -> str:
-    """Stored values go back out as text (the front door stores strings)."""
-    return value if isinstance(value, str) else repr(value)

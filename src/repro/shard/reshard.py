@@ -40,9 +40,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.batch import _single
 from repro.core.errors import (
     ConfigurationError,
-    KeyAlreadyPresentError,
     KeyNotPresentError,
     NetworkError,
     QuorumUnavailableError,
@@ -129,13 +129,6 @@ def authoritative_range_facts(
                 )
         facts[key.payload] = (best_version, best_present, best_value)
     return facts
-
-
-def _upsert(suite: Any, key: Any, value: Any) -> None:
-    try:
-        suite.insert(key, value)
-    except KeyAlreadyPresentError:
-        suite.update(key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +308,7 @@ class Resharder:
                 except KeyNotPresentError:
                     pass
             else:
-                _upsert(target_suite, key, value)
+                _single(target_suite, "upsert", key, value)
             self.mirrored += 1
         except ReproError:
             self.mirror_failures += 1
@@ -391,7 +384,7 @@ class Resharder:
             t_value = t[2] if t is not None else None
             try:
                 if present and (not t_present or t_value != value):
-                    _upsert(target_suite, payload, value)
+                    _single(target_suite, "upsert", payload, value)
                 elif not present and t_present:
                     try:
                         target_suite.delete(payload)

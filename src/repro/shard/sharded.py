@@ -33,11 +33,10 @@ unchanged on top of it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.cluster import _SPEC_FIELDS, ClusterSpec, DirectoryCluster
+from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.errors import (
     ConfigurationError,
     ReproError,
@@ -183,13 +182,12 @@ class ShardedDirectory:
         spec: "str | Any | ClusterSpec" = "3-2-2",
         shards: int | None = None,
         shard_map: "str | ShardMap" = "range",
-        **options: Any,
     ) -> "ShardedDirectory":
         """Build ``shards`` identical clusters on one shared network.
 
-        ``spec`` / ``options`` describe each shard exactly as
-        :meth:`DirectoryCluster.create` — a :class:`ClusterSpec` or the
-        keyword shim.  The spec is restamped per shard
+        ``spec`` describes each shard exactly as
+        :meth:`DirectoryCluster.create` takes it — a :class:`ClusterSpec`
+        or the ``"x-y-z"`` shorthand.  The spec is restamped per shard
         (:meth:`ClusterSpec.for_shard`): node ids gain an ``s<i>:``
         prefix, the quorum seed is offset per shard, and metrics land in
         a ``shard<i>``-scoped view of the shared registry.
@@ -198,29 +196,7 @@ class ShardedDirectory:
         ``"hash"``, or a :class:`ShardMap` instance; ``shards`` defaults
         to the instance's count, else 4.
         """
-        if isinstance(spec, ClusterSpec):
-            if options:
-                raise TypeError(
-                    "pass options inside the ClusterSpec, not as keywords: "
-                    f"{sorted(options)}"
-                )
-            base = spec
-        else:
-            unknown = set(options) - _SPEC_FIELDS
-            if unknown:
-                raise TypeError(
-                    f"unknown cluster option(s) {sorted(unknown)}; "
-                    f"valid: {sorted(_SPEC_FIELDS)}"
-                )
-            if options:
-                warnings.warn(
-                    f"{cls.__name__}.create(config, **options) is deprecated; "
-                    f"pass {cls.__name__}.create(ClusterSpec(config=..., "
-                    "...))",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            base = ClusterSpec(config=spec, **options)
+        base = spec if isinstance(spec, ClusterSpec) else ClusterSpec(spec)
         resolved_map = resolve_shard_map(shard_map, shards)
 
         transport = resolve_transport(

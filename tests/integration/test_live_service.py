@@ -157,13 +157,22 @@ class TestWireCompatibility:
             return protocol.read_frame_sync(stream)
 
     def test_old_format_client_without_trace_metadata(self, service):
-        # A pre-trace client: plain frames, no @-elements, trace=False.
-        with DirectoryClient(service.host, service.port, trace=False) as old:
-            assert old.last_trace is None
-            old.set("compat-key", "1")
-            assert old.get("compat-key") == "1"
-            assert old.ping()
-            assert old.last_trace is None
+        # A pre-trace client, as raw frames: no @-elements on any
+        # request, and the reply bytes of the original wire format.
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                protocol.encode_command("SET", "compat-key", "1")
+                + protocol.encode_command("GET", "compat-key")
+                + protocol.encode_command("LOOKUP", "compat-key")
+                + protocol.encode_command("PING")
+            )
+            stream = sock.makefile("rb")
+            assert stream.readline() == b"+OK\r\n"
+            assert stream.readline() + stream.readline() == b"$1\r\n1\r\n"
+            assert protocol.read_frame_sync(stream) == ["1", "1"]
+            assert stream.readline() == b"+PONG\r\n"
 
     @pytest.mark.parametrize(
         "meta",
@@ -192,18 +201,19 @@ class TestWireCompatibility:
         assert reply == "PONG"
 
     def test_split_meta_rightmost_trace_wins(self):
-        parts, trace = protocol.split_meta(
+        parts, trace, epoch = protocol.split_meta(
             ["GET", "k", "@trace=outer-1", "@trace=inner-2"]
         )
         assert parts == ["GET", "k"]
         assert trace == "inner-2"
+        assert epoch is None
 
     def test_split_meta_leaves_interior_at_args_alone(self):
         # Only *trailing* elements are metadata: an @-ish value in
         # argument position is untouched.
-        parts, trace = protocol.split_meta(["SET", "k", "@value"])
+        parts, trace, _ = protocol.split_meta(["SET", "k", "@value"])
         assert parts == ["SET", "k"]  # trailing @value is stripped...
-        parts, trace = protocol.split_meta(["SET", "@key", "v"])
+        parts, trace, _ = protocol.split_meta(["SET", "@key", "v"])
         assert parts == ["SET", "@key", "v"]  # ...interior @key is not
         assert trace is None
 
@@ -239,13 +249,17 @@ class TestTopCommand:
         assert "cannot connect" in capsys.readouterr().out
 
 
-class TestLiveDisabled:
-    def test_admin_verbs_error_but_ops_work(self):
+class TestRemovedSwitches:
+    def test_service_takes_no_live_or_batching_keyword(self):
+        """Telemetry and the batcher are the one path, not options:
+        the old restore-the-previous-behaviour keywords are gone."""
         spec = ClusterSpec(config="1-1-1", seed=3, transport="asyncio")
         with ShardedDirectory.create(spec, shards=1) as d:
-            with DirectoryService(d, live=False).start() as svc:
-                with DirectoryClient(svc.host, svc.port) as c:
-                    c.set("k", "v")
-                    assert c.get("k") == "v"
-                    with pytest.raises(protocol.ReplyError):
-                        c.stats()
+            for removed in ("live", "batching"):
+                with pytest.raises(TypeError, match=removed):
+                    DirectoryService(d, **{removed: False})
+
+    def test_clients_take_no_trace_or_epochs_keyword(self, service):
+        for removed in ("trace", "epochs"):
+            with pytest.raises(TypeError, match=removed):
+                DirectoryClient(service.host, service.port, **{removed: False})

@@ -13,16 +13,27 @@ asyncio front door three ways:
   client and its blocking wrapper, per-slot results and errors;
 * a reshard cutover interleaved with a pipelined burst — the regression
   for the stale-epoch case: only the moved slots chase ``-MOVED``, and
-  the burst as a whole still succeeds.
+  the burst as a whole still succeeds;
+* bytes that are not frames at all — answered ``-ERR protocol ...`` and
+  hung up on, never a traceback, by the in-process service and by a
+  ``python -m repro serve`` child alike.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
+import os
+import signal
 import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cluster import ClusterSpec
 from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
 from repro.service.client import (
@@ -248,3 +259,153 @@ class TestMovedMidBurst:
             assert read_frame_sync(reader) == "left"
         finally:
             sock.close()
+
+
+class TestStatsUnderBatching:
+    def test_latency_samples_stay_per_op_in_multi_op_waves(self, service):
+        """``STATS`` percentiles are per operation: a wave of N ops is N
+        latency samples (each waited the wave), never one."""
+        with DirectoryClient(service.host, service.port) as c:
+            for burst in range(4):
+                with c.pipeline() as pipe:
+                    for i in range(32):
+                        pipe.set(f"k{burst}-{i}", "v")
+                        pipe.get(f"k{burst}-{i}")
+            stats, snapshot = c.stats(), c.metrics()
+        grouped = sum(
+            value
+            for name, value in snapshot.items()
+            if name.endswith("suite.batch.ops")
+        )
+        assert grouped > 0, "no multi-op wave formed; the test shows nothing"
+        recorded = snapshot["live.ops.recorded"]  # a fresh server: the delta
+        assert recorded == 4 * 64
+        samples = sum(
+            row["latency"]["n"] for row in stats["per_shard"].values()
+        )
+        assert samples == recorded
+
+
+#: What a peer can get wrong, and the exact reply each earns.  The long
+#: line carries no terminator, so which of the reader's two limit
+#: messages it trips does not depend on how TCP chunks it.
+MALFORMED = {
+    "bare line, as typed into nc": (
+        b"PING\r\n",
+        b"-ERR protocol unknown frame type b'P'\r\n",
+    ),
+    "length that is not a number": (
+        b"$abc\r\n",
+        b"-ERR protocol malformed frame: invalid literal for int() "
+        b"with base 10: b'abc'\r\n",
+    ),
+    "bulk that is not UTF-8": (
+        b"*1\r\n$2\r\n\xff\xfe\r\n",
+        b"-ERR protocol malformed frame: 'utf-8' codec can't decode "
+        b"byte 0xff in position 0: invalid start byte\r\n",
+    ),
+    "unknown type byte": (
+        b"?what\r\n",
+        b"-ERR protocol unknown frame type b'?'\r\n",
+    ),
+    "70 KB line": (
+        b"x" * 70_000,
+        b"-ERR protocol malformed frame: Separator is not found, "
+        b"and chunk exceed the limit\r\n",
+    ),
+}
+
+
+def _send_garbage(address, payload: bytes) -> bytes:
+    """Everything the server sends back before it hangs up."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(payload)
+        with sock.makefile("rb") as stream:
+            received = stream.readline()
+            try:
+                received += stream.read()  # returns at the server's close
+            except ConnectionResetError:
+                pass  # closed with bytes of ours unread: a reset, not a FIN
+        return received
+
+
+def _ping(address) -> str:
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(encode_command("PING"))
+        with sock.makefile("rb") as stream:
+            return read_frame_sync(stream)
+
+
+class TestMalformedFrames:
+    """A malformed frame gets an answer, not a traceback."""
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_answered_then_closed(self, service, caplog, case):
+        payload, expected = MALFORMED[case]
+        address = (service.host, service.port)
+        errors = service.transport.metrics.counter("service.front.errors")
+        before = errors.value
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            assert _send_garbage(address, payload) == expected
+            assert _ping(address) == "PONG"  # the next connection is served
+        assert errors.value == before + 1
+        assert not caplog.records, caplog.text  # nothing unhandled on the loop
+
+    def test_replies_already_owed_flush_first(self, service):
+        address = (service.host, service.port)
+        received = _send_garbage(
+            address,
+            encode_command("SET", "owed", "1")
+            + encode_command("GET", "owed")
+            + b"PING\r\n"
+            + encode_command("SET", "owed", "never read"),
+        )
+        assert received == (
+            b"+OK\r\n$1\r\n1\r\n" + MALFORMED["bare line, as typed into nc"][1]
+        )
+        with DirectoryClient(*address) as c:
+            assert c.get("owed") == "1"
+
+    def test_rpc_server_hangs_up_quietly(self, service, caplog):
+        """The replica-facing RPC socket has no human on the other end:
+        it closes without a word, and without a traceback."""
+        node = next(iter(service.transport._nodes.values()))
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            assert _send_garbage(("127.0.0.1", node.port), b"PING\r\n") == b""
+            with DirectoryClient(service.host, service.port) as c:
+                c.set("after", "1")  # the replicas still answer RPCs
+                assert c.get("after") == "1"
+        assert not caplog.records, caplog.text
+
+    def test_serve_child_answers_and_keeps_stderr_clean(self, tmp_path):
+        ready, stderr = tmp_path / "ready", tmp_path / "stderr"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        with open(stderr, "wb") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--shards", "2",
+                 "--ready-file", str(ready)],
+                env=env, stdout=subprocess.DEVNULL, stderr=err,
+            )
+            try:
+                deadline = time.monotonic() + 30
+                while not (ready.exists() and ready.read_text().endswith("\n")):
+                    assert child.poll() is None, stderr.read_text()
+                    assert time.monotonic() < deadline, "serve never got ready"
+                    time.sleep(0.05)
+                host, port = ready.read_text().split()
+                address = (host, int(port))
+                for case, (payload, expected) in MALFORMED.items():
+                    assert _send_garbage(address, payload) == expected, case
+                    assert _ping(address) == "PONG", case
+            finally:
+                child.send_signal(signal.SIGINT)
+                try:
+                    child.wait(timeout=20)
+                except subprocess.TimeoutExpired:
+                    child.kill()
+                    child.wait(timeout=20)
+        assert stderr.read_text() == ""

@@ -99,18 +99,25 @@ class TestLiveSplitThroughTheService:
             stale.close()
 
     def test_epoch_unaware_client_works_across_a_split(self, service):
+        # The pre-epoch client, as raw frames on one connection held
+        # open across the split: it stamps nothing, so it must see no
+        # -MOVED and no @epoch= — the old reply bytes, unchanged.
         with DirectoryClient(service.host, service.port) as c:
             load(c)
-            with DirectoryClient(
-                service.host, service.port, epochs=False
-            ) as old:
-                assert old.get("key09") == "v9"
-                c.reshard("key08")
-                # No epoch metadata, no -MOVED, no stamped replies: the
-                # pre-epoch wire dialect keeps working unchanged.
-                old.set("key09", "old-write")
-                assert old.get("key09") == "old-write"
-                assert old.epoch is None and old.redirects == 0
+            with socket.create_connection(
+                (service.host, service.port), timeout=10
+            ) as sock:
+                stream = sock.makefile("rb")
+                sock.sendall(protocol.encode_command("GET", "key09"))
+                assert protocol.read_frame_sync(stream) == "v9"
+                c.reshard("key08")  # key09 now lives on a new shard
+                sock.sendall(
+                    protocol.encode_command("SET", "key09", "old-write")
+                )
+                assert stream.readline() == b"+OK\r\n"
+                sock.sendall(protocol.encode_command("LOOKUP", "key09"))
+                assert protocol.read_frame_sync(stream) == ["1", "old-write"]
+            assert c.get("key09") == "old-write"
 
     def test_stats_carry_epoch_and_reshard_state(self, service):
         with DirectoryClient(service.host, service.port) as c:

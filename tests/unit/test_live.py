@@ -206,6 +206,14 @@ class TestRollingHistogram:
             hist.observe(float(v))
         assert hist.snapshot()["n"] == 10
 
+    def test_one_interval_shared_by_many_ops_is_many_samples(self):
+        hist = RollingHistogram(FakeWallClock().now, window=60.0)
+        hist.observe(9.0)
+        hist.observe(1.0, 3)  # a wave of three ops that took 1.0
+        snap = hist.snapshot()
+        assert snap["n"] == 4
+        assert snap["p50"] == 1.0  # op-weighted, not wave-weighted
+
     def test_empty_snapshot(self):
         hist = RollingHistogram(FakeWallClock().now)
         assert hist.snapshot() == {

@@ -1,11 +1,10 @@
-"""Unit tests for the load generator's redesigned configuration surface.
+"""Unit tests for the load generator's configuration surface.
 
-:class:`LoadSpec` is the one value a load run needs; the loose-kwargs
-``run_load(host, port, ops=...)`` form survives as a deprecated shim.
-The socket-driving paths themselves are exercised end to end by the
-service integration tests and ``benchmarks/bench_service.py``; here we
-pin the pure parts — validation, open/closed mode selection, and the
-deprecation contract.
+:class:`LoadSpec` is the one value a load run needs, and the only thing
+``run_load`` takes.  The socket-driving paths themselves are exercised
+end to end by the service integration tests and
+``benchmarks/bench_service.py``; here we pin the pure parts —
+validation and open/closed mode selection.
 """
 
 from __future__ import annotations
@@ -66,23 +65,12 @@ class TestLoadSpec:
 
 class TestRunLoadSurface:
     def test_spec_plus_keywords_rejected(self):
-        with pytest.raises(TypeError, match="inside the LoadSpec"):
+        with pytest.raises(TypeError):
             run_load(LoadSpec(), ops=10)
-        with pytest.raises(TypeError, match="inside the LoadSpec"):
+        with pytest.raises(TypeError):
             run_load(LoadSpec(), 7379)
 
     def test_unknown_legacy_option_rejected(self):
-        with pytest.raises(TypeError, match="unknown load option"):
-            run_load("127.0.0.1", 7379, opz=10)
-
-    def test_legacy_kwargs_warn_then_build_a_spec(self):
-        # Port 1 refuses connections immediately: the shim must have
-        # warned (and validated) before any socket work begins.
-        with pytest.warns(DeprecationWarning, match="LoadSpec"):
-            with pytest.raises(OSError):
-                run_load("127.0.0.1", 1, ops=1, connections=1)
-
-    def test_legacy_kwargs_validate_like_the_spec(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="pipeline"):
-                run_load("127.0.0.1", 1, pipeline=0)
+        # The host/port/keywords form is gone, not deprecated.
+        with pytest.raises(TypeError):
+            run_load("127.0.0.1", 7379, ops=10)
