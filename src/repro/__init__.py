@@ -32,9 +32,9 @@ Packages:
   naive per-entry versions, static partitioning.
 * :mod:`repro.sim` — workloads, simulation drivers, availability and
   concurrency analysis, paper-style table rendering.
-* :mod:`repro.service` — the wall-clock substrate: representatives as
-  asyncio socket servers, the networked front door, client library, and
-  load generator (``python -m repro serve`` / ``load``).
+* :mod:`repro.service` — the wall-clock substrate: co-located
+  representatives called directly, the networked front door, client
+  library, and load generator (``python -m repro serve`` / ``load``).
 """
 
 from repro.cluster import ClusterSpec, DirectoryCluster

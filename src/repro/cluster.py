@@ -1,7 +1,7 @@
 """One-call construction of a replicated-directory cluster.
 
 :class:`DirectoryCluster` wires together everything a directory suite
-needs — a transport (simulated network or real asyncio sockets), one
+needs — a transport (simulated network, or direct calls on a wall clock), one
 node per representative, representative services with stores /
 write-ahead logs / lock tables, a transaction manager, and the suite
 front-end — so examples and benchmarks can say::
@@ -103,8 +103,8 @@ class ClusterSpec:
     #: collide with nodes already on it — use ``node_for_rep``.
     network: Network | None = None
     #: Substrate the cluster runs on: ``None``/``"sim"`` (simulated
-    #: network + simulated clock), ``"asyncio"`` (representatives as
-    #: real asyncio socket servers on loopback, wall clock), or a
+    #: network + simulated clock), ``"asyncio"`` (representatives
+    #: co-located in this process and called directly, wall clock), or a
     #: :class:`~repro.net.transport.Transport` instance (shared
     #: substrates, e.g. one transport hosting every shard).
     transport: "str | Transport | None" = None
@@ -320,7 +320,7 @@ class DirectoryCluster:
         """Release the cluster's substrate (idempotent).
 
         A no-op for the simulated transport; for the asyncio transport
-        it stops every representative server and the event loop.
+        it stops the event loop and its thread.
         """
         self.transport.close()
 

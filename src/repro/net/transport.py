@@ -14,8 +14,9 @@ This module names the seam:
   Its fault surface is the existing error hierarchy — a crashed or
   unreachable target raises :class:`~repro.core.errors.NodeDownError`, a
   crashed origin :class:`~repro.core.errors.OriginDownError`, a lost or
-  late exchange :class:`~repro.core.errors.RpcTimeoutError` — so suite,
-  2PC, and retry code is transport-blind by construction.
+  late exchange (on a substrate that can lose one)
+  :class:`~repro.core.errors.RpcTimeoutError` — so suite, 2PC, and retry
+  code is transport-blind by construction.
 
 * :class:`SimTransport` — the simulated substrate, wrapping a
   :class:`~repro.net.network.Network`.  Every method is pure delegation
@@ -24,8 +25,9 @@ This module names the seam:
   by ``tests/integration/test_transport_pinning.py``).
 
 * ``AsyncioTransport`` (in :mod:`repro.service.aio`) — the wall-clock
-  substrate: representatives run as real asyncio socket servers behind a
-  redis-like line protocol, and endpoint calls cross real sockets.
+  substrate for nodes co-located in one process: an endpoint call is a
+  direct call on the hosted service, on the calling thread, timed by the
+  wall clock; its event loop carries the client-facing front door only.
 
 Construction selects a transport on :class:`~repro.cluster.ClusterSpec`
 (the ``transport`` field); everything downstream — the suite's quorum
@@ -64,10 +66,10 @@ class Transport(Protocol):
     """What a cluster substrate must provide.
 
     Implementations: :class:`SimTransport` (simulated network, simulated
-    clock) and :class:`~repro.service.aio.AsyncioTransport` (real
-    sockets, wall clock).  ``isinstance(obj, Transport)`` verifies the
-    surface exists; semantics — the error mapping above, endpoint
-    behavior — are enforced by the transport-conformance tests.
+    clock) and :class:`~repro.service.aio.AsyncioTransport` (direct
+    in-process calls, wall clock).  ``isinstance(obj, Transport)``
+    verifies the surface exists; semantics — the error mapping above,
+    endpoint behavior — are enforced by the transport-conformance tests.
     """
 
     @property
@@ -196,7 +198,7 @@ def resolve_transport(
 
     ``None`` or ``"sim"`` builds a :class:`SimTransport` (wrapping
     ``network`` when given, else a fresh simulated network); ``"asyncio"``
-    builds a loopback :class:`~repro.service.aio.AsyncioTransport`; a
+    builds an :class:`~repro.service.aio.AsyncioTransport`; a
     :class:`Transport` instance passes through unchanged (``network`` /
     ``latency`` must then be unset — the instance already owns its
     substrate).
@@ -209,7 +211,7 @@ def resolve_transport(
         if network is not None or latency is not None:
             raise ConfigurationError(
                 "network/latency are simulation-only options; the asyncio "
-                "transport runs on real sockets and a wall clock"
+                "transport calls its nodes directly, on a wall clock"
             )
         from repro.service.aio import AsyncioTransport
 

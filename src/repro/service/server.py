@@ -3,9 +3,9 @@
 :class:`DirectoryService` attaches a single listening socket to the
 event loop of an :class:`~repro.service.aio.AsyncioTransport` that is
 already hosting a :class:`~repro.shard.sharded.ShardedDirectory`'s
-representatives.  Clients speak the same redis-like protocol as the
-internal RPC surface (:mod:`repro.service.protocol`), but with plain
-string commands — one row of the verb table (:class:`_Verb`) each::
+representatives.  Clients speak a redis-like protocol
+(:mod:`repro.service.protocol`) with plain string commands — one row of
+the verb table (:class:`_Verb`) each::
 
     PING                     -> +PONG
     LOOKUP key               -> *2  ("1"/"0", value or null bulk)
@@ -60,7 +60,10 @@ per-connection replier writes the replies back strictly in request
 order, so a client may keep many requests in flight on one socket and
 still parse replies positionally.  The quorum algorithm underneath is
 synchronous and per-shard stateful, so each shard keeps a dedicated
-single-worker executor thread; in front of it sits a *batching queue*
+single-worker executor thread — which also runs the shard's
+representatives, called directly by the transport, so the loop thread
+does framing, routing and replies and nothing else; in front of the
+worker sits a *batching queue*
 (:class:`_ShardBatcher`): concurrent same-shard operations accumulate
 while the worker is busy and drain in waves, each wave's run of
 batchable ops (``LOOKUP``/``GET``/``INSERT``/``UPDATE``/``SET``)
@@ -117,8 +120,8 @@ class _ShardTelemetry:
     endpoint's tracer to a bounded :class:`RingTracer`, so the spans a
     keyed operation opens below the ``service:<VERB>`` root all land in
     the same per-shard ring.  Representatives keep their construction-
-    time null tracer — their work happens on the transport's loop
-    thread, where spans could never nest under the shard-thread root.
+    time null tracer: they run on this same worker thread, but the live
+    plane's trees stop at the suite's quorum rounds and RPCs.
     """
 
     def __init__(

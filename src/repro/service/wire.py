@@ -1,10 +1,17 @@
-"""JSON codec for the values that cross the service's sockets.
+"""JSON codec for the values a replica RPC carries across a socket.
+
+A codec in waiting: co-located replicas are called directly
+(:mod:`repro.service.aio`), so nothing under ``src/`` encodes an RPC
+today.  It stays for the transport that puts replicas in their own
+processes — and because ``benchmarks/perf`` measures it — and is to be
+adopted or deleted when that transport lands (ROADMAP, "choose a
+process model").
 
 The internal RPC surface (suite front-end → representative) exchanges a
 small, closed set of shapes: bounded keys, entries, the Figure 6 reply
 records, coalesce results, and the repo's error hierarchy.  This module
-maps each onto a tagged JSON form and back, so both wire surfaces
-(:mod:`repro.service.protocol`) carry plain UTF-8 text.
+maps each onto a tagged JSON form and back, so a RESP frame
+(:mod:`repro.service.protocol`) can carry it as plain UTF-8 text.
 
 Tags are single short keys on a wrapper object (``{"__k": ...}`` for a
 key, ``{"__e": ...}`` for an entry, ...), chosen so plain JSON scalars

@@ -366,17 +366,6 @@ class TestMalformedFrames:
         with DirectoryClient(*address) as c:
             assert c.get("owed") == "1"
 
-    def test_rpc_server_hangs_up_quietly(self, service, caplog):
-        """The replica-facing RPC socket has no human on the other end:
-        it closes without a word, and without a traceback."""
-        node = next(iter(service.transport._nodes.values()))
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            assert _send_garbage(("127.0.0.1", node.port), b"PING\r\n") == b""
-            with DirectoryClient(service.host, service.port) as c:
-                c.set("after", "1")  # the replicas still answer RPCs
-                assert c.get("after") == "1"
-        assert not caplog.records, caplog.text
-
     def test_serve_child_answers_and_keeps_stderr_clean(self, tmp_path):
         ready, stderr = tmp_path / "ready", tmp_path / "stderr"
         src = str(Path(repro.__file__).resolve().parents[1])

@@ -228,6 +228,50 @@ class TestServiceRejoinVerb:
                     for i in range(40, 80):
                         assert client.get(f"k{i}") == str(i)
 
+    def test_join_converges_when_the_serve_log_bound_truncates_under_it(self):
+        """``repro serve`` bounds every replica's log, so a donor can
+        checkpoint past a joiner's watermark; the join must notice
+        (``rep_wal_since`` refuses) and start over from a snapshot.
+
+        The ``REJOIN`` verb runs a join to completion on the shard's
+        worker, where no client write can slip in between its steps, so
+        the join is stepped by hand here, with the writes between."""
+        from repro.cli import SERVE_LOG_BOUND
+        from repro.shard.sharded import ShardedDirectory
+        from repro.storage.snapshot import LogSizeBound
+
+        spec = ClusterSpec(
+            config="3-2-2", seed=4, transport="asyncio", fanout="parallel",
+            checkpoint_policy=LogSizeBound(SERVE_LOG_BOUND),
+        )
+        with ShardedDirectory.create(spec, shards=1, shard_map="hash") as d:
+            cluster = d.clusters[0]
+            suite = cluster.suite
+            model = {f"k{i}": str(i) for i in range(40)}
+            for key, value in model.items():
+                suite.insert(key, value)
+            victim = "C"
+            cluster.crash(victim)
+            wipe_replica(cluster, victim)
+            join = ReplicaJoin(cluster, victim)
+            join.step()  # snapshot pulled, donor and watermark chosen
+            assert join.phase == "catchup"
+            donor_log = cluster.representative(join.donor).wal
+            writes = 0
+            while donor_log.oldest_lsn <= join.watermark + 1:
+                key = f"k{writes % 40}"
+                model[key] = f"w{writes}"
+                suite.update(key, model[key])
+                writes += 1
+                assert writes < 4 * SERVE_LOG_BOUND, "donor never checkpointed"
+            join.step()
+            assert (join.phase, join.donor) == ("snapshot", None)  # fell back
+            join.run()
+            assert suite.membership.all_up
+            report = cluster.make_auditor().audit_join(victim)
+            assert report.ok, report.render()
+            assert suite.authoritative_state() == model
+
     def test_rejoin_verb_rejects_unknown_targets(self):
         from repro.service.client import DirectoryClient
         from repro.service.server import DirectoryService

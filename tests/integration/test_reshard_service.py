@@ -14,6 +14,8 @@ that would carry the error.
 from __future__ import annotations
 
 import socket
+import sys
+import threading
 
 import pytest
 
@@ -129,6 +131,111 @@ class TestLiveSplitThroughTheService:
             assert stats["reshard"]["migrations"] == 1
             assert stats["reshard"]["active"] is False
             assert set(stats["per_shard"]) == {"s0", "s1", "s2"}
+
+
+class TestSplitIntoABusyShard:
+    """Two shard workers inside one shard's replicas at once.
+
+    A split aimed at an *existing* shard runs on the source shard's
+    worker and writes into the target's replicas (copy, cutover heal)
+    while the target's own worker is executing its clients' waves.
+    Until replicas were called directly the transport's loop thread ran
+    every replica method and so serialized the two; now only each
+    representative's latch does.
+    """
+
+    WRITERS = 2
+    BURST = 16
+
+    def test_pipelined_writers_on_the_target_while_a_split_lands(self):
+        spec = ClusterSpec(
+            config="3-2-2", seed=21, transport="asyncio", fanout="parallel"
+        )
+        with ShardedDirectory.create(
+            spec, shards=2, shard_map=RangeShardMap(["m"])
+        ) as d, DirectoryService(d).start() as svc:
+            moved = {f"g{i:02d}": f"v{i}" for i in range(32)}
+            with DirectoryClient(svc.host, svc.port) as c:
+                with c.pipeline() as p:
+                    for key, value in moved.items():
+                        p.set(key, value)
+                    p.set("a-stays", "put")
+
+            models = [{} for _ in range(self.WRITERS)]
+            failures: list = []
+            writing = [threading.Event() for _ in range(self.WRITERS)]
+            stop = threading.Event()
+
+            def writer(w: int) -> None:
+                # Keys >= "m": shard 1 (the split's target) before,
+                # during and after.  SETs and GETs take point locks
+                # only, so nothing here can collide with the moved
+                # range's locks.
+                try:
+                    with DirectoryClient(svc.host, svc.port) as client:
+                        for burst in range(400):
+                            with client.pipeline() as p:
+                                slots = []
+                                for i in range(self.BURST):
+                                    key = f"w{w}k{(burst * 7 + i) % 48:02d}"
+                                    value = f"{burst}.{i}"
+                                    slots.append(p.set(key, value))
+                                    models[w][key] = value
+                            failures.extend(
+                                s.error for s in slots if s.error is not None
+                            )
+                            writing[w].set()
+                            if stop.is_set():
+                                return
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+                finally:
+                    writing[w].set()
+
+            async def split_onto_shard_1():
+                # What RESHARD SPLIT does, with the one argument the
+                # verb cannot carry: an existing target.
+                resharder = await svc._admin_on_shard(0, d.begin_split, "g", 1)
+                while not resharder.done:
+                    await svc._admin_on_shard(0, resharder.step)
+
+            threads = [
+                threading.Thread(target=writer, args=(w,))
+                for w in range(self.WRITERS)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                for thread in threads:
+                    thread.start()
+                for event in writing:
+                    assert event.wait(timeout=30)
+                svc.transport.submit(split_onto_shard_1())
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+            finally:
+                stop.set()
+                sys.setswitchinterval(interval)
+
+            assert failures == []
+            record = d.reshard_log[-1]
+            assert (record.source, record.target) == (0, 1)
+            assert record.moved == len(moved) and record.violations == []
+            auditor = d.make_auditor()
+            auditor.run()
+            auditor.audit_reshard()
+            assert auditor.report.violations == []
+            expected = {"a-stays": "put", **moved}
+            for model in models:
+                expected.update(model)
+            assert d.authoritative_state() == expected
+            assert d.shard_for("g00") == 1 and d.shard_for("a-stays") == 0
+            for cluster in d.clusters:
+                cluster.check_invariants()
+                for rep in cluster.representatives.values():
+                    assert rep.locks.is_idle()
 
 
 class TestEpochWireFormat:

@@ -1,19 +1,23 @@
 """One behavioural contract, two substrates.
 
 The whole point of the Transport seam is that the paper's algorithm
-cannot tell whether its RPCs ride the simulated network or real asyncio
-sockets.  This suite runs the same operation/error/chaos sequences over
-a cluster built on each transport and demands identical *behaviour*
-(answers, error types, quorum availability) — timing, of course,
-differs: one substrate is a virtual clock, the other is the wall.
+cannot tell whether its RPCs ride the simulated network or are direct
+calls timed by the wall clock.  This suite runs the same
+operation/error/chaos sequences over a cluster built on each transport
+and demands identical *behaviour* (answers, error types, quorum
+availability) — timing, of course, differs: one substrate is a virtual
+clock, the other is the wall.
 
-The asyncio half doubles as the loopback integration test for the
-service stack: representatives really are socket servers here, every
-suite operation really crosses TCP, and the front-door/client pair gets
-its own end-to-end pass at the bottom.
+The asyncio half doubles as the integration test for the service
+stack: representatives are co-located and called directly, on the wall
+clock, and the front-door/client pair gets its own end-to-end pass over
+a real socket at the bottom.
 """
 
 from __future__ import annotations
+
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +29,7 @@ from repro.core.errors import (
     QuorumUnavailableError,
 )
 from repro.core.interface import Directory
+from repro.core.keys import wrap
 from repro.net.network import Network, uniform_latency
 from repro.net.transport import SimTransport, resolve_transport
 
@@ -145,6 +150,106 @@ class TestTransportSurface:
 
     def test_suite_satisfies_directory_protocol(self, cluster):
         assert isinstance(cluster.suite, Directory)
+
+
+class TestMessageCost:
+    """``service.rpc.calls`` is the paper's message cost as the service
+    pays it: one logical RPC, one count — exactly the rounds the
+    simulated network accounts for the same seeded run."""
+
+    @staticmethod
+    def _churn(suite):
+        rng = random.Random(1)
+        for i in range(300):
+            key = f"k{rng.randrange(40)}"
+            verb = rng.choice(["lookup", "insert", "update", "delete"])
+            try:
+                if verb in ("lookup", "delete"):
+                    getattr(suite, verb)(key)
+                else:
+                    getattr(suite, verb)(key, i)
+            except (KeyAlreadyPresentError, KeyNotPresentError):
+                pass
+
+    @pytest.mark.parametrize("fanout", ["serial", "parallel", "hedged"])
+    def test_asyncio_counts_what_the_simulator_counts(self, fanout):
+        spec = ClusterSpec(config="3-2-2", seed=9, fanout=fanout)
+        with DirectoryCluster.create(spec) as sim:
+            self._churn(sim.suite)
+            rounds = sim.network.stats.rpc_rounds
+        with DirectoryCluster.create(replace(spec, transport="asyncio")) as aio:
+            self._churn(aio.suite)
+            calls = aio.metrics.counter("service.rpc.calls").value
+        assert calls == rounds > 1000
+
+
+class TestByReference:
+    """Neither substrate copies: a call shares its arguments and its
+    result with the replica, so a replica must neither keep a caller's
+    container nor hand out its own."""
+
+    def test_mutated_containers_leave_the_replica_alone(self, cluster):
+        place = cluster.suite.placements["A"]
+        rep = cluster.representative("A")
+
+        def rpc(method, *args):
+            return cluster.suite.rpc.call(
+                place.node_id, place.service_name, method, *args
+            )
+
+        def state():
+            return rep.store.snapshot(), list(rep.wal.records)
+
+        for name in "abcd":
+            cluster.suite.insert(name, name.upper())
+
+        rows = [(wrap("x"), 1000, "vx"), (wrap("y"), 1000, "vy")]
+        rpc("rep_insert_many", 9001, rows)
+        rpc("commit", 9001)
+        before = state()
+        rows[0] = (wrap("x"), 2000, "overwritten by the caller")
+        rows.clear()
+        assert state() == before
+        assert rpc("rep_lookup", 9002, wrap("x")).value == "vx"
+
+        keys = [wrap("x"), wrap("b"), wrap("nope")]
+        replies = rpc("rep_lookup_many", 9002, keys)
+        kept = list(replies)
+        keys.clear()
+        replies.reverse()
+        replies.pop()
+        second = rpc(
+            "rep_lookup_many", 9003, [wrap("x"), wrap("b"), wrap("nope")]
+        )
+        assert second == kept
+        assert state() == before
+
+        neighbors = rpc("rep_neighbors_batch", 9002, wrap("b"), "succ", 3)
+        kept = list(neighbors)
+        assert len(kept) == 3
+        neighbors.clear()
+        assert rpc("rep_neighbors_batch", 9003, wrap("b"), "succ", 3) == kept
+        assert state() == before
+
+        for txn in (9002, 9003):  # give the read locks back
+            rpc("abort", txn)
+        before = state()
+        watermark, shipped = rpc("rep_wal_since", 0)
+        kept = list(shipped)
+        assert kept
+        shipped.clear()
+        shipped.append("not a record")
+        assert rpc("rep_wal_since", 0) == (watermark, kept)
+        assert state() == before
+
+        # A snapshot is tuples all the way down: nothing to mutate, and
+        # each export is its own object.
+        snapshot, mark = rpc("rep_export_snapshot")
+        assert isinstance(snapshot.entries, tuple)
+        assert isinstance(snapshot.gap_versions, tuple)
+        again, _ = rpc("rep_export_snapshot")
+        assert again == snapshot == before[0] and mark == watermark
+        cluster.check_invariants()
 
 
 class TestResolution:
