@@ -943,8 +943,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         default=0.05,
-        help="allowed fractional increase before a leaf counts as a "
-        "regression (default 0.05)",
+        help="fraction a leaf may worsen by (rise; fall, for a rate or "
+        "a speedup) before it counts as a regression (default 0.05)",
     )
     p.set_defaults(fn=cmd_bench_compare)
 

@@ -18,8 +18,11 @@ small:
 :func:`compare_benches` diffs two documents leaf by numeric leaf across
 the ``messages`` and ``latency`` sections (sample counts ``n`` are
 excluded — more samples is not a regression) and flags every leaf where
-the candidate exceeds the baseline by more than ``tolerance`` (default
-5%, the threshold ISSUE 3 sets for CI).
+the candidate is worse than the baseline by more than ``tolerance``
+(default 5%, the threshold ISSUE 3 sets for CI).  Worse is *higher* for
+a cost — messages, rounds, latencies, which is nearly every leaf — and
+*lower* for the leaves named as rates or speedups (``*_per_second``,
+``speedup*``).
 """
 
 from __future__ import annotations
@@ -37,6 +40,18 @@ _COMPARED_SECTIONS = ("messages", "latency")
 
 #: Leaf keys excluded from comparison (counts, not costs).
 _SKIPPED_LEAVES = frozenset({"n", "count"})
+
+
+def _worse_by(path: str, ratio: float) -> float:
+    """How much worse candidate/baseline = ``ratio`` is for this leaf.
+
+    A rate or a speedup (``*_per_second``, ``speedup*``) is worse when
+    it falls; every other leaf is a cost and is worse when it rises.
+    """
+    leaf = path.rsplit(".", 1)[-1]
+    if leaf.endswith("_per_second") or leaf.startswith("speedup"):
+        return 1.0 - ratio
+    return ratio - 1.0
 
 
 def bench_payload(
@@ -125,9 +140,10 @@ def compare_benches(
     """Flag every compared leaf where candidate regresses past tolerance.
 
     Returns a list of ``{"path", "baseline", "candidate", "ratio"}``
-    records, worst first.  Leaves present in only one document are
-    ignored (schemas may grow), as are zero baselines (no meaningful
-    ratio).
+    records, worst first; ``ratio`` is candidate over baseline, so it is
+    above one for a cost that rose and below one for a rate that fell.
+    Leaves present in only one document are ignored (schemas may grow),
+    as are zero baselines (no meaningful ratio).
     """
     validate_bench(baseline)
     validate_bench(candidate)
@@ -142,7 +158,7 @@ def compare_benches(
         if cand is None or base <= 0:
             continue
         ratio = cand / base
-        if ratio > 1.0 + tolerance:
+        if _worse_by(path, ratio) > tolerance:
             regressions.append(
                 {
                     "path": path,
@@ -151,7 +167,9 @@ def compare_benches(
                     "ratio": ratio,
                 }
             )
-    regressions.sort(key=lambda r: r["ratio"], reverse=True)
+    regressions.sort(
+        key=lambda r: _worse_by(r["path"], r["ratio"]), reverse=True
+    )
     return regressions
 
 
@@ -172,6 +190,6 @@ def format_comparison(
     for reg in regressions:
         lines.append(
             f"  {reg['path']}: {reg['baseline']:g} -> {reg['candidate']:g} "
-            f"(+{(reg['ratio'] - 1.0):.1%})"
+            f"({(reg['ratio'] - 1.0):+.1%})"
         )
     return "\n".join(lines)

@@ -11,14 +11,16 @@ reads as it did when every call crossed loopback TCP.
 
 Threading model.  The transport owns one event loop on a background
 thread; the client-facing front door (:mod:`repro.service.server`) puts
-its listening socket there through :meth:`AsyncioTransport.submit`.  The
-loop runs no replica code.  Suite front-ends are synchronous and run on
-ordinary threads (one worker per shard under the front door); a hosted
-method executes on whichever of them called it, and what serializes the
-calls landing on one node is the hosted service's own lock — a
-representative's ``_latch``, which every RPC-reachable method takes.
-Arguments and results are shared by reference, so a hosted method must
-neither keep a caller's container nor hand out its own.
+its listening socket there through :meth:`AsyncioTransport.submit` and
+serves from that thread alone — its suites, and through them the hosted
+replicas, run as loop callbacks.  The transport itself has no opinion:
+suite front-ends are synchronous, a hosted method executes on whichever
+thread called it (the loop under the front door, ordinary threads when a
+directory is driven directly), and what serializes the calls landing on
+one node is the hosted service's own lock — a representative's
+``_latch``, which every RPC-reachable method takes.  Arguments and
+results are shared by reference, so a hosted method must neither keep a
+caller's container nor hand out its own.
 
 The fault surface maps onto the existing hierarchy:
 

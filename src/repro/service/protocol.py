@@ -17,10 +17,15 @@ arguments); replies are any of the above.  The *internal* RPC surface
 session really does look like talking to a tiny redis.
 
 Encoders return ``bytes`` to hand to a transport.  There is one
-decoder, a coroutine over an :class:`asyncio.StreamReader`;
-:func:`read_frame_sync` runs that same coroutine over a buffered binary
-file.  Both return the same Python shapes: ``list`` for arrays, ``str``
-for bulk/simple strings, ``None`` for null, ``int`` for integers, and
+decoder, :func:`read_frame`, a coroutine written against the two reads
+of an :class:`asyncio.StreamReader` (``readline``, ``readexactly``), and
+three thin readers to run it over: the stream reader itself (the asyncio
+clients), a blocking binary file (:func:`read_frame_sync`), and bytes
+already received (:class:`FrameBuffer`, what the front door's
+connections parse from).  Only the first ever suspends; over the other
+two the coroutine is stepped once and finishes inside that step.  All
+return the same Python shapes: ``list`` for arrays, ``str`` for
+bulk/simple strings, ``None`` for null, ``int`` for integers, and
 :class:`ReplyError` *instances* (returned, not raised — the caller
 decides) for error replies.  Anything a peer can get wrong — an unknown
 type byte, a length that is not a number, bytes that are not UTF-8, a
@@ -251,3 +256,86 @@ def read_frame_sync(stream: BinaryIO) -> Any:
         read_frame(_FileReader(stream)).send(None)
     except StopIteration as done:
         return done.value
+
+
+#: The longest line a :class:`FrameBuffer` accepts, terminator excluded:
+#: the limit (and, below, the two messages) of the
+#: :class:`asyncio.StreamReader` the front door used to read through.
+LINE_LIMIT = 2**16
+
+
+class IncompleteFrame(Exception):
+    """The buffered bytes end inside a frame; the rest has yet to arrive."""
+
+
+class FrameBuffer:
+    """The two reads :func:`_parse` awaits, over bytes already received.
+
+    ``feed`` appends what a socket delivered; :meth:`read_frame` takes
+    one frame off the front.  Neither coroutine ever suspends: a read
+    past the end of the buffer raises :class:`IncompleteFrame` instead,
+    and :meth:`read_frame` leaves the buffer where the frame began, so a
+    frame that straddles two deliveries is parsed again from its start
+    once more bytes are in.  Once ``eof`` is set the buffer reads like a
+    file at end-of-file: a short line is returned as it is and a short
+    bulk is the peer closing mid-frame.
+    """
+
+    __slots__ = ("_data", "_pos", "eof")
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+        self._pos = 0
+        #: Set by the owner when the peer has sent its last byte.
+        self.eof = False
+
+    def feed(self, data: bytes) -> None:
+        if self._pos:
+            del self._data[: self._pos]
+            self._pos = 0
+        self._data += data
+
+    async def readline(self) -> bytes:
+        start = self._pos
+        newline = self._data.find(b"\n", start)
+        if newline < 0:
+            if len(self._data) - start > LINE_LIMIT:
+                raise ValueError(
+                    "Separator is not found, and chunk exceed the limit"
+                )
+            if not self.eof:
+                raise IncompleteFrame
+            newline = len(self._data) - 1
+        elif newline - start > LINE_LIMIT:
+            raise ValueError(
+                "Separator is found, but chunk is longer than limit"
+            )
+        self._pos = newline + 1
+        return bytes(self._data[start : self._pos])
+
+    async def readexactly(self, n: int) -> bytes:
+        start, end = self._pos, self._pos + n
+        if end > len(self._data):
+            if self.eof:
+                raise ConnectionError("peer closed mid-bulk")
+            raise IncompleteFrame
+        self._pos = end
+        return bytes(self._data[start:end])
+
+    def read_frame(self) -> Any:
+        """:func:`read_frame` over the buffer, without blocking.
+
+        Raises :class:`IncompleteFrame` (buffer untouched) when the
+        frame's last byte has not arrived, ``ConnectionError`` at a
+        clean end-of-file, :class:`ProtocolError` as the decoder does.
+        """
+        start = self._pos
+        if start == len(self._data) and not self.eof:
+            raise IncompleteFrame  # every burst ends here: skip the parse
+        try:
+            read_frame(self).send(None)
+        except StopIteration as done:
+            return done.value
+        except IncompleteFrame:
+            self._pos = start
+            raise

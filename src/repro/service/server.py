@@ -40,9 +40,10 @@ Clients that stamp no epoch see neither redirects nor reply metadata.
 ``REJOIN`` is the operator verb for the replica lifecycle
 (:mod:`repro.repl`): it recovers the named representative on shard
 ``i`` (default 0) and drives a full snapshot + catch-up + cutover join
-against its peers, replying ``+UP`` once the replica votes again.  It
-runs on the owning shard's worker thread, so it serializes against
-client operations on that shard and needs no extra locking.
+against its peers, replying ``+UP`` once the replica votes again.  The
+join is taken one step per loop turn, so each step is atomic against
+client operations (no extra locking) and the shard's clients are served
+between the steps.
 
 The strict verbs carry the paper's error contract across the wire; the
 lenient ``GET``/``SET``/``DEL`` triple is what load generators want.
@@ -54,46 +55,57 @@ typed into ``nc``, a length that is not a number, a bulk that is not
 UTF-8): framing cannot be recovered, so the server answers ``-ERR
 protocol <detail>`` behind whatever replies it still owes and closes.
 
-Concurrency model: connections are *pipelined* — the per-connection
-loop reads frames continuously, dispatches each as its own task, and a
-per-connection replier writes the replies back strictly in request
-order, so a client may keep many requests in flight on one socket and
-still parse replies positionally.  The quorum algorithm underneath is
-synchronous and per-shard stateful, so each shard keeps a dedicated
-single-worker executor thread — which also runs the shard's
-representatives, called directly by the transport, so the loop thread
-does framing, routing and replies and nothing else; in front of the
-worker sits a *batching queue*
-(:class:`_ShardBatcher`): concurrent same-shard operations accumulate
-while the worker is busy and drain in waves, each wave's run of
-batchable ops (``LOOKUP``/``GET``/``INSERT``/``UPDATE``/``SET``)
-executing as **one** grouped quorum transaction
+Concurrency model: **one thread serves** — the transport's loop thread
+reads the sockets, parses the frames, runs the quorum algorithm, the
+representatives it calls and the stores under them, and writes the
+replies.  Nothing on that path can block (lock conflicts raise,
+co-located calls cannot time out), and the algorithm is CPU-bound
+Python, so a second thread would add hand-offs and no parallelism.
+Connections are *pipelined* (:class:`_Connection`): every complete frame
+a socket delivers is dispatched as its own task, and replies leave
+strictly in request order, a burst at a time, so a client may keep many
+requests in flight on one socket and still parse replies positionally.
+Keyed operations do not run where they are dispatched.  They queue in
+arrival order, and one loop callback later a *drain* looks up each key's
+owner — at execution time, so a live split's cutover can never slip
+between routing and running — and hands every owning shard its share
+(:class:`_ShardBatcher`) in waves: a wave is whatever arrived while the
+previous waves ran — plus, when a client that keeps a window of requests
+in flight has just been sent a burst of replies, the few requests it is
+still writing back, which the drain waits for (4 ms at most,
+:meth:`DirectoryService._expect_refills`), so that wave size does not
+hang on which of them won a race — and each wave's run of batchable ops
+(``LOOKUP``/``GET``/``INSERT``/``UPDATE``/``SET``) executes as **one**
+grouped quorum transaction
 (:meth:`~repro.core.suite.DirectorySuite.execute_batch` — shared quorum
 selection, one 2PC group commit, per-op error results preserved).
 Arrival order is preserved item by item, so two pipelined ops on the
 same key observe each other exactly as they would have one at a time;
 ``DELETE``/``DEL`` and a wave's solitary ops run the classic one-op
 path, so an unpipelined client gets the paper's algorithm unchanged.
-Distinct shards proceed in parallel.
+Shards take turns: what batching buys is fewer quorum rounds per op,
+not overlap.  Admin work (``SIZE``, ``REJOIN``, a ``RESHARD SPLIT``'s
+phases) is cut into steps that are loop callbacks of their own, so it
+interleaves with the drains instead of holding them up.  A transport
+that *can* block — replicas in other processes — must bring its own
+thread or an awaitable scatter; it must not run on this loop.
 
-Live telemetry (:class:`ServiceTelemetry`) instruments that per-shard
-thread: every keyed operation runs inside a ``service:<VERB>`` root
-span recorded by a bounded per-shard
-:class:`~repro.obs.spans.RingTracer` (also bound into the shard's suite
-and RPC endpoint, so the full op/quorum/rpc/commit tree nests beneath
-it), feeds a rolling latency window, a space-saving hot-key sketch, and
-a slow-op ring, and bumps the directory's ``shard.routed`` counter —
-which is what makes the ``STATS`` windowed rates meaningful in service
-mode.  All of it is answered from the loop thread without touching the
-shard threads.
+Live telemetry (:class:`ServiceTelemetry`) instruments the waves: every
+keyed operation runs inside a ``service:<VERB>`` root span recorded by
+a bounded per-shard :class:`~repro.obs.spans.RingTracer` (also bound
+into the shard's suite and RPC endpoint, so the full
+op/quorum/rpc/commit tree nests beneath it), feeds a rolling latency
+window, a space-saving hot-key sketch, and a slow-op ring, and bumps the
+directory's ``shard.routed`` counter — which is what makes the ``STATS``
+windowed rates meaningful in service mode.  The admin verbs that read it
+run between waves, on the same thread.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -114,14 +126,14 @@ from repro.shard.sharded import ShardedDirectory
 
 
 class _ShardTelemetry:
-    """One shard's live instrumentation, touched only by its worker thread.
+    """One shard's live instrumentation, written only by its waves.
 
     Installing it rebinds the shard suite's tracer and its RPC
     endpoint's tracer to a bounded :class:`RingTracer`, so the spans a
     keyed operation opens below the ``service:<VERB>`` root all land in
     the same per-shard ring.  Representatives keep their construction-
-    time null tracer: they run on this same worker thread, but the live
-    plane's trees stop at the suite's quorum rounds and RPCs.
+    time null tracer: the live plane's trees stop at the suite's quorum
+    rounds and RPCs.
     """
 
     def __init__(
@@ -233,89 +245,45 @@ class _ShardTelemetry:
 
 @dataclass(slots=True)
 class _WaveItem:
-    """One queued shard operation awaiting its wave."""
+    """One queued keyed operation awaiting its wave."""
 
     verb: str
     kind: str
     key: str
     value: Any
     trace: Any
-    future: Future
+    future: "asyncio.Future"
 
 
 class _ShardBatcher:
-    """The batching queue in front of one shard's worker thread.
+    """Forms and runs one shard's waves, on the loop thread.
 
-    Ops submitted while the worker is busy accumulate in ``_pending``
-    (loop thread, under a lock) and drain in waves of up to
-    ``batch_max`` on the shard executor.  Within a wave, consecutive
-    runs of batchable ops execute as one grouped quorum transaction via
+    A drain hands it the shard's share of everything that arrived while
+    the previous drain ran; it cuts that into waves of up to
+    ``batch_max`` and runs them one after another.  Within a wave,
+    consecutive runs of batchable ops execute as one grouped quorum
+    transaction via
     :meth:`~repro.core.suite.DirectorySuite.execute_batch`; unbatchable
     kinds (``delete``/``discard``) and solitary batchable ops take the
     classic single-op path.  Arrival order is preserved item by item —
     a wave is the *same sequence* run one op at a time, just paid for
     with shared quorum rounds.
-
-    The drain task re-submits itself between waves instead of looping,
-    so admin work sharing the executor (``SIZE``, ``REJOIN``, a live
-    reshard's phase steps) interleaves at wave granularity rather than
-    starving behind a busy shard.
     """
 
-    def __init__(
-        self, service: "DirectoryService", index: int,
-        executor: ThreadPoolExecutor,
-    ) -> None:
+    def __init__(self, service: "DirectoryService", index: int) -> None:
         self.service = service
         self.index = index
-        self.executor = executor
         self.batch_max = service.batch_max
-        self._lock = threading.Lock()
-        self._pending: "list[_WaveItem]" = []
-        self._draining = False
 
-    def submit(
-        self, verb: str, kind: str, trace: Any, key: str, value: Any
-    ) -> "asyncio.Future":
-        """Enqueue one op (loop thread); returns an awaitable result.
-
-        Synchronous up to the returned future, so pipelined frames
-        enqueue in exactly the order their tasks were created — the
-        per-connection FIFO the reply writer depends on.
-        """
-        item = _WaveItem(verb, kind, key, value, trace, Future())
-        with self._lock:
-            self._pending.append(item)
-            start = not self._draining
-            if start:
-                self._draining = True
-        if start:
-            self.executor.submit(self._drain)
-        return asyncio.wrap_future(item.future)
-
-    # -- shard worker thread -------------------------------------------------
-
-    def _drain(self) -> None:
-        while True:
-            with self._lock:
-                wave = self._pending[: self.batch_max]
-                del self._pending[: self.batch_max]
-                if not wave:
-                    self._draining = False
-                    return
+    def drain(self, items: "list[_WaveItem]") -> None:
+        for start in range(0, len(items), self.batch_max):
+            wave = items[start : start + self.batch_max]
             try:
                 self._process(wave)
-            except BaseException as exc:  # never strand a waiting client
+            except Exception as exc:  # never strand a waiting client
                 for item in wave:
                     if not item.future.done():
                         item.future.set_exception(exc)
-            try:
-                self.executor.submit(self._drain)
-                return
-            except RuntimeError:
-                # Executor shutting down: finish the backlog inline so
-                # every queued future still resolves.
-                continue
 
     def _process(self, wave: "list[_WaveItem]") -> None:
         i, n = 0, len(wave)
@@ -339,7 +307,7 @@ class _ShardBatcher:
             result = self.service.telemetry.shards[self.index].run(
                 item.verb, item.kind, item.key, item.value, item.trace
             )
-        except BaseException as exc:
+        except Exception as exc:
             item.future.set_exception(exc)
         else:
             item.future.set_result(result)
@@ -350,7 +318,7 @@ class _ShardBatcher:
             outcomes = self.service.telemetry.shards[self.index].run_batch(
                 ops, [item.trace for item in segment]
             )
-        except BaseException as exc:
+        except Exception as exc:
             for item in segment:
                 item.future.set_exception(exc)
             return
@@ -366,9 +334,11 @@ class ServiceTelemetry:
 
     Owns one :class:`WindowedView` over the whole registry plus one
     :class:`_ShardTelemetry` per shard, and assembles the ``STATS`` /
-    ``SLOW`` / ``METRICS`` replies.  Readers run on the transport's loop
-    thread; every structure they touch is internally locked, so the
-    admin verbs never block a shard's worker.
+    ``SLOW`` / ``METRICS`` replies.  Readers and writers share the
+    transport's loop thread, so a reply is a consistent cut between two
+    waves.  (The structures underneath keep their own locks: the same
+    registries are reached from many threads when a directory is driven
+    without a front door.)
     """
 
     def __init__(
@@ -414,12 +384,7 @@ class ServiceTelemetry:
         )
 
     def ensure_shard(self, index: int) -> None:
-        """Instrument shards a live split added since construction.
-
-        Loop-thread only (the single writer of :attr:`shards`); called
-        after a migration completes, so rebinding the new cluster's
-        tracer races nothing.
-        """
+        """Instrument shards a live split added since construction."""
         while len(self.shards) <= index:
             i = len(self.shards)
             self.shards.append(self._make_shard(i, self.directory.clusters[i]))
@@ -550,6 +515,151 @@ def _json(body: Any) -> bytes:
     return protocol.encode_bulk(json.dumps(body, default=str))
 
 
+#: Steps one ``REJOIN`` may take (``ReplicaJoin.run``'s own bound).
+_JOIN_MAX_STEPS = 10_000
+
+#: Seconds a drain allows each request a pipelining client still owes
+#: its window (see :meth:`DirectoryService._expect_refills`): several
+#: times what a client needs to read a reply and write the next request.
+_REFILL_EACH = 0.00025
+#: Most owed requests a drain waits for.  A longer refill outlasts a
+#: wave, and such waves are full anyway; times ``_REFILL_EACH`` this is
+#: also the longest a client that stopped refilling can hold the others
+#: up (4 ms, once).
+_REFILL_MOST = 16
+
+
+class _Connection(asyncio.Protocol):
+    """One client socket: frames in, replies out in request order.
+
+    ``data_received`` parses every complete frame the socket delivered
+    and dispatches each as its own task; the tasks wait in ``_owed`` in
+    request order, and whenever the one at the head is done the finished
+    run behind it leaves in a single ``transport.write`` — replies come
+    back positionally even when ops complete out of order across shards,
+    and a burst's replies cost one send.  Dispatch order is
+    deterministic: tasks take their first step in creation order and
+    each queues its op before it first waits, so same-connection ops
+    keep their wire order.
+
+    At most ``pipeline_depth`` requests are in flight.  At the bound
+    parsing stops, the bytes behind it stay in the buffer and the socket
+    is not read until replies have left; a client that stops *reading*
+    has its replies held back here (``pause_writing``) instead of piled
+    into the transport, so the same bound stops its requests too.
+    """
+
+    def __init__(self, service: "DirectoryService") -> None:
+        self.service = service
+        self.depth = service.pipeline_depth
+        self.transport: Any = None
+        self.buffer = protocol.FrameBuffer()
+        self._owed: "deque[asyncio.Future]" = deque()
+        #: The socket is being read (not paused at the depth bound).
+        self._reading = True
+        #: The peer takes what is written (``pause_writing`` clears it).
+        self._writable = True
+        #: No frame will be parsed again: end-of-file, or bytes that are
+        #: not frames.  The socket closes once nothing is owed.
+        self._finished = False
+
+    # -- asyncio.Protocol ------------------------------------------------------
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.service._links.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer.feed(data)
+        self._parse()
+
+    def eof_received(self) -> bool:
+        # EOF mid-pipeline: in-flight requests still execute and their
+        # replies still flush (the write side outlives the read side of
+        # a half-closed socket), so the transport stays open.
+        self.buffer.eof = True
+        self._parse()
+        return True
+
+    def pause_writing(self) -> None:
+        self._writable = False
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self._flush()
+
+    def connection_lost(self, exc: "Exception | None") -> None:
+        # Requests in flight still run; what they answer is dropped.
+        self.transport = None
+        self.service._links.discard(self)
+
+    # -- frames in -------------------------------------------------------------
+
+    def _parse(self) -> None:
+        loop = asyncio.get_running_loop()
+        owed = self._owed
+        while len(owed) < self.depth and not self._finished:
+            try:
+                frame = self.buffer.read_frame()
+            except protocol.IncompleteFrame:
+                break
+            except ConnectionError:
+                self._finished = True
+            except protocol.ProtocolError as exc:
+                # Framing is lost, so nothing after this can be read:
+                # say why — behind the replies already owed — and hang up.
+                self._finished = True
+                self.service._failures.inc()
+                reply = loop.create_future()
+                reply.set_result(
+                    protocol.encode_error("ERR", f"protocol {exc}")
+                )
+                owed.append(reply)
+            else:
+                task = loop.create_task(self.service._dispatch(frame))
+                task.add_done_callback(self._flush)
+                owed.append(task)
+                if self.service._refills:
+                    self.service._refilled()
+        reading = len(owed) < self.depth and not self._finished
+        if reading != self._reading and self.transport is not None:
+            self._reading = reading
+            if not self.buffer.eof:  # else: nothing more to deliver
+                if reading:
+                    self.transport.resume_reading()
+                else:
+                    self.transport.pause_reading()
+        if self._finished:
+            self._flush()
+
+    # -- replies out -----------------------------------------------------------
+
+    def _flush(self, _done: Any = None) -> None:
+        owed, transport = self._owed, self.transport
+        if self._writable and owed and owed[0].done():
+            replies = []
+            while owed and owed[0].done():
+                try:
+                    replies.append(owed.popleft().result())
+                except Exception as exc:  # _dispatch never raises
+                    replies.append(
+                        protocol.encode_error(
+                            "ERR", f"internal {type(exc).__name__}: {exc}"
+                        )
+                    )
+            if transport is not None:
+                transport.write(b"".join(replies))
+                if len(replies) > 1:
+                    self.service._expect_refills(len(replies))
+        if transport is None:
+            return  # connection lost: the answers had nowhere to go
+        if self._finished:
+            if not owed:
+                transport.close()
+        elif not self._reading and len(owed) < self.depth:
+            self._parse()
+
+
 class DirectoryService:
     """Serve a :class:`ShardedDirectory` over one loopback socket."""
 
@@ -574,7 +684,7 @@ class DirectoryService:
         self.host = host
         self.port: int | None = port or None
         self._server: asyncio.AbstractServer | None = None
-        self._links: set[asyncio.StreamWriter] = set()
+        self._links: "set[_Connection]" = set()
         self._closed = False
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1: {batch_max}")
@@ -586,15 +696,15 @@ class DirectoryService:
         #: workload batched and unbatched and demands identical state.
         self.batch_max = batch_max
         self.pipeline_depth = pipeline_depth
-        self._executors = [
-            ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"repro-shard{i}"
-            )
-            for i in range(len(directory.clusters))
-        ]
+        #: Keyed ops in arrival order, awaiting the next drain.
+        self._pending: "list[_WaveItem]" = []
+        #: Requests pipelining clients still owe their windows, the loop
+        #: time by which they are due, and the drain waiting for them.
+        self._refills = 0
+        self._refill_by = 0.0
+        self._lingering: "asyncio.TimerHandle | None" = None
         self._batchers = [
-            _ShardBatcher(self, i, executor)
-            for i, executor in enumerate(self._executors)
+            _ShardBatcher(self, i) for i in range(len(directory.clusters))
         ]
         metrics = transport.metrics
         self._ops = metrics.counter("service.front.ops")
@@ -612,8 +722,8 @@ class DirectoryService:
         return self
 
     async def _start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve, host=self.host, port=self.port or 0
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host=self.host, port=self.port or 0
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -629,15 +739,15 @@ class DirectoryService:
             self.transport.submit(self._stop())
         except Exception:
             pass
-        for executor in self._executors:
-            executor.shutdown(wait=True)
 
     async def _stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._links):
-            writer.close()
+        if self._server is None:
+            return
+        self._server.close()
+        # Links first: from 3.12 on ``wait_closed`` waits for them too.
+        for link in list(self._links):
+            link.transport.abort()
+        await self._server.wait_closed()
 
     def __enter__(self) -> "DirectoryService":
         return self
@@ -645,77 +755,7 @@ class DirectoryService:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- the serving loop ----------------------------------------------------
-
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One connection: a pipelined reader plus an in-order replier.
-
-        Frames are read continuously — up to ``pipeline_depth`` may be
-        in flight per connection (the bounded queue is the back-
-        pressure) — and each dispatches as its own task.  The replier
-        awaits those tasks strictly in arrival order, so replies come
-        back positionally even when ops complete out of order across
-        shards.  Dispatch order is deterministic: each task's first
-        synchronous segment runs in creation order and enqueues onto
-        its shard's batcher before yielding, so same-connection ops on
-        one shard keep their wire order.
-        """
-        self._links.add(writer)
-        queue: "asyncio.Queue[asyncio.Future | None]" = asyncio.Queue(
-            maxsize=self.pipeline_depth
-        )
-        replier = asyncio.ensure_future(self._write_replies(queue, writer))
-        try:
-            while True:
-                try:
-                    frame = await protocol.read_frame(reader)
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                except protocol.ProtocolError as exc:
-                    # Framing is lost, so nothing after this can be
-                    # read: say why — behind the replies already owed —
-                    # and hang up.
-                    self._failures.inc()
-                    owed = asyncio.get_running_loop().create_future()
-                    owed.set_result(
-                        protocol.encode_error("ERR", f"protocol {exc}")
-                    )
-                    await queue.put(owed)
-                    break
-                await queue.put(asyncio.ensure_future(self._dispatch(frame)))
-        finally:
-            # EOF mid-pipeline: in-flight requests still execute and
-            # their replies still flush (the write side may outlive the
-            # read side of a half-closed socket).
-            await queue.put(None)
-            await replier
-            self._links.discard(writer)
-            writer.close()
-
-    async def _write_replies(
-        self, queue: "asyncio.Queue", writer: asyncio.StreamWriter
-    ) -> None:
-        broken = False
-        while True:
-            task = await queue.get()
-            if task is None:
-                return
-            try:
-                reply = await task
-            except Exception as exc:  # _dispatch never raises; belt-and-braces
-                reply = protocol.encode_error(
-                    "ERR", f"internal {type(exc).__name__}: {exc}"
-                )
-            if broken:
-                continue  # keep awaiting tasks so shard work resolves
-            try:
-                writer.write(reply)
-                if queue.empty():
-                    await writer.drain()  # coalesce flushes per burst
-            except (ConnectionError, OSError):
-                broken = True
+    # -- the serving path ----------------------------------------------------
 
     async def _dispatch(self, frame: Any) -> bytes:
         if (
@@ -782,49 +822,111 @@ class DirectoryService:
             )
 
     def _sync_shards(self) -> None:
-        """Grow per-shard executors (and telemetry) after a split added
-        clusters.  Loop-thread only — the sole writer of the lists."""
-        while len(self._executors) < len(self.directory.clusters):
-            i = len(self._executors)
-            self._executors.append(
-                ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"repro-shard{i}"
-                )
-            )
-            self._batchers.append(
-                _ShardBatcher(self, i, self._executors[i])
-            )
+        """Grow per-shard batchers (and telemetry) after a split added
+        clusters."""
+        while len(self._batchers) < len(self.directory.clusters):
+            i = len(self._batchers)
+            self._batchers.append(_ShardBatcher(self, i))
             self.telemetry.ensure_shard(i)
 
     async def _on_shard(
         self, verb: str, kind: str, trace: Any, key: str, value: Any = None
     ) -> Any:
-        """Run one keyed op on the owning shard's worker thread.
+        """Run one keyed op on whichever shard owns its key when it runs.
 
-        Every client op takes this one road: onto the shard's
-        :class:`_ShardBatcher`, whose waves decide — from what they
-        hold, not from a switch — whether it runs alone or grouped.
+        Every client op takes this one road: into the arrival-order
+        queue, out of it in the next :meth:`_drain`, onto the owning
+        shard's :class:`_ShardBatcher`, whose waves decide — from what
+        they hold, not from a switch — whether it runs alone or grouped.
         """
-        index = self.directory.shard_for(key)
-        if index >= len(self._batchers):
-            # The current epoch routes to a shard a live split just
-            # added; adopt it before dispatching (post-cutover, so the
-            # new cluster is no longer being written by the migration).
-            self._sync_shards()
-        return await self._batchers[index].submit(
-            verb, kind, trace, key, value
-        )
+        loop = asyncio.get_running_loop()
+        item = _WaveItem(verb, kind, key, value, trace, loop.create_future())
+        if not self._pending:
+            loop.call_soon(self._drain)
+        self._pending.append(item)
+        return await item.future
+
+    def _drain(self, waited: bool = False) -> None:
+        """Route and run everything queued since the last drain.
+
+        The owner of a key is looked up *here*, in the callback that
+        executes the op, never when it was queued: a live split's
+        cutover is a callback of its own, so it lands before this drain
+        or after it, and no op can run on a shard that stopped owning
+        its key in between.
+
+        A drain that finds a few window refills still owed
+        (:meth:`_expect_refills`) stands back once, until they are in
+        or overdue; what it then runs is still everything queued.
+        """
+        if self._refills:
+            loop = asyncio.get_running_loop()
+            if waited or loop.time() >= self._refill_by:
+                self._refills = 0  # overdue: they are not coming
+            elif self._refills <= _REFILL_MOST:
+                self._lingering = loop.call_at(
+                    self._refill_by, self._drain, True
+                )
+                return
+        self._lingering = None
+        pending, self._pending = self._pending, []
+        shares: "dict[int, list[_WaveItem]]" = {}
+        for item in pending:
+            try:
+                index = self.directory.shard_for(item.key)
+            except Exception as exc:  # a key the map cannot place
+                item.future.set_exception(exc)
+                continue
+            shares.setdefault(index, []).append(item)
+        for index, items in shares.items():
+            if index >= len(self._batchers):
+                # The current epoch routes to a shard a live split just
+                # added; adopt it before its first wave.
+                self._sync_shards()
+            self._batchers[index].drain(items)
+
+    def _expect_refills(self, count: int) -> None:
+        """A connection was just sent ``count`` > 1 replies in one write.
+
+        A client with that many requests in flight keeps a window, and
+        answers a burst of replies with as many new requests, written
+        one by one.  A drain that starts on the first of them runs a
+        wave of one while the rest arrive, and two such clients fall
+        into step or out of it by chance — wave size, and with it the
+        messages an op costs, then depends on which.  So the requests
+        are counted as owed, and while only a few are, the next drain
+        waits for them (:meth:`_drain`): its wave holds the windows
+        whole.  A client that takes one reply at a time is owed nothing
+        and never waited for.
+        """
+        now = asyncio.get_running_loop().time()
+        if now > self._refill_by:
+            self._refills = 0  # the last lot is overdue
+        self._refills += count
+        self._refill_by = now + min(self._refills, _REFILL_MOST) * _REFILL_EACH
+
+    def _refilled(self) -> None:
+        """A frame arrived while refills were owed; the last one in
+        releases the drain that waited for it."""
+        self._refills -= 1
+        if not self._refills and self._lingering is not None:
+            self._lingering.cancel()
+            self._lingering = None
+            asyncio.get_running_loop().call_soon(self._drain)
 
     async def _admin_on_shard(self, index: int, fn: Any, *args: Any) -> Any:
-        """Run admin work on shard ``index``'s worker thread.
+        """Run one step of admin work on shard ``index``.
 
-        It shares the thread with that shard's waves, so it serializes
-        against client ops there (no extra locking) and interleaves
-        with them at wave granularity.
+        The step is a loop callback of its own (this task's next turn),
+        so it serializes against client waves by construction — no
+        locking — and the drains queued before it run first.  A caller
+        with many steps to take comes back through here for each, which
+        is what lets client ops interleave with a long join or split.
+        Every shard shares the serving thread, so ``index`` places
+        nothing; it records whose step this is.
         """
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executors[index], fn, *args
-        )
+        await asyncio.sleep(0)
+        return fn(*args)
 
     # -- admin verbs ---------------------------------------------------------
 
@@ -832,13 +934,10 @@ class DirectoryService:
         return protocol.encode_simple("PONG")
 
     async def _size(self) -> bytes:
-        totals = await asyncio.gather(
-            *(
-                self._admin_on_shard(i, cluster.suite.size)
-                for i, cluster in enumerate(self.directory.clusters)
-            )
-        )
-        return protocol.encode_integer(sum(totals))
+        total = 0
+        for i, cluster in enumerate(self.directory.clusters):
+            total += await self._admin_on_shard(i, cluster.suite.size)
+        return protocol.encode_integer(total)
 
     async def _shards(self) -> bytes:
         return protocol.encode_integer(len(self.directory.clusters))
@@ -879,20 +978,26 @@ class DirectoryService:
                 f"unknown replica {replica!r} on shard {index} "
                 f"(have {sorted(cluster.representatives)})",
             )
+        from repro.repl import ReplicaJoin
 
-        def rejoin() -> str:
-            from repro.repl import ReplicaJoin
-
-            join = ReplicaJoin(
-                cluster,
-                replica,
-                detector=getattr(cluster.suite, "_detector", None),
+        join = ReplicaJoin(
+            cluster,
+            replica,
+            detector=getattr(cluster.suite, "_detector", None),
+        )
+        # One step per turn, so the shard's clients are served between
+        # steps; bounded as ``ReplicaJoin.run`` is, because a join with
+        # no donor to pull from never finishes.
+        for _ in range(_JOIN_MAX_STEPS):
+            if await self._admin_on_shard(index, join.step):
+                break
+        else:
+            raise RuntimeError(
+                f"join of {replica} did not finish in {_JOIN_MAX_STEPS} steps"
             )
-            join.run()
-            return cluster.suite.membership.state(replica).name
-
-        state = await self._admin_on_shard(index, rejoin)
-        return protocol.encode_simple(state)
+        return protocol.encode_simple(
+            cluster.suite.membership.state(replica).name
+        )
 
     async def _shardmap(self) -> bytes:
         shard_map = self.directory.shard_map
@@ -914,9 +1019,8 @@ class DirectoryService:
             return _json(directory.reshard_status())
         if sub.upper() != "SPLIT" or boundary is None:
             raise _Usage
-        # The migration runs on the SOURCE shard's worker thread, one
-        # phase per hop, so it serializes against that shard's client
-        # ops (no torn copies) while every other shard keeps serving.
+        # One phase step per turn: each step is atomic against client
+        # waves (no torn copies), and waves run between the steps.
         source = directory.shard_for(boundary)
         resharder = await self._admin_on_shard(
             source, directory.begin_split, boundary

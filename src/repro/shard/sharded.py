@@ -293,9 +293,9 @@ class ShardedDirectory:
         """Record ``n`` operations routed to shard ``index`` externally.
 
         The asyncio front door routes with :meth:`shard_for` and its own
-        per-shard executors instead of :meth:`_route`; it calls this from
-        the owning shard's worker thread (the only writer for that
-        index), so ``shard.routed`` stays live in service mode too.
+        per-shard waves instead of :meth:`_route`; it calls this as each
+        wave runs (from its one serving thread, the only writer), so
+        ``shard.routed`` stays live in service mode too.
         """
         self.routed[index] += n
         self.last_routed_shard = index

@@ -1,6 +1,6 @@
 """End-to-end coverage of the service's live-telemetry plane.
 
-Boots the real asyncio service (sockets, shard executors, ring tracers)
+Boots the real asyncio service (sockets, shard waves, ring tracers)
 and drives it through the blocking client: the ``STATS``/``SLOW``/
 ``METRICS`` verbs, trace-id propagation and adoption, the windowed-rate
 consistency the acceptance gate relies on, and the wire-compatibility

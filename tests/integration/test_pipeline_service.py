@@ -16,18 +16,27 @@ asyncio front door three ways:
   the burst as a whole still succeeds;
 * bytes that are not frames at all — answered ``-ERR protocol ...`` and
   hung up on, never a traceback, by the in-process service and by a
-  ``python -m repro serve`` child alike.
+  ``python -m repro serve`` child alike;
+* back-pressure, both ways — ``pipeline_depth`` bounds what one
+  connection has in flight exactly, and a client that stops reading
+  stops being read;
+* the window refill — a drain waits, for a bounded time, for the
+  requests a pipelining client is still writing;
+* the thread census — serving adds one thread to the process, whatever
+  the shard count and however many clients.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import logging
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -36,6 +45,7 @@ import pytest
 import repro
 from repro.cluster import ClusterSpec
 from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
+from repro.service import server
 from repro.service.client import (
     AsyncDirectoryClient,
     DirectoryClient,
@@ -46,16 +56,22 @@ from repro.shard.maps import RangeShardMap
 from repro.shard.sharded import ShardedDirectory
 
 
-@pytest.fixture()
-def service():
+@contextlib.contextmanager
+def _serving(**options):
     spec = ClusterSpec(
         config="3-2-2", seed=17, transport="asyncio", fanout="parallel"
     )
     with ShardedDirectory.create(
         spec, shards=2, shard_map=RangeShardMap(["m"])
     ) as d:
-        with DirectoryService(d).start() as svc:
+        with DirectoryService(d, **options).start() as svc:
             yield svc
+
+
+@pytest.fixture()
+def service():
+    with _serving() as svc:
+        yield svc
 
 
 def _connect(service):
@@ -259,6 +275,224 @@ class TestMovedMidBurst:
             assert read_frame_sync(reader) == "left"
         finally:
             sock.close()
+
+
+class TestBackPressure:
+    def test_pipeline_depth_bounds_in_flight_requests_exactly(
+        self, monkeypatch
+    ):
+        """64 requests land in one write; with ``pipeline_depth=4`` the
+        connection parses four, leaves the rest in its buffer until
+        replies have left, and so no wave ever holds more than four —
+        not "four plus whatever one ``recv`` held"."""
+        waves: list = []
+        process = server._ShardBatcher._process
+
+        def recording(batcher, wave):
+            waves.append(len(wave))
+            process(batcher, wave)
+
+        monkeypatch.setattr(server._ShardBatcher, "_process", recording)
+        with _serving(pipeline_depth=4) as svc:
+            sock, reader = _connect(svc)
+            try:
+                sock.sendall(
+                    b"".join(
+                        encode_command("SET", "depth", f"v{i}")
+                        + encode_command("GET", "depth")
+                        for i in range(32)
+                    )
+                )
+                for i in range(32):
+                    assert read_frame_sync(reader) == "OK"
+                    assert read_frame_sync(reader) == f"v{i}"
+            finally:
+                sock.close()
+        assert sum(waves) == 64
+        assert max(waves) <= 4, waves
+        assert max(waves) > 1, "nothing pipelined; the bound was not tested"
+
+    def test_a_client_that_stops_reading_stops_being_read(self):
+        """Far more replies than the socket buffers hold, to a client
+        that reads none of them: the server must stop taking its
+        requests (as ``await writer.drain()`` once made it) instead of
+        answering all of them into memory — and lose none once the
+        client does read."""
+        values = {f"big{i}": chr(65 + i) * 32_768 for i in range(4)}
+        sent = 1_000  # 32 MB of replies
+        keys = [f"big{i % 4}" for i in range(sent)]
+        with _serving(pipeline_depth=32) as svc:
+            with DirectoryClient(svc.host, svc.port) as c:
+                for key, value in values.items():
+                    c.set(key, value)
+            ops = svc.transport.metrics.counter("service.front.ops")
+            before = ops.value
+            sock, reader = _connect(svc)
+            try:
+                sock.settimeout(60)
+                sock.sendall(b"".join(encode_command("GET", k) for k in keys))
+                # Wait for the server to come to rest against the full pipe.
+                seen, rested = -1, time.monotonic()
+                while time.monotonic() - rested < 0.5:
+                    if ops.value != seen:
+                        seen, rested = ops.value, time.monotonic()
+                    time.sleep(0.02)
+                assert 0 < ops.value - before < sent
+                for key in keys:
+                    assert read_frame_sync(reader) == values[key]
+                assert ops.value - before == sent
+            finally:
+                sock.close()
+
+
+class TestWindowRefill:
+    """A drain waits for the window a pipelining client is refilling.
+
+    A client sent several replies in one write answers them with as many
+    requests, one write each; a drain that ran on the first would leave
+    wave size to a race.  The wait's length is set per test — a minute
+    where the wait itself is watched, a few milliseconds where it must
+    run out — so nothing here depends on how fast the host is.
+    """
+
+    @staticmethod
+    def _burst(sock, reader, keys):
+        sock.sendall(b"".join(encode_command("SET", k, "v") for k in keys))
+        for _ in keys:
+            assert read_frame_sync(reader) == "OK"
+
+    @pytest.fixture()
+    def waves(self, monkeypatch):
+        sizes: list = []
+        process = server._ShardBatcher._process
+
+        def recording(batcher, wave):
+            sizes.append(len(wave))
+            process(batcher, wave)
+
+        monkeypatch.setattr(server._ShardBatcher, "_process", recording)
+        return sizes
+
+    def test_the_refilled_window_runs_as_one_wave(
+        self, service, waves, monkeypatch
+    ):
+        monkeypatch.setattr(server, "_REFILL_EACH", 60.0)
+        keys = [f"a{i}" for i in range(4)]  # one shard
+        sock, reader = _connect(service)
+        try:
+            self._burst(sock, reader, keys)
+            del waves[:]
+            # The first request of the refill queues and stays queued...
+            sock.sendall(encode_command("SET", "a0", "v"))
+            time.sleep(0.2)
+            assert [item.key for item in service._pending] == ["a0"]
+            assert waves == []
+            # ...and the last one in releases the drain: one wave of four.
+            for key in keys[1:]:
+                sock.sendall(encode_command("SET", key, "v"))
+            for _ in keys:
+                assert read_frame_sync(reader) == "OK"
+        finally:
+            sock.close()
+        assert waves == [4]
+
+    def test_refills_that_never_come_cost_one_short_wait(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(server, "_REFILL_EACH", 0.005)
+        sock, reader = _connect(service)
+        try:
+            sock.settimeout(30)
+            self._burst(sock, reader, [f"a{i}" for i in range(4)])
+            sock.sendall(encode_command("GET", "a0"))  # one, not four
+            assert read_frame_sync(reader) == "v"
+            assert service._refills == 0  # written off, not carried along
+            # Too many owed to be waited for are written off the same
+            # way, by the first drain that finds them overdue.
+            self._burst(sock, reader, [f"a{i}" for i in range(32)])
+            time.sleep(0.2)  # replies are written, then counted as owed
+            assert service._refills > 16
+            sock.sendall(encode_command("GET", "a0"))
+            assert read_frame_sync(reader) == "v"
+            assert service._refills == 0
+        finally:
+            sock.close()
+
+    def test_one_reply_at_a_time_is_never_waited_for(
+        self, service, waves, monkeypatch
+    ):
+        monkeypatch.setattr(server, "_REFILL_EACH", 60.0)
+        sock, reader = _connect(service)
+        try:
+            sock.settimeout(30)
+            for i in range(8):
+                self._burst(sock, reader, [f"a{i}"])
+                assert service._refills == 0
+        finally:
+            sock.close()
+        assert waves == [1] * 8
+
+    def test_a_deep_window_is_not_waited_for(self, service, monkeypatch):
+        """More refills owed than ``_REFILL_MOST``: they take longer to
+        arrive than a wave to run, so the drain runs what it has."""
+        monkeypatch.setattr(server, "_REFILL_EACH", 60.0)
+        sock, reader = _connect(service)
+        try:
+            sock.settimeout(30)
+            self._burst(sock, reader, [f"a{i}" for i in range(32)])
+            self._burst(sock, reader, ["a0"])
+        finally:
+            sock.close()
+
+
+class TestThreadCensus:
+    def test_serving_adds_one_thread_and_closing_returns_it(self):
+        """Four shards, two clients pipelining at once: the process
+        gains the transport's loop thread and nothing else, and closing
+        the service and the directory gives it back."""
+        baseline = set(threading.enumerate())
+        spec = ClusterSpec(
+            config="3-2-2", seed=17, transport="asyncio", fanout="parallel"
+        )
+        directory = ShardedDirectory.create(spec, shards=4, shard_map="hash")
+        svc = DirectoryService(directory).start()
+        failures: list = []
+
+        def client(w: int) -> None:
+            try:
+                with DirectoryClient(svc.host, svc.port) as c:
+                    for burst in range(30):
+                        with c.pipeline() as pipe:
+                            slots = [
+                                pipe.set(f"w{w}k{(burst * 5 + i) % 64}", "v")
+                                for i in range(32)
+                            ]
+                        failures.extend(
+                            s.error for s in slots if s.error is not None
+                        )
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        clients = [threading.Thread(target=client, args=(w,)) for w in (0, 1)]
+        census = set()
+        try:
+            for thread in clients:
+                thread.start()
+            while any(thread.is_alive() for thread in clients):
+                serving = set(threading.enumerate()) - baseline - set(clients)
+                census.add(tuple(sorted(t.name for t in serving)))
+                time.sleep(0.005)
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            svc.close()
+            directory.close()
+        assert failures == []
+        assert sum(directory.routed) == 2 * 30 * 32
+        assert all(routed > 0 for routed in directory.routed)
+        assert census == {("repro-aio-transport",)}
+        assert set(threading.enumerate()) - baseline == set()
 
 
 class TestStatsUnderBatching:

@@ -233,9 +233,9 @@ class TestServiceRejoinVerb:
         checkpoint past a joiner's watermark; the join must notice
         (``rep_wal_since`` refuses) and start over from a snapshot.
 
-        The ``REJOIN`` verb runs a join to completion on the shard's
-        worker, where no client write can slip in between its steps, so
-        the join is stepped by hand here, with the writes between."""
+        Over the ``REJOIN`` verb client writes do land between a join's
+        steps, but when is up to the event loop; the join is stepped by
+        hand here, with the writes placed between."""
         from repro.cli import SERVE_LOG_BOUND
         from repro.shard.sharded import ShardedDirectory
         from repro.storage.snapshot import LogSizeBound

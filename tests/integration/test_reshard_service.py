@@ -13,6 +13,7 @@ that would carry the error.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import sys
 import threading
@@ -133,15 +134,64 @@ class TestLiveSplitThroughTheService:
             assert set(stats["per_shard"]) == {"s0", "s1", "s2"}
 
 
-class TestSplitIntoABusyShard:
-    """Two shard workers inside one shard's replicas at once.
+class TestRoutingAtExecution:
+    """An op is routed in the callback that executes it.
 
-    A split aimed at an *existing* shard runs on the source shard's
-    worker and writes into the target's replicas (copy, cutover heal)
-    while the target's own worker is executing its clients' waves.
-    Until replicas were called directly the transport's loop thread ran
-    every replica method and so serialized the two; now only each
-    representative's latch does.
+    Were the owner looked up when the op is *queued*, a cutover landing
+    between queueing and the drain would leave the op running on the
+    shard that no longer owns its key: a ``SET`` there is orphaned (or
+    deleted by DRAIN), a ``GET`` after DRAIN answers absent.  Played out
+    on the loop, where the order of callbacks is the order they were
+    scheduled in, so nothing here depends on timing.
+    """
+
+    def test_ops_queued_before_a_cutover_run_on_the_new_owner(self, service):
+        d = service.directory
+        with DirectoryClient(service.host, service.port) as c:
+            load(c)
+        assert d.shard_for("key09") == d.shard_for("key12") == 0
+
+        async def split_between_queueing_and_the_drain():
+            write = asyncio.ensure_future(
+                service._dispatch(["SET", "key09", "late-write"])
+            )
+            read = asyncio.ensure_future(service._dispatch(["GET", "key12"]))
+            # One turn: both ops take their first step and queue; the
+            # drain they scheduled sits behind this task's next turn.
+            await asyncio.sleep(0)
+            queued = [item.key for item in service._pending]
+            resharder = d.begin_split("key08")
+            while not resharder.done:
+                resharder.step()  # COPY ... CUTOVER, DRAIN: all before the drain
+            return queued, await write, await read
+
+        queued, wrote, got = service.transport.submit(
+            split_between_queueing_and_the_drain()
+        )
+        assert queued == ["key09", "key12"]  # the split did overtake them
+        assert d.epoch == 1 and d.shard_for("key09") == 2
+        assert (wrote, got) == (b"+OK\r\n", b"$3\r\nv12\r\n")
+        new_owner = d.clusters[2].suite.authoritative_state()
+        old_owner = d.clusters[0].suite.authoritative_state()
+        assert new_owner["key09"] == "late-write"
+        assert "key09" not in old_owner and "key12" not in old_owner
+        auditor = d.make_auditor()
+        auditor.run()
+        auditor.audit_reshard()
+        assert auditor.report.violations == []
+        with DirectoryClient(service.host, service.port) as c:
+            assert c.get("key09") == "late-write"
+
+
+class TestSplitIntoABusyShard:
+    """Pipelined writers into a split's target while the split lands.
+
+    A split aimed at an *existing* shard copies into, and heals, the
+    replicas its target's clients are writing through.  Each phase step
+    and each drain is one loop callback, so the two interleave between
+    steps and never inside one; what this holds, black-box, is that the
+    interleaving loses nothing: every writer's last value survives, the
+    moved range arrives whole, and no lock is left behind.
     """
 
     WRITERS = 2

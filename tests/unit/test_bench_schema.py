@@ -144,6 +144,30 @@ class TestCompare:
         )
         assert compare_benches(base, cand) == []
 
+    def test_rates_and_speedups_regress_when_they_fall(self):
+        rates = {"ops_per_second": 5000.0, "speedup_vs_e23": 11.3,
+                 "p95_ms": 800.0}
+        base = make_payload(latency=rates)
+        faster = make_payload(
+            latency={"ops_per_second": 6400.0, "speedup_vs_e23": 14.5,
+                     "p95_ms": 600.0}
+        )
+        assert compare_benches(base, faster) == []  # every leaf improved
+        slower = make_payload(
+            latency={"ops_per_second": 1754.0, "speedup_vs_e23": 10.9,
+                     "p95_ms": 1200.0}
+        )
+        regs = compare_benches(base, slower)
+        # Worst first across both directions: -65% of a rate outranks
+        # +50% of a latency; the speedup fell 3.5%, inside tolerance.
+        assert [r["path"] for r in regs] == [
+            "latency.ops_per_second", "latency.p95_ms"
+        ]
+        assert regs[0]["ratio"] == pytest.approx(1754.0 / 5000.0)
+        text = format_comparison(base, slower, regs)
+        assert "latency.ops_per_second: 5000 -> 1754 (-64.9%)" in text
+        assert "latency.p95_ms: 800 -> 1200 (+50.0%)" in text
+
     def test_sorted_worst_first(self):
         base = make_payload()
         cand = make_payload(messages={"messages": 1800, "rpc_rounds": 330})
