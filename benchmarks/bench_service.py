@@ -16,10 +16,12 @@ batching, parallel quorum fan-out) and enforces the scale-up claims:
 3. **Latency under load** — the open-loop arrival-rate mode produces a
    latency-under-load curve (offered vs achieved rate plus
    percentiles), emitted under ``extra.latency_curve``.
-4. **Correctness under batching** — a seeded workload replayed through
-   a batched service and an unbatched control leaves **identical**
-   authoritative state, and the batched run's shard audit reports zero
-   violations (ghosts included).
+4. **Correctness under batching** — a seeded workload (45 % ``SET``,
+   40 % ``GET``, 15 % ``DEL``) replayed through a batched service and an
+   unbatched control is answered **identically, slot by slot**, leaves
+   **identical** authoritative state, both shard audits report zero
+   violations (ghosts included), and the batched side sends fewer
+   replica messages per op than the control.
 
 Emits ``BENCH_service.json`` with the measured numbers; CI's
 ``service-smoke`` and ``open-loop-smoke`` jobs replay reduced versions
@@ -132,13 +134,15 @@ def _drive(ops_256, ops_1024, rates, duration):
 
 
 def _batched_vs_control(ops: int = 1_000, burst: int = 32, seed: int = 99):
-    """Gate 4: same seeded workload, batched vs unbatched, state equal.
+    """Gate 4: same seeded workload, batched vs unbatched, same answers.
 
     One pipelined connection replays an identical op sequence against a
     batched service and a ``batch_max=1`` control — every wave one op,
     so nothing ever groups and each op takes the classic path; bursts
     keep many same-shard ops concurrently in flight so the batcher
-    actually forms multi-op waves on the batched side.
+    actually forms multi-op waves on the batched side.  Both sides'
+    replies are kept slot by slot, and so is what each paid for them in
+    replica messages (``service.rpc.calls``).
     """
     rng = random.Random(seed)
     script = []
@@ -158,6 +162,7 @@ def _batched_vs_control(ops: int = 1_000, burst: int = 32, seed: int = 99):
             with service:
                 from repro.service.client import DirectoryClient
 
+                slots = []
                 with DirectoryClient(service.host, service.port) as client:
                     for start in range(0, len(script), burst):
                         with client.pipeline() as pipe:
@@ -165,14 +170,16 @@ def _batched_vs_control(ops: int = 1_000, burst: int = 32, seed: int = 99):
                                 start : start + burst
                             ]:
                                 if verb == "set":
-                                    pipe.set(key, value)
+                                    slots.append(pipe.set(key, value))
                                 elif verb == "get":
-                                    pipe.get(key)
+                                    slots.append(pipe.get(key))
                                 else:
-                                    pipe.remove(key)
+                                    slots.append(pipe.remove(key))
             report = directory.make_auditor().run()
             snapshot = directory.transport.metrics.snapshot()
             outcomes[label] = {
+                "replies": [slot.result() for slot in slots],
+                "rpc_per_op": snapshot["service.rpc.calls"] / ops,
                 "state": directory.authoritative_state(),
                 "audit": report.summary(),
                 "waves": sum(
@@ -186,6 +193,11 @@ def _batched_vs_control(ops: int = 1_000, burst: int = 32, seed: int = 99):
             directory.close()
     return {
         "ops": ops,
+        "replies_equal": (
+            outcomes["batched"]["replies"] == outcomes["control"]["replies"]
+        ),
+        "batched_rpc_per_op": outcomes["batched"]["rpc_per_op"],
+        "control_rpc_per_op": outcomes["control"]["rpc_per_op"],
         "state_equal": (
             outcomes["batched"]["state"] == outcomes["control"]["state"]
         ),
@@ -217,12 +229,19 @@ def _enforce(result):
         assert point["ops"] > 0 and point["achieved_ops_per_second"] > 0
         assert point["p95_ms"] >= point["p50_ms"] >= 0
 
-    # Gate 4: batching changed the mechanics, not the outcome.
+    _enforce_control(control)
+
+
+def _enforce_control(control):
+    """Gate 4: batching changed the mechanics (and the bill), not one
+    answer.  CI's ``service-smoke`` runs this on its own."""
+    assert control["replies_equal"], control
     assert control["state_equal"], control
     assert control["batched_audit"]["violations"] == 0, control
     assert control["control_audit"]["violations"] == 0, control
     assert control["batched_waves"] > 0, control
     assert control["control_waves"] == 0, control
+    assert control["batched_rpc_per_op"] < control["control_rpc_per_op"], control
 
 
 def _report(result):
@@ -246,11 +265,14 @@ def _report(result):
             f"p50 {point['p50_ms']:.1f}ms p95 {point['p95_ms']:.1f}ms"
         )
     print(
-        f"batched-vs-control: {control['ops']} ops, state equal: "
+        f"batched-vs-control: {control['ops']} ops, replies equal: "
+        f"{control['replies_equal']}, state equal: "
         f"{control['state_equal']} ({control['keys']} keys), audits "
         f"{control['batched_audit']['violations']}/"
         f"{control['control_audit']['violations']} violations, "
-        f"{control['batched_waves']} waves vs {control['control_waves']}"
+        f"{control['batched_waves']} waves vs {control['control_waves']}, "
+        f"{control['batched_rpc_per_op']:.2f} vs "
+        f"{control['control_rpc_per_op']:.2f} messages/op"
     )
     emit_bench(
         "service",
@@ -295,6 +317,9 @@ def _report(result):
             "latency_curve": curve,
             "batched_vs_control": {
                 "ops": control["ops"],
+                "replies_equal": control["replies_equal"],
+                "batched_rpc_per_op": control["batched_rpc_per_op"],
+                "control_rpc_per_op": control["control_rpc_per_op"],
                 "state_equal": control["state_equal"],
                 "keys": control["keys"],
                 "batched_waves": control["batched_waves"],

@@ -10,12 +10,12 @@ one 2PC round — the Keyspace-style group commit, with the scatter-gather
 engine (PR 4) making each shared round cost max-not-sum.
 
 :func:`execute_batch` is that engine.  It accepts a wave of
-:class:`BatchOp` items (``lookup`` / ``insert`` / ``update`` /
-``upsert`` — deletes coalesce gaps via neighbor walks and stay on the
-unbatched path) and returns one :class:`BatchOutcome` per op, in order,
-with the paper's per-op error contract intact: an ``insert`` of a
-present key still yields :class:`KeyAlreadyPresentError`, an ``update``
-of an absent key :class:`KeyNotPresentError` — as *outcomes*, never by
+:class:`BatchOp` items (any of :data:`BATCH_KINDS`: ``lookup`` /
+``insert`` / ``update`` / ``upsert`` / ``delete`` / ``discard``) and
+returns one :class:`BatchOutcome` per op, in order, with the paper's
+per-op error contract intact: an ``insert`` of a present key still
+yields :class:`KeyAlreadyPresentError`, an ``update`` or ``delete`` of
+an absent key :class:`KeyNotPresentError` — as *outcomes*, never by
 poisoning the neighbours in the same wave.
 
 Equivalence with sequential execution is exact, not approximate:
@@ -37,19 +37,38 @@ Equivalence with sequential execution is exact, not approximate:
   all — so the committed state matches the
   sequential run bit for bit (intermediate versions only ever existed
   transiently there too);
+* a ``delete`` is a step of the fold.  Of a key the fold holds absent
+  it is refused on the spot, for no message.  Of a present key it first
+  *flushes* the entries buffered so far, because what follows reads the
+  replicas, not the fold: Figure 13 from the neighbour search on
+  (:meth:`~repro.core.suite.DirectorySuite._coalesce_around`, the body
+  the classic delete runs) inside the shared transaction, with the
+  version the fold already holds standing in for its lookup.  The walk
+  then meets every entry a sequential run would have committed by that
+  point — a real neighbour inserted earlier in the wave included — and
+  so finds the same range and the same maximum gap version, whichever
+  quorums it draws; the new gap's version is one more, as there.
+  Afterwards the fold holds the deleted key *and every other wave key
+  strictly inside the coalesced range* (absent ones: a present key
+  would have ended the search) absent at that version, so a later
+  insert among them chains ``successor()`` off the gap it would have
+  found on the replicas;
 * the wave's range locks are held to the single commit point, so the
   transaction is serializable as the whole sequence at once.
 
 Availability failures are all-or-nothing per wave: the shared
 transaction aborts cleanly (no partial effects — that is what 2PC is
-for), and the wave falls back to executing each op individually so
+for; a coalesce already applied is undone as a classic delete's is),
+and the wave falls back to executing each op individually so
 ``-UNAVAILABLE`` surfaces per op rather than failing the neighbours
-(counted on ``suite.batch.fallbacks``).
+(counted on ``suite.batch.fallbacks``).  Operation counts and the
+delete-overhead statistics are collected during the fold and applied
+after the commit, so an aborted wave counts nothing twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.entries import LookupReply
@@ -63,10 +82,10 @@ from repro.core.errors import (
 )
 from repro.obs.spans import NULL_SPAN
 
-#: Operation kinds :func:`execute_batch` accepts.  ``delete`` is absent
-#: by design: its gap-coalescing neighbour walk reads keys the wave's
-#: shared snapshot does not cover, so it runs unbatched.
-BATCH_KINDS = ("lookup", "insert", "update", "upsert")
+#: Operation kinds :func:`execute_batch` accepts — every keyed verb the
+#: front door has.  ``discard`` is ``delete``'s lenient form: 1 if the
+#: key was present, else 0, where ``delete`` raises.
+BATCH_KINDS = ("lookup", "insert", "update", "upsert", "delete", "discard")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +128,10 @@ class _Counts:
     lookups: int = 0
     inserts: int = 0
     updates: int = 0
+    deletes: int = 0
     failed: int = 0
+    #: ``delete_stats.record_delete`` arguments, one per coalesce.
+    overheads: "list[tuple]" = field(default_factory=list)
 
 
 def execute_batch(suite: Any, ops: Any) -> "list[BatchOutcome]":
@@ -151,20 +173,37 @@ def _grouped(
         "op:batch", size=len(ops), client=suite.rpc.origin
     ) if tracer.enabled else NULL_SPAN:
         with suite._transaction() as txn:
-            unique: list[Any] = []
-            seen: set = set()
-            for bkey in bkeys:
-                if bkey not in seen:
-                    seen.add(bkey)
-                    unique.append(bkey)
-            state = _grouped_read(suite, txn, unique)
+            state = _grouped_read(suite, txn, list(dict.fromkeys(bkeys)))
+            # Final folded entry per written key, in first-write order,
+            # not yet on any replica.
             writes: dict[Any, tuple[Any, Any]] = {}
-            write_order: list[Any] = []
             for op, bkey, outcome in zip(ops, bkeys, outcomes):
                 present, version, value = state[bkey]
                 if op.kind == "lookup":
                     counts.lookups += 1
                     outcome.value = (present, value)
+                    continue
+                if op.kind in ("delete", "discard"):
+                    counts.deletes += 1
+                    if present:
+                        # The walk and the coalesce read the replicas,
+                        # which must hold what a sequential run would
+                        # have left there by now.
+                        _grouped_write(suite, txn, writes)
+                        low, high, gap_version, overhead = (
+                            suite._coalesce_around(txn, bkey, version)
+                        )
+                        counts.overheads.append(overhead)
+                        for other in state:
+                            if low < other < high:
+                                state[other] = (False, gap_version, None)
+                    else:
+                        # Refused from the fold state: no message at all.
+                        counts.failed += 1
+                        if op.kind == "delete":
+                            outcome.error = KeyNotPresentError(op.key)
+                    if op.kind == "discard":
+                        outcome.value = int(present)
                     continue
                 if op.kind == "insert" and present:
                     counts.inserts += 1
@@ -188,21 +227,17 @@ def _grouped(
                     counts.updates += 1
                 new_version = suite.version_space.successor(version)
                 state[bkey] = (True, new_version, op.value)
-                if bkey not in writes:
-                    write_order.append(bkey)
                 writes[bkey] = (new_version, op.value)
-            if writes:
-                _grouped_write(
-                    suite,
-                    txn,
-                    [(bkey, *writes[bkey]) for bkey in write_order],
-                )
+            _grouped_write(suite, txn, writes)
     # Applied only after the commit: an aborted wave leaves the fallback
     # path to do the (public-method) counting instead.
     suite.op_counts.lookups += counts.lookups
     suite.op_counts.inserts += counts.inserts
     suite.op_counts.updates += counts.updates
+    suite.op_counts.deletes += counts.deletes
     suite.op_counts.failed += counts.failed
+    for overhead in counts.overheads:
+        suite.delete_stats.record_delete(*overhead)
     return outcomes
 
 
@@ -252,14 +287,19 @@ def _grouped_read(
 
 
 def _grouped_write(
-    suite: Any, txn: Any, rows: "list[tuple[Any, Any, Any]]"
+    suite: Any, txn: Any, writes: "dict[Any, tuple[Any, Any]]"
 ) -> None:
-    """Install every folded final entry in one shared write quorum.
+    """Install the buffered entries in one shared write quorum and empty
+    the buffer; with nothing buffered, nothing is chosen or sent.
 
     One ``rep_insert_many`` message per member (W messages total): the
     wave's redo records reach each replica's WAL as a group, so the
     single shared 2PC round is a true group commit.
     """
+    if not writes:
+        return
+    rows = [(bkey, *entry) for bkey, entry in writes.items()]
+    writes.clear()
     quorum = suite._collect_quorum("write")
     if suite.fanout == "serial":
         for rep in quorum:
@@ -286,9 +326,7 @@ def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:
     What a kind means *alone*: the front door runs a wave of one
     through here (the paper's Figure 8/9 algorithm, with read-repair
     and hedged reads), and a wave whose shared transaction aborted
-    falls back to it op by op.  Beside :data:`BATCH_KINDS` it knows the
-    two kinds that never group: ``delete`` and its lenient form
-    ``discard`` (1 if the key was present, else 0).
+    falls back to it op by op.
     """
     if kind == "lookup":
         return suite.lookup(key)
@@ -297,11 +335,7 @@ def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:
     if kind == "update":
         return suite.update(key, value)
     if kind == "upsert":
-        # Race-free: the caller owns the suite's only worker thread.
-        try:
-            return suite.insert(key, value)
-        except KeyAlreadyPresentError:
-            return suite.update(key, value)
+        return suite._upsert(key, value)
     if kind == "delete":
         return suite.delete(key)
     if kind == "discard":

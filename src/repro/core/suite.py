@@ -399,7 +399,22 @@ class DirectorySuite:
             "op:delete", key=key, client=self.rpc.origin
         ) if tracer.enabled else NULL_SPAN:
             with self._transaction() as txn:
-                self._suite_delete(txn, bkey)
+                *_, overhead = self._suite_delete(txn, bkey)
+        self.delete_stats.record_delete(*overhead)
+
+    def _upsert(self, key: Any, value: Any) -> None:
+        """``SET`` alone: insert-or-update as one transaction, counted as
+        whichever it turned out to be — what a wave's fold does for it."""
+        bkey = self._user_key(key)
+        tracer = self.tracer
+        with tracer.span(
+            "op:upsert", key=key, value=value, client=self.rpc.origin
+        ) if tracer.enabled else NULL_SPAN:
+            with self._transaction() as txn:
+                if self._suite_insert(txn, bkey, value, expect_present=None):
+                    self.op_counts.updates += 1
+                else:
+                    self.op_counts.inserts += 1
 
     # ------------------------------------------------------------------
     # transaction plumbing
@@ -735,17 +750,18 @@ class DirectorySuite:
         txn: Transaction,
         key: BoundedKey,
         value: Any,
-        expect_present: bool,
-    ) -> None:
+        expect_present: "bool | None",
+    ) -> bool:
         """Shared body of DirSuiteInsert / DirSuiteUpdate.
 
         Looks the key up in a read quorum, derives the new version number
         (one greater than the highest version previously associated with
         the key — whether that was an entry or a gap), and installs the
-        entry in a write quorum.
+        entry in a write quorum.  ``expect_present=None`` accepts either
+        (insert-or-update); returns whether the key was present.
         """
         reply = self._suite_lookup(txn, key)
-        if reply.present and not expect_present:
+        if reply.present and expect_present is False:
             raise KeyAlreadyPresentError(key.payload)
         if not reply.present and expect_present:
             raise KeyNotPresentError(key.payload)
@@ -763,6 +779,7 @@ class DirectorySuite:
                 for rep in quorum
             ]
             self._gather_all(self._scatter(txn, calls, "rep_insert"))
+        return reply.present
 
     # ------------------------------------------------------------------
     # Figure 12: RealPredecessor / RealSuccessor
@@ -857,8 +874,21 @@ class DirectorySuite:
     # Figure 13: DirSuiteDelete
     # ------------------------------------------------------------------
 
-    def _suite_delete(self, txn: Transaction, key: BoundedKey) -> None:
-        """Delete ``key`` by coalescing from real predecessor to successor.
+    def _suite_delete(self, txn: Transaction, key: BoundedKey) -> tuple:
+        """DirSuiteDelete: look ``key`` up, then coalesce around it."""
+        lookup = self._suite_lookup(txn, key)
+        if not lookup.present:
+            raise KeyNotPresentError(key.payload)
+        return self._coalesce_around(txn, key, lookup.version)
+
+    def _coalesce_around(
+        self, txn: Transaction, key: BoundedKey, key_version: Any
+    ) -> tuple:
+        """Delete a present ``key`` by coalescing from real predecessor to
+        successor — Figure 13 after its lookup, which a wave has already
+        done (:mod:`repro.core.batch`).  Returns the coalesced range, the
+        new gap's version, and the arguments ``delete_stats.record_delete``
+        is owed once the transaction has committed.
 
         Steps (Figure 13):
 
@@ -872,13 +902,10 @@ class DirectorySuite:
         4. coalesce the range on every write-quorum member, which also
            removes any ghosts (counted as "deletions while coalescing").
         """
-        lookup = self._suite_lookup(txn, key)
-        if not lookup.present:
-            raise KeyNotPresentError(key.payload)
         quorum = self._collect_quorum("write")
         succ = self._real_neighbor(txn, key, "succ")
         pred = self._real_neighbor(txn, key, "pred")
-        version = max(succ.max_gap_version, pred.max_gap_version, lookup.version)
+        version = max(succ.max_gap_version, pred.max_gap_version, key_version)
 
         insertions = 0
         if self.fanout == "serial":
@@ -972,9 +999,8 @@ class DirectorySuite:
             ghost_deletions += sum(
                 1 for e in result.removed.entries if e.key != key
             )
-        self.delete_stats.record_delete(
-            per_rep_coalesced, insertions, ghost_deletions
-        )
+        overhead = (per_rep_coalesced, insertions, ghost_deletions)
+        return pred.key, succ.key, new_gap_version, overhead
 
     # ------------------------------------------------------------------
     # debugging / test support

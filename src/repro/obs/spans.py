@@ -250,7 +250,10 @@ class RecordingTracer:
             stack[-1].children.append(span)
         else:
             with self._lock:
-                self._roots.append(span)
+                self._keep(span)
+
+    def _keep(self, root: Span) -> None:
+        self._roots.append(root)
 
     # -- results ---------------------------------------------------------------
 
@@ -275,11 +278,19 @@ class RingTracer(RecordingTracer):
 
     Long-lived processes (the asyncio directory service) cannot keep
     every span tree ever recorded; this variant retains only the most
-    recent ``capacity`` root spans, evicting the oldest.  Open-span
-    bookkeeping, clock binding, and ``finished_roots()`` behave exactly
-    like the parent class, so trace analysis (``profile_spans``,
-    ``render_span``) works unchanged on whatever the ring still holds.
+    recent ``capacity`` root spans, evicting the oldest — and fewer
+    when their trees are large: a root is whatever one ``with`` block
+    covered (a whole wave, in the service), so the ring also holds at
+    most ``capacity * SPANS_PER_ROOT`` spans, the newest root aside.
+    Open-span bookkeeping, clock binding, and ``finished_roots()``
+    behave exactly like the parent class, so trace analysis
+    (``profile_spans``, ``render_span``) works unchanged on whatever
+    the ring still holds.
     """
+
+    #: Spans the ring has room for, per root of ``capacity``: about what
+    #: one operation's tree holds (a lookup 3, a delete 8).
+    SPANS_PER_ROOT = 8
 
     def __init__(
         self, now: Callable[[], float] | None = None, *, capacity: int = 512
@@ -291,3 +302,17 @@ class RingTracer(RecordingTracer):
         # deque(maxlen=...) supports every _roots operation the parent
         # uses (append / clear / list(...)), plus bounded eviction.
         self._roots = collections.deque(maxlen=capacity)  # type: ignore[assignment]
+
+    def _keep(self, root: Span) -> None:
+        roots = self._roots
+        roots.append(root)
+        # Ids are handed out in creation order, so the newest span — the
+        # end of the newest root's rightmost path — and the oldest root
+        # are as far apart as the spans held (exact on one thread, the
+        # service's case; a fair measure when several interleave).
+        newest = root
+        while newest.children:
+            newest = newest.children[-1]
+        room = self.capacity * self.SPANS_PER_ROOT
+        while newest.span_id - roots[0].span_id >= room and len(roots) > 1:
+            roots.popleft()

@@ -74,15 +74,15 @@ previous waves ran — plus, when a client that keeps a window of requests
 in flight has just been sent a burst of replies, the few requests it is
 still writing back, which the drain waits for (4 ms at most,
 :meth:`DirectoryService._expect_refills`), so that wave size does not
-hang on which of them won a race — and each wave's run of batchable ops
-(``LOOKUP``/``GET``/``INSERT``/``UPDATE``/``SET``) executes as **one**
-grouped quorum transaction
-(:meth:`~repro.core.suite.DirectorySuite.execute_batch` — shared quorum
-selection, one 2PC group commit, per-op error results preserved).
+hang on which of them won a race — and each wave executes as **one**
+grouped quorum transaction, whatever its verbs
+(:meth:`~repro.core.suite.DirectorySuite.execute_batch` — one shared
+read round, one 2PC group commit, per-op error results preserved; a
+``DELETE``/``DEL`` adds only its own neighbour walk and coalesce).
 Arrival order is preserved item by item, so two pipelined ops on the
-same key observe each other exactly as they would have one at a time;
-``DELETE``/``DEL`` and a wave's solitary ops run the classic one-op
-path, so an unpipelined client gets the paper's algorithm unchanged.
+same key observe each other exactly as they would have one at a time; a
+wave of one runs the classic one-op path, so an unpipelined client gets
+the paper's algorithm unchanged.
 Shards take turns: what batching buys is fewer quorum rounds per op,
 not overlap.  Admin work (``SIZE``, ``REJOIN``, a ``RESHARD SPLIT``'s
 phases) is cut into steps that are loop callbacks of their own, so it
@@ -109,7 +109,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.batch import BATCH_KINDS, BatchOp, _single
+from repro.core.batch import BatchOp, _single
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
@@ -184,7 +184,7 @@ class _ShardTelemetry:
     def run_batch(
         self, ops: "list[BatchOp]", traces: "list[Any]"
     ) -> "list[Any]":
-        """Execute one batched wave segment, fully instrumented.
+        """Execute one grouped wave, fully instrumented.
 
         One ``service:BATCH`` root span covers the grouped transaction
         (the suite's ``op:batch`` tree nests beneath it); the
@@ -260,14 +260,14 @@ class _ShardBatcher:
 
     A drain hands it the shard's share of everything that arrived while
     the previous drain ran; it cuts that into waves of up to
-    ``batch_max`` and runs them one after another.  Within a wave,
-    consecutive runs of batchable ops execute as one grouped quorum
-    transaction via
-    :meth:`~repro.core.suite.DirectorySuite.execute_batch`; unbatchable
-    kinds (``delete``/``discard``) and solitary batchable ops take the
-    classic single-op path.  Arrival order is preserved item by item —
-    a wave is the *same sequence* run one op at a time, just paid for
-    with shared quorum rounds.
+    ``batch_max`` and runs them one after another.  A wave is one
+    grouped quorum transaction, whatever its verbs
+    (:meth:`~repro.core.suite.DirectorySuite.execute_batch`: a
+    ``delete`` pays its own neighbour walk and coalesce inside it and
+    shares the read round and the 2PC with the rest); a wave of one
+    takes the classic single-op path.  Arrival order is preserved item
+    by item — a wave is the *same sequence* run one op at a time, just
+    paid for with shared quorum rounds.
     """
 
     def __init__(self, service: "DirectoryService", index: int) -> None:
@@ -286,21 +286,14 @@ class _ShardBatcher:
                         item.future.set_exception(exc)
 
     def _process(self, wave: "list[_WaveItem]") -> None:
-        i, n = 0, len(wave)
-        while i < n:
-            j = i
-            while j < n and wave[j].kind in BATCH_KINDS:
-                j += 1
-            if j - i > 1:
-                self._run_batch(wave[i:j])
-                i = j
-            else:
-                # Alone in its wave, or a kind that never groups: the
-                # classic path — the paper's Figure 8/9 algorithm, the
-                # reference grouped waves are checked against, and the
-                # only one with read-repair and hedged reads.
-                self._run_single(wave[i])
-                i += 1
+        if len(wave) > 1:
+            self._run_batch(wave)
+        else:
+            # Alone in its wave: the classic path — the paper's Figure
+            # 8/9/13 algorithms, the reference grouped waves are checked
+            # against, and the only one with read-repair on the op's own
+            # key and hedged reads.
+            self._run_single(wave[0])
 
     def _run_single(self, item: _WaveItem) -> None:
         try:

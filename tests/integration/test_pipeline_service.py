@@ -23,7 +23,10 @@ asyncio front door three ways:
 * the window refill — a drain waits, for a bounded time, for the
   requests a pipelining client is still writing;
 * the thread census — serving adds one thread to the process, whatever
-  the shard count and however many clients.
+  the shard count and however many clients;
+* every keyed verb in one wave — a burst mixing ``INSERT`` / ``SET`` /
+  ``DELETE`` / ``DEL`` / ``GET`` is one grouped transaction per shard
+  and answers byte for byte what the unbatched control answers.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import asyncio
 import contextlib
 import logging
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -495,6 +499,87 @@ class TestThreadCensus:
         assert set(threading.enumerate()) - baseline == set()
 
 
+class TestMixedVerbBurst:
+    """Deletes ride in the wave: one burst, one wave per shard, and the
+    replies a one-op-at-a-time service gives for the same bytes."""
+
+    KEYS = ["a1", "a2", "a3", "z1", "z2", "z3"]  # three per shard
+
+    @classmethod
+    def _burst(cls):
+        rng = random.Random(20)
+        requests = []
+        for i in range(60):
+            verb = rng.choice(["INSERT", "SET", "DELETE", "DEL", "GET"])
+            args = [f"v{i}"] if verb in ("INSERT", "SET") else []
+            requests.append((verb, rng.choice(cls.KEYS), *args))
+        return requests
+
+    @staticmethod
+    def _answers(svc, payload):
+        """Everything ``payload`` is answered with, to the server's close."""
+        with socket.create_connection((svc.host, svc.port), timeout=30) as sock:
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as stream:
+                return stream.read()
+
+    def test_answers_what_the_unbatched_control_answers(self, monkeypatch):
+        waves: list = []
+        singles: list = []
+        process = server._ShardBatcher._process
+        run_single = server._ShardBatcher._run_single
+
+        def recording(batcher, wave):
+            waves.append(len(wave))
+            process(batcher, wave)
+
+        def counting(batcher, item):
+            singles.append(item.verb)
+            run_single(batcher, item)
+
+        monkeypatch.setattr(server._ShardBatcher, "_process", recording)
+        monkeypatch.setattr(server._ShardBatcher, "_run_single", counting)
+        burst = self._burst()
+        answers, states = {}, {}
+        for batch_max in (128, 1):
+            with _serving(batch_max=batch_max) as svc:
+                with DirectoryClient(svc.host, svc.port) as c:
+                    c.set("a1", "old")
+                    c.set("z1", "old")
+                del waves[:], singles[:]
+                answers[batch_max] = self._answers(
+                    svc, b"".join(encode_command(*parts) for parts in burst)
+                )
+                if batch_max > 1:
+                    # One wave per shard, and nothing left it for the
+                    # one-op path — not the deletes, not the refusals.
+                    assert sorted(waves) == sorted(
+                        sum(key[0] == side for _verb, key, *_ in burst)
+                        for side in "az"
+                    )
+                    assert singles == []
+                else:
+                    assert waves == [1] * len(burst)
+                    assert len(singles) == len(burst)
+                states[batch_max] = [
+                    cluster.suite.authoritative_state()
+                    for cluster in svc.directory.clusters
+                ]
+                for cluster in svc.directory.clusters:
+                    for rep in cluster.representatives.values():
+                        assert rep.locks.is_idle()
+        assert answers[128] == answers[1]
+        assert states[128] == states[1]
+        # Refusals sit in their own slots; nothing was poisoned.
+        replies = answers[128]
+        for marker in (
+            b"-NOTFOUND ", b"-KEYEXISTS ", b"+OK", b":1", b":0", b"$-1"
+        ):
+            assert marker in replies, marker
+        assert b"-ERR" not in replies and b"-UNAVAILABLE" not in replies
+
+
 class TestStatsUnderBatching:
     def test_latency_samples_stay_per_op_in_multi_op_waves(self, service):
         """``STATS`` percentiles are per operation: a wave of N ops is N
@@ -518,6 +603,40 @@ class TestStatsUnderBatching:
             row["latency"]["n"] for row in stats["per_shard"].values()
         )
         assert samples == recorded
+
+    def test_deletes_inside_the_waves_are_counted_per_op(self, service):
+        """With deletes grouped, a wave still yields one latency sample
+        per op and one ``live.ops.failed`` per refused op — the absent
+        ``DELETE``s that the fold answers without a message included."""
+        refused = 0
+        with DirectoryClient(service.host, service.port) as c:
+            for burst in range(4):
+                with c.pipeline() as pipe:
+                    slots = []
+                    for i in range(16):
+                        key = f"k{burst}-{i}"
+                        slots.append(pipe.insert(key, "v"))
+                        slots.append(pipe.delete(key))
+                        slots.append(pipe.delete(key))  # -NOTFOUND
+                        slots.append(pipe.remove(key))  # :0, not a failure
+                refused += sum(slot.error is not None for slot in slots)
+            stats, snapshot = c.stats(), c.metrics()
+        assert refused == 4 * 16
+        grouped = sum(
+            value
+            for name, value in snapshot.items()
+            if name.endswith("suite.batch.ops")
+        )
+        recorded = snapshot["live.ops.recorded"]
+        assert grouped == recorded == 4 * 64, "a delete left its wave"
+        assert recorded == sum(
+            row["latency"]["n"] for row in stats["per_shard"].values()
+        )
+        assert refused == sum(
+            value
+            for name, value in snapshot.items()
+            if name.endswith("live.ops.failed")
+        )
 
 
 #: What a peer can get wrong, and the exact reply each earns.  The long

@@ -291,6 +291,36 @@ class TestRingTracer:
         tracer.reset()
         assert tracer.finished_roots() == []
 
+    def test_bounded_spans(self):
+        """Roots with large trees (whole waves) leave sooner: the ring
+        has room for ``capacity * SPANS_PER_ROOT`` spans, and always
+        for its newest root."""
+        tracer = RingTracer(capacity=4)
+        room = 4 * RingTracer.SPANS_PER_ROOT
+
+        def held():
+            def size(span):
+                return 1 + sum(size(child) for child in span.children)
+
+            roots = tracer.finished_roots()
+            return [r.name for r in roots], sum(size(r) for r in roots)
+
+        def record(name, children):
+            with tracer.span(name):
+                for _ in range(children):
+                    with tracer.span("rpc"):
+                        with tracer.span("rep"):
+                            pass
+
+        for i in range(6):
+            record(f"wave:{i}", 5)  # 11 spans each
+        assert held() == (["wave:4", "wave:5"], 22)
+        record("huge", room)  # alone it overflows the ring; kept anyway
+        assert held() == (["huge"], 1 + 2 * room)
+        for i in range(6):
+            record(f"op:{i}", 1)  # 3 spans: the root bound takes over
+        assert held() == ([f"op:{i}" for i in range(2, 6)], 12)
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             RingTracer(capacity=0)
