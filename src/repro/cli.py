@@ -32,6 +32,7 @@ from typing import Sequence
 
 from repro.cluster import STORE_FACTORIES, ClusterSpec, DirectoryCluster
 from repro.core.config import SuiteConfig
+from repro.core.errors import ConfigurationError
 from repro.sim.analytic import predict_xyz
 from repro.sim.availability import analyze
 from repro.sim.concurrency import ConcurrencySpec, compare_granularities
@@ -345,14 +346,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     with ShardedDirectory.create(
         spec, shards=args.shards, shard_map=args.shard_map
     ) as directory:
-        service = DirectoryService(
-            directory,
-            host=args.host,
-            port=args.port,
-            batch_max=args.batch_max,
-            pipeline_depth=args.pipeline_depth,
-        ).start()
-        with service:
+        try:
+            service = DirectoryService(
+                directory,
+                host=args.host,
+                port=args.port,
+                batch_max=args.batch_max,
+                pipeline_depth=args.pipeline_depth,
+            )
+        except ConfigurationError as exc:
+            print(f"repro-serve: {exc}", file=sys.stderr)
+            return 2
+        with service.start():
             # The line CI and scripts wait for / parse the port out of.
             print(
                 f"repro-serve: listening on {service.host}:{service.port} "

@@ -249,11 +249,7 @@ class DirectoryCluster:
         )
         tracer.bind_clock(transport.clock.now)
         rpc = transport.endpoint(origin="client", tracer=tracer)
-        txn_manager = TransactionManager(
-            rpc,
-            clock_now=transport.clock.now,
-            parallel_commit=spec.fanout != "serial",
-        )
+        txn_manager = TransactionManager(rpc, clock_now=transport.clock.now)
 
         placements: dict[str, Placement] = {}
         representatives: dict[str, DirectoryRepresentative] = {}

@@ -80,7 +80,6 @@ from repro.core.errors import (
     ReproError,
     TransactionError,
 )
-from repro.obs.spans import NULL_SPAN
 
 #: Operation kinds :func:`execute_batch` accepts — every keyed verb the
 #: front door has.  ``discard`` is ``delete``'s lenient form: 1 if the
@@ -168,67 +167,63 @@ def _grouped(
 ) -> "list[BatchOutcome]":
     outcomes = [BatchOutcome(op) for op in ops]
     counts = _Counts()
-    tracer = suite.tracer
-    with tracer.span(
-        "op:batch", size=len(ops), client=suite.rpc.origin
-    ) if tracer.enabled else NULL_SPAN:
-        with suite._transaction() as txn:
-            state = _grouped_read(suite, txn, list(dict.fromkeys(bkeys)))
-            # Final folded entry per written key, in first-write order,
-            # not yet on any replica.
-            writes: dict[Any, tuple[Any, Any]] = {}
-            for op, bkey, outcome in zip(ops, bkeys, outcomes):
-                present, version, value = state[bkey]
-                if op.kind == "lookup":
-                    counts.lookups += 1
-                    outcome.value = (present, value)
-                    continue
-                if op.kind in ("delete", "discard"):
-                    counts.deletes += 1
-                    if present:
-                        # The walk and the coalesce read the replicas,
-                        # which must hold what a sequential run would
-                        # have left there by now.
-                        _grouped_write(suite, txn, writes)
-                        low, high, gap_version, overhead = (
-                            suite._coalesce_around(txn, bkey, version)
-                        )
-                        counts.overheads.append(overhead)
-                        for other in state:
-                            if low < other < high:
-                                state[other] = (False, gap_version, None)
-                    else:
-                        # Refused from the fold state: no message at all.
-                        counts.failed += 1
-                        if op.kind == "delete":
-                            outcome.error = KeyNotPresentError(op.key)
-                    if op.kind == "discard":
-                        outcome.value = int(present)
-                    continue
-                if op.kind == "insert" and present:
-                    counts.inserts += 1
-                    counts.failed += 1
-                    outcome.error = KeyAlreadyPresentError(op.key)
-                    continue
-                if op.kind == "update" and not present:
-                    counts.updates += 1
-                    counts.failed += 1
-                    outcome.error = KeyNotPresentError(op.key)
-                    continue
-                if op.kind == "upsert":
-                    # What SET's sequential insert-or-update would count.
-                    if present:
-                        counts.updates += 1
-                    else:
-                        counts.inserts += 1
-                elif op.kind == "insert":
-                    counts.inserts += 1
+    with suite._op_span("batch", size=len(ops)), suite._transaction() as txn:
+        state = _grouped_read(suite, txn, list(dict.fromkeys(bkeys)))
+        # Final folded entry per written key, in first-write order,
+        # not yet on any replica.
+        writes: dict[Any, tuple[Any, Any]] = {}
+        for op, bkey, outcome in zip(ops, bkeys, outcomes):
+            present, version, value = state[bkey]
+            if op.kind == "lookup":
+                counts.lookups += 1
+                outcome.value = (present, value)
+                continue
+            if op.kind in ("delete", "discard"):
+                counts.deletes += 1
+                if present:
+                    # The walk and the coalesce read the replicas,
+                    # which must hold what a sequential run would
+                    # have left there by now.
+                    _grouped_write(suite, txn, writes)
+                    low, high, gap_version, overhead = (
+                        suite._coalesce_around(txn, bkey, version)
+                    )
+                    counts.overheads.append(overhead)
+                    for other in state:
+                        if low < other < high:
+                            state[other] = (False, gap_version, None)
                 else:
+                    # Refused from the fold state: no message at all.
+                    counts.failed += 1
+                    if op.kind == "delete":
+                        outcome.error = KeyNotPresentError(op.key)
+                if op.kind == "discard":
+                    outcome.value = int(present)
+                continue
+            if op.kind == "insert" and present:
+                counts.inserts += 1
+                counts.failed += 1
+                outcome.error = KeyAlreadyPresentError(op.key)
+                continue
+            if op.kind == "update" and not present:
+                counts.updates += 1
+                counts.failed += 1
+                outcome.error = KeyNotPresentError(op.key)
+                continue
+            if op.kind == "upsert":
+                # What SET's sequential insert-or-update would count.
+                if present:
                     counts.updates += 1
-                new_version = suite.version_space.successor(version)
-                state[bkey] = (True, new_version, op.value)
-                writes[bkey] = (new_version, op.value)
-            _grouped_write(suite, txn, writes)
+                else:
+                    counts.inserts += 1
+            elif op.kind == "insert":
+                counts.inserts += 1
+            else:
+                counts.updates += 1
+            new_version = suite.version_space.successor(version)
+            state[bkey] = (True, new_version, op.value)
+            writes[bkey] = (new_version, op.value)
+        _grouped_write(suite, txn, writes)
     # Applied only after the commit: an aborted wave leaves the fallback
     # path to do the (public-method) counting instead.
     suite.op_counts.lookups += counts.lookups
@@ -248,32 +243,15 @@ def _grouped_read(
 
     Sends a single ``rep_lookup_many`` message per member of a *single*
     read quorum (R messages total, regardless of wave size — the
-    section 4 batching optimization; serial fan-out degrades to one
-    call per member), merges per key by highest version — the Figure 8
-    rule — and returns the mutable fold state
+    section 4 batching optimization), merges per key by highest version
+    — the Figure 8 rule — and returns the mutable fold state
     ``{bkey: [present, version, value]}``.
     """
     quorum = suite._collect_quorum("read")
     best: dict[Any, LookupReply | None] = {bkey: None for bkey in keys}
-    if suite.fanout == "serial":
-        member_replies = [
-            suite._call(txn, rep, "rep_lookup_many", txn.txn_id, list(keys))
-            for rep in quorum
-        ]
-    else:
-        calls = [
-            suite._rep_call(
-                txn,
-                rep,
-                "rep_lookup_many",
-                (list(keys),),
-                payload_items=len(keys),
-            )
-            for rep in quorum
-        ]
-        member_replies = suite._gather_all(
-            suite._scatter(txn, calls, "rep_lookup_many")
-        )
+    member_replies = suite._round(
+        txn, [(rep, "rep_lookup_many", (list(keys),), len(keys)) for rep in quorum]
+    )
     for replies in member_replies:
         for bkey, reply in zip(keys, replies):
             if reply.beats(best[bkey]):
@@ -301,23 +279,9 @@ def _grouped_write(
     rows = [(bkey, *entry) for bkey, entry in writes.items()]
     writes.clear()
     quorum = suite._collect_quorum("write")
-    if suite.fanout == "serial":
-        for rep in quorum:
-            suite._call(
-                txn, rep, "rep_insert_many", txn.txn_id, list(rows)
-            )
-    else:
-        calls = [
-            suite._rep_call(
-                txn,
-                rep,
-                "rep_insert_many",
-                (list(rows),),
-                payload_items=len(rows),
-            )
-            for rep in quorum
-        ]
-        suite._gather_all(suite._scatter(txn, calls, "rep_insert_many"))
+    suite._round(
+        txn, [(rep, "rep_insert_many", (list(rows),), len(rows)) for rep in quorum]
+    )
 
 
 def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:

@@ -102,8 +102,8 @@ class HintedDirectory:
         """
         bkey = self.suite._user_key(key)
         self.suite.op_counts.lookups += 1
-        with self.suite.tracer.span(
-            "op:lookup", key=key, client=self.suite.rpc.origin, hinted=True
+        with self.suite._op_span(
+            "lookup", key=key, hinted=True
         ), self.suite._transaction() as txn:
             hint_reply = self._read_hint(txn, bkey)
             quorum = self.suite._collect_quorum("read")

@@ -31,6 +31,25 @@ _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
 
+def percentile(ordered: "list[float]", q: float) -> float:
+    """The ``q``-th percentile (``q`` in [0, 100]) of an ascending list.
+
+    The repo's one definition — ``RunningStat``, the live ``STATS``
+    window and the load generator all report it: linear interpolation
+    between the closest ranks, rank ``(n - 1) * q / 100`` (numpy's
+    default), and 0.0 for no samples.
+    """
+    if not ordered:
+        return 0.0
+    rank = (len(ordered) - 1) * q / 100.0
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
 @dataclass
 class RunningStat:
     """Welford online mean/variance plus max, optionally keeping samples.
@@ -100,29 +119,20 @@ class RunningStat:
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (``q`` in [0, 100]) of retained samples.
 
-        Linear interpolation between closest ranks over the sorted
-        sample store (exact under ``keep_samples``, a reservoir estimate
-        otherwise).  Returns 0.0 when no samples have been recorded;
+        :func:`percentile` over the sorted sample store (exact under
+        ``keep_samples``, a reservoir estimate otherwise).  Returns 0.0
+        when no samples have been recorded;
         raises ``ValueError`` if samples were recorded but none retained
         (construct with ``keep_samples=True`` or ``reservoir=k``).
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile q out of [0, 100]: {q}")
         data = self.samples if self.keep_samples else self._rsamples
-        if not data:
-            if self.n:
-                raise ValueError(
-                    "percentile() needs keep_samples=True or reservoir>0"
-                )
-            return 0.0
-        ordered = sorted(data)
-        rank = (len(ordered) - 1) * q / 100.0
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        if self.n and not data:
+            raise ValueError(
+                "percentile() needs keep_samples=True or reservoir>0"
+            )
+        return percentile(sorted(data), q)
 
     def merge(self, other: "RunningStat") -> None:
         """Fold another collector's moments into this one."""

@@ -48,7 +48,7 @@ from repro.core.quorum import QuorumPolicy, RandomQuorumPolicy
 from repro.core.stats import DeleteOverheadStats, RunningStat, SuiteOpCounts
 from repro.core.versions import VersionSpace, UNBOUNDED
 from repro.net.network import Network
-from repro.net.rpc import RpcBatch, RpcCall, RpcEndpoint, RpcReply
+from repro.net.rpc import RpcBatch, RpcCall, RpcEndpoint
 from repro.net.transport import SimTransport, Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
@@ -197,6 +197,8 @@ class DirectorySuite:
         #: safe).  0 keeps the perfect-network fast path.
         self.rpc_retries = rpc_retries
         self.fanout = fanout
+        # The commit protocol's rounds fan out as the suite's own do.
+        txn_manager.coordinator.parallel = fanout != "serial"
         self.hedge_extra = hedge_extra
         #: Net ticks hedged gathers returned before their stragglers,
         #: minus any straggler wait paid back at commit/abort (never
@@ -322,35 +324,23 @@ class DirectorySuite:
         """
         bkey = self._user_key(key)
         self.op_counts.lookups += 1
-        tracer = self.tracer
-        with tracer.span(
-            "op:lookup", key=key, client=self.rpc.origin
-        ) if tracer.enabled else NULL_SPAN:
-            with self._transaction() as txn:
-                reply = self._suite_lookup(txn, bkey)
+        with self._op_span("lookup", key=key), self._transaction() as txn:
+            reply = self._suite_lookup(txn, bkey)
         return reply.present, reply.value
 
     def insert(self, key: Any, value: Any) -> None:
         """DirSuiteInsert: add a new entry; error if the key is present."""
         bkey = self._user_key(key)
         self.op_counts.inserts += 1
-        tracer = self.tracer
-        with tracer.span(
-            "op:insert", key=key, value=value, client=self.rpc.origin
-        ) if tracer.enabled else NULL_SPAN:
-            with self._transaction() as txn:
-                self._suite_insert(txn, bkey, value, expect_present=False)
+        with self._op_span("insert", key=key, value=value), self._transaction() as txn:
+            self._suite_insert(txn, bkey, value, expect_present=False)
 
     def update(self, key: Any, value: Any) -> None:
         """DirSuiteUpdate: overwrite an entry; error if the key is absent."""
         bkey = self._user_key(key)
         self.op_counts.updates += 1
-        tracer = self.tracer
-        with tracer.span(
-            "op:update", key=key, value=value, client=self.rpc.origin
-        ) if tracer.enabled else NULL_SPAN:
-            with self._transaction() as txn:
-                self._suite_insert(txn, bkey, value, expect_present=True)
+        with self._op_span("update", key=key, value=value), self._transaction() as txn:
+            self._suite_insert(txn, bkey, value, expect_present=True)
 
     def size(self) -> int:
         """Number of entries present, via a RealSuccessor walk.
@@ -363,19 +353,15 @@ class DirectorySuite:
         O(n) quorum reads — a measurement/administration operation, not
         a hot-path one.
         """
-        tracer = self.tracer
-        with tracer.span(
-            "op:size", client=self.rpc.origin
-        ) if tracer.enabled else NULL_SPAN:
-            with self._transaction() as txn:
-                count = 0
-                cursor = LOW
-                while True:
-                    neighbor = self._real_neighbor(txn, cursor, "succ")
-                    if neighbor.key.is_high:
-                        return count
-                    count += 1
-                    cursor = neighbor.key
+        with self._op_span("size"), self._transaction() as txn:
+            count = 0
+            cursor = LOW
+            while True:
+                neighbor = self._real_neighbor(txn, cursor, "succ")
+                if neighbor.key.is_high:
+                    return count
+                count += 1
+                cursor = neighbor.key
 
     def execute_batch(self, ops: Any) -> "list[Any]":
         """Run a wave of ops as one grouped quorum transaction.
@@ -394,27 +380,19 @@ class DirectorySuite:
         """DirSuiteDelete: remove an entry; error if the key is absent."""
         bkey = self._user_key(key)
         self.op_counts.deletes += 1
-        tracer = self.tracer
-        with tracer.span(
-            "op:delete", key=key, client=self.rpc.origin
-        ) if tracer.enabled else NULL_SPAN:
-            with self._transaction() as txn:
-                *_, overhead = self._suite_delete(txn, bkey)
+        with self._op_span("delete", key=key), self._transaction() as txn:
+            *_, overhead = self._suite_delete(txn, bkey)
         self.delete_stats.record_delete(*overhead)
 
     def _upsert(self, key: Any, value: Any) -> None:
         """``SET`` alone: insert-or-update as one transaction, counted as
         whichever it turned out to be — what a wave's fold does for it."""
         bkey = self._user_key(key)
-        tracer = self.tracer
-        with tracer.span(
-            "op:upsert", key=key, value=value, client=self.rpc.origin
-        ) if tracer.enabled else NULL_SPAN:
-            with self._transaction() as txn:
-                if self._suite_insert(txn, bkey, value, expect_present=None):
-                    self.op_counts.updates += 1
-                else:
-                    self.op_counts.inserts += 1
+        with self._op_span("upsert", key=key, value=value), self._transaction() as txn:
+            if self._suite_insert(txn, bkey, value, expect_present=None):
+                self.op_counts.updates += 1
+            else:
+                self.op_counts.inserts += 1
 
     # ------------------------------------------------------------------
     # transaction plumbing
@@ -422,6 +400,13 @@ class DirectorySuite:
 
     def _transaction(self) -> "_SuiteTransaction":
         return _SuiteTransaction(self)
+
+    def _op_span(self, op: str, **attrs: Any) -> Any:
+        """The ``op:<op>`` root span of one public operation."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return NULL_SPAN
+        return tracer.span(f"op:{op}", **attrs, client=self.rpc.origin)
 
     def _user_key(self, key: Any) -> BoundedKey:
         bkey = wrap(key)
@@ -594,36 +579,68 @@ class DirectorySuite:
                 raise reply.error
         return [reply.value for reply in batch.replies]
 
-    def _gather_read(
-        self, txn: Transaction, batch: RpcBatch
-    ) -> list[RpcReply]:
-        """Gather a read round; hedged mode returns on first-R-sufficient.
+    def _round(self, txn: Transaction, calls: list[tuple]) -> list[Any]:
+        """Issue one quorum round; return its values in ``calls`` order.
 
-        Returns the replies actually waited on.  In hedged mode the
-        clock stops at the earliest vote-sufficient prefix; the ticks
+        ``calls`` lists ``(rep, method, args[, payload_items])``, ``args``
+        without the transaction id.  This is where ``fanout`` is decided
+        for every round but the hedged read: serial walks the list one
+        :meth:`_call` at a time and stops at the first failure; parallel
+        and hedged send it as one scatter, wait for every member, and
+        raise the first failure in issue order — the one the walk would
+        have met.  An empty round sends nothing.
+        """
+        if not calls:
+            return []
+        if self.fanout == "serial":
+            values = []
+            for rep, method, args, *payload_items in calls:
+                values.append(
+                    self._call(
+                        txn, rep, method, txn.txn_id, *args,
+                        payload_items=payload_items[0] if payload_items else 1,
+                    )
+                )
+            return values
+        return self._gather_all(
+            self._scatter(
+                txn, [self._rep_call(txn, *call) for call in calls], calls[0][1]
+            )
+        )
+
+    def _hedged_read(
+        self, txn: Transaction, quorum: list[str], key: BoundedKey
+    ) -> dict[str, LookupReply]:
+        """A read round that returns on the first R-sufficient replies.
+
+        The quorum and its :meth:`_hedge_extras` are scattered together;
+        the clock stops at the earliest vote-sufficient prefix, the ticks
         not spent waiting for stragglers are credited to
-        ``straggler_ticks_saved`` and the transaction's
+        ``straggler_ticks_saved``, and the transaction's
         ``straggler_deadline`` is pushed out so commit/abort settles the
         outstanding exchanges (see :meth:`_await_stragglers`).
         """
-        if self.fanout != "hedged":
-            self._gather_all(batch)
-            return list(batch.replies)
+        batch = self._scatter(
+            txn,
+            [
+                self._rep_call(txn, rep, "rep_lookup", (key,))
+                for rep in quorum + self._hedge_extras(quorum)
+            ],
+            "rep_lookup",
+        )
         waited, sufficient = batch.complete_first(
             self.config.read_quorum,
             lambda reply: self.config.votes[reply.call.key],
         )
         if not sufficient:
-            for reply in batch.replies:
-                if reply.error is not None:
-                    raise reply.error
-            return waited  # pragma: no cover - quorum choice is sufficient
+            # The quorum alone carries R votes, so a member failed.
+            raise next(r.error for r in batch.replies if r.error is not None)
         deadline = batch.lock_deadline
         now = self.clock.now()
         if deadline > now:
             self.straggler_ticks_saved += deadline - now
             txn.straggler_deadline = max(txn.straggler_deadline, deadline)
-        return waited
+        return {reply.call.key: reply.value for reply in waited}
 
     def _hedge_extras(self, quorum: list[str]) -> list[str]:
         """Spare representatives a hedged read over-requests.
@@ -676,23 +693,11 @@ class DirectorySuite:
         quorum, so which sufficient subset answers first is immaterial).
         """
         quorum = self._collect_quorum("read")
-        replies: dict[str, LookupReply] = {}
-        if self.fanout == "serial":
-            for rep in quorum:
-                replies[rep] = self._call(
-                    txn, rep, "rep_lookup", txn.txn_id, key
-                )
+        if self.fanout == "hedged":
+            replies = self._hedged_read(txn, quorum, key)
         else:
-            members = list(quorum)
-            if self.fanout == "hedged":
-                members += self._hedge_extras(quorum)
-            batch = self._scatter(
-                txn,
-                [self._rep_call(txn, rep, "rep_lookup", (key,)) for rep in members],
-                "rep_lookup",
-            )
-            for reply in self._gather_read(txn, batch):
-                replies[reply.call.key] = reply.value
+            calls = [(rep, "rep_lookup", (key,)) for rep in quorum]
+            replies = dict(zip(quorum, self._round(txn, calls)))
         best: LookupReply | None = None
         for reply in replies.values():
             if reply.beats(best):
@@ -719,27 +724,14 @@ class DirectorySuite:
             rep for rep, reply in replies.items()
             if reply.version < best.version
         ]
-        if self.fanout == "serial":
-            for rep in stale:
-                self._call(
-                    txn,
-                    rep,
-                    "rep_insert",
-                    txn.txn_id,
-                    key,
-                    best.version,
-                    best.value,
-                )
-                self.repairs_performed += 1
-        elif stale:
-            calls = [
-                self._rep_call(
-                    txn, rep, "rep_insert", (key, best.version, best.value)
-                )
+        self._round(
+            txn,
+            [
+                (rep, "rep_insert", (key, best.version, best.value))
                 for rep in stale
-            ]
-            self._gather_all(self._scatter(txn, calls, "rep_insert"))
-            self.repairs_performed += len(stale)
+            ],
+        )
+        self.repairs_performed += len(stale)
 
     # ------------------------------------------------------------------
     # Figure 9: DirSuiteInsert (and DirSuiteUpdate, its analog)
@@ -767,18 +759,10 @@ class DirectorySuite:
             raise KeyNotPresentError(key.payload)
         quorum = self._collect_quorum("write")
         version = self.version_space.successor(reply.version)
-        if self.fanout == "serial":
-            for rep in quorum:
-                self._call(
-                    txn, rep, "rep_insert", txn.txn_id, key, version, value
-                )
-        else:
-            # Writes always wait on the full quorum: W votes must land.
-            calls = [
-                self._rep_call(txn, rep, "rep_insert", (key, version, value))
-                for rep in quorum
-            ]
-            self._gather_all(self._scatter(txn, calls, "rep_insert"))
+        # Writes always wait on the full quorum: W votes must land.
+        self._round(
+            txn, [(rep, "rep_insert", (key, version, value)) for rep in quorum]
+        )
         return reply.present
 
     # ------------------------------------------------------------------
@@ -854,18 +838,17 @@ class DirectorySuite:
             ]
             if not needy:
                 return
-            calls = [
-                self._rep_call(
-                    txn,
-                    rep,
-                    "rep_neighbors_batch",
-                    streams[rep].fetch_args(),
-                    payload_items=self.neighbor_batch_size,
-                )
-                for rep in needy
-            ]
-            batches = self._gather_all(
-                self._scatter(txn, calls, "rep_neighbors_batch")
+            batches = self._round(
+                txn,
+                [
+                    (
+                        rep,
+                        "rep_neighbors_batch",
+                        streams[rep].fetch_args(),
+                        self.neighbor_batch_size,
+                    )
+                    for rep in needy
+                ],
             )
             for rep, items in zip(needy, batches):
                 streams[rep].absorb(items)
@@ -907,93 +890,39 @@ class DirectorySuite:
         pred = self._real_neighbor(txn, key, "pred")
         version = max(succ.max_gap_version, pred.max_gap_version, key_version)
 
+        # Probe each (member, neighbour) pair and install the copies found
+        # missing.  Serial takes one pair at a time, so an install follows
+        # its own probe (the order the lossy pins drew their faults in);
+        # otherwise one round probes every pair and a second installs.
+        pairs = [(rep, nb) for rep in quorum for nb in (succ, pred)]
+        steps = [[pair] for pair in pairs] if self.fanout == "serial" else [pairs]
         insertions = 0
-        if self.fanout == "serial":
-            for rep in quorum:
-                for neighbor in (succ, pred):
-                    reply: LookupReply = self._call(
-                        txn, rep, "rep_lookup", txn.txn_id, neighbor.key
-                    )
-                    if not reply.present:
-                        self._call(
-                            txn,
-                            rep,
-                            "rep_insert",
-                            txn.txn_id,
-                            neighbor.key,
-                            neighbor.version,
-                            neighbor.value,
-                        )
-                        insertions += 1
-        else:
-            # One scatter probes every (member, neighbor) pair; a second
-            # installs only the copies found missing.
-            pairs = [(rep, nb) for rep in quorum for nb in (succ, pred)]
-            probes = self._gather_all(
-                self._scatter(
-                    txn,
-                    [
-                        self._rep_call(txn, rep, "rep_lookup", (nb.key,))
-                        for rep, nb in pairs
-                    ],
-                    "rep_lookup",
-                )
+        for step in steps:
+            probes = self._round(
+                txn, [(rep, "rep_lookup", (nb.key,)) for rep, nb in step]
             )
             missing = [
-                (rep, nb)
-                for (rep, nb), found in zip(pairs, probes)
-                if not found.present
+                pair for pair, found in zip(step, probes) if not found.present
             ]
-            if missing:
-                self._gather_all(
-                    self._scatter(
-                        txn,
-                        [
-                            self._rep_call(
-                                txn,
-                                rep,
-                                "rep_insert",
-                                (nb.key, nb.version, nb.value),
-                            )
-                            for rep, nb in missing
-                        ],
-                        "rep_insert",
-                    )
-                )
-            insertions = len(missing)
+            self._round(
+                txn,
+                [
+                    (rep, "rep_insert", (nb.key, nb.version, nb.value))
+                    for rep, nb in missing
+                ],
+            )
+            insertions += len(missing)
 
         new_gap_version = self.version_space.successor(version)
         per_rep_coalesced: list[int] = []
         ghost_deletions = 0
-        if self.fanout == "serial":
-            results = [
-                self._call(
-                    txn,
-                    rep,
-                    "rep_coalesce",
-                    txn.txn_id,
-                    pred.key,
-                    succ.key,
-                    new_gap_version,
-                )
+        results = self._round(
+            txn,
+            [
+                (rep, "rep_coalesce", (pred.key, succ.key, new_gap_version))
                 for rep in quorum
-            ]
-        else:
-            results = self._gather_all(
-                self._scatter(
-                    txn,
-                    [
-                        self._rep_call(
-                            txn,
-                            rep,
-                            "rep_coalesce",
-                            (pred.key, succ.key, new_gap_version),
-                        )
-                        for rep in quorum
-                    ],
-                    "rep_coalesce",
-                )
-            )
+            ],
+        )
         for result in results:
             per_rep_coalesced.append(len(result.removed.entries))
             ghost_deletions += sum(
@@ -1013,23 +942,17 @@ class DirectorySuite:
         read (all available representatives) and keep the highest-version
         verdict.  Test-only: it peeks at every replica directly.
         """
+        transport = self.transport
+        reps = [
+            transport.local_service(place.node_id, place.service_name)
+            for place in self.placements.values()
+            if transport.is_up(place.node_id)
+        ]
         state: dict[Any, Any] = {}
-        candidate_keys: set[BoundedKey] = set()
-        for name, place in self.placements.items():
-            if not self.transport.is_up(place.node_id):
-                continue
-            rep = self.transport.local_service(place.node_id, place.service_name)
-            for entry in rep.user_entries():  # type: ignore[attr-defined]
-                candidate_keys.add(entry.key)
-        for bkey in candidate_keys:
+        for bkey in {entry.key for rep in reps for entry in rep.user_entries()}:
             best: LookupReply | None = None
-            for name, place in self.placements.items():
-                if not self.transport.is_up(place.node_id):
-                    continue
-                rep = self.transport.local_service(
-                    place.node_id, place.service_name
-                )
-                reply = rep.store.lookup(bkey)  # type: ignore[attr-defined]
+            for rep in reps:
+                reply = rep.store.lookup(bkey)
                 if reply.beats(best):
                     best = reply
             if best is not None and best.present:

@@ -35,6 +35,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.core.stats import percentile
+
 __all__ = [
     "WindowedView",
     "WindowRates",
@@ -225,18 +227,13 @@ class RollingHistogram:
         values = sorted(self.values())
         if not values:
             return {"n": 0, "avg": 0.0, "max": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
-
-        def pct(q: float) -> float:
-            rank = max(0, min(len(values) - 1, round(q / 100 * (len(values) - 1))))
-            return values[rank]
-
         return {
             "n": len(values),
             "avg": sum(values) / len(values),
             "max": values[-1],
-            "p50": pct(50),
-            "p90": pct(90),
-            "p99": pct(99),
+            "p50": percentile(values, 50),
+            "p90": percentile(values, 90),
+            "p99": percentile(values, 99),
         }
 
 

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Any
 
 from repro.core.errors import NetworkError, SnapshotUnavailableError
-from repro.repl.bootstrap import admin_call, divergent_pieces
+from repro.repl.bootstrap import admin_call, reconcile_replica
 
 
 class AntiEntropySweeper:
@@ -101,23 +101,10 @@ class AntiEntropySweeper:
             self._divergent.inc()
             left_snap, _ = admin_call(suite, left, "rep_export_snapshot")
             right_snap, _ = admin_call(suite, right, "rep_export_snapshot")
-            repaired = 0
-            for source_snap, target_snap, target in (
-                (left_snap, right_snap, right),
-                (right_snap, left_snap, left),
-            ):
-                pieces = divergent_pieces(source_snap, target_snap)
-                if not pieces:
-                    continue
-                applied, _skipped = admin_call(
-                    suite,
-                    target,
-                    "rep_reconcile",
-                    pieces,
-                    payload_items=max(1, len(pieces)),
-                )
-                repaired += applied
+            return reconcile_replica(
+                suite, left_snap, right_snap, right, self._repairs
+            ) + reconcile_replica(
+                suite, right_snap, left_snap, left, self._repairs
+            )
         except (SnapshotUnavailableError, NetworkError):
             return 0  # busy or unreachable; the rotation comes back around
-        self._repairs.inc(repaired)
-        return repaired

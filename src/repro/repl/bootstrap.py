@@ -149,6 +149,44 @@ def admin_call(suite: Any, rep: str, method: str, *args: Any, payload_items: int
     )
 
 
+def ship_pieces(suite: Any, target: str, pieces: list[Piece], repairs: Any) -> int:
+    """One ``rep_reconcile`` message carrying ``pieces`` to ``target``.
+
+    Returns how many the target's monotone guards let land, after adding
+    them to ``repairs`` (the caller's ``repl.reconcile.repairs`` counter).
+    """
+    applied, _skipped = admin_call(
+        suite,
+        target,
+        "rep_reconcile",
+        pieces,
+        payload_items=max(1, len(pieces)),
+    )
+    repairs.inc(applied)
+    return applied
+
+
+def reconcile_replica(
+    suite: Any,
+    source_snap: StoreSnapshot,
+    target_snap: StoreSnapshot,
+    target: str,
+    repairs: Any,
+) -> int:
+    """Ship ``target`` whatever ``source_snap`` holds that is newer.
+
+    The one export → diff → ship step between two replicas *of one
+    suite*: the caller has exported both snapshots, this diffs them
+    (:func:`divergent_pieces`) and sends the difference, if any, in one
+    message.  Version numbers are only comparable within a suite, which
+    is why :mod:`repro.shard.reshard` does not come through here: its
+    source and target are different suites, so its cutover compares
+    presence and value and heals through suite operations instead.
+    """
+    pieces = divergent_pieces(source_snap, target_snap)
+    return ship_pieces(suite, target, pieces, repairs) if pieces else 0
+
+
 def wipe_replica(cluster: Any, rep: str) -> None:
     """Erase a crashed replica's durable log — the amnesiac-rejoin setup.
 
@@ -259,16 +297,6 @@ class ReplicaJoin:
             if name != self.replica and membership.can_vote(name)
         ]
 
-    def _reconcile_into_joiner(self, pieces: list[Piece]) -> None:
-        applied, _skipped = admin_call(
-            self.suite,
-            self.replica,
-            "rep_reconcile",
-            pieces,
-            payload_items=max(1, len(pieces)),
-        )
-        self._repairs.inc(applied)
-
     def _step_snapshot(self) -> None:
         """Pull and merge a full snapshot from the first willing donor."""
         for donor in self._donors():
@@ -276,7 +304,10 @@ class ReplicaJoin:
                 snapshot, watermark = admin_call(
                     self.suite, donor, "rep_export_snapshot"
                 )
-                self._reconcile_into_joiner(snapshot_pieces(snapshot))
+                ship_pieces(
+                    self.suite, self.replica, snapshot_pieces(snapshot),
+                    self._repairs,
+                )
             except (SnapshotUnavailableError, NetworkError):
                 continue  # busy, down, or a dropped message; next donor
             self.donor = donor
@@ -313,7 +344,9 @@ class ReplicaJoin:
             self._outbox.extend(self._absorb(records))
         if self._outbox:
             try:
-                self._reconcile_into_joiner(self._outbox)
+                ship_pieces(
+                    suite, self.replica, self._outbox, self._repairs
+                )
             except NetworkError:
                 return  # outbox kept; retried next step
             self._outbox = []
@@ -375,9 +408,9 @@ class ReplicaJoin:
                 peer_snap, _ = admin_call(
                     suite, peer, "rep_export_snapshot"
                 )
-                pieces = divergent_pieces(peer_snap, joiner_snap)
-                if pieces:
-                    self._reconcile_into_joiner(pieces)
+                reconcile_replica(
+                    suite, peer_snap, joiner_snap, self.replica, self._repairs
+                )
         except (SnapshotUnavailableError, NetworkError):
             return  # retry cutover on a later step
         suite.membership.set_state(self.replica, ReplicaState.UP)

@@ -52,6 +52,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.stats import percentile
 from repro.obs.bench import bench_payload, write_bench
 from repro.service import protocol
 from repro.service.client import AsyncDirectoryClient
@@ -129,20 +130,12 @@ class LoadSpec:
         return (self.rate,) if self.rate is not None else ()
 
 
-def _percentile(ordered: "list[float]", q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0 < q <= 100)."""
-    if not ordered:
-        return 0.0
-    rank = max(1, round(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def _latency_ms(ordered: "list[float]") -> dict[str, float]:
     done = len(ordered)
     return {
-        "p50": _percentile(ordered, 50) * 1000,
-        "p95": _percentile(ordered, 95) * 1000,
-        "p99": _percentile(ordered, 99) * 1000,
+        "p50": percentile(ordered, 50) * 1000,
+        "p95": percentile(ordered, 95) * 1000,
+        "p99": percentile(ordered, 99) * 1000,
         "max": (ordered[-1] if ordered else 0.0) * 1000,
         "mean": (sum(ordered) / done if done else 0.0) * 1000,
     }

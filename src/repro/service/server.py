@@ -111,6 +111,7 @@ from typing import Any
 
 from repro.core.batch import BatchOp, _single
 from repro.core.errors import (
+    ConfigurationError,
     KeyAlreadyPresentError,
     KeyNotPresentError,
     NetworkError,
@@ -672,6 +673,15 @@ class DirectoryService:
                 "DirectoryService needs a directory on an AsyncioTransport "
                 f"(got {type(transport).__name__})"
             )
+        try:
+            directory.shard_for("")  # wire keys are always str
+        except TypeError:
+            raise ConfigurationError(
+                f"shard map {directory.shard_map.describe()} splits at "
+                f"{directory.shard_map.boundaries!r}, which do not compare "
+                "with the string keys the wire carries; build the "
+                "directory with a hash map or string boundaries"
+            ) from None
         self.directory = directory
         self.transport = transport
         self.host = host

@@ -43,7 +43,6 @@ from typing import Any
 from repro.core.batch import _single
 from repro.core.errors import (
     ConfigurationError,
-    KeyNotPresentError,
     NetworkError,
     QuorumUnavailableError,
     ReproError,
@@ -302,13 +301,10 @@ class Resharder:
             return
         target_suite = self.directory.clusters[self.target].suite
         try:
-            if kind == "delete":
-                try:
-                    target_suite.delete(key)
-                except KeyNotPresentError:
-                    pass
-            else:
-                _single(target_suite, "upsert", key, value)
+            # The lenient form of either write: the target may or may
+            # not hold the key yet.
+            lenient = "discard" if kind == "delete" else "upsert"
+            _single(target_suite, lenient, key, value)
             self.mirrored += 1
         except ReproError:
             self.mirror_failures += 1
@@ -386,10 +382,7 @@ class Resharder:
                 if present and (not t_present or t_value != value):
                     _single(target_suite, "upsert", payload, value)
                 elif not present and t_present:
-                    try:
-                        target_suite.delete(payload)
-                    except KeyNotPresentError:
-                        pass
+                    _single(target_suite, "discard", payload)
             except ReproError as exc:
                 self.violations.append(
                     f"cutover heal failed for {payload!r}: {exc}"
@@ -399,9 +392,7 @@ class Resharder:
         ):
             if present and payload not in source_facts:
                 try:
-                    target_suite.delete(payload)
-                except KeyNotPresentError:
-                    pass
+                    _single(target_suite, "discard", payload)
                 except ReproError as exc:
                     self.violations.append(
                         f"cutover heal failed for {payload!r}: {exc}"
@@ -436,9 +427,8 @@ class Resharder:
         source_suite = self.directory.clusters[self.source].suite
         for payload in sorted(self.moved, key=lambda p: wrap(p)):
             try:
-                source_suite.delete(payload)
-            except KeyNotPresentError:
-                pass  # already drained (a retried step)
+                # Absent already: drained by an earlier, retried step.
+                _single(source_suite, "discard", payload)
             except ReproError as exc:
                 self.violations.append(f"drain failed for {payload!r}: {exc}")
                 return  # retry the remaining range next step

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.cluster import ClusterSpec, DirectoryCluster
+from repro.core.batch import _single
 from repro.core.errors import (
     ConfigurationError,
     ReproError,
@@ -475,6 +476,8 @@ class ShardedDirectory:
         op_list = list(ops)
         groups: dict[int, list[tuple[int, tuple[Any, ...]]]] = {}
         for slot, op in enumerate(op_list):
+            if op[0] not in ("lookup", "insert", "update", "delete"):
+                raise ValueError(f"unknown wave operation kind {op[0]!r}")
             groups.setdefault(self.shard_for(op[1]), []).append((slot, op))
 
         results: list[WaveOutcome] = [None] * len(op_list)  # type: ignore[list-item]
@@ -489,7 +492,7 @@ class ShardedDirectory:
             for slot, op in groups[index]:
                 kind, key = op[0], op[1]
                 try:
-                    value = self._apply(suite, op)
+                    value = _single(suite, *op)
                 except ReproError as exc:
                     results[slot] = WaveOutcome(kind, key, index, error=exc)
                 else:
@@ -501,19 +504,6 @@ class ShardedDirectory:
             finish = max(finish, clock.now())
         clock.travel(finish)
         return results
-
-    @staticmethod
-    def _apply(suite: Any, op: tuple[Any, ...]) -> Any:
-        kind = op[0]
-        if kind == "lookup":
-            return suite.lookup(op[1])
-        if kind == "insert":
-            return suite.insert(op[1], op[2])
-        if kind == "update":
-            return suite.update(op[1], op[2])
-        if kind == "delete":
-            return suite.delete(op[1])
-        raise ValueError(f"unknown wave operation kind {kind!r}")
 
     # -- cluster-shaped surface (driver / auditor substrate) -----------------
 

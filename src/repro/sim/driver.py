@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster import ClusterSpec, DirectoryCluster
+from repro.core.batch import _single
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
@@ -252,7 +253,7 @@ def run_simulation(
 
     # Optional unmeasured warmup churn (still on a clean network).
     for op in workload.operations(spec.warmup_operations):
-        _apply(suite, op)
+        _single(suite, op.kind, op.key, op.value)
         if model is not None:
             _apply_model(model, op)
 
@@ -340,7 +341,7 @@ def run_simulation(
         ):
             controller.tick()
         try:
-            outcome = _apply(front, op)
+            outcome = _single(front, op.kind, op.key, op.value)
         except (KeyAlreadyPresentError, KeyNotPresentError):
             if model is None:
                 raise
@@ -533,20 +534,6 @@ def count_ghosts(cluster: DirectoryCluster) -> int:
     for rep in cluster.representatives.values():
         total += sum(1 for e in rep.user_entries() if e.key.payload not in truth)
     return total
-
-
-def _apply(suite: Any, op: Operation) -> Any:
-    """Dispatch one generated operation to the suite."""
-    if op.kind == "insert":
-        return suite.insert(op.key, op.value)
-    elif op.kind == "update":
-        return suite.update(op.key, op.value)
-    elif op.kind == "delete":
-        return suite.delete(op.key)
-    elif op.kind == "lookup":
-        return suite.lookup(op.key)
-    else:  # pragma: no cover - workloads only emit the four kinds
-        raise ValueError(f"unknown operation kind {op.kind!r}")
 
 
 def _apply_model(model: dict[Any, Any], op: Operation) -> None:

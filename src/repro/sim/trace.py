@@ -110,6 +110,7 @@ def replay(trace: Trace, suite, on_error: str = "raise") -> dict[str, int]:
     directory/network errors and tallies them (for replaying traces
     against deliberately degraded clusters).  Returns operation counts.
     """
+    from repro.core.batch import _single
     from repro.core.errors import ReproError
 
     if on_error not in ("raise", "count"):
@@ -117,17 +118,8 @@ def replay(trace: Trace, suite, on_error: str = "raise") -> dict[str, int]:
     counts = {"insert": 0, "update": 0, "delete": 0, "lookup": 0, "failed": 0}
     for op in trace:
         try:
-            if op.kind == "insert":
-                suite.insert(op.key, op.value)
-            elif op.kind == "update":
-                suite.update(op.key, op.value)
-            elif op.kind == "delete":
-                suite.delete(op.key)
-            elif op.kind == "lookup":
-                suite.lookup(op.key)
-            else:
-                raise ValueError(f"unknown operation kind {op.kind!r}")
-            counts[op.kind] += 1
+            _single(suite, op.kind, op.key, op.value)
+            counts[op.kind] = counts.get(op.kind, 0) + 1
         except ReproError:
             if on_error == "raise":
                 raise

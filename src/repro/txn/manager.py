@@ -38,15 +38,14 @@ class TransactionManager:
         self,
         rpc: RpcEndpoint,
         clock_now: Callable[[], float] | None = None,
-        parallel_commit: bool = False,
     ) -> None:
         self.rpc = rpc
         self._ids = TxnIdGenerator()
         self._live: dict[TxnId, Transaction] = {}
         self.decision_log = DecisionLog()
-        self._coordinator = TwoPhaseCoordinator(
-            rpc, self.decision_log, parallel=parallel_commit
-        )
+        #: Runs the commit protocol; the suite that owns this manager
+        #: sets its ``parallel`` to match its own ``fanout``.
+        self.coordinator = TwoPhaseCoordinator(rpc, self.decision_log)
         self._now = clock_now or (lambda: 0.0)
         self.commits = 0
         self.aborts = 0
@@ -70,7 +69,7 @@ class TransactionManager:
         """Two-phase commit; raises TwoPhaseCommitError if forced to abort."""
         txn.require_active()
         txn.state = TxnState.PREPARING
-        outcome = self._coordinator.commit(txn.txn_id, txn.participants)
+        outcome = self.coordinator.commit(txn.txn_id, txn.participants)
         if outcome.unreachable_at_completion:
             self._note_pending(
                 txn, "commit" if outcome.committed else "abort",
@@ -98,7 +97,7 @@ class TransactionManager:
             raise InvalidTransactionStateError(
                 f"cannot abort committed transaction {txn.txn_id}"
             )
-        unreachable = self._coordinator.abort(txn.txn_id, txn.participants)
+        unreachable = self.coordinator.abort(txn.txn_id, txn.participants)
         if unreachable:
             self._note_pending(txn, "abort", unreachable)
         txn.state = TxnState.ABORTED

@@ -80,7 +80,8 @@ class TwoPhaseCoordinator:
     ``parallel`` fans each phase out across all participants at once
     (the batch costs the max arrival over the round instead of the sum;
     see :meth:`~repro.net.rpc.RpcEndpoint.scatter`), with the same
-    per-participant retry and vote semantics as the serial loops.
+    per-participant retry and vote semantics as the serial loop — both
+    are :meth:`_phase`.
     """
 
     def __init__(
@@ -107,13 +108,11 @@ class TwoPhaseCoordinator:
         against the decision log at recovery.)  Participant loss in
         phase two is tolerated the same way.
         """
-        if self.parallel:
-            votes = self._prepare_parallel(txn_id, participants)
-        else:
-            votes = {
-                name: self._prepare_vote(txn_id, part)
-                for name, part in participants.items()
-            }
+        replies = self._phase("prepare", txn_id, participants)
+        votes = {
+            name: not isinstance(reply, NetworkError) and bool(reply)
+            for name, reply in replies.items()
+        }
         all_yes = bool(votes) and all(votes.values())
         decision = "commit" if all_yes else "abort"
         self.decision_log.decide(txn_id, decision)
@@ -131,74 +130,37 @@ class TwoPhaseCoordinator:
         self.decision_log.decide(txn_id, "abort")
         return self._complete("abort", txn_id, participants)
 
-    def _prepare_vote(self, txn_id: TxnId, part: Participant) -> bool:
-        """One participant's phase-one vote; timeouts are re-asked.
-
-        Prepare is idempotent (it re-logs the prepare record and returns
-        the same vote), so a timed-out ask — the vote may be cast with
-        its reply lost — is simply repeated.  Only after the retries are
-        exhausted, or on a crashed participant, does the ambiguity force
-        a no vote (and therefore an abort, which is always safe).
-        """
-        for _ in range(1 + self.completion_retries):
-            try:
-                return bool(
-                    self.rpc.call(
-                        part.node_id, part.service_name, "prepare", txn_id
-                    )
-                )
-            except RpcTimeoutError:
-                continue
-            except NodeDownError:
-                return False
-        return False
-
-    def _prepare_parallel(
-        self, txn_id: TxnId, participants: dict[str, Participant]
-    ) -> dict[str, bool]:
-        """Phase one as a single scatter; one vote per participant.
-
-        Per-member semantics match :meth:`_prepare_vote` exactly: a
-        timed-out ask is re-issued up to ``completion_retries`` times
-        within the batch, and exhausted retries or a crashed participant
-        come back as a no vote.
-        """
-        batch = self.rpc.scatter(
-            [
-                RpcCall(
-                    node_id=part.node_id,
-                    service_name=part.service_name,
-                    method="prepare",
-                    args=(txn_id,),
-                    retries=self.completion_retries,
-                    key=name,
-                )
-                for name, part in participants.items()
-            ],
-            label="prepare",
-        )
-        votes: dict[str, bool] = {}
-        for reply in batch.complete_all():
-            if reply.ok:
-                votes[reply.call.key] = bool(reply.value)
-            elif isinstance(reply.error, NetworkError):
-                votes[reply.call.key] = False
-            else:  # pragma: no cover - prepare never raises app errors
-                raise reply.error
-        return votes
-
     def _complete(
         self, decision: str, txn_id: TxnId, participants: dict[str, Participant]
     ) -> tuple[str, ...]:
-        """Phase two: deliver the decision, retrying through message loss.
+        """Phase two: deliver the decision; returns who it did not reach.
 
-        Timeouts are retried (the participant is up; only messages are
-        being dropped); a crashed or partitioned participant is left for
-        later — its in-doubt transaction resolves against the decision
-        log at recovery, or via
+        A crashed or partitioned participant is left for later — its
+        in-doubt transaction resolves against the decision log at
+        recovery, or via
         :meth:`~repro.txn.manager.TransactionManager.resolve_pending`.
-        With ``parallel`` the whole round goes out as one scatter;
-        members whose delivery still failed are the unreachable set.
+        """
+        replies = self._phase(decision, txn_id, participants)
+        return tuple(
+            [n for n, reply in replies.items() if isinstance(reply, NetworkError)]
+        )
+
+    def _phase(
+        self, method: str, txn_id: TxnId, participants: dict[str, Participant]
+    ) -> dict:
+        """One 2PC round: ``method(txn_id)`` to every participant.
+
+        Returns, per participant name and in ``participants`` order, what
+        the call returned or the :class:`NetworkError` that stood once
+        its retries ran out.  Timeouts are re-asked up to
+        ``completion_retries`` times (the participant is up; only
+        messages are being dropped), and that is safe in both phases:
+        prepare re-logs its record and returns the same vote, completion
+        is idempotent.  A crashed participant fails at once.
+
+        This is the only place ``parallel`` is read: serial asks one
+        participant at a time, parallel sends the round as one scatter
+        whose members carry the same retry budget.
         """
         if self.parallel:
             batch = self.rpc.scatter(
@@ -206,37 +168,36 @@ class TwoPhaseCoordinator:
                     RpcCall(
                         node_id=part.node_id,
                         service_name=part.service_name,
-                        method=decision,
+                        method=method,
                         args=(txn_id,),
                         retries=self.completion_retries,
                         key=name,
                     )
                     for name, part in participants.items()
                 ],
-                label=decision,
+                label=method,
             )
-            unreachable = []
+            replies = {}
             for reply in batch.complete_all():
-                if reply.error is None:
-                    continue
-                if isinstance(reply.error, NetworkError):
-                    unreachable.append(reply.call.key)
-                else:  # pragma: no cover - completion never raises app errors
-                    raise reply.error
-            return tuple(unreachable)
-        unreachable: list[str] = []
+                error = reply.error
+                if error is None:
+                    replies[reply.call.key] = reply.value
+                elif isinstance(error, NetworkError):
+                    replies[reply.call.key] = error
+                else:  # pragma: no cover - 2PC methods raise no app errors
+                    raise error
+            return replies
+        replies = {}
         for name, part in participants.items():
             for _ in range(1 + self.completion_retries):
                 try:
-                    self.rpc.call(
-                        part.node_id, part.service_name, decision, txn_id
+                    replies[name] = self.rpc.call(
+                        part.node_id, part.service_name, method, txn_id
                     )
                     break
-                except RpcTimeoutError:
-                    continue
-                except NodeDownError:
-                    unreachable.append(name)
+                except RpcTimeoutError as exc:
+                    replies[name] = exc  # stands unless a re-ask gets through
+                except NodeDownError as exc:
+                    replies[name] = exc
                     break
-            else:
-                unreachable.append(name)
-        return tuple(unreachable)
+        return replies

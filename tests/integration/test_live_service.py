@@ -263,3 +263,32 @@ class TestRemovedSwitches:
         for removed in ("trace", "epochs"):
             with pytest.raises(TypeError, match=removed):
                 DirectoryClient(service.host, service.port, **{removed: False})
+
+
+class TestUnroutableMapRefused:
+    def test_float_boundaries_are_refused_at_construction(self):
+        """Wire keys are strings; the default range map splits floats.
+        The front door says so once instead of answering every keyed op
+        with an internal TypeError."""
+        from repro.core.errors import ConfigurationError
+
+        spec = ClusterSpec(config="1-1-1", seed=3, transport="asyncio")
+        with ShardedDirectory.create(spec, shards=2) as d:
+            with pytest.raises(TypeError):
+                d.shard_for("abc")
+            with pytest.raises(ConfigurationError, match=r"\[0\.5\]"):
+                DirectoryService(d)
+
+    def test_string_boundaries_and_one_shard_are_served(self):
+        from repro.shard.maps import RangeShardMap
+
+        spec = ClusterSpec(config="1-1-1", seed=3, transport="asyncio")
+        for options in (
+            {"shards": 2, "shard_map": RangeShardMap(["m"])},
+            {"shards": 1},  # a range map with no boundary routes anything
+        ):
+            with ShardedDirectory.create(spec, **options) as d:
+                with DirectoryService(d).start() as svc:
+                    with DirectoryClient(svc.host, svc.port) as client:
+                        client.set("abc", "1")
+                        assert client.lookup("abc") == (True, "1")

@@ -58,3 +58,21 @@ class TestRunningStatProperties:
         for x in xs:
             s.add(x)
         assert s.variance >= 0
+
+
+class TestOnePercentile:
+    @given(sample_lists, st.sampled_from([50, 99]))
+    def test_all_three_faces_agree_on_the_same_samples(self, xs, q):
+        """``RunningStat``, the live ``STATS`` window and the load
+        generator's report are one definition, so the same samples give
+        the same number wherever they are read."""
+        from repro.obs.live import RollingHistogram
+        from repro.service.loadgen import _latency_ms
+
+        stat = RunningStat(keep_samples=True)
+        window = RollingHistogram(lambda: 0.0, capacity=len(xs))
+        for x in xs:
+            stat.add(x)
+            window.observe(x)
+        assert window.snapshot()[f"p{q}"] == stat.percentile(q)
+        assert _latency_ms(sorted(xs))[f"p{q}"] == stat.percentile(q) * 1000

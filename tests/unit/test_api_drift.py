@@ -86,3 +86,36 @@ def test_key_surface_is_exported():
         "directory_factories",
     ):
         assert name in repro.__all__, name
+
+
+# -- one place decides how a round fans out ------------------------------------
+
+
+def _attribute_reads(paths, attr: str) -> list[str]:
+    import ast
+
+    reads = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == attr
+                and isinstance(node.ctx, ast.Load)
+            ):
+                reads.append(f"{path.name}:{node.lineno}")
+    return reads
+
+
+def test_fanout_is_decided_where_a_round_is_issued():
+    """A quorum round goes through ``DirectorySuite._round`` and a 2PC
+    round through ``TwoPhaseCoordinator._phase``; those read the mode.
+    A new ``if self.fanout == ...`` beside a call site is the same round
+    written twice — route it through ``_round`` instead of raising these.
+    """
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    # _round, the hedged read in _suite_lookup, _real_neighbor's refill,
+    # and the probe/install step size in _coalesce_around.
+    fanout = _attribute_reads(sorted((src / "core").glob("*.py")), "fanout")
+    assert len(fanout) <= 4, fanout
+    parallel = _attribute_reads([src / "txn" / "twopc.py"], "parallel")
+    assert len(parallel) <= 1, parallel

@@ -255,3 +255,15 @@ class TestProfileAuditBench:
             "--tolerance", "0.6",
         )
         assert code == 0
+
+
+class TestServe:
+    def test_range_map_over_string_keys_exits_with_one_line(self, capsys):
+        """``--shard-map range`` splits floats and the wire carries
+        strings: refuse to start rather than serve ``-ERR internal``."""
+        code = main(["serve", "--shards", "2", "--shard-map", "range"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-serve: shard map range[2] splits at [0.5]")

@@ -238,3 +238,69 @@ class TestTransactionManager:
         assert found is not None
         _cycle, victim = found
         assert victim == 2
+
+
+class TestPhaseUnderLoss:
+    """Serial and parallel are two ways to issue the same round: for the
+    same dropped messages they must report the same replies."""
+
+    #: A prepare whose reply is lost (re-asked, the vote stands), a
+    #: prepare request lost twice, and a commit request lost once.
+    _DROPS = [
+        ("reply", "node-0", "svc.prepare", 0),
+        ("request", "node-1", "svc.prepare", 0),
+        ("request", "node-1", "svc.prepare", 1),
+        ("request", "node-2", "svc.commit", 0),
+    ]
+
+    def _run(self, parallel, retries):
+        from repro.net.failures import LossEvent, ScriptedLoss
+
+        net, rpc, services, participants = make_cluster([True, True, True])
+        loss = ScriptedLoss([LossEvent(*drop) for drop in self._DROPS])
+        net.install_faults(loss)
+        coordinator = TwoPhaseCoordinator(
+            rpc, DecisionLog(), completion_retries=retries, parallel=parallel
+        )
+        prepared = coordinator._phase("prepare", 7, participants)
+        outcome = coordinator.commit(8, participants)
+        return prepared, outcome, services, loss
+
+    @pytest.mark.parametrize("retries", [0, 1, 8])
+    def test_serial_and_parallel_agree(self, retries):
+        from repro.core.errors import NetworkError
+
+        def verdicts(prepared):
+            return {
+                name: type(reply) if isinstance(reply, NetworkError) else reply
+                for name, reply in prepared.items()
+            }
+
+        s_prepared, s_outcome, s_services, s_loss = self._run(False, retries)
+        p_prepared, p_outcome, p_services, p_loss = self._run(True, retries)
+        assert list(s_prepared) == list(p_prepared) == ["p0", "p1", "p2"]
+        assert verdicts(s_prepared) == verdicts(p_prepared)
+        assert s_outcome == p_outcome
+        assert s_loss.fired == p_loss.fired
+        for name in s_services:
+            assert s_services[name].prepared == p_services[name].prepared
+            assert s_services[name].committed == p_services[name].committed
+            assert s_services[name].aborted == p_services[name].aborted
+
+    def test_what_the_drops_do(self):
+        from repro.core.errors import RpcTimeoutError
+
+        # No retries: the lost reply and the lost request both stand as
+        # timeouts, so phase one says no and the decision is abort.
+        prepared, outcome, services, _ = self._run(False, 0)
+        assert isinstance(prepared["p0"], RpcTimeoutError)
+        assert isinstance(prepared["p1"], RpcTimeoutError)
+        assert prepared["p2"] is True
+        assert services["p0"].prepared == [7, 8]  # the effect was applied
+        # Enough retries: every vote arrives, the commit's lost request is
+        # re-sent, and nobody is unreachable at completion.
+        prepared, outcome, services, loss = self._run(True, 8)
+        assert prepared == {"p0": True, "p1": True, "p2": True}
+        assert outcome.committed and outcome.unreachable_at_completion == ()
+        assert loss.exhausted
+        assert services["p2"].committed == [8]
