@@ -21,7 +21,11 @@ batching, parallel quorum fan-out) and enforces the scale-up claims:
    unbatched control is answered **identically, slot by slot**, leaves
    **identical** authoritative state, both shard audits report zero
    violations (ghosts included), and the batched side sends fewer
-   replica messages per op than the control.
+   replica messages per op than the control.  A second, delete-heavy
+   leg (45 % ``DEL``, 45 % ``SET``, 10 % ``GET`` over the same dense
+   200 keys, so the deletes of a burst crowd one another) is held to
+   the same — and to **at most 0.7x** the control's messages per op:
+   a wave's deletes share one walk and one coalesce.
 
 Emits ``BENCH_service.json`` with the measured numbers; CI's
 ``service-smoke`` and ``open-loop-smoke`` jobs replay reduced versions
@@ -133,8 +137,26 @@ def _drive(ops_256, ops_1024, rates, duration):
     }
 
 
+#: Gate 4's legs: the share of ``SET`` and of ``GET``; the rest is ``DEL``.
+MIXED = (0.45, 0.40)
+DELETE_HEAVY = (0.45, 0.10)
+#: The delete-heavy leg's batched side may cost this much of the control.
+DELETE_HEAVY_BILL = 0.7
+
+
 def _batched_vs_control(ops: int = 1_000, burst: int = 32, seed: int = 99):
     """Gate 4: same seeded workload, batched vs unbatched, same answers.
+
+    The mixed leg's comparison, with the delete-heavy leg's under
+    ``"delete_heavy"`` (:func:`_control_leg` makes either).
+    """
+    control = _control_leg(MIXED, ops, burst, seed)
+    control["delete_heavy"] = _control_leg(DELETE_HEAVY, ops, burst, seed + 1)
+    return control
+
+
+def _control_leg(mix, ops: int, burst: int, seed: int):
+    """One seeded script through a batched service and its control.
 
     One pipelined connection replays an identical op sequence against a
     batched service and a ``batch_max=1`` control — every wave one op,
@@ -144,14 +166,15 @@ def _batched_vs_control(ops: int = 1_000, burst: int = 32, seed: int = 99):
     replies are kept slot by slot, and so is what each paid for them in
     replica messages (``service.rpc.calls``).
     """
+    sets, gets = mix
     rng = random.Random(seed)
     script = []
     for _ in range(ops):
         key = f"c{rng.randrange(200)}"
         roll = rng.random()
-        if roll < 0.45:
+        if roll < sets:
             script.append(("set", key, f"v{rng.randrange(1000)}"))
-        elif roll < 0.85:
+        elif roll < sets + gets:
             script.append(("get", key, None))
         else:
             script.append(("del", key, None))
@@ -235,13 +258,19 @@ def _enforce(result):
 def _enforce_control(control):
     """Gate 4: batching changed the mechanics (and the bill), not one
     answer.  CI's ``service-smoke`` runs this on its own."""
-    assert control["replies_equal"], control
-    assert control["state_equal"], control
-    assert control["batched_audit"]["violations"] == 0, control
-    assert control["control_audit"]["violations"] == 0, control
-    assert control["batched_waves"] > 0, control
-    assert control["control_waves"] == 0, control
-    assert control["batched_rpc_per_op"] < control["control_rpc_per_op"], control
+    churn = control["delete_heavy"]
+    for leg in (control, churn):
+        assert leg["replies_equal"], leg
+        assert leg["state_equal"], leg
+        assert leg["batched_audit"]["violations"] == 0, leg
+        assert leg["control_audit"]["violations"] == 0, leg
+        assert leg["batched_waves"] > 0, leg
+        assert leg["control_waves"] == 0, leg
+        assert leg["batched_rpc_per_op"] < leg["control_rpc_per_op"], leg
+    assert (
+        churn["batched_rpc_per_op"]
+        <= DELETE_HEAVY_BILL * churn["control_rpc_per_op"]
+    ), churn
 
 
 def _report(result):
@@ -264,16 +293,17 @@ def _report(result):
             f"{point['achieved_ops_per_second']:.0f} achieved ops/s, "
             f"p50 {point['p50_ms']:.1f}ms p95 {point['p95_ms']:.1f}ms"
         )
-    print(
-        f"batched-vs-control: {control['ops']} ops, replies equal: "
-        f"{control['replies_equal']}, state equal: "
-        f"{control['state_equal']} ({control['keys']} keys), audits "
-        f"{control['batched_audit']['violations']}/"
-        f"{control['control_audit']['violations']} violations, "
-        f"{control['batched_waves']} waves vs {control['control_waves']}, "
-        f"{control['batched_rpc_per_op']:.2f} vs "
-        f"{control['control_rpc_per_op']:.2f} messages/op"
-    )
+    for label, leg in (("mixed", control), ("delete-heavy", control["delete_heavy"])):
+        print(
+            f"batched-vs-control ({label}): {leg['ops']} ops, replies equal: "
+            f"{leg['replies_equal']}, state equal: "
+            f"{leg['state_equal']} ({leg['keys']} keys), audits "
+            f"{leg['batched_audit']['violations']}/"
+            f"{leg['control_audit']['violations']} violations, "
+            f"{leg['batched_waves']} waves vs {leg['control_waves']}, "
+            f"{leg['batched_rpc_per_op']:.2f} vs "
+            f"{leg['control_rpc_per_op']:.2f} messages/op"
+        )
     emit_bench(
         "service",
         workload={
@@ -324,6 +354,14 @@ def _report(result):
                 "keys": control["keys"],
                 "batched_waves": control["batched_waves"],
                 "control_waves": control["control_waves"],
+                "delete_heavy": {
+                    key: control["delete_heavy"][key]
+                    for key in (
+                        "ops", "replies_equal", "batched_rpc_per_op",
+                        "control_rpc_per_op", "state_equal", "keys",
+                        "batched_waves", "control_waves",
+                    )
+                },
             },
             "timeline": main["timeline"],
         },

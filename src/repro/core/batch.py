@@ -38,23 +38,70 @@ Equivalence with sequential execution is exact, not approximate:
   sequential run bit for bit (intermediate versions only ever existed
   transiently there too);
 * a ``delete`` is a step of the fold.  Of a key the fold holds absent
-  it is refused on the spot, for no message.  Of a present key it first
-  *flushes* the entries buffered so far, because what follows reads the
-  replicas, not the fold: Figure 13 from the neighbour search on
-  (:meth:`~repro.core.suite.DirectorySuite._coalesce_around`, the body
-  the classic delete runs) inside the shared transaction, with the
-  version the fold already holds standing in for its lookup.  The walk
-  then meets every entry a sequential run would have committed by that
-  point — a real neighbour inserted earlier in the wave included — and
-  so finds the same range and the same maximum gap version, whichever
-  quorums it draws; the new gap's version is one more, as there.
-  Afterwards the fold holds the deleted key *and every other wave key
-  strictly inside the coalesced range* (absent ones: a present key
-  would have ended the search) absent at that version, so a later
-  insert among them chains ``successor()`` off the gap it would have
-  found on the replicas;
+  it is refused on the spot, for no message.  Of a present key it is
+  Figure 13 from the neighbour search on, inside the shared
+  transaction, with the version the fold already holds standing in for
+  its lookup — and the wave's deletes take those steps *together*
+  (below).  Afterwards the fold holds the deleted key *and every other
+  wave key strictly inside the coalesced range* (absent ones: a present
+  key would have ended the search) absent at the new gap's version, so
+  a later insert among them chains ``successor()`` off the gap it would
+  have found on the replicas;
 * the wave's range locks are held to the single commit point, so the
   transaction is serializable as the whole sequence at once.
+
+**A wave's deletes walk once.**  Every round of a wave goes to one read
+quorum and one write quorum, each drawn once (:class:`_Wave`), and the
+deletes share their rounds as the lookups and installs do
+(:func:`_walk_and_coalesce`): one ``rep_neighbors_many`` message per
+read-quorum member carries every search of every delete, both
+directions; one ``rep_lookup_many`` round judges all the candidates (a
+ghost costs the searches still under way one more pair of rounds
+between them); one ``rep_lookup_many`` per write-quorum member probes
+every boundary entry, one ``rep_insert_many`` installs the copies found
+missing, one ``rep_coalesce_many`` applies every range.  On fixed
+quorums that is ``R + (2R + 2W) + 2PC`` for a wave of deletes, however
+many.  Which deletes may go together is decided in three steps, and
+this is why the result is still the sequential one:
+
+1. *The presence pass* (:func:`_coalesce_independent`) replays the fold
+   on presence alone, for no message.  Presence is a function of a
+   key's own ops: the only thing another op could do to it is coalesce
+   over it, and a coalesce removes only what was absent already.  The
+   pass therefore knows every *walker* — a delete that will find its
+   key present — and every key the wave will really write or delete
+   (refused ops write nothing) before anything is sent.
+2. *The shared search* runs, ahead of the fold and against the replicas
+   as they stood before the wave, for every walker whose key the wave
+   touches exactly once.  A walker is *independent* when no other key
+   the wave writes or deletes lies in the closed neighbourhood
+   ``[pred, succ]`` it found.  Then nothing the wave does before it
+   could have changed what its search reads — its key, both real
+   neighbours and every point between are untouched — so the search
+   found the range, the boundary entries and the gap versions a
+   sequential run would have found at its turn; and nothing the wave
+   does after it reads or writes inside that neighbourhood except by
+   lookup, which sees "absent" either way.  Two independent walkers
+   have disjoint open ranges (each other's keys lie outside
+   ``[pred, succ]``; at most they meet at a boundary neither deletes),
+   so their coalesces commute with each other and with every other op:
+   they are applied together, first, each at
+   ``successor(max(gap versions its searches crossed, its entry's
+   version))`` exactly as Figure 13 computes it.  The result is
+   quorum-independent for the reason the classic delete's is: any read
+   quorum meets the write quorum of whichever coalesce last covered
+   each point of the range.
+3. *A dependent walker* — a neighbour the wave inserted, rewrote or
+   removed, a range another delete overlaps, its own key written
+   earlier or later in the wave — keeps its place in arrival order.
+   What it must read is the directory as the ops before it left it, and
+   part of that exists only in the fold's write buffer: so it first
+   *flushes* the buffer (``rep_insert_many`` to the wave's write
+   quorum, which the wave's read quorum intersects), then runs the same
+   grouped walk with itself alone, then updates the fold range-wide.
+   Unflushed, the walk would pass a neighbour inserted a moment ago by,
+   coalesce over it, and the entry — installed afterwards below the new
+   gap's version — would read as absent.
 
 Availability failures are all-or-nothing per wave: the shared
 transaction aborts cleanly (no partial effects — that is what 2PC is
@@ -68,6 +115,7 @@ after the commit, so an aborted wave counts nothing twice.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -80,11 +128,14 @@ from repro.core.errors import (
     ReproError,
     TransactionError,
 )
+from repro.core.suite import _NeighborSearch
+from repro.obs.spans import NULL_SPAN
 
 #: Operation kinds :func:`execute_batch` accepts — every keyed verb the
 #: front door has.  ``discard`` is ``delete``'s lenient form: 1 if the
 #: key was present, else 0, where ``delete`` raises.
 BATCH_KINDS = ("lookup", "insert", "update", "upsert", "delete", "discard")
+_DELETES = frozenset(("delete", "discard"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +219,17 @@ def _grouped(
     outcomes = [BatchOutcome(op) for op in ops]
     counts = _Counts()
     with suite._op_span("batch", size=len(ops)), suite._transaction() as txn:
-        state = _grouped_read(suite, txn, list(dict.fromkeys(bkeys)))
+        wave = _Wave(suite, txn)
+        state = {
+            bkey: (reply.present, reply.version, reply.value)
+            for bkey, reply in wave.lookup(list(dict.fromkeys(bkeys))).items()
+        }
+        # What the independent deletes left behind, coalesced already.
+        coalesced = (
+            {}
+            if _DELETES.isdisjoint({op.kind for op in ops})
+            else _coalesce_independent(wave, ops, bkeys, state)
+        )
         # Final folded entry per written key, in first-write order,
         # not yet on any replica.
         writes: dict[Any, tuple[Any, Any]] = {}
@@ -178,16 +239,18 @@ def _grouped(
                 counts.lookups += 1
                 outcome.value = (present, value)
                 continue
-            if op.kind in ("delete", "discard"):
+            if op.kind in _DELETES:
                 counts.deletes += 1
                 if present:
-                    # The walk and the coalesce read the replicas,
-                    # which must hold what a sequential run would
-                    # have left there by now.
-                    _grouped_write(suite, txn, writes)
-                    low, high, gap_version, overhead = (
-                        suite._coalesce_around(txn, bkey, version)
-                    )
+                    done = coalesced.get(bkey)
+                    if done is None:
+                        # Dependent: its walk reads the replicas, which
+                        # must hold what a sequential run would have
+                        # left there by now.
+                        wave.install(writes)
+                        suite._batch_rewalks.inc()
+                        done = _walk_and_coalesce(wave, {bkey: version})[bkey]
+                    low, high, gap_version, overhead = done
                     counts.overheads.append(overhead)
                     for other in state:
                         if low < other < high:
@@ -223,7 +286,7 @@ def _grouped(
             new_version = suite.version_space.successor(version)
             state[bkey] = (True, new_version, op.value)
             writes[bkey] = (new_version, op.value)
-        _grouped_write(suite, txn, writes)
+        wave.install(writes)
     # Applied only after the commit: an aborted wave leaves the fallback
     # path to do the (public-method) counting instead.
     suite.op_counts.lookups += counts.lookups
@@ -236,52 +299,241 @@ def _grouped(
     return outcomes
 
 
-def _grouped_read(
-    suite: Any, txn: Any, keys: "list[Any]"
-) -> "dict[Any, list[Any]]":
-    """One read round covering every distinct key in the wave.
+class _Wave:
+    """What every round of one wave shares: the transaction, and one
+    read and one write quorum, each drawn when a round first needs it."""
 
-    Sends a single ``rep_lookup_many`` message per member of a *single*
-    read quorum (R messages total, regardless of wave size — the
-    section 4 batching optimization), merges per key by highest version
-    — the Figure 8 rule — and returns the mutable fold state
-    ``{bkey: [present, version, value]}``.
+    __slots__ = ("suite", "txn", "_quorums")
+
+    def __init__(self, suite: Any, txn: Any) -> None:
+        self.suite = suite
+        self.txn = txn
+        self._quorums: dict[str, list[str]] = {}
+
+    def quorum(self, kind: str) -> "list[str]":
+        members = self._quorums.get(kind)
+        if members is None:
+            members = self._quorums[kind] = self.suite._collect_quorum(kind)
+        return members
+
+    def round(self, kind: str, method: str, arg: list) -> "list[Any]":
+        """``method(arg)`` to each member of the ``kind`` quorum, one
+        message each whatever ``arg`` holds; values in member order."""
+        return self.suite._round(
+            self.txn,
+            [(rep, method, (arg,), len(arg)) for rep in self.quorum(kind)],
+        )
+
+    def lookup(self, keys: "list[Any]") -> "dict[Any, LookupReply]":
+        """One read round covering every key in ``keys``.
+
+        A single ``rep_lookup_many`` message per read-quorum member (R
+        messages, however many keys — the section 4 batching
+        optimization), merged per key by highest version, the Figure 8
+        rule.
+        """
+        best: dict[Any, LookupReply | None] = dict.fromkeys(keys)
+        for replies in self.round("read", "rep_lookup_many", keys):
+            for bkey, reply in zip(keys, replies):
+                if reply.beats(best[bkey]):
+                    best[bkey] = reply
+        return best  # type: ignore[return-value]  # quorum is never empty
+
+    def install(self, writes: "dict[Any, tuple[Any, Any]]") -> None:
+        """Install the buffered entries on the write quorum and empty
+        the buffer; with nothing buffered, nothing is chosen or sent.
+
+        One ``rep_insert_many`` message per member (W messages total):
+        the wave's redo records reach each replica's WAL as a group, so
+        the single shared 2PC round is a true group commit.
+        """
+        if not writes:
+            return
+        rows = [(bkey, *entry) for bkey, entry in writes.items()]
+        writes.clear()
+        self.round("write", "rep_insert_many", rows)
+
+
+def _coalesce_independent(
+    wave: _Wave, ops: "list[BatchOp]", bkeys: "list[Any]", state: dict
+) -> "dict[Any, tuple]":
+    """Walk and coalesce, together and ahead of the fold, every delete
+    of the wave that commutes with the rest of it.
+
+    The presence pass replays the fold on presence alone — which is a
+    function of each key's own ops, since a coalesce only ever removes
+    what was absent already — and so names, for no message, the
+    *walkers* (deletes that will find their key present) and every key
+    the wave will really write or delete.  Walkers whose key the wave
+    touches once search together, against the replicas as they stood
+    before the wave; one is *independent* when no other touched key lies
+    in the closed neighbourhood ``[pred, succ]`` it found.  Returns
+    ``{key: (low, high, gap version, overhead)}`` for those; the fold
+    meets every other walker in its turn.
     """
-    quorum = suite._collect_quorum("read")
-    best: dict[Any, LookupReply | None] = {bkey: None for bkey in keys}
-    member_replies = suite._round(
-        txn, [(rep, "rep_lookup_many", (list(keys),), len(keys)) for rep in quorum]
-    )
-    for replies in member_replies:
-        for bkey, reply in zip(keys, replies):
-            if reply.beats(best[bkey]):
-                best[bkey] = reply
-    state: dict[Any, list[Any]] = {}
-    for bkey in keys:
-        reply = best[bkey]
-        assert reply is not None  # quorum is never empty
-        state[bkey] = [reply.present, reply.version, reply.value]
-    return state
+    present = {bkey: entry[0] for bkey, entry in state.items()}
+    touched: dict[Any, int] = {}
+    walkers = []
+    for op, bkey in zip(ops, bkeys):
+        kind, here = op.kind, present[bkey]
+        if kind == "lookup":
+            continue
+        if kind in _DELETES:
+            refused = not here
+        else:
+            refused = here if kind == "insert" else kind == "update" and not here
+        if refused:
+            continue
+        if kind in _DELETES:
+            walkers.append(bkey)
+        present[bkey] = kind not in _DELETES
+        touched[bkey] = touched.get(bkey, 0) + 1
+    together = {
+        bkey: state[bkey][1] for bkey in walkers if touched[bkey] == 1
+    }
+    if not together:
+        return {}
+    line = sorted(touched)
+
+    def independent(pred: Any, succ: Any) -> bool:
+        # Nothing touched but the walker itself, neighbours included.
+        return bisect_right(line, succ.key) - bisect_left(line, pred.key) == 1
+
+    coalesced = _walk_and_coalesce(wave, together, independent)
+    wave.suite._batch_walk_deletes.add(len(coalesced))
+    return coalesced
 
 
-def _grouped_write(
-    suite: Any, txn: Any, writes: "dict[Any, tuple[Any, Any]]"
-) -> None:
-    """Install the buffered entries in one shared write quorum and empty
-    the buffer; with nothing buffered, nothing is chosen or sent.
+def _walk_and_coalesce(
+    wave: _Wave, walkers: "dict[Any, Any]", keep: Any = None
+) -> "dict[Any, tuple]":
+    """Figure 13 from the neighbour search on, for every key of
+    ``walkers`` (``{key: its entry's version}``) at once.
 
-    One ``rep_insert_many`` message per member (W messages total): the
-    wave's redo records reach each replica's WAL as a group, so the
-    single shared 2PC round is a true group commit.
+    Each round carries all of them: the searches step together
+    (:func:`_search`); ``keep(pred, succ)``, when given, then says which
+    walkers go on; one ``rep_lookup_many`` per write-quorum member
+    probes every boundary entry, one ``rep_insert_many`` installs the
+    copies found missing (on the members missing any), and one
+    ``rep_coalesce_many`` per member applies every range — each at one
+    more than the largest of the gap versions its own searches crossed
+    and its entry's version, as :meth:`DirectorySuite._coalesce_around`
+    computes it.  Returns ``{key: (low, high, new gap version,
+    overhead)}``, ``overhead`` being what ``delete_stats.record_delete``
+    is owed.
+
+    The keys must not lie in one another's neighbourhoods: the ranges
+    are then disjoint, and a missing boundary two of them share is
+    installed once and counted for the first, as a sequential run
+    would.
     """
-    if not writes:
-        return
-    rows = [(bkey, *entry) for bkey, entry in writes.items()]
-    writes.clear()
-    quorum = suite._collect_quorum("write")
-    suite._round(
-        txn, [(rep, "rep_insert_many", (list(rows),), len(rows)) for rep in quorum]
-    )
+    suite = wave.suite
+    tracer = suite.tracer
+    with tracer.span(
+        "batch:walk", deletes=len(walkers)
+    ) if tracer.enabled else NULL_SPAN:
+        found = _search(wave, list(walkers))
+        if keep is not None:
+            found = {k: nbs for k, nbs in found.items() if keep(*nbs)}
+        if not found:
+            return {}
+        boundaries = list(
+            {nb.key: None for pred, succ in found.values() for nb in (succ, pred)}
+        )
+        probes = wave.round("write", "rep_lookup_many", boundaries)
+        insertions = dict.fromkeys(found, 0)
+        installs = []
+        for rep, replies in zip(wave.quorum("write"), probes):
+            held = {k for k, reply in zip(boundaries, replies) if reply.present}
+            rows = []
+            for bkey, (pred, succ) in found.items():
+                for nb in (succ, pred):
+                    if nb.key not in held:
+                        held.add(nb.key)
+                        rows.append((nb.key, nb.version, nb.value))
+                        insertions[bkey] += 1
+            if rows:
+                installs.append((rep, "rep_insert_many", (rows,), len(rows)))
+        suite._round(wave.txn, installs)
+        ranges = [
+            (
+                pred.key,
+                succ.key,
+                suite.version_space.successor(
+                    max(succ.max_gap_version, pred.max_gap_version, walkers[k])
+                ),
+            )
+            for k, (pred, succ) in found.items()
+        ]
+        results = wave.round("write", "rep_coalesce_many", ranges)
+        done = {}
+        for i, (bkey, each) in enumerate(zip(found, ranges)):
+            removed = [result[i].removed.entries for result in results]
+            overhead = (
+                [len(entries) for entries in removed],
+                insertions[bkey],
+                sum(1 for entries in removed for e in entries if e.key != bkey),
+            )
+            done[bkey] = (*each, overhead)
+        return done
+
+
+def _search(wave: _Wave, keys: "list[Any]") -> "dict[Any, tuple]":
+    """The real predecessor and successor of every key in ``keys``:
+    Figure 12, all searches stepping together.
+
+    A step is at most two rounds however many searches are still under
+    way: one ``rep_neighbors_many`` message to each read-quorum member
+    with a stream run dry, then one ``rep_lookup_many`` round over the
+    candidates.  A search whose candidate is present is over; one that
+    met a ghost steps past it with the rest.  Returns
+    ``{key: (pred, succ)}`` as :class:`~repro.core.entries.RealNeighbor`.
+    """
+    suite, txn = wave.suite, wave.txn
+    readers = wave.quorum("read")
+    searches = {
+        bkey: [
+            _NeighborSearch(suite, txn, readers, bkey, direction)
+            for direction in ("succ", "pred")
+        ]
+        for bkey in keys
+    }
+    walking = [search for pair in searches.values() for search in pair]
+    while walking:
+        while True:
+            dry = {
+                rep: streams
+                for rep in readers
+                if (streams := [
+                    s.streams[rep] for s in walking
+                    if s.streams[rep].needs_fetch(s.cursor)
+                ])
+            }
+            if not dry:
+                break
+            fetched = suite._round(
+                txn,
+                [
+                    (
+                        rep,
+                        "rep_neighbors_many",
+                        ([stream.fetch_args() for stream in streams],),
+                        len(streams) * suite.neighbor_batch_size,
+                    )
+                    for rep, streams in dry.items()
+                ],
+            )
+            for streams, batches in zip(dry.values(), fetched):
+                for stream, batch in zip(streams, batches):
+                    stream.absorb(batch)
+        candidates = [search.candidate() for search in walking]
+        verdicts = wave.lookup(list(dict.fromkeys(candidates)))
+        for search, candidate in zip(walking, candidates):
+            search.settle(candidate, verdicts[candidate])
+        walking = [search for search in walking if search.real is None]
+    return {
+        bkey: (pred.real, succ.real) for bkey, (succ, pred) in searches.items()
+    }
 
 
 def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:

@@ -232,6 +232,27 @@ class DirectoryRepresentative:
         needs a single RPC round per quorum member.  Locks RepLookup over
         the whole range scanned.
         """
+        return self._neighbors(txn_id, key, direction, count)
+
+    @_latched
+    def rep_neighbors_many(
+        self, txn_id: TxnId, searches: "list[tuple[BoundedKey, str, int]]"
+    ) -> "list[list[NeighborReply]]":
+        """:meth:`rep_neighbors_batch` for every search a wave has under
+        way, in one message.
+
+        ``searches`` lists ``(key, direction, count)``; replies are
+        positional, each exactly what its own ``rep_neighbors_batch``
+        would have returned, under the same locks.  A wave's deletes
+        search both directions of every key this way
+        (:mod:`repro.core.batch`), so a step of all their walks costs
+        one message per read-quorum member.
+        """
+        return [self._neighbors(txn_id, *search) for search in searches]
+
+    def _neighbors(
+        self, txn_id: TxnId, key: BoundedKey, direction: str, count: int
+    ) -> list[NeighborReply]:
         if direction not in ("pred", "succ"):
             raise ValueError(f"direction must be 'pred' or 'succ': {direction!r}")
         if count < 1:
@@ -333,6 +354,27 @@ class DirectoryRepresentative:
         :class:`~repro.storage.interface.CoalesceResult`, whose removed
         segment feeds the paper's delete-overhead statistics.
         """
+        return self._coalesce(txn_id, low, high, version)
+
+    @_latched
+    def rep_coalesce_many(
+        self,
+        txn_id: TxnId,
+        ranges: "list[tuple[BoundedKey, BoundedKey, Version]]",
+    ) -> list:
+        """DirRepCoalesce for every range a wave's deletes found, in one
+        message.
+
+        ``ranges`` lists ``(low, high, version)``; each is locked,
+        redo-logged, applied and given its own undo record exactly as
+        :meth:`rep_coalesce` would, in order, and the results are
+        positional.
+        """
+        return [self._coalesce(txn_id, *each) for each in ranges]
+
+    def _coalesce(
+        self, txn_id: TxnId, low: BoundedKey, high: BoundedKey, version: Version
+    ):
         self._lock(txn_id, LockMode.REP_MODIFY, KeyRange(low, high))
         self.wal.log_coalesce(txn_id, low, high, version)
         result = self.store.coalesce(low, high, version)

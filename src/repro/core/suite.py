@@ -304,6 +304,15 @@ class DirectorySuite:
         metrics.gauge("suite.batch.waves", lambda: self._batch_size.n)
         self._batch_ops = metrics.counter("suite.batch.ops")
         self._batch_fallbacks = metrics.counter("suite.batch.fallbacks")
+        # How a wave's deletes shared their walk: deletes that searched
+        # and coalesced together (one sample per wave that had any to
+        # try), and deletes that had to walk alone, in arrival order.
+        self._batch_walk_deletes = RunningStat()
+        metrics.histogram(
+            "suite.batch.walk_deletes", stat=self._batch_walk_deletes
+        )
+        metrics.gauge("suite.batch.walks", lambda: self._batch_walk_deletes.n)
+        self._batch_rewalks = metrics.counter("suite.batch.rewalks")
         metrics.histogram("suite.fanout.width", stat=self._fanout_width)
         metrics.gauge(
             "suite.fanout.straggler_ticks_saved",
@@ -787,35 +796,13 @@ class DirectorySuite:
         """
         assert direction in ("pred", "succ")
         quorum = self._collect_quorum("read")
-        streams = {
-            rep: _NeighborStream(self, txn, rep, key, direction)
-            for rep in quorum
-        }
-        cursor = key
-        max_gap_version = self.version_space.lowest
-        while True:
+        search = _NeighborSearch(self, txn, quorum, key, direction)
+        while search.real is None:
             if self.fanout != "serial":
-                self._refill_streams(txn, quorum, streams, cursor)
-            candidate: BoundedKey | None = None
-            for rep in quorum:
-                reply = streams[rep].reply_for(cursor)
-                max_gap_version = max(max_gap_version, reply.gap_version)
-                if candidate is None:
-                    candidate = reply.key
-                elif direction == "pred":
-                    candidate = max(candidate, reply.key)
-                else:
-                    candidate = min(candidate, reply.key)
-            assert candidate is not None
-            reply = self._suite_lookup(txn, candidate)
-            if reply.present:
-                return RealNeighbor(
-                    key=candidate,
-                    value=reply.value,
-                    version=reply.version,
-                    max_gap_version=max_gap_version,
-                )
-            cursor = candidate
+                self._refill_streams(txn, quorum, search.streams, search.cursor)
+            candidate = search.candidate()
+            search.settle(candidate, self._suite_lookup(txn, candidate))
+        return search.real
 
     def _refill_streams(
         self,
@@ -868,10 +855,12 @@ class DirectorySuite:
         self, txn: Transaction, key: BoundedKey, key_version: Any
     ) -> tuple:
         """Delete a present ``key`` by coalescing from real predecessor to
-        successor — Figure 13 after its lookup, which a wave has already
-        done (:mod:`repro.core.batch`).  Returns the coalesced range, the
-        new gap's version, and the arguments ``delete_stats.record_delete``
-        is owed once the transaction has committed.
+        successor — Figure 13 after its lookup, one delete at a time (a
+        wave runs the same steps for all of its deletes at once:
+        :func:`repro.core.batch._walk_and_coalesce`).  Returns the
+        coalesced range, the new gap's version, and the arguments
+        ``delete_stats.record_delete`` is owed once the transaction has
+        committed.
 
         Steps (Figure 13):
 
@@ -958,6 +947,63 @@ class DirectorySuite:
             if best is not None and best.present:
                 state[bkey.payload] = best.value
         return state
+
+
+class _NeighborSearch:
+    """One Figure 12 search in progress.
+
+    Holds a :class:`_NeighborStream` per read-quorum member, the cursor
+    the walk has reached, and the largest gap version any member has
+    reported on the way.  Who fills the streams and who looks the
+    candidates up is the caller's business: :meth:`_real_neighbor` does
+    both for one search, a wave does both for all of its searches at
+    once (:mod:`repro.core.batch`).
+    """
+
+    def __init__(
+        self,
+        suite: DirectorySuite,
+        txn: Transaction,
+        quorum: list[str],
+        key: BoundedKey,
+        direction: str,
+    ) -> None:
+        self.direction = direction
+        self.streams = {
+            rep: _NeighborStream(suite, txn, rep, key, direction)
+            for rep in quorum
+        }
+        self.cursor = key
+        self.max_gap_version = suite.version_space.lowest
+        #: The real neighbor, once a candidate has proved present.
+        self.real: RealNeighbor | None = None
+
+    def candidate(self) -> BoundedKey:
+        """The nearest key beyond the cursor that any member stores."""
+        nearest = max if self.direction == "pred" else min
+        candidate: BoundedKey | None = None
+        for stream in self.streams.values():
+            reply = stream.reply_for(self.cursor)
+            self.max_gap_version = max(self.max_gap_version, reply.gap_version)
+            candidate = (
+                reply.key if candidate is None else nearest(candidate, reply.key)
+            )
+        assert candidate is not None  # quorum is never empty
+        return candidate
+
+    def settle(self, candidate: BoundedKey, reply: Any) -> None:
+        """Take the suite-level verdict on ``candidate``: the real
+        neighbor if it is present, else a ghost for the cursor to move
+        past."""
+        if reply.present:
+            self.real = RealNeighbor(
+                key=candidate,
+                value=reply.value,
+                version=reply.version,
+                max_gap_version=self.max_gap_version,
+            )
+        else:
+            self.cursor = candidate
 
 
 class _NeighborStream:

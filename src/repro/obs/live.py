@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.core.stats import percentile
+from repro.obs.spans import RingTracer, evict_beyond
 
 __all__ = [
     "WindowedView",
@@ -315,10 +316,14 @@ class SlowLog:
 
     Recording is O(1) (append to a ring); ranking happens at query time
     over at most ``capacity`` entries, so the hot path pays nothing for
-    the ability to answer ``SLOW n``.
+    the ability to answer ``SLOW n``.  An entry is a whole span tree —
+    a wave's, in the service — so the ring is bounded in spans as well,
+    the way :class:`~repro.obs.spans.RingTracer` is: ``capacity`` ×
+    ``SPANS_PER_ROOT`` of them, the newest entry's aside.
     """
 
     def __init__(self, capacity: int = 128) -> None:
+        self.capacity = capacity
         self._ring: deque[SlowOp] = deque(maxlen=capacity)
         self._lock = threading.Lock()
 
@@ -342,6 +347,12 @@ class SlowLog:
         )
         with self._lock:
             self._ring.append(op)
+            evict_beyond(
+                self._ring,
+                span,
+                self.capacity * RingTracer.SPANS_PER_ROOT,
+                lambda held: held.span,
+            )
 
     def slowest(self, n: int = 10) -> list[SlowOp]:
         with self._lock:

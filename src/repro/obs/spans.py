@@ -306,13 +306,26 @@ class RingTracer(RecordingTracer):
     def _keep(self, root: Span) -> None:
         roots = self._roots
         roots.append(root)
-        # Ids are handed out in creation order, so the newest span — the
-        # end of the newest root's rightmost path — and the oldest root
-        # are as far apart as the spans held (exact on one thread, the
-        # service's case; a fair measure when several interleave).
-        newest = root
-        while newest.children:
-            newest = newest.children[-1]
-        room = self.capacity * self.SPANS_PER_ROOT
-        while newest.span_id - roots[0].span_id >= room and len(roots) > 1:
-            roots.popleft()
+        evict_beyond(roots, root, self.capacity * self.SPANS_PER_ROOT)
+
+
+def evict_beyond(
+    ring: Any,
+    newest: Span,
+    room: int,
+    root_of: Callable[[Any], Span] = lambda item: item,
+) -> None:
+    """Drop ``ring``'s oldest items until the span trees it holds fit
+    ``room`` spans — but never ``newest``'s own, the item just appended.
+
+    ``root_of(item)`` is an item's root span (a ring of spans needs
+    none).  Ids are handed out in
+    creation order, so the newest span — the end of the newest root's
+    rightmost path — and the oldest root are as far apart as the spans
+    held (exact on one thread, the service's case; a fair measure when
+    several interleave).
+    """
+    while newest.children:
+        newest = newest.children[-1]
+    while newest.span_id - root_of(ring[0]).span_id >= room and len(ring) > 1:
+        ring.popleft()

@@ -403,12 +403,20 @@ class ServiceTelemetry:
             suite = shard.cluster.suite
             ops_rate = rates.get(f"shard.routed.{name}")
             total_ops += ops_rate
+            shared = suite._batch_walk_deletes
             per_shard[name] = {
                 "ops_per_s": ops_rate,
                 "routed": self.directory.routed[shard.index],
                 "err_per_s": rates.get(f"shard{shard.index}.live.ops.failed"),
                 "latency": shard.latency.snapshot(),
                 "hot_keys": [list(row) for row in shard.hot_keys.top()],
+                # How the waves' deletes walked (repro.core.batch):
+                # together, ahead of the fold, or alone in their turn.
+                "walks": {
+                    "shared": shared.n,
+                    "deletes_shared": round(shared.avg * shared.n),
+                    "deletes_alone": suite._batch_rewalks.value,
+                },
                 "membership": {
                     rep: suite.membership.state(rep).value
                     for rep in sorted(shard.cluster.representatives)

@@ -638,6 +638,46 @@ class TestStatsUnderBatching:
             if name.endswith("live.ops.failed")
         )
 
+    def test_stats_tell_how_the_deletes_walked(self, service):
+        """Sixteen deletes far apart in one burst, then one written and
+        deleted in the same burst: ``STATS`` says how many shared a walk
+        and how many walked alone, and ``SLOW`` shows the ``batch:walk``
+        spans under the waves' ``op:batch``."""
+        with DirectoryClient(service.host, service.port) as c:
+            with c.pipeline() as pipe:
+                for i in range(64):
+                    pipe.set(f"k{i:02d}", "v")
+            with c.pipeline() as pipe:
+                for i in range(2, 64, 4):
+                    pipe.delete(f"k{i:02d}")
+                pipe.set("k99", "v")
+                pipe.delete("k99")
+            stats, slow = c.stats(), c.slow(64)
+        walks = [row["walks"] for row in stats["per_shard"].values()]
+        together = sum(w["deletes_shared"] for w in walks)
+        alone = sum(w["deletes_alone"] for w in walks)
+        # k99 for certain; another only if the hash put two of the
+        # sixteen side by side on one shard.
+        assert together + alone == 17 and alone >= 1 and together >= 12
+        assert sum(w["shared"] for w in walks) >= 1
+
+        def spans(tree):
+            yield tree
+            for child in tree.get("children", ()):
+                yield from spans(child)
+
+        batches = [
+            s for entry in slow for s in spans(entry["span"])
+            if s["name"] == "op:batch"
+        ]
+        walked = [
+            child["attrs"]["deletes"]
+            for batch in batches
+            for child in batch["children"]
+            if child["name"] == "batch:walk"
+        ]
+        assert sum(walked) >= 17 and 1 in walked
+
 
 #: What a peer can get wrong, and the exact reply each earns.  The long
 #: line carries no terminator, so which of the reader's two limit

@@ -9,6 +9,12 @@ version any replica holds for every key, whether it ended as an entry or
 inside a gap (so the next write of any of them chains identically).
 The two sides draw different quorums; nothing compared may depend on
 which.
+
+The second property crowds the wave's deletes together — eight keys,
+half the ops deletes — so that their neighbourhoods collide in most
+waves: shared walks, walkers made to wait by an insert or another
+delete next door, ranges that meet at a boundary, ghosts left by
+earlier waves, under every fan-out and both neighbour batch sizes.
 """
 
 from hypothesis import given, settings
@@ -27,21 +33,59 @@ ops = st.builds(
 waves = st.lists(st.lists(ops, min_size=1, max_size=12), min_size=1, max_size=8)
 
 
+dense_ops = st.builds(
+    BatchOp,
+    st.sampled_from(BATCH_KINDS + ("delete", "discard", "delete", "insert")),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=99),
+)
+dense_waves = st.lists(
+    st.lists(dense_ops, min_size=2, max_size=10), min_size=2, max_size=8
+)
+
+
 def _versions(cluster):
+    """The highest version any replica holds at every key, and at a
+    point in every gap between two keys."""
     return [
         max(
-            rep.store.lookup(wrap(key)).version
+            rep.store.lookup(wrap(point / 2)).version
             for rep in cluster.representatives.values()
         )
-        for key in range(16)
+        for point in range(-1, 32)
     ]
 
 
 @settings(max_examples=60, deadline=None)
 @given(waves=waves, fanout=st.sampled_from(["serial", "parallel"]))
 def test_waves_of_mixed_verbs_match_the_sequential_twin(waves, fanout):
+    _check(waves, fanout=fanout)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    waves=dense_waves,
+    fanout=st.sampled_from(["serial", "parallel", "hedged"]),
+    neighbor_batch_size=st.sampled_from([1, 3]),
+)
+def test_crowded_deletes_match_the_sequential_twin(
+    waves, fanout, neighbor_batch_size
+):
+    cluster = _check(
+        waves, fanout=fanout, neighbor_batch_size=neighbor_batch_size
+    )
+    # Both classes of walker account for every delete that walked.
+    suite = cluster.suite
+    walked = suite._batch_walk_deletes
+    assert (
+        round(walked.avg * walked.n) + suite._batch_rewalks.value
+        == suite.delete_stats.insertions_while_coalescing.n
+    )
+
+
+def _check(waves, **spec):
     with DirectoryCluster.create(
-        ClusterSpec(config="3-2-2", seed=5, fanout=fanout)
+        ClusterSpec(config="3-2-2", seed=5, **spec)
     ) as cluster, DirectoryCluster.create(
         ClusterSpec(config="3-2-2", seed=6)
     ) as twin:
@@ -58,3 +102,5 @@ def test_waves_of_mixed_verbs_match_the_sequential_twin(waves, fanout):
         assert _versions(cluster) == _versions(twin)
         cluster.check_invariants()
         assert cluster.suite._batch_fallbacks.value == 0
+        assert cluster.suite.op_counts == twin.suite.op_counts
+        return cluster

@@ -72,12 +72,14 @@ def _twin(**spec):
 
 
 def _assert_same_directory(cluster, twin, keys):
-    """Same contents, same version behind every key (present or gap),
-    sound stores — on clusters whose quorum draws differed."""
+    """Same contents, same version behind every key (present or gap)
+    and behind a point in every gap between them, sound stores — on
+    clusters whose quorum draws differed."""
     assert (
         cluster.suite.authoritative_state() == twin.suite.authoritative_state()
     )
-    for key in keys:
+    # "k~" sorts after k and everything k prefixes, before the next key.
+    for key in [" ", *keys, *(key + "~" for key in keys)]:
         assert _highest_version(cluster, key) == _highest_version(twin, key), key
     cluster.check_invariants()
     twin.check_invariants()
@@ -87,6 +89,37 @@ def _assert_same_outcomes(batched, sequential):
     for b, s in zip(batched, sequential, strict=True):
         assert b.value == s.value, b.op
         assert type(b.error) is type(s.error), b.op
+
+
+def _drive(cluster, script):
+    """``script`` one op at a time through the classic path; a
+    ``("prefer", "BCA")`` step re-orders a preferred-quorum policy, which
+    is how a test plants a ghost or a missing copy on a chosen member."""
+    for step in script:
+        if step[0] == "prefer":
+            cluster.suite.quorum_policy.preference = list(step[1])
+        else:
+            _fallback(cluster.suite, BatchOp(*step))
+
+
+def _assert_same_wave(cluster, twin, batched, wave, script=()):
+    """``wave`` ran grouped on ``cluster``; run it op by op on ``twin``
+    (same history, same fixed quorums) and demand the same of both:
+    replies, directory, per-key and per-gap versions, delete-overhead
+    table and op counts."""
+    sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
+    _assert_same_outcomes(batched, sequential)
+    keys = sorted({op[1] for op in [*script, *wave] if op[0] != "prefer"})
+    _assert_same_directory(cluster, twin, keys)
+    assert (
+        cluster.suite.delete_stats.as_table()
+        == twin.suite.delete_stats.as_table()
+    )
+    assert (
+        cluster.metrics.snapshot()["suite.ops"]
+        == twin.metrics.snapshot()["suite.ops"]
+    )
+    assert cluster.suite._batch_fallbacks.value == 0
 
 
 MODES = [("sim", "serial"), ("sim", "parallel"), ("asyncio", "parallel")]
@@ -377,21 +410,88 @@ class TestDeletesInTheFold:
         """Exact, on quorums that do not move (always A and B of 3-2-2):
         a classic delete is a lookup (R = 2), Figure 13 from the walk on
         (two searches of 2 + 2, 4 probes, 2 coalesces = 14) and a 2PC
-        over two participants (4).  A wave of n deletes on disjoint
-        neighbourhoods pays the 14 n times and the rest once."""
+        over two participants (4).  A wave of deletes on disjoint
+        neighbourhoods pays one neighbour round and one candidate round
+        (2R), one probe round and one coalesce round (2W) — and that is
+        constant in n."""
         c = make_cluster(quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]))
         for i in range(20):
             c.suite.insert(f"k{i:02d}", i)
         before = _messages(c)
         c.suite.delete("k01")
         assert _messages(c) - before == 2 + 14 + 4
-        for n, first in ((2, 3), (5, 8)):
+        for n, first in ((1, 3), (2, 5), (5, 9)):
             before = _messages(c)
             outcomes = c.suite.execute_batch(
                 [("delete", f"k{first + 2 * j:02d}") for j in range(n)]
             )
             assert all(o.ok for o in outcomes)
-            assert _messages(c) - before == 2 + 14 * n + 4
+            assert _messages(c) - before == 2 + (2 * 2 + 2 * 2) + 4
+        walks = c.metrics.snapshot()["suite.batch.walk_deletes"]
+        assert (walks["n"], walks["max"]) == (3, 5)
+        assert c.suite._batch_rewalks.value == 0
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_searches_past_ghosts_share_their_extra_rounds(
+        self, make_cluster, batch_size
+    ):
+        """A keeps ghosts right of k03 and right of k07 (their deletes
+        went to B and C).  Both searches step past theirs together: one
+        more candidate round (R) and, at one result a message, one more
+        neighbour message — to A alone, whose streams ran dry; three
+        results a message had the next neighbour in hand already."""
+        with _twin(
+            quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]),
+            neighbor_batch_size=batch_size,
+        ) as twin:
+            c = make_cluster(
+                quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]),
+                neighbor_batch_size=batch_size,
+            )
+            script = [("insert", f"k{i:02d}", i) for i in range(12)] + [
+                ("prefer", "BCA"),
+                ("delete", "k04"),
+                ("delete", "k08"),
+                ("prefer", "ABC"),
+            ]
+            _drive(c, script)
+            _drive(twin, script)
+            assert c.representatives["A"].contains(wrap("k04"))
+            wave = [("delete", "k03"), ("delete", "k07"), ("delete", "k10")]
+            before = _messages(c)
+            batched = c.suite.execute_batch(wave)
+            extra = (1 if batch_size == 1 else 0) + 2
+            assert _messages(c) - before == 2 + 8 + extra + 4
+            _assert_same_wave(c, twin, batched, wave, script)
+            # Each ghost went with the range around it.
+            assert c.suite.delete_stats.deletions_while_coalescing.max == 1
+
+    def test_a_missing_boundary_is_installed_in_one_round(self, make_cluster):
+        """k05 was inserted on B and C only, so A lacks the entry both
+        k04 and k06 end their ranges on: one install message (to A) on
+        top of the constant bill, and one insertion-while-coalescing,
+        which is the first delete's — the second finds the copy there,
+        as it would have in a sequential run."""
+        with _twin(
+            quorum_policy=PreferredQuorumPolicy(["A", "B", "C"])
+        ) as twin:
+            c = make_cluster(
+                quorum_policy=PreferredQuorumPolicy(["A", "B", "C"])
+            )
+            script = [
+                ("insert", f"k{i:02d}", i) for i in range(10) if i != 5
+            ] + [("prefer", "BCA"), ("insert", "k05", 5), ("prefer", "ABC")]
+            _drive(c, script)
+            _drive(twin, script)
+            assert not c.representatives["A"].contains(wrap("k05"))
+            wave = [("delete", "k04"), ("delete", "k06")]
+            before = _messages(c)
+            batched = c.suite.execute_batch(wave)
+            assert _messages(c) - before == 2 + 8 + 1 + 4
+            _assert_same_wave(c, twin, batched, wave, script)
+            stats = c.suite.delete_stats.insertions_while_coalescing
+            assert (stats.n, stats.max, stats.avg) == (2, 1, 0.5)
+            assert c.representatives["A"].contains(wrap("k05"))
 
     def test_a_set_counts_the_same_alone_and_in_a_wave(self, make_cluster):
         """One transaction either way, counted as the insert or the
@@ -413,6 +513,151 @@ class TestDeletesInTheFold:
         assert (counts[0]["inserts"], counts[0]["updates"]) == (2, 1)
         assert counts[0]["failed"] == 0
         assert costs[0] == costs[1]
+
+
+class TestWalkersShareOrWait:
+    """The wave's deletes search together and the independent ones
+    coalesce together, ahead of the fold; a dependent one waits for its
+    turn, flushes, and walks alone.  One case per clause of the rule,
+    each against a sequential twin on the same fixed quorums — so the
+    delete-overhead table and the op counts compare exactly too — and
+    each saying how many shared and how many walked alone."""
+
+    FIXED = ["A", "B", "C"]
+
+    def _run(self, make_cluster, setup, wave, *, together, alone, **spec):
+        with _twin(
+            quorum_policy=PreferredQuorumPolicy(list(self.FIXED)), **spec
+        ) as twin:
+            cluster = make_cluster(
+                quorum_policy=PreferredQuorumPolicy(list(self.FIXED)), **spec
+            )
+            _drive(cluster, setup)
+            _drive(twin, setup)
+            batched = cluster.suite.execute_batch(wave)
+            _assert_same_wave(cluster, twin, batched, wave, setup)
+        shared = cluster.metrics.snapshot()["suite.batch.walk_deletes"]
+        assert (shared["n"], shared["max"] if shared["n"] else 0) == (
+            (1, together) if together is not None else (0, 0)
+        )
+        assert cluster.suite._batch_rewalks.value == alone
+        return cluster, batched
+
+    SEVEN = [("insert", k, 0) for k in "abcdefg"]
+
+    def test_disjoint_neighbourhoods_share_everything(self, make_cluster):
+        self._run(
+            make_cluster, self.SEVEN,
+            [("delete", "b"), ("upsert", "g", 1), ("discard", "e")],
+            together=2, alone=0,
+        )
+
+    @pytest.mark.parametrize("order", [("b", "d"), ("d", "b")])
+    def test_adjacent_ranges_share_a_boundary_and_the_walk(
+        self, make_cluster, order
+    ):
+        """(a, c) and (c, e) meet at c, which the wave leaves alone."""
+        cluster, _ = self._run(
+            make_cluster, self.SEVEN, [("delete", k) for k in order],
+            together=2, alone=0,
+        )
+        assert cluster.suite.authoritative_state() == dict.fromkeys("acefg", 0)
+
+    @pytest.mark.parametrize("order", [("c", "d"), ("d", "c")])
+    def test_overlapping_ranges_keep_arrival_order(self, make_cluster, order):
+        """Each is the other's neighbour: the second must find the
+        first gone, and coalesce over the gap it left."""
+        cluster, _ = self._run(
+            make_cluster,
+            self.SEVEN + [("update", order[0], 1)] * 3,
+            [("delete", k) for k in order],
+            together=0, alone=2,
+        )
+        # The first left a gap at 5; the second, over it, one at 6.
+        assert _highest_version(cluster, order[0]) == 6
+
+    def test_neighbour_inserted_earlier_in_the_wave(self, make_cluster):
+        """``cc`` is still in the write buffer when ``d`` is deleted:
+        the shared walk, on the replicas as they stood, found (c, e)."""
+        cluster, _ = self._run(
+            make_cluster, self.SEVEN + [("update", "d", 1)] * 3,
+            [("insert", "cc", 1), ("delete", "d"), ("lookup", "cc")],
+            together=0, alone=1,
+        )
+        assert cluster.suite.lookup("cc") == (True, 1)
+
+    def test_neighbour_deleted_earlier_in_the_wave(self, make_cluster):
+        """b's delete shares; d and e wait, and e finds c — not d — on
+        its left."""
+        cluster, _ = self._run(
+            make_cluster, self.SEVEN,
+            [("delete", "b"), ("delete", "d"), ("delete", "e")],
+            together=1, alone=2,
+        )
+        assert cluster.suite.delete_stats.entries_coalesced.max == 1
+
+    def test_a_written_boundary_makes_its_walker_wait(self, make_cluster):
+        """c is d's real predecessor and the wave rewrites it."""
+        self._run(
+            make_cluster, self.SEVEN,
+            [("update", "c", 1), ("delete", "d")],
+            together=0, alone=1,
+        )
+
+    def test_set_then_delete_of_one_key(self, make_cluster):
+        """Absent before the wave: no shared walk is even tried."""
+        cluster, batched = self._run(
+            make_cluster, self.SEVEN,
+            [("upsert", "cc", 1), ("delete", "cc"), ("lookup", "cc")],
+            together=None, alone=1,
+        )
+        assert batched[2].value == (False, None)
+        # gap 0 -> entry 1 -> gap 2
+        assert _highest_version(cluster, "cc") == 2
+
+    def test_delete_then_insert_of_one_key(self, make_cluster):
+        cluster, _ = self._run(
+            make_cluster, self.SEVEN + [("update", "d", 1)] * 3,
+            [("delete", "d"), ("insert", "d", 9), ("delete", "b")],
+            together=1, alone=1,
+        )
+        assert cluster.suite.lookup("d") == (True, 9)
+        # entry 4 -> gap 5 -> entry 6
+        assert _highest_version(cluster, "d") == 6
+
+    def test_reads_and_refusals_inside_a_range_do_not_hold_it(
+        self, make_cluster
+    ):
+        """Nothing is written at ``cc`` or ``dd``, and the second
+        ``delete d`` is refused from the fold: d still shares."""
+        _, batched = self._run(
+            make_cluster, self.SEVEN,
+            [
+                ("lookup", "cc"),
+                ("update", "dd", 1),
+                ("delete", "d"),
+                ("lookup", "dd"),
+                ("delete", "d"),
+                ("insert", "c", 1),
+            ],
+            together=1, alone=0,
+        )
+        assert isinstance(batched[1].error, KeyNotPresentError)
+        assert isinstance(batched[4].error, KeyNotPresentError)
+        assert isinstance(batched[5].error, KeyAlreadyPresentError)
+
+    def test_the_wave_draws_one_read_and_one_write_quorum(self, cluster):
+        suite = cluster.suite
+        for k in "abcdefg":
+            suite.insert(k, 0)
+        drawn = {k: s.n for k, s in suite._quorum_members.items()}
+        suite.execute_batch(
+            [("delete", "b"), ("insert", "cc", 1), ("delete", "d"),
+             ("delete", "f"), ("upsert", "a", 2)]
+        )
+        assert {k: s.n - drawn[k] for k, s in suite._quorum_members.items()} == {
+            "read": 1, "write": 1,
+        }
 
 
 class TestFallbackAndMetrics:
@@ -440,79 +685,111 @@ class TestFallbackAndMetrics:
         assert suite.lookup("x") == (True, 2)
 
     @staticmethod
-    def _after_first_coalesce(monkeypatch, suite, then):
-        """Call ``then()`` once, when the wave's first coalesce is on
-        the replicas and the transaction is still open."""
-        coalesce, fired = suite._coalesce_around, []
+    def _before_round(monkeypatch, suite, method, then, nth=1):
+        """Call ``then()`` once, just before the wave's ``nth`` round of
+        ``method`` goes out; the transaction is open, and every earlier
+        round is on the replicas."""
+        send, seen = suite._round, []
 
-        def hooked(*args):
-            result = coalesce(*args)
-            if not fired:
-                fired.append(True)
-                then()
-            return result
+        def hooked(txn, calls):
+            if calls and calls[0][1] == method:
+                seen.append(method)
+                if len(seen) == nth:
+                    then()
+            return send(txn, calls)
 
-        monkeypatch.setattr(suite, "_coalesce_around", hooked)
+        monkeypatch.setattr(suite, "_round", hooked)
 
-    def test_quorum_lost_after_the_first_coalesce_aborts_the_wave_whole(
-        self, make_cluster, monkeypatch
-    ):
-        """A and B hold every write; B and C crash with the first
-        delete's coalesce applied.  The wave aborts whole — A undoes the
-        coalesce and the flushed insert — and each op then answers for
-        itself; nothing is counted for work that was rolled back."""
+    WAVE = [
+        ("insert", "gg", 1),
+        ("delete", "b"),
+        ("upsert", "g", 1),
+        ("delete", "e"),
+        ("lookup", "a"),
+    ]
+
+    def _lose(self, make_cluster, monkeypatch, crash):
+        """Run :attr:`WAVE` — b and e share their walk — with ``crash``
+        going down just before the coalesce round, on A and B always."""
         cluster = make_cluster(
             quorum_policy=PreferredQuorumPolicy(["A", "B", "C"])
         )
         suite = cluster.suite
-        for key in "abcde":
+        for key in "abcdefg":
             suite.insert(key, 0)
         stores = {
             name: rep.store.snapshot()
             for name, rep in cluster.representatives.items()
         }
-        ops, overhead = suite.metrics.snapshot()["suite.ops"], (
-            suite.delete_stats.as_table()
-        )
+        ops = suite.metrics.snapshot()["suite.ops"]
+        overhead = suite.delete_stats.as_table()
         fallbacks = suite._batch_fallbacks.value
+        coalesces = self._coalesce_records(cluster)
 
         def lose_the_quorum():
-            cluster.crash("B")
-            cluster.crash("C")
+            for name in crash:
+                cluster.crash(name)
 
-        self._after_first_coalesce(monkeypatch, suite, lose_the_quorum)
-        outcomes = suite.execute_batch(
-            [
-                ("insert", "bb", 1),
-                ("delete", "b"),
-                ("upsert", "c", 1),
-                ("delete", "d"),
-                ("lookup", "a"),
-            ]
+        self._before_round(
+            monkeypatch, suite, "rep_coalesce_many", lose_the_quorum
         )
+        outcomes = suite.execute_batch(self.WAVE)
         assert suite._batch_fallbacks.value == fallbacks + 1
+        # Each op then answered for itself.
         assert all(
             isinstance(o.error, QuorumUnavailableError) for o in outcomes
         )
-        cluster.recover("B")
-        cluster.recover("C")
+        applied = {
+            name: n - coalesces[name]
+            for name, n in self._coalesce_records(cluster).items()
+        }
+        for name in crash:
+            cluster.recover(name)
         for name, rep in cluster.representatives.items():
             assert rep.store.snapshot() == stores[name], name
             assert rep.locks.is_idle(), name
+        # Nothing is counted for work that was rolled back: the table is
+        # as it was, and the op counts hold what the fallback's five
+        # public calls counted, plus the abort.
         assert suite.delete_stats.as_table() == overhead
         after = suite.metrics.snapshot()["suite.ops"]
-        # What the fallback's five public calls counted, and the abort.
         assert after["deletes"] == ops["deletes"] + 2
         assert after["failed"] == ops["failed"] + 1 + 5
-        assert suite.authoritative_state() == dict.fromkeys("abcde", 0)
+        assert suite.authoritative_state() == dict.fromkeys("abcdefg", 0)
+        return applied
+
+    @staticmethod
+    def _coalesce_records(cluster):
+        return {
+            name: sum(1 for r in rep.wal.records if r.kind == "coalesce")
+            for name, rep in cluster.representatives.items()
+        }
+
+    def test_quorum_lost_between_the_walk_and_the_coalesce(
+        self, make_cluster, monkeypatch
+    ):
+        """The whole write quorum goes down with both ranges searched
+        and probed and neither applied."""
+        applied = self._lose(make_cluster, monkeypatch, crash="AB")
+        assert applied == {"A": 0, "B": 0, "C": 0}
+
+    def test_quorum_lost_after_the_first_coalesce_aborts_the_wave_whole(
+        self, make_cluster, monkeypatch
+    ):
+        """B and C go down; A takes ``rep_coalesce_many`` — both ranges
+        — and B never answers.  The wave aborts whole, and A puts each
+        range back from its own undo record."""
+        applied = self._lose(make_cluster, monkeypatch, crash="BC")
+        assert applied == {"A": 2, "B": 0, "C": 0}
 
     def test_a_wave_that_falls_back_records_each_delete_once(
         self, cluster, monkeypatch
     ):
-        """The quorum is lost for one round only: the wave aborts with
-        a coalesce on every replica that took it, and the fallback then
-        succeeds — same answers, same directory as a twin that never
-        failed, and one delete-overhead sample per delete."""
+        """The quorum is lost for one round only — the second coalesce
+        round, with the shared one on every replica that took it.  The
+        wave aborts, and the fallback then succeeds: same answers, same
+        directory as a twin that never failed, and one delete-overhead
+        sample per delete."""
         suite = cluster.suite
         wave = [
             ("insert", "bb", 1),
@@ -522,22 +799,21 @@ class TestFallbackAndMetrics:
             ("discard", "bb"),
         ]
 
-        def fail_the_next_round():
-            collect = suite._collect_quorum
-
-            def once(kind):
-                monkeypatch.setattr(suite, "_collect_quorum", collect)
-                raise QuorumUnavailableError(2, 1, kind)
-
-            monkeypatch.setattr(suite, "_collect_quorum", once)
+        def fail_this_round():
+            raise QuorumUnavailableError(2, 1, "write")
 
         with _twin() as twin:
             for key in "abcde":
                 suite.insert(key, 0)
                 twin.suite.insert(key, 0)
-            self._after_first_coalesce(monkeypatch, suite, fail_the_next_round)
+            self._before_round(
+                monkeypatch, suite, "rep_coalesce_many", fail_this_round, nth=2
+            )
             batched = suite.execute_batch(wave)
             assert suite._batch_fallbacks.value == 1
+            # d shared (and was undone); b was walking alone.
+            assert suite._batch_walk_deletes.max == 1
+            assert suite._batch_rewalks.value == 1
             sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
             _assert_same_outcomes(batched, sequential)
             _assert_same_directory(cluster, twin, list("abcde") + ["bb"])

@@ -383,7 +383,8 @@ class TestFanoutModes:
 #: Every method a suite or its 2PC coordinator sends a representative.
 _WIRE_METHODS = (
     "rep_lookup", "rep_insert", "rep_lookup_many", "rep_insert_many",
-    "rep_neighbors_batch", "rep_coalesce", "prepare", "commit", "abort",
+    "rep_neighbors_batch", "rep_coalesce", "rep_neighbors_many",
+    "rep_coalesce_many", "prepare", "commit", "abort",
 )
 
 
@@ -406,6 +407,8 @@ def record_sequences(mode, transport):
     lands on B and C) and deleted while C is down (so C keeps it).  The
     recorded delete of ``d`` then runs with A down, which puts C in every
     quorum: its successor walk meets ``f``, finds it absent, and goes on.
+    The wave writes ``e`` to two members; the classic delete of ``h``
+    after it draws the third, and installs the copy it lacks.
     """
     from repro.cluster import DirectoryCluster
 
@@ -447,12 +450,18 @@ def record_sequences(mode, transport):
                 ("lookup", "zz"),
             ],
         )
+        take("delete_h", suite.delete, "h")
     return sequences
 
 
-#: Recorded at the commit before `_round` / `_phase` existed (serial loops
-#: beside scatters at every call site); both transports produced the same
-#: table.  A refactor of how rounds are issued must reproduce it exactly.
+#: The four classic rows were recorded at the commit before `_round` /
+#: `_phase` existed (serial loops beside scatters at every call site) and
+#: a refactor of how rounds are issued must reproduce them exactly.  The
+#: ``wave`` row was re-recorded when a wave's deletes began to share
+#: their walk (``rep_neighbors_many`` / ``rep_coalesce_many``, one read
+#: and one write quorum a wave), and ``delete_h`` — a classic delete
+#: that finds a boundary copy missing, which until then only the wave
+#: did — was recorded with it.  Both transports produce the same table.
 ROUND_SEQUENCES = {
     "serial": {
         "lookup": (
@@ -477,15 +486,24 @@ ROUND_SEQUENCES = {
             "prepare@B commit@C commit@B"
         ),
         "wave": (
-            "rep_lookup_many@B rep_lookup_many@A rep_insert_many@A "
-            "rep_insert_many@C rep_neighbors_batch@C "
-            "rep_neighbors_batch@A rep_lookup@C rep_lookup@B "
-            "rep_neighbors_batch@A rep_lookup@C rep_lookup@B "
+            "rep_lookup_many@B rep_lookup_many@A rep_neighbors_many@B "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_insert_many@A rep_insert_many@C rep_neighbors_many@B "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
+            "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
+            "rep_insert_many@C prepare@B prepare@A prepare@C commit@B "
+            "commit@A commit@C"
+        ),
+        "delete_h": (
+            "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "
+            "rep_neighbors_batch@B rep_lookup@C rep_lookup@B "
             "rep_neighbors_batch@C rep_neighbors_batch@A rep_lookup@A "
-            "rep_lookup@B rep_lookup@C rep_lookup@C rep_insert@C "
-            "rep_lookup@B rep_insert@B rep_lookup@B rep_coalesce@C "
-            "rep_coalesce@B rep_insert_many@C rep_insert_many@B prepare@B "
-            "prepare@A prepare@C commit@B commit@A commit@C"
+            "rep_lookup@B rep_lookup@C rep_lookup@C rep_lookup@A "
+            "rep_insert@A rep_lookup@A rep_coalesce@C rep_coalesce@A "
+            "prepare@C prepare@B prepare@A commit@C commit@B commit@A"
         ),
     },
     "parallel": {
@@ -511,15 +529,24 @@ ROUND_SEQUENCES = {
             "prepare@B commit@C commit@B"
         ),
         "wave": (
-            "rep_lookup_many@B rep_lookup_many@A rep_insert_many@A "
-            "rep_insert_many@C rep_neighbors_batch@C "
-            "rep_neighbors_batch@A rep_lookup@C rep_lookup@B "
-            "rep_neighbors_batch@A rep_lookup@C rep_lookup@B "
+            "rep_lookup_many@B rep_lookup_many@A rep_neighbors_many@B "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_insert_many@A rep_insert_many@C rep_neighbors_many@B "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
+            "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
+            "rep_insert_many@C prepare@B prepare@A prepare@C commit@B "
+            "commit@A commit@C"
+        ),
+        "delete_h": (
+            "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "
+            "rep_neighbors_batch@B rep_lookup@C rep_lookup@B "
             "rep_neighbors_batch@C rep_neighbors_batch@A rep_lookup@A "
-            "rep_lookup@B rep_lookup@C rep_lookup@C rep_lookup@B "
-            "rep_lookup@B rep_insert@C rep_insert@B rep_coalesce@C "
-            "rep_coalesce@B rep_insert_many@C rep_insert_many@B prepare@B "
-            "prepare@A prepare@C commit@B commit@A commit@C"
+            "rep_lookup@B rep_lookup@C rep_lookup@C rep_lookup@A "
+            "rep_lookup@A rep_insert@A rep_coalesce@C rep_coalesce@A "
+            "prepare@C prepare@B prepare@A commit@C commit@B commit@A"
         ),
     },
     "hedged": {
@@ -547,16 +574,25 @@ ROUND_SEQUENCES = {
             "prepare@B commit@C commit@B"
         ),
         "wave": (
-            "rep_lookup_many@B rep_lookup_many@A rep_insert_many@A "
-            "rep_insert_many@C rep_neighbors_batch@C "
-            "rep_neighbors_batch@A rep_lookup@C rep_lookup@B rep_lookup@A "
-            "rep_neighbors_batch@A rep_lookup@C rep_lookup@B rep_lookup@A "
+            "rep_lookup_many@B rep_lookup_many@A rep_neighbors_many@B "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_insert_many@A rep_insert_many@C rep_neighbors_many@B "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
+            "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
+            "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
+            "rep_insert_many@C prepare@B prepare@A prepare@C commit@B "
+            "commit@A commit@C"
+        ),
+        "delete_h": (
+            "rep_lookup@C rep_lookup@B rep_lookup@A rep_neighbors_batch@C "
+            "rep_neighbors_batch@B rep_lookup@C rep_lookup@B rep_lookup@A "
             "rep_neighbors_batch@C rep_neighbors_batch@A rep_lookup@A "
             "rep_lookup@B rep_lookup@C rep_lookup@C rep_lookup@C "
-            "rep_lookup@B rep_lookup@B rep_insert@C rep_insert@B "
-            "rep_coalesce@C rep_coalesce@B rep_insert_many@C "
-            "rep_insert_many@B prepare@B prepare@A prepare@C commit@B "
-            "commit@A commit@C"
+            "rep_lookup@A rep_lookup@A rep_insert@A rep_coalesce@C "
+            "rep_coalesce@A prepare@C prepare@B prepare@A commit@C "
+            "commit@B commit@A"
         ),
     },
 }
@@ -578,6 +614,13 @@ class TestRoundSequence:
         assert serial["delete"].count("rep_neighbors_batch@C") >= 3
         # Serial installs a missing neighbour right after its probe;
         # parallel probes every pair first.
-        assert "rep_lookup@C rep_insert@C rep_lookup@B rep_insert@B" in serial["wave"]
-        assert "rep_insert@C rep_insert@B rep_coalesce" in parallel["wave"]
+        assert "rep_lookup@A rep_insert@A rep_lookup@A" in serial["delete_h"]
+        assert "rep_lookup@A rep_lookup@A rep_insert@A" in parallel["delete_h"]
+        # The wave's delete searched twice (with the rest of the wave,
+        # then alone behind the flush: ``e`` landed next to it), each
+        # time stepping past the ghost on one more message to A, and
+        # installed the copy C lacked in one more.
+        assert serial["wave"].count("rep_neighbors_many@A") == 4
+        assert serial["wave"].count("rep_neighbors_many@B") == 2
+        assert "rep_insert_many@C rep_coalesce_many@A" in serial["wave"]
         assert ROUND_SEQUENCES["hedged"]["lookup"].count("rep_lookup@") == 3

@@ -271,6 +271,31 @@ class TestSlowLog:
         assert top["span"]["name"] == "service:GET"
         assert top["trace"] == "t2"
 
+    def test_bounded_in_spans_held(self):
+        """An entry is a whole tree: big ones (waves) push old entries
+        out before the ring is full of entries, the way the ring tracer
+        sheds roots — and the newest is kept whatever its size."""
+        tracer = RecordingTracer(FakeWallClock().now)
+        log = SlowLog(capacity=4)
+        room = 4 * RingTracer.SPANS_PER_ROOT
+
+        def record(key, children):
+            span = tracer.span("service:BATCH")
+            with span:
+                for _ in range(children):
+                    with tracer.span("rpc"):
+                        pass
+            log.record(span, verb="BATCH", key=key, shard=0)
+
+        for i in range(4):
+            record(f"w{i}", 11)  # 12 spans each: room for two
+        assert [op.key for op in log.slowest(9)] == ["w2", "w3"]
+        record("huge", room)
+        assert [op.key for op in log.slowest(9)] == ["huge"]
+        for i in range(6):
+            record(f"o{i}", 1)  # small trees: the entry bound takes over
+        assert sorted(op.key for op in log.slowest(9)) == ["o2", "o3", "o4", "o5"]
+
 
 class TestRingTracer:
     def test_bounded_roots(self):
