@@ -5,8 +5,10 @@ experiment measures the subsystem the `ReshardController` adds on top
 of the sharded service: when a skewed key distribution piles most of
 the load onto one range shard, the controller must detect the hot
 shard from live windowed routing rates and split its key range *while
-client waves keep flowing* — COPY, DUAL_WRITE, CUTOVER, DRAIN — with
-no client-visible errors and no correctness drift.
+client waves keep flowing* — COPY, CUTOVER, DRAIN, the waves' writes on
+the moving range reaching the target through the cutover's
+compare-and-heal — with no client-visible errors and no correctness
+drift.
 
 Three runs replay the identical seeded skewed operation stream in
 fixed 32-op waves:

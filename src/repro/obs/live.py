@@ -424,7 +424,6 @@ def format_stats(stats: Mapping[str, Any]) -> str:
             f"[{reshard.get('low')!r} .. "
             f"{'HIGH' if high is None else repr(high)}) — "
             f"phase {str(reshard.get('phase', '?')).upper()} "
-            f"({reshard.get('copied', 0)} keys copied, "
-            f"{reshard.get('mirrored', 0)} dual-writes)"
+            f"({reshard.get('copied', 0)} keys copied)"
         )
     return "\n".join(lines)

@@ -12,7 +12,6 @@ from repro.repl.antientropy import AntiEntropySweeper
 from repro.repl.bootstrap import (
     ReplicaJoin,
     divergent_pieces,
-    snapshot_pieces,
     wipe_replica,
 )
 from repro.repl.lifecycle import ReplicaState, SuiteMembership
@@ -23,6 +22,5 @@ __all__ = [
     "ReplicaState",
     "SuiteMembership",
     "divergent_pieces",
-    "snapshot_pieces",
     "wipe_replica",
 ]

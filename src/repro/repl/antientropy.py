@@ -56,14 +56,7 @@ class AntiEntropySweeper:
 
     def _pairs(self) -> list[tuple[str, str]]:
         """Sweepable pairs: both members up, reachable, and voting."""
-        suite = self.suite
-        membership = suite.membership
-        eligible = [
-            name
-            for name in sorted(suite._available())
-            if membership.can_vote(name)
-        ]
-        return list(combinations(eligible, 2))
+        return list(combinations(sorted(self.suite._eligible()), 2))
 
     # -- sweeping ----------------------------------------------------------
 

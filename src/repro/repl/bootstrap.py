@@ -7,24 +7,27 @@ holds nothing, so counting its votes again without refilling it would
 break the intersection argument.  :class:`ReplicaJoin` brings such a
 replica back online while client operations keep flowing:
 
-1. **Snapshot** — pick a donor (any up, voting peer), pull a consistent
-   ``(snapshot, watermark)`` pair from it, and merge the snapshot into
-   the joiner with :meth:`rep_reconcile`.  The merge is *monotone* (a
-   shipped fact lands only where it is strictly newer), which is what
-   makes it safe to run concurrently with live writes: from the moment
-   the join starts, the suite counts the joiner as a non-voting write
-   recipient, so a write landing between export and install is never
-   overwritten by the older snapshot.
+1. **Snapshot** — pick a donor (any up, voting peer), export its store
+   and the joiner's, and ship the joiner what the donor holds that is
+   newer (:func:`reconcile_replica`): everything for a wiped joiner,
+   only what changed while it was down for one that merely crashed.
+   The merge is *monotone* (a shipped fact lands only where it is
+   strictly newer), which is what makes it safe to run concurrently
+   with live writes: from the moment the join starts, the suite counts
+   the joiner as a non-voting write recipient, so a write landing
+   between export and install is never overwritten by the older
+   snapshot.  The donor's export carries the watermark catch-up polls
+   from.
 2. **Catch-up** — poll the donor's write-ahead log from the watermark,
    buffering records per transaction and shipping a transaction's
    redo pieces only once its commit record appears (presumed abort:
    undecided or aborted transactions ship nothing).  If the donor
    checkpoints past our watermark (:class:`RecoveryError`) or goes
    down, fall back to a fresh snapshot.
-3. **Cutover** — once a poll comes back near-empty, reconcile the
-   joiner against *every* up voting peer (not just the donor: a write
-   quorum need not contain the donor, so the donor's log alone can
-   miss committed data) and flip the joiner's membership back to
+3. **Cutover** — once a poll comes back near-empty, run the snapshot
+   phase's step against *every* up voting peer (not just the donor: a
+   write quorum need not contain the donor, so the donor's log alone
+   can miss committed data) and flip the joiner's membership back to
    voting.  From then on quorum intersection covers it again.
 
 The machine is *incremental*: :meth:`ReplicaJoin.step` does one bounded
@@ -54,29 +57,6 @@ from repro.storage.wal import OP_ABORT, OP_COALESCE, OP_COMMIT, OP_INSERT
 Piece = tuple
 
 
-def snapshot_pieces(snapshot: StoreSnapshot) -> list[Piece]:
-    """A snapshot rendered as reconcile pieces: entries, then gaps.
-
-    Entries go first so every gap piece's bounding entries are already
-    stored when the gap is applied (``rep_reconcile`` skips a gap whose
-    bounds are missing).  Sentinel entries are included — they bound the
-    outermost gaps and merge as no-ops on any initialized store.
-    """
-    pieces: list[Piece] = [
-        ("entry", e.key, e.version, e.value) for e in snapshot.entries
-    ]
-    for i, gap_version in enumerate(snapshot.gap_versions):
-        pieces.append(
-            (
-                "gap",
-                snapshot.entries[i].key,
-                snapshot.entries[i + 1].key,
-                gap_version,
-            )
-        )
-    return pieces
-
-
 def divergent_pieces(
     source: StoreSnapshot, target: StoreSnapshot
 ) -> list[Piece]:
@@ -98,13 +78,6 @@ def divergent_pieces(
     entry_versions = [e.version for e in target.entries]
     gaps = list(target.gap_versions)
 
-    def fact_at(key: Any) -> Any:
-        idx = bisect_left(keys, key)
-        if idx < len(keys) and keys[idx] == key:
-            return entry_versions[idx]
-        # keys[idx - 1] < key < keys[idx]: inside target gap idx - 1.
-        return gaps[idx - 1]
-
     def min_fact_in(low: Any, high: Any) -> Any:
         # Everything the target stores strictly inside (low, high):
         # entries with low < key < high, plus every gap segment
@@ -121,7 +94,7 @@ def divergent_pieces(
     for entry in source.entries:
         if entry.key.is_sentinel:
             continue
-        if entry.version > fact_at(entry.key):
+        if entry.version > target.lookup(entry.key).version:
             pieces.append(("entry", entry.key, entry.version, entry.value))
     for i, gap_version in enumerate(source.gap_versions):
         low = source.entries[i].key
@@ -289,25 +262,29 @@ class ReplicaJoin:
 
     # -- phases ------------------------------------------------------------
 
-    def _donors(self) -> list[str]:
-        membership = self.suite.membership
-        return [
-            name
-            for name in self.suite._available()
-            if name != self.replica and membership.can_vote(name)
-        ]
+    def _reconcile_from(self, peer: str) -> int:
+        """Ship the joiner whatever ``peer`` holds that it lacks.
+
+        The one step both the snapshot phase and cutover are made of:
+        export both stores, diff, send the difference.  A wiped joiner's
+        empty store makes the difference the peer's whole store; one that
+        merely crashed is sent what changed while it was down.  Returns
+        the peer's watermark (the LSN its export reflects).
+        """
+        suite = self.suite
+        joiner_snap, _ = admin_call(suite, self.replica, "rep_export_snapshot")
+        peer_snap, watermark = admin_call(suite, peer, "rep_export_snapshot")
+        reconcile_replica(
+            suite, peer_snap, joiner_snap, self.replica, self._repairs
+        )
+        return watermark
 
     def _step_snapshot(self) -> None:
-        """Pull and merge a full snapshot from the first willing donor."""
-        for donor in self._donors():
+        """Reconcile against the first willing donor; log-ship from there."""
+        # The joiner holds no vote, so every eligible member is a peer.
+        for donor in self.suite._eligible():
             try:
-                snapshot, watermark = admin_call(
-                    self.suite, donor, "rep_export_snapshot"
-                )
-                ship_pieces(
-                    self.suite, self.replica, snapshot_pieces(snapshot),
-                    self._repairs,
-                )
+                watermark = self._reconcile_from(donor)
             except (SnapshotUnavailableError, NetworkError):
                 continue  # busy, down, or a dropped message; next donor
             self.donor = donor
@@ -401,16 +378,8 @@ class ReplicaJoin:
         """
         suite = self.suite
         try:
-            for peer in self._donors():
-                joiner_snap, _ = admin_call(
-                    suite, self.replica, "rep_export_snapshot"
-                )
-                peer_snap, _ = admin_call(
-                    suite, peer, "rep_export_snapshot"
-                )
-                reconcile_replica(
-                    suite, peer_snap, joiner_snap, self.replica, self._repairs
-                )
+            for peer in suite._eligible():
+                self._reconcile_from(peer)
         except (SnapshotUnavailableError, NetworkError):
             return  # retry cutover on a later step
         suite.membership.set_state(self.replica, ReplicaState.UP)

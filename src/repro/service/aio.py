@@ -53,17 +53,23 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_TRACER
 
 
+#: Real seconds one simulated tick sleeps for under :class:`WallClock`.
+#: Retry backoff is written in ticks (``RetryPolicy``: 10 rising to 500);
+#: at a millisecond each that is 10 ms to half a second of real waiting,
+#: the range a retry against a live socket wants.
+_TICK_SECONDS = 0.001
+
+
 class WallClock:
     """Real time presented through the :class:`~repro.net.transport.Clock` slice.
 
     ``now`` is monotonic seconds since construction.  ``advance`` maps
-    simulated ticks onto short real sleeps (``tick_seconds`` each) so
+    simulated ticks onto short real sleeps (``_TICK_SECONDS`` each) so
     backoff loops written for the simulator behave sanely; ``advance_to``
     sleeps until the target instant, never backwards.
     """
 
-    def __init__(self, tick_seconds: float = 0.001) -> None:
-        self.tick_seconds = tick_seconds
+    def __init__(self) -> None:
         self._epoch = time.monotonic()
 
     def now(self) -> float:
@@ -71,7 +77,7 @@ class WallClock:
 
     def advance(self, delta: float) -> float:
         if delta > 0:
-            time.sleep(delta * self.tick_seconds)
+            time.sleep(delta * _TICK_SECONDS)
         return self.now()
 
     def advance_to(self, when: float) -> float:
@@ -98,14 +104,9 @@ class _AioNode:
 class AsyncioTransport:
     """In-process substrate satisfying the ``Transport`` protocol."""
 
-    def __init__(
-        self,
-        *,
-        metrics: MetricsRegistry | None = None,
-        tick_seconds: float = 0.001,
-    ) -> None:
+    def __init__(self, *, metrics: MetricsRegistry | None = None) -> None:
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._clock = WallClock(tick_seconds)
+        self._clock = WallClock()
         self._nodes: dict[str, _AioNode] = {}
         self._closed = False
         self._lock = threading.Lock()

@@ -126,6 +126,29 @@ from repro.service import protocol
 from repro.shard.sharded import ShardedDirectory
 
 
+#: Seconds ``STATS`` rates look back when the request names no window,
+#: and the span of each shard's latency percentiles.  A minute smooths a
+#: burst and still moves while an operator is watching.
+_STATS_WINDOW = 60.0
+#: Registry samples the windowed view keeps, one per ``STATS`` request:
+#: twenty minutes of ``repro top`` at its 2 s poll, so a minute-wide
+#: window always finds a baseline at least that old.
+_STATS_SAMPLES = 600
+#: Roots in a shard's span ring (a root is one op's tree or one wave's):
+#: with ``RingTracer.SPANS_PER_ROOT`` that is at most 4,096 spans, ≈ 2 MB
+#: a shard — the trees ``SLOW`` renders stay whole for the last several
+#: hundred waves and the server's memory does not follow its uptime.
+_RING_ROOTS = 512
+#: Entries a shard's slow ring holds for ``SLOW n`` to rank at query
+#: time: many screenfuls, yet few enough (1,024 spans' worth of trees)
+#: that ranking them is nothing the serving thread notices.
+_SLOW_OPS = 128
+#: Keys a shard's hot-key sketch tracks: any key taking more than an
+#: eighth of the shard's traffic is guaranteed a slot, and ``repro top``
+#: has a column's room for fewer still.
+_HOT_KEYS = 8
+
+
 class _ShardTelemetry:
     """One shard's live instrumentation, written only by its waves.
 
@@ -144,22 +167,17 @@ class _ShardTelemetry:
         directory: ShardedDirectory,
         now: Any,
         recorded: Any,
-        *,
-        ring_capacity: int,
-        slow_capacity: int,
-        hot_capacity: int,
-        latency_window: float,
     ) -> None:
         self.index = index
         self.cluster = cluster
         self._directory = directory
         self._recorded = recorded
-        self.tracer = RingTracer(now, capacity=ring_capacity)
+        self.tracer = RingTracer(now, capacity=_RING_ROOTS)
         cluster.suite.tracer = self.tracer
         cluster.suite.rpc.bind_tracer(self.tracer)
-        self.latency = RollingHistogram(now, window=latency_window)
-        self.hot_keys = SpaceSaving(hot_capacity)
-        self.slow = SlowLog(slow_capacity)
+        self.latency = RollingHistogram(now, window=_STATS_WINDOW)
+        self.hot_keys = SpaceSaving(_HOT_KEYS)
+        self.slow = SlowLog(_SLOW_OPS)
         # Registered eagerly (not on first failure) so the name exists
         # in every snapshot; the shard-scoped view makes it
         # ``shard<i>.live.ops.failed``, a genuinely per-shard count —
@@ -335,33 +353,20 @@ class ServiceTelemetry:
     without a front door.)
     """
 
-    def __init__(
-        self,
-        directory: ShardedDirectory,
-        *,
-        window: float = 60.0,
-        history: int = 600,
-        ring_capacity: int = 512,
-        slow_capacity: int = 128,
-        hot_capacity: int = 8,
-    ) -> None:
+    def __init__(self, directory: ShardedDirectory) -> None:
         transport = directory.transport
         self.directory = directory
         self.clock = transport.clock
         self.metrics = transport.metrics
-        self.window = window
         self.view = WindowedView(
-            self.metrics, self.clock.now, window=window, history=history
+            self.metrics,
+            self.clock.now,
+            window=_STATS_WINDOW,
+            history=_STATS_SAMPLES,
         )
         self._admin = self.metrics.counter("live.admin.requests")
         self._samples = self.metrics.counter("live.window.samples")
         self._recorded = self.metrics.counter("live.ops.recorded")
-        self._shard_params = {
-            "ring_capacity": ring_capacity,
-            "slow_capacity": slow_capacity,
-            "hot_capacity": hot_capacity,
-            "latency_window": window,
-        }
         self.shards = [
             self._make_shard(i, cluster)
             for i, cluster in enumerate(directory.clusters)
@@ -369,12 +374,7 @@ class ServiceTelemetry:
 
     def _make_shard(self, index: int, cluster: Any) -> _ShardTelemetry:
         return _ShardTelemetry(
-            index,
-            cluster,
-            self.directory,
-            self.clock.now,
-            self._recorded,
-            **self._shard_params,
+            index, cluster, self.directory, self.clock.now, self._recorded
         )
 
     def ensure_shard(self, index: int) -> None:
@@ -671,7 +671,6 @@ class DirectoryService:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        stats_window: float = 60.0,
         batch_max: int = 128,
         pipeline_depth: int = 512,
     ) -> None:
@@ -720,7 +719,7 @@ class DirectoryService:
         metrics = transport.metrics
         self._ops = metrics.counter("service.front.ops")
         self._failures = metrics.counter("service.front.errors")
-        self.telemetry = ServiceTelemetry(directory, window=stats_window)
+        self.telemetry = ServiceTelemetry(directory)
         # A boot-time baseline sample: the very first STATS request
         # already has something to difference against.
         self.telemetry.sample()

@@ -10,8 +10,8 @@ surface:
 * :class:`VersionedShardMap` / :class:`ShardMapDelta` — epoch-stamped
   maps whose ``split``/``merge`` derive successor epochs for live
   resharding.
-* :class:`Resharder` — the COPY → DUAL_WRITE → CUTOVER → DRAIN state
-  machine migrating one key range between shard suites online.
+* :class:`Resharder` — the COPY → CUTOVER → DRAIN state machine
+  migrating one key range between shard suites online.
 * :class:`ReshardController` — automatic hot-shard splitting from live
   windowed routing rates.
 * :class:`ShardAuditor` — merged invariant auditing over every shard,

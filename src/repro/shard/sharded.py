@@ -247,10 +247,9 @@ class ShardedDirectory:
         """Release the shared substrate (see the Directory lifecycle).
 
         Idempotent, including mid-reshard: an in-flight migration that
-        has not cut over yet is aborted first (dual-writes stop, the old
-        epoch stays authoritative); one already past cutover finishes
-        its DRAIN, so no half-installed routing state survives the
-        close either way.
+        has not cut over yet is aborted first (the old epoch stays
+        authoritative); one already past cutover finishes its DRAIN, so
+        no half-installed routing state survives the close either way.
         """
         if self._closed:
             return
@@ -313,19 +312,13 @@ class ShardedDirectory:
         return self._route(key).lookup(key)
 
     def insert(self, key: Any, value: Any) -> None:
-        result = self._route(key).insert(key, value)
-        self.mirror_write("insert", key, value)
-        return result
+        return self._route(key).insert(key, value)
 
     def update(self, key: Any, value: Any) -> None:
-        result = self._route(key).update(key, value)
-        self.mirror_write("update", key, value)
-        return result
+        return self._route(key).update(key, value)
 
     def delete(self, key: Any) -> None:
-        result = self._route(key).delete(key)
-        self.mirror_write("delete", key)
-        return result
+        return self._route(key).delete(key)
 
     def size(self) -> int:
         return sum(cluster.suite.size() for cluster in self.clusters)
@@ -370,42 +363,26 @@ class ShardedDirectory:
         ):
             raise StaleEpochError(current, key=key)
 
-    def mirror_write(self, kind: str, key: Any, value: Any = None) -> None:
-        """Dual-write hook: forward one successful client write to the
-        migration target while a reshard is in DUAL_WRITE.  Free when no
-        reshard is running (one attribute check)."""
-        resharder = self.resharder
-        if resharder is None or not resharder.dual_write:
-            return
-        if resharder.covers(key):
-            resharder.mirror(kind, key, value)
-
-    def begin_split(
-        self,
-        boundary: Any,
-        target: "int | None" = None,
-        *,
-        dwell_steps: int = 1,
-    ) -> Any:
+    def begin_split(self, boundary: Any, target: "int | None" = None) -> Any:
         """Start migrating ``[boundary, old_high)`` out of the shard that
         owns ``boundary`` — by default onto a brand-new shard.  Returns
         the :class:`~repro.shard.reshard.Resharder`; pump its ``step()``
         with client traffic interleaved."""
-        return self._begin(self.shard_map.split(boundary, target), dwell_steps)
+        return self._begin(self.shard_map.split(boundary, target))
 
-    def begin_merge(self, index: int, *, dwell_steps: int = 1) -> Any:
+    def begin_merge(self, index: int) -> Any:
         """Start merging the range above boundary ``index`` into the
         shard below it.  Returns the Resharder (see :meth:`begin_split`)."""
-        return self._begin(self.shard_map.merge(index), dwell_steps)
+        return self._begin(self.shard_map.merge(index))
 
-    def _begin(self, new_map: VersionedShardMap, dwell_steps: int) -> Any:
+    def _begin(self, new_map: VersionedShardMap) -> Any:
         from repro.shard.reshard import Resharder
 
         if self.resharder is not None and not self.resharder.done:
             raise ConfigurationError(
                 "a reshard is already in flight; finish or abort it first"
             )
-        resharder = Resharder(self, new_map, dwell_steps=dwell_steps)
+        resharder = Resharder(self, new_map)
         self.resharder = resharder
         return resharder
 
@@ -496,10 +473,6 @@ class ShardedDirectory:
                 except ReproError as exc:
                     results[slot] = WaveOutcome(kind, key, index, error=exc)
                 else:
-                    if kind != "lookup":
-                        self.mirror_write(
-                            kind, key, op[2] if len(op) > 2 else None
-                        )
                     results[slot] = WaveOutcome(kind, key, index, value=value)
             finish = max(finish, clock.now())
         clock.travel(finish)

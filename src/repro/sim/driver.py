@@ -133,8 +133,8 @@ class SimulationSpec:
     antientropy_every: int = 0
     #: Attach a :class:`~repro.shard.ReshardController` that watches the
     #: windowed per-shard routing rates mid-workload and live-splits the
-    #: hottest shard's key range (COPY → DUAL_WRITE → CUTOVER → DRAIN,
-    #: with the client stream flowing throughout).  Sharded runs only
+    #: hottest shard's key range (COPY → CUTOVER → DRAIN, with the
+    #: client stream flowing throughout).  Sharded runs only
     #: (``shards > 0``).
     auto_reshard: bool = False
     #: Controller tuning: split when the hottest shard's windowed routed

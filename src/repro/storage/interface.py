@@ -25,7 +25,9 @@ B-tree representation section 5 of the paper envisions).
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Iterator
 
 from repro.core.entries import Entry, LookupReply, NeighborReply
@@ -108,6 +110,21 @@ class StoreSnapshot:
     def __post_init__(self) -> None:
         if len(self.gap_versions) != len(self.entries) - 1:
             raise ValueError("snapshot gap/entry arity mismatch")
+
+    def lookup(self, key: BoundedKey) -> LookupReply:
+        """What ``DirRepLookup(key)`` answered on the store this copies.
+
+        The entry for ``key``, or the version of the gap covering it —
+        the fact every cross-replica comparison (anti-entropy diff,
+        reshard's quorum read) ranks with :meth:`LookupReply.beats`.
+        """
+        idx = bisect_left(self.entries, key, key=attrgetter("key"))
+        if idx < len(self.entries) and self.entries[idx].key == key:
+            entry = self.entries[idx]
+            return LookupReply(True, entry.version, entry.value)
+        # entries[idx - 1] < key < entries[idx]; idx >= 1 because LOW
+        # sorts below every other key.
+        return LookupReply(False, self.gap_versions[idx - 1])
 
 
 @dataclass

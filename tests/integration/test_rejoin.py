@@ -55,6 +55,36 @@ class TestOnlineJoin:
         }
         cluster.check_invariants()
 
+    def test_crashed_not_wiped_replica_is_shipped_only_what_changed(self):
+        # A replica that kept its log restarts holding the store it
+        # crashed with, so the snapshot phase owes it the writes it
+        # missed — not the store.
+        cluster = _cluster()
+        suite = cluster.suite
+        AntiEntropySweeper(cluster).sweep_all(rounds=2)  # E holds all 30
+        cluster.crash("E")
+        missed = 4
+        for i in range(30, 30 + missed - 1):
+            suite.insert(f"k{i:03d}", i)
+        suite.update("k007", "rewritten")
+        join = ReplicaJoin(cluster, "E")
+        join.start()
+        stats = cluster.network.stats
+        stats.reset()
+        join.step()  # the snapshot phase, whole
+        assert join.phase == "catchup"
+        assert stats.by_method == {
+            "dir:E.rep_export_snapshot": 1,
+            "dir:A.rep_export_snapshot": 1,
+            "dir:E.rep_reconcile": 1,
+        }
+        # One item per export; the rest is what the reconcile carried:
+        # as much of the missed writes as this donor's quorums gave it.
+        assert 1 <= stats.payload_items - 2 <= missed
+        join.run()
+        report = cluster.make_auditor().audit_join("E")
+        assert report.ok, report.render()
+
     def test_joining_replica_receives_writes_but_casts_no_votes(self):
         cluster = _cluster(config="3-2-2")
         suite = cluster.suite

@@ -99,6 +99,13 @@ class StorePair(RuleBasedStateMachine):
         fresh.restore(snap)
         assert fresh.snapshot() == snap
 
+    @rule(k=key_payloads)
+    def snapshot_lookup(self, k):
+        # A snapshot answers DirRepLookup as the store it was taken from
+        # does, for stored keys and for points inside gaps alike.
+        for s in self.all_stores:
+            assert s.snapshot().lookup(wrap(k)) == s.lookup(wrap(k))
+
     @invariant()
     def stores_identical(self):
         reference = self.sorted_store.snapshot()

@@ -5,11 +5,11 @@ import pytest
 from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.errors import ConfigurationError
 from repro.core.keys import HIGH, LOW, wrap
+from repro.core.representative import DirectoryRepresentative
 from repro.repl import (
     ReplicaState,
     SuiteMembership,
     divergent_pieces,
-    snapshot_pieces,
     wipe_replica,
 )
 from repro.storage.sorted_store import SortedStore
@@ -75,11 +75,20 @@ def _store(items, coalesce=None):
 
 
 class TestSnapshotPieces:
+    """What a wiped joiner is shipped: a donor's snapshot diffed against
+    an empty store."""
+
+    def _donor(self):
+        # b(1) d(2) f(3), then d deleted: gap (b, f) carries version 4.
+        return _store(
+            [("b", 1, "B"), ("d", 2, "D"), ("f", 3, "F")],
+            coalesce=(wrap("b"), wrap("f"), 4),
+        ).snapshot()
+
     def test_entries_precede_gaps(self):
-        snap = _store([("b", 1, "B"), ("d", 2, "D")]).snapshot()
-        pieces = snapshot_pieces(snap)
+        pieces = divergent_pieces(self._donor(), _store([]).snapshot())
         kinds = [p[0] for p in pieces]
-        assert kinds == ["entry"] * 4 + ["gap"] * 3  # 2 sentinels included
+        assert kinds == ["entry", "entry", "gap"]  # no sentinels, no 0-gaps
         # Every gap's bounds are entry keys shipped before it.
         entry_keys = {p[1] for p in pieces if p[0] == "entry"}
         for piece in pieces:
@@ -87,9 +96,13 @@ class TestSnapshotPieces:
                 assert piece[1] in entry_keys and piece[2] in entry_keys
 
     def test_tiles_the_whole_keyspace(self):
-        snap = _store([("b", 1, "B")]).snapshot()
-        gaps = [p for p in snapshot_pieces(snap) if p[0] == "gap"]
-        assert len(gaps) == len(snap.gap_versions)
+        # Applied to an empty replica, the shipment rebuilds the donor's
+        # tiling exactly: every entry and every gap version.
+        donor = self._donor()
+        joiner = DirectoryRepresentative("J")
+        pieces = divergent_pieces(donor, joiner.store.snapshot())
+        assert joiner.rep_reconcile(pieces) == (len(pieces), 0)
+        assert joiner.store.snapshot() == donor
 
 
 class TestDivergentPieces:

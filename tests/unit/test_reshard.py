@@ -1,13 +1,17 @@
 """Unit tests for live resharding: the Resharder state machine, epoch
-enforcement, the dual-write window, abort/close semantics, the reshard
-auditor, and the hot-shard controller."""
+enforcement, writes made while a range is moving, abort/close
+semantics, the reshard auditor, and the hot-shard controller."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core.errors import ConfigurationError, StaleEpochError
+from repro.service.client import DirectoryClient
+from repro.service.server import DirectoryService
 from repro.shard import (
     RangeShardMap,
     ReshardController,
@@ -34,25 +38,54 @@ def seeded(directory, n=16):
     return model
 
 
+def assert_audits_clean(directory):
+    """Replica invariants and every completed migration, no violations."""
+    auditor = directory.make_auditor()
+    auditor.run()
+    auditor.audit_reshard()
+    assert auditor.report.violations == []
+
+
 class TestResharderPhases:
     def test_phases_run_in_order(self):
         with make_directory() as d:
             seeded(d)
             resharder = d.begin_split("key08")
+            assert resharder.PHASES == (
+                "copy", "cutover", "drain", "done", "aborted"
+            )
             assert resharder.phase == "copy"
-            assert not resharder.dual_write
             resharder.step()
-            assert resharder.phase == "dual_write"
-            assert resharder.dual_write
-            resharder.step()  # dwell
             assert resharder.phase == "cutover"
+            assert d.epoch == 0  # copied, but the source still answers
             resharder.step()
             assert resharder.phase == "drain"
-            assert not resharder.dual_write  # reads flipped at cutover
             assert d.epoch == 1  # the epoch installs at cutover...
             resharder.step()
             assert resharder.done
             assert d.resharder is None  # ...and drain retires the machine
+
+    def test_drain_retried_after_lost_quorum_leaves_a_clean_record(self):
+        # A drain step that cannot reach a write quorum is retried, not
+        # failed: once it completes the record is clean and the audit's
+        # source-side check (nothing moved is still authoritative there)
+        # is what judges it.
+        with make_directory() as d:
+            seeded(d)
+            resharder = d.begin_split("key08")
+            resharder.step()
+            resharder.step()
+            assert resharder.phase == "drain"
+            source = d.clusters[resharder.source]
+            source.crash("A")
+            source.crash("B")  # one of three left: below quorum
+            resharder.step()
+            assert resharder.phase == "drain"  # nothing drained, retrying
+            source.recover("A")
+            source.recover("B")
+            resharder.run()
+            assert d.reshard_log[-1].violations == []
+            assert_audits_clean(d)
 
     def test_migration_moves_exactly_the_delta_range(self):
         with make_directory() as d:
@@ -98,33 +131,98 @@ class TestResharderPhases:
             assert "key10" not in d.authoritative_state()
 
 
-class TestDualWriteWindow:
-    def test_writes_to_moving_keys_mirror_to_target(self):
-        with make_directory() as d:
-            seeded(d)
-            resharder = d.begin_split("key08")
-            resharder.step()  # copy done -> dual_write
-            d.update("key09", "rewritten")  # moving key: both suites
-            d.update("key01", "stays")  # non-moving key: source only
-            assert resharder.mirrored == 1
-            target = d.clusters[resharder.target].suite
-            assert target.lookup("key09") == (True, "rewritten")
-            resharder.run()
-            assert d.lookup("key09") == (True, "rewritten")
-            assert d.lookup("key01") == (True, "stays")
+class TestWritesDuringMigration:
+    """Writes on moving keys issued between COPY and CUTOVER.
 
-    def test_insert_and_delete_mirror_too(self):
+    Nothing forwards them to the target as they happen: the cutover's
+    compare-and-heal carries them over, the same way whether the caller
+    is the library or a client of the front door.
+    """
+
+    def _script(self, model):
+        """Seeded inserts, updates and deletes inside ``[key08, m)``:
+        copied keys deleted and rewritten, new keys born and rewritten."""
+        rng = random.Random(5)
+        moving = sorted(k for k in model if "key08" <= k < "m")
+        ops = []
+        for i in range(12):
+            kind = rng.choice(("insert", "update", "delete"))
+            if kind == "insert":
+                key, value = f"key8{i:02d}", f"born{i}"
+                moving.append(key)
+            else:
+                key = rng.choice(moving)
+                value = f"rewritten{i}" if kind == "update" else None
+                if kind == "delete":
+                    moving.remove(key)
+            ops.append((kind, key, value))
+        return ops
+
+    def _migrate(self, d, writer, pump):
+        """Seed, copy, run the script, finish; returns what was observed.
+
+        ``writer`` takes the client writes (the directory itself, or a
+        client of its front door); ``pump(fn, *args)`` runs one piece of
+        migration work where this path runs it.
+        """
+
+        def apply(kind, key, value):
+            args = (key,) if value is None else (key, value)
+            getattr(writer, kind)(*args)
+
+        model = {f"key{i:02d}": f"v{i}" for i in range(16)}
+        for key, value in model.items():
+            apply("insert", key, value)
+        resharder = pump(d.begin_split, "key08")
+        phases = [resharder.phase]
+        pump(resharder.step)  # COPY: the target holds the seeded range
+        phases.append(resharder.phase)
+        for kind, key, value in self._script(model):
+            apply(kind, key, value)
+            if kind == "delete":
+                del model[key]
+            else:
+                model[key] = value
+        assert d.epoch == 0  # every one of them ran on the source
+        while not resharder.done:
+            pump(resharder.step)
+            phases.append(resharder.phase)
+        # After cutover the target answers them.
+        target = d.clusters[resharder.target].suite.authoritative_state()
+        assert target == {k: v for k, v in model.items() if "key08" <= k < "m"}
+        assert resharder.moved == target
+        assert d.authoritative_state() == model
+        assert d.reshard_log[-1].violations == []
+        assert_audits_clean(d)
+        d.check_invariants()
+        return phases, set(resharder.moved)
+
+    def _library(self):
         with make_directory() as d:
-            seeded(d)
-            resharder = d.begin_split("key08")
-            resharder.step()
-            d.insert("key99", "late")  # born inside the moving range
-            d.delete("key12")
-            assert resharder.mirrored == 2
-            resharder.run()
-            assert d.lookup("key99") == (True, "late")
-            assert d.lookup("key12")[0] is False
-            assert d.shard_for("key99") == resharder.target
+            return self._migrate(d, d, lambda fn, *args: fn(*args))
+
+    def _wire(self):
+        spec = ClusterSpec(config="3-2-2", seed=7, transport="asyncio")
+        with ShardedDirectory.create(
+            spec, shards=2, shard_map=RangeShardMap(["m"])
+        ) as d, DirectoryService(d).start() as svc, DirectoryClient(
+            svc.host, svc.port
+        ) as client:
+            return self._migrate(
+                d,
+                client,
+                lambda fn, *args: svc.transport.submit(
+                    svc._admin_on_shard(0, fn, *args)
+                ),
+            )
+
+    def test_library_writes_after_the_copy_reach_the_target(self):
+        phases, moved = self._library()
+        assert phases == ["copy", "cutover", "drain", "done"]
+        assert {"key09", "key804"} <= moved and "key12" not in moved
+
+    def test_wire_and_library_run_the_same_migration(self):
+        assert self._wire() == self._library()
 
     def test_reads_stay_on_source_until_cutover(self):
         with make_directory() as d:
@@ -156,10 +254,7 @@ class TestFinalStateOracle:
             if resharder is not None and not resharder.done:
                 resharder.run()
             state = d.authoritative_state()
-            auditor = d.make_auditor()
-            auditor.run()
-            auditor.audit_reshard()
-            assert auditor.report.violations == []
+            assert_audits_clean(d)
             d.close()
             return state
 
@@ -191,13 +286,13 @@ class TestAbortAndClose:
             for key, value in model.items():
                 assert d.lookup(key) == (True, value)
             # A fresh attempt succeeds after the abort.
-            assert d.begin_split("key08").run().violations == []
+            assert d.begin_split("key08").run().record.violations == []
 
     def test_abort_after_cutover_rejected(self):
         with make_directory() as d:
             seeded(d)
             resharder = d.begin_split("key08")
-            for _ in range(3):  # copy, dwell, cutover
+            for _ in range(2):  # copy, cutover
                 resharder.step()
             assert resharder.phase == "drain"
             with pytest.raises(ConfigurationError):
@@ -209,7 +304,6 @@ class TestAbortAndClose:
         resharder = d.begin_split("key08")
         d.close()
         assert resharder.phase == "aborted"
-        assert not resharder.dual_write  # no dangling mirror hook
         assert d.resharder is None
         d.close()  # second close: a no-op, not an error
 
@@ -217,7 +311,7 @@ class TestAbortAndClose:
         d = make_directory()
         seeded(d)
         resharder = d.begin_split("key08")
-        for _ in range(3):
+        for _ in range(2):
             resharder.step()
         assert resharder.phase == "drain"
         d.close()
@@ -285,10 +379,7 @@ class TestReshardController:
             assert d.epoch == 1
             assert len(d.reshard_log) == 1
             assert d.reshard_log[0].source == 0
-            auditor = d.make_auditor()
-            auditor.run()
-            auditor.audit_reshard()
-            assert auditor.report.violations == []
+            assert_audits_clean(d)
 
     def test_max_splits_bounds_the_controller(self):
         spec = ClusterSpec(config="1-1-1", seed=3)
@@ -312,8 +403,7 @@ class TestReshardController:
                 ReshardController(d, hot_factor=1.0)
 
     def test_single_epoch_wrap_is_free(self):
-        # A never-resharded directory: plain maps wrap at epoch 0 and
-        # the mirror hook stays a cheap None check.
+        # A never-resharded directory: plain maps wrap at epoch 0.
         with make_directory() as d:
             assert isinstance(d.shard_map, VersionedShardMap)
             assert d.epoch == 0
