@@ -106,7 +106,7 @@ class FileSuite(DirectoryLifecycle):
                 return chosen
         raise QuorumUnavailableError(votes_needed, got, kind=kind)
 
-    def _call(self, rep: str, method: str, *args: Any, **kw: Any) -> Any:
+    def _rpc(self, rep: str, method: str, *args: Any, **kw: Any) -> Any:
         node_id, service = self.placements[rep]
         return self.rpc.call(node_id, service, method, *args, **kw)
 
@@ -118,7 +118,7 @@ class FileSuite(DirectoryLifecycle):
         best_version = -1
         best: Any = None
         for rep in quorum:
-            version, contents = self._call(rep, "read")
+            version, contents = self._rpc(rep, "read")
             if version > best_version:
                 best_version, best = version, contents
         return best
@@ -126,7 +126,7 @@ class FileSuite(DirectoryLifecycle):
     def current_version(self) -> Version:
         """Highest version among a read quorum."""
         quorum = self._collect(self.config.read_quorum, "read quorum")
-        return max(self._call(rep, "read_version") for rep in quorum)
+        return max(self._rpc(rep, "read_version") for rep in quorum)
 
     def write(self, contents: Any, payload_items: int = 1) -> Version:
         """Install new contents on a write quorum; returns the new version.
@@ -138,9 +138,9 @@ class FileSuite(DirectoryLifecycle):
         directory-as-file baseline ships whole directories.
         """
         quorum = self._collect(self.config.write_quorum, "write quorum")
-        version = max(self._call(rep, "read_version") for rep in quorum) + 1
+        version = max(self._rpc(rep, "read_version") for rep in quorum) + 1
         for rep in quorum:
-            self._call(
+            self._rpc(
                 rep, "write", version, contents, payload_items=payload_items
             )
         return version

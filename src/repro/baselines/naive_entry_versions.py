@@ -135,7 +135,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
                 return chosen
         raise QuorumUnavailableError(votes_needed, got, kind=kind)
 
-    def _call(self, rep: str, method: str, *args: Any) -> Any:
+    def _rpc(self, rep: str, method: str, *args: Any) -> Any:
         node_id, service = self.placements[rep]
         return self.rpc.call(node_id, service, method, *args)
 
@@ -144,7 +144,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
     def lookup(self, key: Any) -> tuple[bool, Any]:
         """(present?, value) — possibly wrong/ambiguous; see module docs."""
         quorum = self._collect(self.config.read_quorum, "read quorum")
-        replies = {rep: self._call(rep, "get", key) for rep in quorum}
+        replies = {rep: self._rpc(rep, "get", key) for rep in quorum}
         presents = [r for r in replies.values() if r[0]]
         absents = [r for r in replies.values() if not r[0]]
         if not presents:
@@ -192,7 +192,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
                     kind="ambiguity resolution",
                 )
             extra = remaining.pop()
-            replies[extra] = self._call(extra, "get", key)
+            replies[extra] = self._rpc(extra, "get", key)
             self.extra_consultations += 1
 
     def size(self) -> int:
@@ -208,7 +208,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
         quorum = self._collect(self.config.read_quorum, "read quorum")
         candidates: set[Any] = set()
         for rep in quorum:
-            candidates.update(self._call(rep, "keys"))
+            candidates.update(self._rpc(rep, "keys"))
         return sum(1 for key in sorted(candidates) if self.lookup(key)[0])
 
     # -- internal versioned lookup for modifications ------------------------------
@@ -219,7 +219,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
         quorum = self._collect(self.config.read_quorum, "read quorum")
         best = 0
         for rep in quorum:
-            _p, version, _v = self._call(rep, "get", key)
+            _p, version, _v = self._rpc(rep, "get", key)
             best = max(best, version)
         return present, best
 
@@ -231,7 +231,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
             raise KeyAlreadyPresentError(key)
         quorum = self._collect(self.config.write_quorum, "write quorum")
         for rep in quorum:
-            self._call(rep, "put", key, version + 1, value)
+            self._rpc(rep, "put", key, version + 1, value)
 
     def update(self, key: Any, value: Any) -> None:
         present, version = self._lookup_version(key)
@@ -239,7 +239,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
             raise KeyNotPresentError(key)
         quorum = self._collect(self.config.write_quorum, "write quorum")
         for rep in quorum:
-            self._call(rep, "put", key, version + 1, value)
+            self._rpc(rep, "put", key, version + 1, value)
 
     def delete(self, key: Any) -> None:
         """Remove the entry from a write quorum — leaving stale copies
@@ -250,7 +250,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
             raise KeyNotPresentError(key)
         quorum = self._collect(self.config.write_quorum, "write quorum")
         for rep in quorum:
-            self._call(rep, "remove", key)
+            self._rpc(rep, "remove", key)
 
 
 def build_naive(

@@ -114,7 +114,7 @@ class StaticPartitionedDirectory(DirectoryLifecycle):
                 return chosen
         raise QuorumUnavailableError(votes_needed, got, kind=kind)
 
-    def _call(self, rep: str, method: str, *args: Any, **kw: Any) -> Any:
+    def _rpc(self, rep: str, method: str, *args: Any, **kw: Any) -> Any:
         node_id, service = self.placements[rep]
         return self.rpc.call(node_id, service, method, *args, **kw)
 
@@ -124,7 +124,7 @@ class StaticPartitionedDirectory(DirectoryLifecycle):
         best_version = -1
         best: dict[Any, Any] = {}
         for rep in quorum:
-            version, contents = self._call(rep, "read_partition", index)
+            version, contents = self._rpc(rep, "read_partition", index)
             if version > best_version:
                 best_version, best = version, contents
         return best_version, best
@@ -133,10 +133,10 @@ class StaticPartitionedDirectory(DirectoryLifecycle):
         """Rewrite a whole partition on a write quorum, version + 1."""
         quorum = self._collect(self.config.write_quorum, "write quorum")
         version = max(
-            self._call(rep, "read_version", index) for rep in quorum
+            self._rpc(rep, "read_version", index) for rep in quorum
         ) + 1
         for rep in quorum:
-            self._call(
+            self._rpc(
                 rep,
                 "write_partition",
                 index,

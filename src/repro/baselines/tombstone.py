@@ -137,7 +137,7 @@ class TombstoneDirectory(DirectoryLifecycle):
                 return chosen
         raise QuorumUnavailableError(votes_needed, got, kind=kind)
 
-    def _call(self, rep: str, method: str, *args: Any) -> Any:
+    def _rpc(self, rep: str, method: str, *args: Any) -> Any:
         node_id, service = self.placements[rep]
         return self.rpc.call(node_id, service, method, *args)
 
@@ -149,7 +149,7 @@ class TombstoneDirectory(DirectoryLifecycle):
         quorum = self._collect(self.config.read_quorum, "read quorum")
         best_version, best_value = 0, None
         for rep in quorum:
-            _stored, version, value = self._call(rep, "get", key)
+            _stored, version, value = self._rpc(rep, "get", key)
             if version > best_version:
                 best_version, best_value = version, value
         return best_version, best_value
@@ -171,7 +171,7 @@ class TombstoneDirectory(DirectoryLifecycle):
     def _write(self, key: Any, version: Version, value: Any) -> None:
         quorum = self._collect(self.config.write_quorum, "write quorum")
         for rep in quorum:
-            self._call(rep, "put", key, version, value)
+            self._rpc(rep, "put", key, version, value)
 
     def insert(self, key: Any, value: Any) -> None:
         version, current = self._quorum_best(key)
@@ -201,7 +201,7 @@ class TombstoneDirectory(DirectoryLifecycle):
         quorum = self._collect(self.config.read_quorum, "read quorum")
         candidates: set[Any] = set()
         for rep in quorum:
-            candidates.update(self._call(rep, "keys"))
+            candidates.update(self._rpc(rep, "keys"))
         return sum(1 for key in sorted(candidates) if self.lookup(key)[0])
 
     # -- space accounting and garbage collection -----------------------------------
@@ -240,18 +240,18 @@ class TombstoneDirectory(DirectoryLifecycle):
         # Union of tombstones across all replicas, at their max version.
         candidates: dict[Any, Version] = {}
         for rep in self.placements:
-            for key, version in self._call(rep, "tombstones"):
+            for key, version in self._rpc(rep, "tombstones"):
                 candidates[key] = max(version, candidates.get(key, 0))
         for key, version in candidates.items():
             # Confirm the tombstone is globally newest for the key.
             newest = 0
             for rep in self.placements:
-                _s, v, _val = self._call(rep, "get", key)
+                _s, v, _val = self._rpc(rep, "get", key)
                 newest = max(newest, v)
             if newest != version:
                 continue  # re-inserted meanwhile; not garbage
             for rep in self.placements:
-                if self._call(rep, "erase_up_to", key, version):
+                if self._rpc(rep, "erase_up_to", key, version):
                     erased += 1
         self.gc_erased += erased
         return erased

@@ -111,7 +111,7 @@ class UnanimousDirectory(DirectoryLifecycle):
             )
         return list(self.placements)
 
-    def _call(self, rep: str, method: str, *args: Any) -> Any:
+    def _rpc(self, rep: str, method: str, *args: Any) -> Any:
         node_id, service = self.placements[rep]
         return self.rpc.call(node_id, service, method, *args)
 
@@ -119,7 +119,7 @@ class UnanimousDirectory(DirectoryLifecycle):
 
     def lookup(self, key: Any) -> tuple[bool, Any]:
         """Read from any single replica (they are all identical)."""
-        return self._call(self._any_replica(), "get", key)
+        return self._rpc(self._any_replica(), "get", key)
 
     def insert(self, key: Any, value: Any) -> None:
         """Write the new entry to every replica."""
@@ -127,7 +127,7 @@ class UnanimousDirectory(DirectoryLifecycle):
         if present:
             raise KeyAlreadyPresentError(key)
         for rep in self._all_replicas():
-            self._call(rep, "put", key, value)
+            self._rpc(rep, "put", key, value)
             self.writes_performed += 1
 
     def update(self, key: Any, value: Any) -> None:
@@ -136,12 +136,12 @@ class UnanimousDirectory(DirectoryLifecycle):
         if not present:
             raise KeyNotPresentError(key)
         for rep in self._all_replicas():
-            self._call(rep, "put", key, value)
+            self._rpc(rep, "put", key, value)
             self.writes_performed += 1
 
     def size(self) -> int:
         """Entry count from any single replica (they are all identical)."""
-        return self._call(self._any_replica(), "count")
+        return self._rpc(self._any_replica(), "count")
 
     def delete(self, key: Any) -> None:
         """Remove the entry from every replica — exactly n deletions.
@@ -155,7 +155,7 @@ class UnanimousDirectory(DirectoryLifecycle):
         if not present:
             raise KeyNotPresentError(key)
         for rep in self._all_replicas():
-            self._call(rep, "remove", key)
+            self._rpc(rep, "remove", key)
             self.writes_performed += 1
 
 

@@ -493,7 +493,7 @@ def _search(wave: _Wave, keys: "list[Any]") -> "dict[Any, tuple]":
     readers = wave.quorum("read")
     searches = {
         bkey: [
-            _NeighborSearch(suite, txn, readers, bkey, direction)
+            _NeighborSearch(suite, readers, bkey, direction)
             for direction in ("succ", "pred")
         ]
         for bkey in keys

@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.core.errors import NetworkError
 from repro.core.keys import BoundedKey
-from repro.core.suite import DirectorySuite, Placement
+from repro.core.suite import DirectorySuite
 
 
 @dataclass
@@ -108,10 +108,9 @@ class HintedDirectory:
             hint_reply = self._read_hint(txn, bkey)
             quorum = self.suite._collect_quorum("read")
             current_version = max(
-                self.suite._call(
-                    txn, rep, "rep_lookup_version", txn.txn_id, bkey
+                self.suite._round(
+                    txn, [(rep, "rep_lookup_version", (bkey,)) for rep in quorum]
                 )
-                for rep in quorum
             )
             if hint_reply is not None and hint_reply.version == current_version:
                 self.stats.hits += 1
@@ -123,37 +122,24 @@ class HintedDirectory:
                 and reply.present
                 and hint_reply is not None
             ):
-                self.suite._call(
+                self.suite._round(
                     txn,
-                    self.hint,
-                    "rep_insert",
-                    txn.txn_id,
-                    bkey,
-                    reply.version,
-                    reply.value,
+                    [(self.hint, "rep_insert", (bkey, reply.version, reply.value))],
                 )
                 self.stats.refreshes += 1
             return reply.present, reply.value
 
     def _read_hint(self, txn, bkey: BoundedKey):
-        """The hint's reply, or None when the hint node is unreachable."""
-        place: Placement = self.suite.placements[self.hint]
+        """The hint's reply, or None when the hint node is unreachable.
+
+        A hint that executed the read is enlisted, like any round member,
+        so its locks release at commit.
+        """
         try:
-            return self.suite.rpc.call(
-                place.node_id,
-                place.service_name,
-                "rep_lookup",
-                txn.txn_id,
-                bkey,
-            )
+            return self.suite._round(txn, [(self.hint, "rep_lookup", (bkey,))])[0]
         except NetworkError:
             self.stats.hint_unavailable += 1
             return None
-        finally:
-            # The hint participates in the transaction when reachable so
-            # its locks release at commit.
-            if self.suite.transport.is_up(place.node_id):
-                txn.enlist(self.hint, place.node_id, place.service_name)
 
     # -- modifications pass straight through to the suite ------------------------
 

@@ -40,7 +40,6 @@ from repro.core.errors import (
     NetworkError,
     NodeDownError,
     ReproError,
-    RpcTimeoutError,
     SentinelKeyError,
 )
 from repro.core.keys import LOW, BoundedKey, wrap
@@ -120,19 +119,20 @@ class DirectorySuite:
         How many times a representative RPC that timed out is re-issued
         within the same transaction before the timeout aborts it (safe —
         the Figure 6 operations are idempotent within a transaction; see
-        :meth:`_call`).  0, the default, keeps the perfect-network fast
-        path.
+        :meth:`_rep_call`).  0, the default, keeps the perfect-network
+        fast path.
     fanout:
         How quorum RPC rounds are issued.  ``"serial"`` (default) is the
-        paper-faithful baseline: one call at a time, each charged a full
-        round trip, bit-identical accounting to the pre-fan-out code.
-        ``"parallel"`` scatters each round concurrently and pays the
-        *max* arrival over the batch.  ``"hedged"`` additionally
-        over-requests reads to ``hedge_extra`` spare representatives and
-        completes on the first vote-sufficient replies; stragglers are
-        awaited only for lock-release accounting at commit/abort (safe —
-        quorum reads are idempotent, and every representative that
-        executed a call is still enlisted for two-phase commit).
+        paper-faithful baseline: a round goes out as rounds of one, each
+        charged a full round trip, bit-identical accounting to the
+        pre-fan-out code.  ``"parallel"`` scatters each round at once
+        and pays the *max* arrival over the batch.  ``"hedged"``
+        additionally over-requests reads to ``hedge_extra`` spare
+        representatives and completes on the first vote-sufficient
+        replies; stragglers are awaited only for lock-release accounting
+        at commit/abort (safe — quorum reads are idempotent, and every
+        representative that executed a call is still enlisted for
+        two-phase commit).
     hedge_extra:
         How many spare representatives a hedged read over-requests
         beyond the read quorum (only consulted when ``fanout="hedged"``).
@@ -193,7 +193,7 @@ class DirectorySuite:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else transport.metrics
         #: In-transaction retries for a representative RPC that times out
-        #: on a lossy network (see :meth:`_call` for why re-issue is
+        #: on a lossy network (see :meth:`_rep_call` for why re-issue is
         #: safe).  0 keeps the perfect-network fast path.
         self.rpc_retries = rpc_retries
         self.fanout = fanout
@@ -293,9 +293,6 @@ class DirectorySuite:
             metrics.gauge(
                 f"suite.quorum.{kind}.selections", lambda s=stat: s.n
             )
-        # Fan-out telemetry.  Registered unconditionally (the metrics
-        # catalog is mode-independent); in serial mode the histogram
-        # simply stays empty and the gauge reads 0.
         # Group-commit telemetry (see repro.core.batch): wave sizes,
         # total batched ops, and waves that fell back to per-op
         # execution after an availability abort.
@@ -313,6 +310,8 @@ class DirectorySuite:
         )
         metrics.gauge("suite.batch.walks", lambda: self._batch_walk_deletes.n)
         self._batch_rewalks = metrics.counter("suite.batch.rewalks")
+        # Fan-out telemetry: one width sample per round (always 1 in
+        # serial mode); the straggler gauge moves only under hedging.
         metrics.histogram("suite.fanout.width", stat=self._fanout_width)
         metrics.gauge(
             "suite.fanout.straggler_ticks_saved",
@@ -478,63 +477,25 @@ class DirectorySuite:
             ]
         return members
 
-    def _call(self, txn: Transaction, rep: str, method: str, *args: Any, **kw: Any) -> Any:
-        """RPC to one representative, enlisting it in the transaction.
-
-        A timed-out call is re-issued up to ``rpc_retries`` times before
-        the timeout surfaces (and aborts the transaction).  Re-issue is
-        safe because every Figure 6 operation is *idempotent within its
-        transaction*: a second ``rep_insert`` overwrites with identical
-        content (and its undo records cancel pairwise on abort), a second
-        ``rep_coalesce`` finds the range already merged, and reads under
-        held locks are stable — so a reply lost after the effect applied
-        cannot double-apply anything.
-
-        With a failure detector attached, the call's outcome doubles as
-        liveness evidence: NodeDownError marks the host suspect at once,
-        timeouts accumulate strikes, success clears both.
-        """
-        place = self.placements[rep]
-        txn.enlist(rep, place.node_id, place.service_name)
-        detector = self._detector
-        if detector is None and not self.rpc_retries:
-            return self.rpc.call(
-                place.node_id, place.service_name, method, *args, **kw
-            )
-        try:
-            for attempt in range(1 + self.rpc_retries):
-                # Published (not passed as a kwarg, which would forward to
-                # the remote method) so traced rpc: spans can mark retries.
-                self.rpc.attempt = attempt
-                try:
-                    result = self.rpc.call(
-                        place.node_id, place.service_name, method, *args, **kw
-                    )
-                except RpcTimeoutError:
-                    if detector is not None:
-                        detector.record_timeout(place.node_id)
-                    if attempt >= self.rpc_retries:
-                        raise
-                except NodeDownError:
-                    if detector is not None:
-                        detector.record_down(place.node_id)
-                    raise
-                else:
-                    if detector is not None:
-                        detector.record_ok(place.node_id)
-                    return result
-        finally:
-            self.rpc.attempt = 0
-
     # ------------------------------------------------------------------
-    # scatter-gather engine (fanout = "parallel" / "hedged")
+    # quorum rounds
     # ------------------------------------------------------------------
 
     def _rep_call(
         self, txn: Transaction, rep: str, method: str,
         args: tuple, payload_items: int = 1,
     ) -> RpcCall:
-        """Build one batch member addressed to representative ``rep``."""
+        """Build one round member addressed to representative ``rep``.
+
+        A member that times out is re-issued up to ``rpc_retries`` times
+        within its round before the timeout surfaces (and aborts the
+        transaction).  Re-issue is safe because every Figure 6 operation
+        is *idempotent within its transaction*: a second ``rep_insert``
+        overwrites with identical content (and its undo records cancel
+        pairwise on abort), a second ``rep_coalesce`` finds the range
+        already merged, and reads under held locks are stable — so a
+        reply lost after the effect applied cannot double-apply anything.
+        """
         place = self.placements[rep]
         return RpcCall(
             node_id=place.node_id,
@@ -549,10 +510,11 @@ class DirectorySuite:
     def _scatter(
         self, txn: Transaction, calls: list[RpcCall], label: str
     ) -> RpcBatch:
-        """Issue one fan-out round and absorb its side channels.
+        """Issue one round and absorb its side channels.
 
-        Detector evidence is fed for every member (a timeout strike per
-        lost exchange, down/ok for the final outcome), and every member
+        Detector evidence is fed for every member as the round is issued,
+        before its gather advances the clock (a timeout strike per lost
+        exchange, down/ok for the final outcome), and every member
         whose call actually executed — including ones that then timed
         out on a lost reply — is enlisted in the transaction, so 2PC
         reaches each representative that may hold locks or undo state.
@@ -579,9 +541,8 @@ class DirectorySuite:
     def _gather_all(self, batch: RpcBatch) -> list[Any]:
         """Wait for the whole batch; return values in issue order.
 
-        The first failure (in issue order, matching what the serial loop
-        would have surfaced) is raised after the clock has advanced to
-        the batch envelope.
+        The first failure in issue order is raised after the clock has
+        advanced to the batch envelope.
         """
         for reply in batch.complete_all():
             if reply.error is not None:
@@ -593,29 +554,22 @@ class DirectorySuite:
 
         ``calls`` lists ``(rep, method, args[, payload_items])``, ``args``
         without the transaction id.  This is where ``fanout`` is decided
-        for every round but the hedged read: serial walks the list one
-        :meth:`_call` at a time and stops at the first failure; parallel
-        and hedged send it as one scatter, wait for every member, and
-        raise the first failure in issue order — the one the walk would
-        have met.  An empty round sends nothing.
+        for every round but the hedged read: parallel and hedged send the
+        round as one scatter and wait for every member; serial sends it
+        as scatters of one, each gathered before the next is issued, and
+        stops at the first failure.  Either way the failure raised is the
+        first in issue order.  An empty round sends nothing.
         """
         if not calls:
             return []
-        if self.fanout == "serial":
-            values = []
-            for rep, method, args, *payload_items in calls:
-                values.append(
-                    self._call(
-                        txn, rep, method, txn.txn_id, *args,
-                        payload_items=payload_items[0] if payload_items else 1,
-                    )
-                )
-            return values
-        return self._gather_all(
-            self._scatter(
-                txn, [self._rep_call(txn, *call) for call in calls], calls[0][1]
-            )
-        )
+        members = [self._rep_call(txn, *call) for call in calls]
+        label = calls[0][1]
+        if self.fanout != "serial":
+            return self._gather_all(self._scatter(txn, members, label))
+        return [
+            self._gather_all(self._scatter(txn, [member], label))[0]
+            for member in members
+        ]
 
     def _hedged_read(
         self, txn: Transaction, quorum: list[str], key: BoundedKey
@@ -796,10 +750,9 @@ class DirectorySuite:
         """
         assert direction in ("pred", "succ")
         quorum = self._collect_quorum("read")
-        search = _NeighborSearch(self, txn, quorum, key, direction)
+        search = _NeighborSearch(self, quorum, key, direction)
         while search.real is None:
-            if self.fanout != "serial":
-                self._refill_streams(txn, quorum, search.streams, search.cursor)
+            self._refill_streams(txn, quorum, search.streams, search.cursor)
             candidate = search.candidate()
             search.settle(candidate, self._suite_lookup(txn, candidate))
         return search.real
@@ -811,13 +764,12 @@ class DirectorySuite:
         streams: dict[str, "_NeighborStream"],
         cursor: BoundedKey,
     ) -> None:
-        """Fan out one batched-neighbor fetch per stream that needs one.
+        """One batched-neighbor fetch per stream that needs one, as a round.
 
         Brings every stream's cache up to covering ``cursor`` before the
-        walk consults it, so the per-step fetches that the serial walk
-        issues one at a time land as a single scatter.  Repeats until no
-        stream is dry (a refill can come back still short of the cursor
-        when batched items were consumed unevenly).
+        walk consults it.  Repeats until no stream is dry (a refill can
+        come back still short of the cursor when batched items were
+        consumed unevenly).
         """
         while True:
             needy = [
@@ -963,14 +915,13 @@ class _NeighborSearch:
     def __init__(
         self,
         suite: DirectorySuite,
-        txn: Transaction,
         quorum: list[str],
         key: BoundedKey,
         direction: str,
     ) -> None:
         self.direction = direction
         self.streams = {
-            rep: _NeighborStream(suite, txn, rep, key, direction)
+            rep: _NeighborStream(suite.neighbor_batch_size, key, direction)
             for rep in quorum
         }
         self.cursor = key
@@ -979,7 +930,11 @@ class _NeighborSearch:
         self.real: RealNeighbor | None = None
 
     def candidate(self) -> BoundedKey:
-        """The nearest key beyond the cursor that any member stores."""
+        """The nearest key beyond the cursor that any member stores.
+
+        Every stream must already reach the cursor (see
+        :meth:`_NeighborStream.needs_fetch`).
+        """
         nearest = max if self.direction == "pred" else min
         candidate: BoundedKey | None = None
         for stream in self.streams.values():
@@ -1009,41 +964,23 @@ class _NeighborSearch:
 class _NeighborStream:
     """Cursor over one representative's successive neighbors of a key.
 
-    Fetches ``neighbor_batch_size`` results per RPC and serves
+    Holds what ``neighbor_batch_size``-result refills returned and serves
     ``reply_for(k)`` — the representative's immediate neighbor of ``k`` —
-    from the cache.  Gap versions come out exactly as an unbatched
+    from that cache; the walk refills a stream (one round per step, see
+    :meth:`DirectorySuite._refill_streams`) whenever it
+    :meth:`needs_fetch`.  Gap versions come out exactly as an unbatched
     DirRepPredecessor/DirRepSuccessor would return them, because for any
     probe key k between two of this representative's entries the gap (and
     its version) is the same one the batch already crossed.
     """
 
-    def __init__(
-        self,
-        suite: DirectorySuite,
-        txn: Transaction,
-        rep: str,
-        start: BoundedKey,
-        direction: str,
-    ) -> None:
-        self.suite = suite
-        self.txn = txn
-        self.rep = rep
+    def __init__(self, batch_size: int, start: BoundedKey, direction: str) -> None:
+        self.batch_size = batch_size
         self.direction = direction
         self._items: list[NeighborReply] = []
         self._fetch_from = start
         self._exhausted = False
         self._pos = 0
-
-    def _fetch(self) -> None:
-        batch: list[NeighborReply] = self.suite._call(
-            self.txn,
-            self.rep,
-            "rep_neighbors_batch",
-            self.txn.txn_id,
-            *self.fetch_args(),
-            payload_items=self.suite.neighbor_batch_size,
-        )
-        self.absorb(batch)
 
     def fetch_args(self) -> tuple:
         """Wire arguments (after the txn id) for the next refill RPC.
@@ -1055,11 +992,7 @@ class _NeighborStream:
             raise ReproError(
                 f"neighbor stream past the {self.direction} sentinel"
             )  # pragma: no cover - the sentinels always terminate the walk
-        return (
-            self._fetch_from,
-            self.direction,
-            self.suite.neighbor_batch_size,
-        )
+        return (self._fetch_from, self.direction, self.batch_size)
 
     def absorb(self, batch: list[NeighborReply]) -> None:
         """Append one refill's results to the cache."""
@@ -1072,11 +1005,14 @@ class _NeighborStream:
         else:
             self._exhausted = True
 
-    def _scan(self, probe: BoundedKey) -> NeighborReply | None:
-        """Cached immediate neighbor of ``probe``, or None if not cached.
+    def reply_for(self, probe: BoundedKey) -> NeighborReply | None:
+        """This representative's immediate neighbor of ``probe``, or None
+        if the cache does not reach that far yet.
 
-        Advances the cursor past items on the wrong side of ``probe``
-        (already-consumed positions) without consuming the match.
+        Advances past items on the wrong side of ``probe`` (consumed
+        positions) without consuming the match.  ``probe`` must move
+        monotonically (downward for "pred", upward for "succ"), which the
+        suite's walk guarantees.
         """
         while self._pos < len(self._items):
             item = self._items[self._pos]
@@ -1090,24 +1026,8 @@ class _NeighborStream:
         return None
 
     def needs_fetch(self, probe: BoundedKey) -> bool:
-        """True if answering ``reply_for(probe)`` would trigger an RPC.
-
-        Used by the parallel walk to refill every dry stream in one
-        scatter before consulting any of them.
-        """
-        return self._scan(probe) is None
-
-    def reply_for(self, probe: BoundedKey) -> NeighborReply:
-        """This representative's immediate neighbor of ``probe``.
-
-        ``probe`` must move monotonically (downward for "pred", upward
-        for "succ"), which the suite's walk guarantees.
-        """
-        while True:
-            item = self._scan(probe)
-            if item is not None:
-                return item
-            self._fetch()
+        """True if the stream must be refilled before ``reply_for(probe)``."""
+        return self.reply_for(probe) is None
 
 
 class _SuiteTransaction:

@@ -166,20 +166,14 @@ class Network:
         """Account one request/reply exchange *without* advancing the clock.
 
         Returns the reply's arrival offset (one round trip from now).
-        This is the per-call half of a scatter-gather batch: the batch
-        issues every send at the same instant and later advances the
-        clock once, to the *max* arrival over the calls it waited on —
-        where :meth:`transmit_round` (the degenerate width-1 batch)
-        advances by this call's own round trip.
+        Every exchange is a member of a scatter-gather round: the round
+        issues its sends at the same instant and later advances the
+        clock once, to the *max* arrival over the members it waited on.
+        A serial caller's round has one member, so it advances by this
+        exchange's own round trip.
         """
         self.stats.record_round(method, payload_items)
         return self.round_cost(src, dst)
-
-    def transmit_round(
-        self, src: str, dst: str, method: str, payload_items: int = 1
-    ) -> None:
-        """Account one request/reply exchange and advance the clock."""
-        self.clock.advance(self.send_round(src, dst, method, payload_items))
 
     # -- message loss ----------------------------------------------------------
 
@@ -202,19 +196,11 @@ class Network:
         """Account a lost exchange *without* advancing the clock.
 
         Returns the timeout offset at which the caller would learn the
-        loss.  A batch member that is lost only charges the batch the
-        timeout when the batch actually waits on that member; a serial
-        caller (see :meth:`transmit_lost`) always sits it out.
+        loss.  A lost *request* put one message on the wire; a lost
+        *reply* put two (the request was delivered and executed).  A lost
+        member only charges its round the timeout when the gather waits
+        on it — which a serial caller's round of one always does.
         """
         self.stats.record_lost_round(phase)
         self._lost_counters[phase].inc()
         return self.rpc_timeout
-
-    def transmit_lost(self, src: str, dst: str, method: str, phase: str) -> None:
-        """Account a lost exchange and advance the clock by the timeout.
-
-        A lost *request* put one message on the wire; a lost *reply* put
-        two (the request was delivered and executed).  Either way the
-        caller sits out the full ``rpc_timeout`` instead of a round trip.
-        """
-        self.clock.advance(self.send_lost(src, dst, method, phase))

@@ -12,13 +12,18 @@ quorum machinery) must cope.
 
 An :class:`RpcEndpoint` is the client stub owned by one origin (a suite
 front-end running on some node, or an external client with origin
-``"client"``).  It resolves a (node, service) pair, accounts the traffic,
-advances the simulated clock, and invokes the service method in-process.
-When a :class:`~repro.obs.spans.RecordingTracer` is attached, every call
-records an ``rpc:<service>.<method>`` span carrying its destination,
-message count, and payload size; the default
-:class:`~repro.obs.spans.NullTracer` reduces instrumentation to one
-attribute check.
+``"client"``).  Its one exchange is :meth:`RpcEndpoint.scatter`: every
+member resolves a (node, service) pair, rolls its own fault
+dispositions, accounts its traffic and invokes the service method
+in-process, and the gather advances the simulated clock to the slowest
+arrival it waits on.  :meth:`RpcEndpoint.call` is the round of one, so a
+serial caller — one call at a time, each charged its own round trip —
+runs the same code as a parallel one.  When a
+:class:`~repro.obs.spans.RecordingTracer` is attached, every round
+records a ``fanout:<label>`` span around one ``rpc:<service>.<method>``
+span per attempt, carrying its destination, message count, and payload
+size; the default :class:`~repro.obs.spans.NullTracer` reduces
+instrumentation to one attribute check.
 """
 
 from __future__ import annotations
@@ -40,11 +45,10 @@ class RpcCall:
     """One member of a scatter batch: where to call, what, and with what.
 
     ``retries`` is this call's *own* in-batch re-issue budget for timed
-    out exchanges (a batch re-issues only its failed members), and
-    ``attempt`` the attempt number the first issue is labelled with —
-    both per-descriptor, so batches never share the endpoint-level
-    ``attempt`` field that serial retry loops publish.  ``key`` is an
-    opaque correlation handle the caller uses to find this call's reply.
+    out exchanges (a batch re-issues only its failed members; each
+    re-issue's ``rpc:`` span is labelled with its attempt number).
+    ``key`` is an opaque correlation handle the caller uses to find this
+    call's reply.
     """
 
     node_id: str
@@ -54,7 +58,6 @@ class RpcCall:
     kwargs: dict = field(default_factory=dict)
     payload_items: int = 1
     retries: int = 0
-    attempt: int = 0
     key: Any = None
 
 
@@ -172,7 +175,7 @@ class RpcBatch:
 
     def _finish(self, waited: list[RpcReply], hedged: bool) -> list[RpcReply]:
         clock = self.endpoint.network.clock
-        clock.advance_to(max((r.arrival for r in waited), default=self.started))
+        clock.advance_to(max([r.arrival for r in waited], default=self.started))
         self.waited = waited
         if self.span is not NULL_SPAN:
             self.span.set("waited_on", len(waited))
@@ -190,16 +193,6 @@ class RpcEndpoint:
         self.network = network
         self.origin = origin
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Retrying callers (the suite's _call loop) publish which re-issue
-        # this is so traced spans can distinguish first tries from
-        # retries; 0 between retry loops, so the plain path never reads it.
-        self.attempt = 0
-        # The tracer is fixed for the endpoint's lifetime, so the traced
-        # implementation is bound once here instead of branching on every
-        # call — RPC issue is the hottest path in the simulator and the
-        # untraced default must stay at seed cost.
-        if self.tracer.enabled:
-            self.call = self._traced_call
 
     def call(
         self,
@@ -212,97 +205,20 @@ class RpcEndpoint:
     ) -> Any:
         """Invoke ``service.method(*args, **kwargs)`` on ``node_id``.
 
-        Raises OriginDownError if this endpoint's own node is crashed and
-        NodeDownError if the target is crashed or unreachable.
-        Application exceptions raised by the service propagate to the
-        caller unchanged (the reply message is still accounted: the
-        remote node did the work and answered).
+        A round of one: ``scatter([call]).complete_all()``, with the
+        member's error raised.  OriginDownError if this endpoint's own
+        node is crashed, NodeDownError if the target is crashed or
+        unreachable, RpcTimeoutError if a message of the exchange was
+        lost.  Application exceptions raised by the service propagate
+        unchanged (the reply message is still accounted: the remote node
+        did the work and answered).
         """
-        if self.origin in self.network._nodes:  # origin may be external
-            origin_node = self.network.node(self.origin)
-            if not origin_node.is_up:
-                raise OriginDownError(self.origin)
-        self.network.check_path(self.origin, node_id)
-        service = self.network.node(node_id).service(service_name)
-        bound = getattr(service, method)
-        wire_name = f"{service_name}.{method}"
-        if self.network.faults is not None:
-            self._roll_faults(node_id, wire_name, bound, args, kwargs)
-        self.network.transmit_round(
-            self.origin, node_id, wire_name, payload_items
-        )
-        return bound(*args, **kwargs)
-
-    def _roll_faults(
-        self, node_id: str, wire_name: str, bound: Any, args: tuple, kwargs: dict
-    ) -> None:
-        """Consult the installed fault model for one exchange.
-
-        Returns normally if the round survives (after any flaky extra
-        latency); raises :class:`RpcTimeoutError` for a lost message.  A
-        lost *reply* still executes the remote method — the effect is
-        applied, only the answer (even an error answer) is dropped, so
-        the caller cannot distinguish this from a lost request.
-        """
-        faults = self.network.faults
-        verdict = faults.disposition(self.origin, node_id, wire_name)
-        if verdict == "ok":
-            extra = faults.delay(self.origin, node_id)
-            if extra:
-                self.network.clock.advance(extra)
-            return
-        phase = "request" if verdict == "drop_request" else "reply"
-        self.network.transmit_lost(self.origin, node_id, wire_name, phase)
-        if phase == "reply":
-            try:
-                bound(*args, **kwargs)
-            except Exception:
-                pass  # the error reply was lost along with the data reply
-        raise RpcTimeoutError(node_id, method=wire_name, lost=phase)
-
-    def _traced_call(
-        self,
-        node_id: str,
-        service_name: str,
-        method: str,
-        *args: Any,
-        payload_items: int = 1,
-        **kwargs: Any,
-    ) -> Any:
-        """:meth:`call` wrapped in an ``rpc:`` span (see ``__init__``)."""
-        with self.tracer.span(
-            f"rpc:{service_name}.{method}",
-            dst=node_id,
-            origin=self.origin,
-            payload_items=payload_items,
-        ) as span:
-            if self.attempt:
-                span.set("attempt", self.attempt)
-            if self.origin in self.network._nodes:
-                origin_node = self.network.node(self.origin)
-                if not origin_node.is_up:
-                    raise OriginDownError(self.origin)
-            self.network.check_path(self.origin, node_id)
-            service = self.network.node(node_id).service(service_name)
-            bound = getattr(service, method)
-            wire_name = f"{service_name}.{method}"
-            if self.network.faults is not None:
-                try:
-                    self._roll_faults(node_id, wire_name, bound, args, kwargs)
-                except RpcTimeoutError as exc:
-                    # Reconcile with transmit_lost: a lost request put one
-                    # message on the wire, a lost reply two.
-                    span.set("messages", 1 if exc.lost == "request" else 2)
-                    span.set("lost", exc.lost)
-                    raise
-            self.network.transmit_round(
-                self.origin, node_id, wire_name, payload_items
-            )
-            # Set only after transmit_round: a span's message count must
-            # reconcile exactly with the network's traffic accounting,
-            # and a call rejected before transmission sent nothing.
-            span.set("messages", 2)
-            return bound(*args, **kwargs)
+        (reply,) = self.scatter(
+            [RpcCall(node_id, service_name, method, args, kwargs, payload_items)]
+        ).complete_all()
+        if reply.error is not None:
+            raise reply.error
+        return reply.value
 
     def scatter(
         self, calls: list[RpcCall], label: str | None = None
@@ -311,8 +227,8 @@ class RpcEndpoint:
 
         All requests leave at the same instant, so the batch's simulated
         cost is the **max** arrival time over the members the gather
-        waits on — not the sum of round trips the serial :meth:`call`
-        loop would charge.  Each member gets its own fault dispositions,
+        waits on; a serial caller issues rounds of one and so pays the
+        sum.  Each member gets its own fault dispositions,
         its own :class:`RpcTimeoutError`, and its own in-batch re-issue
         budget (``call.retries``), and a lost member only charges the
         batch ``rpc_timeout`` if the gather actually waits on it.
@@ -348,99 +264,94 @@ class RpcEndpoint:
         touched — arrivals accumulate from ``started`` along this
         member's own timeline (each timeout delays only its own
         re-issue).  Fault dispositions are drawn member-by-member in
-        issue order, the same stream order as the serial loop rolls.
+        issue order, so a width-*n* round draws what *n* rounds of one
+        would.
         """
         net = self.network
+        faults = net.faults
+        origin, node_id = self.origin, call.node_id
         reply = RpcReply(call)
         wire_name = f"{call.service_name}.{call.method}"
         t = started
         budget = call.retries
-        attempt_no = call.attempt
         while True:
             reply.attempts += 1
             attempt_start = t
-            span = (
-                self.tracer.span(
+            if traced:
+                span = self.tracer.span(
                     f"rpc:{wire_name}",
-                    dst=call.node_id,
-                    origin=self.origin,
+                    dst=node_id,
+                    origin=origin,
                     payload_items=call.payload_items,
                 )
-                if traced
-                else NULL_SPAN
-            )
-            retry = False
+                # Open across the remote method (its rep: spans nest
+                # here); closed below with the attempt's outcome.
+                span.__enter__()
+                if reply.attempts > 1:
+                    span.set("attempt", reply.attempts - 1)
+            messages = lost = error = None
             try:
-                # Raise-through-the-span so statuses match serial traces
-                # (NodeDownError / RpcTimeoutError / the app error name).
-                with span:
-                    if attempt_no:
-                        span.set("attempt", attempt_no)
-                    net.check_path(self.origin, call.node_id)
-                    service = net.node(call.node_id).service(call.service_name)
-                    bound = getattr(service, call.method)
-                    verdict = "ok"
-                    extra = 0.0
-                    if net.faults is not None:
-                        verdict = net.faults.disposition(
-                            self.origin, call.node_id, wire_name
-                        )
-                        if verdict == "ok":
-                            extra = net.faults.delay(self.origin, call.node_id)
-                    if verdict != "ok":
-                        phase = (
-                            "request" if verdict == "drop_request" else "reply"
-                        )
-                        timeout = net.send_lost(
-                            self.origin, call.node_id, wire_name, phase
-                        )
-                        t = attempt_start + timeout
-                        if phase == "reply":
-                            # The request was delivered: the effect is
-                            # applied, only the answer (even an error
-                            # answer) is lost.
-                            reply.effect_applied = True
-                            try:
-                                bound(*call.args, **call.kwargs)
-                            except Exception:
-                                pass
-                        span.set("messages", 1 if phase == "request" else 2)
-                        span.set("lost", phase)
-                        raise RpcTimeoutError(
-                            call.node_id, method=wire_name, lost=phase
-                        )
+                net.check_path(origin, node_id)
+                bound = getattr(
+                    net.node(node_id).service(call.service_name), call.method
+                )
+                verdict = (
+                    "ok"
+                    if faults is None
+                    else faults.disposition(origin, node_id, wire_name)
+                )
+                if verdict == "ok":
+                    extra = 0.0 if faults is None else faults.delay(origin, node_id)
                     offset = net.send_round(
-                        self.origin, call.node_id, wire_name, call.payload_items
+                        origin, node_id, wire_name, call.payload_items
                     )
                     t = attempt_start + extra + offset
                     reply.effect_applied = True
-                    span.set("messages", 2)
+                    messages = 2
                     reply.value = bound(*call.args, **call.kwargs)
-            except RpcTimeoutError as exc:
+                else:
+                    lost = "request" if verdict == "drop_request" else "reply"
+                    t = attempt_start + net.send_lost(
+                        origin, node_id, wire_name, lost
+                    )
+                    messages = 1
+                    if lost == "reply":
+                        # The request was delivered: the effect is applied,
+                        # only the answer (even an error answer) is lost.
+                        messages = 2
+                        reply.effect_applied = True
+                        try:
+                            bound(*call.args, **call.kwargs)
+                        except Exception:
+                            pass
+                    raise RpcTimeoutError(node_id, method=wire_name, lost=lost)
+            except Exception as exc:
+                error = exc
+            if traced:
+                if messages is not None:
+                    span.set("messages", messages)
+                if lost is not None:
+                    span.set("lost", lost)
+                # The status names the outcome (NodeDownError /
+                # RpcTimeoutError / the app error name); the span is
+                # retimed onto this member's own timeline, since it was
+                # pushed and popped at the (un-advanced) scatter instant.
+                span.__exit__(type(error) if error is not None else None, error, None)
+                span.start, span.end = attempt_start, t
+            reply.arrival = t
+            if error is None:
+                return reply
+            if isinstance(error, RpcTimeoutError):
                 reply.timeouts += 1
                 if budget > 0:
                     budget -= 1
-                    attempt_no += 1
-                    retry = True
-                else:
-                    reply.error = exc
-            except NodeDownError as exc:
-                # Nothing was sent: the caller learns instantly, as in
-                # the serial path where check_path raises pre-transmit.
-                reply.error = exc
-            except Exception as exc:
-                # Application error: the reply message was delivered and
-                # accounted; the error rides it back to the caller.
-                reply.error = exc
+                    continue
+            elif not isinstance(error, NodeDownError):
+                # An application error rode the delivered (and accounted)
+                # reply back; a NodeDownError sent nothing, so the caller
+                # learns it at once.
                 reply.app_error = True
-            if traced:
-                # Retime onto this member's own timeline: spans were
-                # pushed/popped at the (un-advanced) scatter instant.
-                span.start = attempt_start
-                span.end = t
-            if retry:
-                continue
-            reply.arrival = t
+            reply.error = error
             return reply
 
     def try_call(

@@ -10,7 +10,7 @@ This module names the seam:
 * :class:`Transport` — the runtime-checkable protocol.  A transport owns
   a clock, a node/service registry, and hands out per-origin *endpoints*
   (objects with the :class:`~repro.net.rpc.RpcEndpoint` calling surface:
-  ``call`` / ``try_call`` / ``scatter`` and the ``attempt`` attribute).
+  ``call`` / ``try_call`` / ``scatter``).
   Its fault surface is the existing error hierarchy — a crashed or
   unreachable target raises :class:`~repro.core.errors.NodeDownError`, a
   crashed origin :class:`~repro.core.errors.OriginDownError`, a lost or

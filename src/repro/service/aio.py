@@ -305,7 +305,6 @@ class AsyncioEndpoint:
         self.transport = transport
         self.origin = origin
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.attempt = 0
 
     def bind_tracer(self, tracer: Any) -> None:
         """Install a tracer after construction.
@@ -338,9 +337,7 @@ class AsyncioEndpoint:
                 dst=node_id,
                 origin=self.origin,
                 payload_items=payload_items,
-            ) as span:
-                if self.attempt:
-                    span.set("attempt", self.attempt)
+            ):
                 return self.transport.invoke(
                     node_id, service_name, method, args, kwargs
                 )

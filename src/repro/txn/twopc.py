@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import NetworkError, NodeDownError, RpcTimeoutError
+from repro.core.errors import NetworkError
 from repro.net.rpc import RpcCall, RpcEndpoint
 from repro.txn.ids import TxnId
 from repro.txn.transaction import Participant
@@ -79,9 +79,9 @@ class TwoPhaseCoordinator:
 
     ``parallel`` fans each phase out across all participants at once
     (the batch costs the max arrival over the round instead of the sum;
-    see :meth:`~repro.net.rpc.RpcEndpoint.scatter`), with the same
-    per-participant retry and vote semantics as the serial loop — both
-    are :meth:`_phase`.
+    see :meth:`~repro.net.rpc.RpcEndpoint.scatter`); serial sends the
+    same members one scatter at a time, with the same per-member retry
+    budget and vote semantics — both are :meth:`_phase`.
     """
 
     def __init__(
@@ -152,33 +152,30 @@ class TwoPhaseCoordinator:
 
         Returns, per participant name and in ``participants`` order, what
         the call returned or the :class:`NetworkError` that stood once
-        its retries ran out.  Timeouts are re-asked up to
+        its retries ran out.  Each member re-asks a timeout up to
         ``completion_retries`` times (the participant is up; only
         messages are being dropped), and that is safe in both phases:
         prepare re-logs its record and returns the same vote, completion
         is idempotent.  A crashed participant fails at once.
 
-        This is the only place ``parallel`` is read: serial asks one
-        participant at a time, parallel sends the round as one scatter
-        whose members carry the same retry budget.
+        This is the only place ``parallel`` is read: parallel sends the
+        round as one scatter, serial as one scatter per participant, each
+        gathered before the next is issued.
         """
-        if self.parallel:
-            batch = self.rpc.scatter(
-                [
-                    RpcCall(
-                        node_id=part.node_id,
-                        service_name=part.service_name,
-                        method=method,
-                        args=(txn_id,),
-                        retries=self.completion_retries,
-                        key=name,
-                    )
-                    for name, part in participants.items()
-                ],
-                label=method,
+        calls = [
+            RpcCall(
+                node_id=part.node_id,
+                service_name=part.service_name,
+                method=method,
+                args=(txn_id,),
+                retries=self.completion_retries,
+                key=name,
             )
-            replies = {}
-            for reply in batch.complete_all():
+            for name, part in participants.items()
+        ]
+        replies = {}
+        for members in [calls] if self.parallel else [[call] for call in calls]:
+            for reply in self.rpc.scatter(members, label=method).complete_all():
                 error = reply.error
                 if error is None:
                     replies[reply.call.key] = reply.value
@@ -186,18 +183,4 @@ class TwoPhaseCoordinator:
                     replies[reply.call.key] = error
                 else:  # pragma: no cover - 2PC methods raise no app errors
                     raise error
-            return replies
-        replies = {}
-        for name, part in participants.items():
-            for _ in range(1 + self.completion_retries):
-                try:
-                    replies[name] = self.rpc.call(
-                        part.node_id, part.service_name, method, txn_id
-                    )
-                    break
-                except RpcTimeoutError as exc:
-                    replies[name] = exc  # stands unless a re-ask gets through
-                except NodeDownError as exc:
-                    replies[name] = exc
-                    break
         return replies

@@ -113,9 +113,14 @@ def test_fanout_is_decided_where_a_round_is_issued():
     written twice — route it through ``_round`` instead of raising these.
     """
     src = Path(__file__).resolve().parents[2] / "src" / "repro"
-    # _round, the hedged read in _suite_lookup, _real_neighbor's refill,
-    # and the probe/install step size in _coalesce_around.
-    fanout = _attribute_reads(sorted((src / "core").glob("*.py")), "fanout")
-    assert len(fanout) <= 4, fanout
+    core = sorted((src / "core").glob("*.py"))
+    # _round, the hedged read in _suite_lookup, and the probe/install
+    # step size in _coalesce_around.
+    fanout = _attribute_reads(core, "fanout")
+    assert len(fanout) <= 3, fanout
     parallel = _attribute_reads([src / "txn" / "twopc.py"], "parallel")
     assert len(parallel) <= 1, parallel
+    # A lone call is a round of one too, so nothing in core/ calls the
+    # endpoint directly.
+    direct = [p.name for p in core if ".rpc.call(" in p.read_text()]
+    assert not direct, direct

@@ -347,10 +347,13 @@ class TestFanoutModes:
             assert result.failed_operations == 0
             assert result.model_mismatches == 0
 
-    def test_fanout_metrics_only_populate_in_fanout_modes(self):
+    def test_every_serial_round_has_width_one(self):
         serial, _ = _run_with_state("serial")
         parallel, _ = _run_with_state("parallel")
-        assert serial.metrics["suite.fanout.width"]["n"] == 0
+        # Serial mode issues its rounds as scatters of one.
+        width = serial.metrics["suite.fanout.width"]
+        assert width["n"] > 0
+        assert width["max"] == 1
         width = parallel.metrics["suite.fanout.width"]
         assert width["n"] > 0
         assert width["max"] >= 2
@@ -376,6 +379,35 @@ class TestFanoutModes:
 
         with pytest.raises(ValueError):
             DirectoryCluster.create(ClusterSpec(config="3-2-2", fanout="sideways"))
+
+    def test_serial_round_enlists_only_members_that_executed(self):
+        """A serial member whose request was lost never ran the call and
+        holds nothing: it is not enlisted, so the abort skips it."""
+        from repro.cluster import DirectoryCluster
+
+        cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=5))
+        suite = cluster.suite
+        for key in "abc":
+            suite.insert(key, key.upper())
+        loss = ScriptedLoss(
+            [LossEvent("request", dst=suite.placements["C"].node_id)] * 64
+        )
+        cluster.network.install_faults(loss)
+        aborted = []
+        abort = suite.txn_manager.abort
+
+        def spy(txn, reason=""):
+            aborted.append(list(txn.participants))
+            abort(txn, reason)
+
+        suite.txn_manager.abort = spy
+        with pytest.raises(RpcTimeoutError):
+            for key in "abc" * 8:
+                suite.lookup(key)
+        (participants,) = aborted
+        assert participants and "C" not in participants
+        # The one request C was sent is the lookup that was lost.
+        assert len(loss.fired) == 1
 
 
 # -- the message sequence of each verb, pinned -------------------------------

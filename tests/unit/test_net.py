@@ -13,7 +13,7 @@ from repro.net.failures import (
 )
 from repro.net.network import Network, site_latency, uniform_latency
 from repro.net.node import Node
-from repro.net.rpc import RpcEndpoint
+from repro.net.rpc import RpcCall, RpcEndpoint
 
 
 class TestSimClock:
@@ -186,15 +186,6 @@ class TestNetwork:
         with pytest.raises(NodeDownError):
             net.check_path("a", "b")
 
-    def test_transmit_advances_clock_and_counts(self):
-        net = Network(latency=uniform_latency(2.0))
-        net.add_nodes(["a", "b"])
-        net.transmit_round("a", "b", "svc.method")
-        assert net.clock.now() == 4.0  # request + reply
-        assert net.stats.messages == 2
-        assert net.stats.rpc_rounds == 1
-        assert net.stats.by_method == {"svc.method": 1}
-
 
 class _Echo:
     def echo(self, x):
@@ -278,6 +269,56 @@ class TestRpc:
         net.install_faults(LossyLinks(request_loss=1.0))
         rpc = RpcEndpoint(net, origin="client")
         assert rpc.try_call("server", "svc", "echo", 1, default="dflt") == "dflt"
+
+    def test_call_is_a_scatter_of_one(self):
+        """``call`` is ``scatter([one]).complete_all()`` with the member's
+        error raised: same traffic, clock, effect and outcome, clean and
+        with a scripted drop of either message."""
+
+        def run(issue, drops):
+            net = Network(latency=uniform_latency(2.0))
+            tally = _Tally()
+            net.add_node("server").host("svc", tally)
+            net.install_faults(ScriptedLoss(drops))
+            try:
+                outcome = issue(RpcEndpoint(net, origin="client"))
+            except RpcTimeoutError as exc:
+                outcome = (type(exc), exc.node_id, exc.method, exc.lost)
+            return outcome, net.clock.now(), net.stats.snapshot(), tally.calls
+
+        def call(rpc):
+            return rpc.call("server", "svc", "put", 1, payload_items=3)
+
+        def scatter_of_one(rpc):
+            (reply,) = rpc.scatter(
+                [RpcCall("server", "svc", "put", (1,), payload_items=3)]
+            ).complete_all()
+            if reply.error is not None:
+                raise reply.error
+            return reply.value
+
+        clean = run(call, [])
+        assert clean == run(scatter_of_one, [])
+        assert clean == (
+            ("stored", 1),
+            4.0,  # request + reply
+            {
+                "messages": 2,
+                "rpc_rounds": 1,
+                "payload_items": 3,
+                "dropped": 0,
+                "by_method": {"svc.put": 1},
+            },
+            1,
+        )
+        for phase, messages, effects in (("request", 1, 0), ("reply", 2, 1)):
+            lost = run(call, [LossEvent(phase)])
+            assert lost == run(scatter_of_one, [LossEvent(phase)])
+            outcome, now, traffic, calls = lost
+            assert outcome == (RpcTimeoutError, "server", "svc.put", phase)
+            assert now == 20.0  # the full rpc_timeout
+            assert (traffic["messages"], traffic["dropped"]) == (messages, 1)
+            assert calls == effects
 
 
 class _Tally:
