@@ -1,7 +1,7 @@
 """One-call construction of a replicated-directory cluster.
 
 :class:`DirectoryCluster` wires together everything a directory suite
-needs — a transport (simulated network, or direct calls on a wall clock), one
+needs — a transport (a network on a simulated or a wall clock), one
 node per representative, representative services with stores /
 write-ahead logs / lock tables, a transaction manager, and the suite
 front-end — so examples and benchmarks can say::
@@ -103,8 +103,8 @@ class ClusterSpec:
     #: collide with nodes already on it — use ``node_for_rep``.
     network: Network | None = None
     #: Substrate the cluster runs on: ``None``/``"sim"`` (simulated
-    #: network + simulated clock), ``"asyncio"`` (representatives
-    #: co-located in this process and called directly, wall clock), or a
+    #: network + simulated clock), ``"asyncio"`` (the same network on a
+    #: wall clock with free links, plus an event loop to serve from), or a
     #: :class:`~repro.net.transport.Transport` instance (shared
     #: substrates, e.g. one transport hosting every shard).
     transport: "str | Transport | None" = None
@@ -192,11 +192,7 @@ class DirectoryCluster:
 
     @property
     def network(self) -> Network:
-        """The simulated network, when this cluster runs on one.
-
-        Raises ``AttributeError`` on a non-simulated transport: fault
-        injection, traffic stats, and clock travel are simulation-only.
-        """
+        """The transport's network (fault injection, traffic stats)."""
         return self.suite.network
 
     @property

@@ -109,18 +109,6 @@ class DirectorySuite:
         Cluster metrics registry; defaults to the network's.  The suite
         publishes its operation counts, delete-overhead statistics, and
         quorum-selection counters/size histograms into it.
-    detector:
-        Optional :class:`~repro.net.detector.FailureDetector` (also
-        attachable later via :meth:`attach_detector`).  Every
-        representative RPC feeds it up/down/timeout evidence and quorum
-        selection screens its suspects, so retries avoid known-bad
-        representatives.
-    rpc_retries:
-        How many times a representative RPC that timed out is re-issued
-        within the same transaction before the timeout aborts it (safe —
-        the Figure 6 operations are idempotent within a transaction; see
-        :meth:`_rep_call`).  0, the default, keeps the perfect-network
-        fast path.
     fanout:
         How quorum RPC rounds are issued.  ``"serial"`` (default) is the
         paper-faithful baseline: a round goes out as rounds of one, each
@@ -136,6 +124,10 @@ class DirectorySuite:
     hedge_extra:
         How many spare representatives a hedged read over-requests
         beyond the read quorum (only consulted when ``fanout="hedged"``).
+
+    A failure detector is wired in with :meth:`attach_detector`, and
+    in-transaction re-issue of timed-out RPCs by setting
+    :attr:`rpc_retries`; both matter only where messages can be lost.
     """
 
     def __init__(
@@ -152,8 +144,6 @@ class DirectorySuite:
         read_repair: bool = False,
         tracer: Any = None,
         metrics: MetricsRegistry | None = None,
-        detector: Any = None,
-        rpc_retries: int = 0,
         fanout: str = "serial",
         hedge_extra: int = 1,
     ) -> None:
@@ -192,10 +182,11 @@ class DirectorySuite:
         self.op_counts = SuiteOpCounts()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else transport.metrics
-        #: In-transaction retries for a representative RPC that times out
+        #: In-transaction re-issues of a representative RPC that times out
         #: on a lossy network (see :meth:`_rep_call` for why re-issue is
-        #: safe).  0 keeps the perfect-network fast path.
-        self.rpc_retries = rpc_retries
+        #: safe).  0: a perfect network loses nothing to re-issue, and
+        #: lossy runs set their own budget (the driver sets 2).
+        self.rpc_retries = 0
         self.fanout = fanout
         # The commit protocol's rounds fan out as the suite's own do.
         txn_manager.coordinator.parallel = fanout != "serial"
@@ -211,24 +202,12 @@ class DirectorySuite:
         self.last_txn_id = None
         self._detector = None
         self._register_metrics()
-        if detector is not None:
-            self.attach_detector(detector)
 
     @property
     def network(self) -> Network:
-        """The simulated network, when this suite runs on one.
-
-        Simulation-only tooling (fault injection, traffic accounting,
-        partitions) reaches through here; on a non-simulated transport
-        there is no network to reach.
-        """
-        network = getattr(self.transport, "network", None)
-        if network is None:
-            raise AttributeError(
-                f"{type(self.transport).__name__} has no simulated "
-                "network; this surface is simulation-only"
-            )
-        return network
+        """The transport's network: fault injection, traffic accounting
+        and partitions reach through here, on either clock."""
+        return self.transport.network
 
     def close(self) -> None:
         """Release the suite's substrate (see the Directory lifecycle).

@@ -5,9 +5,29 @@ layer advances it by per-message latency, the failure injector schedules
 crashes and recoveries against it, and the concurrency simulator uses it as
 the event-queue time base.  Using simulated rather than wall-clock time
 makes every experiment deterministic and independent of host speed.
+:class:`Clock` is the slice of it a network needs, which the served
+transport's :class:`~repro.service.aio.WallClock` provides in real time.
 """
 
 from __future__ import annotations
+
+from typing import Protocol, runtime_checkable
+
+
+@runtime_checkable
+class Clock(Protocol):
+    """The slice of a time source the algorithm consumes.
+
+    The simulated clock is manually advanced by the network layer; the
+    wall clock advances by itself (its ``advance`` sleeps and its
+    ``advance_to`` waits — you cannot push real time around).
+    """
+
+    def now(self) -> float: ...
+
+    def advance(self, delta: float) -> float: ...
+
+    def advance_to(self, when: float) -> float: ...
 
 
 class SimClock:

@@ -11,6 +11,7 @@ rounds-per-operation.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,14 +44,17 @@ class TrafficStats:
     rpc_rounds: int = 0
     payload_items: int = 0
     dropped: int = 0
-    by_method: dict[str, int] = field(default_factory=dict)
+    # A defaultdict, so the per-round bump below makes no call.
+    by_method: defaultdict[str, int] = field(
+        default_factory=lambda: defaultdict(int)
+    )
 
     def record_round(self, method: str, payload_items: int) -> None:
         """Account one request/reply exchange."""
         self.messages += 2
         self.rpc_rounds += 1
         self.payload_items += payload_items
-        self.by_method[method] = self.by_method.get(method, 0) + 1
+        self.by_method[method] += 1
 
     def record_drop(self) -> None:
         """Account one message lost in transit."""

@@ -5,7 +5,8 @@ pluggable latency model, optional network partitions, optional message
 loss (see :meth:`Network.install_faults`), and full traffic accounting —
 because the replication algorithm's behaviour depends only on *which*
 nodes are reachable and *how many* messages are exchanged, not on
-wire-level detail.
+wire-level detail.  Served replicas run on the same network with a wall
+clock and free links (:class:`~repro.service.aio.AsyncioTransport`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.core.errors import NodeDownError
-from repro.net.clock import SimClock
+from repro.net.clock import Clock, SimClock
 from repro.net.message import TrafficStats
 from repro.net.node import Node
 from repro.obs.metrics import MetricsRegistry
@@ -56,7 +57,7 @@ class Network:
 
     def __init__(
         self,
-        clock: SimClock | None = None,
+        clock: Clock | None = None,
         latency: LatencyModel | None = None,
         metrics: MetricsRegistry | None = None,
         rpc_timeout: float = 20.0,
@@ -148,24 +149,26 @@ class Network:
 
     # -- delivery ------------------------------------------------------------
 
-    def check_path(self, src: str, dst: str) -> None:
-        """Raise NodeDownError unless ``dst`` is up and reachable from ``src``."""
-        dst_node = self._nodes[dst]
-        if not dst_node.is_up:
-            raise NodeDownError(dst)
-        if not self.reachable(src, dst):
-            raise NodeDownError(dst)
+    def service_for(self, src: str, dst: str, service_name: str) -> object:
+        """The service a call from ``src`` reaches on ``dst``.
 
-    def round_cost(self, src: str, dst: str) -> float:
-        """Ticks one request/reply exchange takes on the (src, dst) link."""
-        return 2 * self.latency(src, dst)
+        Raises NodeDownError unless ``dst`` is up (:meth:`Node.service`)
+        and reachable from ``src``.  Every RPC member makes this lookup
+        before it sends, so a fully connected network skips the
+        :meth:`reachable` call.
+        """
+        node = self._nodes[dst]
+        if self._partition is not None and not self.reachable(src, dst):
+            raise NodeDownError(dst)
+        return node.service(service_name)
 
     def send_round(
         self, src: str, dst: str, method: str, payload_items: int = 1
     ) -> float:
         """Account one request/reply exchange *without* advancing the clock.
 
-        Returns the reply's arrival offset (one round trip from now).
+        Returns the reply's arrival offset: one round trip, twice the
+        (src, dst) link's one-way latency.
         Every exchange is a member of a scatter-gather round: the round
         issues its sends at the same instant and later advances the
         clock once, to the *max* arrival over the members it waited on.
@@ -173,7 +176,7 @@ class Network:
         exchange's own round trip.
         """
         self.stats.record_round(method, payload_items)
-        return self.round_cost(src, dst)
+        return 2 * self.latency(src, dst)
 
     # -- message loss ----------------------------------------------------------
 

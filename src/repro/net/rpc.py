@@ -291,9 +291,9 @@ class RpcEndpoint:
                     span.set("attempt", reply.attempts - 1)
             messages = lost = error = None
             try:
-                net.check_path(origin, node_id)
                 bound = getattr(
-                    net.node(node_id).service(call.service_name), call.method
+                    net.service_for(origin, node_id, call.service_name),
+                    call.method,
                 )
                 verdict = (
                     "ok"

@@ -18,21 +18,23 @@ This module names the seam:
   :class:`~repro.core.errors.RpcTimeoutError` — so suite, 2PC, and retry
   code is transport-blind by construction.
 
-* :class:`SimTransport` — the simulated substrate, wrapping a
+* :class:`SimTransport` — the one implementation, wrapping a
   :class:`~repro.net.network.Network`.  Every method is pure delegation
   onto the network the repository has always used, which is what keeps
   the simulated path **bit-identical** to the pre-transport code (pinned
   by ``tests/integration/test_transport_pinning.py``).
 
-* ``AsyncioTransport`` (in :mod:`repro.service.aio`) — the wall-clock
-  substrate for nodes co-located in one process: an endpoint call is a
-  direct call on the hosted service, on the calling thread, timed by the
-  wall clock; its event loop carries the client-facing front door only.
+* ``AsyncioTransport`` (in :mod:`repro.service.aio`) — the same
+  ``SimTransport`` on a network with a wall clock and free links, plus
+  the event loop the client-facing front door serves from.  Served
+  replicas are co-located in one process and an endpoint call is a
+  direct call on the hosted service, on the calling thread.
 
 Construction selects a transport on :class:`~repro.cluster.ClusterSpec`
 (the ``transport`` field); everything downstream — the suite's quorum
 rounds, two-phase commit, the failure detector, the resilient front-end —
-works over either substrate unchanged.
+works over either clock unchanged, and fault injection, partitions and
+traffic accounting reach the same :class:`Network` on both.
 """
 
 from __future__ import annotations
@@ -40,37 +42,27 @@ from __future__ import annotations
 from typing import Any, Protocol, runtime_checkable
 
 from repro.core.errors import ConfigurationError
+from repro.net.clock import Clock
 from repro.net.network import LatencyModel, Network
 from repro.net.rpc import RpcEndpoint
 from repro.obs.metrics import MetricsRegistry
 
 
 @runtime_checkable
-class Clock(Protocol):
-    """The slice of a time source the algorithm consumes.
-
-    The simulated clock is manually advanced by the network layer; the
-    wall clock advances by itself (its ``advance``/``advance_to`` are
-    no-ops — you cannot push real time around).
-    """
-
-    def now(self) -> float: ...
-
-    def advance(self, delta: float) -> float: ...
-
-    def advance_to(self, when: float) -> float: ...
-
-
-@runtime_checkable
 class Transport(Protocol):
     """What a cluster substrate must provide.
 
-    Implementations: :class:`SimTransport` (simulated network, simulated
-    clock) and :class:`~repro.service.aio.AsyncioTransport` (direct
-    in-process calls, wall clock).  ``isinstance(obj, Transport)``
-    verifies the surface exists; semantics — the error mapping above,
-    endpoint behavior — are enforced by the transport-conformance tests.
+    Implementations: :class:`SimTransport` (simulated clock) and its
+    subclass :class:`~repro.service.aio.AsyncioTransport` (wall clock,
+    free links).  ``isinstance(obj, Transport)`` verifies the surface
+    exists; semantics — the error mapping above, endpoint behavior — are
+    enforced by the transport-conformance tests.
     """
+
+    @property
+    def network(self) -> Network:
+        """Node registry, partitions, fault model and traffic ledger."""
+        ...
 
     @property
     def clock(self) -> Clock: ...
@@ -116,15 +108,15 @@ class Transport(Protocol):
 
 
 class SimTransport:
-    """The simulated substrate: a thin, exact veneer over ``Network``.
+    """A thin, exact veneer over ``Network``.
 
     Everything delegates to the wrapped network — same clock, same
     traffic ledger, same fault model, same node registry — so a cluster
     built through a ``SimTransport`` behaves bit-for-bit like one built
     on the bare network.  The wrapped network stays public
-    (:attr:`network`) because simulation-only tooling — fault injection,
-    traffic accounting, partitions, wave execution — legitimately wants
-    the full simulated surface rather than the algorithm-facing slice.
+    (:attr:`network`) because tooling — fault injection, traffic
+    accounting, partitions, wave execution — legitimately wants the full
+    network surface rather than the algorithm-facing slice.
     """
 
     def __init__(
@@ -184,7 +176,7 @@ class SimTransport:
         """Nothing to release: the simulated substrate holds no OS state."""
 
     def __repr__(self) -> str:
-        return f"SimTransport({len(self.network.nodes())} nodes)"
+        return f"{type(self).__name__}({len(self.network.nodes())} nodes)"
 
 
 def resolve_transport(
@@ -211,7 +203,7 @@ def resolve_transport(
         if network is not None or latency is not None:
             raise ConfigurationError(
                 "network/latency are simulation-only options; the asyncio "
-                "transport calls its nodes directly, on a wall clock"
+                "transport builds its own network (wall clock, free links)"
             )
         from repro.service.aio import AsyncioTransport
 

@@ -329,7 +329,6 @@ def format_stats(stats: Mapping[str, Any]) -> str:
         f"front door: {rate(service.get('ops_per_s', 0.0))} cmd/s, "
         f"{rate(service.get('err_per_s', 0.0))} err/s — "
         f"rpc: {rate(service.get('rpc_per_s', 0.0))} calls/s, "
-        f"{rate(service.get('rpc_err_per_s', 0.0))} err/s, "
         f"{rate(service.get('retry_per_s', 0.0))} retries/s"
     )
     lines = [header, "", table, "", footer]

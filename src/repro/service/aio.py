@@ -1,13 +1,18 @@
-"""The wall-clock transport: co-located representatives, called directly.
+"""The wall-clock transport: the simulator's network, run in real time.
 
-:class:`AsyncioTransport` implements the
-:class:`~repro.net.transport.Transport` protocol in real time for nodes
-that live in *this* process.  It keeps a node registry (services, up /
-down) as a simulated :class:`~repro.net.node.Node` does, and an RPC to a
-node it hosts is a method call on the hosted service, made on the
-calling thread: no socket, no codec, no thread hop.  One logical message
-is still one ``service.rpc.calls`` bump, so the paper's message cost
-reads as it did when every call crossed loopback TCP.
+:class:`AsyncioTransport` is a :class:`~repro.net.transport.SimTransport`
+whose :class:`~repro.net.network.Network` reads a :class:`WallClock` and
+has free links (``uniform_latency(0.0)``).  Served replicas therefore run
+on exactly the substrate the simulator's do: the same node registry, the
+same :class:`~repro.net.rpc.RpcEndpoint` and scatter, the same traffic
+ledger, partitions and crash/recover.  An RPC to a hosted node is a
+method call on the hosted service, made on the calling thread: no
+socket, no codec, no thread hop.  ``service.rpc.calls`` is a gauge over
+the network's ``rpc_rounds``, so the paper's message cost reads as it
+did when every call crossed loopback TCP.  The ledger is bumped without
+a lock: exact under the front door, where one thread makes every call,
+while threads driving a directory directly can lose an increment
+between them, as they can on the simulator.
 
 Threading model.  The transport owns one event loop on a background
 thread; the client-facing front door (:mod:`repro.service.server`) puts
@@ -22,21 +27,14 @@ one node is the hosted service's own lock — a representative's
 results are shared by reference, so a hosted method must neither keep a
 caller's container nor hand out its own.
 
-The fault surface maps onto the existing hierarchy:
-
-* target node crashed (or never registered) →
-  :class:`~repro.core.errors.NodeDownError`, raised before the call is
-  counted — nothing was sent;
-* origin node crashed → :class:`~repro.core.errors.OriginDownError`;
-* application exceptions propagate to the caller as themselves.
-
-There is no :class:`~repro.core.errors.RpcTimeoutError` here: a call
-between co-located nodes cannot be lost or late, it returns or raises.
-Ambiguous outcomes belong to transports with a wire under them (today,
-the simulator's lossy network).
-
-Time is :class:`WallClock`: real seconds since the transport started,
-with simulated ticks mapped onto short real sleeps.
+The fault surface is the network's: a crashed or partitioned target
+raises :class:`~repro.core.errors.NodeDownError` before anything is
+counted, a crashed origin :class:`~repro.core.errors.OriginDownError`,
+and application exceptions ride back to the caller as themselves.  No
+fault model is installed, so nothing is lost or late: a co-located call
+returns or raises.  (``Network.rpc_timeout`` is in ticks while
+:meth:`WallClock.advance_to` waits in seconds, so lossy links stay a
+simulator-only experiment.)
 """
 
 from __future__ import annotations
@@ -44,13 +42,12 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
-from repro.core.errors import NetworkError, NodeDownError, OriginDownError
-from repro.net.node import CrashAware
-from repro.net.rpc import RpcCall, RpcReply
+from repro.net.network import Network, uniform_latency
+from repro.net.rpc import RpcEndpoint
+from repro.net.transport import SimTransport
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import NULL_TRACER
 
 
 #: Real seconds one simulated tick sleeps for under :class:`WallClock`.
@@ -81,37 +78,29 @@ class WallClock:
         return self.now()
 
     def advance_to(self, when: float) -> float:
-        # Hedged-gather straggler deadlines are wall instants already
-        # reached by the time the caller waits on them; a future instant
-        # is waited out for real.
-        remaining = when - self.now()
-        if remaining > 0:
-            time.sleep(min(remaining, 1.0))
-        return self.now()
+        # A gather's arrivals on free links are the instant its scatter
+        # was issued, already past by the time it is gathered; a future
+        # instant is waited out for real.
+        now = self.now()
+        if when > now:
+            time.sleep(min(when - now, 1.0))
+            now = self.now()
+        return now
 
 
-class _AioNode:
-    """One node: its hosted services and whether it is running."""
-
-    __slots__ = ("node_id", "services", "up")
-
-    def __init__(self, node_id: str) -> None:
-        self.node_id = node_id
-        self.services: dict[str, Any] = {}
-        self.up = True
-
-
-class AsyncioTransport:
-    """In-process substrate satisfying the ``Transport`` protocol."""
+class AsyncioTransport(SimTransport):
+    """A :class:`SimTransport` on a wall clock, plus the front door's loop."""
 
     def __init__(self, *, metrics: MetricsRegistry | None = None) -> None:
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._clock = WallClock()
-        self._nodes: dict[str, _AioNode] = {}
+        super().__init__(
+            Network(
+                clock=WallClock(), latency=uniform_latency(0.0), metrics=metrics
+            )
+        )
+        stats = self.network.stats
+        self.metrics.gauge("service.rpc.calls", lambda: stats.rpc_rounds)
         self._closed = False
         self._lock = threading.Lock()
-        self._calls = self._metrics.counter("service.rpc.calls")
-        self._errors = self._metrics.counter("service.rpc.errors")
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="repro-aio-transport", daemon=True
@@ -122,70 +111,8 @@ class AsyncioTransport:
         """Run a coroutine on the loop from any thread; returns its result."""
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
-    # -- Transport protocol --------------------------------------------------
-
-    @property
-    def clock(self) -> WallClock:
-        return self._clock
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._metrics
-
     def endpoint(self, origin: str = "client", tracer: Any = None) -> "AsyncioEndpoint":
-        return AsyncioEndpoint(self, origin=origin, tracer=tracer)
-
-    def ensure_node(self, node_id: str) -> None:
-        with self._lock:
-            if node_id not in self._nodes and not self._closed:
-                self._nodes[node_id] = _AioNode(node_id)
-
-    def host(self, node_id: str, service_name: str, service: Any) -> None:
-        node = self._node(node_id)
-        if service_name in node.services:
-            raise ValueError(
-                f"service {service_name!r} already hosted on {node_id}"
-            )
-        node.services[service_name] = service
-
-    def local_service(self, node_id: str, service_name: str) -> Any:
-        node = self._node(node_id)
-        if not node.up:
-            raise NodeDownError(node_id)
-        try:
-            return node.services[service_name]
-        except KeyError:
-            raise KeyError(
-                f"no service {service_name!r} on node {node_id}"
-            ) from None
-
-    def is_up(self, node_id: str) -> bool:
-        return self._node(node_id).up
-
-    def reachable(self, src: str, dst: str) -> bool:
-        src_node = self._nodes.get(src)
-        if src_node is not None and not src_node.up:
-            return False
-        dst_node = self._nodes.get(dst)
-        return dst_node is not None and dst_node.up
-
-    def crash(self, node_id: str) -> None:
-        node = self._node(node_id)
-        if not node.up:
-            return
-        node.up = False
-        for service in node.services.values():
-            if isinstance(service, CrashAware):
-                service.on_crash()
-
-    def recover(self, node_id: str) -> None:
-        node = self._node(node_id)
-        if node.up:
-            return
-        for service in node.services.values():
-            if isinstance(service, CrashAware):
-                service.on_recover()
-        node.up = True
+        return AsyncioEndpoint(self.network, origin=origin, tracer=tracer)
 
     def close(self) -> None:
         with self._lock:
@@ -213,180 +140,12 @@ class AsyncioTransport:
         if stragglers:
             await asyncio.wait(stragglers, timeout=5)
 
-    def _node(self, node_id: str) -> _AioNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise KeyError(f"unknown node {node_id!r}") from None
 
-    # -- the call ------------------------------------------------------------
+class AsyncioEndpoint(RpcEndpoint):
+    """The simulator's :class:`RpcEndpoint`, handed out by :class:`AsyncioTransport`."""
 
-    def invoke(
-        self, node_id: str, service_name: str, method: str, args: tuple, kwargs: dict
-    ) -> Any:
-        """One logical message: run ``service.method`` on the calling thread.
-
-        A down (or unknown) target is refused before anything is
-        counted; everything after that is one call in
-        ``service.rpc.calls``.  What it took is the ``rpc:`` span the
-        calling endpoint opens around it, when it has a tracer.
-        """
-        node = self._nodes.get(node_id)
-        if node is None or not node.up:
-            raise NodeDownError(node_id)
-        self._calls.inc()
-        try:
-            return getattr(node.services[service_name], method)(*args, **kwargs)
-        except NetworkError:
-            self._errors.inc()
-            raise
-
-
-class _AsyncioBatch:
-    """A completed scatter round over the asyncio transport.
-
-    Every member has already run, in issue order, by the time the batch
-    is returned (the wall-clock analogue of the simulator's eager member
-    simulation); the ``complete_*`` gathers just select which replies
-    the caller waits on.
-    """
-
-    def __init__(self, replies: list[RpcReply], started: float) -> None:
-        self.replies = replies
-        self.started = started
-        self.waited: list[RpcReply] = []
-
-    @property
-    def width(self) -> int:
-        return len(self.replies)
-
-    @property
-    def lock_deadline(self) -> float:
-        return max(
-            (r.arrival for r in self.replies if r.effect_applied),
-            default=self.started,
-        )
-
-    def complete_all(self) -> list[RpcReply]:
-        self.waited = list(self.replies)
-        return self.waited
-
-    def complete_first(
-        self, target: int, weight_of: Callable[[RpcReply], int]
-    ) -> tuple[list[RpcReply], bool]:
-        # Members ran one after another, so issue order is arrival order.
-        waited: list[RpcReply] = []
-        got = 0
-        for reply in self.replies:
-            if not reply.ok:
-                continue
-            waited.append(reply)
-            got += weight_of(reply)
-            if got >= target:
-                self.waited = waited
-                return waited, True
-        self.waited = list(self.replies)
-        return self.waited, False
-
-
-class AsyncioEndpoint:
-    """The ``RpcEndpoint`` calling surface over :class:`AsyncioTransport`.
-
-    Owned by one synchronous caller (a suite front-end or the 2PC
-    coordinator).  ``call`` runs the hosted method on the calling thread;
-    ``scatter`` walks its members in issue order, so a "parallel" round
-    costs the sum of its members here — between co-located nodes there
-    is no wire time to overlap.
-    """
-
-    def __init__(
-        self, transport: AsyncioTransport, origin: str = "client", tracer: Any = None
-    ) -> None:
-        self.transport = transport
-        self.origin = origin
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    def bind_tracer(self, tracer: Any) -> None:
-        """Install a tracer after construction.
-
-        The front door builds its per-shard ring tracers only once it
-        owns the directory, well after the cluster wired this endpoint;
-        ``call`` reads ``self.tracer`` on every invocation, so rebinding
-        takes effect immediately.
-        """
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    def _check_origin(self) -> None:
-        node = self.transport._nodes.get(self.origin)
-        if node is not None and not node.up:
-            raise OriginDownError(self.origin)
-
-    def call(
-        self,
-        node_id: str,
-        service_name: str,
-        method: str,
-        *args: Any,
-        payload_items: int = 1,
-        **kwargs: Any,
-    ) -> Any:
-        self._check_origin()
-        if self.tracer.enabled:
-            with self.tracer.span(
-                f"rpc:{service_name}.{method}",
-                dst=node_id,
-                origin=self.origin,
-                payload_items=payload_items,
-            ):
-                return self.transport.invoke(
-                    node_id, service_name, method, args, kwargs
-                )
-        return self.transport.invoke(node_id, service_name, method, args, kwargs)
-
-    def try_call(
-        self,
-        node_id: str,
-        service_name: str,
-        method: str,
-        *args: Any,
-        default: Any = None,
-        **kwargs: Any,
-    ) -> Any:
-        try:
-            return self.call(node_id, service_name, method, *args, **kwargs)
-        except NetworkError:
-            return default
-
-    def scatter(
-        self, calls: list[RpcCall], label: str | None = None
-    ) -> _AsyncioBatch:
-        self._check_origin()
-        invoke = self.transport.invoke
-        now = self.transport.clock.now
-        started = now()
-        replies = []
-        for call in calls:
-            reply = RpcReply(call)
-            reply.attempts = 1
-            try:
-                reply.value = invoke(
-                    call.node_id,
-                    call.service_name,
-                    call.method,
-                    call.args,
-                    call.kwargs,
-                )
-            except NodeDownError as exc:
-                reply.error = exc  # refused: nothing ran, nothing to enlist
-            except Exception as exc:
-                reply.error = exc
-                reply.app_error = True
-                reply.effect_applied = True
-            else:
-                reply.effect_applied = True
-            reply.arrival = now()
-            replies.append(reply)
-        return _AsyncioBatch(replies, started)
-
-    def __repr__(self) -> str:
-        return f"AsyncioEndpoint(origin={self.origin!r})"
+    #: No behaviour of their own: the reference benchmark's span pass
+    #: wraps ``call`` and ``scatter`` by looking them up in this class's
+    #: own dict, so the names stay here.
+    call = RpcEndpoint.call
+    scatter = RpcEndpoint.scatter

@@ -124,10 +124,10 @@ def _raise_reply(reply: Any) -> Any:
 _EPOCH_REPLY = re.compile(r"\A(.*) @epoch=(\d{1,18})\Z", re.DOTALL)
 _EPOCH_ELEMENT = re.compile(r"\A@epoch=(\d{1,18})\Z")
 
-#: How many ``-MOVED`` redirects one keyed call (or pipelined slot) will
-#: chase before giving up.  Each redirect refreshes the shard map, so
-#: more than a couple in a row means the server is resharding faster
-#: than we can follow.
+#: How many ``-MOVED`` redirects one pipelined slot — a keyed call is a
+#: burst of one — will chase before giving up.  Each redirect refreshes
+#: the shard map, so more than a couple in a row means the server is
+#: resharding faster than we can follow.
 _MAX_REDIRECTS = 3
 
 
@@ -364,14 +364,11 @@ class AsyncDirectoryClient:
             protocol.read_frame(self._reader), self._timeout
         )
 
-    async def _send(self, *parts: str) -> Any:
+    async def _request(self, *parts: str) -> Any:
         self.last_trace = trace = self._stamper.next()
         self._writer.write(protocol.encode_command(*parts, f"@trace={trace}"))
         await self._writer.drain()
-        return await self._read_frame()
-
-    async def _request(self, *parts: str) -> Any:
-        return _raise_reply(await self._send(*parts))
+        return _raise_reply(await self._read_frame())
 
     def _note_epoch(self, epoch: int) -> None:
         if epoch != self.epoch:
@@ -401,36 +398,30 @@ class AsyncDirectoryClient:
             except ReplyError:
                 self._epoch_aware = False
 
-    async def _keyed(self, *parts: str) -> Any:
-        """Send a keyed command, chasing ``-MOVED`` redirects."""
-        await self._learn_epoch()
-        for _ in range(_MAX_REDIRECTS):
-            stamped = parts
-            if self.epoch is not None:
-                stamped = parts + (f"@epoch={self.epoch}",)
-            reply = await self._send(*stamped)
-            if isinstance(reply, ReplyError) and reply.code == "MOVED":
-                self.redirects += 1
-                await self.shardmap(refresh=True)
-                continue
-            return _raise_reply(self._strip_epoch(reply))
-        raise StaleEpochError(
-            self.epoch or 0, key=parts[1] if len(parts) > 1 else None
-        )
+    async def _alone(
+        self, queue: Callable[..., PipelineResult], *args: str
+    ) -> Any:
+        """One keyed op as a burst of one: ``queue`` (an
+        :class:`AsyncPipeline` method) on a fresh pipeline, flushed, so
+        it chases ``-MOVED`` exactly as a pipelined slot does."""
+        pipeline = AsyncPipeline(self)
+        slot = queue(pipeline, *args)
+        await pipeline.flush()
+        return slot.result()
 
     # -- the Directory surface ----------------------------------------------
 
     async def lookup(self, key: str) -> tuple[bool, Any]:
-        return _decode_lookup(await self._keyed("LOOKUP", key))
+        return await self._alone(AsyncPipeline.lookup, key)
 
     async def insert(self, key: str, value: str) -> None:
-        await self._keyed("INSERT", key, value)
+        await self._alone(AsyncPipeline.insert, key, value)
 
     async def update(self, key: str, value: str) -> None:
-        await self._keyed("UPDATE", key, value)
+        await self._alone(AsyncPipeline.update, key, value)
 
     async def delete(self, key: str) -> None:
-        await self._keyed("DELETE", key)
+        await self._alone(AsyncPipeline.delete, key)
 
     async def size(self) -> int:
         return await self._request("SIZE")
@@ -441,14 +432,14 @@ class AsyncDirectoryClient:
         return await self._request("PING") == "PONG"
 
     async def get(self, key: str) -> "str | None":
-        return await self._keyed("GET", key)
+        return await self._alone(AsyncPipeline.get, key)
 
     async def set(self, key: str, value: str) -> None:
-        await self._keyed("SET", key, value)
+        await self._alone(AsyncPipeline.set, key, value)
 
     async def remove(self, key: str) -> bool:
         """Lenient delete (``DEL``): True if the key was present."""
-        return _decode_count(await self._keyed("DEL", key))
+        return await self._alone(AsyncPipeline.remove, key)
 
     async def shards(self) -> int:
         return await self._request("SHARDS")

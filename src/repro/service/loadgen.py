@@ -6,14 +6,13 @@ load`` CLI, the benchmarks, and the CI smoke jobs set.
 
 **Closed loop** (the default): ``connections`` concurrent sockets (one
 :class:`~repro.service.client.AsyncDirectoryClient` each) drive a keyed
-``SET``/``GET``/``DEL`` mix, every connection issuing its next
-operation the moment the previous reply lands, so offered load is
-exactly one outstanding request per connection and the measured latency
-is honest service time, not queue time at the generator.  With
-``pipeline=P > 1`` each connection instead keeps *bursts* of ``P``
-operations in flight through the client's pipeline API — the per-op
-latency recorded is the burst's wall time, i.e. what each op in the
-burst actually waited end to end.
+``SET``/``GET``/``DEL`` mix through the client's pipeline API, every
+connection sending its next burst of ``pipeline`` operations the moment
+the previous burst's replies land.  At the default ``pipeline=1`` that
+is exactly one outstanding request per connection, so the measured
+latency is honest service time, not queue time at the generator; a
+deeper burst records each op at the burst's wall time, i.e. what each op
+in the burst actually waited end to end.
 
 **Open loop** (``rate=`` or ``rates=``): operations *arrive* on a
 Poisson process at the offered rate (split evenly across connections,
@@ -150,49 +149,6 @@ def _pick_key(rng: random.Random, spec: LoadSpec) -> str:
 # -- closed loop -------------------------------------------------------------
 
 
-async def _worker(
-    spec: LoadSpec,
-    index: int,
-    budget: "list[int]",
-    latencies: "list[float]",
-    errors: "list[int]",
-    timeline: "dict[int, list[int]]",
-    t0: float,
-) -> None:
-    rng = random.Random(spec.seed * 100_003 + index)
-    set_w, get_w, _ = spec.mix
-    client = await AsyncDirectoryClient.connect(spec.host, spec.port)
-    try:
-        while True:
-            if budget[0] <= 0:
-                return
-            budget[0] -= 1
-            key = _pick_key(rng, spec)
-            roll = rng.random()
-            started = time.perf_counter()
-            try:
-                if roll < set_w:
-                    await client.set(key, f"v{index}")
-                elif roll < set_w + get_w:
-                    await client.get(key)
-                else:
-                    await client.remove(key)
-            except Exception:
-                errors[0] += 1
-                failed = 1
-            else:
-                latencies.append(time.perf_counter() - started)
-                failed = 0
-            # Single-threaded event loop: plain dict/list updates are safe.
-            bucket = timeline.setdefault(
-                int(time.perf_counter() - t0), [0, 0]
-            )
-            bucket[0] += 1
-            bucket[1] += failed
-    finally:
-        await client.close()
-
-
 async def _pipelined_worker(
     spec: LoadSpec,
     index: int,
@@ -233,6 +189,7 @@ async def _pipelined_worker(
                 errors[0] += failed
                 # Every op in the burst waited the burst's wall time.
                 latencies.extend([elapsed] * (take - failed))
+            # Single-threaded event loop: plain dict/list updates are safe.
             bucket = timeline.setdefault(
                 int(time.perf_counter() - t0), [0, 0]
             )
@@ -247,11 +204,12 @@ async def _closed_loop(spec: LoadSpec) -> dict[str, Any]:
     errors = [0]
     budget = [spec.ops]
     timeline: dict[int, list[int]] = {}
-    worker = _pipelined_worker if spec.pipeline > 1 else _worker
     started = time.perf_counter()
     await asyncio.gather(
         *(
-            worker(spec, i, budget, latencies, errors, timeline, started)
+            _pipelined_worker(
+                spec, i, budget, latencies, errors, timeline, started
+            )
             for i in range(spec.connections)
         )
     )

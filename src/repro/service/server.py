@@ -96,9 +96,9 @@ thread or an awaitable scatter; it must not run on this loop.
 Live telemetry (:class:`ServiceTelemetry`) instruments the waves: every
 wave runs inside one root span — ``service:<VERB>`` for a wave of one,
 ``service:BATCH`` for a wider one — recorded by a bounded per-shard
-:class:`~repro.obs.spans.RingTracer` (also bound into the shard's suite
-and RPC endpoint, so the full op/quorum/rpc/commit tree nests beneath
-it, and ranked by ``SLOW``), feeds a rolling latency window and a
+:class:`~repro.obs.spans.RingTracer` (also bound into the shard's suite,
+so the op/quorum/commit tree nests beneath it, and ranked by ``SLOW``),
+feeds a rolling latency window and a
 space-saving hot-key sketch, and bumps the directory's ``shard.routed``
 counter — which is what makes the ``STATS`` windowed rates meaningful in
 service mode.  The admin verbs that read it run between waves, on the
@@ -154,12 +154,13 @@ _HOT_KEYS = 8
 class _ShardTelemetry:
     """One shard's live instrumentation, written only by its waves.
 
-    Installing it rebinds the shard suite's tracer and its RPC
-    endpoint's tracer to a bounded :class:`RingTracer`, so the spans a
-    wave opens below its ``service:`` root all land in the same
-    per-shard ring.  Representatives keep their construction-
-    time null tracer: the live plane's trees stop at the suite's quorum
-    rounds and RPCs.
+    Installing it rebinds the shard suite's tracer to a bounded
+    :class:`RingTracer`, so the spans a wave opens below its
+    ``service:`` root all land in the same per-shard ring.  The RPC
+    endpoint and the representatives keep their construction-time null
+    tracer: the live plane's trees stop at the suite's quorum rounds
+    (an ``rpc:`` span on a free wall-clock link would be retimed to
+    close at its own start).
     """
 
     def __init__(
@@ -176,7 +177,6 @@ class _ShardTelemetry:
         self._recorded = recorded
         self.tracer = RingTracer(now, capacity=_RING_ROOTS)
         cluster.suite.tracer = self.tracer
-        cluster.suite.rpc.bind_tracer(self.tracer)
         self.latency = RollingHistogram(now, window=_STATS_WINDOW)
         self.hot_keys = SpaceSaving(_HOT_KEYS)
         # Registered eagerly (not on first failure) so the name exists
@@ -377,7 +377,6 @@ class ServiceTelemetry:
             "ops_per_s": rates.get("service.front.ops"),
             "err_per_s": rates.get("service.front.errors"),
             "rpc_per_s": rates.get("service.rpc.calls"),
-            "rpc_err_per_s": rates.get("service.rpc.errors"),
             "retry_per_s": sum(
                 r
                 for n, r in rates.rates.items()

@@ -10,9 +10,9 @@ coordinate — cross-shard parallelism is free by construction.
 
 Honest accounting is the point of the design:
 
-* every shard's nodes live on ONE shared simulated :class:`~repro.net.network.Network`
-  (one clock, one traffic ledger), so message counts and latencies add up
-  exactly as they would unsharded;
+* every shard's nodes live on ONE shared :class:`~repro.net.network.Network`
+  (one clock, one traffic ledger — served or simulated), so message
+  counts and latencies add up exactly as they would unsharded;
 * sequential routing charges every operation its full cost on the shared
   clock — a single-shard ``ShardedDirectory`` is bit-identical (messages,
   rounds, ticks, final state) to an unsharded
@@ -128,11 +128,8 @@ class ShardedDirectory:
             raise ConfigurationError("need at least one shard")
         if isinstance(transport, Network):
             transport = SimTransport(transport)
-        substrate = getattr(transport, "network", transport)
         for cluster in clusters:
-            if getattr(cluster.transport, "network", cluster.transport) is not (
-                substrate
-            ):
+            if cluster.transport.network is not transport.network:
                 raise ConfigurationError(
                     "every shard must share the sharded directory's substrate"
                 )
@@ -230,18 +227,9 @@ class ShardedDirectory:
 
     @property
     def network(self) -> Network:
-        """The shared simulated network, when the shards run on one.
-
-        Raises ``AttributeError`` on a non-simulated transport: fault
-        injection, traffic stats, and wave replay are simulation-only.
-        """
-        network = getattr(self.transport, "network", None)
-        if network is None:
-            raise AttributeError(
-                f"{type(self.transport).__name__} has no simulated "
-                "network; this surface is simulation-only"
-            )
-        return network
+        """The network every shard shares: fault injection, partitions
+        and traffic stats reach through here, on either clock."""
+        return self.transport.network
 
     def close(self) -> None:
         """Release the shared substrate (see the Directory lifecycle).

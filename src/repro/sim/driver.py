@@ -41,6 +41,22 @@ from repro.sim.workload import (
 #: diffing the client model against the cluster's authoritative state.
 _ABSENT = object()
 
+#: In-transaction re-issues of a timed-out representative RPC (see
+#: :meth:`~repro.core.suite.DirectorySuite._rep_call`), applied whenever
+#: messages can be lost.  Without this level of masking, a ~25-RPC delete
+#: almost never survives a lossy network in one piece and whole-operation
+#: retries alone cannot reach a usable success rate.
+_LOSSY_RPC_RETRIES = 2
+#: Tick the reshard controller every this many measured operations.  A
+#: tick snapshots the whole registry, so it is not paid per op; a
+#: 2,000-op run still gets some sixty chances to react.
+_RESHARD_CHECK_EVERY = 32
+#: The controller's windowed-rate horizon, in simulated ticks.  One
+#: check interval costs ≈420 ticks parallel and ≈970 serial (13 and 30
+#: ticks an op at the default one-tick links), so every tick rates the
+#: routing since the tick before it: the hotspot the workload has now.
+_RESHARD_WINDOW = 400.0
+
 
 @dataclass
 class SimulationSpec:
@@ -76,14 +92,6 @@ class SimulationSpec:
     #: wraps the suite in a :class:`~repro.core.resilient.ResilientSuite`
     #: allowing n retries after the first attempt).
     retries: int = 0
-    #: Failure-detector probation window in simulated ticks.
-    detector_probation: float = 200.0
-    #: In-transaction re-issues of a timed-out representative RPC (see
-    #: :meth:`~repro.core.suite.DirectorySuite._call`); applied whenever
-    #: messages can be lost.  Without this level of masking, a ~25-RPC
-    #: delete almost never survives a lossy network in one piece and
-    #: whole-operation retries alone cannot reach a usable success rate.
-    rpc_retries: int = 2
     #: Check every client-visible outcome against a model directory and
     #: diff the model against the authoritative state at the end — the
     #: exactly-once / no-duplicate-apply oracle for chaos runs.
@@ -142,10 +150,6 @@ class SimulationSpec:
     reshard_hot_factor: float = 2.0
     #: Upper bound on automatic splits per run.
     reshard_max_splits: int = 2
-    #: Windowed-rate horizon, in simulated ticks.
-    reshard_window: float = 400.0
-    #: Tick the controller every this many measured operations.
-    reshard_check_every: int = 32
 
 
 @dataclass
@@ -273,13 +277,9 @@ def run_simulation(
             )
         )
         suite.attach_detector(
-            FailureDetector(
-                cluster.network.clock.now,
-                probation=spec.detector_probation,
-                metrics=cluster.metrics,
-            )
+            FailureDetector(cluster.network.clock.now, metrics=cluster.metrics)
         )
-        suite.rpc_retries = spec.rpc_retries
+        suite.rpc_retries = _LOSSY_RPC_RETRIES
     if spec.retries > 0:
         front = ResilientSuite(
             suite,
@@ -315,7 +315,7 @@ def run_simulation(
             cluster,
             hot_factor=spec.reshard_hot_factor,
             max_splits=spec.reshard_max_splits,
-            window=spec.reshard_window,
+            window=_RESHARD_WINDOW,
         )
 
     # Measurement phase starts from clean statistics.  The tracer resets
@@ -337,7 +337,7 @@ def run_simulation(
             lifecycle.step(index, auditor)
         if (
             controller is not None
-            and (index + 1) % spec.reshard_check_every == 0
+            and (index + 1) % _RESHARD_CHECK_EVERY == 0
         ):
             controller.tick()
         try:

@@ -14,6 +14,7 @@ that would carry the error.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import sys
 import threading
@@ -318,6 +319,67 @@ class TestEpochWireFormat:
             protocol.encode_command("SET", "wk", "v", "@epoch=notanumber"),
         )
         assert reply == b"+OK\r\n"
+
+
+class TestRedirectBudget:
+    """A keyed call is a burst of one: it chases ``-MOVED`` through the
+    same flush as a pipelined slot, so the two share one budget."""
+
+    @staticmethod
+    def _stub(moves):
+        """A one-connection server.  ``SHARDMAP`` answers epoch 0; each
+        keyed request is answered ``-MOVED 0`` ``moves`` times, then
+        ``+OK``.  Returns the listener, its thread and the keyed
+        requests it saw."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        keyed = []
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                while True:
+                    try:
+                        frame = protocol.read_frame_sync(stream)
+                    except ConnectionError:
+                        return
+                    command, _, _ = protocol.split_meta(frame)
+                    if command[0] == "SHARDMAP":
+                        reply = protocol.encode_bulk(json.dumps({"epoch": 0}))
+                    else:
+                        keyed.append(command)
+                        reply = (
+                            protocol.encode_error("MOVED", "0")
+                            if len(keyed) <= moves
+                            else protocol.encode_simple("OK")
+                        )
+                    conn.sendall(reply)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return listener, thread, keyed
+
+    @staticmethod
+    def _pipelined(client):
+        with client.pipeline() as pipe:
+            slot = pipe.set("k", "v")
+        return slot.result()
+
+    @pytest.mark.parametrize(
+        "send",
+        [lambda client: client.set("k", "v"), _pipelined],
+        ids=["keyed", "pipelined"],
+    )
+    def test_three_redirects_then_served(self, send):
+        listener, thread, keyed = self._stub(moves=3)
+        try:
+            with DirectoryClient(*listener.getsockname()) as client:
+                assert send(client) is None
+                assert client.redirects == 3
+            thread.join(timeout=10)
+        finally:
+            listener.close()
+        assert not thread.is_alive()
+        assert keyed == [["SET", "k", "v"]] * 4
 
 
 class TestRedirectContractOnSimTransport:

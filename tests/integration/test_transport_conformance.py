@@ -155,7 +155,8 @@ class TestTransportSurface:
 class TestMessageCost:
     """``service.rpc.calls`` is the paper's message cost as the service
     pays it: one logical RPC, one count — exactly the rounds the
-    simulated network accounts for the same seeded run."""
+    simulated network accounts for the same seeded run.  It is read from
+    the registry snapshot, as ``METRICS`` and the benchmark read it."""
 
     @staticmethod
     def _churn(suite):
@@ -179,7 +180,7 @@ class TestMessageCost:
             rounds = sim.network.stats.rpc_rounds
         with DirectoryCluster.create(replace(spec, transport="asyncio")) as aio:
             self._churn(aio.suite)
-            calls = aio.metrics.counter("service.rpc.calls").value
+            calls = aio.metrics.snapshot()["service.rpc.calls"]
         assert calls == rounds > 1000
 
 
@@ -270,6 +271,37 @@ class TestResolution:
         transport = SimTransport(net)
         resolved = resolve_transport(transport, network=None, latency=None)
         assert resolved is transport
+
+
+class TestServedNetwork:
+    """A served directory runs on the simulator's network, so the
+    network's fault surface and traffic ledger reach the served path."""
+
+    def test_partition_heal_and_message_count(self):
+        from repro.service.client import (
+            DirectoryClient,
+            ServiceUnavailableError,
+        )
+        from repro.service.server import DirectoryService
+        from repro.shard.sharded import ShardedDirectory
+
+        spec = ClusterSpec(config="3-2-2", seed=4, transport="asyncio")
+        with ShardedDirectory.create(spec, shards=2, shard_map="hash") as d:
+            key = next(k for k in map(str, range(99)) if d.shard_for(k) == 0)
+            replicas = [
+                place.node_id
+                for place in d.clusters[0].suite.placements.values()
+            ]
+            with DirectoryService(d).start() as service:
+                with DirectoryClient(port=service.port) as client:
+                    client.set(key, "v")
+                    d.network.partition(replicas)  # cut off from "client"
+                    with pytest.raises(ServiceUnavailableError):
+                        client.get(key)
+                    d.network.heal()
+                    assert client.get(key) == "v"
+                    calls = client.metrics()["service.rpc.calls"]
+                    assert calls == d.network.stats.rpc_rounds > 0
 
 
 class TestServiceLoopback:

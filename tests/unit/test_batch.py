@@ -56,13 +56,9 @@ def _highest_version(cluster, key):
 
 
 def _messages(cluster):
-    """Logical RPCs so far: the simulator's rounds, or the asyncio
-    transport's ``service.rpc.calls`` (the conformance suite holds the
-    two equal)."""
-    try:
-        return cluster.network.stats.rpc_rounds
-    except AttributeError:
-        return cluster.metrics.counter("service.rpc.calls").value
+    """Logical RPCs so far: the network's rounds, on either transport
+    (the asyncio transport's ``service.rpc.calls`` is a gauge over them)."""
+    return cluster.network.stats.rpc_rounds
 
 
 def _twin(**spec):

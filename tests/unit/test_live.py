@@ -317,7 +317,6 @@ class TestFormatStats:
                 "ops_per_s": 130.0,
                 "err_per_s": 0.0,
                 "rpc_per_s": 800.0,
-                "rpc_err_per_s": 0.0,
                 "retry_per_s": 0.0,
             },
             "per_shard": {

@@ -179,12 +179,18 @@ class TestNetwork:
         assert net.reachable("client", "b")
         assert not net.reachable("client", "a")
 
-    def test_check_path_down_node(self):
+    def test_service_for_refuses_down_or_cut_off_node(self):
         net = Network()
         net.add_nodes(["a", "b"])
+        net.node("b").host("svc", _Echo())
+        assert isinstance(net.service_for("a", "b", "svc"), _Echo)
+        net.partition(["a"], ["b"])
+        with pytest.raises(NodeDownError):
+            net.service_for("a", "b", "svc")
+        net.heal()
         net.node("b").crash()
         with pytest.raises(NodeDownError):
-            net.check_path("a", "b")
+            net.service_for("a", "b", "svc")
 
 
 class _Echo:
