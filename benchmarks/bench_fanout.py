@@ -1,23 +1,22 @@
-"""Scatter-gather fan-out — serial vs parallel vs hedged quorum engine.
+"""Scatter-gather fan-out — serial vs parallel quorum engine.
 
 Not a paper table: Daniels & Spector's simulations (and our seed
 implementation) issue each quorum RPC one at a time, so an R-member
 read costs R round trips of simulated time.  The fan-out engine
 scatters a quorum's calls concurrently and pays only the slowest
-arrival; ``hedged`` additionally over-requests beyond R and completes
-on the first vote-sufficient prefix.
+arrival.
 
-This experiment runs the same seeded workload under all three modes
-and records the win as a BENCH artifact:
+This experiment runs the same seeded workload under both modes and
+records the win as a BENCH artifact:
 
 * parallel mean lookup latency must be at most ``1/R + 0.15`` of
   serial on the uniform-latency 3-2-2 configuration (R=2, so 0.65x;
   the measured ratio is 0.5x — exactly 1/R, since every arrival is
   simultaneous);
-* all three modes finish with the *identical* authoritative directory
+* both modes finish with the *identical* authoritative directory
   state, zero model mismatches, and zero invariant-audit violations;
 * serial and parallel exchange the same number of messages — fan-out
-  reorders time, not traffic (hedging adds messages by design).
+  reorders time, not traffic.
 """
 
 from benchmarks.conftest import emit_bench, run_once
@@ -28,9 +27,9 @@ from repro.sim.driver import SimulationSpec, run_simulation
 from repro.sim.report import format_table
 from repro.sim.workload import OpMix
 
-MODES = ("serial", "parallel", "hedged")
+MODES = ("serial", "parallel")
 
-#: Lookup-heavy so the hedged read path dominates, but write-rich
+#: Lookup-heavy so the read quorum's fan-out dominates, but write-rich
 #: enough that write fan-out and 2PC rounds are exercised too.  (The
 #: default mix has no lookups at all — it would measure nothing here.)
 MIX = OpMix(insert=1, update=1, delete=1, lookup=3)
@@ -61,7 +60,7 @@ def _spec(ops: int, mode: str) -> SimulationSpec:
 def _run_mode(ops: int, mode: str):
     """One mode's run, returning (result, final authoritative state)."""
     spec = _spec(ops, mode)
-    cluster = DirectoryCluster.create(ClusterSpec(config=spec.config, seed=spec.seed, tracer=RecordingTracer(), fanout=mode, hedge_extra=spec.hedge_extra))
+    cluster = DirectoryCluster.create(ClusterSpec(config=spec.config, seed=spec.seed, tracer=RecordingTracer(), fanout=mode))
     result = run_simulation(spec, cluster=cluster)
     return result, cluster.suite.authoritative_state()
 
@@ -129,10 +128,9 @@ def test_fanout_modes(benchmark, scale):
     )
 
     ratio = stats["parallel"]["lookup_avg"] / stats["serial"]["lookup_avg"]
-    hedged_ratio = stats["hedged"]["lookup_avg"] / stats["serial"]["lookup_avg"]
     print(
         f"parallel/serial lookup latency: {ratio:.3f} "
-        f"(bound {MAX_PARALLEL_RATIO:.2f}); hedged/serial: {hedged_ratio:.3f}"
+        f"(bound {MAX_PARALLEL_RATIO:.2f})"
     )
     benchmark.extra_info["parallel_serial_lookup_ratio"] = round(ratio, 4)
 
@@ -151,12 +149,11 @@ def test_fanout_modes(benchmark, scale):
         latency={
             "serial_lookup_avg": stats["serial"]["lookup_avg"],
             "parallel_lookup_avg": stats["parallel"]["lookup_avg"],
-            "hedged_lookup_avg": stats["hedged"]["lookup_avg"],
             "parallel_serial_ratio": ratio,
             "serial_sim_ticks": stats["serial"]["sim_ticks"],
             "parallel_sim_ticks": stats["parallel"]["sim_ticks"],
         },
-        audit=runs["hedged"][0].audit_report.summary(),
+        audit=runs["parallel"][0].audit_report.summary(),
         extra={
             "modes": list(MODES),
             "max_parallel_ratio": MAX_PARALLEL_RATIO,
@@ -167,7 +164,6 @@ def test_fanout_modes(benchmark, scale):
     # The headline claim: fanning out the read quorum divides lookup
     # latency by ~R on a uniform-latency network.
     assert ratio <= MAX_PARALLEL_RATIO
-    assert hedged_ratio <= MAX_PARALLEL_RATIO
     # Fan-out must be a pure scheduling change: same traffic (serial vs
     # parallel), same answers, same replicated state, clean audits.
     assert stats["serial"]["messages"] == stats["parallel"]["messages"]

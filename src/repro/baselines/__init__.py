@@ -16,6 +16,13 @@
 * :mod:`repro.baselines.tombstone` — §2's mark-deleted + periodic
   garbage collection alternative, with its measurable space and
   availability costs.
+
+Each hosts its replicas on a fresh simulated network through
+:mod:`repro.baselines.hosted`, which is also their one availability
+filter; the four voting baselines (file voting, naive per-entry
+versions, static partitions, tombstones) draw read and write quorums
+with :class:`~repro.core.quorum.RandomQuorumPolicy`, exactly as the
+suite does by default.
 """
 
 from repro.baselines.directory_as_file import DirectoryAsFile, build_directory_as_file

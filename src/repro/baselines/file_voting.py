@@ -22,9 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
+from repro.baselines.hosted import HostedReplicas, host_replicas
 from repro.core.config import SuiteConfig
-from repro.core.errors import QuorumUnavailableError
-from repro.core.interface import DirectoryLifecycle
 from repro.core.versions import LOWEST_VERSION, Version
 from repro.net.network import Network
 from repro.net.rpc import RpcEndpoint
@@ -72,7 +71,7 @@ class FileRepresentative:
 
 
 @dataclass
-class FileSuite(DirectoryLifecycle):
+class FileSuite(HostedReplicas):
     """A replicated file accessed through weighted voting."""
 
     config: SuiteConfig
@@ -81,40 +80,11 @@ class FileSuite(DirectoryLifecycle):
     rpc: RpcEndpoint
     rng: random.Random
 
-    # -- quorum collection ------------------------------------------------------
-
-    def _available(self) -> list[str]:
-        out = []
-        for name, (node_id, _service) in self.placements.items():
-            node = self.network.node(node_id)
-            if node.is_up and self.network.reachable(self.rpc.origin, node_id):
-                out.append(name)
-        return out
-
-    def _collect(self, votes_needed: int, kind: str) -> list[str]:
-        order = self._available()
-        self.rng.shuffle(order)
-        chosen: list[str] = []
-        got = 0
-        for name in order:
-            weight = self.config.votes[name]
-            if weight <= 0:
-                continue
-            chosen.append(name)
-            got += weight
-            if got >= votes_needed:
-                return chosen
-        raise QuorumUnavailableError(votes_needed, got, kind=kind)
-
-    def _rpc(self, rep: str, method: str, *args: Any, **kw: Any) -> Any:
-        node_id, service = self.placements[rep]
-        return self.rpc.call(node_id, service, method, *args, **kw)
-
     # -- operations -----------------------------------------------------------
 
     def read(self) -> Any:
         """Current file contents (highest version in a read quorum)."""
-        quorum = self._collect(self.config.read_quorum, "read quorum")
+        quorum = self._quorum("read")
         best_version = -1
         best: Any = None
         for rep in quorum:
@@ -125,7 +95,7 @@ class FileSuite(DirectoryLifecycle):
 
     def current_version(self) -> Version:
         """Highest version among a read quorum."""
-        quorum = self._collect(self.config.read_quorum, "read quorum")
+        quorum = self._quorum("read")
         return max(self._rpc(rep, "read_version") for rep in quorum)
 
     def write(self, contents: Any, payload_items: int = 1) -> Version:
@@ -137,7 +107,7 @@ class FileSuite(DirectoryLifecycle):
         callers account for the logical size of what was shipped — the
         directory-as-file baseline ships whole directories.
         """
-        quorum = self._collect(self.config.write_quorum, "write quorum")
+        quorum = self._quorum("write")
         version = max(self._rpc(rep, "read_version") for rep in quorum) + 1
         for rep in quorum:
             self._rpc(
@@ -151,15 +121,8 @@ def build_file_suite(
 ) -> tuple[FileSuite, dict[str, FileRepresentative]]:
     """Wire a file suite onto a fresh simulated network."""
     config = SuiteConfig.from_xyz(spec)
-    network = Network()
-    rpc = RpcEndpoint(network, origin="client")
-    placements: dict[str, tuple[str, str]] = {}
-    reps: dict[str, FileRepresentative] = {}
-    for name in config.names:
-        node = network.add_node(f"node-{name}")
-        rep = FileRepresentative(name)
-        node.host(f"file:{name}", rep)
-        placements[name] = (node.node_id, f"file:{name}")
-        reps[name] = rep
-    suite = FileSuite(config, placements, network, rpc, random.Random(seed))
+    rpc, placements, reps = host_replicas(
+        config.names, "file", FileRepresentative
+    )
+    suite = FileSuite(config, placements, rpc.network, rpc, random.Random(seed))
     return suite, reps

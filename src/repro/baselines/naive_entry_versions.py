@@ -44,6 +44,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from repro.baselines.hosted import HostedReplicas, host_replicas
 from repro.core.config import SuiteConfig
 from repro.core.errors import (
     AmbiguousLookupError,
@@ -51,7 +52,6 @@ from repro.core.errors import (
     KeyNotPresentError,
     QuorumUnavailableError,
 )
-from repro.core.interface import DirectoryLifecycle
 from repro.core.versions import Version
 from repro.net.network import Network
 from repro.net.rpc import RpcEndpoint
@@ -85,7 +85,7 @@ class NaiveReplica:
         return list(self.data)
 
 
-class NaiveReplicatedDirectory(DirectoryLifecycle):
+class NaiveReplicatedDirectory(HostedReplicas):
     """Weighted voting with per-entry versions only."""
 
     def __init__(
@@ -110,40 +110,11 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
         self.extra_consultations = 0  # replies needed beyond the read quorum
         self.ambiguous_lookups = 0
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _available(self) -> list[str]:
-        out = []
-        for name, (node_id, _service) in self.placements.items():
-            node = self.network.node(node_id)
-            if node.is_up and self.network.reachable(self.rpc.origin, node_id):
-                out.append(name)
-        return out
-
-    def _collect(self, votes_needed: int, kind: str) -> list[str]:
-        order = self._available()
-        self.rng.shuffle(order)
-        chosen: list[str] = []
-        got = 0
-        for name in order:
-            weight = self.config.votes[name]
-            if weight <= 0:
-                continue
-            chosen.append(name)
-            got += weight
-            if got >= votes_needed:
-                return chosen
-        raise QuorumUnavailableError(votes_needed, got, kind=kind)
-
-    def _rpc(self, rep: str, method: str, *args: Any) -> Any:
-        node_id, service = self.placements[rep]
-        return self.rpc.call(node_id, service, method, *args)
-
     # -- lookup with the three resolution modes ---------------------------------
 
     def lookup(self, key: Any) -> tuple[bool, Any]:
         """(present?, value) — possibly wrong/ambiguous; see module docs."""
-        quorum = self._collect(self.config.read_quorum, "read quorum")
+        quorum = self._quorum("read")
         replies = {rep: self._rpc(rep, "get", key) for rep in quorum}
         presents = [r for r in replies.values() if r[0]]
         absents = [r for r in replies.values() if not r[0]]
@@ -175,7 +146,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
         strictly more than ``x − W`` absents ⇒ absent (see module docs).
         """
         threshold = self.config.n_representatives - self.config.write_quorum
-        remaining = [n for n in self._available() if n not in replies]
+        remaining = [n for n in self._reachable() if n not in replies]
         self.rng.shuffle(remaining)
         while True:
             presents = [r for r in replies.values() if r[0]]
@@ -205,7 +176,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
         is why each candidate still goes through lookup (inheriting this
         baseline's resolution mode, ambiguities and all).
         """
-        quorum = self._collect(self.config.read_quorum, "read quorum")
+        quorum = self._quorum("read")
         candidates: set[Any] = set()
         for rep in quorum:
             candidates.update(self._rpc(rep, "keys"))
@@ -216,7 +187,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
     def _lookup_version(self, key: Any) -> tuple[bool, Version]:
         """Presence plus the best-known version for version assignment."""
         present, _value = self.lookup(key)
-        quorum = self._collect(self.config.read_quorum, "read quorum")
+        quorum = self._quorum("read")
         best = 0
         for rep in quorum:
             _p, version, _v = self._rpc(rep, "get", key)
@@ -229,7 +200,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
         present, version = self._lookup_version(key)
         if present:
             raise KeyAlreadyPresentError(key)
-        quorum = self._collect(self.config.write_quorum, "write quorum")
+        quorum = self._quorum("write")
         for rep in quorum:
             self._rpc(rep, "put", key, version + 1, value)
 
@@ -237,7 +208,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
         present, version = self._lookup_version(key)
         if not present:
             raise KeyNotPresentError(key)
-        quorum = self._collect(self.config.write_quorum, "write quorum")
+        quorum = self._quorum("write")
         for rep in quorum:
             self._rpc(rep, "put", key, version + 1, value)
 
@@ -248,7 +219,7 @@ class NaiveReplicatedDirectory(DirectoryLifecycle):
         present, _version = self._lookup_version(key)
         if not present:
             raise KeyNotPresentError(key)
-        quorum = self._collect(self.config.write_quorum, "write quorum")
+        quorum = self._quorum("write")
         for rep in quorum:
             self._rpc(rep, "remove", key)
 
@@ -260,17 +231,8 @@ def build_naive(
 ) -> tuple[NaiveReplicatedDirectory, dict[str, NaiveReplica]]:
     """A naive per-entry-version directory on a fresh simulated network."""
     config = SuiteConfig.from_xyz(spec)
-    network = Network()
-    rpc = RpcEndpoint(network, origin="client")
-    placements: dict[str, tuple[str, str]] = {}
-    reps: dict[str, NaiveReplica] = {}
-    for name in config.names:
-        node = network.add_node(f"node-{name}")
-        rep = NaiveReplica(name)
-        node.host(f"naive:{name}", rep)
-        placements[name] = (node.node_id, f"naive:{name}")
-        reps[name] = rep
+    rpc, placements, reps = host_replicas(config.names, "naive", NaiveReplica)
     directory = NaiveReplicatedDirectory(
-        config, placements, network, rpc, random.Random(seed), resolution
+        config, placements, rpc.network, rpc, random.Random(seed), resolution
     )
     return directory, reps

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
+from repro.baselines.hosted import reachable
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
@@ -132,18 +133,13 @@ class PrimaryCopyDirectory(DirectoryLifecycle):
         """(node, service) to read from."""
         if self.read_primary_only:
             return self.primary_node, "primary"
-        candidates: list[tuple[str, str]] = [(self.primary_node, "primary")]
+        candidates = {"primary": (self.primary_node, "primary")}
         for name, node_id in self.secondary_nodes.items():
-            candidates.append((node_id, f"secondary:{name}"))
-        reachable = [
-            (n, s)
-            for n, s in candidates
-            if self.network.node(n).is_up
-            and self.network.reachable(self.rpc.origin, n)
-        ]
-        if not reachable:
+            candidates[name] = (node_id, f"secondary:{name}")
+        up = reachable(self.rpc, candidates)
+        if not up:
             raise QuorumUnavailableError(1, 0, kind="read replica")
-        return self.rng.choice(reachable)
+        return candidates[self.rng.choice(up)]
 
     # -- operations -----------------------------------------------------------
 

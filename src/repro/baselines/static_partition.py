@@ -24,13 +24,9 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from repro.baselines.hosted import HostedReplicas, host_replicas
 from repro.core.config import SuiteConfig
-from repro.core.errors import (
-    KeyAlreadyPresentError,
-    KeyNotPresentError,
-    QuorumUnavailableError,
-)
-from repro.core.interface import DirectoryLifecycle
+from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
 from repro.core.versions import Version
 from repro.net.network import Network
 from repro.net.rpc import RpcEndpoint
@@ -58,7 +54,7 @@ class PartitionedReplica:
         self.partitions[index] = (version, dict(contents))
 
 
-class StaticPartitionedDirectory(DirectoryLifecycle):
+class StaticPartitionedDirectory(HostedReplicas):
     """Directory replicated as K statically partitioned mini-files.
 
     Keys must be floats in [0, 1) (the partition function is
@@ -91,36 +87,9 @@ class StaticPartitionedDirectory(DirectoryLifecycle):
             raise ValueError(f"keys must lie in [0, 1): {key}")
         return min(int(key * self.n_partitions), self.n_partitions - 1)
 
-    def _available(self) -> list[str]:
-        out = []
-        for name, (node_id, _service) in self.placements.items():
-            node = self.network.node(node_id)
-            if node.is_up and self.network.reachable(self.rpc.origin, node_id):
-                out.append(name)
-        return out
-
-    def _collect(self, votes_needed: int, kind: str) -> list[str]:
-        order = self._available()
-        self.rng.shuffle(order)
-        chosen: list[str] = []
-        got = 0
-        for name in order:
-            weight = self.config.votes[name]
-            if weight <= 0:
-                continue
-            chosen.append(name)
-            got += weight
-            if got >= votes_needed:
-                return chosen
-        raise QuorumUnavailableError(votes_needed, got, kind=kind)
-
-    def _rpc(self, rep: str, method: str, *args: Any, **kw: Any) -> Any:
-        node_id, service = self.placements[rep]
-        return self.rpc.call(node_id, service, method, *args, **kw)
-
     def _read_current_partition(self, index: int) -> tuple[Version, dict[Any, Any]]:
         """Authoritative (version, contents) of one partition."""
-        quorum = self._collect(self.config.read_quorum, "read quorum")
+        quorum = self._quorum("read")
         best_version = -1
         best: dict[Any, Any] = {}
         for rep in quorum:
@@ -131,7 +100,7 @@ class StaticPartitionedDirectory(DirectoryLifecycle):
 
     def _write_partition(self, index: int, contents: dict[Any, Any]) -> None:
         """Rewrite a whole partition on a write quorum, version + 1."""
-        quorum = self._collect(self.config.write_quorum, "write quorum")
+        quorum = self._quorum("write")
         version = max(
             self._rpc(rep, "read_version", index) for rep in quorum
         ) + 1
@@ -194,14 +163,9 @@ def build_static_partitioned(
 ) -> StaticPartitionedDirectory:
     """A statically partitioned directory on a fresh simulated network."""
     config = SuiteConfig.from_xyz(spec)
-    network = Network()
-    rpc = RpcEndpoint(network, origin="client")
-    placements: dict[str, tuple[str, str]] = {}
-    for name in config.names:
-        node = network.add_node(f"node-{name}")
-        replica = PartitionedReplica(name, n_partitions)
-        node.host(f"part:{name}", replica)
-        placements[name] = (node.node_id, f"part:{name}")
+    rpc, placements, _replicas = host_replicas(
+        config.names, "part", lambda name: PartitionedReplica(name, n_partitions)
+    )
     return StaticPartitionedDirectory(
-        config, n_partitions, placements, network, rpc, random.Random(seed)
+        config, n_partitions, placements, rpc.network, rpc, random.Random(seed)
     )

@@ -29,13 +29,13 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from repro.baselines.hosted import HostedReplicas, host_replicas
 from repro.core.config import SuiteConfig
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
     QuorumUnavailableError,
 )
-from repro.core.interface import DirectoryLifecycle
 from repro.core.versions import Version
 from repro.net.network import Network
 from repro.net.rpc import RpcEndpoint
@@ -93,7 +93,7 @@ class TombstoneReplica:
         return list(self.data)
 
 
-class TombstoneDirectory(DirectoryLifecycle):
+class TombstoneDirectory(HostedReplicas):
     """Weighted-voting directory whose deletes write tombstones."""
 
     def __init__(
@@ -114,39 +114,12 @@ class TombstoneDirectory(DirectoryLifecycle):
 
     # -- plumbing ------------------------------------------------------------
 
-    def _available(self) -> list[str]:
-        out = []
-        for name, (node_id, _service) in self.placements.items():
-            node = self.network.node(node_id)
-            if node.is_up and self.network.reachable(self.rpc.origin, node_id):
-                out.append(name)
-        return out
-
-    def _collect(self, votes_needed: int, kind: str) -> list[str]:
-        order = self._available()
-        self.rng.shuffle(order)
-        chosen: list[str] = []
-        got = 0
-        for name in order:
-            weight = self.config.votes[name]
-            if weight <= 0:
-                continue
-            chosen.append(name)
-            got += weight
-            if got >= votes_needed:
-                return chosen
-        raise QuorumUnavailableError(votes_needed, got, kind=kind)
-
-    def _rpc(self, rep: str, method: str, *args: Any) -> Any:
-        node_id, service = self.placements[rep]
-        return self.rpc.call(node_id, service, method, *args)
-
     def _quorum_best(self, key: Any) -> tuple[Version, Any]:
         """Highest-versioned (version, value) in a read quorum.
 
         Version 0 means "no replica in the quorum ever stored the key".
         """
-        quorum = self._collect(self.config.read_quorum, "read quorum")
+        quorum = self._quorum("read")
         best_version, best_value = 0, None
         for rep in quorum:
             _stored, version, value = self._rpc(rep, "get", key)
@@ -169,7 +142,7 @@ class TombstoneDirectory(DirectoryLifecycle):
         return True, value
 
     def _write(self, key: Any, version: Version, value: Any) -> None:
-        quorum = self._collect(self.config.write_quorum, "write quorum")
+        quorum = self._quorum("write")
         for rep in quorum:
             self._rpc(rep, "put", key, version, value)
 
@@ -198,7 +171,7 @@ class TombstoneDirectory(DirectoryLifecycle):
         quorum, which intersects the read quorum; tombstoned keys appear
         as candidates but lose their vote in :meth:`lookup`.
         """
-        quorum = self._collect(self.config.read_quorum, "read quorum")
+        quorum = self._quorum("read")
         candidates: set[Any] = set()
         for rep in quorum:
             candidates.update(self._rpc(rep, "keys"))
@@ -230,7 +203,7 @@ class TombstoneDirectory(DirectoryLifecycle):
         serial simulation that is implicit; the lock-granularity
         simulator prices the whole-directory lock it would need).
         """
-        available = self._available()
+        available = self._reachable()
         if len(available) < len(self.placements):
             raise QuorumUnavailableError(
                 len(self.placements), len(available), kind="garbage collection"
@@ -262,17 +235,8 @@ def build_tombstone(
 ) -> tuple[TombstoneDirectory, dict[str, TombstoneReplica]]:
     """A tombstone-GC directory on a fresh simulated network."""
     config = SuiteConfig.from_xyz(spec)
-    network = Network()
-    rpc = RpcEndpoint(network, origin="client")
-    placements: dict[str, tuple[str, str]] = {}
-    reps: dict[str, TombstoneReplica] = {}
-    for name in config.names:
-        node = network.add_node(f"node-{name}")
-        replica = TombstoneReplica(name)
-        node.host(f"tomb:{name}", replica)
-        placements[name] = (node.node_id, f"tomb:{name}")
-        reps[name] = replica
+    rpc, placements, reps = host_replicas(config.names, "tomb", TombstoneReplica)
     directory = TombstoneDirectory(
-        config, placements, network, rpc, random.Random(seed)
+        config, placements, rpc.network, rpc, random.Random(seed)
     )
     return directory, reps

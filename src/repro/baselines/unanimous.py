@@ -20,12 +20,12 @@ from __future__ import annotations
 import random
 from typing import Any
 
+from repro.baselines.hosted import HostedReplicas, host_replicas
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
     QuorumUnavailableError,
 )
-from repro.core.interface import DirectoryLifecycle
 from repro.net.network import Network
 from repro.net.rpc import RpcEndpoint
 
@@ -71,7 +71,7 @@ class PlainReplica:
         self.data = data
 
 
-class UnanimousDirectory(DirectoryLifecycle):
+class UnanimousDirectory(HostedReplicas):
     """Write-all / read-one replicated directory."""
 
     def __init__(
@@ -89,31 +89,19 @@ class UnanimousDirectory(DirectoryLifecycle):
 
     # -- replica selection ------------------------------------------------------
 
-    def _available(self) -> list[str]:
-        out = []
-        for name, (node_id, _service) in self.placements.items():
-            node = self.network.node(node_id)
-            if node.is_up and self.network.reachable(self.rpc.origin, node_id):
-                out.append(name)
-        return out
-
     def _any_replica(self) -> str:
-        available = self._available()
+        available = self._reachable()
         if not available:
             raise QuorumUnavailableError(1, 0, kind="read replica")
         return self.rng.choice(available)
 
     def _all_replicas(self) -> list[str]:
-        available = self._available()
+        available = self._reachable()
         if len(available) < len(self.placements):
             raise QuorumUnavailableError(
                 len(self.placements), len(available), kind="unanimous write"
             )
         return list(self.placements)
-
-    def _rpc(self, rep: str, method: str, *args: Any) -> Any:
-        node_id, service = self.placements[rep]
-        return self.rpc.call(node_id, service, method, *args)
 
     # -- operations -----------------------------------------------------------
 
@@ -163,13 +151,8 @@ def build_unanimous(
     n_replicas: int = 3, seed: int | None = None
 ) -> UnanimousDirectory:
     """A unanimous-update directory on a fresh simulated network."""
-    network = Network()
-    rpc = RpcEndpoint(network, origin="client")
-    placements: dict[str, tuple[str, str]] = {}
-    for i in range(n_replicas):
-        name = chr(ord("A") + i)
-        node = network.add_node(f"node-{name}")
-        replica = PlainReplica(name)
-        node.host(f"plain:{name}", replica)
-        placements[name] = (node.node_id, f"plain:{name}")
-    return UnanimousDirectory(placements, network, rpc, random.Random(seed))
+    names = [chr(ord("A") + i) for i in range(n_replicas)]
+    rpc, placements, _replicas = host_replicas(names, "plain", PlainReplica)
+    return UnanimousDirectory(
+        placements, rpc.network, rpc, random.Random(seed)
+    )

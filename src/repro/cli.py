@@ -106,8 +106,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         wipe=args.wipe,
         antientropy_every=args.antientropy,
         auto_reshard=args.auto_reshard,
-        reshard_max_splits=args.reshard_max_splits,
-        reshard_hot_factor=args.reshard_hot_factor,
     )
     result = run_simulation(spec)
     rows = []
@@ -186,11 +184,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("\n" + result.audit_report.render())
     if args.metrics is not None:
         _emit_metrics(args.metrics, result.metrics)
-    bench_json = args.bench_json
-    if bench_json is None and args.profile and args.audit:
-        bench_json = "BENCH_driver.json"
-    if bench_json is not None:
-        _emit_bench(bench_json, args, result, profile)
+    if args.bench_json is not None:
+        _emit_bench(args.bench_json, args, result, profile)
     if args.spans is not None:
         _emit_spans(args.spans, result, spec)
     if args.audit and not result.audit_report.ok:
@@ -342,8 +337,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         transport="asyncio",
         # Not an option: every served round goes through
         # DirectorySuite._round, and between co-located replicas a
-        # scatter runs its members in issue order, so serial, parallel
-        # and hedged send the same messages in the same order until a
+        # scatter runs its members in issue order, so serial and
+        # parallel send the same messages in the same order until a
         # member fails.  Parallel is what the benchmarks measure.
         fanout="parallel",
         checkpoint_policy=LogSizeBound(SERVE_LOG_BOUND),
@@ -678,12 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_argument_group("fan-out", "quorum RPC issue behaviour")
     g.add_argument(
         "--fanout",
-        choices=["serial", "parallel", "hedged"],
+        choices=["serial", "parallel"],
         default="serial",
-        help="quorum RPC issue mode: serial (paper-faithful baseline), "
-        "parallel (scatter-gather, cost = max arrival), or hedged "
-        "(parallel + over-requested reads completing on first "
-        "vote-sufficient replies)",
+        help="quorum RPC issue mode: serial (paper-faithful baseline) or "
+        "parallel (scatter-gather, cost = max arrival)",
     )
     g.add_argument(
         "--batch", type=int, default=1, help="neighbor batch size"
@@ -708,20 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--auto-reshard",
         action="store_true",
         help="watch windowed per-shard routing rates and live-split the "
-        "hottest shard's key range mid-run (requires --shards > 0)",
-    )
-    g.add_argument(
-        "--reshard-max-splits",
-        type=int,
-        default=2,
-        help="upper bound on automatic splits per run",
-    )
-    g.add_argument(
-        "--reshard-hot-factor",
-        type=float,
-        default=2.0,
-        help="split when the hottest shard's routed rate exceeds this "
-        "multiple of the mean of the others",
+        "hottest shard's key range mid-run (at most 2 splits, each when "
+        "the hottest shard's rate exceeds 2x the mean of the others; "
+        "requires --shards > 0)",
     )
     g = p.add_argument_group("observability", "spans, audits, telemetry")
     g.add_argument(
@@ -758,9 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
         const="BENCH_driver.json",
         default=None,
         metavar="PATH",
-        help="write BENCH telemetry for this run (defaults to "
-        "BENCH_driver.json; also written automatically when --profile "
-        "and --audit are both on)",
+        help="write BENCH telemetry for this run to PATH (BENCH_driver.json "
+        "when no path is given); nothing is written without this flag",
     )
     p.set_defaults(fn=cmd_simulate)
 

@@ -94,10 +94,8 @@ class ClusterSpec:
     #: overrides where *this cluster's* suite and replicas publish (the
     #: sharded directory passes a ``shard<i>``-scoped view here).
     metrics: Any = None
-    #: RPC issue mode: ``"serial"`` | ``"parallel"`` | ``"hedged"``.
+    #: RPC issue mode: ``"serial"`` | ``"parallel"``.
     fanout: str = "serial"
-    #: Spare representatives a hedged read over-requests.
-    hedge_extra: int = 1
     #: Build onto an existing simulated network (shared clock, shared
     #: traffic stats) instead of creating one.  Node ids must not
     #: collide with nodes already on it — use ``node_for_rep``.
@@ -281,7 +279,6 @@ class DirectoryCluster:
             tracer=tracer,
             metrics=metrics,
             fanout=spec.fanout,
-            hedge_extra=spec.hedge_extra,
         )
         return cls(
             config,

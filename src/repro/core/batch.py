@@ -540,10 +540,10 @@ def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:
     """One op of ``kind`` through the plain public path, errors raised.
 
     What a kind means *alone* — the paper's Figure 8/9/13 algorithms,
-    with read-repair and hedged reads: the reference every wave, of one
-    op or many, is checked against (the sequential twins of the tests),
-    and what a wave whose shared transaction aborted falls back to op
-    by op.  The front door never runs it otherwise.
+    with read-repair: the reference every wave, of one op or many, is
+    checked against (the sequential twins of the tests), and what a
+    wave whose shared transaction aborted falls back to op by op.  The
+    front door never runs it otherwise.
     """
     if kind == "lookup":
         return suite.lookup(key)

@@ -114,16 +114,8 @@ class DirectorySuite:
         paper-faithful baseline: a round goes out as rounds of one, each
         charged a full round trip, bit-identical accounting to the
         pre-fan-out code.  ``"parallel"`` scatters each round at once
-        and pays the *max* arrival over the batch.  ``"hedged"``
-        additionally over-requests reads to ``hedge_extra`` spare
-        representatives and completes on the first vote-sufficient
-        replies; stragglers are awaited only for lock-release accounting
-        at commit/abort (safe — quorum reads are idempotent, and every
-        representative that executed a call is still enlisted for
-        two-phase commit).
-    hedge_extra:
-        How many spare representatives a hedged read over-requests
-        beyond the read quorum (only consulted when ``fanout="hedged"``).
+        and pays the *max* arrival over the batch.  Either way a round
+        waits for every member it sent to.
 
     A failure detector is wired in with :meth:`attach_detector`, and
     in-transaction re-issue of timed-out RPCs by setting
@@ -145,19 +137,14 @@ class DirectorySuite:
         tracer: Any = None,
         metrics: MetricsRegistry | None = None,
         fanout: str = "serial",
-        hedge_extra: int = 1,
     ) -> None:
         missing = set(config.names) - set(placements)
         if missing:
             raise ValueError(f"placements missing for representatives: {missing}")
         if neighbor_batch_size < 1:
             raise ValueError("neighbor_batch_size must be >= 1")
-        if fanout not in ("serial", "parallel", "hedged"):
-            raise ValueError(
-                f"fanout must be serial, parallel, or hedged; got {fanout!r}"
-            )
-        if hedge_extra < 0:
-            raise ValueError("hedge_extra must be >= 0")
+        if fanout not in ("serial", "parallel"):
+            raise ValueError(f"fanout must be serial or parallel; got {fanout!r}")
         self.config = config
         self.placements = dict(placements)
         #: Lifecycle states (see :mod:`repro.repl.lifecycle`): a replica
@@ -190,11 +177,6 @@ class DirectorySuite:
         self.fanout = fanout
         # The commit protocol's rounds fan out as the suite's own do.
         txn_manager.coordinator.parallel = fanout != "serial"
-        self.hedge_extra = hedge_extra
-        #: Net ticks hedged gathers returned before their stragglers,
-        #: minus any straggler wait paid back at commit/abort (never
-        #: negative in aggregate; see :meth:`_await_stragglers`).
-        self.straggler_ticks_saved = 0.0
         self._fanout_width = RunningStat()
         #: Transaction id of the most recently begun suite transaction.
         #: A retrying front-end reads it after a failed attempt to probe
@@ -290,12 +272,8 @@ class DirectorySuite:
         metrics.gauge("suite.batch.walks", lambda: self._batch_walk_deletes.n)
         self._batch_rewalks = metrics.counter("suite.batch.rewalks")
         # Fan-out telemetry: one width sample per round (always 1 in
-        # serial mode); the straggler gauge moves only under hedging.
+        # serial mode).
         metrics.histogram("suite.fanout.width", stat=self._fanout_width)
-        metrics.gauge(
-            "suite.fanout.straggler_ticks_saved",
-            lambda: self.straggler_ticks_saved,
-        )
         metrics.provider("repl.membership", lambda: self.membership.counts())
         self.quorum_policy.bind_metrics(metrics)
 
@@ -533,11 +511,11 @@ class DirectorySuite:
 
         ``calls`` lists ``(rep, method, args[, payload_items])``, ``args``
         without the transaction id.  This is where ``fanout`` is decided
-        for every round but the hedged read: parallel and hedged send the
-        round as one scatter and wait for every member; serial sends it
-        as scatters of one, each gathered before the next is issued, and
-        stops at the first failure.  Either way the failure raised is the
-        first in issue order.  An empty round sends nothing.
+        for every round: parallel sends the round as one scatter and
+        waits for every member; serial sends it as scatters of one, each
+        gathered before the next is issued, and stops at the first
+        failure.  Either way the failure raised is the first in issue
+        order.  An empty round sends nothing.
         """
         if not calls:
             return []
@@ -550,96 +528,15 @@ class DirectorySuite:
             for member in members
         ]
 
-    def _hedged_read(
-        self, txn: Transaction, quorum: list[str], key: BoundedKey
-    ) -> dict[str, LookupReply]:
-        """A read round that returns on the first R-sufficient replies.
-
-        The quorum and its :meth:`_hedge_extras` are scattered together;
-        the clock stops at the earliest vote-sufficient prefix, the ticks
-        not spent waiting for stragglers are credited to
-        ``straggler_ticks_saved``, and the transaction's
-        ``straggler_deadline`` is pushed out so commit/abort settles the
-        outstanding exchanges (see :meth:`_await_stragglers`).
-        """
-        batch = self._scatter(
-            txn,
-            [
-                self._rep_call(txn, rep, "rep_lookup", (key,))
-                for rep in quorum + self._hedge_extras(quorum)
-            ],
-            "rep_lookup",
-        )
-        waited, sufficient = batch.complete_first(
-            self.config.read_quorum,
-            lambda reply: self.config.votes[reply.call.key],
-        )
-        if not sufficient:
-            # The quorum alone carries R votes, so a member failed.
-            raise next(r.error for r in batch.replies if r.error is not None)
-        deadline = batch.lock_deadline
-        now = self.clock.now()
-        if deadline > now:
-            self.straggler_ticks_saved += deadline - now
-            txn.straggler_deadline = max(txn.straggler_deadline, deadline)
-        return {reply.call.key: reply.value for reply in waited}
-
-    def _hedge_extras(self, quorum: list[str]) -> list[str]:
-        """Spare representatives a hedged read over-requests.
-
-        Available, vote-carrying representatives outside the quorum, in
-        placement order, capped at ``hedge_extra``.
-        """
-        chosen = set(quorum)
-        extras = [
-            name
-            for name in self._eligible()
-            if name not in chosen and self.config.votes[name] > 0
-        ]
-        return extras[: self.hedge_extra]
-
-    def _await_stragglers(self, txn: Transaction) -> None:
-        """Sit out a hedged read's outstanding exchanges.
-
-        Called before commit *and* abort: representatives that executed
-        a hedged read's call hold read locks until their replies (or
-        timeouts) land, so the client cannot start resolving the
-        transaction earlier than the last such instant.  Ticks waited
-        here are paid back out of ``straggler_ticks_saved``, keeping the
-        metric an honest net saving.  A no-op whenever other work
-        already carried the clock past the deadline.
-        """
-        deadline = txn.straggler_deadline
-        clock = self.clock
-        if deadline <= clock.now():
-            return
-        wait = deadline - clock.now()
-        tracer = self.tracer
-        with tracer.span(
-            "fanout:straggler-wait", width=0, waited=wait
-        ) if tracer.enabled else NULL_SPAN:
-            clock.advance_to(deadline)
-        self.straggler_ticks_saved -= wait
-
     # ------------------------------------------------------------------
     # Figure 8: DirSuiteLookup
     # ------------------------------------------------------------------
 
     def _suite_lookup(self, txn: Transaction, key: BoundedKey) -> SuiteLookupReply:
-        """Send DirRepLookup to a read quorum; keep the highest version.
-
-        In parallel/hedged modes the quorum is scattered concurrently;
-        a hedged read additionally over-requests spare representatives
-        and settles on the first vote-sufficient replies (any highest-
-        version verdict carried by >= R votes intersects every write
-        quorum, so which sufficient subset answers first is immaterial).
-        """
+        """Send DirRepLookup to a read quorum; keep the highest version."""
         quorum = self._collect_quorum("read")
-        if self.fanout == "hedged":
-            replies = self._hedged_read(txn, quorum, key)
-        else:
-            calls = [(rep, "rep_lookup", (key,)) for rep in quorum]
-            replies = dict(zip(quorum, self._round(txn, calls)))
+        calls = [(rep, "rep_lookup", (key,)) for rep in quorum]
+        replies = dict(zip(quorum, self._round(txn, calls)))
         best: LookupReply | None = None
         for reply in replies.values():
             if reply.beats(best):
@@ -1023,10 +920,6 @@ class _SuiteTransaction:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         assert self.txn is not None
-        # Hedged reads may have left exchanges in flight; their
-        # representatives hold locks until those land, so settle them
-        # before resolving the transaction either way.
-        self.suite._await_stragglers(self.txn)
         if exc_type is None:
             self.suite.txn_manager.commit(self.txn)
             return False

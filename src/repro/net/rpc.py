@@ -29,7 +29,7 @@ instrumentation to one attribute check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.errors import (
     NodeDownError,
@@ -103,9 +103,9 @@ class RpcBatch:
 
     Produced by :meth:`RpcEndpoint.scatter`.  Every member has already
     been *simulated* — effects applied, traffic accounted, per-member
-    arrival times computed — but the shared clock has not moved; one of
-    the ``complete_*`` methods must be called exactly once to advance it
-    to the arrival of the slowest member the caller actually waits on.
+    arrival times computed — but the shared clock has not moved;
+    :meth:`complete_all` must be called exactly once to advance it to
+    the arrival of the slowest member.
     """
 
     def __init__(
@@ -119,69 +119,21 @@ class RpcBatch:
         self.replies = replies
         self.span = span  # the open ``fanout:`` span (NULL_SPAN untraced)
         self.started = started
-        #: The replies the gather actually waited on (set by complete_*).
-        self.waited: list[RpcReply] = []
 
     @property
     def width(self) -> int:
         """Number of calls in the batch."""
         return len(self.replies)
 
-    @property
-    def lock_deadline(self) -> float:
-        """Latest arrival over members whose effect was applied.
-
-        A member that executed the call holds representative-side state
-        (locks, a vote in ``_seen_txns``) until its reply — or timeout —
-        lands, so a hedged gather that returns early must still account
-        this instant before releasing the transaction.  Members that
-        never executed (down targets, lost requests) hold nothing and
-        are excluded.
-        """
-        return max(
-            (r.arrival for r in self.replies if r.effect_applied),
-            default=self.started,
-        )
-
     def complete_all(self) -> list[RpcReply]:
         """Wait for every member; the batch costs the max arrival."""
-        return self._finish(list(self.replies), hedged=False)
-
-    def complete_first(
-        self, target: int, weight_of: Callable[[RpcReply], int]
-    ) -> tuple[list[RpcReply], bool]:
-        """Wait only until successful replies carry ``target`` weight.
-
-        Replies are taken in arrival order (ties broken by issue order);
-        the clock advances to the last reply of the minimal sufficient
-        prefix, and later arrivals — stragglers — are left pending for
-        the caller to account via :attr:`lock_deadline`.  If the batch
-        cannot reach ``target`` even with every success, it degenerates
-        to :meth:`complete_all` (the caller must sit out the failures'
-        timeouts to learn it failed) and the flag comes back False.
-        """
-        ranked = sorted(
-            (r for r in self.replies if r.ok),
-            key=lambda r: (r.arrival, self.replies.index(r)),
+        replies = self.replies
+        self.endpoint.network.clock.advance_to(
+            max([r.arrival for r in replies], default=self.started)
         )
-        waited: list[RpcReply] = []
-        got = 0
-        for reply in ranked:
-            waited.append(reply)
-            got += weight_of(reply)
-            if got >= target:
-                return self._finish(waited, hedged=True), True
-        return self._finish(list(self.replies), hedged=True), False
-
-    def _finish(self, waited: list[RpcReply], hedged: bool) -> list[RpcReply]:
-        clock = self.endpoint.network.clock
-        clock.advance_to(max([r.arrival for r in waited], default=self.started))
-        self.waited = waited
         if self.span is not NULL_SPAN:
-            self.span.set("waited_on", len(waited))
-            self.span.set("hedged", hedged)
             self.span.__exit__(None, None, None)
-        return waited
+        return replies
 
 
 class RpcEndpoint:
@@ -223,15 +175,14 @@ class RpcEndpoint:
     def scatter(
         self, calls: list[RpcCall], label: str | None = None
     ) -> RpcBatch:
-        """Issue ``calls`` concurrently; gather with ``complete_*``.
+        """Issue ``calls`` concurrently; gather with ``complete_all``.
 
         All requests leave at the same instant, so the batch's simulated
-        cost is the **max** arrival time over the members the gather
-        waits on; a serial caller issues rounds of one and so pays the
-        sum.  Each member gets its own fault dispositions,
+        cost is the **max** arrival time over its members; a serial
+        caller issues rounds of one and so pays the sum.  Each member gets its own fault dispositions,
         its own :class:`RpcTimeoutError`, and its own in-batch re-issue
-        budget (``call.retries``), and a lost member only charges the
-        batch ``rpc_timeout`` if the gather actually waits on it.
+        budget (``call.retries``), and a lost member charges the batch
+        its ``rpc_timeout``.
         Effects (and traffic accounting) are applied immediately; only
         the clock waits for the gather.
 

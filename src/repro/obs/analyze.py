@@ -57,7 +57,7 @@ def phase_of(span: Span) -> str:
     Scatter-gather batches record a ``fanout:<label>`` parent around
     their (overlapping) per-member ``rpc:`` spans; the batch belongs to
     the same phase its members would — ``commit`` for 2PC rounds,
-    ``rpc`` otherwise (including the hedged reads' straggler wait).
+    ``rpc`` otherwise.
     """
     name = span.name
     if name.startswith("quorum:"):
@@ -83,10 +83,10 @@ def _credit_phases(span: Span, phase_sums: dict[str, float]) -> None:
     """Credit one subtree's time to phases such that it tiles exactly.
 
     Serial spans credit their self time and recurse.  A ``fanout:``
-    span's children overlap each other (and, for hedged stragglers,
-    overhang the gather), so summing their self times would not tile
-    the operation's latency — the batch *envelope* (the fanout span's
-    own duration) is credited instead and its descendants are skipped.
+    span's children overlap each other, so summing their self times
+    would not tile the operation's latency — the batch *envelope* (the
+    fanout span's own duration) is credited instead and its
+    descendants are skipped.
     """
     if span.name.startswith("fanout:"):
         phase_sums[phase_of(span)] += span.duration

@@ -68,12 +68,9 @@ class SimulationSpec:
     seed: int = 0
     mix: OpMix = field(default_factory=OpMix)
     store: str = "sorted"
-    locking: bool = False  # serial runs: lock bookkeeping is pure overhead
     quorum_policy: QuorumPolicy | None = None
     neighbor_batch_size: int = 1
     read_repair: bool = False
-    keep_samples: bool = False
-    warmup_operations: int = 0  # extra unmeasured operations after loading
     #: When > 0, sample the cluster-wide ghost population every this many
     #: measured operations (a ghost is a stored entry whose key is no
     #: longer in the directory).  Costs a full cluster scan per sample.
@@ -82,7 +79,7 @@ class SimulationSpec:
     #: Off by default: the no-op tracer keeps instrumentation free.
     trace_spans: bool = False
     #: Per-message request-loss probability on every link during the
-    #: *measured* phase (loading and warmup run on a clean network).
+    #: *measured* phase (loading runs on a clean network).
     #: > 0 installs a :class:`~repro.net.failures.LossyLinks` model and a
     #: :class:`~repro.net.detector.FailureDetector`.
     loss: float = 0.0
@@ -97,13 +94,9 @@ class SimulationSpec:
     #: exactly-once / no-duplicate-apply oracle for chaos runs.
     verify_model: bool = False
     #: RPC fan-out mode: ``"serial"`` (paper-faithful one-call-at-a-time
-    #: baseline), ``"parallel"`` (quorum rounds and 2PC phases scatter
-    #: concurrently, paying the max arrival instead of the sum), or
-    #: ``"hedged"`` (parallel plus over-requested reads completing on the
-    #: first vote-sufficient replies).
+    #: baseline) or ``"parallel"`` (quorum rounds and 2PC phases scatter
+    #: concurrently, paying the max arrival instead of the sum).
     fanout: str = "serial"
-    #: Spare representatives a hedged read over-requests.
-    hedge_extra: int = 1
     #: Run the :class:`~repro.obs.audit.InvariantAuditor` at commit
     #: boundaries every ``audit_interval`` measured operations and once
     #: at the end of the run.  Off by default — like the tracer, auditing
@@ -143,13 +136,8 @@ class SimulationSpec:
     #: windowed per-shard routing rates mid-workload and live-splits the
     #: hottest shard's key range (COPY → CUTOVER → DRAIN, with the
     #: client stream flowing throughout).  Sharded runs only
-    #: (``shards > 0``).
+    #: (``shards > 0``).  The controller runs on its own defaults.
     auto_reshard: bool = False
-    #: Controller tuning: split when the hottest shard's windowed routed
-    #: rate exceeds ``reshard_hot_factor`` × the mean of the others.
-    reshard_hot_factor: float = 2.0
-    #: Upper bound on automatic splits per run.
-    reshard_max_splits: int = 2
 
 
 @dataclass
@@ -220,14 +208,15 @@ def run_simulation(
         cluster_spec = ClusterSpec(
             config=spec.config,
             store=spec.store,
-            locking=spec.locking,
+            # One transaction at a time: range-lock bookkeeping would be
+            # pure overhead, since nothing can contend for a lock.
+            locking=False,
             seed=spec.seed,
             quorum_policy=spec.quorum_policy,
             neighbor_batch_size=spec.neighbor_batch_size,
             read_repair=spec.read_repair,
             tracer=RecordingTracer() if spec.trace_spans else None,
             fanout=spec.fanout,
-            hedge_extra=spec.hedge_extra,
         )
         if spec.shards > 0:
             from repro.shard import ShardedDirectory
@@ -254,12 +243,6 @@ def run_simulation(
         suite.insert(op.key, op.value)
         if model is not None:
             model[op.key] = op.value
-
-    # Optional unmeasured warmup churn (still on a clean network).
-    for op in workload.operations(spec.warmup_operations):
-        _single(suite, op.kind, op.key, op.value)
-        if model is not None:
-            _apply_model(model, op)
 
     # Fault injection covers only the measured phase: loading through a
     # lossy network would merely slow the setup down without measuring
@@ -311,17 +294,12 @@ def run_simulation(
             )
         from repro.shard import ReshardController
 
-        controller = ReshardController(
-            cluster,
-            hot_factor=spec.reshard_hot_factor,
-            max_splits=spec.reshard_max_splits,
-            window=_RESHARD_WINDOW,
-        )
+        controller = ReshardController(cluster, window=_RESHARD_WINDOW)
 
     # Measurement phase starts from clean statistics.  The tracer resets
     # with the traffic counters so span message counts reconcile exactly
     # against ``result.traffic``.
-    suite.delete_stats = DeleteOverheadStats(keep_samples=spec.keep_samples)
+    suite.delete_stats = DeleteOverheadStats()
     suite.op_counts = SuiteOpCounts()
     cluster.network.stats.reset()
     cluster.tracer.reset()

@@ -43,12 +43,6 @@ class Transaction:
     state: TxnState = TxnState.ACTIVE
     participants: dict[str, Participant] = field(default_factory=dict)
     started_at: float = 0.0
-    #: Latest simulated instant at which a hedged read's straggler
-    #: replies (or timeouts) land.  Hedged gathers return before their
-    #: stragglers, but the representatives involved hold locks until
-    #: their exchanges resolve — so commit/abort waits out this deadline
-    #: first (see ``DirectorySuite._await_stragglers``).
-    straggler_deadline: float = 0.0
 
     def enlist(self, key: str, node_id: str, service_name: str) -> None:
         """Record that the representative at ``key`` joined the transaction."""

@@ -172,7 +172,7 @@ class TestMessageCost:
             except (KeyAlreadyPresentError, KeyNotPresentError):
                 pass
 
-    @pytest.mark.parametrize("fanout", ["serial", "parallel", "hedged"])
+    @pytest.mark.parametrize("fanout", ["serial", "parallel"])
     def test_asyncio_counts_what_the_simulator_counts(self, fanout):
         spec = ClusterSpec(config="3-2-2", seed=9, fanout=fanout)
         with DirectoryCluster.create(spec) as sim:

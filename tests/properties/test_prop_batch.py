@@ -67,7 +67,7 @@ def test_waves_of_mixed_verbs_match_the_sequential_twin(waves, fanout):
 @settings(max_examples=120, deadline=None)
 @given(
     waves=dense_waves,
-    fanout=st.sampled_from(["serial", "parallel", "hedged"]),
+    fanout=st.sampled_from(["serial", "parallel"]),
     neighbor_batch_size=st.sampled_from([1, 3]),
 )
 def test_crowded_deletes_match_the_sequential_twin(

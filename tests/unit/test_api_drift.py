@@ -114,10 +114,9 @@ def test_fanout_is_decided_where_a_round_is_issued():
     """
     src = Path(__file__).resolve().parents[2] / "src" / "repro"
     core = sorted((src / "core").glob("*.py"))
-    # _round, the hedged read in _suite_lookup, and the probe/install
-    # step size in _coalesce_around.
+    # _round, and the probe/install step size in _coalesce_around.
     fanout = _attribute_reads(core, "fanout")
-    assert len(fanout) <= 3, fanout
+    assert len(fanout) <= 2, fanout
     parallel = _attribute_reads([src / "txn" / "twopc.py"], "parallel")
     assert len(parallel) <= 1, parallel
     # A lone call is a round of one too, so nothing in core/ calls the

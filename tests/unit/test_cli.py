@@ -98,7 +98,7 @@ class TestCommands:
         assert code == 0
         assert "RPC rounds" in out
 
-    @pytest.mark.parametrize("mode", ["parallel", "hedged"])
+    @pytest.mark.parametrize("mode", ["parallel"])
     def test_simulate_fanout_modes(self, capsys, mode):
         code, out = run_cli(
             capsys,
@@ -111,6 +111,19 @@ class TestCommands:
     def test_unknown_fanout_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--fanout", "sideways"])
+
+    def test_hedged_fanout_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["simulate", "--fanout", "hedged"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'hedged'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--reshard-hot-factor", "--reshard-max-splits"]
+    )
+    def test_reshard_tuning_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", flag, "2"])
 
     @pytest.mark.parametrize("mode", ["serial", "parallel", "hedged"])
     def test_serve_takes_no_fanout(self, mode):
@@ -196,6 +209,21 @@ class TestProfileAuditBench:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["audit.violations"] == 0
         assert "net.traffic" in metrics
+
+    def test_profile_audit_writes_no_bench_unasked(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Only ``--bench-json`` writes a BENCH document: a profiled,
+        audited run in a checkout must not overwrite the committed one."""
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(
+            capsys,
+            "simulate", "--size", "10", "--ops", "50", "--seed", "0",
+            "--profile", "--audit",
+        )
+        assert code == 0
+        assert "BENCH telemetry written" not in out
+        assert list(tmp_path.glob("BENCH_*.json")) == []
 
     def test_metrics_to_stdout(self, capsys):
         import json

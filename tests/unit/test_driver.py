@@ -55,9 +55,16 @@ class TestRunSimulation:
         assert result.op_counts.deletes == 0
         assert result.final_size == 40 + 400
 
-    def test_warmup_operations_not_measured(self):
-        warm = run_simulation(small_spec(warmup_operations=200))
-        assert warm.op_counts.total == 400
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "keep_samples", "warmup_operations", "locking",
+            "reshard_hot_factor", "reshard_max_splits", "hedge_extra",
+        ],
+    )
+    def test_removed_options_are_refused(self, option):
+        with pytest.raises(TypeError):
+            small_spec(**{option: 1})
 
     def test_btree_store_runs(self):
         result = run_simulation(small_spec(store="btree"))

@@ -4,13 +4,13 @@ Three layers are covered here:
 
 * the RPC batch primitive itself (``RpcEndpoint.scatter`` /
   ``RpcBatch``) — max-not-sum clock accounting, per-member fault
-  dispositions, in-batch re-issue, hedged early completion;
+  dispositions, in-batch re-issue;
 * the traced form — per-attempt span attribution and the ``fanout:``
   envelope spans the analyzer tiles against;
 * the simulation driver — ``fanout="serial"`` must stay bit-identical
-  to the pre-fan-out engine (pinned baselines), and the parallel and
-  hedged modes must change *time* without changing traffic, answers,
-  or replicated state.
+  to the pre-fan-out engine (pinned baselines), and the parallel mode
+  must change *time* without changing traffic, answers, or replicated
+  state.
 """
 
 import pytest
@@ -136,30 +136,6 @@ class TestScatterAccounting:
         assert net.clock.now() == 22.0
         assert tallies["a"].calls == 2  # dropped-reply effect + re-issue
 
-    def test_hedged_gather_skips_slow_member(self):
-        net, _ = _net(ScriptedLoss([LossEvent("reply", nth=0)]))
-        rpc = RpcEndpoint(net, origin="client")
-        batch = rpc.scatter(_calls())
-        waited, sufficient = batch.complete_first(2, lambda r: 1)
-        assert sufficient
-        assert [r.call.key for r in waited] == ["b", "c"]
-        # The gather returns at the fast members' arrival...
-        assert net.clock.now() == 2.0
-        # ...but the timed-out member executed the call and holds locks
-        # until its timeout expires; the caller must settle that.
-        assert batch.lock_deadline == 20.0
-
-    def test_hedged_gather_degenerates_when_insufficient(self):
-        net, _ = _net()
-        net.node("b").crash()
-        net.node("c").crash()
-        rpc = RpcEndpoint(net, origin="client")
-        batch = rpc.scatter(_calls())
-        waited, sufficient = batch.complete_first(2, lambda r: 1)
-        assert not sufficient
-        assert len(waited) == 3  # had to sit out every member to learn it
-        assert isinstance(batch.replies[1].error, NodeDownError)
-
     def test_down_member_fails_instantly(self):
         net, tallies = _net()
         net.node("a").crash()
@@ -187,8 +163,7 @@ class TestScatterSpans:
         (root,) = tracer.finished_roots()
         assert root.name == "fanout:rep_lookup"
         assert root.attrs["width"] == 3
-        assert root.attrs["waited_on"] == 3
-        assert root.attrs["hedged"] is False
+        assert "waited_on" not in root.attrs and "hedged" not in root.attrs
         assert (root.start, root.end) == (0.0, 2.0)
         assert [c.name for c in root.children] == ["rpc:svc.put"] * 3
         # All members share the scatter instant but own their arrivals.
@@ -217,18 +192,6 @@ class TestScatterSpans:
         assert all("attempt" not in s.attrs for s in spans[2:])
         # The envelope covers the slowest member's full attempt chain.
         assert (root.start, root.end) == (0.0, 22.0)
-
-    def test_hedged_span_marks_waited_subset(self):
-        net, _, tracer, rpc = self._traced(
-            ScriptedLoss([LossEvent("reply", nth=0)])
-        )
-        batch = rpc.scatter(_calls())
-        batch.complete_first(2, lambda r: 1)
-        (root,) = tracer.finished_roots()
-        assert root.attrs["waited_on"] == 2
-        assert root.attrs["hedged"] is True
-        assert (root.start, root.end) == (0.0, 2.0)
-
 
 #: (spec, expected traffic/outcome) pairs captured by running the
 #: pre-fan-out serial engine; ``fanout="serial"`` must reproduce them
@@ -303,8 +266,7 @@ class TestSerialSeedEquivalence:
         assert result.model_mismatches == 0
 
 
-#: Mix with lookups — the default mix has none, and the hedged read
-#: path is the part of the engine worth exercising here.
+#: Mix with lookups — the default mix has none.
 _MIX = OpMix(insert=1, update=1, delete=1, lookup=2)
 
 
@@ -326,24 +288,21 @@ def _run_with_state(mode, **overrides):
     from repro.cluster import DirectoryCluster
 
     spec = _mode_spec(mode, **overrides)
-    cluster = DirectoryCluster.create(ClusterSpec(config=spec.config, seed=spec.seed, tracer=RecordingTracer() if spec.trace_spans else None, fanout=mode, hedge_extra=spec.hedge_extra))
+    cluster = DirectoryCluster.create(ClusterSpec(config=spec.config, seed=spec.seed, tracer=RecordingTracer() if spec.trace_spans else None, fanout=mode))
     result = run_simulation(spec, cluster=cluster)
     return result, cluster.suite.authoritative_state()
 
 
 class TestFanoutModes:
-    def test_parallel_and_hedged_match_serial_state(self):
+    def test_parallel_matches_serial_state(self):
         serial, serial_state = _run_with_state("serial")
         parallel, parallel_state = _run_with_state("parallel")
-        hedged, hedged_state = _run_with_state("hedged")
 
         # Fan-out reorders time, not traffic or outcomes.
         assert parallel_state == serial_state
-        assert hedged_state == serial_state
         assert parallel.traffic["messages"] == serial.traffic["messages"]
         assert parallel.sim_ticks < serial.sim_ticks
-        assert hedged.sim_ticks <= parallel.sim_ticks
-        for result in (serial, parallel, hedged):
+        for result in (serial, parallel):
             assert result.failed_operations == 0
             assert result.model_mismatches == 0
 
@@ -357,28 +316,36 @@ class TestFanoutModes:
         width = parallel.metrics["suite.fanout.width"]
         assert width["n"] > 0
         assert width["max"] >= 2
-        # Uniform perfect network: every batch member arrives together,
-        # so hedging saves nothing and the gauge nets out to zero.
-        assert parallel.metrics["suite.fanout.straggler_ticks_saved"] == 0.0
 
     def test_traced_fanout_phases_tile_exactly(self):
         from repro.obs.analyze import PHASES, _credit_phases
 
-        for mode in ("parallel", "hedged"):
-            result, _ = _run_with_state(mode, trace_spans=True)
-            assert result.spans
-            for op_span in result.spans:
-                sums = dict.fromkeys(PHASES, 0.0)
-                _credit_phases(op_span, sums)
-                assert sum(sums.values()) == pytest.approx(
-                    op_span.duration, abs=1e-9
-                )
+        result, _ = _run_with_state("parallel", trace_spans=True)
+        assert result.spans
+        for op_span in result.spans:
+            sums = dict.fromkeys(PHASES, 0.0)
+            _credit_phases(op_span, sums)
+            assert sum(sums.values()) == pytest.approx(
+                op_span.duration, abs=1e-9
+            )
 
     def test_invalid_fanout_rejected(self):
         from repro.cluster import DirectoryCluster
 
         with pytest.raises(ValueError):
             DirectoryCluster.create(ClusterSpec(config="3-2-2", fanout="sideways"))
+
+    def test_hedged_fanout_rejected(self):
+        """Serial and parallel are the only modes: a round waits for
+        every member it sent to."""
+        from repro.cluster import DirectoryCluster
+
+        with pytest.raises(ValueError, match="serial or parallel"):
+            DirectoryCluster.create(ClusterSpec(config="3-2-2", fanout="hedged"))
+
+    def test_spec_takes_no_hedge_extra(self):
+        with pytest.raises(TypeError):
+            ClusterSpec(config="3-2-2", hedge_extra=1)
 
     def test_serial_round_enlists_only_members_that_executed(self):
         """A serial member whose request was lost never ran the call and
@@ -581,58 +548,12 @@ ROUND_SEQUENCES = {
             "prepare@C prepare@B prepare@A commit@C commit@B commit@A"
         ),
     },
-    "hedged": {
-        "lookup": (
-            "rep_lookup@B rep_lookup@C rep_lookup@A prepare@B prepare@C "
-            "prepare@A commit@B commit@C commit@A"
-        ),
-        "insert": (
-            "rep_lookup@C rep_lookup@B rep_lookup@A rep_insert@B "
-            "rep_insert@C prepare@C prepare@B prepare@A commit@C commit@B "
-            "commit@A"
-        ),
-        "update": (
-            "rep_lookup@B rep_lookup@C rep_lookup@A rep_insert@B "
-            "rep_insert@C prepare@B prepare@C prepare@A commit@B commit@C "
-            "commit@A"
-        ),
-        "delete": (
-            "rep_lookup@C rep_lookup@B rep_neighbors_batch@B "
-            "rep_neighbors_batch@C rep_lookup@B rep_lookup@C "
-            "rep_neighbors_batch@C rep_lookup@C rep_lookup@B "
-            "rep_neighbors_batch@C rep_neighbors_batch@B rep_lookup@C "
-            "rep_lookup@B rep_lookup@C rep_lookup@C rep_lookup@B "
-            "rep_lookup@B rep_coalesce@C rep_coalesce@B prepare@C "
-            "prepare@B commit@C commit@B"
-        ),
-        "wave": (
-            "rep_lookup_many@B rep_lookup_many@A rep_neighbors_many@B "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_insert_many@A rep_insert_many@C rep_neighbors_many@B "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
-            "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
-            "rep_insert_many@C prepare@B prepare@A prepare@C commit@B "
-            "commit@A commit@C"
-        ),
-        "delete_h": (
-            "rep_lookup@C rep_lookup@B rep_lookup@A rep_neighbors_batch@C "
-            "rep_neighbors_batch@B rep_lookup@C rep_lookup@B rep_lookup@A "
-            "rep_neighbors_batch@C rep_neighbors_batch@A rep_lookup@A "
-            "rep_lookup@B rep_lookup@C rep_lookup@C rep_lookup@C "
-            "rep_lookup@A rep_lookup@A rep_insert@A rep_coalesce@C "
-            "rep_coalesce@A prepare@C prepare@B prepare@A commit@C "
-            "commit@B commit@A"
-        ),
-    },
 }
 
 
 class TestRoundSequence:
     @pytest.mark.parametrize("transport", ["sim", "asyncio"])
-    @pytest.mark.parametrize("mode", ["serial", "parallel", "hedged"])
+    @pytest.mark.parametrize("mode", ["serial", "parallel"])
     def test_every_verb_sends_the_recorded_messages_in_order(
         self, mode, transport
     ):
@@ -655,4 +576,3 @@ class TestRoundSequence:
         assert serial["wave"].count("rep_neighbors_many@A") == 4
         assert serial["wave"].count("rep_neighbors_many@B") == 2
         assert "rep_insert_many@C rep_coalesce_many@A" in serial["wave"]
-        assert ROUND_SEQUENCES["hedged"]["lookup"].count("rep_lookup@") == 3
