@@ -114,7 +114,7 @@ def _drive(ops_256, ops_1024, rates, duration):
                     duration=duration,
                 )
             )
-            snapshot = directory.transport.metrics.snapshot()
+            snapshot = directory.network.metrics.snapshot()
     finally:
         directory.close()
     batch_waves = sum(
@@ -200,7 +200,7 @@ def _control_leg(mix, ops: int, burst: int, seed: int):
                                 else:
                                     slots.append(pipe.remove(key))
             report = directory.make_auditor().run()
-            snapshot = directory.transport.metrics.snapshot()
+            snapshot = directory.network.metrics.snapshot()
             outcomes[label] = {
                 "replies": [slot.result() for slot in slots],
                 "rpc_per_op": snapshot["service.rpc.calls"] / ops,

@@ -82,7 +82,6 @@ from repro.core.resilient import ResilientSuite, RetryPolicy
 from repro.core.suite import DirectorySuite
 from repro.net.detector import FailureDetector
 from repro.net.failures import LossEvent, LossyLinks, ScriptedLoss
-from repro.net.transport import SimTransport, Transport, resolve_transport
 from repro.obs import (
     AuditReport,
     AuditViolation,
@@ -145,10 +144,6 @@ __all__ = [
     "ReshardRecord",
     "ShardAuditor",
     "WaveOutcome",
-    # transports
-    "Transport",
-    "SimTransport",
-    "resolve_transport",
     # quorum policies
     "RandomQuorumPolicy",
     "StickyQuorumPolicy",

@@ -1,7 +1,7 @@
 """One-call construction of a replicated-directory cluster.
 
 :class:`DirectoryCluster` wires together everything a directory suite
-needs — a transport (a network on a simulated or a wall clock), one
+needs — a network (on a simulated or a wall clock), one
 node per representative, representative services with stores /
 write-ahead logs / lock tables, a transaction manager, and the suite
 front-end — so examples and benchmarks can say::
@@ -14,11 +14,10 @@ and tests can reach inside (``cluster.representative("A")``,
 ``cluster.crash("A")``) to script failure scenarios.
 
 :class:`ClusterSpec` is the one construction path: every option,
-including which transport the cluster runs on (``transport="sim"`` /
-``"asyncio"`` / a :class:`~repro.net.transport.Transport` instance),
-lives on the spec.  A spec can also point at an *existing*
-:class:`Network`, which is how the sharded directory (:mod:`repro.shard`)
-places many independent replica suites on one simulated substrate.
+including the network the cluster runs on (``transport="sim"`` /
+``"asyncio"`` / an existing :class:`Network`), lives on the spec.  An
+existing network is how the sharded directory (:mod:`repro.shard`)
+places many independent replica suites on one substrate.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.core.resilient import ResilientSuite
 from repro.core.suite import DirectorySuite, Placement
 from repro.core.versions import UNBOUNDED, VersionSpace
 from repro.net.network import LatencyModel, Network
-from repro.net.transport import Transport, resolve_transport
 from repro.obs.spans import NULL_TRACER
 from repro.storage.btree import BTreeStore
 from repro.storage.interface import RepresentativeStore
@@ -74,7 +72,7 @@ class ClusterSpec:
     seed: int | None = None
     #: Quorum selection strategy; default uniform random (the paper's).
     quorum_policy: QuorumPolicy | None = None
-    #: Message latency model; only valid when building a fresh network.
+    #: Message latency model of a fresh simulated network.
     latency: LatencyModel | None = None
     #: Version-number space; a bounded space raises on exhaustion.
     version_space: VersionSpace = UNBOUNDED
@@ -90,36 +88,31 @@ class ClusterSpec:
     #: A RecordingTracer to capture span trees; no-op tracer by default.
     tracer: Any = None
     #: Registry to publish metrics into.  With a fresh network this
-    #: becomes the network-wide registry; with a shared ``network`` it
+    #: becomes the network-wide registry; on an existing network it
     #: overrides where *this cluster's* suite and replicas publish (the
     #: sharded directory passes a ``shard<i>``-scoped view here).
     metrics: Any = None
     #: RPC issue mode: ``"serial"`` | ``"parallel"``.
     fanout: str = "serial"
-    #: Build onto an existing simulated network (shared clock, shared
-    #: traffic stats) instead of creating one.  Node ids must not
-    #: collide with nodes already on it — use ``node_for_rep``.
-    network: Network | None = None
-    #: Substrate the cluster runs on: ``None``/``"sim"`` (simulated
-    #: network + simulated clock), ``"asyncio"`` (the same network on a
-    #: wall clock with free links, plus an event loop to serve from), or a
-    #: :class:`~repro.net.transport.Transport` instance (shared
-    #: substrates, e.g. one transport hosting every shard).
-    transport: "str | Transport | None" = None
+    #: The network the cluster runs on: ``None``/``"sim"`` (a fresh
+    #: simulated network), ``"asyncio"`` (a fresh
+    #: :class:`~repro.service.aio.AsyncioTransport`: the same network on
+    #: a wall clock with free links, plus an event loop to serve from),
+    #: or an existing :class:`Network` to share (one clock, one traffic
+    #: ledger; node ids must not collide — use ``node_for_rep``).
+    transport: "str | Network | None" = None
 
     def __post_init__(self) -> None:
-        if self.network is not None and self.latency is not None:
+        kind = self.transport
+        if isinstance(kind, str) and kind not in ("sim", "asyncio"):
             raise ConfigurationError(
-                "latency is fixed by the existing network; "
-                "set it where the network is created"
+                f"unknown transport {kind!r}; expected 'sim', 'asyncio' "
+                "or a Network"
             )
-        simulated = self.transport is None or self.transport == "sim"
-        if not simulated and (
-            self.network is not None or self.latency is not None
-        ):
+        if self.latency is not None and kind not in (None, "sim"):
             raise ConfigurationError(
-                "network/latency are simulation-only options; "
-                f"transport={self.transport!r} owns its own substrate"
+                "latency configures a fresh simulated network; "
+                f"transport={kind!r} already has its links"
             )
 
     def suite_config(self) -> SuiteConfig:
@@ -128,23 +121,29 @@ class ClusterSpec:
             return SuiteConfig.from_xyz(self.config)
         return self.config
 
+    def resolve_network(self) -> Network:
+        """The network :attr:`transport` names: built fresh for a kind,
+        passed through when it already is one."""
+        kind = self.transport
+        if kind is None or kind == "sim":
+            return Network(latency=self.latency, metrics=self.metrics)
+        if kind == "asyncio":
+            from repro.service.aio import AsyncioTransport
+
+            return AsyncioTransport(metrics=self.metrics)
+        return kind
+
     def for_shard(
-        self, index: int, transport: "Transport | Network", metrics: Any
+        self, index: int, network: Network, metrics: Any
     ) -> "ClusterSpec":
-        """This spec restamped for shard ``index`` on a shared substrate.
+        """This spec restamped for shard ``index`` on a shared network.
 
-        Node names get an ``s<index>:`` prefix (one transport hosts
-        every shard's nodes, and node ids must be unique), the quorum
-        RNG seed is offset per shard so shards draw independent streams,
-        and the latency/network fields are cleared (the shared transport
-        already owns the substrate).  A bare :class:`Network` is
-        accepted and wrapped in a
-        :class:`~repro.net.transport.SimTransport`.
+        Node names get an ``s<index>:`` prefix (one network hosts every
+        shard's nodes, and node ids must be unique), the quorum RNG seed
+        is offset per shard so shards draw independent streams, and
+        ``latency`` is cleared (the shared network already has its
+        links).
         """
-        if isinstance(transport, Network):
-            from repro.net.transport import SimTransport
-
-            transport = SimTransport(transport)
         base_node = self.node_for_rep or (lambda rep: f"node-{rep}")
         policy = self.quorum_policy
         if policy is not None:
@@ -162,48 +161,41 @@ class ClusterSpec:
             latency=None,
             node_for_rep=lambda rep: f"s{index}:{base_node(rep)}",
             metrics=metrics,
-            network=None,
-            transport=transport,
+            transport=network,
         )
 
 
 class DirectoryCluster:
-    """A fully wired suite plus the substrate it runs on."""
+    """A fully wired suite plus the network it runs on."""
 
     def __init__(
         self,
         config: SuiteConfig,
-        transport: "Transport | Network",
+        network: Network,
         suite: DirectorySuite,
         representatives: dict[str, DirectoryRepresentative],
         tracer: Any = None,
         metrics: Any = None,
     ) -> None:
         self.config = config
-        if isinstance(transport, Network):
-            transport = suite.transport
-        self.transport = transport
+        #: Where the replicas live: fault injection, partitions, traffic.
+        self.network = network
         self.suite = suite
         self.representatives = representatives
         self.tracer = tracer if tracer is not None else suite.tracer
         self._metrics = metrics
 
     @property
-    def network(self) -> Network:
-        """The transport's network (fault injection, traffic stats)."""
-        return self.suite.network
-
-    @property
     def metrics(self) -> Any:
         """Where this cluster publishes (``metrics.snapshot()``).
 
-        Normally the transport-wide :class:`MetricsRegistry`; for a
-        shard built on a shared substrate it is that shard's scoped
+        Normally the network-wide :class:`MetricsRegistry`; for a
+        shard built on a shared network it is that shard's scoped
         view.
         """
         if self._metrics is not None:
             return self._metrics
-        return self.transport.metrics
+        return self.network.metrics
 
     # -- construction ----------------------------------------------------------
 
@@ -232,25 +224,18 @@ class DirectoryCluster:
             ) from None
 
         tracer = spec.tracer if spec.tracer is not None else NULL_TRACER
-        transport = resolve_transport(
-            spec.transport,
-            network=spec.network,
-            latency=spec.latency,
-            metrics=spec.metrics,
-        )
-        metrics = (
-            spec.metrics if spec.metrics is not None else transport.metrics
-        )
-        tracer.bind_clock(transport.clock.now)
-        rpc = transport.endpoint(origin="client", tracer=tracer)
-        txn_manager = TransactionManager(rpc, clock_now=transport.clock.now)
+        network = spec.resolve_network()
+        metrics = spec.metrics if spec.metrics is not None else network.metrics
+        tracer.bind_clock(network.clock.now)
+        rpc = network.endpoint(origin="client", tracer=tracer)
+        txn_manager = TransactionManager(rpc, clock_now=network.clock.now)
 
         placements: dict[str, Placement] = {}
         representatives: dict[str, DirectoryRepresentative] = {}
         node_name = spec.node_for_rep or (lambda rep: f"node-{rep}")
         for rep_name in config.names:
             node_id = node_name(rep_name)
-            transport.ensure_node(node_id)
+            network.ensure_node(node_id)
             rep = DirectoryRepresentative(
                 rep_name,
                 store_factory=store_factory,
@@ -261,14 +246,14 @@ class DirectoryCluster:
                 metrics=metrics,
             )
             service_name = f"dir:{rep_name}"
-            transport.host(node_id, service_name, rep)
+            network.host(node_id, service_name, rep)
             placements[rep_name] = Placement(node_id, service_name)
             representatives[rep_name] = rep
 
         suite = DirectorySuite(
             config,
             placements,
-            transport,
+            network,
             rpc,
             txn_manager,
             quorum_policy=spec.quorum_policy,
@@ -282,7 +267,7 @@ class DirectoryCluster:
         )
         return cls(
             config,
-            transport,
+            network,
             suite,
             representatives,
             tracer=tracer,
@@ -297,21 +282,21 @@ class DirectoryCluster:
 
     def crash(self, rep_name: str) -> None:
         """Crash the node hosting a representative."""
-        self.transport.crash(self.suite.placements[rep_name].node_id)
+        self.network.crash(self.suite.placements[rep_name].node_id)
 
     def recover(self, rep_name: str) -> None:
         """Recover the node hosting a representative."""
-        self.transport.recover(self.suite.placements[rep_name].node_id)
+        self.network.recover(self.suite.placements[rep_name].node_id)
 
     # -- lifecycle (the Directory contract) -----------------------------------
 
     def close(self) -> None:
-        """Release the cluster's substrate (idempotent).
+        """Release the cluster's network (idempotent).
 
-        A no-op for the simulated transport; for the asyncio transport
-        it stops the event loop and its thread.
+        A no-op for a simulated network; an asyncio transport stops its
+        event loop and its thread.
         """
-        self.transport.close()
+        self.network.close()
 
     def __enter__(self) -> "DirectoryCluster":
         return self

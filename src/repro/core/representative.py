@@ -286,6 +286,11 @@ class DirectoryRepresentative:
 
         Locks RepModify(x, x); logs redo before touching the store.
         """
+        self._insert(txn_id, key, version, value)
+
+    def _insert(
+        self, txn_id: TxnId, key: BoundedKey, version: Version, value: Any
+    ) -> None:
         self._lock(txn_id, LockMode.REP_MODIFY, KeyRange.point(key))
         self.wal.log_insert(txn_id, key, version, value)
         result = self.store.insert(key, version, value)
@@ -330,18 +335,8 @@ class DirectoryRepresentative:
         covers them all).  Locks RepModify(x, x) and notes an undo per
         key, exactly as :meth:`rep_insert` does.
         """
-        for key, version, value in rows:
-            self._lock(txn_id, LockMode.REP_MODIFY, KeyRange.point(key))
-            self.wal.log_insert(txn_id, key, version, value)
-            result = self.store.insert(key, version, value)
-            self._note_undo(
-                txn_id,
-                UndoInsert(
-                    key,
-                    replaced=result.replaced,
-                    split_gap_version=result.split_gap_version,
-                ),
-            )
+        for row in rows:
+            self._insert(txn_id, *row)
 
     @_latched
     def rep_coalesce(

@@ -48,7 +48,6 @@ from repro.core.stats import DeleteOverheadStats, RunningStat, SuiteOpCounts
 from repro.core.versions import VersionSpace, UNBOUNDED
 from repro.net.network import Network
 from repro.net.rpc import RpcBatch, RpcCall, RpcEndpoint
-from repro.net.transport import SimTransport, Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.repl.lifecycle import SuiteMembership
@@ -74,12 +73,11 @@ class DirectorySuite:
     placements:
         Representative name → (node, service) location map; must cover
         every name in ``config``.
-    transport / rpc / txn_manager:
-        The cluster substrate: a :class:`~repro.net.transport.Transport`
-        (simulated or asyncio), the per-client calling endpoint it
-        issued, and the transaction manager sharing that endpoint.  A
-        bare :class:`~repro.net.network.Network` is also accepted and
-        wrapped in a :class:`~repro.net.transport.SimTransport`.
+    network / rpc / txn_manager:
+        The :class:`~repro.net.network.Network` the representatives are
+        hosted on (simulated or asyncio), the per-client calling
+        endpoint it issued, and the transaction manager sharing that
+        endpoint.
     quorum_policy:
         How quorum members are chosen; defaults to the paper's uniform
         random selection.
@@ -126,7 +124,7 @@ class DirectorySuite:
         self,
         config: SuiteConfig,
         placements: dict[str, Placement],
-        transport: "Transport | Network",
+        network: Network,
         rpc: Any,
         txn_manager: TransactionManager,
         quorum_policy: QuorumPolicy | None = None,
@@ -152,11 +150,11 @@ class DirectorySuite:
         #: ``membership.all_up`` guards every consultation, keeping the
         #: no-join-in-progress path bit-identical to the static suite.
         self.membership = SuiteMembership(config.names)
-        if isinstance(transport, Network):
-            transport = SimTransport(transport)
-        self.transport = transport
-        #: The transport's clock (simulated ticks or wall-clock seconds).
-        self.clock = transport.clock
+        #: Where the representatives live: fault injection, traffic
+        #: accounting and partitions reach through here, on either clock.
+        self.network = network
+        #: The network's clock (simulated ticks or wall-clock seconds).
+        self.clock = network.clock
         self.rpc = rpc
         self.txn_manager = txn_manager
         self.quorum_policy = quorum_policy or RandomQuorumPolicy()
@@ -168,7 +166,7 @@ class DirectorySuite:
         self.delete_stats = DeleteOverheadStats()
         self.op_counts = SuiteOpCounts()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else transport.metrics
+        self.metrics = metrics if metrics is not None else network.metrics
         #: In-transaction re-issues of a representative RPC that times out
         #: on a lossy network (see :meth:`_rep_call` for why re-issue is
         #: safe).  0: a perfect network loses nothing to re-issue, and
@@ -185,20 +183,13 @@ class DirectorySuite:
         self._detector = None
         self._register_metrics()
 
-    @property
-    def network(self) -> Network:
-        """The transport's network: fault injection, traffic accounting
-        and partitions reach through here, on either clock."""
-        return self.transport.network
-
     def close(self) -> None:
-        """Release the suite's substrate (see the Directory lifecycle).
+        """Release the suite's network (see the Directory lifecycle).
 
-        Delegates to the transport, whose ``close`` is idempotent; for
-        the simulated transport this is a no-op, for the asyncio
-        transport it stops the representative servers and the loop.
+        Idempotent: a no-op on a simulated network; an asyncio transport
+        stops its event loop and the loop's thread.
         """
-        self.transport.close()
+        self.network.close()
 
     def __enter__(self) -> "DirectorySuite":
         return self
@@ -381,11 +372,11 @@ class DirectorySuite:
 
     def _available(self) -> list[str]:
         """Representatives that are up and reachable right now."""
-        transport = self.transport
+        network = self.network
         origin = self.rpc.origin
         names = []
         for name, place in self.placements.items():
-            if transport.is_up(place.node_id) and transport.reachable(
+            if network.is_up(place.node_id) and network.reachable(
                 origin, place.node_id
             ):
                 names.append(name)
@@ -759,11 +750,11 @@ class DirectorySuite:
         read (all available representatives) and keep the highest-version
         verdict.  Test-only: it peeks at every replica directly.
         """
-        transport = self.transport
+        network = self.network
         reps = [
-            transport.local_service(place.node_id, place.service_name)
+            network.local_service(place.node_id, place.service_name)
             for place in self.placements.values()
-            if transport.is_up(place.node_id)
+            if network.is_up(place.node_id)
         ]
         state: dict[Any, Any] = {}
         for bkey in {entry.key for rep in reps for entry in rep.user_entries()}:

@@ -2,7 +2,10 @@
 
 * :mod:`repro.net.clock` — deterministic logical time;
 * :mod:`repro.net.node` — crash-aware nodes hosting services;
-* :mod:`repro.net.network` — latency models, partitions, traffic stats;
+* :mod:`repro.net.network` — the one substrate a directory runs on:
+  node hosting, calling endpoints, crashes, latency models, partitions,
+  traffic stats (served replicas use its wall-clock subclass,
+  :class:`~repro.service.aio.AsyncioTransport`);
 * :mod:`repro.net.rpc` — synchronous RPC with failure surfacing;
 * :mod:`repro.net.failures` — scripted and random failure injection,
   plus per-link message loss;

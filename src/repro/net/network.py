@@ -5,18 +5,24 @@ pluggable latency model, optional network partitions, optional message
 loss (see :meth:`Network.install_faults`), and full traffic accounting —
 because the replication algorithm's behaviour depends only on *which*
 nodes are reachable and *how many* messages are exchanged, not on
-wire-level detail.  Served replicas run on the same network with a wall
-clock and free links (:class:`~repro.service.aio.AsyncioTransport`).
+wire-level detail.
+
+A :class:`Network` is the one substrate a directory runs on: it hands
+out the calling endpoints, hosts the representatives, and is where they
+are crashed, partitioned and counted.  Served replicas run on a subclass
+with a wall clock, free links and an event loop to serve from
+(:class:`~repro.service.aio.AsyncioTransport`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.core.errors import NodeDownError
 from repro.net.clock import Clock, SimClock
 from repro.net.message import TrafficStats
 from repro.net.node import Node
+from repro.net.rpc import RpcEndpoint
 from repro.obs.metrics import MetricsRegistry
 
 #: Latency models map (src, dst) node ids to one-way latency in ticks.
@@ -107,6 +113,38 @@ class Network:
     def nodes(self) -> list[Node]:
         """All nodes in creation order."""
         return list(self._nodes.values())
+
+    def ensure_node(self, node_id: str) -> None:
+        """Create the node if it does not exist yet (idempotent)."""
+        if node_id not in self._nodes:
+            self.add_node(node_id)
+
+    def host(self, node_id: str, service_name: str, service: object) -> None:
+        """Register ``service`` under ``service_name`` on a node."""
+        self._nodes[node_id].host(service_name, service)
+
+    def local_service(self, node_id: str, service_name: str) -> object:
+        """In-process handle to a hosted service (audit and test peeking)."""
+        return self._nodes[node_id].service(service_name)
+
+    def is_up(self, node_id: str) -> bool:
+        """True while the node is running."""
+        return self._nodes[node_id].is_up
+
+    def crash(self, node_id: str) -> None:
+        """Power-fail a node (volatile service state is lost)."""
+        self._nodes[node_id].crash()
+
+    def recover(self, node_id: str) -> None:
+        """Restart a crashed node (services rebuild from durable state)."""
+        self._nodes[node_id].recover()
+
+    def endpoint(self, origin: str = "client", tracer: Any = None) -> RpcEndpoint:
+        """A calling stub bound to ``origin``; every RPC goes through one."""
+        return RpcEndpoint(self, origin=origin, tracer=tracer)
+
+    def close(self) -> None:
+        """Nothing to release: a simulated network holds no OS state."""
 
     # -- partitions ------------------------------------------------------------
 

@@ -29,15 +29,17 @@ instrumentation to one attribute check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import (
     NodeDownError,
     OriginDownError,
     RpcTimeoutError,
 )
-from repro.net.network import Network
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
+
+if TYPE_CHECKING:  # the network hands endpoints out, so it imports this module
+    from repro.net.network import Network
 
 
 @dataclass

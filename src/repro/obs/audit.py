@@ -137,7 +137,7 @@ class InvariantAuditor:
         suite = self.cluster.suite
         out = {}
         for name, place in suite.placements.items():
-            if self.cluster.transport.is_up(place.node_id):
+            if self.cluster.network.is_up(place.node_id):
                 out[name] = self.cluster.representatives[name]
         return out
 
@@ -146,7 +146,7 @@ class InvariantAuditor:
         suite = self.cluster.suite
         for name in config.voting_names():
             place = suite.placements[name]
-            if not self.cluster.transport.is_up(place.node_id):
+            if not self.cluster.network.is_up(place.node_id):
                 return False
         return True
 

@@ -107,10 +107,10 @@ def divergent_pieces(
 def admin_call(suite: Any, rep: str, method: str, *args: Any, payload_items: int = 1) -> Any:
     """One lifecycle RPC to a representative, through the suite's endpoint.
 
-    Goes through ``suite.rpc`` (not ``transport.local_service``), so join
-    and anti-entropy traffic is real traffic: it works over any
-    :class:`~repro.net.transport.Transport`, pays simulated latency, and
-    is subject to installed fault models like every client call.
+    Goes through ``suite.rpc`` (not ``network.local_service``), so join
+    and anti-entropy traffic is real traffic: it works on either clock,
+    pays simulated latency, and is subject to installed fault models
+    like every client call.
     """
     place = suite.placements[rep]
     return suite.rpc.call(
@@ -170,7 +170,7 @@ def wipe_replica(cluster: Any, rep: str) -> None:
     shipping records never sees LSNs reused.
     """
     node_id = cluster.suite.placements[rep].node_id
-    if cluster.transport.is_up(node_id):
+    if cluster.network.is_up(node_id):
         raise RuntimeError(f"refusing to wipe live replica {rep}; crash it first")
     cluster.representatives[rep].wal.records.clear()
 
@@ -232,10 +232,10 @@ class ReplicaJoin:
         """
         if self.phase != "idle":
             raise RuntimeError(f"join already started (phase={self.phase})")
-        transport = self.suite.transport
+        network = self.suite.network
         node_id = self.suite.placements[self.replica].node_id
-        if not transport.is_up(node_id):
-            transport.recover(node_id)
+        if not network.is_up(node_id):
+            network.recover(node_id)
         self.suite.membership.set_state(self.replica, ReplicaState.JOINING)
         if self.detector is not None:
             self.detector.recover(node_id)
@@ -312,7 +312,7 @@ class ReplicaJoin:
             return
         except NetworkError:
             donor_node = suite.placements[self.donor].node_id
-            if not suite.transport.is_up(donor_node):
+            if not suite.network.is_up(donor_node):
                 self._fall_back_to_snapshot()  # donor died; pick another
             return  # transient loss: retry the same donor next step
         self.watermark = watermark

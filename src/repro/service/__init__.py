@@ -10,9 +10,9 @@ same 2PC) as a long-lived networked service:
 * :mod:`repro.service.protocol` — the redis-like RESP framing the front
   door speaks;
 * :mod:`repro.service.aio` — :class:`~repro.service.aio.AsyncioTransport`,
-  the simulator's :class:`~repro.net.transport.SimTransport` on a wall
-  clock, hosting representatives in this process and calling them
-  directly;
+  the simulator's :class:`~repro.net.network.Network` on a wall clock
+  plus the event loop the front door serves from, hosting
+  representatives in this process and calling them directly;
 * :mod:`repro.service.server` — the client-facing front door
   (``GET``/``SET``/``DEL``/``LOOKUP``/``INSERT``/...), one suite
   front-end per shard, plus its live-telemetry plane (the

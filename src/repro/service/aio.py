@@ -1,17 +1,17 @@
 """The wall-clock transport: the simulator's network, run in real time.
 
-:class:`AsyncioTransport` is a :class:`~repro.net.transport.SimTransport`
-whose :class:`~repro.net.network.Network` reads a :class:`WallClock` and
-has free links (``uniform_latency(0.0)``).  Served replicas therefore run
-on exactly the substrate the simulator's do: the same node registry, the
-same :class:`~repro.net.rpc.RpcEndpoint` and scatter, the same traffic
-ledger, partitions and crash/recover.  An RPC to a hosted node is a
-method call on the hosted service, made on the calling thread: no
-socket, no codec, no thread hop.  ``service.rpc.calls`` is a gauge over
-the network's ``rpc_rounds``, so the paper's message cost reads as it
-did when every call crossed loopback TCP.  The ledger is bumped without
-a lock: exact under the front door, where one thread makes every call,
-while threads driving a directory directly can lose an increment
+:class:`AsyncioTransport` is a :class:`~repro.net.network.Network` that
+reads a :class:`WallClock` and has free links (``uniform_latency(0.0)``),
+plus the event loop the front door serves from.  Served replicas
+therefore run on exactly the substrate the simulator's do: the same node
+registry, the same :class:`~repro.net.rpc.RpcEndpoint` and scatter, the
+same traffic ledger, partitions and crash/recover.  An RPC to a hosted
+node is a method call on the hosted service, made on the calling thread:
+no socket, no codec, no thread hop.  ``service.rpc.calls`` is a gauge
+over the network's ``rpc_rounds``, so the paper's message cost reads as
+it did when every call crossed loopback TCP.  The ledger is bumped
+without a lock: exact under the front door, where one thread makes every
+call, while threads driving a directory directly can lose an increment
 between them, as they can on the simulator.
 
 Threading model.  The transport owns one event loop on a background
@@ -46,7 +46,6 @@ from typing import Any
 
 from repro.net.network import Network, uniform_latency
 from repro.net.rpc import RpcEndpoint
-from repro.net.transport import SimTransport
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -58,7 +57,7 @@ _TICK_SECONDS = 0.001
 
 
 class WallClock:
-    """Real time presented through the :class:`~repro.net.transport.Clock` slice.
+    """Real time presented through the :class:`~repro.net.clock.Clock` slice.
 
     ``now`` is monotonic seconds since construction.  ``advance`` maps
     simulated ticks onto short real sleeps (``_TICK_SECONDS`` each) so
@@ -88,16 +87,14 @@ class WallClock:
         return now
 
 
-class AsyncioTransport(SimTransport):
-    """A :class:`SimTransport` on a wall clock, plus the front door's loop."""
+class AsyncioTransport(Network):
+    """A :class:`Network` on a wall clock, plus the front door's loop."""
 
     def __init__(self, *, metrics: MetricsRegistry | None = None) -> None:
         super().__init__(
-            Network(
-                clock=WallClock(), latency=uniform_latency(0.0), metrics=metrics
-            )
+            clock=WallClock(), latency=uniform_latency(0.0), metrics=metrics
         )
-        stats = self.network.stats
+        stats = self.stats
         self.metrics.gauge("service.rpc.calls", lambda: stats.rpc_rounds)
         self._closed = False
         self._lock = threading.Lock()
@@ -112,7 +109,7 @@ class AsyncioTransport(SimTransport):
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     def endpoint(self, origin: str = "client", tracer: Any = None) -> "AsyncioEndpoint":
-        return AsyncioEndpoint(self.network, origin=origin, tracer=tracer)
+        return AsyncioEndpoint(self, origin=origin, tracer=tracer)
 
     def close(self) -> None:
         with self._lock:

@@ -1,4 +1,4 @@
-"""The redis-like line protocol both service surfaces speak.
+"""The redis-like line protocol the front door and its clients speak.
 
 A deliberately small subset of RESP (the Redis serialization protocol),
 chosen because it is trivial to frame, human-debuggable with ``nc``, and
@@ -11,9 +11,8 @@ battle-tested for exactly this shape of workload:
 * ``:N\\r\\n`` — integer reply.
 
 Requests are always arrays of bulk strings (a command name plus its
-arguments); replies are any of the above.  The *internal* RPC surface
-(:mod:`repro.service.aio`) frames one JSON document per bulk string; the
-*front door* (:mod:`repro.service.server`) uses plain strings, so a
+arguments); replies are any of the above.  The front door
+(:mod:`repro.service.server`) carries plain strings in them, so a
 session really does look like talking to a tiny redis.
 
 Encoders return ``bytes`` to hand to a transport.  There is one

@@ -1,9 +1,12 @@
 """The client-facing front door: a sharded directory behind one socket.
 
-:class:`DirectoryService` attaches a single listening socket to the
-event loop of an :class:`~repro.service.aio.AsyncioTransport` that is
-already hosting a :class:`~repro.shard.sharded.ShardedDirectory`'s
-representatives.  Clients speak a redis-like protocol
+:class:`DirectoryService` serves a
+:class:`~repro.shard.sharded.ShardedDirectory` on an event loop.
+:meth:`~DirectoryService.start` attaches a single listening socket to
+the loop of the :class:`~repro.service.aio.AsyncioTransport` the
+directory's representatives are hosted on; the same front door over a
+simulated network serves whichever loop drives
+:meth:`~DirectoryService._dispatch`.  Clients speak a redis-like protocol
 (:mod:`repro.service.protocol`) with plain string commands — one row of
 the verb table (:class:`_Verb`) each::
 
@@ -55,7 +58,7 @@ typed into ``nc``, a length that is not a number, a bulk that is not
 UTF-8): framing cannot be recovered, so the server answers ``-ERR
 protocol <detail>`` behind whatever replies it still owes and closes.
 
-Concurrency model: **one thread serves** — the transport's loop thread
+Concurrency model: **one thread serves** — the serving loop's thread
 reads the sockets, parses the frames, runs the quorum algorithm, the
 representatives it calls and the stores under them, and writes the
 replies.  Nothing on that path can block (lock conflicts raise,
@@ -89,9 +92,10 @@ what a wave whose transaction aborted falls back to.
 Shards take turns: what batching buys is fewer quorum rounds per op,
 not overlap.  Admin work (``SIZE``, ``REJOIN``, a ``RESHARD SPLIT``'s
 phases) is cut into steps that are loop callbacks of their own, so it
-interleaves with the drains instead of holding them up.  A transport
-that *can* block — replicas in other processes — must bring its own
-thread or an awaitable scatter; it must not run on this loop.
+interleaves with the drains instead of holding them up.  A hosted
+service that *can* block — a proxy for a replica in another process —
+must bring its own thread or an awaitable scatter; it must not run on
+this loop.
 
 Live telemetry (:class:`ServiceTelemetry`) instruments the waves: every
 wave runs inside one root span — ``service:<VERB>`` for a wave of one,
@@ -296,17 +300,17 @@ class ServiceTelemetry:
     Owns one :class:`WindowedView` over the whole registry plus one
     :class:`_ShardTelemetry` per shard, and assembles the ``STATS`` /
     ``SLOW`` / ``METRICS`` replies.  Readers and writers share the
-    transport's loop thread, so a reply is a consistent cut between two
+    serving loop's thread, so a reply is a consistent cut between two
     waves.  (The structures underneath keep their own locks: the same
     registries are reached from many threads when a directory is driven
     without a front door.)
     """
 
     def __init__(self, directory: ShardedDirectory) -> None:
-        transport = directory.transport
+        network = directory.network
         self.directory = directory
-        self.clock = transport.clock
-        self.metrics = transport.metrics
+        self.clock = network.clock
+        self.metrics = network.metrics
         self.view = WindowedView(
             self.metrics,
             self.clock.now,
@@ -644,12 +648,6 @@ class DirectoryService:
         batch_max: int = 128,
         pipeline_depth: int = 512,
     ) -> None:
-        transport = directory.transport
-        if not hasattr(transport, "submit"):
-            raise TypeError(
-                "DirectoryService needs a directory on an AsyncioTransport "
-                f"(got {type(transport).__name__})"
-            )
         try:
             directory.shard_for("")  # wire keys are always str
         except TypeError:
@@ -660,7 +658,7 @@ class DirectoryService:
                 "directory with a hash map or string boundaries"
             ) from None
         self.directory = directory
-        self.transport = transport
+        self.network = directory.network
         self.host = host
         self.port: int | None = port or None
         self._server: asyncio.AbstractServer | None = None
@@ -686,7 +684,7 @@ class DirectoryService:
         self._batchers = [
             _ShardBatcher(self, i) for i in range(len(directory.clusters))
         ]
-        metrics = transport.metrics
+        metrics = self.network.metrics
         self._ops = metrics.counter("service.front.ops")
         self._failures = metrics.counter("service.front.errors")
         self.telemetry = ServiceTelemetry(directory)
@@ -697,8 +695,19 @@ class DirectoryService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "DirectoryService":
-        """Bind and listen; returns self with :attr:`port` resolved."""
-        self.transport.submit(self._start())
+        """Bind and listen on the network's loop; returns self with
+        :attr:`port` resolved.
+
+        Only an :class:`~repro.service.aio.AsyncioTransport` owns a loop
+        to listen on.  Over a simulated network the service is driven
+        by awaiting :meth:`_dispatch` on a loop of the caller's.
+        """
+        if not hasattr(self.network, "submit"):
+            raise TypeError(
+                "DirectoryService.start needs a directory on an "
+                f"AsyncioTransport (got {type(self.network).__name__})"
+            )
+        self.network.submit(self._start())
         return self
 
     async def _start(self) -> None:
@@ -715,14 +724,14 @@ class DirectoryService:
         if self._closed:
             return
         self._closed = True
+        if self._server is None:
+            return  # never started: nothing listens
         try:
-            self.transport.submit(self._stop())
+            self.network.submit(self._stop())
         except Exception:
             pass
 
     async def _stop(self) -> None:
-        if self._server is None:
-            return
         self._server.close()
         # Links first: from 3.12 on ``wait_closed`` waits for them too.
         for link in list(self._links):

@@ -45,7 +45,6 @@ from repro.core.errors import (
 )
 from repro.core.interface import register_directory
 from repro.net.network import Network
-from repro.net.transport import SimTransport, Transport, resolve_transport
 from repro.shard.maps import ShardMap, VersionedShardMap, resolve_shard_map
 
 
@@ -115,7 +114,7 @@ class ShardedDirectory:
         self,
         shard_map: ShardMap,
         clusters: Sequence[DirectoryCluster],
-        transport: "Transport | Network",
+        network: Network,
         metrics: Any = None,
     ) -> None:
         shard_map = VersionedShardMap.wrap(shard_map)
@@ -126,16 +125,16 @@ class ShardedDirectory:
             )
         if not clusters:
             raise ConfigurationError("need at least one shard")
-        if isinstance(transport, Network):
-            transport = SimTransport(transport)
         for cluster in clusters:
-            if cluster.transport.network is not transport.network:
+            if cluster.network is not network:
                 raise ConfigurationError(
-                    "every shard must share the sharded directory's substrate"
+                    "every shard must share the sharded directory's network"
                 )
         self.shard_map = shard_map
         self.clusters = list(clusters)
-        self.transport = transport
+        #: The network every shard shares: fault injection, partitions
+        #: and traffic stats reach through here, on either clock.
+        self.network = network
         self._metrics = metrics
         #: Operations routed to each shard (by shard index).
         self.routed = [0] * len(self.clusters)
@@ -197,22 +196,17 @@ class ShardedDirectory:
         base = spec if isinstance(spec, ClusterSpec) else ClusterSpec(spec)
         resolved_map = resolve_shard_map(shard_map, shards)
 
-        transport = resolve_transport(
-            base.transport,
-            network=base.network,
-            latency=base.latency,
-            metrics=base.metrics,
-        )
+        network = base.resolve_network()
         root_metrics = (
-            base.metrics if base.metrics is not None else transport.metrics
+            base.metrics if base.metrics is not None else network.metrics
         )
         clusters = [
             DirectoryCluster.create(
-                base.for_shard(i, transport, root_metrics.scoped(f"shard{i}"))
+                base.for_shard(i, network, root_metrics.scoped(f"shard{i}"))
             )
             for i in range(resolved_map.shards)
         ]
-        sharded = cls(resolved_map, clusters, transport, metrics=root_metrics)
+        sharded = cls(resolved_map, clusters, network, metrics=root_metrics)
         # Remember the per-shard recipe so a live split can stamp out a
         # brand-new shard suite on the same substrate (add_shard).
         sharded._base_spec = base
@@ -222,17 +216,16 @@ class ShardedDirectory:
 
     @property
     def clock(self) -> Any:
-        """The shared substrate's clock (simulated ticks or wall seconds)."""
-        return self.transport.clock
+        """The shared network's clock (simulated ticks or wall seconds)."""
+        return self.network.clock
 
-    @property
-    def network(self) -> Network:
-        """The network every shard shares: fault injection, partitions
-        and traffic stats reach through here, on either clock."""
-        return self.transport.network
+    #: :attr:`network` under its old name.  No caller under ``src/``: it
+    #: stays only because ``benchmarks/perf/counted.py`` and
+    #: ``benchmarks/perf/layers.py`` read it.
+    transport = property(lambda self: self.network)
 
     def close(self) -> None:
-        """Release the shared substrate (see the Directory lifecycle).
+        """Release the shared network (see the Directory lifecycle).
 
         Idempotent, including mid-reshard: an in-flight migration that
         has not cut over yet is aborted first (the old epoch stays
@@ -249,7 +242,7 @@ class ShardedDirectory:
                 self.resharder.run()
             else:
                 self.resharder.abort()
-        self.transport.close()
+        self.network.close()
 
     def __enter__(self) -> "ShardedDirectory":
         return self
@@ -398,7 +391,7 @@ class ShardedDirectory:
         index = len(self.clusters)
         cluster = DirectoryCluster.create(
             self._base_spec.for_shard(
-                index, self.transport, self.metrics.scoped(f"shard{index}")
+                index, self.network, self.metrics.scoped(f"shard{index}")
             )
         )
         first = self.clusters[0].suite
@@ -483,7 +476,7 @@ class ShardedDirectory:
         cross-shard metrics (``shard.routed``, retry counters) unprefixed."""
         if self._metrics is not None:
             return self._metrics
-        return self.transport.metrics
+        return self.network.metrics
 
     @property
     def tracer(self) -> Any:

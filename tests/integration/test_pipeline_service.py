@@ -345,7 +345,7 @@ class TestBackPressure:
             with DirectoryClient(svc.host, svc.port) as c:
                 for key, value in values.items():
                     c.set(key, value)
-            ops = svc.transport.metrics.counter("service.front.ops")
+            ops = svc.network.metrics.counter("service.front.ops")
             before = ops.value
             sock, reader = _connect(svc)
             try:
@@ -618,7 +618,7 @@ class TestWaveOfOne:
     @staticmethod
     def _costs(directory, run):
         """``service.rpc.calls`` spent on each request, run one by one."""
-        metrics = directory.transport.metrics
+        metrics = directory.network.metrics
 
         def calls():
             return metrics.snapshot()["service.rpc.calls"]
@@ -815,7 +815,7 @@ class TestMalformedFrames:
     def test_answered_then_closed(self, service, caplog, case):
         payload, expected = MALFORMED[case]
         address = (service.host, service.port)
-        errors = service.transport.metrics.counter("service.front.errors")
+        errors = service.network.metrics.counter("service.front.errors")
         before = errors.value
         with caplog.at_level(logging.WARNING, logger="asyncio"):
             assert _send_garbage(address, payload) == expected

@@ -4,11 +4,10 @@ Boots the real asyncio front door over a sharded directory and drives a
 split through it: the ``SHARDMAP`` / ``RESHARD`` verbs, ``@epoch=``
 reply stamping, the ``-MOVED`` redirect a stale client chases, and the
 wire-compatibility promise that epoch-unaware clients never notice any
-of it.  The front door only mounts on the asyncio transport, so the
-socket tests run there; the same stale-epoch redirect contract over the
-*simulated* substrate is exercised directly against the directory (the
-server's dispatch gate is a one-line call into it) plus the wire codec
-that would carry the error.
+of it.  Only the asyncio transport owns a loop to listen on, so the
+socket tests run there; the same stale-epoch redirect contract over a
+*simulated* network sends frames through the front door's dispatch on
+a loop of the test's own.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ class TestRoutingAtExecution:
                 resharder.step()  # COPY ... CUTOVER, DRAIN: all before the drain
             return queued, await write, await read
 
-        queued, wrote, got = service.transport.submit(
+        queued, wrote, got = service.network.submit(
             split_between_queueing_and_the_drain()
         )
         assert queued == ["key09", "key12"]  # the split did overtake them
@@ -261,7 +260,7 @@ class TestSplitIntoABusyShard:
                     thread.start()
                 for event in writing:
                     assert event.wait(timeout=30)
-                svc.transport.submit(split_onto_shard_1())
+                svc.network.submit(split_onto_shard_1())
                 stop.set()
                 for thread in threads:
                     thread.join(timeout=60)
@@ -383,34 +382,42 @@ class TestRedirectBudget:
 
 
 class TestRedirectContractOnSimTransport:
-    """The stale-epoch redirect over the simulated substrate.
+    """The stale-epoch redirect over a simulated network.
 
-    The asyncio front door cannot mount on :class:`SimTransport`, so
-    here the client's side of the dance is played directly: a cached
-    epoch-0 map keeps working for unmoved keys, misroutes a moved key
-    (the server's ``require_epoch`` gate answers ``-MOVED``), and a
-    refresh of the map resolves it — the identical protocol the socket
-    tests drive end to end above.
+    A front door built over a simulated directory listens on nothing,
+    but it serves whatever loop awaits its dispatch: real request frames
+    go in and real reply bytes come out, on the simulated clock.  A
+    cached epoch-0 map keeps working for unmoved keys, misroutes a moved
+    key into ``-MOVED``, and the same request at the epoch that names is
+    served — the protocol the socket tests drive end to end above.
     """
 
     def test_stale_epoch_redirect_and_refresh(self):
         spec = ClusterSpec(config="3-2-2", seed=13)  # simulated network
         with ShardedDirectory.create(
             spec, shards=2, shard_map=RangeShardMap(["m"])
-        ) as d:
+        ) as d, DirectoryService(d) as svc:
             for i in range(16):
                 d.insert(f"key{i:02d}", f"v{i}")
-            stale_epoch = d.epoch  # the "client's" cached map
             d.begin_split("key08").run()
 
-            d.require_epoch("key01", stale_epoch)  # unmoved: no redirect
-            with pytest.raises(StaleEpochError) as excinfo:
-                d.require_epoch("key09", stale_epoch)  # moved: redirect
-            # The error names the epoch to refresh to — the -MOVED
-            # payload — and the retried request at that epoch succeeds.
-            assert excinfo.value.epoch == 1
-            d.require_epoch("key09", excinfo.value.epoch)
+            async def send(*frame):
+                return await svc._dispatch(list(frame))
+
+            async def session():
+                return [
+                    await send("GET", "key01", "@epoch=0"),  # unmoved
+                    await send("GET", "key09", "@epoch=0"),  # moved
+                    await send("GET", "key09", "@epoch=1"),  # refreshed
+                ]
+
+            unmoved, moved, refreshed = asyncio.run(session())
+            assert unmoved == b"$2\r\nv1\r\n"
+            assert moved == b"-MOVED 1\r\n"
+            assert refreshed == b"$2\r\nv9\r\n"
             assert d.lookup("key09") == (True, "v9")
+            with pytest.raises(TypeError, match="AsyncioTransport"):
+                svc.start()  # no loop of its own to listen on
 
     def test_stale_epoch_error_survives_the_wire_codec(self):
         # The internal RPC surface carries typed errors; a redirect must

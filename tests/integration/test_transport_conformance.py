@@ -1,8 +1,9 @@
-"""One behavioural contract, two substrates.
+"""One behavioural contract, two clocks.
 
-The whole point of the Transport seam is that the paper's algorithm
-cannot tell whether its RPCs ride the simulated network or are direct
-calls timed by the wall clock.  This suite runs the same
+The paper's algorithm cannot tell whether its RPCs ride the simulated
+network or are direct calls timed by the wall clock: both are one
+:class:`~repro.net.network.Network`, and only the clock, the links and
+the loop differ.  This suite runs the same
 operation/error/chaos sequences over a cluster built on each transport
 and demands identical *behaviour* (answers, error types, quorum
 availability) — timing, of course, differs: one substrate is a virtual
@@ -31,7 +32,6 @@ from repro.core.errors import (
 from repro.core.interface import Directory
 from repro.core.keys import wrap
 from repro.net.network import Network, uniform_latency
-from repro.net.transport import SimTransport, resolve_transport
 
 TRANSPORTS = ["sim", "asyncio"]
 
@@ -130,7 +130,7 @@ class TestChaosContract:
 
 class TestTransportSurface:
     def test_protocol_surface(self, cluster):
-        t = cluster.transport
+        t = cluster.network
         node = cluster.suite.placements["A"].node_id
         assert t.is_up(node)
         assert t.reachable("client", node)
@@ -254,23 +254,40 @@ class TestByReference:
 
 
 class TestResolution:
+    """``ClusterSpec.transport`` names the network a cluster runs on."""
+
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_transport("carrier-pigeon", network=None, latency=None)
+        with pytest.raises(ConfigurationError, match="carrier-pigeon"):
+            ClusterSpec(config="3-2-2", transport="carrier-pigeon")
 
     def test_asyncio_rejects_simulation_options(self):
         with pytest.raises(ConfigurationError):
             ClusterSpec(config="3-2-2", transport="asyncio", latency=uniform_latency())
-        with pytest.raises(ConfigurationError):
-            ClusterSpec(
-                config="3-2-2", transport="asyncio", network=Network()
-            )
 
     def test_instance_passes_through(self):
         net = Network()
-        transport = SimTransport(net)
-        resolved = resolve_transport(transport, network=None, latency=None)
-        assert resolved is transport
+        with DirectoryCluster.create(ClusterSpec(transport=net)) as cluster:
+            assert cluster.network is net
+            assert cluster.suite.network is net
+            assert cluster.suite.rpc.network is net
+
+
+class TestRemovedNames:
+    """The transport seam is gone: a :class:`Network` is the substrate."""
+
+    def test_old_seam_is_not_importable(self):
+        import repro
+
+        with pytest.raises(ImportError):
+            from repro.net.transport import SimTransport  # noqa: F401
+        for name in ("SimTransport", "Transport", "resolve_transport"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
+            assert name not in repro.__all__
+
+    def test_cluster_spec_has_no_network_field(self):
+        with pytest.raises(TypeError):
+            ClusterSpec(network=Network())
 
 
 class TestServedNetwork:

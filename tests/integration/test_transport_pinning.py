@@ -1,17 +1,17 @@
-"""SimTransport must be a zero-cost veneer over the simulated Network.
+"""The simulated substrate is the Network itself, and its runs are pinned.
 
-The Transport seam (PR 6) rehosted every RPC the suite issues.  These
-tests pin the refactor three ways:
+Every RPC the suite issues goes through the cluster's
+:class:`~repro.net.network.Network`.  These tests pin it three ways:
 
-* the three pre-refactor serial baselines (captured before the seam
-  existed, shared with ``tests/unit/test_fanout.py``) reproduce
+* the three serial baselines (captured before the substrate was named
+  on the spec, shared with ``tests/unit/test_fanout.py``) reproduce
   bit-for-bit through an *explicitly* requested ``transport="sim"`` —
   same message counts, same simulated latency, same final directory;
-* the default (no transport named) and the explicit ``"sim"`` string
-  and a hand-built :class:`SimTransport` instance all produce identical
-  runs — three spellings, one substrate;
-* the delegation surface really is the network underneath (same clock
-  object, same stats object), so no test can pass by accident of a
+* the default (no transport named), the explicit ``"sim"`` string and a
+  hand-built :class:`Network` instance all produce identical runs —
+  three spellings, one substrate;
+* the cluster, its suite and its endpoint hold that one network (same
+  clock object, same stats object), so no test can pass by accident of a
   parallel bookkeeping copy drifting in step.
 """
 
@@ -21,7 +21,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.net.network import Network
-from repro.net.transport import SimTransport
+from repro.service.aio import AsyncioTransport, WallClock
 from repro.sim.driver import run_simulation
 from tests.unit.test_fanout import SERIAL_BASELINES
 
@@ -61,7 +61,7 @@ class TestPinnedBaselines:
         for label, transport in [
             ("default", None),
             ("named", "sim"),
-            ("instance", SimTransport(Network())),
+            ("instance", Network()),
         ]:
             result, _ = _drive(spec, transport)
             runs[label] = (
@@ -76,23 +76,30 @@ class TestPinnedBaselines:
 
 class TestDelegation:
     def test_sim_transport_is_the_network(self):
+        net = Network()
         cluster = DirectoryCluster.create(
-            ClusterSpec(config="3-2-2", seed=1, transport="sim")
+            ClusterSpec(config="3-2-2", seed=1, transport=net)
         )
-        transport = cluster.transport
-        assert isinstance(transport, SimTransport)
-        net = transport.network
         assert cluster.network is net
-        assert transport.clock is net.clock
-        assert transport.metrics is net.metrics
+        assert cluster.suite.network is net
+        assert cluster.suite.clock is net.clock
+        assert cluster.metrics is net.metrics
         # Liveness answers come straight from the network's node table.
         node = cluster.suite.placements["A"].node_id
-        assert transport.is_up(node)
+        assert net.is_up(node)
         cluster.crash("A")
-        assert not transport.is_up(node)
+        assert not net.is_up(node)
         assert not net.node(node).is_up
         cluster.recover("A")
-        assert transport.is_up(node)
+        assert net.is_up(node)
+
+    def test_asyncio_transport_is_a_wall_clock_network(self):
+        net = AsyncioTransport()
+        try:
+            assert isinstance(net, Network)
+            assert isinstance(net.clock, WallClock)
+        finally:
+            net.close()
 
     def test_suite_clock_is_the_simulated_clock(self):
         cluster = DirectoryCluster.create(

@@ -73,15 +73,13 @@ def test_key_surface_is_exported():
     for name in (
         "Directory",
         "ClusterSpec",
+        "DirectoryCluster",
         "ShardedDirectory",
         "ShardMap",
         "RangeShardMap",
         "HashShardMap",
         "ShardAuditor",
         "WaveOutcome",
-        "Transport",
-        "SimTransport",
-        "resolve_transport",
         "register_directory",
         "directory_factories",
     ):

@@ -211,7 +211,7 @@ class TestWritesDuringMigration:
             return self._migrate(
                 d,
                 client,
-                lambda fn, *args: svc.transport.submit(
+                lambda fn, *args: svc.network.submit(
                     svc._admin_on_shard(0, fn, *args)
                 ),
             )
@@ -320,7 +320,7 @@ class TestAbortAndClose:
 
     def test_close_propagates_to_every_suite(self):
         # All suites (including one added live by a split) share one
-        # transport; close() must release it exactly once, covering the
+        # network; close() must release it exactly once, covering the
         # late-added shard too.  The asyncio transport records closure.
         d = ShardedDirectory.create(
             ClusterSpec(config="1-1-1", seed=7, transport="asyncio"),
@@ -331,7 +331,7 @@ class TestAbortAndClose:
         d.begin_split("key04").run()  # 3 suites after the split
         assert len(d.clusters) == 3
         d.close()
-        assert d.transport._closed
+        assert d.network._closed
         d.close()  # still idempotent with the extra shard attached
 
 

@@ -263,15 +263,14 @@ class TestClusterSpec:
 
     def test_network_and_latency_conflict(self):
         with pytest.raises(ConfigurationError):
-            ClusterSpec(network=Network(), latency=uniform_latency(2.0))
+            ClusterSpec(transport=Network(), latency=uniform_latency(2.0))
 
     def test_for_shard_offsets_seed_and_prefixes_nodes(self):
         net = Network()
         spec = ClusterSpec(seed=10)
         shard2 = spec.for_shard(2, net, net.metrics.scoped("shard2"))
         assert shard2.seed == 12
-        assert shard2.network is None
-        assert shard2.transport.network is net
+        assert shard2.transport is net
         assert shard2.node_for_rep("A") == "s2:node-A"
         assert shard2.latency is None
 
