@@ -47,8 +47,14 @@ Equivalence with sequential execution is exact, not approximate:
   key would have ended the search) absent at the new gap's version, so
   a later insert among them chains ``successor()`` off the gap it would
   have found on the replicas;
-* the wave's range locks are held to the single commit point, so the
-  transaction is serializable as the whole sequence at once.
+* the wave's range locks are all taken before its single ``prepare``
+  round (the lock point), and its RepModify locks are held to the
+  commit, so the transaction is serializable as the whole sequence at
+  once.  A replica the wave only read answers ``prepare`` read-only
+  (:data:`~repro.txn.twopc.READ_ONLY`): it releases its RepLookup locks
+  there, logs nothing and gets no ``commit``, which is two-phase locking
+  after the lock point; a wave that wrote nothing anywhere logs no
+  decision and sends no phase two.
 
 **A wave's deletes walk once.**  Every round of a wave goes to one read
 quorum and one write quorum, each drawn once (:class:`_Wave`), and the
@@ -218,7 +224,9 @@ def _grouped(
 ) -> "list[BatchOutcome]":
     outcomes = [BatchOutcome(op) for op in ops]
     counts = _Counts()
-    with suite._op_span("batch", size=len(ops)), suite._transaction() as txn:
+    with suite._op_span("batch", size=len(ops)), suite._transaction(
+        read_only_votes=True
+    ) as txn:
         wave = _Wave(suite, txn)
         state = {
             bkey: (reply.present, reply.version, reply.value)

@@ -39,6 +39,7 @@ from repro.storage.sorted_store import SortedStore
 from repro.storage.wal import WriteAheadLog
 from repro.txn.ids import TxnId
 from repro.txn.locks import LockMode, LockTable
+from repro.txn.twopc import READ_ONLY
 from repro.txn.undo import UndoCoalesce, UndoInsert, UndoRecord
 
 
@@ -381,16 +382,30 @@ class DirectoryRepresentative:
     # ------------------------------------------------------------------
 
     @_latched
-    def prepare(self, txn_id: TxnId) -> bool:
+    def prepare(self, txn_id: TxnId, read_only_votes: bool = False) -> bool | str:
         """Phase one of 2PC: vote yes iff the transaction's state survives.
 
         The representative votes yes only for transactions it has seen
         since its last crash: if the node crashed mid-transaction, that
         transaction's effects here were lost with the volatile store, so
         a yes vote would commit a torn write.
+
+        With ``read_only_votes`` (a served wave's coordinator asks so), a
+        transaction that wrote nothing here — no undo record — gets the
+        :data:`~repro.txn.twopc.READ_ONLY` vote instead: its RepLookup
+        locks are released now, it is forgotten, and nothing is logged.
+        That is two-phase locking after the lock point: the transaction
+        takes no lock once ``prepare`` is sent, and its RepModify locks
+        elsewhere stay held to the decision.  A re-asked ``prepare`` then
+        finds the transaction unseen and votes no.
         """
         if txn_id not in self._seen_txns:
             return False
+        if read_only_votes and txn_id not in self._undo:
+            self._seen_txns.discard(txn_id)
+            if self.locking:
+                self.locks.release_all(txn_id)
+            return READ_ONLY
         self.wal.log_prepare(txn_id)
         self._prepared.add(txn_id)
         return True

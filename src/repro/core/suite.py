@@ -354,8 +354,8 @@ class DirectorySuite:
     # transaction plumbing
     # ------------------------------------------------------------------
 
-    def _transaction(self) -> "_SuiteTransaction":
-        return _SuiteTransaction(self)
+    def _transaction(self, read_only_votes: bool = False) -> "_SuiteTransaction":
+        return _SuiteTransaction(self, read_only_votes)
 
     def _op_span(self, op: str, **attrs: Any) -> Any:
         """The ``op:<op>`` root span of one public operation."""
@@ -898,10 +898,16 @@ class _NeighborStream:
 
 
 class _SuiteTransaction:
-    """Context manager: begin, then commit on success / abort on error."""
+    """Context manager: begin, then commit on success / abort on error.
 
-    def __init__(self, suite: DirectorySuite) -> None:
+    ``read_only_votes`` is the commit protocol's: a wave's transaction
+    (:mod:`repro.core.batch`) lets replicas it only read drop out at
+    prepare; every classic operation keeps the full two phases.
+    """
+
+    def __init__(self, suite: DirectorySuite, read_only_votes: bool) -> None:
         self.suite = suite
+        self.read_only_votes = read_only_votes
         self.txn: Transaction | None = None
 
     def __enter__(self) -> Transaction:
@@ -912,7 +918,7 @@ class _SuiteTransaction:
     def __exit__(self, exc_type, exc, tb) -> bool:
         assert self.txn is not None
         if exc_type is None:
-            self.suite.txn_manager.commit(self.txn)
+            self.suite.txn_manager.commit(self.txn, self.read_only_votes)
             return False
         self.suite.op_counts.failed += 1
         try:

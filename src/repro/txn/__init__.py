@@ -5,7 +5,8 @@
 * :mod:`repro.txn.manager` — begin/commit/abort with strict two-phase
   locking discipline;
 * :mod:`repro.txn.twopc` — two-phase commit across a write quorum with a
-  durable decision log;
+  bounded durable decision log, and read-only votes for a wave's
+  transaction;
 * :mod:`repro.txn.deadlock` — waits-for-graph cycle detection,
   youngest-victim selection;
 * :mod:`repro.txn.undo` — the inverse actions applied on abort.

@@ -65,11 +65,17 @@ class TransactionManager:
         self._live[txn.txn_id] = txn
         return txn
 
-    def commit(self, txn: Transaction) -> None:
-        """Two-phase commit; raises TwoPhaseCommitError if forced to abort."""
+    def commit(self, txn: Transaction, read_only_votes: bool = False) -> None:
+        """Two-phase commit; raises TwoPhaseCommitError if forced to abort.
+
+        ``read_only_votes`` is the coordinator's (a served wave passes
+        it): participants that wrote nothing drop out at prepare.
+        """
         txn.require_active()
         txn.state = TxnState.PREPARING
-        outcome = self.coordinator.commit(txn.txn_id, txn.participants)
+        outcome = self.coordinator.commit(
+            txn.txn_id, txn.participants, read_only_votes
+        )
         if outcome.unreachable_at_completion:
             self._note_pending(
                 txn, "commit" if outcome.committed else "abort",

@@ -4,15 +4,34 @@ Directory-suite modifications touch several representatives and must be
 all-or-nothing: a DirSuiteInsert that reached only part of its write quorum
 would break the quorum-intersection invariant.  The coordinator:
 
-1. **Prepare** — asks every participant to vote.  A participant that is
-   reachable and still holds the transaction's state votes yes and force-
-   writes a prepare record to its log.
+1. **Prepare** — asks every participant to vote.  ``prepare`` has three
+   outcomes:
+
+   * *yes* — the participant is reachable, still holds the
+     transaction's state, and force-writes a prepare record to its log;
+   * *no* — it is unreachable, timed out, or has no record of the
+     transaction (a crash took its effects), which forces abort;
+   * :data:`READ_ONLY` — offered only when the coordinator asks for it
+     (a served wave's transaction, :mod:`repro.core.batch`): the
+     participant wrote nothing, so it released its RepLookup locks,
+     forgot the transaction and logged nothing.  It counts as yes and
+     drops out of phase two — the textbook read-only vote.
 2. **Decide** — all-yes ⇒ commit, otherwise abort.  The decision is made
    durable in the coordinator's decision log *before* phase two, so a
    participant that crashes between prepare and commit can resolve its
-   in-doubt transaction against the coordinator at recovery.
-3. **Complete** — sends the decision to every reachable participant;
-   unreachable prepared participants resolve later via the decision log.
+   in-doubt transaction against the coordinator at recovery.  When every
+   voter was read-only there is nothing to decide: no decision is logged
+   and no phase two is sent.
+3. **Complete** — sends the decision to every reachable participant that
+   did not vote read-only; unreachable prepared participants resolve
+   later via the decision log.
+
+The log keeps what someone may still ask it: a coordinator forgets its
+previous fully acknowledged decision once a newer one is acknowledged by
+every participant, so the log holds the latest decision (which
+:class:`~repro.core.resilient.ResilientSuite` probes after an ambiguous
+failure) plus those whose delivery is still pending (the only ones a
+recovering participant can be in doubt about).
 """
 
 from __future__ import annotations
@@ -23,6 +42,11 @@ from repro.core.errors import NetworkError
 from repro.net.rpc import RpcCall, RpcEndpoint
 from repro.txn.ids import TxnId
 from repro.txn.transaction import Participant
+
+#: The third answer to ``prepare``: the participant holds no undo state
+#: for the transaction, has released its locks and forgotten it, and
+#: takes no part in phase two.
+READ_ONLY = "read-only"
 
 
 @dataclass
@@ -50,6 +74,10 @@ class DecisionLog:
     def outcome(self, txn_id: TxnId) -> str | None:
         """"commit", "abort", or None if never decided."""
         return self.decisions.get(txn_id)
+
+    def forget(self, txn_id: TxnId) -> None:
+        """Drop a decision no participant can still be in doubt about."""
+        self.decisions.pop(txn_id, None)
 
     def committed_ids(self) -> frozenset[TxnId]:
         """All transactions decided commit."""
@@ -95,9 +123,15 @@ class TwoPhaseCoordinator:
         self.decision_log = decision_log
         self.completion_retries = completion_retries
         self.parallel = parallel
+        #: The latest decision every participant acknowledged: the one
+        #: the log keeps until a newer one is acknowledged too.
+        self._acknowledged: TxnId | None = None
 
     def commit(
-        self, txn_id: TxnId, participants: dict[str, Participant]
+        self,
+        txn_id: TxnId,
+        participants: dict[str, Participant],
+        read_only_votes: bool = False,
     ) -> CommitOutcome:
         """Run 2PC; returns the outcome (never raises for participant loss).
 
@@ -107,12 +141,26 @@ class TwoPhaseCoordinator:
         the participant learns the abort in phase two, or resolves it
         against the decision log at recovery.)  Participant loss in
         phase two is tolerated the same way.
+
+        ``read_only_votes`` lets a participant that wrote nothing answer
+        :data:`READ_ONLY`; such voters get no phase two, and a
+        transaction whose voters all did so commits with no decision
+        logged and nothing more sent.  Without it every participant is
+        run through both phases, bit for bit the classic protocol.
         """
-        replies = self._phase("prepare", txn_id, participants)
+        replies = self._phase("prepare", txn_id, participants, read_only_votes)
         votes = {
             name: not isinstance(reply, NetworkError) and bool(reply)
             for name, reply in replies.items()
         }
+        if read_only_votes and participants:
+            participants = {
+                n: part
+                for n, part in participants.items()
+                if replies[n] != READ_ONLY
+            }
+            if not participants:
+                return CommitOutcome(True, votes)
         all_yes = bool(votes) and all(votes.values())
         decision = "commit" if all_yes else "abort"
         self.decision_log.decide(txn_id, decision)
@@ -141,14 +189,27 @@ class TwoPhaseCoordinator:
         :meth:`~repro.txn.manager.TransactionManager.resolve_pending`.
         """
         replies = self._phase(decision, txn_id, participants)
-        return tuple(
+        unreachable = tuple(
             [n for n, reply in replies.items() if isinstance(reply, NetworkError)]
         )
+        if not unreachable:
+            # Acknowledged everywhere: nobody can be in doubt about the
+            # previous such decision any more, and only the latest is
+            # ever probed (ResilientSuite._attempt_committed).
+            if self._acknowledged is not None:
+                self.decision_log.forget(self._acknowledged)
+            self._acknowledged = txn_id
+        return unreachable
 
     def _phase(
-        self, method: str, txn_id: TxnId, participants: dict[str, Participant]
+        self,
+        method: str,
+        txn_id: TxnId,
+        participants: dict[str, Participant],
+        read_only_votes: bool = False,
     ) -> dict:
-        """One 2PC round: ``method(txn_id)`` to every participant.
+        """One 2PC round: ``method(txn_id)`` to every participant
+        (``prepare(txn_id, True)`` when ``read_only_votes``).
 
         Returns, per participant name and in ``participants`` order, what
         the call returned or the :class:`NetworkError` that stood once
@@ -156,7 +217,10 @@ class TwoPhaseCoordinator:
         ``completion_retries`` times (the participant is up; only
         messages are being dropped), and that is safe in both phases:
         prepare re-logs its record and returns the same vote, completion
-        is idempotent.  A crashed participant fails at once.
+        is idempotent.  Re-asking is safe but no longer vote-preserving
+        for a read-only voter: it forgot the transaction when it answered,
+        so a prepare re-asked after that reply was lost gets a no vote,
+        and the transaction aborts.  A crashed participant fails at once.
 
         This is the only place ``parallel`` is read: parallel sends the
         round as one scatter, serial as one scatter per participant, each
@@ -167,7 +231,7 @@ class TwoPhaseCoordinator:
                 node_id=part.node_id,
                 service_name=part.service_name,
                 method=method,
-                args=(txn_id,),
+                args=(txn_id, True) if read_only_votes else (txn_id,),
                 retries=self.completion_retries,
                 key=name,
             )

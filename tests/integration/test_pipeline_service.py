@@ -605,8 +605,10 @@ class TestMixedVerbBurst:
 class TestWaveOfOne:
     """A client with one request in flight is served by waves of one,
     through the engine every wave takes: a present key's ``DELETE``
-    pays the grouped walk's bill, ``GET`` and ``SET`` what the classic
-    path pays."""
+    pays the grouped walk's bill, ``SET`` what the classic path pays,
+    and ``GET`` the classic bill less its ``commit`` round — its
+    replicas only read, so they vote read-only and drop out at
+    ``prepare``."""
 
     REQUESTS = [
         ("GET", "k05"),
@@ -656,7 +658,10 @@ class TestWaveOfOne:
         # Figure 13 from the walk on: two searches of 2 + 2, 4 probes,
         # 2 coalesces.
         assert alone[3] == r + 14 + two_pc
-        assert served[:3] == alone[:3]
+        # A GET: the read round and a prepare each member answers
+        # read-only (2R), where the classic lookup adds its commit.
+        assert (served[0], alone[0]) == (2 * r, r + two_pc)
+        assert served[1:3] == alone[1:3]
 
 
 class TestStatsUnderBatching:

@@ -17,6 +17,13 @@ delete next door, ranges that meet at a boundary, ghosts left by
 earlier waves, under every fan-out and both neighbour batch sizes.
 Both draw waves of one too: they are how the front door serves a client
 with one request in flight.
+
+After every wave both also hold the commit protocol to its read-only
+votes: no replica still holds a lock, an undo record or a memory of the
+wave's transaction (a replica the wave only read let go at ``prepare``,
+the rest at ``commit``), the decision log gained the wave's decision
+exactly when some replica wrote, and the directory already equals the
+twin's.
 """
 
 from hypothesis import given, settings
@@ -91,16 +98,26 @@ def _check(waves, **spec):
     ) as cluster, DirectoryCluster.create(
         ClusterSpec(config="3-2-2", seed=6)
     ) as twin:
+        reps = cluster.representatives.values()
+        decisions = cluster.suite.txn_manager.decision_log.decisions
         for wave in waves:
+            lsns = [rep.wal.next_lsn for rep in reps]
             batched = cluster.suite.execute_batch(wave)
             sequential = [_fallback(twin.suite, op) for op in wave]
             for b, s in zip(batched, sequential, strict=True):
                 assert b.value == s.value, b.op
                 assert type(b.error) is type(s.error), b.op
-        assert (
-            cluster.suite.authoritative_state()
-            == twin.suite.authoritative_state()
-        )
+            txn_id = cluster.suite.last_txn_id
+            for rep in reps:
+                assert rep.locks.is_idle(), rep.name
+                assert txn_id not in rep._undo, rep.name
+                assert txn_id not in rep._seen_txns, rep.name
+            wrote = [rep.wal.next_lsn for rep in reps] != lsns
+            assert (txn_id in decisions) == wrote, wave
+            assert (
+                cluster.suite.authoritative_state()
+                == twin.suite.authoritative_state()
+            )
         assert _versions(cluster) == _versions(twin)
         cluster.check_invariants()
         assert cluster.suite._batch_fallbacks.value == 0

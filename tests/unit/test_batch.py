@@ -31,7 +31,7 @@ from repro.core.errors import (
     QuorumUnavailableError,
 )
 from repro.core.keys import wrap
-from repro.core.quorum import PreferredQuorumPolicy
+from repro.core.quorum import PreferredQuorumPolicy, QuorumPolicy
 
 
 def _committed_version(cluster, key):
@@ -492,7 +492,10 @@ class TestDeletesInTheFold:
 
     def test_a_set_counts_the_same_alone_and_in_a_wave(self, make_cluster):
         """One transaction either way, counted as the insert or the
-        update it turned out to be."""
+        update it turned out to be.  At this seed both draw a read and a
+        write quorum that differ, so each touches all three replicas: the
+        classic path commits on all three (R + W + 2 × 3 = 10 a SET), and
+        the wave leaves the one it only read out of the commit (9)."""
         counts, costs = [], []
         for run in (
             lambda suite, op: _single(suite, *op),
@@ -509,7 +512,156 @@ class TestDeletesInTheFold:
         assert counts[0] == counts[1]
         assert (counts[0]["inserts"], counts[0]["updates"]) == (2, 1)
         assert counts[0]["failed"] == 0
-        assert costs[0] == costs[1]
+        assert costs == [20, 18]
+
+
+class _SplitQuorums(QuorumPolicy):
+    """Fixed quorums that differ: every read from ``read``, every write
+    to ``write``."""
+
+    def __init__(self, read: str, write: str) -> None:
+        self.members = {"read": list(read), "write": list(write)}
+
+    def select(self, kind, available, config, rng):
+        return list(self.members[kind])
+
+
+def _spy(cluster):
+    """``{member: [method, ...]}`` of every 2PC message delivered."""
+    log = {name: [] for name in cluster.representatives}
+    for name, rep in cluster.representatives.items():
+        for method in ("prepare", "commit", "abort"):
+            def spied(*args, _inner=getattr(rep, method), _name=name,
+                      _method=method, **kwargs):
+                log[_name].append(_method)
+                return _inner(*args, **kwargs)
+
+            setattr(rep, method, spied)
+    return log
+
+
+class TestReadOnlyVotes:
+    """A replica the wave only read answers ``prepare`` read-only and is
+    left out of phase two; a wave that wrote nowhere logs no decision and
+    sends no phase two.  Exact bills on fixed quorums, R = W = 2."""
+
+    R = 2
+
+    @staticmethod
+    def _bill(cluster, wave):
+        """``(outcomes, messages, WAL records appended, decisions
+        added)`` of one wave."""
+        reps = cluster.representatives.values()
+        log = cluster.suite.txn_manager.decision_log
+        messages, lsns, decisions = (
+            _messages(cluster), [rep.wal.next_lsn for rep in reps],
+            dict(log.decisions),
+        )
+        outcomes = cluster.suite.execute_batch(wave)
+        appended = sum(
+            rep.wal.next_lsn - lsn for rep, lsn in zip(reps, lsns)
+        )
+        added = {t: d for t, d in log.decisions.items() if t not in decisions}
+        for rep in reps:
+            assert rep.locks.is_idle() and not rep._seen_txns
+        return outcomes, _messages(cluster) - messages, appended, added
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_a_read_only_wave_costs_2r_and_logs_nothing(
+        self, make_cluster, n
+    ):
+        c = make_cluster(quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]))
+        for i in range(n):
+            c.suite.insert(f"k{i:02d}", i)
+        wave = [("lookup", f"k{i:02d}") for i in range(n - 1)] + [
+            ("lookup", "absent")
+        ]
+        outcomes, messages, appended, added = self._bill(c, wave)
+        assert [o.value for o in outcomes] == [
+            (True, i) for i in range(n - 1)
+        ] + [(False, None)]
+        assert (messages, appended, added) == (2 * self.R, 0, {})
+
+    @pytest.mark.parametrize(
+        "wave",
+        [[("insert", "k", 1)], [("delete", "absent")], [("update", "nope", 1)]],
+        ids=["present-insert", "absent-delete", "absent-update"],
+    )
+    def test_a_wave_of_refusals_costs_2r(self, make_cluster, wave):
+        c = make_cluster(quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]))
+        c.suite.insert("k", 0)
+        outcomes, messages, appended, added = self._bill(c, wave)
+        assert not outcomes[0].ok
+        assert (messages, appended, added) == (2 * self.R, 0, {})
+
+    def test_a_member_only_read_gets_prepare_and_no_commit(
+        self, make_cluster
+    ):
+        """Read quorum {A, B}, write quorum {B, C}: A only read.  The
+        classic path, the control, still commits on A."""
+        c = make_cluster(quorum_policy=_SplitQuorums("AB", "BC"))
+        log = _spy(c)
+        outcomes, messages, appended, added = self._bill(
+            c, [("upsert", "k", 1), ("lookup", "j")]
+        )
+        assert all(o.ok for o in outcomes)
+        assert log == {
+            "A": ["prepare"],
+            "B": ["prepare", "commit"],
+            "C": ["prepare", "commit"],
+        }
+        # R + W + 3 prepares + 2 commits; B and C log insert, prepare
+        # and commit; one decision.
+        assert (messages, appended) == (2 + 2 + 3 + 2, 6)
+        assert list(added.values()) == ["commit"]
+        for rep in log.values():
+            rep.clear()
+        _single(c.suite, "upsert", "k", 2)
+        assert all(rep == ["prepare", "commit"] for rep in log.values())
+
+    def test_a_lost_read_only_reply_aborts_the_wave_into_its_fallback(self):
+        """The reply to A's read-only vote is lost; re-asked, A has
+        forgotten the transaction and says no.  The wave aborts, falls
+        back op by op, and answers what it would have answered."""
+        from repro.net.failures import LossEvent, ScriptedLoss
+
+        with _twin(quorum_policy=_SplitQuorums("AB", "BC")) as c, _twin(
+            quorum_policy=_SplitQuorums("AB", "BC")
+        ) as twin:
+            c.suite.rpc_retries = 2
+            for side in (c, twin):
+                side.suite.insert("k", 0)
+            node = c.suite.placements["A"].node_id
+            c.network.install_faults(
+                ScriptedLoss([LossEvent("reply", node, "dir:A.prepare", 0)])
+            )
+            wave = [("upsert", "k", 1), ("lookup", "k"), ("insert", "k", 2)]
+            batched = c.suite.execute_batch(wave)
+            assert c.network.faults.fired
+            assert c.suite._batch_fallbacks.value == 1
+            sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
+            _assert_same_outcomes(batched, sequential)
+            assert [o.value for o in batched[:2]] == [None, (True, 1)]
+            _assert_same_directory(c, twin, ["k"])
+            for rep in c.representatives.values():
+                assert rep.locks.is_idle() and not rep._undo
+
+    def test_the_decision_log_stays_bounded(self, make_cluster):
+        """1,000 waves, most of them writing: the log holds the latest
+        acknowledged decision and the pending ones, not one per wave."""
+        c = make_cluster()
+        rng = random.Random(30)
+        log = c.suite.txn_manager.decision_log
+        for _ in range(1000):
+            c.suite.execute_batch(
+                [
+                    (rng.choice(BATCH_KINDS), f"k{rng.randrange(20)}", 1)
+                    for _ in range(rng.randrange(1, 5))
+                ]
+            )
+            pending = c.suite.txn_manager.pending_completions
+            assert len(log.decisions) <= 1 + len(pending)
+        assert c.suite.txn_manager.commits == 1000
 
 
 class TestWalkersShareOrWait:

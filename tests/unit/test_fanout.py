@@ -460,7 +460,11 @@ def record_sequences(mode, transport):
 #: their walk (``rep_neighbors_many`` / ``rep_coalesce_many``, one read
 #: and one write quorum a wave), and ``delete_h`` — a classic delete
 #: that finds a boundary copy missing, which until then only the wave
-#: did — was recorded with it.  Both transports produce the same table.
+#: did — was recorded with it.  The ``wave`` row's tail was re-recorded
+#: when a wave's transaction began to take read-only votes: B only read,
+#: so it answers ``prepare`` read-only and gets no ``commit``; the
+#: classic rows, which keep the full two phases, did not move.  Both
+#: transports produce the same table.
 ROUND_SEQUENCES = {
     "serial": {
         "lookup": (
@@ -493,8 +497,8 @@ ROUND_SEQUENCES = {
             "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
             "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
             "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
-            "rep_insert_many@C prepare@B prepare@A prepare@C commit@B "
-            "commit@A commit@C"
+            "rep_insert_many@C prepare@B prepare@A prepare@C commit@A "
+            "commit@C"
         ),
         "delete_h": (
             "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "
@@ -536,8 +540,8 @@ ROUND_SEQUENCES = {
             "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
             "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
             "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
-            "rep_insert_many@C prepare@B prepare@A prepare@C commit@B "
-            "commit@A commit@C"
+            "rep_insert_many@C prepare@B prepare@A prepare@C commit@A "
+            "commit@C"
         ),
         "delete_h": (
             "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "

@@ -12,6 +12,7 @@ from repro.core.representative import DirectoryRepresentative
 from repro.storage.btree import BTreeStore
 from repro.storage.snapshot import EveryNCommits
 from repro.txn.locks import LockMode
+from repro.txn.twopc import READ_ONLY
 
 
 def loaded_rep(**kwargs):
@@ -247,6 +248,62 @@ class TestCrashRecovery:
         rep.on_crash()
         rep.on_recover()
         assert rep.store.snapshot() == before
+
+
+class TestReadOnlyVote:
+    """``prepare(txn, True)``: what a wave's coordinator asks.  A replica
+    the transaction only read drops out there; one it wrote votes as the
+    classic protocol does."""
+
+    def test_a_reader_releases_its_locks_logs_nothing_and_forgets(self):
+        rep = loaded_rep()
+        rep.rep_lookup(2, wrap("b"))
+        rep.rep_neighbors_batch(2, wrap("b"), "succ", 2)  # locks [b..HIGH]
+        appended = len(rep.wal)
+        assert rep.prepare(2, True) == READ_ONLY
+        assert len(rep.wal) == appended
+        assert 2 not in rep._seen_txns and 2 not in rep._prepared
+        assert rep.locks.is_idle()
+        # Another transaction's conflicting RepModify is granted at once.
+        rep.rep_insert(3, wrap("b"), 1, "B")
+        rep.rep_coalesce(3, wrap("c"), HIGH, 4)
+        assert rep.locks.stats.waits == 0
+        rep.commit(3)
+
+    def test_a_writer_still_votes_yes_and_logs_prepare(self):
+        twins = [loaded_rep(), loaded_rep()]
+        for rep, read_only_votes in zip(twins, (False, True)):
+            rep.rep_lookup(2, wrap("a"))
+            rep.rep_insert(2, wrap("b"), 1, "B")
+            assert rep.prepare(2, read_only_votes) is True
+            assert rep.wal.records[-1].kind == "prepare"
+            assert 2 in rep._prepared
+            with pytest.raises(WouldBlockError):
+                rep.rep_lookup(3, wrap("b"))
+        assert list(twins[0].wal.records) == list(twins[1].wal.records)
+
+    def test_an_unseen_transaction_still_gets_a_no(self):
+        rep = loaded_rep()
+        assert rep.prepare(7, True) is False
+        rep.rep_lookup(2, wrap("a"))
+        rep.on_crash()  # the read's locks went with the volatile state
+        rep.on_recover()
+        assert rep.prepare(2, True) is False
+
+    def test_a_prepare_re_asked_after_a_read_only_reply_gets_a_no(self):
+        rep = loaded_rep()
+        rep.rep_lookup(2, wrap("a"))
+        assert rep.prepare(2, True) == READ_ONLY
+        assert rep.prepare(2, True) is False
+
+    def test_the_classic_prepare_keeps_a_reader_to_the_commit(self):
+        rep = loaded_rep()
+        rep.rep_lookup(2, wrap("b"))
+        assert rep.prepare(2) is True
+        assert rep.wal.records[-1].kind == "prepare"
+        with pytest.raises(WouldBlockError):
+            rep.rep_insert(3, wrap("b"), 1, "B")
+        rep.commit(2)
 
 
 class TestCheckpointing:

@@ -13,12 +13,15 @@ from repro.net.rpc import RpcEndpoint
 from repro.txn.ids import TxnIdGenerator
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction, TxnState
-from repro.txn.twopc import DecisionLog, TwoPhaseCoordinator
+from repro.txn.twopc import READ_ONLY, DecisionLog, TwoPhaseCoordinator
 from repro.txn.transaction import Participant
 
 
 class _Participant:
-    """A scriptable 2PC participant service."""
+    """A scriptable 2PC participant service.  A ``READ_ONLY`` one votes
+    read-only when the coordinator allows it (and forgets the
+    transaction, as a representative does: asked again, it says no) and
+    yes when it does not."""
 
     def __init__(self, vote=True):
         self.vote = vote
@@ -26,8 +29,12 @@ class _Participant:
         self.committed = []
         self.aborted = []
 
-    def prepare(self, txn_id):
+    def prepare(self, txn_id, read_only_votes=False):
         self.prepared.append(txn_id)
+        if self.vote == READ_ONLY:
+            if not read_only_votes:
+                return True
+            return READ_ONLY if self.prepared.count(txn_id) == 1 else False
         return self.vote
 
     def commit(self, txn_id):
@@ -111,6 +118,13 @@ class TestDecisionLog:
         log.decide(3, "commit")
         assert log.committed_ids() == frozenset({1, 3})
 
+    def test_forget(self):
+        log = DecisionLog()
+        log.decide(1, "commit")
+        log.forget(1)
+        log.forget(2)  # never decided: nothing to drop
+        assert log.outcome(1) is None and log.decisions == {}
+
 
 class TestTwoPhaseCoordinator:
     def test_all_yes_commits(self):
@@ -169,6 +183,112 @@ class TestTwoPhaseCoordinator:
         unreachable = coordinator.abort(7, participants)
         assert unreachable == ("p0",)
         assert services["p1"].aborted == [7]
+
+
+class TestReadOnlyVotes:
+    """What the coordinator does with the third answer to ``prepare``."""
+
+    def test_every_voter_read_only_commits_with_nothing_more(self):
+        net, rpc, services, participants = make_cluster([READ_ONLY] * 2)
+        log = DecisionLog()
+        coordinator = TwoPhaseCoordinator(rpc, log)
+        before = net.stats.rpc_rounds
+        outcome = coordinator.commit(7, participants, read_only_votes=True)
+        assert outcome.committed
+        assert outcome.votes == {"p0": True, "p1": True}
+        assert net.stats.rpc_rounds - before == 2  # the prepares only
+        assert log.decisions == {}
+        for svc in services.values():
+            assert (svc.prepared, svc.committed, svc.aborted) == ([7], [], [])
+
+    def test_read_only_voters_sit_out_phase_two(self):
+        net, rpc, services, participants = make_cluster([READ_ONLY, True])
+        log = DecisionLog()
+        outcome = TwoPhaseCoordinator(rpc, log).commit(
+            7, participants, read_only_votes=True
+        )
+        assert outcome.committed
+        assert log.outcome(7) == "commit"
+        assert services["p0"].committed == []
+        assert services["p1"].committed == [7]
+
+    def test_an_abort_skips_them_too(self):
+        net, rpc, services, participants = make_cluster([READ_ONLY, False])
+        outcome = TwoPhaseCoordinator(rpc, DecisionLog()).commit(
+            7, participants, read_only_votes=True
+        )
+        assert not outcome.committed
+        assert services["p0"].aborted == []
+        assert services["p1"].aborted == [7]
+
+    def test_without_the_flag_the_protocol_is_the_classic_one(self):
+        net, rpc, services, participants = make_cluster([READ_ONLY, True])
+        log = DecisionLog()
+        outcome = TwoPhaseCoordinator(rpc, log).commit(7, participants)
+        assert outcome.committed
+        assert log.outcome(7) == "commit"
+        for svc in services.values():
+            assert (svc.prepared, svc.committed) == ([7], [7])
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_a_lost_read_only_reply_re_asked_turns_into_an_abort(
+        self, parallel
+    ):
+        """Re-asking is safe but not vote-preserving for a read-only
+        voter: it forgot the transaction when it answered."""
+        from repro.net.failures import LossEvent, ScriptedLoss
+
+        net, rpc, services, participants = make_cluster([READ_ONLY, True])
+        net.install_faults(
+            ScriptedLoss([LossEvent("reply", "node-0", "svc.prepare", 0)])
+        )
+        coordinator = TwoPhaseCoordinator(
+            rpc, DecisionLog(), completion_retries=2, parallel=parallel
+        )
+        outcome = coordinator.commit(7, participants, read_only_votes=True)
+        assert not outcome.committed
+        assert outcome.votes == {"p0": False, "p1": True}
+        assert services["p0"].prepared == [7, 7]
+        assert services["p0"].aborted == [7]  # its no put it in phase two
+        assert services["p1"].aborted == [7]
+
+
+class TestBoundedDecisionLog:
+    """The log keeps the latest fully acknowledged decision and every
+    decision whose delivery is still pending — nothing else."""
+
+    def test_an_acknowledged_decision_replaces_the_previous_one(self):
+        net, rpc, services, participants = make_cluster([True, True])
+        log = DecisionLog()
+        coordinator = TwoPhaseCoordinator(rpc, log)
+        for txn_id in (1, 2, 3):
+            coordinator.commit(txn_id, participants)
+        coordinator.abort(4, participants)
+        assert log.decisions == {4: "abort"}
+        coordinator.commit(5, participants)
+        assert log.decisions == {5: "commit"}
+
+    def test_a_decision_not_delivered_everywhere_stays(self):
+        net, rpc, services, participants = make_cluster([True, True])
+        log = DecisionLog()
+        coordinator = TwoPhaseCoordinator(rpc, log)
+        coordinator.commit(1, participants)
+        original = services["p1"].prepare
+
+        def prepare_then_crash(txn_id):
+            net.node("node-1").crash()
+            return original(txn_id)
+
+        services["p1"].prepare = prepare_then_crash
+        outcome = coordinator.commit(2, participants)
+        assert outcome.unreachable_at_completion == ("p1",)
+        services["p1"].prepare = original
+        net.node("node-1").recover()
+        for txn_id in (3, 4):
+            coordinator.commit(txn_id, participants)
+        # 1 went when 3 was acknowledged, 3 when 4 was; 2 is in doubt at p1.
+        assert log.decisions == {2: "commit", 4: "commit"}
+        assert log.committed_ids() == frozenset({2, 4})
 
 
 class TestTransactionManager:
