@@ -112,11 +112,11 @@ this is why the result is still the sequential one:
 Availability failures are all-or-nothing per wave: the shared
 transaction aborts cleanly (no partial effects — that is what 2PC is
 for; a coalesce already applied is undone as a classic delete's is),
-and the wave falls back to executing each op individually so
-``-UNAVAILABLE`` surfaces per op rather than failing the neighbours
-(counted on ``suite.batch.fallbacks``).  Operation counts and the
-delete-overhead statistics are collected during the fold and applied
-after the commit, so an aborted wave counts nothing twice.
+and each op re-runs once as a wave of one, so ``-UNAVAILABLE`` surfaces
+per op rather than failing the neighbours (counted on
+``suite.batch.fallbacks``).  Operation counts and the delete-overhead
+statistics are collected during the fold and applied after the commit,
+so an aborted wave counts nothing twice.
 """
 
 from __future__ import annotations
@@ -142,6 +142,11 @@ from repro.obs.spans import NULL_SPAN
 #: key was present, else 0, where ``delete`` raises.
 BATCH_KINDS = ("lookup", "insert", "update", "upsert", "delete", "discard")
 _DELETES = frozenset(("delete", "discard"))
+_ABORTS = (QuorumUnavailableError, NetworkError, TransactionError)
+#: The ``op_counts`` field a classic call bumps even when it aborts (an
+#: ``upsert`` counts what it turned out to be, so then only its failure).
+_COUNTED = dict(lookup="lookups", insert="inserts", update="updates",
+                delete="deletes", discard="deletes")
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,8 +164,8 @@ class BatchOutcome:
 
     ``error`` carries the same exception the sequential public method
     would have raised (:class:`KeyAlreadyPresentError`,
-    :class:`KeyNotPresentError`, or an availability error from the
-    per-op fallback path); :meth:`unwrap` re-raises it.
+    :class:`KeyNotPresentError`, or the availability error that aborted
+    the op's own wave of one); :meth:`unwrap` re-raises it.
     """
 
     op: BatchOp
@@ -195,8 +200,8 @@ def execute_batch(suite: Any, ops: Any) -> "list[BatchOutcome]":
 
     See the module docstring for the equivalence argument.  On an
     availability failure the shared transaction aborts (leaving no
-    partial effects) and every op re-executes individually, so per-op
-    error results survive even a mid-wave quorum loss.
+    partial effects) and every op re-runs once as a wave of one, so
+    per-op error results survive even a mid-wave quorum loss.
     """
     ops = [op if isinstance(op, BatchOp) else BatchOp(*op) for op in ops]
     for op in ops:
@@ -211,12 +216,20 @@ def execute_batch(suite: Any, ops: Any) -> "list[BatchOutcome]":
     suite._batch_ops.inc(len(ops))
     try:
         return _grouped(suite, ops, bkeys)
-    except (QuorumUnavailableError, NetworkError, TransactionError):
-        # The shared transaction aborted whole; 2PC guarantees no
-        # partial effects, so individual re-execution cannot double-
-        # apply anything.
+    except _ABORTS:
+        # Aborted whole: 2PC leaves no partial effects, so re-running
+        # each op cannot double-apply anything.
         suite._batch_fallbacks.inc()
-        return [_fallback(suite, op) for op in ops]
+    outcomes, counts = [], suite.op_counts
+    for op, bkey in zip(ops, bkeys):
+        try:
+            outcomes += _grouped(suite, [op], [bkey])
+        except _ABORTS as exc:
+            if op.kind in _COUNTED:
+                name = _COUNTED[op.kind]
+                setattr(counts, name, getattr(counts, name) + 1)
+            outcomes.append(BatchOutcome(op, error=exc))
+    return outcomes
 
 
 def _grouped(
@@ -295,8 +308,8 @@ def _grouped(
             state[bkey] = (True, new_version, op.value)
             writes[bkey] = (new_version, op.value)
         wave.install(writes)
-    # Applied only after the commit: an aborted wave leaves the fallback
-    # path to do the (public-method) counting instead.
+    # Applied only after the commit: an aborted wave leaves the counting
+    # to its ops' waves of one.
     suite.op_counts.lookups += counts.lookups
     suite.op_counts.inserts += counts.inserts
     suite.op_counts.updates += counts.updates
@@ -549,9 +562,8 @@ def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:
 
     What a kind means *alone* — the paper's Figure 8/9/13 algorithms,
     with read-repair: the reference every wave, of one op or many, is
-    checked against (the sequential twins of the tests), and what a
-    wave whose shared transaction aborted falls back to op by op.  The
-    front door never runs it otherwise.
+    checked against (the sequential twins of the tests).  The front
+    door and the resharder never run it.
     """
     if kind == "lookup":
         return suite.lookup(key)
@@ -570,13 +582,3 @@ def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:
             return 0
         return 1
     raise ValueError(f"unknown op kind {kind!r}")
-
-
-def _fallback(suite: Any, op: BatchOp) -> BatchOutcome:
-    """:func:`_single` with the error captured as the op's outcome."""
-    outcome = BatchOutcome(op)
-    try:
-        outcome.value = _single(suite, op.kind, op.key, op.value)
-    except ReproError as exc:
-        outcome.error = exc
-    return outcome

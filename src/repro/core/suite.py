@@ -246,8 +246,8 @@ class DirectorySuite:
                 f"suite.quorum.{kind}.selections", lambda s=stat: s.n
             )
         # Group-commit telemetry (see repro.core.batch): wave sizes,
-        # total batched ops, and waves that fell back to per-op
-        # execution after an availability abort.
+        # total batched ops, and waves that re-ran op by op, as waves of
+        # one, after an availability abort.
         self._batch_size = RunningStat()
         metrics.histogram("suite.batch.size", stat=self._batch_size)
         metrics.gauge("suite.batch.waves", lambda: self._batch_size.n)

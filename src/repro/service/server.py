@@ -86,9 +86,9 @@ Arrival order is preserved item by item, so two pipelined ops on the
 same key observe each other exactly as they would have one at a time.
 A wave of one — all an unpipelined client ever forms — takes the same
 road: the fold of one op *is* the paper's algorithm, with section 4's
-several results per message, and the classic one-op path
-(:func:`repro.core.batch._single`) is what it is checked against and
-what a wave whose transaction aborted falls back to.
+several results per message.  So do faults: a wave whose transaction
+aborted re-runs each of its ops as a wave of one, and a live split
+heals its target and drains its source in waves too.
 Shards take turns: what batching buys is fewer quorum rounds per op,
 not overlap.  Admin work (``SIZE``, ``REJOIN``, a ``RESHARD SPLIT``'s
 phases) is cut into steps that are loop callbacks of their own, so it

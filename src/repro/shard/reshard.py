@@ -16,14 +16,14 @@ after :class:`~repro.repl.bootstrap.ReplicaJoin`:
   forwards their writes, whoever issues them.
 * **CUTOVER** — compare the two suites' authoritative views of the
   range, heal every difference (whatever was written, rewritten or
-  deleted on the source since the copy) through ordinary quorum-paying
+  deleted on the source since the copy) as one quorum-paying wave of
   target ops, verify, then install the successor map: the epoch bumps
   and reads flip to the target.  The whole phase is one step, so no
   client op lands between the comparison and the flip.
-* **DRAIN** — delete the moved keys from the source through the paper's
-  own delete algorithm (suite-level, so gap versioning stays correct on
-  every source replica), then retire into the directory's
-  ``reshard_log`` as a :class:`ReshardRecord` for the auditor.
+* **DRAIN** — delete the moved keys from the source as one wave (the
+  paper's own delete, so gap versioning stays correct on every source
+  replica), then retire into the directory's ``reshard_log`` as a
+  :class:`ReshardRecord` for the auditor.
 
 The :class:`ReshardController` closes the loop with observability: it
 watches per-shard windowed ``shard.routed`` rates through a
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.batch import _single
 from repro.core.errors import (
     ConfigurationError,
     NetworkError,
@@ -290,16 +289,17 @@ class Resharder:
         # Heal: everything the source's clients wrote, rewrote or deleted
         # since the copy shows up as a difference between the two
         # authoritative views; replay it through the target *suite*
-        # (quorum-paying, version-monotone) pre-flip.
-        for payload in sorted(want.keys() | got.keys(), key=wrap):
-            try:
-                if payload not in want:
-                    _single(target_suite, "discard", payload)
-                elif got.get(payload, _MISSING) != want[payload]:
-                    _single(target_suite, "upsert", payload, want[payload])
-            except ReproError as exc:
+        # (quorum-paying, version-monotone) pre-flip, as one wave.
+        heal = [
+            ("upsert", key, want[key]) if key in want else ("discard", key)
+            for key in sorted(want.keys() | got.keys(), key=wrap)
+            if got.get(key, _MISSING) != want.get(key, _MISSING)
+        ]
+        for outcome in target_suite.execute_batch(heal):
+            if not outcome.ok:
                 violations.append(
-                    f"cutover heal failed for {payload!r}: {exc}"
+                    f"cutover heal failed for {outcome.op.key!r}: "
+                    f"{outcome.error}"
                 )
         # Verify: the healed target must answer the range exactly as the
         # source does, or the mismatch goes on the audit record.
@@ -322,16 +322,14 @@ class Resharder:
     def _step_drain(self) -> None:
         directory = self.directory
         source_suite = directory.clusters[self.source].suite
-        for payload in sorted(self.moved, key=wrap):
-            try:
-                # Absent already: drained by an earlier, retried step.
-                _single(source_suite, "discard", payload)
-            except ReproError:
-                # Retry the remaining range next step.  Nothing goes on
-                # the record: a drain that finishes late is clean, and
-                # one that never finishes is what ``audit_reshard``'s
-                # source-side check exists to catch.
-                return
+        # A key absent already was drained by an earlier, retried step.
+        wave = [("discard", key) for key in sorted(self.moved, key=wrap)]
+        if not all(out.ok for out in source_suite.execute_batch(wave)):
+            # Retry the range next step.  Nothing goes on the record: a
+            # drain that finishes late is clean, and one that never
+            # finishes is what ``audit_reshard``'s source-side check
+            # exists to catch.
+            return
         directory.reshard_log.append(self.record)
         directory.note_migrated(self.record)
         self.phase = "done"

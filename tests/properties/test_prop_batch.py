@@ -24,14 +24,25 @@ wave's transaction (a replica the wave only read let go at ``prepare``,
 the rest at ``commit``), the decision log gained the wave's decision
 exactly when some replica wrote, and the directory already equals the
 twin's.
+
+The third runs short waves over seeded lossy links, so that many of them
+abort and re-run op by op as waves of one.  There is no twin to compare
+with, because which ops fail depends on the draws.  Instead a client
+model holds every op that answered to what a sequential run owes it, and
+holds every failed op to having left no effect.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, DirectoryCluster
-from repro.core.batch import BATCH_KINDS, BatchOp, _fallback
+from repro.core.batch import _ABORTS, BATCH_KINDS, BatchOp
+from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
 from repro.core.keys import wrap
+from repro.net.failures import LossyLinks
+from tests.unit.test_batch import _fallback
 
 ops = st.builds(
     BatchOp,
@@ -90,6 +101,66 @@ def test_crowded_deletes_match_the_sequential_twin(
         round(walked.avg * walked.n) + suite._batch_rewalks.value
         == suite.delete_stats.insertions_while_coalescing.n
     )
+
+
+lossy_waves = st.lists(
+    st.lists(dense_ops, min_size=1, max_size=6), min_size=1, max_size=12
+)
+
+
+def _expect(model, op):
+    """``(value, error type)`` a sequential run owes ``op`` against the
+    client's ``model`` of the directory, which it then updates."""
+    present = op.key in model
+    if op.kind == "lookup":
+        return (present, model.get(op.key)), None
+    if op.kind == "insert" and present:
+        return None, KeyAlreadyPresentError
+    if op.kind in ("update", "delete") and not present:
+        return None, KeyNotPresentError
+    if op.kind in ("delete", "discard"):
+        model.pop(op.key, None)
+        return (int(present) if op.kind == "discard" else None), None
+    model[op.key] = op.value
+    return None, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    waves=lossy_waves,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    fanout=st.sampled_from(["serial", "parallel"]),
+)
+def test_waves_under_message_loss_keep_the_client_model(waves, seed, fanout):
+    """5 % of requests and 5 % of replies lost: an aborted wave re-runs
+    as waves of one, every op that answered answered what a sequential
+    run owes it, every op that failed left nothing behind, and no
+    replica is left holding anything of any wave."""
+    with DirectoryCluster.create(
+        ClusterSpec(config="3-2-2", seed=7, fanout=fanout)
+    ) as cluster:
+        cluster.network.install_faults(
+            LossyLinks(
+                request_loss=0.05, reply_loss=0.05, rng=random.Random(seed)
+            )
+        )
+        reps = cluster.representatives.values()
+        model: dict = {}
+        for wave in waves:
+            for outcome in cluster.suite.execute_batch(wave):
+                if isinstance(outcome.error, _ABORTS):
+                    continue  # no effect: the state check below holds it
+                value, error = _expect(model, outcome.op)
+                assert type(outcome.error) is (error or type(None)), outcome
+                assert outcome.value == value, outcome
+            for rep in reps:
+                assert rep.locks.is_idle(), rep.name
+                assert not rep._undo and not rep._seen_txns, rep.name
+            assert cluster.suite.authoritative_state() == model
+        auditor = cluster.make_auditor()
+        auditor.run()
+        assert auditor.report.violations == []
+        cluster.check_invariants()
 
 
 def _check(waves, **spec):

@@ -21,7 +21,6 @@ from repro.core.batch import (
     BATCH_KINDS,
     BatchOp,
     BatchOutcome,
-    _fallback,
     _single,
     execute_batch,
 )
@@ -29,9 +28,21 @@ from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
     QuorumUnavailableError,
+    ReproError,
 )
 from repro.core.keys import wrap
 from repro.core.quorum import PreferredQuorumPolicy, QuorumPolicy
+
+
+def _fallback(suite, op):
+    """The sequential twin's step: ``op`` alone through the classic path
+    (:func:`_single`), its error captured as the outcome."""
+    outcome = BatchOutcome(op)
+    try:
+        outcome.value = _single(suite, op.kind, op.key, op.value)
+    except ReproError as exc:
+        outcome.error = exc
+    return outcome
 
 
 def _committed_version(cluster, key):

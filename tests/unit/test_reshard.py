@@ -224,6 +224,74 @@ class TestWritesDuringMigration:
     def test_wire_and_library_run_the_same_migration(self):
         assert self._wire() == self._library()
 
+    def test_the_heal_and_the_drain_are_one_wave_each(self):
+        """k keys differ at cutover: the heal is one wave of k ops on
+        the target, and the drain one wave of every moved key on the
+        source — nothing runs op by op."""
+        with make_directory() as d:
+            seeded(d)
+            resharder = d.begin_split("key08")
+            resharder.step()  # COPY
+            d.update("key09", "rewritten")
+            d.delete("key10")
+            d.insert("key10a", "born")
+            source = d.clusters[resharder.source].suite
+            target = d.clusters[resharder.target].suite
+
+            def waves(suite):
+                return suite._batch_size.n, suite._batch_ops.value
+
+            (s_waves, s_ops), (t_waves, t_ops) = waves(source), waves(target)
+            resharder.step()  # CUTOVER: key09, key10 and key10a differ
+            assert waves(source) == (s_waves, s_ops)
+            assert waves(target) == (t_waves + 1, t_ops + 3)
+            resharder.step()  # DRAIN: the eight keys that moved
+            assert resharder.done
+            assert waves(source) == (s_waves + 1, s_ops + 8)
+            assert waves(target) == (t_waves + 1, t_ops + 3)
+            assert source._batch_fallbacks.value == 0
+            assert target._batch_fallbacks.value == 0
+            assert resharder.moved == {
+                **{f"key{i:02d}": f"v{i}" for i in range(8, 16) if i != 10},
+                "key09": "rewritten",
+                "key10a": "born",
+            }
+            assert d.reshard_log[-1].violations == []
+            assert_audits_clean(d)
+
+    def test_a_heal_that_cannot_reach_a_quorum_is_on_the_record(self):
+        """The heal's wave aborts and each op's wave of one fails too:
+        every key it could not carry over is a violation, as a failed
+        heal always was."""
+        with make_directory() as d:
+            seeded(d)
+            resharder = d.begin_split("key08")
+            resharder.step()  # COPY
+            d.update("key09", "rewritten")
+            d.delete("key10")
+            target = d.clusters[resharder.target]
+            heal = target.suite.execute_batch
+
+            def lose_the_quorum(ops):
+                target.crash("A")
+                target.crash("B")
+                try:
+                    return heal(ops)
+                finally:
+                    target.recover("A")
+                    target.recover("B")
+
+            target.suite.execute_batch = lose_the_quorum
+            resharder.step()  # CUTOVER
+            # Then the verify finds the same two keys unhealed.
+            assert [
+                v.split(":")[0] for v in resharder.record.violations[:2]
+            ] == [
+                "cutover heal failed for 'key09'",
+                "cutover heal failed for 'key10'",
+            ]
+            assert target.suite._batch_fallbacks.value == 1
+
     def test_reads_stay_on_source_until_cutover(self):
         with make_directory() as d:
             seeded(d)
