@@ -38,6 +38,7 @@ from repro.sim.availability import analyze
 from repro.sim.concurrency import ConcurrencySpec, compare_granularities
 from repro.sim.driver import (
     SimulationSpec,
+    check_spec,
     run_figure14_grid,
     run_figure15_sizes,
     run_simulation,
@@ -107,6 +108,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         antientropy_every=args.antientropy,
         auto_reshard=args.auto_reshard,
     )
+    try:
+        check_spec(spec)
+    except ValueError as exc:
+        print(f"repro-simulate: {exc}", file=sys.stderr)
+        return 2
     result = run_simulation(spec)
     rows = []
     for name, row in result.stats_table().items():
@@ -647,8 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="start an online rejoin of the crashed replica just before "
-        "operation N: snapshot pull, WAL catch-up, and cutover to full "
-        "voting membership interleave with the client workload",
+        "operation N (after --crash-at): it receives writes without "
+        "voting until one step reconciles it against every up peer, "
+        "interleaved with the client workload",
     )
     g.add_argument(
         "--rejoin-replica",
@@ -660,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wipe",
         action="store_true",
         help="erase the crashed replica's store and WAL before the rejoin "
-        "(amnesiac restart: the snapshot is its only seed)",
+        "(amnesiac restart: its peers are its only seed; needs --crash-at)",
     )
     g.add_argument(
         "--antientropy",

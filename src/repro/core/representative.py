@@ -456,45 +456,21 @@ class DirectoryRepresentative:
         self._commits_since_checkpoint = 0
 
     # ------------------------------------------------------------------
-    # replica lifecycle (snapshot export, log shipping, reconcile)
+    # replica lifecycle (snapshot export, reconcile)
     # ------------------------------------------------------------------
 
     @_latched
     def rep_export_snapshot(self):
-        """A consistent (snapshot, watermark) pair for replica bootstrap.
+        """A consistent snapshot of this replica's store, for a join,
+        an anti-entropy sweep or a reshard's read.
 
-        The watermark is the LSN of the last log record the snapshot
-        reflects; a joiner catches up by polling :meth:`rep_wal_since`
-        from it.  Export refuses while transactions are in flight here —
-        their uncommitted effects are in the store and would leak into
-        the copy — so callers retry after the representative quiesces.
+        Export refuses while transactions are in flight here — their
+        uncommitted effects are in the store and would leak into the
+        copy — so callers retry after the representative quiesces.
         """
         if self._undo:
             raise SnapshotUnavailableError(self.name, len(self._undo))
-        return (self.store.snapshot(), self.wal.next_lsn - 1)
-
-    @_latched
-    def rep_wal_since(self, lsn: int):
-        """Log records appended after ``lsn``, for shipping to a joiner.
-
-        Returns ``(watermark, records)`` where ``watermark`` is the new
-        high-water mark and ``records`` are plain
-        ``(lsn, txn_id, kind, payload)`` tuples (wire-friendly).
-        Checkpoint records are elided — a consumer polling from a valid
-        watermark already holds everything a checkpoint folds up.  Raises
-        :class:`~repro.core.errors.RecoveryError` when checkpoint
-        truncation discarded records past ``lsn``; the caller must fall
-        back to a fresh snapshot.
-        """
-        from repro.storage.wal import OP_CHECKPOINT
-
-        records = self.wal.records_since(lsn)
-        shipped = [
-            (r.lsn, r.txn_id, r.kind, r.payload)
-            for r in records
-            if r.kind != OP_CHECKPOINT
-        ]
-        return (self.wal.next_lsn - 1, shipped)
+        return self.store.snapshot()
 
     @_latched
     def rep_reconcile(self, pieces) -> tuple[int, int]:

@@ -2,10 +2,12 @@
 
 The paper's suite is static; this package is the operational layer that
 lets one replica leave and rejoin a *running* suite without violating
-the quorum-intersection invariant: a three-state membership machine
-(:mod:`repro.repl.lifecycle`), an incremental snapshot + log-shipping
-join (:mod:`repro.repl.bootstrap`), and a background pairwise
-reconciliation sweep (:mod:`repro.repl.antientropy`).
+the quorum-intersection invariant: a two-state membership machine
+(:mod:`repro.repl.lifecycle`), a join that reconciles the replica
+against every up peer before it votes again
+(:mod:`repro.repl.bootstrap`), and a background pairwise reconciliation
+sweep (:mod:`repro.repl.antientropy`).  The join and the sweep are one
+primitive: export, diff, ship what is newer.
 """
 
 from repro.repl.antientropy import AntiEntropySweeper

@@ -92,8 +92,8 @@ class AntiEntropySweeper:
             if left_digest == right_digest:
                 return 0
             self._divergent.inc()
-            left_snap, _ = admin_call(suite, left, "rep_export_snapshot")
-            right_snap, _ = admin_call(suite, right, "rep_export_snapshot")
+            left_snap = admin_call(suite, left, "rep_export_snapshot")
+            right_snap = admin_call(suite, right, "rep_export_snapshot")
             return reconcile_replica(
                 suite, left_snap, right_snap, right, self._repairs
             ) + reconcile_replica(

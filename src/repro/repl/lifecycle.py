@@ -4,23 +4,18 @@ The paper fixes the representative suite at creation time; this module
 is the small piece of bookkeeping that lets a suite change a member's
 *role* at runtime without changing its vote assignment.  A replica that
 is bootstrapping (new, or back from a crash that also lost its log)
-moves through a three-state machine:
+moves through a two-state machine:
 
 * ``UP`` — full member: its votes count toward read and write quorums.
-* ``JOINING`` — pulling its initial snapshot.  It receives every write
+* ``JOINING`` — being refilled from its peers.  It receives every write
   (so no committed operation can miss it) but contributes no votes: its
   stale store must not supply read verdicts, and counting its vote
   toward W would let a write "succeed" on data the replica is about to
   overwrite.
-* ``CATCHING_UP`` — snapshot installed, draining the donor's log tail.
-  Same voting rules as JOINING; the distinction is observability and
-  the legal-transition check.
 
-Legal transitions: ``UP → JOINING`` (a wiped or brand-new replica starts
-bootstrapping), ``JOINING → CATCHING_UP`` (snapshot installed),
-``CATCHING_UP → UP`` (caught up and reconciled — the cutover), and
-``CATCHING_UP → JOINING`` (the donor truncated its log past our
-watermark; fall back to a fresh snapshot).  Everything else raises.
+The two edges: ``UP → JOINING`` (a wiped or brand-new replica starts
+bootstrapping) and ``JOINING → UP`` (reconciled against every up voting
+peer — the cutover).
 
 The suite consults :meth:`SuiteMembership.all_up` before filtering
 anything, so the no-join-in-progress fast path stays bit-identical to
@@ -40,18 +35,6 @@ class ReplicaState(enum.Enum):
 
     UP = "up"
     JOINING = "joining"
-    CATCHING_UP = "catching_up"
-
-
-#: The legal edges of the lifecycle state machine (see module docstring).
-_LEGAL_TRANSITIONS = frozenset(
-    {
-        (ReplicaState.UP, ReplicaState.JOINING),
-        (ReplicaState.JOINING, ReplicaState.CATCHING_UP),
-        (ReplicaState.CATCHING_UP, ReplicaState.UP),
-        (ReplicaState.CATCHING_UP, ReplicaState.JOINING),
-    }
-)
 
 
 class SuiteMembership:
@@ -79,15 +62,9 @@ class SuiteMembership:
         return self._states[name]
 
     def set_state(self, name: str, state: ReplicaState) -> None:
-        """Move ``name`` to ``state``; illegal transitions raise."""
-        current = self._states[name]
-        if state is current:
-            return
-        if (current, state) not in _LEGAL_TRANSITIONS:
-            raise ConfigurationError(
-                f"illegal membership transition for {name}: "
-                f"{current.value} -> {state.value}"
-            )
+        """Move member ``name`` to ``state``."""
+        if name not in self._states:
+            raise KeyError(name)
         self._states[name] = state
         self.all_up = all(
             s is ReplicaState.UP for s in self._states.values()

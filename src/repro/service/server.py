@@ -42,11 +42,12 @@ Clients that stamp no epoch see neither redirects nor reply metadata.
 
 ``REJOIN`` is the operator verb for the replica lifecycle
 (:mod:`repro.repl`): it recovers the named representative on shard
-``i`` (default 0) and drives a full snapshot + catch-up + cutover join
-against its peers, replying ``+UP`` once the replica votes again.  The
-join is taken one step per loop turn, so each step is atomic against
-client operations (no extra locking) and the shard's clients are served
-between the steps.
+``i`` (default 0), marks it non-voting, and reconciles it against every
+up voting peer before it votes again, replying ``+UP`` then.  The join
+is taken one step per loop turn, so each step is atomic against client
+operations (no extra locking) and the shard's clients are served between
+the steps; a join whose peers never make a read quorum replies
+``-UNAVAILABLE`` and leaves the replica non-voting.
 
 The strict verbs carry the paper's error contract across the wire; the
 lenient ``GET``/``SET``/``DEL`` triple is what load generators want.
@@ -980,12 +981,12 @@ class DirectoryService:
         )
         # One step per turn, so the shard's clients are served between
         # steps; bounded as ``ReplicaJoin.run`` is, because a join with
-        # no donor to pull from never finishes.
+        # no read quorum of voting peers up never finishes.
         for _ in range(_JOIN_MAX_STEPS):
             if await self._admin_on_shard(index, join.step):
                 break
         else:
-            raise RuntimeError(
+            raise NetworkError(
                 f"join of {replica} did not finish in {_JOIN_MAX_STEPS} steps"
             )
         return protocol.encode_simple(

@@ -86,7 +86,7 @@ def authoritative_range_facts(cluster: Any, delta: Any) -> dict[Any, LookupReply
     """
     suite = cluster.suite
     snapshots = [
-        admin_call(suite, name, "rep_export_snapshot")[0]
+        admin_call(suite, name, "rep_export_snapshot")
         for name in _quorum_members(cluster, "reshard read")
     ]
     # [low, high) of user keys; ``high=None`` runs to the sentinel.  The

@@ -184,6 +184,33 @@ class SimulationResult:
         return self.delete_stats.as_table()
 
 
+def check_spec(spec: SimulationSpec) -> None:
+    """Raise :class:`ValueError` for knobs that contradict each other.
+
+    :func:`run_simulation` calls it before building anything; a caller
+    that turns the error into a usage message calls it first itself.
+    """
+    if (spec.crash_at or spec.rejoin_at or spec.antientropy_every) and (
+        spec.shards > 0
+    ):
+        raise ValueError(
+            "replica lifecycle scripting (crash_at / rejoin_at / "
+            "antientropy_every) needs a single cluster; got shards="
+            f"{spec.shards}"
+        )
+    if spec.wipe and not spec.crash_at:
+        raise ValueError("wipe erases the crashed replica; it needs crash_at")
+    if spec.crash_at and spec.rejoin_at and spec.rejoin_at <= spec.crash_at:
+        raise ValueError(
+            f"rejoin_at ({spec.rejoin_at}) must come after crash_at "
+            f"({spec.crash_at})"
+        )
+    if spec.auto_reshard and spec.shards <= 0:
+        raise ValueError(
+            f"auto_reshard needs a sharded run; got shards={spec.shards}"
+        )
+
+
 def run_simulation(
     spec: SimulationSpec,
     cluster: DirectoryCluster | None = None,
@@ -203,6 +230,7 @@ def run_simulation(
         called once per measured operation; operations that then fail for
         availability reasons are counted, not raised.
     """
+    check_spec(spec)
     started = time.perf_counter()
     if cluster is None:
         cluster_spec = ClusterSpec(
@@ -278,20 +306,10 @@ def run_simulation(
 
     lifecycle: _LifecycleScript | None = None
     if spec.crash_at or spec.rejoin_at or spec.antientropy_every:
-        if spec.shards > 0:
-            raise ValueError(
-                "replica lifecycle scripting (crash_at / rejoin_at / "
-                "antientropy_every) needs a single cluster; got shards="
-                f"{spec.shards}"
-            )
         lifecycle = _LifecycleScript(spec, cluster)
 
     controller = None
     if spec.auto_reshard:
-        if spec.shards <= 0:
-            raise ValueError(
-                f"auto_reshard needs a sharded run; got shards={spec.shards}"
-            )
         from repro.shard import ReshardController
 
         controller = ReshardController(cluster, window=_RESHARD_WINDOW)

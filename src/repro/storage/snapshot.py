@@ -15,7 +15,7 @@ from dataclasses import dataclass
 class CheckpointPolicy:
     """Base policy: never checkpoint (full-log replay)."""
 
-    def should_checkpoint(self, commits_since: int, records_since: int) -> bool:
+    def should_checkpoint(self, commits_since: int, log_records: int) -> bool:
         """Decide given activity since the last checkpoint."""
         return False
 
@@ -30,7 +30,7 @@ class EveryNCommits(CheckpointPolicy):
         if self.n < 1:
             raise ValueError(f"checkpoint interval must be >= 1, got {self.n}")
 
-    def should_checkpoint(self, commits_since: int, records_since: int) -> bool:
+    def should_checkpoint(self, commits_since: int, log_records: int) -> bool:
         return commits_since >= self.n
 
 
@@ -46,5 +46,5 @@ class LogSizeBound(CheckpointPolicy):
                 f"log size bound must be >= 1, got {self.max_records}"
             )
 
-    def should_checkpoint(self, commits_since: int, records_since: int) -> bool:
-        return records_since >= self.max_records
+    def should_checkpoint(self, commits_since: int, log_records: int) -> bool:
+        return log_records >= self.max_records

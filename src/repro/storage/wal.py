@@ -157,37 +157,8 @@ class WriteAheadLog:
 
     @property
     def next_lsn(self) -> int:
-        """The LSN the next appended record will receive.
-
-        ``next_lsn - 1`` is the *watermark*: every record at or below it
-        is already in this log.  Log shipping (replica catch-up) polls a
-        donor with its last-seen watermark and applies what came after.
-        """
+        """The LSN the next appended record will receive."""
         return self._next_lsn
-
-    @property
-    def oldest_lsn(self) -> int:
-        """LSN of the oldest retained record (0 when the log is empty).
-
-        Checkpoint truncation discards the prefix; a shipping consumer
-        whose watermark fell below ``oldest_lsn - 1`` has a gap it cannot
-        fill from this log and must fall back to a full snapshot.
-        """
-        return self.records[0].lsn if self.records else 0
-
-    def records_since(self, lsn: int) -> list[WalRecord]:
-        """Retained records with LSN strictly greater than ``lsn``.
-
-        Raises :class:`RecoveryError` when truncation has discarded
-        records the caller has not seen (``lsn + 1 < oldest_lsn``): the
-        tail alone would silently skip operations.
-        """
-        if self.records and lsn + 1 < self.records[0].lsn:
-            raise RecoveryError(
-                f"log truncated past lsn {lsn}: oldest retained record is "
-                f"{self.records[0].lsn}"
-            )
-        return [r for r in self.records if r.lsn > lsn]
 
     def replay_into(
         self,

@@ -56,9 +56,7 @@ class TestAdminVerbs:
                 "ops_per_s", "routed", "err_per_s",
                 "latency", "hot_keys", "membership",
             }
-            assert set(row["membership"].values()) <= {
-                "up", "joining", "catching_up"
-            }
+            assert set(row["membership"].values()) <= {"up", "joining"}
         assert "service.front.ops" in stats["windows"]
 
     def test_stats_routed_matches_directory(self, service, client):

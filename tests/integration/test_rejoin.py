@@ -12,7 +12,16 @@ import random
 import pytest
 
 from repro.cluster import ClusterSpec, DirectoryCluster
-from repro.repl import AntiEntropySweeper, ReplicaJoin, ReplicaState, wipe_replica
+from repro.core.errors import NetworkError
+from repro.core.keys import wrap
+from repro.repl import (
+    AntiEntropySweeper,
+    ReplicaJoin,
+    ReplicaState,
+    divergent_pieces,
+    wipe_replica,
+)
+from repro.shard import RangeShardMap, ShardedDirectory
 from repro.sim.driver import SimulationSpec, run_simulation
 
 
@@ -57,8 +66,9 @@ class TestOnlineJoin:
 
     def test_crashed_not_wiped_replica_is_shipped_only_what_changed(self):
         # A replica that kept its log restarts holding the store it
-        # crashed with, so the snapshot phase owes it the writes it
-        # missed — not the store.
+        # crashed with, so the join owes it the writes it missed — not
+        # the store.  The whole join is one step: one export per
+        # replica, one reconcile per peer that holds something newer.
         cluster = _cluster()
         suite = cluster.suite
         AntiEntropySweeper(cluster).sweep_all(rounds=2)  # E holds all 30
@@ -69,19 +79,27 @@ class TestOnlineJoin:
         suite.update("k007", "rewritten")
         join = ReplicaJoin(cluster, "E")
         join.start()
+        joiner = cluster.representative("E").store.snapshot()
+        shipped = {
+            peer: len(
+                divergent_pieces(
+                    cluster.representative(peer).store.snapshot(), joiner
+                )
+            )
+            for peer in "ABCD"
+        }
+        divergent = [peer for peer, n in shipped.items() if n]
+        assert divergent
+        assert all(n <= missed for n in shipped.values())
         stats = cluster.network.stats
         stats.reset()
-        join.step()  # the snapshot phase, whole
-        assert join.phase == "catchup"
+        assert join.step()  # the join, whole
         assert stats.by_method == {
-            "dir:E.rep_export_snapshot": 1,
-            "dir:A.rep_export_snapshot": 1,
-            "dir:E.rep_reconcile": 1,
+            **{f"dir:{rep}.rep_export_snapshot": 1 for rep in "ABCDE"},
+            "dir:E.rep_reconcile": len(divergent),
         }
-        # One item per export; the rest is what the reconcile carried:
-        # as much of the missed writes as this donor's quorums gave it.
-        assert 1 <= stats.payload_items - 2 <= missed
-        join.run()
+        # One item per export; the rest is what the reconciles carried.
+        assert stats.payload_items == 5 + sum(shipped.values())
         report = cluster.make_auditor().audit_join("E")
         assert report.ok, report.render()
 
@@ -93,29 +111,59 @@ class TestOnlineJoin:
         assert "B" not in suite._eligible()
         # ... but every write still lands on it (non-voting recipient).
         suite.insert("fresh", 99)
-        from repro.core.keys import wrap
-
         assert cluster.representative("B").contains(wrap("fresh"))
         assert suite.lookup("fresh") == (True, 99)
 
     def test_join_survives_donor_crash(self):
+        # Every up voting peer is a donor.  One that crashes between
+        # join steps drops out of the next step, and the join finishes
+        # on the rest: every write quorum of 3 among A–D holds two of
+        # B, C and D.
         cluster = _cluster()
         suite = cluster.suite
         cluster.crash("E")
         wipe_replica(cluster, "E")
         join = ReplicaJoin(cluster, "E")
         join.start()
-        join.step()  # snapshot pulled: a donor is now chosen
-        donor = join.donor
-        assert donor is not None
-        cluster.crash(donor)  # kill it mid-catch-up
-        for _ in range(50):
-            if join.step():
-                break
-        assert join.done
+        # An in-flight transaction on A makes its export refuse.
+        cluster.representative("A").rep_insert(9001, wrap("zzz"), 1, "x")
+        assert not join.step()
+        assert suite.membership.state("E") is ReplicaState.JOINING
+        cluster.crash("A")  # the transaction dies with it
+        assert join.step()
         report = cluster.make_auditor().audit_join("E")
         assert report.ok, report.render()
-        cluster.recover(donor)
+        assert suite.authoritative_state() == {
+            f"k{j:03d}": j for j in range(30)
+        }
+        cluster.recover("A")
+        cluster.check_invariants()
+
+    def test_join_waits_for_a_read_quorum_of_voting_peers(self):
+        # A write that committed on {A, C} before C was wiped survives
+        # only on A: a join from B alone would let the read quorum
+        # {B, C} miss it.
+        cluster = _cluster(config="3-2-2")
+        suite = cluster.suite
+        cluster.crash("B")
+        suite.insert("only-on-A-and-C", 1)
+        cluster.crash("C")
+        wipe_replica(cluster, "C")
+        cluster.crash("A")
+        cluster.recover("B")
+        join = ReplicaJoin(cluster, "C")
+        with pytest.raises(NetworkError, match="did not finish in 50 steps"):
+            join.run(max_steps=50)  # B's one vote is not a read quorum
+        assert not join.done
+        assert suite.membership.state("C") is ReplicaState.JOINING
+        cluster.crash("B")
+        assert not join.step()  # no voting peer up at all
+        cluster.recover("A")
+        cluster.recover("B")
+        assert join.step()  # A and B: one step finishes it
+        assert suite.membership.all_up
+        assert cluster.make_auditor().audit_join("C").ok
+        assert cluster.representative("C").contains(wrap("only-on-A-and-C"))
 
     def test_fresh_join_requires_idle_machine(self):
         cluster = _cluster(config="3-2-2")
@@ -233,12 +281,99 @@ class TestDriverKnobs:
         with pytest.raises(ValueError):
             run_simulation(self._spec(shards=2))
 
+    def test_wipe_without_a_crash_is_rejected(self):
+        with pytest.raises(ValueError, match="needs crash_at"):
+            run_simulation(self._spec(crash_at=0, rejoin_at=100))
+
+    def test_rejoin_before_the_crash_is_rejected(self):
+        with pytest.raises(ValueError, match="must come after crash_at"):
+            run_simulation(self._spec(crash_at=200, rejoin_at=100))
+        with pytest.raises(ValueError, match="must come after crash_at"):
+            run_simulation(self._spec(crash_at=200, rejoin_at=200))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--wipe", "--rejoin-at", "100"],
+            ["--crash-at", "200", "--rejoin-at", "100", "--wipe"],
+        ],
+    )
+    def test_simulate_refuses_knobs_that_do_nothing(self, flags, capsys):
+        from repro.cli import main
+
+        assert main(["simulate", "--ops", "300", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-simulate: ")
+        assert "crash_at" in captured.err
+
+
+class TestRejoinDuringSplit:
+    """A replica of a split's source shard rejoins while the split runs:
+    the join's one step lands in each of the split's phases in turn,
+    with seeded client ops between every step of either machine."""
+
+    @pytest.mark.parametrize("join_during", ["copy", "cutover", "drain"])
+    def test_join_and_split_interleave_cleanly(self, join_during):
+        rng = random.Random(f"rejoin-during-{join_during}")
+        spec = ClusterSpec(config="3-2-2", seed=7)
+        with ShardedDirectory.create(
+            spec, shards=2, shard_map=RangeShardMap(["m"])
+        ) as d:
+            model = {}
+            for i in range(16):
+                d.insert(f"key{i:02d}", f"v{i}")
+                model[f"key{i:02d}"] = f"v{i}"
+            source = d.clusters[0]
+            source.crash("C")
+            wipe_replica(source, "C")
+
+            def client_op(n):
+                key = f"key{rng.randrange(24):02d}"
+                if key not in model:
+                    d.insert(key, f"i{n}")
+                    model[key] = f"i{n}"
+                elif rng.random() < 0.3:
+                    d.delete(key)
+                    del model[key]
+                else:
+                    d.update(key, f"u{n}")
+                    model[key] = f"u{n}"
+
+            client_op(0)
+            resharder = d.begin_split("key08")
+            join = ReplicaJoin(source, "C")
+            join.start()
+            join_report = None
+            for n in range(1, 50):
+                client_op(n)
+                if not join.done and resharder.phase in (join_during, "done"):
+                    assert join.step()
+                    join_report = source.make_auditor().audit_join("C")
+                    client_op(n)
+                if not resharder.done:
+                    resharder.step()
+                if join.done and resharder.done:
+                    break
+            assert join.done and resharder.done
+            assert source.suite.membership.all_up
+            assert join_report.ok, join_report.render()
+            record = d.reshard_log[-1]
+            assert record.violations == []
+            assert record.moved > 0
+            auditor = d.make_auditor()
+            auditor.run()
+            auditor.audit_reshard()
+            assert auditor.report.violations == []
+            assert d.authoritative_state() == model
+            for key, value in model.items():
+                assert d.lookup(key) == (True, value)
+
 
 class TestServiceRejoinVerb:
     def test_rejoin_verb_over_real_sockets(self):
         from repro.service.client import DirectoryClient
         from repro.service.server import DirectoryService
-        from repro.shard.sharded import ShardedDirectory
 
         spec = ClusterSpec(config="3-2-2", seed=4, transport="asyncio")
         with ShardedDirectory.create(spec, shards=2, shard_map="hash") as d:
@@ -259,15 +394,13 @@ class TestServiceRejoinVerb:
                         assert client.get(f"k{i}") == str(i)
 
     def test_join_converges_when_the_serve_log_bound_truncates_under_it(self):
-        """``repro serve`` bounds every replica's log, so a donor can
-        checkpoint past a joiner's watermark; the join must notice
-        (``rep_wal_since`` refuses) and start over from a snapshot.
-
-        Over the ``REJOIN`` verb client writes do land between a join's
-        steps, but when is up to the event loop; the join is stepped by
-        hand here, with the writes placed between."""
+        """``repro serve`` bounds every replica's log, so the peers of a
+        replica that is down checkpoint past everything they logged
+        before it went.  The join reads no log, only the peers' stores,
+        so ``REJOIN`` converges all the same."""
         from repro.cli import SERVE_LOG_BOUND
-        from repro.shard.sharded import ShardedDirectory
+        from repro.service.client import DirectoryClient
+        from repro.service.server import DirectoryService
         from repro.storage.snapshot import LogSizeBound
 
         spec = ClusterSpec(
@@ -276,36 +409,71 @@ class TestServiceRejoinVerb:
         )
         with ShardedDirectory.create(spec, shards=1, shard_map="hash") as d:
             cluster = d.clusters[0]
-            suite = cluster.suite
-            model = {f"k{i}": str(i) for i in range(40)}
-            for key, value in model.items():
-                suite.insert(key, value)
-            victim = "C"
-            cluster.crash(victim)
-            wipe_replica(cluster, victim)
-            join = ReplicaJoin(cluster, victim)
-            join.step()  # snapshot pulled, donor and watermark chosen
-            assert join.phase == "catchup"
-            donor_log = cluster.representative(join.donor).wal
-            writes = 0
-            while donor_log.oldest_lsn <= join.watermark + 1:
-                key = f"k{writes % 40}"
-                model[key] = f"w{writes}"
-                suite.update(key, model[key])
-                writes += 1
-                assert writes < 4 * SERVE_LOG_BOUND, "donor never checkpointed"
-            join.step()
-            assert (join.phase, join.donor) == ("snapshot", None)  # fell back
-            join.run()
-            assert suite.membership.all_up
+            with DirectoryService(d).start() as service:
+                with DirectoryClient(port=service.port) as client:
+                    model = {f"k{i}": str(i) for i in range(40)}
+                    for key, value in model.items():
+                        client.set(key, value)
+                    victim = "C"
+                    cluster.crash(victim)
+                    wipe_replica(cluster, victim)
+                    peer_log = cluster.representative("A").wal
+                    logged_before = peer_log.next_lsn - 1
+                    writes = 0
+                    while peer_log.records[0].lsn <= logged_before:
+                        key = f"k{writes % 40}"
+                        model[key] = f"w{writes}"
+                        client.set(key, model[key])
+                        writes += 1
+                        assert writes < 4 * SERVE_LOG_BOUND, (
+                            "peer never checkpointed"
+                        )
+                    assert client.rejoin(victim) == "UP"
+                    for key, value in model.items():
+                        assert client.get(key) == value
+            assert cluster.suite.membership.all_up
             report = cluster.make_auditor().audit_join(victim)
             assert report.ok, report.render()
-            assert suite.authoritative_state() == model
+            assert cluster.suite.authoritative_state() == model
+
+    def test_rejoin_with_no_voting_peer_up_is_unavailable(self):
+        """Both peers down: the join has no one to reconcile against, so
+        ``REJOIN`` answers ``-UNAVAILABLE`` once its step bound runs out,
+        and the replica never votes."""
+        from repro.service.client import (
+            DirectoryClient,
+            ServiceUnavailableError,
+        )
+        from repro.service.server import DirectoryService
+
+        spec = ClusterSpec(config="3-2-2", seed=4, transport="asyncio")
+        with ShardedDirectory.create(spec, shards=1, shard_map="hash") as d:
+            cluster = d.clusters[0]
+            membership = cluster.suite.membership
+            states = []
+            set_state = membership.set_state
+
+            def record(name, state):
+                states.append((name, state))
+                set_state(name, state)
+
+            membership.set_state = record
+            with DirectoryService(d).start() as service:
+                with DirectoryClient(port=service.port) as client:
+                    client.set("k", "v")
+                    cluster.crash("A")
+                    cluster.crash("B")
+                    with pytest.raises(
+                        ServiceUnavailableError,
+                        match="NetworkError: join of C did not finish",
+                    ):
+                        client.rejoin("C")
+            assert states == [("C", ReplicaState.JOINING)]
+            assert membership.state("C") is ReplicaState.JOINING
 
     def test_rejoin_verb_rejects_unknown_targets(self):
         from repro.service.client import DirectoryClient
         from repro.service.server import DirectoryService
-        from repro.shard.sharded import ShardedDirectory
 
         spec = ClusterSpec(config="3-2-2", seed=4, transport="asyncio")
         with ShardedDirectory.create(spec, shards=1, shard_map="hash") as d:

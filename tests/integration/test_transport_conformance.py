@@ -235,21 +235,13 @@ class TestByReference:
         for txn in (9002, 9003):  # give the read locks back
             rpc("abort", txn)
         before = state()
-        watermark, shipped = rpc("rep_wal_since", 0)
-        kept = list(shipped)
-        assert kept
-        shipped.clear()
-        shipped.append("not a record")
-        assert rpc("rep_wal_since", 0) == (watermark, kept)
-        assert state() == before
 
         # A snapshot is tuples all the way down: nothing to mutate, and
         # each export is its own object.
-        snapshot, mark = rpc("rep_export_snapshot")
+        snapshot = rpc("rep_export_snapshot")
         assert isinstance(snapshot.entries, tuple)
         assert isinstance(snapshot.gap_versions, tuple)
-        again, _ = rpc("rep_export_snapshot")
-        assert again == snapshot == before[0] and mark == watermark
+        assert rpc("rep_export_snapshot") == snapshot == before[0]
         cluster.check_invariants()
 
 

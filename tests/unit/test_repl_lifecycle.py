@@ -29,25 +29,8 @@ class TestMembershipMachine:
         assert not m.can_vote("B")
         assert m.voting(["A", "B", "C"]) == ["A", "C"]
         assert m.non_voting() == ["B"]
-        m.set_state("B", ReplicaState.CATCHING_UP)
-        assert not m.can_vote("B")
-        m.set_state("B", ReplicaState.UP)
+        m.set_state("B", ReplicaState.UP)  # the cutover
         assert m.all_up and m.can_vote("B")
-
-    def test_fallback_to_joining_is_legal(self):
-        m = SuiteMembership(["A", "B"])
-        m.set_state("B", ReplicaState.JOINING)
-        m.set_state("B", ReplicaState.CATCHING_UP)
-        m.set_state("B", ReplicaState.JOINING)  # donor lost: re-snapshot
-        assert m.state("B") is ReplicaState.JOINING
-
-    def test_illegal_transitions_raise(self):
-        m = SuiteMembership(["A", "B"])
-        with pytest.raises(ConfigurationError):
-            m.set_state("A", ReplicaState.CATCHING_UP)  # UP -> CATCHING_UP
-        m.set_state("A", ReplicaState.JOINING)
-        with pytest.raises(ConfigurationError):
-            m.set_state("A", ReplicaState.UP)  # JOINING -> UP skips catch-up
 
     def test_same_state_is_a_no_op(self):
         m = SuiteMembership(["A"])
@@ -57,7 +40,7 @@ class TestMembershipMachine:
     def test_counts_census(self):
         m = SuiteMembership(["A", "B", "C"])
         m.set_state("C", ReplicaState.JOINING)
-        assert m.counts() == {"up": 2, "joining": 1, "catching_up": 0}
+        assert m.counts() == {"up": 2, "joining": 1}
 
     def test_empty_membership_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -196,35 +196,6 @@ class TestSnapshotReplayInterplay:
         assert store.snapshot() == live.snapshot()
 
 
-class TestShippingWindow:
-    """The log-shipping surface replica bootstrap polls."""
-
-    def test_records_since_returns_the_tail(self):
-        log = WriteAheadLog()
-        committed_insert(log, 1, "a", 1, "A")
-        watermark = log.next_lsn - 1
-        committed_insert(log, 2, "b", 2, "B")
-        tail = log.records_since(watermark)
-        assert [r.kind for r in tail] == ["insert", "commit"]
-        assert all(r.lsn > watermark for r in tail)
-
-    def test_records_since_at_head_is_empty(self):
-        log = WriteAheadLog()
-        committed_insert(log, 1, "a", 1, "A")
-        assert log.records_since(log.next_lsn - 1) == []
-
-    def test_truncated_window_raises_recovery_error(self):
-        from repro.core.errors import RecoveryError
-
-        log = WriteAheadLog()
-        committed_insert(log, 1, "a", 1, "A")
-        store = SortedStore()
-        store.insert(wrap("a"), 1, "A")
-        log.log_checkpoint(store.snapshot())  # discards LSNs 1..2
-        with pytest.raises(RecoveryError):
-            log.records_since(0)  # asks for records before the checkpoint
-
-
 class TestPersistence:
     def test_bytes_roundtrip(self):
         log = WriteAheadLog()
