@@ -12,12 +12,21 @@ This module provides :class:`BoundedKey`, a total-order wrapper that embeds
 arbitrary (mutually comparable) user keys between the two sentinels, and
 :class:`KeyRange`, the closed/open interval algebra used by the range-lock
 manager (Figure 7 of the paper) and by the coalesce operation.
+
+A :class:`BoundedKey` is a ``(rank, payload)`` tuple.  Every store bisect,
+neighbour search, lock-range test and wave-dict lookup compares or hashes
+keys, so the order and the hash are tuple's own, in C: rank first, then
+payload.  The price is that a key equals the plain tuple with the same two
+items (``wrap("k") == (_Sentinel.NORMAL, "k")``), so no container may mix
+:class:`BoundedKey` instances with raw tuples; every key a representative
+holds is wrapped.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable
 
 
@@ -32,8 +41,7 @@ class _Sentinel(enum.IntEnum):
     HIGH = 2
 
 
-@dataclass(frozen=True, slots=True)
-class BoundedKey:
+class BoundedKey(tuple):
     """A user key embedded in the bounded key space of a representative.
 
     Instances are immutable, hashable, and totally ordered.  The two
@@ -41,15 +49,35 @@ class BoundedKey:
     and :data:`HIGH`; user keys are wrapped with :func:`wrap` (or the
     :meth:`of` constructor).
 
-    The payload of a NORMAL key may be any value that is totally ordered
-    against the other payloads used in the same directory (strings,
-    integers, tuples, ...).  Mixing incomparable payload types in one
-    directory raises ``TypeError`` at comparison time, which is the
-    correct, loud failure mode.
+    The key is the tuple ``(rank, payload)``, so comparison is tuple
+    comparison: rank first (``LOW < NORMAL < HIGH``; a sentinel's payload
+    is ``None``, so equal sentinels are equal), then payload.  The payload
+    of a NORMAL key may be any value that is totally ordered against the
+    other payloads used in the same directory (strings, integers,
+    tuples, ...).  Mixing incomparable payload types in one directory
+    raises ``TypeError`` at comparison time, which is the correct, loud
+    failure mode.  ``hash(key) == hash((rank, payload))``.
+
+    Being a tuple, a key also equals the plain tuple ``(rank, payload)``
+    and hashes like it.  Nothing relies on that, and nothing may: a
+    container that mixed keys with raw tuples would conflate
+    ``wrap("k")`` with a user's tuple ``(1, "k")``.
     """
 
-    rank: _Sentinel
-    payload: Any = None
+    __slots__ = ()
+
+    def __new__(cls, rank: _Sentinel, payload: Any = None) -> "BoundedKey":
+        return tuple.__new__(cls, (rank, payload))
+
+    def __getnewargs__(self) -> tuple[_Sentinel, Any]:
+        # tuple's own would hand ``__new__`` the whole pair as ``rank``;
+        # pickle and copy rebuild the key from its two items instead.
+        return tuple(self)  # type: ignore[return-value]
+
+    #: Ordering rank (a :class:`_Sentinel` member).
+    rank = property(itemgetter(0))
+    #: The user payload; ``None`` for a sentinel.
+    payload = property(itemgetter(1))
 
     # -- constructors -----------------------------------------------------
 
@@ -65,50 +93,24 @@ class BoundedKey:
     @property
     def is_low(self) -> bool:
         """True if this is the LOW sentinel."""
-        return self.rank is _Sentinel.LOW
+        return self[0] is _Sentinel.LOW
 
     @property
     def is_high(self) -> bool:
         """True if this is the HIGH sentinel."""
-        return self.rank is _Sentinel.HIGH
+        return self[0] is _Sentinel.HIGH
 
     @property
     def is_sentinel(self) -> bool:
         """True if this is either sentinel."""
-        return self.rank is not _Sentinel.NORMAL
-
-    # -- ordering ---------------------------------------------------------
-
-    def __lt__(self, other: "BoundedKey") -> bool:
-        if not isinstance(other, BoundedKey):
-            return NotImplemented
-        if self.rank is not other.rank:
-            return self.rank < other.rank
-        if self.rank is not _Sentinel.NORMAL:
-            return False  # equal sentinels
-        return self.payload < other.payload
-
-    def __le__(self, other: "BoundedKey") -> bool:
-        if not isinstance(other, BoundedKey):
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other: "BoundedKey") -> bool:
-        if not isinstance(other, BoundedKey):
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other: "BoundedKey") -> bool:
-        if not isinstance(other, BoundedKey):
-            return NotImplemented
-        return other <= self
+        return self[0] is not _Sentinel.NORMAL
 
     def __repr__(self) -> str:
         if self.is_low:
             return "LOW"
         if self.is_high:
             return "HIGH"
-        return f"Key({self.payload!r})"
+        return f"Key({self[1]!r})"
 
 
 #: The distinguished key smaller than every insertable key.

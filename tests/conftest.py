@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.keys import wrap
 from repro.storage.btree import BTreeStore
 from repro.storage.sorted_store import SortedStore
+
+# ``HYPOTHESIS_PROFILE=ci`` selects a derandomized run with ten times the
+# example budget (CI runs the key and store properties under it).  The
+# profile is registered only when selected: hypothesis itself loads a
+# ``ci`` profile (derandomized, default budget) whenever a CI variable
+# is set, and redefining it unasked would raise every property's budget
+# in the tier-1 run as well.
+_PROFILE = os.environ.get("HYPOTHESIS_PROFILE")
+if _PROFILE == "ci":
+    settings.register_profile(
+        "ci", settings.get_profile("ci"), max_examples=1000
+    )
+if _PROFILE:
+    settings.load_profile(_PROFILE)
 
 
 @pytest.fixture

@@ -5,6 +5,10 @@ map derived lazily; instead of modelling gaps independently we assert the
 *differential* property — SortedStore and BTreeStore always agree exactly
 — plus structural invariants and a handful of model facts (presence,
 values, neighbor keys) that are easy to state independently.
+
+Rules draw a small integer and map it through :meth:`StorePair.payload`;
+:class:`StringStorePair` maps it to the wire's key shape instead
+(``c<conn>k<n>``), whose text order differs from integer order.
 """
 
 from hypothesis import settings
@@ -25,8 +29,13 @@ class StorePair(RuleBasedStateMachine):
         self.sorted_store = SortedStore()
         self.btree = BTreeStore(order=4)
         self.skiplist = SkipListStore(seed=1)
-        self.model: dict[int, tuple[int, str]] = {}
+        self.model: dict[object, tuple[int, str]] = {}
         self.counter = 0
+
+    @staticmethod
+    def payload(n: int) -> object:
+        """The key payload rule draw ``n`` stands for."""
+        return n
 
     def _next_version(self) -> int:
         self.counter += 1
@@ -38,6 +47,7 @@ class StorePair(RuleBasedStateMachine):
 
     @rule(k=key_payloads)
     def insert(self, k):
+        k = self.payload(k)
         version = self._next_version()
         results = {
             s.insert(wrap(k), version, f"v{version}") for s in self.all_stores
@@ -47,6 +57,7 @@ class StorePair(RuleBasedStateMachine):
 
     @rule(k=key_payloads)
     def lookup(self, k):
+        k = self.payload(k)
         replies = {s.lookup(wrap(k)) for s in self.all_stores}
         assert len(replies) == 1
         r1 = self.sorted_store.lookup(wrap(k))
@@ -58,6 +69,7 @@ class StorePair(RuleBasedStateMachine):
 
     @rule(k=key_payloads)
     def neighbors(self, k):
+        k = self.payload(k)
         preds = {s.predecessor(wrap(k)) for s in self.all_stores}
         succs = {s.successor(wrap(k)) for s in self.all_stores}
         assert len(preds) == 1 and len(succs) == 1
@@ -67,6 +79,7 @@ class StorePair(RuleBasedStateMachine):
 
     @rule(a=key_payloads, b=key_payloads)
     def coalesce(self, a, b):
+        a, b = self.payload(a), self.payload(b)
         lo, hi = (a, b) if a < b else (b, a)
         low_key = wrap(lo) if lo in self.model else LOW
         high_key = wrap(hi) if hi in self.model and hi != lo else HIGH
@@ -83,6 +96,7 @@ class StorePair(RuleBasedStateMachine):
 
     @rule(k=key_payloads)
     def remove(self, k):
+        k = self.payload(k)
         if k not in self.model:
             return
         version = self._next_version()
@@ -101,6 +115,7 @@ class StorePair(RuleBasedStateMachine):
 
     @rule(k=key_payloads)
     def snapshot_lookup(self, k):
+        k = self.payload(k)
         # A snapshot answers DirRepLookup as the store it was taken from
         # does, for stored keys and for points inside gaps alike.
         for s in self.all_stores:
@@ -123,7 +138,21 @@ class StorePair(RuleBasedStateMachine):
             s.check_invariants()
 
 
-StorePairTest = StorePair.TestCase
-StorePairTest.settings = settings(
-    max_examples=40, stateful_step_count=40, deadline=None
+class StringStorePair(StorePair):
+    """The same machine on served-style string keys."""
+
+    @staticmethod
+    def payload(n: int) -> object:
+        return f"c{n % 3}k{n}"
+
+
+# Two fifths of the profile's example budget: 40 runs of 40 steps by default.
+_settings = settings(
+    max_examples=settings().max_examples * 2 // 5,
+    stateful_step_count=40,
+    deadline=None,
 )
+StorePairTest = StorePair.TestCase
+StorePairTest.settings = _settings
+StringStorePairTest = StringStorePair.TestCase
+StringStorePairTest.settings = _settings

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.core.keys import wrap
+from repro.core.keys import HIGH, LOW, BoundedKey, wrap
 from repro.storage.sorted_store import SortedStore
 from repro.storage.wal import (
     OP_CHECKPOINT,
+    OP_COALESCE,
     OP_COMMIT,
+    OP_INSERT,
     WalRecord,
     WriteAheadLog,
 )
@@ -216,6 +218,47 @@ class TestPersistence:
         log.replay_into(a)
         WriteAheadLog.from_bytes(log.to_bytes()).replay_into(b)
         assert a.snapshot() == b.snapshot()
+
+
+    def test_bytes_roundtrip_rebuilds_sentinel_and_normal_keys(self):
+        # A restarted replica reads LOW, HIGH and user keys back out of
+        # checkpoints and redo records; each must come back a
+        # BoundedKey of the same kind, not a tuple holding its pair.
+        live = SortedStore()
+        live.insert(wrap("a"), 1, "A")
+        log = WriteAheadLog()
+        log.log_checkpoint(live.snapshot())
+        committed_insert(log, 2, "b", 2, "B")
+        committed_insert(log, 3, "c", 3, "C")
+        log.log_coalesce(4, wrap("a"), wrap("c"), 4)
+        log.log_coalesce(4, LOW, wrap("a"), 4)
+        log.log_commit(4)
+        log.log_coalesce(5, wrap("c"), HIGH, 5)
+        log.log_commit(5)
+
+        def keys(wal):
+            found = []
+            for r in wal:
+                if r.kind == OP_CHECKPOINT:
+                    found += [e.key for e in r.payload.entries]
+                elif r.kind == OP_INSERT:
+                    found.append(r.payload[0])
+                elif r.kind == OP_COALESCE:
+                    found += r.payload[:2]
+            return [(type(k), k.is_low, k.is_high, k) for k in found]
+
+        restored = WriteAheadLog.from_bytes(log.to_bytes())
+        assert restored.records == log.records
+        assert keys(restored) == keys(log)
+        assert {k.is_low for _, _, _, k in keys(log)} == {True, False}
+        assert {k.is_high for _, _, _, k in keys(log)} == {True, False}
+        a, b = SortedStore(), SortedStore()
+        log.replay_into(a)
+        restored.replay_into(b)
+        b.check_invariants()
+        assert b.snapshot() == a.snapshot()
+        assert [e.key for e in b.user_entries()] == [wrap("a"), wrap("c")]
+        assert all(type(e.key) is BoundedKey for e in b.snapshot().entries)
 
 
 class TestRecordShape:
