@@ -20,12 +20,17 @@ payload.  The price is that a key equals the plain tuple with the same two
 items (``wrap("k") == (_Sentinel.NORMAL, "k")``), so no container may mix
 :class:`BoundedKey` instances with raw tuples; every key a representative
 holds is wrapped.
+
+A :class:`KeyRange` is a ``(low, high)`` tuple for the same reason: the
+lock table tests two ranges for intersection with four C comparisons of
+``r[0]``/``r[1]``, and a point lock on the hot path is the plain pair
+``(key, key)``.  It carries the same caveat: a range equals the plain pair
+of its two keys.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable
 
@@ -140,8 +145,7 @@ def wrap_all(payloads: Iterable[Any]) -> list[BoundedKey]:
     return [BoundedKey.of(p) for p in payloads]
 
 
-@dataclass(frozen=True, slots=True)
-class KeyRange:
+class KeyRange(tuple):
     """A closed interval ``[low .. high]`` of bounded keys.
 
     The lock classes of the paper (RepLookup(sigma, tau) and
@@ -149,23 +153,38 @@ class KeyRange:
     and less than or equal to tau" — closed intervals — and lock
     compatibility depends only on whether two ranges *intersect*.  This
     class implements exactly that algebra.
+
+    The range is the tuple ``(low, high)``, as a key is ``(rank,
+    payload)``: building one is a validated ``tuple.__new__`` and reading
+    its ends is indexing, so the lock table (which reads ``r[0]`` and
+    ``r[1]``) also takes the plain pair ``(key, key)`` for a point range
+    and a representative's hot path builds no range object at all.  The
+    same caveat as :class:`BoundedKey` applies: a range equals and hashes
+    like the plain pair of its ends, so no container may mix the two.
     """
 
-    low: BoundedKey
-    high: BoundedKey
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.high < self.low:
-            raise ValueError(
-                f"invalid key range: low {self.low!r} > high {self.high!r}"
-            )
+    def __new__(cls, low: BoundedKey, high: BoundedKey) -> "KeyRange":
+        if high < low:
+            raise ValueError(f"invalid key range: low {low!r} > high {high!r}")
+        return tuple.__new__(cls, (low, high))
+
+    def __getnewargs__(self) -> tuple[BoundedKey, BoundedKey]:
+        # As for BoundedKey: rebuild from the two ends, not the pair.
+        return tuple(self)  # type: ignore[return-value]
+
+    #: The smallest key in the range.
+    low = property(itemgetter(0))
+    #: The largest key in the range.
+    high = property(itemgetter(1))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def point(cls, key: BoundedKey) -> "KeyRange":
         """The degenerate range ``[key .. key]`` (a single key)."""
-        return cls(key, key)
+        return tuple.__new__(cls, (key, key))
 
     @classmethod
     def of(cls, low: Any, high: Any) -> "KeyRange":
@@ -181,11 +200,11 @@ class KeyRange:
 
     def contains(self, key: BoundedKey) -> bool:
         """True if ``key`` lies inside the closed interval."""
-        return self.low <= key <= self.high
+        return self[0] <= key <= self[1]
 
     def contains_strictly(self, key: BoundedKey) -> bool:
         """True if ``key`` lies strictly inside the interval."""
-        return self.low < key < self.high
+        return self[0] < key < self[1]
 
     def intersects(self, other: "KeyRange") -> bool:
         """True if the two closed intervals share at least one key.
@@ -193,22 +212,22 @@ class KeyRange:
         This is the predicate the Figure 7 lock-compatibility matrix is
         built on.
         """
-        return self.low <= other.high and other.low <= self.high
+        return self[0] <= other[1] and other[0] <= self[1]
 
     def covers(self, other: "KeyRange") -> bool:
         """True if ``other`` is entirely inside this range."""
-        return self.low <= other.low and other.high <= self.high
+        return self[0] <= other[0] and other[1] <= self[1]
 
     def is_point(self) -> bool:
         """True if the range holds exactly one key."""
-        return self.low == self.high
+        return self[0] == self[1]
 
     def union_hull(self, other: "KeyRange") -> "KeyRange":
         """The smallest range covering both ranges (their convex hull)."""
-        return KeyRange(min(self.low, other.low), max(self.high, other.high))
+        return KeyRange(min(self[0], other[0]), max(self[1], other[1]))
 
     def __repr__(self) -> str:
-        return f"[{self.low!r} .. {self.high!r}]"
+        return f"[{self[0]!r} .. {self[1]!r}]"
 
 
 def hull(ranges: Iterable[KeyRange]) -> KeyRange:

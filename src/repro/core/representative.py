@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.entries import Entry, LookupReply, NeighborReply
 from repro.core.errors import SnapshotUnavailableError, WouldBlockError
@@ -163,14 +163,21 @@ class DirectoryRepresentative:
     # locking helper
     # ------------------------------------------------------------------
 
-    def _lock(self, txn_id: TxnId, mode: LockMode, key_range: KeyRange) -> None:
-        """Acquire or raise WouldBlockError (never queue on this sync path)."""
+    def _lock(
+        self, txn_id: TxnId, mode: LockMode, ranges: "Sequence[KeyRange]"
+    ) -> None:
+        """Lock every range in order, or raise WouldBlockError at the
+        first refusal (never queue on this sync path); the ranges before
+        it stay locked.
+
+        A point range is passed as the plain pair ``(key, key)``.
+        """
         self._seen_txns.add(txn_id)
         if not self.locking:
             return
-        result = self.locks.acquire(txn_id, mode, key_range, wait=False)
-        if not result.granted:
-            raise WouldBlockError(txn_id, result.blockers)
+        blockers = self.locks.acquire_all(txn_id, mode, ranges)
+        if blockers:
+            raise WouldBlockError(txn_id, blockers)
 
     def _note_undo(self, txn_id: TxnId, record: UndoRecord) -> None:
         self._undo.setdefault(txn_id, []).append(record)
@@ -185,7 +192,7 @@ class DirectoryRepresentative:
 
         Locks RepLookup(x, x).
         """
-        self._lock(txn_id, LockMode.REP_LOOKUP, KeyRange.point(key))
+        self._lock(txn_id, LockMode.REP_LOOKUP, ((key, key),))
         return self.store.lookup(key)
 
     @_latched
@@ -197,7 +204,7 @@ class DirectoryRepresentative:
         client can validate a nearby hint's data against a read quorum
         without shipping values from the quorum.  Locks RepLookup(x, x).
         """
-        self._lock(txn_id, LockMode.REP_LOOKUP, KeyRange.point(key))
+        self._lock(txn_id, LockMode.REP_LOOKUP, ((key, key),))
         return self.store.lookup(key).version
 
     @_latched
@@ -209,7 +216,7 @@ class DirectoryRepresentative:
         phantoms.
         """
         reply = self.store.predecessor(key)
-        self._lock(txn_id, LockMode.REP_LOOKUP, KeyRange(reply.key, key))
+        self._lock(txn_id, LockMode.REP_LOOKUP, ((reply.key, key),))
         return reply
 
     @_latched
@@ -219,7 +226,7 @@ class DirectoryRepresentative:
         Locks RepLookup(x, y) where y is the key returned.
         """
         reply = self.store.successor(key)
-        self._lock(txn_id, LockMode.REP_LOOKUP, KeyRange(key, reply.key))
+        self._lock(txn_id, LockMode.REP_LOOKUP, ((key, reply.key),))
         return reply
 
     @_latched
@@ -273,10 +280,10 @@ class DirectoryRepresentative:
             cursor = reply.key
         if replies:
             if direction == "pred":
-                scanned = KeyRange(replies[-1].key, key)
+                scanned = (replies[-1].key, key)
             else:
-                scanned = KeyRange(key, replies[-1].key)
-            self._lock(txn_id, LockMode.REP_LOOKUP, scanned)
+                scanned = (key, replies[-1].key)
+            self._lock(txn_id, LockMode.REP_LOOKUP, (scanned,))
         return replies
 
     @_latched
@@ -292,7 +299,7 @@ class DirectoryRepresentative:
     def _insert(
         self, txn_id: TxnId, key: BoundedKey, version: Version, value: Any
     ) -> None:
-        self._lock(txn_id, LockMode.REP_MODIFY, KeyRange.point(key))
+        self._lock(txn_id, LockMode.REP_MODIFY, ((key, key),))
         self.wal.log_insert(txn_id, key, version, value)
         result = self.store.insert(key, version, value)
         self._note_undo(
@@ -315,13 +322,14 @@ class DirectoryRepresentative:
         ``rep_lookup`` message per key per quorum member, one message
         per member carries every distinct key in the wave, so a wave's
         read round costs R messages regardless of its size.  Locks
-        RepLookup(x, x) per key; replies are positional.
+        RepLookup(x, x) on every key, in order, with one lock-table call
+        before any lookup (a refusal leaves the keys before it locked);
+        replies are positional.
         """
-        replies: list[LookupReply] = []
-        for key in keys:
-            self._lock(txn_id, LockMode.REP_LOOKUP, KeyRange.point(key))
-            replies.append(self.store.lookup(key))
-        return replies
+        if keys:
+            self._lock(txn_id, LockMode.REP_LOOKUP, [(key, key) for key in keys])
+        lookup = self.store.lookup
+        return [lookup(key) for key in keys]
 
     @_latched
     def rep_insert_many(
@@ -371,7 +379,9 @@ class DirectoryRepresentative:
     def _coalesce(
         self, txn_id: TxnId, low: BoundedKey, high: BoundedKey, version: Version
     ):
-        self._lock(txn_id, LockMode.REP_MODIFY, KeyRange(low, high))
+        # A KeyRange, not a plain pair: it refuses reversed bounds
+        # (ValueError) before anything is locked or logged.
+        self._lock(txn_id, LockMode.REP_MODIFY, (KeyRange(low, high),))
         self.wal.log_coalesce(txn_id, low, high, version)
         result = self.store.coalesce(low, high, version)
         self._note_undo(txn_id, UndoCoalesce(low, high, result.removed))
@@ -511,9 +521,7 @@ class DirectoryRepresentative:
                 if kind == "entry":
                     _, key, version, value = piece
                     try:
-                        self._lock(
-                            admin_txn, LockMode.REP_MODIFY, KeyRange.point(key)
-                        )
+                        self._lock(admin_txn, LockMode.REP_MODIFY, ((key, key),))
                     except WouldBlockError:
                         skipped += 1
                         continue
@@ -527,7 +535,7 @@ class DirectoryRepresentative:
                     _, low, high, version = piece
                     try:
                         self._lock(
-                            admin_txn, LockMode.REP_MODIFY, KeyRange(low, high)
+                            admin_txn, LockMode.REP_MODIFY, (KeyRange(low, high),)
                         )
                     except WouldBlockError:
                         skipped += 1

@@ -22,12 +22,29 @@ serializable.
 Grants are FIFO-fair: a request must be compatible with every lock held by
 other transactions *and* with every earlier-queued conflicting request, so
 writers cannot starve behind a stream of readers.
+
+The table keeps its granted locks as plain ``(txn_id, mode, key_range)``
+tuples in grant order, indexed by a per-transaction holder count.  Only
+another transaction's lock or a queued request can refuse a grant, so when
+the queue is empty and no other transaction holds anything here — always
+the case on a served replica, which has one transaction in flight — a
+grant scans nothing and builds no object: it appends one tuple and returns
+one shared :class:`AcquireResult`.  :class:`Lock` objects are built only
+for introspection (:meth:`LockTable.held_by`, :meth:`LockTable.all_held`).
+A range may be a :class:`~repro.core.keys.KeyRange` or the plain pair
+``(low, high)``; the table only reads ``r[0]`` and ``r[1]``.
+
+:meth:`LockTable.acquire_all` locks a message's whole list of ranges in one
+call with *prefix* semantics: it is ``acquire(..., wait=False)`` on each
+range in order up to the first refusal, whose blockers it returns; the
+ranges before that refusal stay granted.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.keys import KeyRange
 from repro.txn.ids import TxnId
@@ -50,7 +67,9 @@ def conflicts(
     """
     if mode_a is LockMode.REP_LOOKUP and mode_b is LockMode.REP_LOOKUP:
         return False
-    return range_a.intersects(range_b)
+    # KeyRange.intersects, read off the pairs: a range may be the plain
+    # ``(low, high)`` tuple.
+    return range_a[0] <= range_b[1] and range_b[0] <= range_a[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +110,10 @@ class AcquireResult:
         return self.status is AcquireStatus.GRANTED
 
 
+#: The one result every grant returns (the dataclass is frozen).
+_GRANTED = AcquireResult(AcquireStatus.GRANTED)
+
+
 @dataclass
 class LockTableStats:
     """Counters the concurrency benchmarks read."""
@@ -113,7 +136,10 @@ class LockTable:
     """
 
     def __init__(self) -> None:
-        self._held: list[Lock] = []
+        # Granted locks in grant order, as ``(txn_id, mode, key_range)``.
+        self._held: list[tuple[TxnId, LockMode, KeyRange]] = []
+        # How many entries of ``_held`` each holding transaction has.
+        self._holders: dict[TxnId, int] = {}
         self._queue: list[LockRequest] = []
         self._seq = 0
         self.stats = LockTableStats()
@@ -137,17 +163,63 @@ class LockTable:
         caller gets WAITING with the blocker set and decides what to do
         (the synchronous representative path raises WouldBlockError).
         """
-        self.stats.acquisitions += 1
-        blockers = self._blockers_for(txn_id, mode, key_range)
-        if not blockers:
-            self._held.append(Lock(txn_id, mode, key_range))
-            self.stats.immediate_grants += 1
-            return AcquireResult(AcquireStatus.GRANTED)
-        if wait:
-            self._queue.append(LockRequest(txn_id, mode, key_range, self._seq))
-            self._seq += 1
-        self.stats.waits += 1
-        return AcquireResult(AcquireStatus.WAITING, blockers=tuple(blockers))
+        stats = self.stats
+        stats.acquisitions += 1
+        holders = self._holders
+        # Only another transaction's lock or a queued request can block;
+        # with neither, the grant needs no scan.
+        if self._queue or (holders and (txn_id not in holders or len(holders) > 1)):
+            blockers = self._blockers_for(txn_id, mode, key_range)
+            if blockers:
+                if wait:
+                    self._queue.append(
+                        LockRequest(txn_id, mode, key_range, self._seq)
+                    )
+                    self._seq += 1
+                stats.waits += 1
+                return AcquireResult(AcquireStatus.WAITING, blockers=tuple(blockers))
+        self._held.append((txn_id, mode, key_range))
+        if txn_id in holders:
+            holders[txn_id] += 1
+        else:
+            holders[txn_id] = 1
+        stats.immediate_grants += 1
+        return _GRANTED
+
+    def acquire_all(
+        self, txn_id: TxnId, mode: LockMode, ranges: Sequence[KeyRange]
+    ) -> tuple[TxnId, ...]:
+        """Lock every range of ``ranges`` in order, without queueing.
+
+        Exactly ``acquire(txn_id, mode, r, wait=False)`` for each ``r`` in
+        turn, stopping at the first refusal: returns that refusal's
+        blockers, or ``()`` when every range was granted.  The ranges
+        before a refusal stay granted, and every range tried is counted
+        in :attr:`stats`.  When no other transaction holds or waits for a
+        lock here (always, on a served replica) the whole list is granted
+        without a scan.
+        """
+        holders = self._holders
+        if self._queue or (holders and (txn_id not in holders or len(holders) > 1)):
+            for key_range in ranges:
+                result = self.acquire(txn_id, mode, key_range, wait=False)
+                if result is not _GRANTED:
+                    return result.blockers
+            return ()
+        append = self._held.append
+        count = 0
+        for key_range in ranges:
+            append((txn_id, mode, key_range))
+            count += 1
+        if count:
+            if txn_id in holders:
+                holders[txn_id] += count
+            else:
+                holders[txn_id] = count
+            stats = self.stats
+            stats.acquisitions += count
+            stats.immediate_grants += count
+        return ()
 
     def _blockers_for(
         self,
@@ -158,11 +230,9 @@ class LockTable:
     ) -> list[TxnId]:
         """Transactions this request must wait for (empty = grantable)."""
         seen: dict[TxnId, None] = {}
-        for lock in self._held:
-            if lock.txn_id != txn_id and conflicts(
-                lock.mode, lock.key_range, mode, key_range
-            ):
-                seen.setdefault(lock.txn_id)
+        for holder, held_mode, held_range in self._held:
+            if holder != txn_id and conflicts(held_mode, held_range, mode, key_range):
+                seen.setdefault(holder)
         for req in self._queue:
             if queue_before is not None and req.seq >= queue_before:
                 break
@@ -182,7 +252,14 @@ class LockTable:
         grantable as a result (already granted and recorded as held); the
         caller wakes those transactions.
         """
-        self._held = [l for l in self._held if l.txn_id != txn_id]
+        holders = self._holders
+        if holders.pop(txn_id, None) is not None:
+            if holders:
+                self._held = [l for l in self._held if l[0] != txn_id]
+            else:
+                self._held.clear()
+        if not self._queue:
+            return []
         self._queue = [r for r in self._queue if r.txn_id != txn_id]
         return self._promote_waiters()
 
@@ -190,11 +267,13 @@ class LockTable:
         """Grant queued requests that are now compatible, in FIFO order."""
         granted: list[LockRequest] = []
         still_waiting: list[LockRequest] = []
+        holders = self._holders
         for req in self._queue:
             if self._blockers_for(req.txn_id, req.mode, req.key_range, req.seq):
                 still_waiting.append(req)
             else:
-                self._held.append(Lock(req.txn_id, req.mode, req.key_range))
+                self._held.append((req.txn_id, req.mode, req.key_range))
+                holders[req.txn_id] = holders.get(req.txn_id, 0) + 1
                 granted.append(req)
         self._queue = still_waiting
         return granted
@@ -203,11 +282,11 @@ class LockTable:
 
     def held_by(self, txn_id: TxnId) -> list[Lock]:
         """Locks currently held by ``txn_id``."""
-        return [l for l in self._held if l.txn_id == txn_id]
+        return [_as_lock(*l) for l in self._held if l[0] == txn_id]
 
     def all_held(self) -> list[Lock]:
-        """Every held lock."""
-        return list(self._held)
+        """Every held lock, in grant order."""
+        return [_as_lock(*l) for l in self._held]
 
     def waiting_requests(self) -> list[LockRequest]:
         """Every queued request, in FIFO order."""
@@ -215,7 +294,7 @@ class LockTable:
 
     def holders(self) -> set[TxnId]:
         """Transactions currently holding at least one lock."""
-        return {l.txn_id for l in self._held}
+        return set(self._holders)
 
     def waits_for_edges(self) -> list[tuple[TxnId, TxnId]]:
         """(waiter, blocker) pairs for the deadlock detector."""
@@ -229,4 +308,11 @@ class LockTable:
 
     def is_idle(self) -> bool:
         """True when no locks are held and nothing is queued."""
-        return not self._held and not self._queue
+        return not self._holders and not self._queue
+
+
+def _as_lock(txn_id: TxnId, mode: LockMode, key_range: KeyRange) -> Lock:
+    """A held entry as a :class:`Lock`, its range a :class:`KeyRange`."""
+    if type(key_range) is not KeyRange:
+        key_range = KeyRange(*key_range)
+    return Lock(txn_id, mode, key_range)

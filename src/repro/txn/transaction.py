@@ -45,9 +45,15 @@ class Transaction:
     started_at: float = 0.0
 
     def enlist(self, key: str, node_id: str, service_name: str) -> None:
-        """Record that the representative at ``key`` joined the transaction."""
-        self.require_active()
-        self.participants.setdefault(key, Participant(node_id, service_name))
+        """Record that the representative at ``key`` joined the transaction.
+
+        Every reply of every round enlists its replica, so a participant
+        already enlisted costs a state check and a dict lookup.
+        """
+        if self.state is not TxnState.ACTIVE:
+            self.require_active()
+        if key not in self.participants:
+            self.participants[key] = Participant(node_id, service_name)
 
     def require_active(self) -> None:
         """Raise unless the transaction can still do work."""

@@ -1,5 +1,8 @@
 """Unit tests for the bounded key model and range algebra."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.keys import HIGH, LOW, BoundedKey, KeyRange, hull, unwrap, wrap, wrap_all
@@ -143,3 +146,27 @@ class TestKeyRange:
         assert r.contains(wrap("a"))
         assert not r.contains(wrap("z"))
         assert r.contains(LOW)
+
+    def test_range_is_a_pair_of_its_ends(self):
+        r = KeyRange.of("b", "d")
+        assert r[0] is r.low and r[1] is r.high
+        assert r == (wrap("b"), wrap("d"))
+        assert repr(r) == "[Key('b') .. Key('d')]"
+        with pytest.raises(AttributeError):
+            r.low = wrap("a")
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))]
+    )
+    def test_range_survives_pickle_and_copy(self, clone):
+        for r in (KeyRange.of("b", "d"), KeyRange.point(wrap(4)), KeyRange.full()):
+            twin = clone(r)
+            assert type(twin) is KeyRange
+            assert twin == r and hash(twin) == hash(r)
+            assert twin.low == r.low and twin.high == r.high
+
+    def test_reversed_range_still_rejected(self):
+        with pytest.raises(ValueError, match="invalid key range"):
+            KeyRange(HIGH, LOW)
+        with pytest.raises(ValueError):
+            KeyRange.of("d", "b")

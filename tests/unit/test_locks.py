@@ -2,10 +2,12 @@
 
 The first class pins the published compatibility matrix cell by cell; the
 rest cover the table mechanics: FIFO fairness, re-entrancy, promotion on
-release, and the waits-for edges the deadlock detector consumes.
+release, the waits-for edges the deadlock detector consumes, the
+scan-free uncontended grant and ``acquire_all``'s prefix semantics.
 """
 
 from repro.core.keys import KeyRange
+from repro.txn import locks
 from repro.txn.locks import (
     AcquireStatus,
     LockMode,
@@ -191,3 +193,91 @@ class TestIntrospection:
         assert table.stats.waits == 1
         table.stats.reset()
         assert table.stats.acquisitions == 0
+
+
+class TestUncontendedGrant:
+    """A grant scans nothing when no other transaction holds or waits."""
+
+    @staticmethod
+    def _count_conflicts(monkeypatch):
+        calls = []
+        real = locks.conflicts
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(locks, "conflicts", counting)
+        return calls
+
+    def test_own_locks_are_not_scanned(self, monkeypatch):
+        table = LockTable()
+        for i in range(1000):
+            table.acquire(1, MODIFY, KeyRange.of(i, i))
+        calls = self._count_conflicts(monkeypatch)
+        assert table.acquire(1, MODIFY, KeyRange.of(5, 500)).granted
+        assert table.acquire_all(1, LOOKUP, [KeyRange.of(2, 3)] * 10) == ()
+        assert calls == []
+        assert len(table.all_held()) == 1011
+
+    def test_another_holder_is_scanned(self, monkeypatch):
+        table = LockTable()
+        table.acquire(1, LOOKUP, R1)
+        table.acquire(2, LOOKUP, R2)
+        calls = self._count_conflicts(monkeypatch)
+        assert table.acquire(1, MODIFY, R1).granted
+        assert len(calls) == 1  # 2's lock; 1's own is skipped
+
+    def test_sole_holder_still_waits_behind_a_queued_conflict(self):
+        table = LockTable()
+        table.acquire(1, MODIFY, R1)
+        table.acquire(2, MODIFY, R1)  # queued behind 1
+        result = table.acquire(1, LOOKUP, R1_OVERLAP)
+        assert not result.granted
+        assert result.blockers == (2,)
+
+    def test_grants_share_one_result(self):
+        table = LockTable()
+        assert table.acquire(1, LOOKUP, R1) is table.acquire(1, MODIFY, R2)
+
+    def test_plain_pair_is_a_range(self):
+        table = LockTable()
+        low, high = R1
+        assert table.acquire_all(1, MODIFY, [(low, high)]) == ()
+        [lock] = table.all_held()
+        assert type(lock.key_range) is KeyRange and lock.key_range == R1
+        assert table.acquire(2, LOOKUP, (high, high), wait=False).blockers == (1,)
+
+
+class TestAcquireAll:
+    def test_grants_every_range(self):
+        table = LockTable()
+        assert table.acquire_all(1, LOOKUP, [R1, R2]) == ()
+        assert [l.key_range for l in table.held_by(1)] == [R1, R2]
+        assert table.stats.acquisitions == 2
+        assert table.stats.immediate_grants == 2
+
+    def test_empty_list_takes_nothing(self):
+        table = LockTable()
+        assert table.acquire_all(1, MODIFY, []) == ()
+        assert table.is_idle()
+        assert table.holders() == set()
+        assert table.stats.acquisitions == 0
+
+    def test_stops_at_first_refusal_keeping_the_prefix(self):
+        table = LockTable()
+        table.acquire(2, MODIFY, R2)
+        far = KeyRange.of(30, 40)
+        blockers = table.acquire_all(1, LOOKUP, [R1, R1_OVERLAP, R2, far])
+        assert blockers == (2,)
+        assert [l.key_range for l in table.held_by(1)] == [R1, R1_OVERLAP]
+        assert table.waiting_requests() == []
+        assert table.stats.acquisitions == 4  # 2's lock, then three tried
+        assert table.stats.waits == 1
+
+    def test_release_after_acquire_all_leaves_table_idle(self):
+        table = LockTable()
+        table.acquire_all(1, MODIFY, [R1, R2])
+        table.release_all(1)
+        assert table.is_idle()
+        assert table.acquire(2, MODIFY, R1).granted

@@ -150,6 +150,33 @@ class TestLocking:
         rep.commit(1)
         rep.commit(2)
 
+    def test_lookup_many_refused_at_third_key_keeps_the_first_two(self):
+        rep = loaded_rep()
+        rep.rep_insert(2, wrap("k"), 1, "K")  # RepModify(k, k) held by 2
+        keys = [wrap("a"), wrap("c"), wrap("k"), wrap("z")]
+        with pytest.raises(WouldBlockError) as exc_info:
+            rep.rep_lookup_many(3, keys)
+        assert exc_info.value.blockers == (2,)
+        held = [(l.mode, l.key_range) for l in rep.locks.held_by(3)]
+        assert held == [
+            (LockMode.REP_LOOKUP, KeyRange.point(wrap("a"))),
+            (LockMode.REP_LOOKUP, KeyRange.point(wrap("c"))),
+        ]
+        assert rep.locks.waiting_requests() == []
+        rep.abort(2)
+        rep.abort(3)
+        assert rep.locks.is_idle()
+
+    def test_lookup_many_takes_one_point_lock_per_key(self):
+        rep = loaded_rep()
+        keys = [wrap("c"), wrap("a"), wrap("c")]
+        replies = rep.rep_lookup_many(2, keys)
+        assert replies == [rep.store.lookup(k) for k in keys]
+        assert [l.key_range for l in rep.locks.held_by(2)] == [
+            KeyRange.point(k) for k in keys
+        ]
+        rep.abort(2)
+
     def test_coalesce_locks_whole_range(self):
         rep = loaded_rep()
         rep.rep_insert(2, wrap("b"), 1, "B")

@@ -84,6 +84,24 @@ class TestTransaction:
         with pytest.raises(InvalidTransactionStateError):
             txn.enlist("A", "n", "s")
 
+    def test_second_enlist_keeps_the_first_participant(self):
+        txn = Transaction(1)
+        txn.enlist("A", "node-A", "dir:A")
+        first = txn.participants["A"]
+        txn.enlist("A", "node-A2", "dir:A2")
+        assert txn.participants["A"] is first
+        assert first == Participant("node-A", "dir:A")
+
+    def test_enlist_into_committed_raises_even_when_enlisted(self):
+        txn = Transaction(1)
+        txn.enlist("A", "node-A", "dir:A")
+        txn.state = TxnState.COMMITTED
+        with pytest.raises(InvalidTransactionStateError):
+            txn.enlist("A", "node-A", "dir:A")
+        with pytest.raises(InvalidTransactionStateError):
+            txn.enlist("B", "node-B", "dir:B")
+        assert list(txn.participants) == ["A"]
+
     def test_is_finished(self):
         assert not Transaction(1).is_finished
         assert Transaction(1, state=TxnState.ABORTED).is_finished
