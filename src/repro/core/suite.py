@@ -47,7 +47,7 @@ from repro.core.quorum import QuorumPolicy, RandomQuorumPolicy
 from repro.core.stats import DeleteOverheadStats, RunningStat, SuiteOpCounts
 from repro.core.versions import VersionSpace, UNBOUNDED
 from repro.net.network import Network
-from repro.net.rpc import RpcBatch, RpcCall, RpcEndpoint
+from repro.net.rpc import RpcCall
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.repl.lifecycle import SuiteMembership
@@ -145,6 +145,10 @@ class DirectorySuite:
             raise ValueError(f"fanout must be serial or parallel; got {fanout!r}")
         self.config = config
         self.placements = dict(placements)
+        # Name → node id, the form a quorum census asks the network in.
+        self._node_of = {
+            name: place.node_id for name, place in self.placements.items()
+        }
         #: Lifecycle states (see :mod:`repro.repl.lifecycle`): a replica
         #: mid-bootstrap receives every write but contributes no votes.
         #: ``membership.all_up`` guards every consultation, keeping the
@@ -168,7 +172,7 @@ class DirectorySuite:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else network.metrics
         #: In-transaction re-issues of a representative RPC that times out
-        #: on a lossy network (see :meth:`_rep_call` for why re-issue is
+        #: on a lossy network (see :meth:`_round` for why re-issue is
         #: safe).  0: a perfect network loses nothing to re-issue, and
         #: lossy runs set their own budget (the driver sets 2).
         self.rpc_retries = 0
@@ -371,16 +375,11 @@ class DirectorySuite:
         return bkey
 
     def _available(self) -> list[str]:
-        """Representatives that are up and reachable right now."""
-        network = self.network
-        origin = self.rpc.origin
-        names = []
-        for name, place in self.placements.items():
-            if network.is_up(place.node_id) and network.reachable(
-                origin, place.node_id
-            ):
-                names.append(name)
-        return names
+        """Representatives that are up and reachable right now.
+
+        One census of the network per call, in ``placements`` order.
+        """
+        return self.network.census(self.rpc.origin, self._node_of)
 
     def _eligible(self) -> list[str]:
         """Available representatives whose votes may count right now.
@@ -429,74 +428,6 @@ class DirectorySuite:
     # quorum rounds
     # ------------------------------------------------------------------
 
-    def _rep_call(
-        self, txn: Transaction, rep: str, method: str,
-        args: tuple, payload_items: int = 1,
-    ) -> RpcCall:
-        """Build one round member addressed to representative ``rep``.
-
-        A member that times out is re-issued up to ``rpc_retries`` times
-        within its round before the timeout surfaces (and aborts the
-        transaction).  Re-issue is safe because every Figure 6 operation
-        is *idempotent within its transaction*: a second ``rep_insert``
-        overwrites with identical content (and its undo records cancel
-        pairwise on abort), a second ``rep_coalesce`` finds the range
-        already merged, and reads under held locks are stable — so a
-        reply lost after the effect applied cannot double-apply anything.
-        """
-        place = self.placements[rep]
-        return RpcCall(
-            node_id=place.node_id,
-            service_name=place.service_name,
-            method=method,
-            args=(txn.txn_id, *args),
-            payload_items=payload_items,
-            retries=self.rpc_retries,
-            key=rep,
-        )
-
-    def _scatter(
-        self, txn: Transaction, calls: list[RpcCall], label: str
-    ) -> RpcBatch:
-        """Issue one round and absorb its side channels.
-
-        Detector evidence is fed for every member as the round is issued,
-        before its gather advances the clock (a timeout strike per lost
-        exchange, down/ok for the final outcome), and every member
-        whose call actually executed — including ones that then timed
-        out on a lost reply — is enlisted in the transaction, so 2PC
-        reaches each representative that may hold locks or undo state.
-        A member that never executed (down target, every request lost)
-        holds nothing and stays un-enlisted.
-        """
-        batch = self.rpc.scatter(calls, label=label)
-        self._fanout_width.add(batch.width)
-        detector = self._detector
-        for reply in batch.replies:
-            node_id = reply.call.node_id
-            if detector is not None:
-                for _ in range(reply.timeouts):
-                    detector.record_timeout(node_id)
-                if reply.ok:
-                    detector.record_ok(node_id)
-                elif isinstance(reply.error, NodeDownError):
-                    detector.record_down(node_id)
-            if reply.effect_applied:
-                place = self.placements[reply.call.key]
-                txn.enlist(reply.call.key, place.node_id, place.service_name)
-        return batch
-
-    def _gather_all(self, batch: RpcBatch) -> list[Any]:
-        """Wait for the whole batch; return values in issue order.
-
-        The first failure in issue order is raised after the clock has
-        advanced to the batch envelope.
-        """
-        for reply in batch.complete_all():
-            if reply.error is not None:
-                raise reply.error
-        return [reply.value for reply in batch.replies]
-
     def _round(self, txn: Transaction, calls: list[tuple]) -> list[Any]:
         """Issue one quorum round; return its values in ``calls`` order.
 
@@ -506,18 +437,71 @@ class DirectorySuite:
         waits for every member; serial sends it as scatters of one, each
         gathered before the next is issued, and stops at the first
         failure.  Either way the failure raised is the first in issue
-        order.  An empty round sends nothing.
+        order, after the clock has advanced to its scatter's envelope.
+        An empty round sends nothing.
+
+        Each scatter's side channels are absorbed before its gather.
+        Detector evidence is fed for every member (a timeout strike per
+        lost exchange, down/ok for the final outcome).  Every member
+        whose call actually executed — including ones that then timed
+        out on a lost reply — is enlisted in the transaction if it is
+        not already, so 2PC reaches each representative that may hold
+        locks or undo state; a member that never executed (down target,
+        every request lost) holds nothing and stays un-enlisted.
+
+        A member that times out is re-issued up to ``rpc_retries`` times
+        within its scatter before the timeout surfaces (and aborts the
+        transaction).  Re-issue is safe because every Figure 6 operation
+        is *idempotent within its transaction*: a second ``rep_insert``
+        overwrites with identical content (and its undo records cancel
+        pairwise on abort), a second ``rep_coalesce`` finds the range
+        already merged, and reads under held locks are stable — so a
+        reply lost after the effect applied cannot double-apply anything.
         """
         if not calls:
             return []
-        members = [self._rep_call(txn, *call) for call in calls]
+        placements = self.placements
+        txn_id = txn.txn_id
+        retries = self.rpc_retries
+        members = []
+        for rep, method, args, *payload in calls:
+            place = placements[rep]
+            members.append(RpcCall(
+                place.node_id, place.service_name, method, (txn_id, *args),
+                {}, payload[0] if payload else 1, retries, rep,
+            ))
+        if self.fanout == "serial":
+            scatters = [[member] for member in members]
+            width = 1
+        else:
+            scatters = [members]
+            width = len(members)
         label = calls[0][1]
-        if self.fanout != "serial":
-            return self._gather_all(self._scatter(txn, members, label))
-        return [
-            self._gather_all(self._scatter(txn, [member], label))[0]
-            for member in members
-        ]
+        scatter = self.rpc.scatter
+        add_width = self._fanout_width.add
+        detector = self._detector
+        participants = txn.participants
+        values = []
+        for group in scatters:
+            batch = scatter(group, label)
+            add_width(width)
+            for reply in batch.replies:
+                if detector is not None:
+                    node_id = reply.call.node_id
+                    for _ in range(reply.timeouts):
+                        detector.record_timeout(node_id)
+                    if reply.error is None:
+                        detector.record_ok(node_id)
+                    elif isinstance(reply.error, NodeDownError):
+                        detector.record_down(node_id)
+                if reply.effect_applied and reply.call.key not in participants:
+                    call = reply.call
+                    txn.enlist(call.key, call.node_id, call.service_name)
+            for reply in batch.complete_all():
+                if reply.error is not None:
+                    raise reply.error
+                values.append(reply.value)
+        return values
 
     # ------------------------------------------------------------------
     # Figure 8: DirSuiteLookup

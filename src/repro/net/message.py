@@ -1,33 +1,18 @@
-"""Message records and traffic accounting for the simulated network.
+"""Traffic accounting for the simulated network.
 
 The paper's performance discussion counts *remote procedure calls* and
 notes that "inter-representative message traffic can be reduced by
 combining certain remote procedure calls" (section 5).  To evaluate that
-claim the network layer records every message (a request or a reply) and
-every RPC *round* so benchmarks can report messages-per-operation and
+claim the network counts every message (a request or a reply) and every
+RPC *round* so benchmarks can report messages-per-operation and
 rounds-per-operation.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
-
-
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One simulated network message (a request or a reply)."""
-
-    msg_id: int
-    src: str
-    dst: str
-    kind: str  # "request" | "reply"
-    service: str
-    method: str
-    payload_items: int = 1  # batched calls carry several logical results
-    sent_at: float = 0.0
 
 
 @dataclass
@@ -35,30 +20,22 @@ class TrafficStats:
     """Aggregate traffic counters kept by the network.
 
     ``messages`` counts individual request/reply messages; ``rpc_rounds``
-    counts request/reply exchanges (one per :meth:`RpcEndpoint.call`, even
-    when the call is a batch); ``payload_items`` counts the logical results
-    carried, so batching shows up as rounds < items.
+    counts completed request/reply exchanges (one per scatter member that
+    was delivered, even when its call carries a batch); ``payload_items``
+    counts the logical results carried, so batching shows up as rounds <
+    items.  :meth:`~repro.net.rpc.RpcEndpoint.scatter` bumps the four
+    counters of a delivered exchange in place; a lost one goes through
+    :meth:`record_lost_round`.
     """
 
     messages: int = 0
     rpc_rounds: int = 0
     payload_items: int = 0
     dropped: int = 0
-    # A defaultdict, so the per-round bump below makes no call.
+    # A defaultdict, so the scatter's per-round bump makes no call.
     by_method: defaultdict[str, int] = field(
         default_factory=lambda: defaultdict(int)
     )
-
-    def record_round(self, method: str, payload_items: int) -> None:
-        """Account one request/reply exchange."""
-        self.messages += 2
-        self.rpc_rounds += 1
-        self.payload_items += payload_items
-        self.by_method[method] += 1
-
-    def record_drop(self) -> None:
-        """Account one message lost in transit."""
-        self.dropped += 1
 
     def record_lost_round(self, phase: str) -> None:
         """Account an exchange that timed out.
@@ -88,10 +65,3 @@ class TrafficStats:
             "by_method": dict(self.by_method),
         }
 
-
-_message_ids = itertools.count(1)
-
-
-def next_message_id() -> int:
-    """Process-wide unique message id."""
-    return next(_message_ids)

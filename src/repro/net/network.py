@@ -9,7 +9,13 @@ wire-level detail.
 
 A :class:`Network` is the one substrate a directory runs on: it hands
 out the calling endpoints, hosts the representatives, and is where they
-are crashed, partitioned and counted.  Served replicas run on a subclass
+are crashed, partitioned and counted.  :meth:`Network.service_for` is
+the only code that maps (origin, node, service) to a hosted service —
+it makes the up check and the reachability check a call needs — and
+:meth:`Network.census` answers the same two questions for a whole
+quorum's candidates in one call.  The scatter bumps :attr:`stats` in
+place for a delivered exchange; a lost one is accounted by
+:meth:`Network.send_lost`.  Served replicas run on a subclass
 with a wall clock, free links and an event loop to serve from
 (:class:`~repro.service.aio.AsyncioTransport`).
 """
@@ -190,31 +196,44 @@ class Network:
     def service_for(self, src: str, dst: str, service_name: str) -> object:
         """The service a call from ``src`` reaches on ``dst``.
 
-        Raises NodeDownError unless ``dst`` is up (:meth:`Node.service`)
-        and reachable from ``src``.  Every RPC member makes this lookup
-        before it sends, so a fully connected network skips the
-        :meth:`reachable` call.
+        The one place a call resolves its target: every scatter member
+        makes this lookup before it sends.  Raises NodeDownError unless
+        ``dst`` is up and reachable from ``src`` (a fully connected
+        network skips the :meth:`reachable` call), and KeyError if
+        ``dst`` hosts no such service.  It reads the node's registry
+        directly — the checks :meth:`Node.service` makes, without its
+        frame.
         """
         node = self._nodes[dst]
-        if self._partition is not None and not self.reachable(src, dst):
+        if not node._up or (
+            self._partition is not None and not self.reachable(src, dst)
+        ):
             raise NodeDownError(dst)
-        return node.service(service_name)
+        try:
+            return node._services[service_name]
+        except KeyError:
+            raise KeyError(
+                f"no service {service_name!r} on node {dst}"
+            ) from None
 
-    def send_round(
-        self, src: str, dst: str, method: str, payload_items: int = 1
-    ) -> float:
-        """Account one request/reply exchange *without* advancing the clock.
+    def census(self, src: str, members: dict[str, str]) -> list[str]:
+        """Names in ``members`` (name → node id) that ``src`` can call now.
 
-        Returns the reply's arrival offset: one round trip, twice the
-        (src, dst) link's one-way latency.
-        Every exchange is a member of a scatter-gather round: the round
-        issues its sends at the same instant and later advances the
-        clock once, to the *max* arrival over the members it waited on.
-        A serial caller's round has one member, so it advances by this
-        exchange's own round trip.
+        A member counts when its node is up and :meth:`reachable` from
+        ``src``; the order is ``members``' own.  One call answers for a
+        whole quorum's candidates.
         """
-        self.stats.record_round(method, payload_items)
-        return 2 * self.latency(src, dst)
+        nodes = self._nodes
+        partition = self._partition
+        if partition is None:
+            return [name for name, dst in members.items() if nodes[dst]._up]
+        rest = self._partition_default
+        home = partition.get(src, rest)
+        return [
+            name
+            for name, dst in members.items()
+            if nodes[dst]._up and partition.get(dst, rest) == home
+        ]
 
     # -- message loss ----------------------------------------------------------
 

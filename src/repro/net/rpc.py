@@ -12,13 +12,16 @@ quorum machinery) must cope.
 
 An :class:`RpcEndpoint` is the client stub owned by one origin (a suite
 front-end running on some node, or an external client with origin
-``"client"``).  Its one exchange is :meth:`RpcEndpoint.scatter`: every
-member resolves a (node, service) pair, rolls its own fault
-dispositions, accounts its traffic and invokes the service method
-in-process, and the gather advances the simulated clock to the slowest
-arrival it waits on.  :meth:`RpcEndpoint.call` is the round of one, so a
-serial caller — one call at a time, each charged its own round trip —
-runs the same code as a parallel one.  When a
+``"client"``).  Its one exchange is :meth:`RpcEndpoint.scatter`, and one
+loop there runs every member's attempt chain: the member resolves its
+target through :meth:`~repro.net.network.Network.service_for` (the only
+place a call finds a hosted service), rolls its own fault dispositions,
+bumps the traffic ledger, charges its round trip and invokes the service
+method in-process.  The gather advances the clock to the slowest arrival
+it waits on, and only when that arrival is past the scatter instant — on
+free links it never asks.  :meth:`RpcEndpoint.call` is the round of one,
+so a serial caller — one call at a time, each charged its own round trip
+— runs the same code as a parallel one.  When a
 :class:`~repro.obs.spans.RecordingTracer` is attached, every round
 records a ``fanout:<label>`` span around one ``rpc:<service>.<method>``
 span per attempt, carrying its destination, message count, and payload
@@ -105,10 +108,12 @@ class RpcBatch:
 
     Produced by :meth:`RpcEndpoint.scatter`.  Every member has already
     been *simulated* — effects applied, traffic accounted, per-member
-    arrival times computed — but the shared clock has not moved;
-    :meth:`complete_all` must be called exactly once to advance it to
-    the arrival of the slowest member.
+    arrival times computed, the latest of them kept as ``latest`` — but
+    the shared clock has not moved; :meth:`complete_all` must be called
+    exactly once to advance it to the arrival of the slowest member.
     """
+
+    __slots__ = ("endpoint", "replies", "span", "started", "latest")
 
     def __init__(
         self,
@@ -116,26 +121,26 @@ class RpcBatch:
         replies: list[RpcReply],
         span: Any,
         started: float,
+        latest: float,
     ) -> None:
         self.endpoint = endpoint
         self.replies = replies
         self.span = span  # the open ``fanout:`` span (NULL_SPAN untraced)
         self.started = started
-
-    @property
-    def width(self) -> int:
-        """Number of calls in the batch."""
-        return len(self.replies)
+        self.latest = latest  # the slowest arrival, never before ``started``
 
     def complete_all(self) -> list[RpcReply]:
-        """Wait for every member; the batch costs the max arrival."""
-        replies = self.replies
-        self.endpoint.network.clock.advance_to(
-            max([r.arrival for r in replies], default=self.started)
-        )
+        """Wait for every member; the batch costs the max arrival.
+
+        The clock is only asked to move when some arrival is past the
+        scatter instant: on free links (and for an empty batch) there is
+        nothing to wait for.
+        """
+        if self.latest > self.started:
+            self.endpoint.network.clock.advance_to(self.latest)
         if self.span is not NULL_SPAN:
             self.span.__exit__(None, None, None)
-        return replies
+        return self.replies
 
 
 class RpcEndpoint:
@@ -181,131 +186,144 @@ class RpcEndpoint:
 
         All requests leave at the same instant, so the batch's simulated
         cost is the **max** arrival time over its members; a serial
-        caller issues rounds of one and so pays the sum.  Each member gets its own fault dispositions,
-        its own :class:`RpcTimeoutError`, and its own in-batch re-issue
-        budget (``call.retries``), and a lost member charges the batch
-        its ``rpc_timeout``.
-        Effects (and traffic accounting) are applied immediately; only
-        the clock waits for the gather.
+        caller issues rounds of one and so pays the sum.  Each member
+        gets its own fault dispositions, its own :class:`RpcTimeoutError`,
+        and its own in-batch re-issue budget (``call.retries``), and a
+        lost member charges the batch its ``rpc_timeout``.  Effects (and
+        traffic accounting) are applied immediately; only the clock
+        waits for the gather.
+
+        One loop runs every member's attempt chain in issue order, so a
+        width-*n* round draws the fault dispositions *n* rounds of one
+        would.  Arrivals accumulate from the scatter instant along each
+        member's own timeline (a timeout delays only its own re-issue).
+        A member resolves its target through
+        :meth:`~repro.net.network.Network.service_for`, and a delivered
+        exchange bumps the traffic ledger and charges its round trip
+        right here; the fault and trace branches cost one check each
+        when off.
 
         Raises OriginDownError up front if this endpoint's own node is
         crashed; every per-member failure is captured on its
         :class:`RpcReply` instead of raised.
         """
-        if self.origin in self.network._nodes:
-            if not self.network.node(self.origin).is_up:
-                raise OriginDownError(self.origin)
-        started = self.network.clock.now()
-        traced = self.tracer.enabled
+        net = self.network
+        origin = self.origin
+        if origin in net._nodes and not net._nodes[origin].is_up:
+            raise OriginDownError(origin)
+        started = net.clock.now()
+        tracer = self.tracer
+        traced = tracer.enabled
         if traced:
             name = label or (calls[0].method if calls else "empty")
-            span = self.tracer.span(
-                f"fanout:{name}", width=len(calls), origin=self.origin
+            batch_span = tracer.span(
+                f"fanout:{name}", width=len(calls), origin=origin
             )
-            span.__enter__()
+            batch_span.__enter__()
         else:
-            span = NULL_SPAN
-        replies = [self._simulate_member(call, started, traced) for call in calls]
-        return RpcBatch(self, replies, span, started)
-
-    def _simulate_member(
-        self, call: RpcCall, started: float, traced: bool
-    ) -> RpcReply:
-        """Run one batch member's attempt chain in virtual time.
-
-        Traffic is accounted and effects applied now; the clock is not
-        touched — arrivals accumulate from ``started`` along this
-        member's own timeline (each timeout delays only its own
-        re-issue).  Fault dispositions are drawn member-by-member in
-        issue order, so a width-*n* round draws what *n* rounds of one
-        would.
-        """
-        net = self.network
+            batch_span = NULL_SPAN
         faults = net.faults
-        origin, node_id = self.origin, call.node_id
-        reply = RpcReply(call)
-        wire_name = f"{call.service_name}.{call.method}"
-        t = started
-        budget = call.retries
-        while True:
-            reply.attempts += 1
-            attempt_start = t
-            if traced:
-                span = self.tracer.span(
-                    f"rpc:{wire_name}",
-                    dst=node_id,
-                    origin=origin,
-                    payload_items=call.payload_items,
-                )
-                # Open across the remote method (its rep: spans nest
-                # here); closed below with the attempt's outcome.
-                span.__enter__()
-                if reply.attempts > 1:
-                    span.set("attempt", reply.attempts - 1)
-            messages = lost = error = None
-            try:
-                bound = getattr(
-                    net.service_for(origin, node_id, call.service_name),
-                    call.method,
-                )
-                verdict = (
-                    "ok"
-                    if faults is None
-                    else faults.disposition(origin, node_id, wire_name)
-                )
-                if verdict == "ok":
-                    extra = 0.0 if faults is None else faults.delay(origin, node_id)
-                    offset = net.send_round(
-                        origin, node_id, wire_name, call.payload_items
+        latency = net.latency
+        service_for = net.service_for
+        stats = net.stats
+        by_method = stats.by_method
+        replies = [RpcReply(call) for call in calls]
+        latest = started
+        for reply in replies:
+            call = reply.call
+            node_id = call.node_id
+            wire_name = f"{call.service_name}.{call.method}"
+            t = started
+            budget = call.retries
+            while True:
+                reply.attempts += 1
+                attempt_start = t
+                if traced:
+                    span = tracer.span(
+                        f"rpc:{wire_name}",
+                        dst=node_id,
+                        origin=origin,
+                        payload_items=call.payload_items,
                     )
-                    t = attempt_start + extra + offset
+                    # Open across the remote method (its rep: spans nest
+                    # here); closed below with the attempt's outcome.
+                    span.__enter__()
+                    if reply.attempts > 1:
+                        span.set("attempt", reply.attempts - 1)
+                messages = lost = error = None
+                try:
+                    bound = getattr(
+                        service_for(origin, node_id, call.service_name),
+                        call.method,
+                    )
+                    if faults is None:
+                        t = attempt_start + 2 * latency(origin, node_id)
+                    else:
+                        verdict = faults.disposition(origin, node_id, wire_name)
+                        if verdict != "ok":
+                            lost = "request" if verdict == "drop_request" else "reply"
+                            t = attempt_start + net.send_lost(
+                                origin, node_id, wire_name, lost
+                            )
+                            messages = 1
+                            if lost == "reply":
+                                # The request was delivered: the effect is
+                                # applied, only the answer (even an error
+                                # answer) is lost.
+                                messages = 2
+                                reply.effect_applied = True
+                                try:
+                                    bound(*call.args, **call.kwargs)
+                                except Exception:
+                                    pass
+                            raise RpcTimeoutError(node_id, method=wire_name, lost=lost)
+                        t = (
+                            attempt_start
+                            + faults.delay(origin, node_id)
+                            + 2 * latency(origin, node_id)
+                        )
+                    # One request/reply exchange: two messages, one round.
+                    stats.messages += 2
+                    stats.rpc_rounds += 1
+                    stats.payload_items += call.payload_items
+                    by_method[wire_name] += 1
                     reply.effect_applied = True
                     messages = 2
                     reply.value = bound(*call.args, **call.kwargs)
-                else:
-                    lost = "request" if verdict == "drop_request" else "reply"
-                    t = attempt_start + net.send_lost(
-                        origin, node_id, wire_name, lost
+                except Exception as exc:
+                    error = exc
+                if traced:
+                    if messages is not None:
+                        span.set("messages", messages)
+                    if lost is not None:
+                        span.set("lost", lost)
+                    # The status names the outcome (NodeDownError /
+                    # RpcTimeoutError / the app error name); the span is
+                    # retimed onto this member's own timeline, since it
+                    # was pushed and popped at the (un-advanced) scatter
+                    # instant.
+                    span.__exit__(
+                        type(error) if error is not None else None, error, None
                     )
-                    messages = 1
-                    if lost == "reply":
-                        # The request was delivered: the effect is applied,
-                        # only the answer (even an error answer) is lost.
-                        messages = 2
-                        reply.effect_applied = True
-                        try:
-                            bound(*call.args, **call.kwargs)
-                        except Exception:
-                            pass
-                    raise RpcTimeoutError(node_id, method=wire_name, lost=lost)
-            except Exception as exc:
-                error = exc
-            if traced:
-                if messages is not None:
-                    span.set("messages", messages)
-                if lost is not None:
-                    span.set("lost", lost)
-                # The status names the outcome (NodeDownError /
-                # RpcTimeoutError / the app error name); the span is
-                # retimed onto this member's own timeline, since it was
-                # pushed and popped at the (un-advanced) scatter instant.
-                span.__exit__(type(error) if error is not None else None, error, None)
-                span.start, span.end = attempt_start, t
-            reply.arrival = t
-            if error is None:
-                return reply
-            if isinstance(error, RpcTimeoutError):
-                reply.timeouts += 1
-                if budget > 0:
-                    budget -= 1
-                    continue
-            elif not isinstance(error, NodeDownError):
-                # An application error rode the delivered (and accounted)
-                # reply back; a NodeDownError sent nothing, so the caller
-                # learns it at once.
-                reply.app_error = True
-            reply.error = error
-            return reply
+                    span.start, span.end = attempt_start, t
+                reply.arrival = t
+                if error is None:
+                    break
+                if isinstance(error, RpcTimeoutError):
+                    reply.timeouts += 1
+                    if budget > 0:
+                        budget -= 1
+                        continue
+                elif not isinstance(error, NodeDownError):
+                    # An application error rode the delivered (and
+                    # accounted) reply back; a NodeDownError sent nothing,
+                    # so the caller learns it at once.
+                    reply.app_error = True
+                reply.error = error
+                break
+            if t > latest:
+                latest = t
+        return RpcBatch(self, replies, batch_span, started, latest)
 
     def try_call(
         self,

@@ -42,7 +42,7 @@ from repro.sim.workload import (
 _ABSENT = object()
 
 #: In-transaction re-issues of a timed-out representative RPC (see
-#: :meth:`~repro.core.suite.DirectorySuite._rep_call`), applied whenever
+#: :meth:`~repro.core.suite.DirectorySuite._round`), applied whenever
 #: messages can be lost.  Without this level of masking, a ~25-RPC delete
 #: almost never survives a lossy network in one piece and whole-operation
 #: retries alone cannot reach a usable success rate.
