@@ -94,6 +94,53 @@ def emit_bench(
     return path
 
 
+def classic_wave(sharded, ops) -> int:
+    """Replay one wave on ``sharded`` one op at a time; the failure count.
+
+    The shard benchmarks' *control*: the per-op algorithm
+    ``ShardedDirectory.execute_wave`` ran before a shard's group became
+    one grouped transaction, kept here as a reference implementation,
+    not as a second product path.  Ops group by owning shard; each
+    group replays through the classic Figure 8/9/13 path
+    (``repro.core.batch._single``), one full 2PC per op, from the
+    wave's start instant, and the clock settles at the slowest group's
+    finish (max-not-sum).  Routing is recorded exactly as the fold's,
+    so a ``ReshardController`` sees the same rates on either path.
+    """
+    from repro.core.batch import _single
+    from repro.core.errors import ReproError
+
+    groups: dict[int, list] = {}
+    for op in ops:
+        groups.setdefault(sharded.shard_for(op[1]), []).append(op)
+    clock = sharded.network.clock
+    start = finish = clock.now()
+    failures = 0
+    for index in sorted(groups):
+        clock.travel(start)
+        sharded.note_routed(index, len(groups[index]))
+        suite = sharded.clusters[index].suite
+        for op in groups[index]:
+            try:
+                _single(suite, *op)
+            except ReproError:
+                failures += 1
+        finish = max(finish, clock.now())
+    clock.travel(finish)
+    return failures
+
+
+def fold_wave(sharded, ops) -> int:
+    """Run one wave through ``execute_wave`` (one grouped transaction per
+    shard, the served algorithm); the failure count."""
+    return sum(1 for outcome in sharded.execute_wave(ops) if not outcome.ok)
+
+
+#: (BENCH key prefix, wave runner) for the shard benchmarks: the classic
+#: control keeps the unprefixed keys, the fold goes beside it.
+WAVE_PATHS = (("", classic_wave), ("fold_", fold_wave))
+
+
 def simulation_bench_sections(result) -> dict:
     """messages/extra sections for a BENCH doc from a SimulationResult."""
     total_ops = max(1, result.op_counts.total)

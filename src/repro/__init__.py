@@ -115,7 +115,6 @@ from repro.shard import (
     ShardMapDelta,
     ShardedDirectory,
     VersionedShardMap,
-    WaveOutcome,
 )
 from repro.sim.driver import SimulationResult, SimulationSpec, run_simulation
 
@@ -143,7 +142,6 @@ __all__ = [
     "ReshardController",
     "ReshardRecord",
     "ShardAuditor",
-    "WaveOutcome",
     # quorum policies
     "RandomQuorumPolicy",
     "StickyQuorumPolicy",

@@ -562,8 +562,10 @@ def _single(suite: Any, kind: str, key: Any, value: Any = None) -> Any:
 
     What a kind means *alone* — the paper's Figure 8/9/13 algorithms,
     with read-repair: the reference every wave, of one op or many, is
-    checked against (the sequential twins of the tests).  The front
-    door and the resharder never run it.
+    checked against (the sequential twins of the tests).  Its callers
+    are the simulation driver, trace replay and the shard benchmarks'
+    per-op control (``benchmarks/conftest.py::classic_wave``); nothing
+    under ``repro.service`` or ``repro.shard`` runs it.
     """
     if kind == "lookup":
         return suite.lookup(key)

@@ -16,7 +16,6 @@ surface:
   windowed routing rates.
 * :class:`ShardAuditor` — merged invariant auditing over every shard,
   including ``audit_reshard`` for completed migrations.
-* :class:`WaveOutcome` — per-operation result of a concurrent wave.
 """
 
 from repro.shard.audit import ShardAuditor
@@ -29,7 +28,7 @@ from repro.shard.maps import (
     resolve_shard_map,
 )
 from repro.shard.reshard import Resharder, ReshardController, ReshardRecord
-from repro.shard.sharded import ShardedDirectory, WaveOutcome
+from repro.shard.sharded import ShardedDirectory
 
 __all__ = [
     "HashShardMap",
@@ -42,6 +41,5 @@ __all__ = [
     "ShardMapDelta",
     "ShardedDirectory",
     "VersionedShardMap",
-    "WaveOutcome",
     "resolve_shard_map",
 ]

@@ -19,9 +19,11 @@ Honest accounting is the point of the design:
   :class:`~repro.core.suite.DirectorySuite`;
 * :meth:`ShardedDirectory.execute_wave` models an open pool of clients
   issuing one *wave* of independent operations concurrently: each shard's
-  share of the wave replays from the wave's start instant and the clock
-  settles at the slowest shard's finish — max-not-sum, the same rule the
-  scatter-gather engine uses for parallel quorum rounds.
+  share of the wave is one grouped ``execute_batch`` transaction — the
+  algorithm the service front door runs per shard — started at the
+  wave's start instant, and the clock settles at the slowest shard's
+  finish — max-not-sum, the same rule the scatter-gather engine uses
+  for parallel quorum rounds.
 
 ``ShardedDirectory`` implements the :class:`~repro.core.interface.Directory`
 protocol and additionally quacks like both a ``DirectoryCluster`` (merged
@@ -33,38 +35,14 @@ unchanged on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.cluster import ClusterSpec, DirectoryCluster
-from repro.core.batch import _single
-from repro.core.errors import (
-    ConfigurationError,
-    ReproError,
-    StaleEpochError,
-)
+from repro.core.batch import BATCH_KINDS, BatchOp, BatchOutcome
+from repro.core.errors import ConfigurationError, StaleEpochError
 from repro.core.interface import register_directory
 from repro.net.network import Network
 from repro.shard.maps import ShardMap, VersionedShardMap, resolve_shard_map
-
-
-@dataclass
-class WaveOutcome:
-    """Result of one operation inside an :meth:`~ShardedDirectory.execute_wave`.
-
-    Wave operations run concurrently with each other, so a failure must
-    not abort the wave — it is captured here instead of raised.
-    """
-
-    kind: str
-    key: Any
-    shard: int
-    value: Any = None
-    error: ReproError | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 class _ShardedTxnManager:
@@ -271,11 +249,12 @@ class ShardedDirectory:
         return index
 
     def note_routed(self, index: int, n: int = 1) -> None:
-        """Record ``n`` operations routed to shard ``index`` externally.
+        """Record ``n`` operations routed to shard ``index``.
 
-        The asyncio front door routes with :meth:`shard_for` and its own
-        per-shard waves instead of :meth:`_route`; it calls this as each
-        wave runs (from its one serving thread, the only writer), so
+        Every router calls it: :meth:`_route` per op, :meth:`execute_wave`
+        per shard group, and the asyncio front door — which routes with
+        :meth:`shard_for` and its own per-shard waves — as each wave runs
+        (from its one serving thread, the only writer), so
         ``shard.routed`` stays live in service mode too.
         """
         self.routed[index] += n
@@ -283,8 +262,7 @@ class ShardedDirectory:
 
     def _route(self, key: Any) -> Any:
         index = self.shard_for(key)
-        self.routed[index] += 1
-        self.last_routed_shard = index
+        self.note_routed(index)
         return self.clusters[index].suite
 
     # -- the Directory surface ----------------------------------------------
@@ -411,50 +389,49 @@ class ShardedDirectory:
 
     # -- wave execution ------------------------------------------------------
 
-    def execute_wave(
-        self, ops: Iterable[tuple[Any, ...]]
-    ) -> list[WaveOutcome]:
+    def execute_wave(self, ops: Iterable[Any]) -> list[BatchOutcome]:
         """Run one wave of independent client operations concurrently.
 
-        ``ops`` are ``("lookup", key)`` / ``("insert", key, value)`` /
-        ``("update", key, value)`` / ``("delete", key)`` tuples, each from
-        a different client.  Operations group by owning shard; each
-        shard's group replays from the wave's start instant on the
-        shared clock and the wave finishes at the *slowest* group's
-        finish — the max-not-sum rule the scatter-gather engine applies
-        to parallel quorum rounds, here applied across shards.  Within a
-        shard the group stays sequential (one suite front-end cannot
-        overlap its own transactions), which is exactly why adding
-        shards adds throughput.
+        ``ops`` are :class:`~repro.core.batch.BatchOp` items or
+        ``(kind, key[, value])`` tuples of any kind in
+        :data:`~repro.core.batch.BATCH_KINDS`, each from a different
+        client; every kind is checked before any shard runs, so a bad
+        one raises ``ValueError`` with no effect.  Operations group by
+        owning shard, and each shard's group is one grouped
+        ``execute_batch`` transaction — what the service front door
+        runs for a shard's wave — started at the wave's start instant.
+        The wave finishes at the *slowest* group's finish: the
+        max-not-sum rule the scatter-gather engine applies to parallel
+        quorum rounds, here applied across shards.  Rewinding the clock
+        to the start needs ``clock.travel``, so this runs on the
+        simulated clock only (``WallClock`` has no ``travel``).
 
-        Per-operation failures are captured in the returned
-        :class:`WaveOutcome` list (input order), not raised: concurrent
-        clients don't abort each other.
+        Returns one :class:`~repro.core.batch.BatchOutcome` per op, in
+        input order; per-op failures are captured there, not raised:
+        concurrent clients don't abort each other.
         """
-        op_list = list(ops)
-        groups: dict[int, list[tuple[int, tuple[Any, ...]]]] = {}
+        op_list = [
+            op if isinstance(op, BatchOp) else BatchOp(*op) for op in ops
+        ]
+        for op in op_list:
+            if op.kind not in BATCH_KINDS:
+                raise ValueError(f"unknown wave operation kind {op.kind!r}")
+        groups: dict[int, list[int]] = {}
         for slot, op in enumerate(op_list):
-            if op[0] not in ("lookup", "insert", "update", "delete"):
-                raise ValueError(f"unknown wave operation kind {op[0]!r}")
-            groups.setdefault(self.shard_for(op[1]), []).append((slot, op))
+            groups.setdefault(self.shard_for(op.key), []).append(slot)
 
-        results: list[WaveOutcome] = [None] * len(op_list)  # type: ignore[list-item]
+        results: list[BatchOutcome] = [None] * len(op_list)  # type: ignore[list-item]
         clock = self.network.clock
-        start = clock.now()
-        finish = start
+        start = finish = clock.now()
         for index in sorted(groups):
+            slots = groups[index]
             clock.travel(start)
-            suite = self.clusters[index].suite
-            self.routed[index] += len(groups[index])
-            self.last_routed_shard = index
-            for slot, op in groups[index]:
-                kind, key = op[0], op[1]
-                try:
-                    value = _single(suite, *op)
-                except ReproError as exc:
-                    results[slot] = WaveOutcome(kind, key, index, error=exc)
-                else:
-                    results[slot] = WaveOutcome(kind, key, index, value=value)
+            self.note_routed(index, len(slots))
+            outcomes = self.clusters[index].suite.execute_batch(
+                [op_list[slot] for slot in slots]
+            )
+            for slot, outcome in zip(slots, outcomes):
+                results[slot] = outcome
             finish = max(finish, clock.now())
         clock.travel(finish)
         return results

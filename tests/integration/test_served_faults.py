@@ -231,9 +231,11 @@ class TestSplitUnderLoad:
 
 
 def test_the_front_door_and_the_resharder_never_name_the_classic_path():
-    """Only the simulator driver, trace replay and
-    ``ShardedDirectory.execute_wave`` run the classic one-op path."""
+    """Nothing in ``repro.service`` or ``repro.shard`` — the front door,
+    ``ShardedDirectory.execute_wave``, the resharder — names the classic
+    one-op path; under ``src/`` only the simulator driver and trace
+    replay run it."""
     root = Path(repro.__file__).parent
-    modules = sorted((root / "service").glob("*.py"))
-    for path in [*modules, root / "shard" / "reshard.py"]:
-        assert not re.search(r"\b_single\b", path.read_text()), path
+    for package in ("service", "shard"):
+        for path in sorted((root / package).glob("*.py")):
+            assert not re.search(r"\b_single\b", path.read_text()), path

@@ -79,7 +79,6 @@ def test_key_surface_is_exported():
         "RangeShardMap",
         "HashShardMap",
         "ShardAuditor",
-        "WaveOutcome",
         "register_directory",
         "directory_factories",
     ):

@@ -377,12 +377,12 @@ class TestShardedDirectory:
         sd = ShardedDirectory.create(ClusterSpec(config="3-2-2", seed=0), shards=2)
         clock = sd.network.clock
 
-        # Serial baseline: same ops one after another.
+        # Serial baseline: the same ops as two waves of one.
         serial = ShardedDirectory.create(ClusterSpec(config="3-2-2", seed=0), shards=2)
         t0 = serial.network.clock.now()
-        serial.insert(0.1, "a")
+        serial.execute_wave([("insert", 0.1, "a")])
         one_op = serial.network.clock.now() - t0
-        serial.insert(0.9, "b")
+        serial.execute_wave([("insert", 0.9, "b")])
         serial_ticks = serial.network.clock.now() - t0
 
         t0 = clock.now()
@@ -390,24 +390,41 @@ class TestShardedDirectory:
         wave_ticks = clock.now() - t0
 
         assert all(o.ok for o in outcomes)
+        # A wave of one insert is one grouped transaction: R + W + one
+        # 2PC, 18 ticks at 3-2-2 (the classic insert pays 20).
+        assert one_op == pytest.approx(18)
         assert serial_ticks == pytest.approx(2 * one_op)
         # The two inserts hit different shards, so the wave costs the
         # slower one, not the sum.
         assert wave_ticks == pytest.approx(one_op)
         assert sd.authoritative_state() == serial.authoritative_state()
 
-    def test_wave_same_shard_stays_sequential(self):
+    def test_wave_same_shard_is_one_grouped_transaction(self):
         sd = ShardedDirectory.create(ClusterSpec(config="3-2-2", seed=0), shards=2)
-        clock = sd.network.clock
-        t0 = clock.now()
-        sd.insert(0.05, "warm")
-        one_op = clock.now() - t0
-        t0 = clock.now()
-        outcomes = sd.execute_wave(
-            [("insert", 0.1, "a"), ("insert", 0.2, "b")]  # both shard 0
+        plain = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=0))
+        ops = [("insert", 0.1, "a"), ("insert", 0.2, "b")]  # both shard 0
+        suite = sd.clusters[0].suite
+
+        def deltas(suite, network, run):
+            ops_before = suite._batch_ops.value
+            rounds_before = network.stats.rpc_rounds
+            outcomes = run()
+            assert all(o.ok for o in outcomes)
+            return (
+                suite._batch_ops.value - ops_before,
+                network.stats.rpc_rounds - rounds_before,
+            )
+
+        sharded = deltas(suite, sd.network, lambda: sd.execute_wave(ops))
+        unsharded = deltas(
+            plain.suite, plain.network, lambda: plain.suite.execute_batch(ops)
         )
-        assert all(o.ok for o in outcomes)
-        assert clock.now() - t0 >= 2 * one_op * 0.9
+        # The group is the unsharded suite's grouped wave, message for
+        # message — not two transactions.
+        assert sharded == unsharded
+        assert sharded[0] == 2
+        assert sd.routed == [2, 0]
+        assert sd.authoritative_state() == plain.suite.authoritative_state()
 
     def test_wave_captures_errors_without_aborting(self):
         sd = ShardedDirectory.create(ClusterSpec(config="3-2-2", seed=0), shards=2)
@@ -417,14 +434,24 @@ class TestShardedDirectory:
         assert isinstance(outcomes[0].error, KeyNotPresentError)
         assert outcomes[1].ok
         assert outcomes[2].ok and outcomes[2].value == (True, "b")
-        # Results come back in input order with shard attribution.
-        assert [o.kind for o in outcomes] == ["delete", "insert", "lookup"]
-        assert outcomes[1].shard == 1
+        # Results come back in input order; the owning shard is the map's.
+        assert [o.op.kind for o in outcomes] == ["delete", "insert", "lookup"]
+        assert sd.shard_for(outcomes[1].op.key) == 1
 
     def test_wave_unknown_kind(self):
-        sd = ShardedDirectory.create(ClusterSpec(config="3-2-2", seed=0), shards=1)
+        sd = ShardedDirectory.create(ClusterSpec(config="3-2-2", seed=0), shards=2)
+        clock = sd.network.clock
+        t0 = clock.now()
+        # The bad kind sits in the last shard's group: it is refused
+        # before the first shard's group runs.
         with pytest.raises(ValueError):
-            sd.execute_wave([("upsert", 0.1, "x")])
+            sd.execute_wave([("insert", 0.1, "a"), ("frobnicate", 0.9)])
+        assert sd.clusters[0].suite.authoritative_state() == {}
+        assert clock.now() == t0
+        assert sd.routed == [0, 0]
+        # Every batch kind is a wave kind, upsert and discard included.
+        outcomes = sd.execute_wave([("upsert", 0.1, "x"), ("discard", 0.9)])
+        assert [o.value for o in outcomes] == [None, 0]
 
     def test_mismatched_map_and_clusters_rejected(self):
         net = Network()
