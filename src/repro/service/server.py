@@ -65,38 +65,38 @@ representatives it calls and the stores under them, and writes the
 replies.  Nothing on that path can block (lock conflicts raise,
 co-located calls cannot time out), and the algorithm is CPU-bound
 Python, so a second thread would add hand-offs and no parallelism.
-Connections are *pipelined* (:class:`_Connection`): every complete frame
-a socket delivers is dispatched as its own task, and replies leave
-strictly in request order, a burst at a time, so a client may keep many
-requests in flight on one socket and still parse replies positionally.
-Keyed operations do not run where they are dispatched.  They queue in
-arrival order, and one loop callback later a *drain* looks up each key's
-owner — at execution time, so a live split's cutover can never slip
-between routing and running — and hands every owning shard its share
-(:class:`_ShardBatcher`) in waves: a wave is whatever arrived while the
-previous waves ran — plus, when a client that keeps a window of requests
-in flight has just been sent a burst of replies, the few requests it is
-still writing back, which the drain waits for (4 ms at most,
-:meth:`DirectoryService._expect_refills`), so that wave size does not
-hang on which of them won a race — and each wave executes as **one**
-grouped quorum transaction, whatever its verbs
-(:meth:`~repro.core.suite.DirectorySuite.execute_batch` — one shared
-read round, one 2PC group commit, per-op error results preserved; the
-wave's ``DELETE``/``DEL``s add one shared neighbour walk and coalesce).
-Arrival order is preserved item by item, so two pipelined ops on the
-same key observe each other exactly as they would have one at a time.
-A wave of one — all an unpipelined client ever forms — takes the same
-road: the fold of one op *is* the paper's algorithm, with section 4's
-several results per message.  So do faults: a wave whose transaction
-aborted re-runs each of its ops as a wave of one, and a live split
-heals its target and drains its source in waves too.
-Shards take turns: what batching buys is fewer quorum rounds per op,
-not overlap.  Admin work (``SIZE``, ``REJOIN``, a ``RESHARD SPLIT``'s
-phases) is cut into steps that are loop callbacks of their own, so it
-interleaves with the drains instead of holding them up.  A hosted
-service that *can* block — a proxy for a replica in another process —
-must bring its own thread or an awaitable scatter; it must not run on
-this loop.
+Connections are *pipelined* (:class:`_Connection`): each frame is taken
+as it is parsed, replies leave strictly in request order, a burst at a
+time, and a client may keep many requests in flight on one socket.  A
+keyed op costs no task: it is queued in arrival order, and one loop
+callback later a *drain* looks up each key's owner — at execution time,
+so a live split's cutover can never slip between routing and running —
+runs every owning shard's share (:class:`_ShardBatcher`) in waves and
+writes the replies, in that one callback.  A wave is whatever arrived
+while the previous waves ran — plus, when a windowed client has just
+been sent a burst of replies, the few requests it is still writing back,
+which the drain waits for (4 ms at most,
+:meth:`DirectoryService._expect_refills`) so that wave size does not
+hang on a race — and it executes as **one** grouped quorum transaction,
+whatever its verbs (:meth:`~repro.core.suite.DirectorySuite.
+execute_batch` — one shared read round, one 2PC group commit, per-op
+error results preserved; the wave's ``DELETE``/``DEL``s add one shared
+neighbour walk and coalesce).  Arrival order is preserved item by item,
+so two pipelined ops on the same key observe each other exactly as they
+would have one at a time.  A wave of one — all an unpipelined client
+ever forms — takes the same road: the fold of one op *is* the paper's
+algorithm, with section 4's several results per message.  So do faults:
+an aborted wave re-runs each of its ops as a wave of one, and a live
+split heals its target and drains its source in waves too.  Shards take
+turns: what batching buys is fewer quorum rounds per op, not overlap.
+Admin work (``SIZE``, ``REJOIN``, a ``RESHARD SPLIT``'s phases) runs as
+a task whose steps are loop callbacks of their own, so it interleaves
+with the drains — and is not ordered against keyed ops pipelined around
+it: a ``SIZE`` counts every op its connection queued before it (unless
+the drain is waiting for a refill) and may count some queued after it.
+A hosted service that *can* block — a proxy for a replica in another
+process — must bring its own thread or an awaitable scatter; it must not
+run on this loop.
 
 Live telemetry (:class:`ServiceTelemetry`) instruments the waves: every
 wave runs inside one root span — ``service:<VERB>`` for a wave of one,
@@ -205,8 +205,9 @@ class _ShardTelemetry:
         size = len(wave)
         self._directory.note_routed(self.index, size)
         if size == 1:
+            head = wave[0]
             span = self.tracer.span(
-                f"service:{wave[0].verb}", key=wave[0].key, shard=self.index
+                f"service:{head.row.verb}", key=head.key, shard=self.index
             )
         else:
             span = self.tracer.span(
@@ -220,7 +221,7 @@ class _ShardTelemetry:
         try:
             with span:
                 outcomes = self.cluster.suite.execute_batch(
-                    [BatchOp(item.kind, item.key, item.value) for item in wave]
+                    [BatchOp(i.row.kind, i.key, i.value) for i in wave]
                 )
             return outcomes
         finally:
@@ -241,14 +242,18 @@ class _ShardTelemetry:
 
 @dataclass(slots=True)
 class _WaveItem:
-    """One queued keyed operation awaiting its wave."""
+    """A reply owed, in request order: a keyed op waits in the drain
+    queue until its wave sets ``reply``, and whoever sets it calls
+    ``link`` (its connection's flush, or the future ``_dispatch`` awaits)."""
 
-    verb: str
-    kind: str
-    key: str
-    value: Any
-    trace: Any
-    future: "asyncio.Future"
+    link: Any
+    row: "_Verb | None" = None
+    key: Any = None
+    value: Any = None
+    trace: Any = None
+    epoch: "int | None" = None
+    reply: "bytes | None" = None
+    task: "asyncio.Task | None" = None  # an admin verb's, held till done
 
 
 class _ShardBatcher:
@@ -279,16 +284,21 @@ class _ShardBatcher:
             self._run_batch(wave)
         except Exception as exc:  # never strand a waiting client
             for item in wave:
-                if not item.future.done():
-                    item.future.set_exception(exc)
+                if item.reply is None:
+                    item.reply = self.service._refusal(exc, item.row)
 
     def _run_batch(self, wave: "list[_WaveItem]") -> None:
-        outcomes = self.service.telemetry.shards[self.index].run(wave)
+        service = self.service
+        outcomes = service.telemetry.shards[self.index].run(wave)
         for item, outcome in zip(wave, outcomes):
             if outcome.error is not None:
-                item.future.set_exception(outcome.error)
+                item.reply = service._refusal(outcome.error, item.row)
+            elif item.epoch is None:
+                item.reply = item.row.reply(outcome.value)
             else:
-                item.future.set_result(outcome.value)
+                reply = item.row.reply(outcome.value)
+                epoch = service.directory.epoch
+                item.reply = protocol.stamp_epoch(reply, epoch)
 
     #: No caller: every wave runs through :meth:`_run_batch`.  The name
     #: stays only because the reference benchmark's span pass wraps it.
@@ -436,7 +446,29 @@ class ServiceTelemetry:
 
 
 class _Usage(ReproError):
-    """A request does not fit its verb's usage line."""
+    """A request fits no verb, or (raised bare) not its verb's usage line."""
+
+
+def _named(exc: Exception, row: Any) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+#: The one exception -> reply mapping, keyed ops and admin verbs alike:
+#: the first row whose class matches gives the code, whether it counts in
+#: ``service.front.errors`` (redirects and refusals do not), the detail.
+_REFUSALS: "tuple[tuple[Any, str, bool, Any], ...]" = (
+    (StaleEpochError, "MOVED", False, lambda exc, _: str(exc.epoch)),
+    (_Usage, "ERR", True, lambda exc, row: str(exc) or f"usage: {row.usage}"),
+    (KeyAlreadyPresentError, "KEYEXISTS", False, lambda exc, _: str(exc.key)),
+    (KeyNotPresentError, "NOTFOUND", False, lambda exc, _: str(exc.key)),
+    (
+        (QuorumUnavailableError, NetworkError, TransactionError),
+        "UNAVAILABLE", True, _named,
+    ),
+    (ReproError, "ERR", True, _named),
+    # The connection survives server bugs too.
+    (Exception, "ERR", True, lambda exc, row: f"internal {_named(exc, row)}"),
+)
 
 
 class _Verb:
@@ -452,10 +484,11 @@ class _Verb:
     ``async (service, *args)`` handler.
     """
 
-    __slots__ = ("usage", "kind", "reply", "fewest", "most")
+    __slots__ = ("verb", "usage", "kind", "reply", "fewest", "most")
 
     def __init__(self, usage: str, reply: Any, kind: "str | None" = None):
         self.usage, self.reply, self.kind = usage, reply, kind
+        self.verb = usage.split()[0]
         counts = []
         for form in usage.split("|"):
             words = form.split()[1:]
@@ -510,14 +543,14 @@ class _Connection(asyncio.Protocol):
     """One client socket: frames in, replies out in request order.
 
     ``data_received`` parses every complete frame the socket delivered
-    and dispatches each as its own task; the tasks wait in ``_owed`` in
-    request order, and whenever the one at the head is done the finished
-    run behind it leaves in a single ``transport.write`` — replies come
-    back positionally even when ops complete out of order across shards,
-    and a burst's replies cost one send.  Dispatch order is
-    deterministic: tasks take their first step in creation order and
-    each queues its op before it first waits, so same-connection ops
-    keep their wire order.
+    and takes each at once (:meth:`DirectoryService._request`); the
+    reply slots wait in ``_owed`` in request order, and whenever the one
+    at the head is answered the answered run behind it leaves in a
+    single ``transport.write`` — replies come back positionally even
+    when ops complete out of order across shards, and a burst's replies
+    cost one send.  Keyed ops queue in parse order, so same-connection
+    ops keep their wire order; the drain that answers them flushes this
+    connection in the same callback.
 
     At most ``pipeline_depth`` requests are in flight.  At the bound
     parsing stops, the bytes behind it stay in the buffer and the socket
@@ -531,7 +564,7 @@ class _Connection(asyncio.Protocol):
         self.depth = service.pipeline_depth
         self.transport: Any = None
         self.buffer = protocol.FrameBuffer()
-        self._owed: "deque[asyncio.Future]" = deque()
+        self._owed: "deque[_WaveItem]" = deque()
         #: The socket is being read (not paused at the depth bound).
         self._reading = True
         #: The peer takes what is written (``pause_writing`` clears it).
@@ -573,8 +606,7 @@ class _Connection(asyncio.Protocol):
     # -- frames in -------------------------------------------------------------
 
     def _parse(self) -> None:
-        loop = asyncio.get_running_loop()
-        owed = self._owed
+        service, owed = self.service, self._owed
         while len(owed) < self.depth and not self._finished:
             try:
                 frame = self.buffer.read_frame()
@@ -586,18 +618,13 @@ class _Connection(asyncio.Protocol):
                 # Framing is lost, so nothing after this can be read:
                 # say why — behind the replies already owed — and hang up.
                 self._finished = True
-                self.service._failures.inc()
-                reply = loop.create_future()
-                reply.set_result(
-                    protocol.encode_error("ERR", f"protocol {exc}")
-                )
-                owed.append(reply)
+                service._failures.inc()
+                reply = protocol.encode_error("ERR", f"protocol {exc}")
+                owed.append(_WaveItem(self._flush, reply=reply))
             else:
-                task = loop.create_task(self.service._dispatch(frame))
-                task.add_done_callback(self._flush)
-                owed.append(task)
-                if self.service._refills:
-                    self.service._refilled()
+                owed.append(service._request(frame, self._flush))
+                if service._refills:
+                    service._refilled()
         reading = len(owed) < self.depth and not self._finished
         if reading != self._reading and self.transport is not None:
             self._reading = reading
@@ -608,22 +635,18 @@ class _Connection(asyncio.Protocol):
                     self.transport.pause_reading()
         if self._finished:
             self._flush()
+        elif owed and owed[0].reply is not None:
+            # Answered on the spot (a refusal): sent on the next turn.
+            asyncio.get_running_loop().call_soon(self._flush)
 
     # -- replies out -----------------------------------------------------------
 
-    def _flush(self, _done: Any = None) -> None:
+    def _flush(self) -> None:
         owed, transport = self._owed, self.transport
-        if self._writable and owed and owed[0].done():
+        if self._writable and owed and owed[0].reply is not None:
             replies = []
-            while owed and owed[0].done():
-                try:
-                    replies.append(owed.popleft().result())
-                except Exception as exc:  # _dispatch never raises
-                    replies.append(
-                        protocol.encode_error(
-                            "ERR", f"internal {type(exc).__name__}: {exc}"
-                        )
-                    )
+            while owed and owed[0].reply is not None:
+                replies.append(owed.popleft().reply)
             if transport is not None:
                 transport.write(b"".join(replies))
                 if len(replies) > 1:
@@ -747,69 +770,81 @@ class DirectoryService:
 
     # -- the serving path ----------------------------------------------------
 
-    async def _dispatch(self, frame: Any) -> bytes:
+    def _request(self, frame: Any, link: Any) -> _WaveItem:
+        """Take one request frame for ``link`` and return its reply slot:
+        answered at once if malformed or misrouted, queued (no task) for
+        the next :meth:`_drain` if keyed, run as a task if admin."""
         if (
             not isinstance(frame, list)
             or not frame
             or not all(isinstance(p, str) for p in frame)
         ):
-            return protocol.encode_error("ERR", "expected a command array")
+            reply = protocol.encode_error("ERR", "expected a command array")
+            return _WaveItem(link, reply=reply)
         self._ops.inc()
-        # Trailing @-metadata (trace id, client epoch) is stripped before
-        # arity checks; unknown or malformed fields are ignored, never
-        # errors.
-        parts, trace, epoch = protocol.split_meta(frame)
-        if not parts:
-            self._failures.inc()
-            return protocol.encode_error("ERR", "expected a command array")
-        command, args = parts[0].upper(), parts[1:]
+        row = None
         try:
-            row = self._VERBS[command]
-        except KeyError:
-            self._failures.inc()
-            return protocol.encode_error("ERR", f"unknown command {command!r}")
-        try:
+            # Trailing @-metadata (trace id, client epoch) is stripped
+            # before arity checks; unknown or malformed fields are
+            # ignored, never errors.
+            parts, trace, epoch = protocol.split_meta(frame)
+            if not parts:
+                raise _Usage("expected a command array")
+            command, args = parts[0].upper(), parts[1:]
+            row = self._VERBS.get(command)
+            if row is None:
+                raise _Usage(f"unknown command {command!r}")
             if not row.fewest <= len(args) <= row.most:
                 raise _Usage
-            if row.kind is None:
-                reply = await row.reply(self, *args)
-            else:
-                if epoch is not None:
-                    # The client told us which map it routed with; refuse
-                    # the op (cheaply, on the loop) if the key has since
-                    # moved.
-                    self.directory.require_epoch(args[0], epoch)
-                reply = row.reply(
-                    await self._on_shard(command, row.kind, trace, *args)
-                )
-            if epoch is not None:
+            if row.kind is not None and epoch is not None:
+                # The client told us which map it routed with; refuse
+                # the op, before it queues, if the key has since moved.
+                self.directory.require_epoch(args[0], epoch)
+        except Exception as exc:
+            return _WaveItem(link, row, reply=self._refusal(exc, row))
+        loop = asyncio.get_running_loop()
+        if row.kind is None:
+            item = _WaveItem(link, row, trace=trace, epoch=epoch)
+            item.task = loop.create_task(self._admin(item, args))
+            return item
+        item = _WaveItem(link, row, *args, trace=trace, epoch=epoch)
+        if not self._pending:
+            loop.call_soon(self._drain)
+        self._pending.append(item)
+        return item
+
+    def _refusal(self, exc: Exception, row: "_Verb | None") -> bytes:
+        """The reply to ``exc``, by the first row of ``_REFUSALS`` it fits."""
+        for cls, code, failed, detail in _REFUSALS:
+            if isinstance(exc, cls):  # the last row matches any Exception
+                break
+        if failed:
+            self._failures.inc()
+        return protocol.encode_error(code, detail(exc, row))
+
+    async def _admin(self, item: _WaveItem, args: "list[str]") -> None:
+        try:
+            reply = await item.row.reply(self, *args)
+            if item.epoch is not None:
                 reply = protocol.stamp_epoch(reply, self.directory.epoch)
-            return reply
-        except StaleEpochError as exc:
-            # A redirect, not a failure: the client refreshes and retries.
-            return protocol.encode_error("MOVED", str(exc.epoch))
-        except _Usage:
-            self._failures.inc()
-            return protocol.encode_error("ERR", f"usage: {row.usage}")
-        except KeyAlreadyPresentError as exc:
-            return protocol.encode_error("KEYEXISTS", str(exc.key))
-        except KeyNotPresentError as exc:
-            return protocol.encode_error("NOTFOUND", str(exc.key))
-        except (QuorumUnavailableError, NetworkError, TransactionError) as exc:
-            self._failures.inc()
-            return protocol.encode_error(
-                "UNAVAILABLE", f"{type(exc).__name__}: {exc}"
-            )
-        except ReproError as exc:
-            self._failures.inc()
-            return protocol.encode_error(
-                "ERR", f"{type(exc).__name__}: {exc}"
-            )
-        except Exception as exc:  # the connection survives server bugs too
-            self._failures.inc()
-            return protocol.encode_error(
-                "ERR", f"internal {type(exc).__name__}: {exc}"
-            )
+        except Exception as exc:
+            reply = self._refusal(exc, item.row)
+        item.reply = reply
+        item.link()
+
+    async def _dispatch(self, frame: Any) -> bytes:
+        """:meth:`_request`, awaited: a front door over a simulated
+        directory, or a test placing ops between callbacks, calls this."""
+        fut = asyncio.get_running_loop().create_future()
+        # ``fut`` is done early only if the awaiting task was cancelled.
+        item = self._request(frame, lambda: fut.done() or fut.set_result(0))
+        if item.reply is None:
+            await fut
+        return item.reply
+
+    #: No caller: keyed ops queue in :meth:`_request`.  The name stays
+    #: only because the reference benchmark's span pass wraps it.
+    _on_shard = _dispatch
 
     def _sync_shards(self) -> None:
         """Grow per-shard batchers (and telemetry) after a split added
@@ -818,23 +853,6 @@ class DirectoryService:
             i = len(self._batchers)
             self._batchers.append(_ShardBatcher(self, i))
             self.telemetry.ensure_shard(i)
-
-    async def _on_shard(
-        self, verb: str, kind: str, trace: Any, key: str, value: Any = None
-    ) -> Any:
-        """Run one keyed op on whichever shard owns its key when it runs.
-
-        Every client op takes this one road: into the arrival-order
-        queue, out of it in the next :meth:`_drain`, onto the owning
-        shard's :class:`_ShardBatcher`, into a wave with whatever else
-        arrived meanwhile — one grouped transaction, however many that is.
-        """
-        loop = asyncio.get_running_loop()
-        item = _WaveItem(verb, kind, key, value, trace, loop.create_future())
-        if not self._pending:
-            loop.call_soon(self._drain)
-        self._pending.append(item)
-        return await item.future
 
     def _drain(self, waited: bool = False) -> None:
         """Route and run everything queued since the last drain.
@@ -845,9 +863,9 @@ class DirectoryService:
         or after it, and no op can run on a shard that stopped owning
         its key in between.
 
-        A drain that finds a few window refills still owed
-        (:meth:`_expect_refills`) stands back once, until they are in
-        or overdue; what it then runs is still everything queued.
+        It answers every op queued and flushes their links.  A drain that
+        finds a few refills owed (:meth:`_expect_refills`) stands back
+        once, until they are in or overdue; it then runs everything queued.
         """
         if self._refills:
             loop = asyncio.get_running_loop()
@@ -865,7 +883,7 @@ class DirectoryService:
             try:
                 index = self.directory.shard_for(item.key)
             except Exception as exc:  # a key the map cannot place
-                item.future.set_exception(exc)
+                item.reply = self._refusal(exc, item.row)
                 continue
             shares.setdefault(index, []).append(item)
         for index, items in shares.items():
@@ -874,6 +892,8 @@ class DirectoryService:
                 # added; adopt it before its first wave.
                 self._sync_shards()
             self._batchers[index].drain(items)
+        for link in dict.fromkeys(item.link for item in pending):
+            link()
 
     def _expect_refills(self, count: int) -> None:
         """A connection was just sent ``count`` > 1 replies in one write.
@@ -1030,8 +1050,8 @@ class DirectoryService:
     #: The verb table: every command the front door answers, keyed by
     #: the first word of its usage line.
     _VERBS = {
-        verb.usage.split()[0]: verb
-        for verb in (
+        row.verb: row
+        for row in (
             _Verb("PING", _ping),
             _Verb("LOOKUP key", _found, "lookup"),
             _Verb("INSERT key value", _ok, "insert"),

@@ -29,7 +29,10 @@ asyncio front door three ways:
   and answers byte for byte what the classic one-op path answers on a
   twin directory;
 * waves of one — a client with one request in flight takes the same
-  engine, and a lone ``DELETE`` pays the grouped walk's bill.
+  engine, and a lone ``DELETE`` pays the grouped walk's bill;
+* no task per keyed request — a keyed op is queued and answered without
+  one, an admin verb takes exactly one, and a ``SIZE`` counts every op
+  pipelined before it.
 """
 
 from __future__ import annotations
@@ -662,6 +665,117 @@ class TestWaveOfOne:
         # read-only (2R), where the classic lookup adds its commit.
         assert (served[0], alone[0]) == (2 * r, r + two_pc)
         assert served[1:3] == alone[1:3]
+
+
+class TestNoTaskPerKeyedRequest:
+    """A keyed request is validated, queued, run and answered without a
+    task — its wave encodes the reply and the drain writes it — whether
+    it succeeds or is refused; an admin verb, which steps between waves,
+    takes exactly one.  Counted by a task factory on the serving loop,
+    on a connection already served (accepting one makes a task)."""
+
+    ARITY = {
+        "LOOKUP": 1, "GET": 1, "DELETE": 1, "DEL": 1,
+        "INSERT": 2, "UPDATE": 2, "SET": 2,
+    }
+    #: (request, its answer); an error reply reads ``-CODE``.
+    KEYED = [
+        (("INSERT", "n1", "v"), "OK"),
+        (("INSERT", "n1", "v"), "-KEYEXISTS"),
+        (("UPDATE", "n1", "w"), "OK"),
+        (("UPDATE", "n2", "w"), "-NOTFOUND"),
+        (("LOOKUP", "n1"), ["1", "w"]),
+        (("LOOKUP", "n2"), ["0", None]),
+        (("GET", "n1"), "w"),
+        (("SET", "z1", "v"), "OK"),
+        (("DEL", "z1"), 1),
+        (("DELETE", "n1"), "OK"),
+        (("DELETE", "n1"), "-NOTFOUND"),
+    ] + [
+        refusal
+        for verb, arity in ARITY.items()
+        for refusal in (
+            ((verb,), "-ERR"),  # no key: usage
+            ((verb, "n1", "v")[: 1 + arity] + ("@epoch=7",), "-MOVED"),
+        )
+    ]
+    ADMIN = [
+        (("PING",), "PONG"),
+        (("SHARDS",), 2),
+        (("SIZE",), 0),
+        (("STATS", "-1"), "-ERR"),
+    ]
+
+    @pytest.fixture()
+    def counted(self, service):
+        """A request sender over one open connection, and the tasks the
+        serving loop has made so far."""
+        sock, reader = _connect(service)
+        loop, made = service.network._loop, []
+
+        def factory(loop, coro, **kwargs):
+            made.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        def install(value):
+            done = threading.Event()
+            loop.call_soon_threadsafe(
+                lambda: (loop.set_task_factory(value), done.set())
+            )
+            assert done.wait(10)
+
+        def send(request):
+            sock.sendall(encode_command(*request))
+            reply = read_frame_sync(reader)
+            return f"-{reply.code}" if isinstance(reply, ReplyError) else reply
+
+        assert send(("PING",)) == "PONG"  # accepted: its task is made
+        install(factory)
+        try:
+            yield send, made
+        finally:
+            install(None)
+            sock.close()
+
+    def test_a_keyed_request_makes_no_task(self, counted):
+        send, made = counted
+        for request, answer in self.KEYED:
+            before = len(made)
+            assert send(request) == answer, request
+            assert len(made) == before, request
+
+    def test_an_admin_verb_makes_exactly_one(self, counted):
+        send, made = counted
+        for request, answer in self.ADMIN:
+            before = len(made)
+            assert send(request) == answer, request
+            assert len(made) == before + 1, request
+
+
+class TestAdminOrdering:
+    """Admin verbs are not ordered against keyed ops pipelined around
+    them (``SIZE, SET a, SET z`` in one write may count either write or
+    both); what holds is that a ``SIZE`` counts every op its connection
+    sent before it, and never more than there are once the burst is in."""
+
+    def test_size_counts_what_was_pipelined_before_it(self, service):
+        burst = [
+            ("SET", "a1", "v"), ("SET", "z1", "v"), ("SIZE",),
+            ("SET", "a2", "v"), ("SET", "z2", "v"), ("SET", "a3", "v"),
+            ("SIZE",), ("SET", "z3", "v"), ("SIZE",),
+        ]
+        sock, reader = _connect(service)
+        try:
+            sock.sendall(b"".join(encode_command(*r) for r in burst))
+            replies = [read_frame_sync(reader) for _ in burst]
+        finally:
+            sock.close()
+        sizes = [reply for r, reply in zip(burst, replies) if r == ("SIZE",)]
+        assert replies.count("OK") == 6
+        for seen, before in zip(sizes, (2, 5, 6)):
+            assert before <= seen <= 6, sizes
+        with DirectoryClient(service.host, service.port) as c:
+            assert c.size() == 6
 
 
 class TestStatsUnderBatching:
