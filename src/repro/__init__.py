@@ -55,7 +55,6 @@ from repro.core.errors import (
     InvalidTransactionStateError,
     KeyAlreadyPresentError,
     KeyNotPresentError,
-    LockTimeoutError,
     NetworkError,
     NodeDownError,
     OriginDownError,
@@ -194,7 +193,6 @@ __all__ = [
     "TransactionError",
     "TransactionAbortedError",
     "DeadlockError",
-    "LockTimeoutError",
     "WouldBlockError",
     "InvalidTransactionStateError",
     "TwoPhaseCommitError",

@@ -85,9 +85,6 @@ class TombstoneReplica:
             if value == TOMBSTONE
         ]
 
-    def stored_count(self) -> int:
-        return len(self.data)
-
     def keys(self) -> list[Any]:
         """Every stored key — live entries and tombstones alike."""
         return list(self.data)

@@ -11,7 +11,7 @@
     python -m repro figure14 [--ops 10000]
     python -m repro figure15 [--ops 100000 --sizes 100,1000,10000]
     python -m repro availability [--p 0.8,0.9,0.95,0.99]
-    python -m repro concurrency [--txns 1000 --rate 8.0]
+    python -m repro concurrency [--txns 1000 --clients 8]
     python -m repro analytic [--configs 3-2-2,4-2-3,5-3-3]
     python -m repro bench-compare BASELINE.json CANDIDATE.json
 
@@ -358,7 +358,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.port,
                 batch_max=args.batch_max,
-                pipeline_depth=args.pipeline_depth,
             )
         except ConfigurationError as exc:
             print(f"repro-serve: {exc}", file=sys.stderr)
@@ -768,12 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=128,
         help="max ops per batched wave on one shard (1 = the unbatched "
         "control: every wave is one op)",
-    )
-    g.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=512,
-        help="max in-flight pipelined requests per client connection",
     )
     g = p.add_argument_group("sharding")
     g.add_argument("--shards", type=int, default=4)

@@ -66,8 +66,6 @@ class ClusterSpec:
     config: str | SuiteConfig = "3-2-2"
     #: Backing store per replica: ``"sorted"``, ``"btree"``, ``"skiplist"``.
     store: str = "sorted"
-    #: Figure 7 range locks; disable only for single-threaded simulations.
-    locking: bool = True
     #: Quorum-selection randomness (set it for reproducible runs).
     seed: int | None = None
     #: Quorum selection strategy; default uniform random (the paper's).
@@ -239,7 +237,6 @@ class DirectoryCluster:
             rep = DirectoryRepresentative(
                 rep_name,
                 store_factory=store_factory,
-                locking=spec.locking,
                 checkpoint_policy=spec.checkpoint_policy,
                 decision_outcomes=txn_manager.decision_log.committed_ids,
                 tracer=tracer,

@@ -153,10 +153,6 @@ class DeadlockError(TransactionAbortedError):
         self.cycle = cycle
 
 
-class LockTimeoutError(TransactionError):
-    """A lock request waited longer than the configured bound."""
-
-
 class WouldBlockError(TransactionError):
     """A lock request conflicts with locks held by other transactions.
 

@@ -87,10 +87,6 @@ class DirectoryRepresentative:
     store_factory:
         Constructor for the backing store; defaults to
         :class:`~repro.storage.sorted_store.SortedStore`.
-    locking:
-        When False, range locking is skipped entirely.  Useful for the
-        serial paper simulations where exactly one transaction runs at a
-        time and lock bookkeeping is pure overhead.
     checkpoint_policy:
         When to fold the log into a checkpoint; default never.
     decision_outcomes:
@@ -109,7 +105,6 @@ class DirectoryRepresentative:
         self,
         name: str,
         store_factory: Callable[[], RepresentativeStore] = SortedStore,
-        locking: bool = True,
         checkpoint_policy: CheckpointPolicy | None = None,
         decision_outcomes: Callable[[], frozenset[int]] | None = None,
         tracer: Any = None,
@@ -129,7 +124,6 @@ class DirectoryRepresentative:
                     setattr(self, attr, traced.__get__(self))
         self._store_factory = store_factory
         self.store: RepresentativeStore = store_factory()
-        self.locking = locking
         self.locks = LockTable()
         self.wal = WriteAheadLog(
             metrics=metrics, metrics_prefix=f"rep.{name}.wal"
@@ -173,8 +167,6 @@ class DirectoryRepresentative:
         A point range is passed as the plain pair ``(key, key)``.
         """
         self._seen_txns.add(txn_id)
-        if not self.locking:
-            return
         blockers = self.locks.acquire_all(txn_id, mode, ranges)
         if blockers:
             raise WouldBlockError(txn_id, blockers)
@@ -413,8 +405,7 @@ class DirectoryRepresentative:
             return False
         if read_only_votes and txn_id not in self._undo:
             self._seen_txns.discard(txn_id)
-            if self.locking:
-                self.locks.release_all(txn_id)
+            self.locks.release_all(txn_id)
             return READ_ONLY
         self.wal.log_prepare(txn_id)
         self._prepared.add(txn_id)
@@ -427,8 +418,7 @@ class DirectoryRepresentative:
         self._undo.pop(txn_id, None)
         self._prepared.discard(txn_id)
         self._seen_txns.discard(txn_id)
-        if self.locking:
-            self.locks.release_all(txn_id)
+        self.locks.release_all(txn_id)
         self._commits_since_checkpoint += 1
         self._maybe_checkpoint()
 
@@ -440,15 +430,14 @@ class DirectoryRepresentative:
         self.wal.log_abort(txn_id)
         self._prepared.discard(txn_id)
         self._seen_txns.discard(txn_id)
-        if self.locking:
-            self.locks.release_all(txn_id)
+        self.locks.release_all(txn_id)
 
     # ------------------------------------------------------------------
     # checkpoints
     # ------------------------------------------------------------------
 
     def _maybe_checkpoint(self) -> None:
-        quiescent = not self._undo and (not self.locking or self.locks.is_idle())
+        quiescent = not self._undo and self.locks.is_idle()
         if quiescent and self._checkpoint_policy.should_checkpoint(
             self._commits_since_checkpoint, len(self.wal)
         ):
@@ -555,8 +544,7 @@ class DirectoryRepresentative:
         finally:
             if wrote:
                 self.wal.log_commit(admin_txn)
-            if self.locking:
-                self.locks.release_all(admin_txn)
+            self.locks.release_all(admin_txn)
             self._seen_txns.discard(admin_txn)
         return (applied, skipped)
 

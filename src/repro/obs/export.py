@@ -106,19 +106,6 @@ def spans_to_trace(spans: Sequence[Span], include_failed: bool = False):
     return Trace(operations=operations, metadata={"source": "span-dump"})
 
 
-def status_counts(spans: Sequence[Span]) -> dict[str, int]:
-    """Root-span statuses histogrammed, e.g. ``{"ok": 9, "RpcTimeoutError": 1}``.
-
-    A quick fault-masking summary for chaos runs: ``retry:`` root spans
-    that end ``"ok"`` masked their faults; anything else names the error
-    class the client actually saw.
-    """
-    counts: dict[str, int] = {}
-    for span in spans:
-        counts[span.status] = counts.get(span.status, 0) + 1
-    return counts
-
-
 def total_messages(spans: Sequence[Span]) -> int:
     """Network messages accounted across every span tree."""
     return sum(span.message_count() for span in spans)

@@ -63,9 +63,7 @@ cached epoch onto every keyed request as ``@epoch=<n>`` metadata.  When
 a live reshard moves the key's range, the server answers ``-MOVED
 <epoch>``; the client refreshes its map and retries transparently
 (counted on ``client.redirects``), so a migration is invisible to
-callers.  A server that answers ``SHARDMAP`` with an error predates
-the epoch plane, and the client falls back to the plain, epoch-free
-protocol on its own.
+callers.
 """
 
 from __future__ import annotations
@@ -269,9 +267,10 @@ class AsyncPipeline:
         if not ops:
             return []
         client = self._client
-        await client._learn_epoch()
         pending = ops
         try:
+            if client.epoch is None:
+                await client.shardmap()
             for round_no in range(_MAX_REDIRECTS + 1):
                 if not pending:
                     break
@@ -280,10 +279,11 @@ class AsyncPipeline:
                 buf = bytearray()
                 for op in pending:
                     client.last_trace = client._stamper.next()
-                    parts = op.parts + (f"@trace={client.last_trace}",)
-                    if client.epoch is not None:
-                        parts = parts + (f"@epoch={client.epoch}",)
-                    buf += protocol.encode_command(*parts)
+                    buf += protocol.encode_command(
+                        *op.parts,
+                        f"@trace={client.last_trace}",
+                        f"@epoch={client.epoch}",
+                    )
                 client._writer.write(bytes(buf))
                 await client._writer.drain()
                 replies = [await client._read_frame() for _ in pending]
@@ -307,7 +307,7 @@ class AsyncPipeline:
                     op.handle._fail(exc)
             raise
         for op in pending:  # still -MOVED after every refresh
-            op.handle._fail(StaleEpochError(client.epoch or 0, key=op.key))
+            op.handle._fail(StaleEpochError(client.epoch, key=op.key))
         return [op.handle for op in ops]
 
     async def __aenter__(self) -> "AsyncPipeline":
@@ -335,7 +335,6 @@ class AsyncDirectoryClient:
         self._stamper = _TraceStamper()
         #: The trace id stamped onto the most recent request, if any.
         self.last_trace: "str | None" = None
-        self._epoch_aware = True
         self._map: "dict[str, Any] | None" = None
         #: The shard-map epoch this client last saw from the server.
         self.epoch: "int | None" = None
@@ -388,15 +387,6 @@ class AsyncDirectoryClient:
                 self._note_epoch(int(match.group(1)))
                 return reply[:-1]
         return reply
-
-    async def _learn_epoch(self) -> None:
-        """Before the first keyed op: fetch the shard map, or find out
-        the server predates ``SHARDMAP`` and stay epoch-free for good."""
-        if self._epoch_aware and self.epoch is None:
-            try:
-                await self.shardmap()
-            except ReplyError:
-                self._epoch_aware = False
 
     async def _alone(
         self, queue: Callable[..., PipelineResult], *args: str

@@ -47,7 +47,10 @@ up voting peer before it votes again, replying ``+UP`` then.  The join
 is taken one step per loop turn, so each step is atomic against client
 operations (no extra locking) and the shard's clients are served between
 the steps; a join whose peers never make a read quorum replies
-``-UNAVAILABLE`` and leaves the replica non-voting.
+``-UNAVAILABLE`` and leaves the replica non-voting.  ``RESHARD SPLIT``
+is stepped and bounded the same way: a split whose source never makes
+a read quorum replies ``-UNAVAILABLE`` and is aborted before its
+cutover, the epoch unchanged.
 
 The strict verbs carry the paper's error contract across the wire; the
 lenient ``GET``/``SET``/``DEL`` triple is what load generators want.
@@ -525,8 +528,16 @@ def _json(body: Any) -> bytes:
     return protocol.encode_bulk(json.dumps(body, default=str))
 
 
-#: Steps one ``REJOIN`` may take (``ReplicaJoin.run``'s own bound).
-_JOIN_MAX_STEPS = 10_000
+#: Requests one connection may have in flight (:class:`_Connection`):
+#: four default waves.  Past it the socket is not read, so a client that
+#: writes and never reads costs the server at most this many replies.
+_PIPELINE_DEPTH = 512
+
+#: Steps one ``REJOIN`` or ``RESHARD SPLIT`` may take
+#: (``ReplicaJoin.run``'s own bound).  A join or split whose source has
+#: no read quorum up never finishes; failing steps take ≈ 15 µs each on
+#: the serving thread, so this gives up in well under a second.
+_ADMIN_MAX_STEPS = 10_000
 
 #: Seconds a drain allows each request a pipelining client still owes
 #: its window (see :meth:`DirectoryService._expect_refills`): several
@@ -552,7 +563,7 @@ class _Connection(asyncio.Protocol):
     ops keep their wire order; the drain that answers them flushes this
     connection in the same callback.
 
-    At most ``pipeline_depth`` requests are in flight.  At the bound
+    At most :data:`_PIPELINE_DEPTH` requests are in flight.  At the bound
     parsing stops, the bytes behind it stay in the buffer and the socket
     is not read until replies have left; a client that stops *reading*
     has its replies held back here (``pause_writing``) instead of piled
@@ -561,7 +572,7 @@ class _Connection(asyncio.Protocol):
 
     def __init__(self, service: "DirectoryService") -> None:
         self.service = service
-        self.depth = service.pipeline_depth
+        self.depth = _PIPELINE_DEPTH
         self.transport: Any = None
         self.buffer = protocol.FrameBuffer()
         self._owed: "deque[_WaveItem]" = deque()
@@ -670,7 +681,6 @@ class DirectoryService:
         host: str = "127.0.0.1",
         port: int = 0,
         batch_max: int = 128,
-        pipeline_depth: int = 512,
     ) -> None:
         try:
             directory.shard_for("")  # wire keys are always str
@@ -690,14 +700,11 @@ class DirectoryService:
         self._closed = False
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1: {batch_max}")
-        if pipeline_depth < 1:
-            raise ValueError(f"pipeline_depth must be >= 1: {pipeline_depth}")
         #: Most ops one wave may hold.  ``1`` is the unbatched control:
         #: every wave is one op, through the same engine.  It exists for
         #: gate 4 of ``benchmarks/bench_service.py``, which replays one
         #: workload batched and unbatched and demands identical state.
         self.batch_max = batch_max
-        self.pipeline_depth = pipeline_depth
         #: Keyed ops in arrival order, awaiting the next drain.
         self._pending: "list[_WaveItem]" = []
         #: Requests pipelining clients still owe their windows, the loop
@@ -924,16 +931,14 @@ class DirectoryService:
             self._lingering = None
             asyncio.get_running_loop().call_soon(self._drain)
 
-    async def _admin_on_shard(self, index: int, fn: Any, *args: Any) -> Any:
-        """Run one step of admin work on shard ``index``.
+    async def _admin_on_shard(self, fn: Any, *args: Any) -> Any:
+        """Run one step of admin work.
 
         The step is a loop callback of its own (this task's next turn),
         so it serializes against client waves by construction — no
         locking — and the drains queued before it run first.  A caller
         with many steps to take comes back through here for each, which
         is what lets client ops interleave with a long join or split.
-        Every shard shares the serving thread, so ``index`` places
-        nothing; it records whose step this is.
         """
         await asyncio.sleep(0)
         return fn(*args)
@@ -945,8 +950,8 @@ class DirectoryService:
 
     async def _size(self) -> bytes:
         total = 0
-        for i, cluster in enumerate(self.directory.clusters):
-            total += await self._admin_on_shard(i, cluster.suite.size)
+        for cluster in self.directory.clusters:
+            total += await self._admin_on_shard(cluster.suite.size)
         return protocol.encode_integer(total)
 
     async def _shards(self) -> bytes:
@@ -980,17 +985,16 @@ class DirectoryService:
         try:
             index = int(prefix.lstrip("s")) if prefix else 0
         except ValueError:
-            return protocol.encode_error(
-                "ERR", f"bad shard prefix {prefix!r} (want s<i>/replica)"
-            )
+            raise _Usage(
+                f"bad shard prefix {prefix!r} (want s<i>/replica)"
+            ) from None
         if not 0 <= index < len(self.directory.clusters):
-            return protocol.encode_error("ERR", f"no shard {index}")
+            raise _Usage(f"no shard {index}")
         cluster = self.directory.clusters[index]
         if replica not in cluster.representatives:
-            return protocol.encode_error(
-                "ERR",
+            raise _Usage(
                 f"unknown replica {replica!r} on shard {index} "
-                f"(have {sorted(cluster.representatives)})",
+                f"(have {sorted(cluster.representatives)})"
             )
         from repro.repl import ReplicaJoin
 
@@ -1002,12 +1006,12 @@ class DirectoryService:
         # One step per turn, so the shard's clients are served between
         # steps; bounded as ``ReplicaJoin.run`` is, because a join with
         # no read quorum of voting peers up never finishes.
-        for _ in range(_JOIN_MAX_STEPS):
-            if await self._admin_on_shard(index, join.step):
+        for _ in range(_ADMIN_MAX_STEPS):
+            if await self._admin_on_shard(join.step):
                 break
         else:
             raise NetworkError(
-                f"join of {replica} did not finish in {_JOIN_MAX_STEPS} steps"
+                f"join of {replica} did not finish in {_ADMIN_MAX_STEPS} steps"
             )
         return protocol.encode_simple(
             cluster.suite.membership.state(replica).name
@@ -1034,13 +1038,21 @@ class DirectoryService:
         if sub.upper() != "SPLIT" or boundary is None:
             raise _Usage
         # One phase step per turn: each step is atomic against client
-        # waves (no torn copies), and waves run between the steps.
-        source = directory.shard_for(boundary)
-        resharder = await self._admin_on_shard(
-            source, directory.begin_split, boundary
-        )
-        while not resharder.done:
-            await self._admin_on_shard(source, resharder.step)
+        # waves (no torn copies), and waves run between the steps;
+        # bounded as a join is, because a copy or cutover whose source
+        # has no read quorum up retries forever.
+        resharder = await self._admin_on_shard(directory.begin_split, boundary)
+        for _ in range(_ADMIN_MAX_STEPS):
+            if await self._admin_on_shard(resharder.step):
+                break
+        else:
+            phase = resharder.phase
+            if phase != "drain":  # the new epoch is not installed yet
+                resharder.abort()
+            raise NetworkError(
+                f"split at {boundary!r} did not finish in {_ADMIN_MAX_STEPS} "
+                f"steps (stuck in {phase})"
+            )
         self._sync_shards()
         body: dict[str, Any] = {"epoch": directory.epoch, "done": True}
         if directory.reshard_log:

@@ -248,13 +248,15 @@ class Resharder:
 
     def _step_copy(self) -> None:
         directory = self.directory
-        if self.target == len(directory.clusters):
-            directory.add_shard()
-        target_cluster = directory.clusters[self.target]
         try:
             facts = authoritative_range_facts(
                 directory.clusters[self.source], self.delta
             )
+            # The target is added once the source can be read, so a
+            # split aborted for want of a read quorum leaves no shard.
+            if self.target == len(directory.clusters):
+                directory.add_shard()
+            target_cluster = directory.clusters[self.target]
             pieces = [
                 ("entry", wrap(payload), reply.version, reply.value)
                 for payload, reply in sorted(

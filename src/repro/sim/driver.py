@@ -4,8 +4,11 @@ One simulation builds a cluster, loads the directory to its target size,
 then applies a stream of generated operations while collecting the three
 delete-overhead statistics, traffic counters, and (optionally) failure
 behaviour.  The paper's runs are serial — one transaction at a time — so
-the driver executes operations back to back; contention experiments live
-in :mod:`repro.sim.concurrency`.
+the driver executes operations back to back.  Its replicas are the ones
+a served directory runs, Figure 7 range locks included; with one
+transaction at a time a lock conflicts only with one that a lost 2PC
+decision left held.  Contention experiments live in
+:mod:`repro.sim.concurrency`.
 """
 
 from __future__ import annotations
@@ -236,9 +239,6 @@ def run_simulation(
         cluster_spec = ClusterSpec(
             config=spec.config,
             store=spec.store,
-            # One transaction at a time: range-lock bookkeeping would be
-            # pure overhead, since nothing can contend for a lock.
-            locking=False,
             seed=spec.seed,
             quorum_policy=spec.quorum_policy,
             neighbor_batch_size=spec.neighbor_batch_size,

@@ -91,9 +91,9 @@ class ThreadedClients:
     Parameters
     ----------
     cluster:
-        The target cluster.  Must have been created with
-        ``locking=True`` (the default) — without range locks, concurrent
-        transactions would corrupt logical state silently.
+        The target cluster.  Every representative takes Figure 7 range
+        locks, so concurrent transactions conflict rather than corrupt
+        logical state.
     n_clients / ops_per_client:
         Population and per-thread workload length.
     key_partitions:
@@ -114,13 +114,6 @@ class ThreadedClients:
         seed: int = 0,
         max_retries: int = 500,
     ) -> None:
-        if not all(
-            rep.locking for rep in cluster.representatives.values()
-        ):
-            raise ValueError(
-                "threaded clients need range locking enabled on every "
-                "representative"
-            )
         self.cluster = cluster
         self.n_clients = n_clients
         self.ops_per_client = ops_per_client

@@ -89,11 +89,6 @@ class CoalesceResult:
     removed: Segment
     new_version: Version
 
-    @property
-    def entries_removed(self) -> int:
-        """Number of entries deleted by the coalesce."""
-        return len(self.removed.entries)
-
 
 @dataclass(frozen=True)
 class StoreSnapshot:

@@ -116,8 +116,8 @@ def test_sticky_quorums_behave_like_dict():
 
 
 def test_locking_enabled_behaves_like_dict():
-    # Serial transactions with full lock bookkeeping enabled.
-    cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=7, locking=True))
+    # Serial transactions; every representative takes its range locks.
+    cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=7))
     run_model_check(cluster, n_ops=400, seed=21)
     # Everything committed: every lock table must be idle.
     for rep in cluster.representatives.values():

@@ -17,7 +17,7 @@ asyncio front door three ways:
 * bytes that are not frames at all — answered ``-ERR protocol ...`` and
   hung up on, never a traceback, by the in-process service and by a
   ``python -m repro serve`` child alike;
-* back-pressure, both ways — ``pipeline_depth`` bounds what one
+* back-pressure, both ways — ``_PIPELINE_DEPTH`` bounds what one
   connection has in flight exactly, and a client that stops reading
   stops being read;
 * the window refill — a drain waits, for a bounded time, for the
@@ -85,9 +85,9 @@ def _directory(**fields):
 
 
 @contextlib.contextmanager
-def _serving(**options):
+def _serving():
     with _directory() as d:
-        with DirectoryService(d, **options).start() as svc:
+        with DirectoryService(d).start() as svc:
             yield svc
 
 
@@ -304,7 +304,7 @@ class TestBackPressure:
     def test_pipeline_depth_bounds_in_flight_requests_exactly(
         self, monkeypatch
     ):
-        """64 requests land in one write; with ``pipeline_depth=4`` the
+        """64 requests land in one write; with a pipeline depth of 4 the
         connection parses four, leaves the rest in its buffer until
         replies have left, and so no wave ever holds more than four —
         not "four plus whatever one ``recv`` held"."""
@@ -316,7 +316,8 @@ class TestBackPressure:
             process(batcher, wave)
 
         monkeypatch.setattr(server._ShardBatcher, "_process", recording)
-        with _serving(pipeline_depth=4) as svc:
+        monkeypatch.setattr(server, "_PIPELINE_DEPTH", 4)
+        with _serving() as svc:
             sock, reader = _connect(svc)
             try:
                 sock.sendall(
@@ -335,7 +336,7 @@ class TestBackPressure:
         assert max(waves) <= 4, waves
         assert max(waves) > 1, "nothing pipelined; the bound was not tested"
 
-    def test_a_client_that_stops_reading_stops_being_read(self):
+    def test_a_client_that_stops_reading_stops_being_read(self, monkeypatch):
         """Far more replies than the socket buffers hold, to a client
         that reads none of them: the server must stop taking its
         requests (as ``await writer.drain()`` once made it) instead of
@@ -344,7 +345,8 @@ class TestBackPressure:
         values = {f"big{i}": chr(65 + i) * 32_768 for i in range(4)}
         sent = 1_000  # 32 MB of replies
         keys = [f"big{i % 4}" for i in range(sent)]
-        with _serving(pipeline_depth=32) as svc:
+        monkeypatch.setattr(server, "_PIPELINE_DEPTH", 32)
+        with _serving() as svc:
             with DirectoryClient(svc.host, svc.port) as c:
                 for key, value in values.items():
                     c.set(key, value)

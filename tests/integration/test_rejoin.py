@@ -485,3 +485,31 @@ class TestServiceRejoinVerb:
                     with pytest.raises(Exception) as exc:
                         client.rejoin("A", shard=7)
                     assert "no shard" in str(exc.value)
+
+    def test_rejoin_refusals_are_counted_front_door_errors(self):
+        """The three ways a ``REJOIN`` target can be wrong answer the
+        same ``-ERR`` bytes as ever, and each counts one front-door
+        error, as every other ``-ERR`` reply does."""
+        import asyncio
+
+        from repro.service import protocol
+        from repro.service.server import DirectoryService
+
+        spec = ClusterSpec(config="3-2-2", seed=4)
+        d = ShardedDirectory.create(spec, shards=1, shard_map="hash")
+        service = DirectoryService(d)
+        errors = d.network.metrics.counter("service.front.errors")
+        cases = [
+            (["STATS", "-1"], "usage: STATS [window]"),
+            (["REJOIN", "sx/A"], "bad shard prefix 'sx' (want s<i>/replica)"),
+            (["REJOIN", "s7/A"], "no shard 7"),
+            (
+                ["REJOIN", "nope"],
+                "unknown replica 'nope' on shard 0 (have ['A', 'B', 'C'])",
+            ),
+        ]
+        for frame, detail in cases:
+            before = errors.value
+            reply = asyncio.run(service._dispatch(frame))
+            assert reply == protocol.encode_error("ERR", detail), frame
+            assert errors.value - before == 1, frame

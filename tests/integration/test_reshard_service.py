@@ -23,7 +23,8 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core.errors import StaleEpochError
 from repro.service import protocol, wire
-from repro.service.client import DirectoryClient
+from repro.service import server
+from repro.service.client import DirectoryClient, ServiceUnavailableError
 from repro.service.server import DirectoryService
 from repro.shard.maps import RangeShardMap
 from repro.shard.sharded import ShardedDirectory
@@ -245,9 +246,9 @@ class TestSplitIntoABusyShard:
             async def split_onto_shard_1():
                 # What RESHARD SPLIT does, with the one argument the
                 # verb cannot carry: an existing target.
-                resharder = await svc._admin_on_shard(0, d.begin_split, "g", 1)
+                resharder = await svc._admin_on_shard(d.begin_split, "g", 1)
                 while not resharder.done:
-                    await svc._admin_on_shard(0, resharder.step)
+                    await svc._admin_on_shard(resharder.step)
 
             threads = [
                 threading.Thread(target=writer, args=(w,))
@@ -286,6 +287,60 @@ class TestSplitIntoABusyShard:
                 cluster.check_invariants()
                 for rep in cluster.representatives.values():
                     assert rep.locks.is_idle()
+
+
+class TestSplitWithoutReadQuorum:
+    def test_split_is_unavailable_within_the_step_bound_then_succeeds(self):
+        """One shard with two of its three replicas down cannot be read,
+        so its split can never copy.  ``RESHARD SPLIT`` gives up after
+        the admin step bound with ``-UNAVAILABLE`` and aborts: the epoch,
+        the shard count and ``RESHARD STATUS`` are as before.  Once the
+        replicas are back the same split runs to DONE."""
+        spec = ClusterSpec(config="3-2-2", seed=13, transport="asyncio")
+        with ShardedDirectory.create(
+            spec, shards=1, shard_map=RangeShardMap([])
+        ) as d:
+            cluster = d.clusters[0]
+            begun = []
+            begin_split = d.begin_split
+
+            def recording(*args):
+                begun.append(begin_split(*args))
+                return begun[-1]
+
+            d.begin_split = recording
+            with DirectoryService(d).start() as svc, DirectoryClient(
+                svc.host, svc.port
+            ) as c:
+                load(c)
+                cluster.crash("B")
+                cluster.crash("C")
+                errors = svc.network.metrics.counter("service.front.errors")
+                before = errors.value
+                with pytest.raises(
+                    ServiceUnavailableError,
+                    match=r"split at 'key08' did not finish in 10000 steps "
+                    r"\(stuck in copy\)",
+                ):
+                    c.reshard("key08")
+                assert errors.value - before == 1
+                assert begun[0].phase == "aborted"
+                assert begun[0].record.steps == server._ADMIN_MAX_STEPS
+                assert c.reshard_status() == {
+                    "epoch": 0, "active": False, "migrations": 0,
+                }
+                assert c.shards() == 1 and len(d.clusters) == 1
+                cluster.recover("B")
+                cluster.recover("C")
+                result = c.reshard("key08")
+                assert result["done"] is True and result["epoch"] == 1
+                assert result["moved"] == 8 and result["violations"] == 0
+                assert c.reshard_status() == {
+                    "epoch": 1, "active": False, "migrations": 1,
+                }
+                for i in range(16):
+                    assert c.get(f"key{i:02d}") == f"v{i}"
+            assert d.shard_for("key09") == 1
 
 
 class TestEpochWireFormat:

@@ -45,7 +45,7 @@ class TestPartitionedClients(_OnTransport):
     """Each client owns a key interval: exact final-state checking."""
 
     def test_final_state_equals_union_of_models(self, make_cluster):
-        cluster = make_cluster(seed=5, locking=True)
+        cluster = make_cluster(seed=5)
         harness = ThreadedClients(
             cluster, n_clients=4, ops_per_client=60, seed=6
         )
@@ -57,7 +57,7 @@ class TestPartitionedClients(_OnTransport):
         cluster.check_invariants()
 
     def test_lock_tables_drain(self, make_cluster):
-        cluster = make_cluster(seed=7, locking=True)
+        cluster = make_cluster(seed=7)
         ThreadedClients(cluster, n_clients=3, ops_per_client=40, seed=8).run()
         for rep in cluster.representatives.values():
             assert rep.locks.is_idle()
@@ -66,7 +66,7 @@ class TestPartitionedClients(_OnTransport):
         # Deletes read-lock across gap boundaries into neighbors'
         # territory, so some conflicts are expected even with disjoint
         # ownership (this is what makes the test non-trivial).
-        cluster = make_cluster(seed=9, locking=True)
+        cluster = make_cluster(seed=9)
         result = ThreadedClients(
             cluster, n_clients=6, ops_per_client=80, seed=10
         ).run()
@@ -76,7 +76,7 @@ class TestPartitionedClients(_OnTransport):
         # in practice more often than never across the suite of runs.
 
     def test_btree_store_under_concurrency(self, make_cluster):
-        cluster = make_cluster(store="btree", seed=11, locking=True)
+        cluster = make_cluster(store="btree", seed=11)
         result = ThreadedClients(
             cluster, n_clients=4, ops_per_client=50, seed=12
         ).run()
@@ -89,7 +89,7 @@ class TestContendedClients(_OnTransport):
     """All clients share one key space: rejections are legitimate."""
 
     def test_shared_keyspace_stays_coherent(self, make_cluster):
-        cluster = make_cluster(seed=13, locking=True)
+        cluster = make_cluster(seed=13)
         result = ThreadedClients(
             cluster,
             n_clients=4,
@@ -110,13 +110,6 @@ class TestContendedClients(_OnTransport):
         # later dropped them; presence in *some* model is not required,
         # but the structural coherence above plus clean lock drain is.)
         assert all(isinstance(k, float) for k in state)
-
-
-class TestHarnessValidation:
-    def test_requires_locking(self):
-        cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=15, locking=False))
-        with pytest.raises(ValueError):
-            ThreadedClients(cluster)
 
 
 class _Asyncio:

@@ -129,7 +129,7 @@ class _ReferenceBatcher:
 class _ReferenceConnection(asyncio.Protocol):
     def __init__(self, service: "ReferenceService") -> None:
         self.service = service
-        self.depth = service.pipeline_depth
+        self.depth = server._PIPELINE_DEPTH
         self.transport: Any = None
         self.buffer = protocol.FrameBuffer()
         self._owed: "deque[asyncio.Future]" = deque()

@@ -1,8 +1,19 @@
 """Unit tests for the command-line interface."""
 
+import shlex
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+
+
+#: The ``python -m repro ...`` lines of the CLI's module docstring.
+DOCUMENTED = [
+    line.strip().split(maxsplit=3)[3]
+    for line in cli.__doc__.splitlines()
+    if line.strip().startswith("python -m repro ")
+]
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +30,16 @@ class TestParser:
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "line", DOCUMENTED, ids=[line.split()[0] for line in DOCUMENTED]
+    )
+    def test_every_documented_command_line_parses(self, line):
+        # Square brackets mark optional arguments; the line with them
+        # taken literally must still be one the parser accepts.
+        build_parser().parse_args(
+            shlex.split(line.replace("[", "").replace("]", ""))
+        )
 
 
 class TestCommands:

@@ -1,15 +1,20 @@
 """Unit tests for the serial simulation driver."""
 
+import functools
+
 import pytest
 
-from repro.cluster import ClusterSpec
+from repro.cli import build_parser
+from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.net.failures import RandomFailures
+from repro.sim import driver
 from repro.sim.driver import (
     SimulationSpec,
     run_figure14_grid,
     run_figure15_sizes,
     run_simulation,
 )
+from repro.service.server import DirectoryService
 from repro.sim.workload import OpMix
 
 
@@ -56,15 +61,74 @@ class TestRunSimulation:
         assert result.final_size == 40 + 400
 
     @pytest.mark.parametrize(
-        "option",
+        "build,refusal",
         [
-            "keep_samples", "warmup_operations", "locking",
-            "reshard_hot_factor", "reshard_max_splits", "hedge_extra",
+            *(
+                pytest.param(
+                    functools.partial(small_spec, **{option: 1}),
+                    TypeError,
+                    id=option,
+                )
+                for option in (
+                    "keep_samples", "warmup_operations", "locking",
+                    "reshard_hot_factor", "reshard_max_splits",
+                    "hedge_extra",
+                )
+            ),
+            pytest.param(
+                lambda: ClusterSpec(locking=False),
+                TypeError,
+                id="ClusterSpec.locking",
+            ),
+            pytest.param(
+                lambda: DirectoryService(None, pipeline_depth=4),
+                TypeError,
+                id="DirectoryService.pipeline_depth",
+            ),
+            pytest.param(
+                lambda: build_parser().parse_args(
+                    ["serve", "--pipeline-depth", "4"]
+                ),
+                SystemExit,
+                id="serve--pipeline-depth",
+            ),
         ],
     )
-    def test_removed_options_are_refused(self, option):
-        with pytest.raises(TypeError):
-            small_spec(**{option: 1})
+    def test_removed_options_are_refused(self, build, refusal):
+        with pytest.raises(refusal):
+            build()
+
+    def test_a_lossy_audited_run_leaves_no_lock_or_transaction_behind(
+        self, monkeypatch
+    ):
+        """CI's chaos settings: the driver's replicas take their range
+        locks, and once the run has re-delivered every 2PC decision no
+        lock table may hold a lock and no replica may remember a
+        transaction."""
+        built = []
+
+        class Recording:
+            @staticmethod
+            def create(spec):
+                built.append(DirectoryCluster.create(spec))
+                return built[-1]
+
+        monkeypatch.setattr(driver, "DirectoryCluster", Recording)
+        result = run_simulation(
+            small_spec(
+                directory_size=100, operations=2000, seed=5,
+                fanout="parallel", loss=0.05, retries=3, audit=True,
+            )
+        )
+        assert result.audit_report.ok, result.audit_report.render()
+        (cluster,) = built
+        assert not cluster.suite.txn_manager.pending_completions
+        acquired = 0
+        for rep in cluster.representatives.values():
+            assert rep.locks.is_idle(), rep.name
+            assert not rep._undo and not rep._seen_txns, rep.name
+            acquired += rep.locks.stats.acquisitions
+        assert acquired > 2000  # the locks were taken, not skipped
 
     def test_btree_store_runs(self):
         result = run_simulation(small_spec(store="btree"))

@@ -143,13 +143,6 @@ class TestLocking:
         rep.rep_insert(3, wrap("k"), 2, "K2")
         rep.commit(3)
 
-    def test_locking_disabled_never_blocks(self):
-        rep = DirectoryRepresentative("A", locking=False)
-        rep.rep_insert(1, wrap("k"), 1, "K")
-        rep.rep_insert(2, wrap("k"), 2, "K2")  # would block with locking
-        rep.commit(1)
-        rep.commit(2)
-
     def test_lookup_many_refused_at_third_key_keeps_the_first_two(self):
         rep = loaded_rep()
         rep.rep_insert(2, wrap("k"), 1, "K")  # RepModify(k, k) held by 2

@@ -212,7 +212,7 @@ class TestWritesDuringMigration:
                 d,
                 client,
                 lambda fn, *args: svc.network.submit(
-                    svc._admin_on_shard(0, fn, *args)
+                    svc._admin_on_shard(fn, *args)
                 ),
             )
 
