@@ -104,8 +104,6 @@ from repro.obs import (
     write_bench,
 )
 from repro.shard import (
-    HashShardMap,
-    RangeShardMap,
     Resharder,
     ReshardController,
     ReshardRecord,
@@ -113,7 +111,6 @@ from repro.shard import (
     ShardMap,
     ShardMapDelta,
     ShardedDirectory,
-    VersionedShardMap,
 )
 from repro.sim.driver import SimulationResult, SimulationSpec, run_simulation
 
@@ -133,9 +130,6 @@ __all__ = [
     # sharding
     "ShardedDirectory",
     "ShardMap",
-    "RangeShardMap",
-    "HashShardMap",
-    "VersionedShardMap",
     "ShardMapDelta",
     "Resharder",
     "ReshardController",

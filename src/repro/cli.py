@@ -339,7 +339,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     spec = ClusterSpec(
         config=args.config,
         seed=args.seed,
-        store=args.store,
         transport="asyncio",
         # Not an option: every served round goes through
         # DirectorySuite._round, and between co-located replicas a
@@ -349,24 +348,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
         fanout="parallel",
         checkpoint_policy=LogSizeBound(SERVE_LOG_BOUND),
     )
+    # Not an option: the wire carries string keys, which route stably
+    # by digest; a range-mapped service is built in-process with string
+    # boundaries (docs/SERVICE.md).
     with ShardedDirectory.create(
-        spec, shards=args.shards, shard_map=args.shard_map
+        spec, shards=args.shards, shard_map="hash"
     ) as directory:
-        try:
-            service = DirectoryService(
-                directory,
-                host=args.host,
-                port=args.port,
-                batch_max=args.batch_max,
-            )
-        except ConfigurationError as exc:
-            print(f"repro-serve: {exc}", file=sys.stderr)
-            return 2
+        service = DirectoryService(
+            directory,
+            host=args.host,
+            port=args.port,
+            batch_max=args.batch_max,
+        )
         with service.start():
             # The line CI and scripts wait for / parse the port out of.
             print(
                 f"repro-serve: listening on {service.host}:{service.port} "
-                f"({args.config} x {args.shards} shards, {args.shard_map} map)",
+                f"({args.config} x {args.shards} shards, hash map)",
                 flush=True,
             )
             if args.ready_file is not None:
@@ -757,9 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_argument_group("cluster", "what each shard replicates")
     g.add_argument("--config", default="3-2-2")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument(
-        "--store", choices=sorted(STORE_FACTORIES), default="sorted"
-    )
     g = p.add_argument_group("batching")
     g.add_argument(
         "--batch-max",
@@ -770,13 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g = p.add_argument_group("sharding")
     g.add_argument("--shards", type=int, default=4)
-    g.add_argument(
-        "--shard-map",
-        choices=["hash", "range"],
-        default="hash",
-        help="hash (default: string keys route stably) or range "
-        "(keys must be mutually comparable with the range boundaries)",
-    )
     g = p.add_argument_group("listener")
     g.add_argument("--host", default="127.0.0.1")
     g.add_argument(

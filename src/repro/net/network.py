@@ -120,6 +120,10 @@ class Network:
         """All nodes in creation order."""
         return list(self._nodes.values())
 
+    def remove_node(self, node_id: str) -> None:
+        """Forget a node and every service it hosts."""
+        del self._nodes[node_id]
+
     def ensure_node(self, node_id: str) -> None:
         """Create the node if it does not exist yet (idempotent)."""
         if node_id not in self._nodes:

@@ -89,7 +89,10 @@ def encode_simple(text: str) -> bytes:
 
 
 def encode_error(code: str, detail: str = "") -> bytes:
-    """Frame an error reply (``-CODE detail``)."""
+    """Frame an error reply (``-CODE detail``).  A detail can quote a
+    client's key, which may hold CR or LF; they are escaped, so the
+    reply stays one line."""
+    detail = detail.replace("\r", "\\r").replace("\n", "\\n")
     line = f"-{code} {detail}".rstrip()
     return f"{line}\r\n".encode()
 

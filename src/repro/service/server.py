@@ -687,8 +687,8 @@ class DirectoryService:
         except TypeError:
             raise ConfigurationError(
                 f"shard map {directory.shard_map.describe()} splits at "
-                f"{directory.shard_map.boundaries!r}, which do not compare "
-                "with the string keys the wire carries; build the "
+                f"{list(directory.shard_map.boundaries)!r}, which do not "
+                "compare with the string keys the wire carries; build the "
                 "directory with a hash map or string boundaries"
             ) from None
         self.directory = directory
@@ -1019,15 +1019,14 @@ class DirectoryService:
 
     async def _shardmap(self) -> bytes:
         shard_map = self.directory.shard_map
-        boundaries = getattr(shard_map, "boundaries", None)
         return _json(
             {
                 "epoch": shard_map.epoch,
                 "shards": len(self.directory.clusters),
                 "describe": shard_map.describe(),
-                "kind": "range" if boundaries is not None else "hash",
-                "boundaries": boundaries,
-                "owners": getattr(shard_map, "owners", None),
+                "kind": "hash" if shard_map.boundaries is None else "range",
+                "boundaries": shard_map.boundaries,
+                "owners": shard_map.owners,
             }
         )
 

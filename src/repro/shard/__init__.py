@@ -5,13 +5,11 @@ surface:
 
 * :class:`ShardedDirectory` — N independent replica suites behind one
   :class:`~repro.core.interface.Directory` front-end.
-* :class:`ShardMap` / :class:`RangeShardMap` / :class:`HashShardMap` —
-  pluggable key → shard routing.
-* :class:`VersionedShardMap` / :class:`ShardMapDelta` — epoch-stamped
-  maps whose ``split``/``merge`` derive successor epochs for live
-  resharding.
+* :class:`ShardMap` / :class:`ShardMapDelta` — immutable, epoch-stamped
+  key → shard routing (range or hash form) whose ``split`` derives the
+  successor epoch and names the range it moves onto a new shard.
 * :class:`Resharder` — the COPY → CUTOVER → DRAIN state machine
-  migrating one key range between shard suites online.
+  migrating one key range onto a new, empty shard suite online.
 * :class:`ReshardController` — automatic hot-shard splitting from live
   windowed routing rates.
 * :class:`ShardAuditor` — merged invariant auditing over every shard,
@@ -19,20 +17,11 @@ surface:
 """
 
 from repro.shard.audit import ShardAuditor
-from repro.shard.maps import (
-    HashShardMap,
-    RangeShardMap,
-    ShardMap,
-    ShardMapDelta,
-    VersionedShardMap,
-    resolve_shard_map,
-)
+from repro.shard.maps import ShardMap, ShardMapDelta, resolve_shard_map
 from repro.shard.reshard import Resharder, ReshardController, ReshardRecord
 from repro.shard.sharded import ShardedDirectory
 
 __all__ = [
-    "HashShardMap",
-    "RangeShardMap",
     "Resharder",
     "ReshardController",
     "ReshardRecord",
@@ -40,6 +29,5 @@ __all__ = [
     "ShardMap",
     "ShardMapDelta",
     "ShardedDirectory",
-    "VersionedShardMap",
     "resolve_shard_map",
 ]

@@ -37,11 +37,15 @@ class ShardAuditor:
         self.report = AuditReport()
 
     def _sync(self) -> None:
-        """Adopt shards a live split added since construction."""
-        while len(self.auditors) < len(self.sharded.clusters):
-            self.auditors.append(
-                InvariantAuditor(self.sharded.clusters[len(self.auditors)])
-            )
+        """Follow the shard list: a live split adds a shard, and an
+        aborted one takes it back (a later split's shard is new)."""
+        self.auditors = [
+            InvariantAuditor(cluster)
+            if index >= len(self.auditors)
+            or self.auditors[index].cluster is not cluster
+            else self.auditors[index]
+            for index, cluster in enumerate(self.sharded.clusters)
+        ]
 
     def run(self, model: dict[Any, Any] | None = None) -> AuditReport:
         """Audit every shard once; returns this run's merged report.
@@ -101,20 +105,19 @@ class ShardAuditor:
 
     def _audit_one(self, report: AuditReport, rec: Any) -> None:
         sharded = self.sharded
-        where = f"s{rec.source}->s{rec.target}@e{rec.epoch}"
+        delta = rec.delta
+        where = f"s{delta.source}->s{delta.target}@e{delta.epoch}"
         report.checks += 1
         for detail in rec.violations:
             report.violations.append(
                 AuditViolation("reshard", where, "", detail)
             )
-        in_range = lambda key: rec.low <= key and (  # noqa: E731
-            rec.high is None or key < rec.high
-        )
         # 2. the source drained the moved range
-        source_state = sharded.clusters[rec.source].suite.authoritative_state()
+        source = sharded.clusters[delta.source].suite
+        source_state = source.authoritative_state()
         for payload in sorted(source_state, key=lambda p: wrap(p)):
             report.checks += 1
-            if in_range(payload):
+            if delta.covers(payload):
                 report.violations.append(
                     AuditViolation(
                         "reshard",
@@ -125,7 +128,7 @@ class ShardAuditor:
                     )
                 )
         # 3. version monotonicity across the move
-        target_cluster = sharded.clusters[rec.target]
+        target_cluster = sharded.clusters[delta.target]
         suite = target_cluster.suite
         reps = {
             name: target_cluster.representatives[name]

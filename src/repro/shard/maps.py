@@ -1,28 +1,32 @@
-"""Shard maps: deterministic key → shard routing.
+"""Shard maps: deterministic, epoch-stamped key → shard routing.
 
 A :class:`ShardMap` answers one question — which shard owns a key — and
-must answer it identically on every client forever (a key routed to two
-different shards would be two different keys).  Two splits are provided:
+must answer it identically on every client for as long as its epoch
+stands (a key routed to two different shards would be two different
+keys).  It comes in two forms:
 
-* :class:`RangeShardMap` — contiguous key ranges, the classic
-  partitioned-directory layout.  Preserves key locality (range scans
-  stay on one shard) but inherits the key distribution: a workload
-  whose keys concentrate in one region piles onto one shard.
-* :class:`HashShardMap` — hash buckets over a *stable* digest
-  (BLAKE2b of ``repr(key)``; Python's builtin ``hash`` is
-  salted per process and unusable for routing).  Destroys locality,
-  flattens any key-space skew.
+* **range** (:meth:`ShardMap.range`, :meth:`ShardMap.uniform`) —
+  contiguous key ranges, the classic partitioned-directory layout.
+  Preserves key locality (range scans stay on one shard) but inherits
+  the key distribution: a workload whose keys concentrate in one region
+  piles onto one shard.
+* **hash** (:meth:`ShardMap.hash`) — buckets over a *stable* digest
+  (BLAKE2b of ``repr(key)``; Python's builtin ``hash`` is salted per
+  process and unusable for routing).  Destroys locality, flattens any
+  key-space skew.
 
-Both are pure functions of the key — no state, no network — so routing
-costs nothing in simulated time.
+Either form is a pure function of the key — no state, no network — so
+routing costs nothing in simulated time.
 
-For *live* resharding the routing identity itself must be able to
-change: :class:`VersionedShardMap` stamps an immutable map with a
-monotonically increasing **epoch** and derives successor epochs via
-:meth:`~VersionedShardMap.split` / :meth:`~VersionedShardMap.merge`,
-each carrying an explicit :class:`ShardMapDelta` naming exactly which
-key range moved between which shards.  The delta is what the
-:class:`~repro.shard.reshard.Resharder` migrates and what
+For *live* resharding the routing itself must be able to change.  A map
+is immutable and stamped with an **epoch** (0 at creation);
+:meth:`ShardMap.split` derives the successor epoch, carrying a
+:class:`ShardMapDelta` naming the one key range that moved and the
+brand-new shard it moved to.  A split onto a new, empty shard is the
+only way a range moves: the paper's version numbers mean something only
+inside one replica suite, so copying a range's versions into another
+suite is sound only when that suite holds nothing yet.  The delta is
+what the :class:`~repro.shard.reshard.Resharder` migrates and what
 :meth:`~repro.shard.audit.ShardAuditor.audit_reshard` proves correct.
 """
 
@@ -31,48 +35,73 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable, Protocol, runtime_checkable
+from typing import Any, Iterable
 
 from repro.core.errors import ConfigurationError
 
 
-@runtime_checkable
-class ShardMap(Protocol):
-    """The routing contract: ``shards`` shards, ``shard_of(key)`` owner."""
+@dataclass(frozen=True)
+class ShardMapDelta:
+    """The key-range difference between a map and its successor epoch.
 
-    @property
-    def shards(self) -> int:
-        """Number of shards this map routes across."""
-        ...
-
-    def shard_of(self, key: Any) -> int:
-        """Index in ``range(shards)`` of the shard owning ``key``."""
-        ...
-
-    def describe(self) -> str:
-        """Human-readable routing summary (for reports and BENCH docs)."""
-        ...
-
-
-class RangeShardMap:
-    """Contiguous split: shard ``i`` owns ``[boundaries[i-1], boundaries[i])``.
-
-    ``boundaries`` are the ``n - 1`` interior split points, strictly
-    increasing and mutually comparable with every key routed.  Keys
-    below the first boundary go to shard 0, keys at or above the last to
-    shard ``n - 1`` — the map tiles the whole key space.
+    Exactly one contiguous range moves per epoch step: ``[low, high)``
+    (``high is None`` means "to the end of the key space") leaves shard
+    ``source`` and lands on ``target``, a shard new at this epoch.  This
+    is the unit of work a :class:`~repro.shard.reshard.Resharder`
+    migrates.
     """
 
-    def __init__(self, boundaries: Iterable[Any]) -> None:
-        self.boundaries = list(boundaries)
-        for position, boundary in enumerate(self.boundaries):
+    epoch: int
+    source: int
+    target: int
+    low: Any
+    high: Any | None
+
+    def covers(self, key: Any) -> bool:
+        """Whether ``key`` lies in the moving range."""
+        return self.low <= key and (self.high is None or key < self.high)
+
+
+@dataclass(frozen=True, slots=True)
+class ShardMap:
+    """An immutable, epoch-stamped routing of keys across ``shards`` shards.
+
+    Build one with :meth:`range`, :meth:`uniform` or :meth:`hash`; derive
+    successor epochs with :meth:`split`.  In the range form shard
+    ``owners[i]`` owns ``[boundaries[i-1], boundaries[i])``: keys below
+    the first boundary go to ``owners[0]``, keys at or above the last to
+    ``owners[-1]``, so the map tiles the whole key space.  In the hash
+    form ``boundaries`` and ``owners`` are ``None`` and a key's shard is
+    its digest modulo ``shards``.  Shard indices are stable across
+    epochs: a split hands its upper sub-range to a brand-new index and
+    every other key keeps routing where it did, so per-shard state and
+    metric scopes never shift underneath a migration.
+    """
+
+    shards: int
+    #: Interior split points, strictly increasing (None when hashed).
+    boundaries: "tuple[Any, ...] | None" = None
+    #: Shard index owning each range; ``len(boundaries) + 1`` long.
+    owners: "tuple[int, ...] | None" = None
+    epoch: int = 0
+    #: The range moved to reach this epoch (None at epoch 0).
+    delta: "ShardMapDelta | None" = None
+
+    @classmethod
+    def range(cls, boundaries: Iterable[Any]) -> "ShardMap":
+        """Contiguous ranges split at ``boundaries``, shard ``i`` owning
+        the ``i``-th.  The boundaries are the ``n - 1`` interior split
+        points, strictly increasing and mutually comparable with every
+        key routed."""
+        boundaries = tuple(boundaries)
+        for position, boundary in enumerate(boundaries):
             if boundary == "":
                 raise ConfigurationError(
                     f"range boundary {position} is the empty string; every "
                     "boundary must be a real, comparable key value"
                 )
         for position, (a, b) in enumerate(
-            zip(self.boundaries, self.boundaries[1:]), start=1
+            zip(boundaries, boundaries[1:]), start=1
         ):
             if a == b:
                 raise ConfigurationError(
@@ -85,186 +114,61 @@ class RangeShardMap:
                     f"range boundaries must be strictly increasing: boundary "
                     f"{b!r} at position {position} does not sort above {a!r}"
                 )
-        self._shards = len(self.boundaries) + 1
+        shards = len(boundaries) + 1
+        return cls(shards, boundaries, tuple(range(shards)))
 
     @classmethod
     def uniform(
         cls, shards: int, low: float = 0.0, high: float = 1.0
-    ) -> "RangeShardMap":
+    ) -> "ShardMap":
         """An even float split of ``[low, high)`` — the paper's key space."""
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1: {shards}")
         if not low < high:
             raise ConfigurationError(f"need low < high: {low} .. {high}")
         width = (high - low) / shards
-        return cls(low + width * i for i in range(1, shards))
-
-    @property
-    def shards(self) -> int:
-        return self._shards
-
-    def shard_of(self, key: Any) -> int:
-        return bisect_right(self.boundaries, key)
-
-    def describe(self) -> str:
-        return f"range[{self._shards}]"
-
-    def __repr__(self) -> str:
-        return f"RangeShardMap({self.boundaries!r})"
-
-
-class HashShardMap:
-    """Hash-bucket split over a stable digest of ``repr(key)``.
-
-    Any key with a deterministic ``repr`` routes stably (floats, ints,
-    strings, tuples of those).  Used for workloads whose *key values*
-    are skewed: the digest is uniform regardless of where keys cluster,
-    so load spreads evenly where a range split would hot-spot.
-    """
-
-    def __init__(self, shards: int) -> None:
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1: {shards}")
-        self._shards = shards
-
-    @property
-    def shards(self) -> int:
-        return self._shards
-
-    def shard_of(self, key: Any) -> int:
-        digest = hashlib.blake2b(
-            repr(key).encode("utf-8"), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") % self._shards
-
-    def describe(self) -> str:
-        """Routing summary for reports and the ``SHARDMAP`` verb.
-
-        Always the literal form ``"hash[<shards>]"`` — e.g. ``hash[8]``
-        for an eight-bucket map.  Hash maps have no key-range boundaries
-        to enumerate, so this string (plus ``shards``) *is* their full
-        routing description: clients seeing ``hash[n]`` know every key
-        routes by stable digest modulo ``n`` and that the map cannot be
-        range-split.
-        """
-        return f"hash[{self._shards}]"
-
-    def __repr__(self) -> str:
-        return f"HashShardMap({self._shards})"
-
-
-@dataclass(frozen=True)
-class ShardMapDelta:
-    """The key-range difference between a map and its successor epoch.
-
-    Exactly one contiguous range moves per epoch step: ``[low, high)``
-    (``high is None`` means "to the end of the key space") leaves shard
-    ``source`` and lands on shard ``target``.  This is the unit of work
-    a :class:`~repro.shard.reshard.Resharder` migrates.
-    """
-
-    epoch: int
-    kind: str  # "split" or "merge"
-    source: int
-    target: int
-    low: Any
-    high: Any | None
-
-    def covers(self, key: Any) -> bool:
-        """Whether ``key`` lies in the moving range."""
-        return self.low <= key and (self.high is None or key < self.high)
-
-
-class VersionedShardMap:
-    """An immutable shard map stamped with a monotonically increasing epoch.
-
-    Epoch 0 wraps an existing map (:meth:`wrap`) and routes *identically*
-    to it — the epoch plumbing is free until someone reshards.  Successor
-    epochs come only from :meth:`split` / :meth:`merge`, each returning a
-    brand-new map whose :attr:`delta` records the one key range that
-    moved.  Shard indices are stable across epochs: a split assigns the
-    upper sub-range to a (by default) brand-new shard index and every
-    other key keeps routing exactly where it did, so per-shard state and
-    metric scopes never shift underneath a migration.
-
-    Only range-shaped maps (a :class:`RangeShardMap` or a prior epoch of
-    one) can split or merge; hash maps have no contiguous ranges to move
-    and raise :class:`ConfigurationError`.
-    """
-
-    def __init__(
-        self,
-        base: "ShardMap | None" = None,
-        *,
-        epoch: int = 0,
-        delta: "ShardMapDelta | None" = None,
-        boundaries: "list[Any] | None" = None,
-        owners: "list[int] | None" = None,
-        shards: "int | None" = None,
-    ) -> None:
-        if (base is None) == (boundaries is None):
-            raise ConfigurationError(
-                "pass either a base map or explicit boundaries+owners"
-            )
-        self.epoch = epoch
-        #: The range moved to reach this epoch (None at a wrapped epoch 0).
-        self.delta = delta
-        if boundaries is not None:
-            if owners is None or len(owners) != len(boundaries) + 1:
-                raise ConfigurationError(
-                    "owners must assign a shard to every range: need "
-                    f"{len(boundaries) + 1} owners"
-                )
-            #: Interior split points, strictly increasing (None for
-            #: delegate maps with no ranges).
-            self.boundaries: "list[Any] | None" = list(boundaries)
-            #: Shard index owning each range; ``len(boundaries) + 1`` long.
-            self.owners: "list[int] | None" = list(owners)
-            self._base: "ShardMap | None" = None
-            self._shards = (
-                shards if shards is not None else max(self.owners) + 1
-            )
-        elif isinstance(base, RangeShardMap):
-            self.boundaries = list(base.boundaries)
-            self.owners = list(range(len(self.boundaries) + 1))
-            self._base = None
-            self._shards = base.shards
-        else:
-            self.boundaries = None
-            self.owners = None
-            self._base = base
-            self._shards = base.shards
+        return cls.range(low + width * i for i in range(1, shards))
 
     @classmethod
-    def wrap(cls, shard_map: "ShardMap") -> "VersionedShardMap":
-        """Epoch-0 view of ``shard_map`` (idempotent on versioned maps)."""
-        if isinstance(shard_map, cls):
-            return shard_map
-        return cls(shard_map)
+    def hash(cls, shards: int) -> "ShardMap":
+        """``shards`` buckets over a stable digest of ``repr(key)``.
 
-    @property
-    def shards(self) -> int:
-        return self._shards
+        Any key with a deterministic ``repr`` routes stably (floats,
+        ints, strings, tuples of those).  Used for workloads whose *key
+        values* are skewed: the digest is uniform regardless of where
+        keys cluster, so load spreads evenly where a range split would
+        hot-spot.
+        """
+        if shards < 1:
+            raise ConfigurationError(f"shards must be >= 1: {shards}")
+        return cls(shards)
 
     def shard_of(self, key: Any) -> int:
+        """Index in ``range(shards)`` of the shard owning ``key``."""
         if self.boundaries is None:
-            return self._base.shard_of(key)
+            digest = hashlib.blake2b(
+                repr(key).encode("utf-8"), digest_size=8
+            ).digest()
+            return int.from_bytes(digest, "big") % self.shards
         return self.owners[bisect_right(self.boundaries, key)]
 
     def describe(self) -> str:
-        if self.boundaries is not None:
-            inner = f"range[{self._shards}]"
-        else:
-            inner = self._base.describe()
+        """Routing summary for reports, BENCH documents and ``SHARDMAP``.
+
+        ``range[<shards>]`` or ``hash[<shards>]``, with ``@e<epoch>``
+        appended once a split has moved something.  A hash map has no
+        key-range boundaries to enumerate, so ``hash[n]`` *is* its full
+        routing description: every key routes by stable digest modulo
+        ``n``, and the map cannot be split.
+        """
+        form = "hash" if self.boundaries is None else "range"
         if self.epoch == 0:
-            return inner
-        return f"{inner}@e{self.epoch}"
+            return f"{form}[{self.shards}]"
+        return f"{form}[{self.shards}]@e{self.epoch}"
 
     def ranges(self) -> "list[tuple[Any, Any, int]]":
-        """``(low, high, owner)`` per range, ``None`` bounds at the ends.
-
-        Empty for delegate (hash/custom) maps, which have no ranges.
-        """
+        """``(low, high, owner)`` per range, ``None`` bounds at the ends
+        (empty for a hash map, which has no ranges)."""
         if self.boundaries is None:
             return []
         bounds = [None, *self.boundaries, None]
@@ -273,15 +177,13 @@ class VersionedShardMap:
             for i, owner in enumerate(self.owners)
         ]
 
-    def split(
-        self, boundary: Any, target: "int | None" = None
-    ) -> "VersionedShardMap":
+    def split(self, boundary: Any) -> "ShardMap":
         """Successor epoch with ``boundary`` inserted as a new split point.
 
         The range containing ``boundary`` is cut in two; its upper part
-        ``[boundary, old_high)`` moves to shard ``target`` (default: a
-        brand-new shard index, growing the directory by one shard).  All
-        other keys keep their owner.
+        ``[boundary, old_high)`` moves to a brand-new shard index
+        (``shards``), growing the map by one shard.  All other keys keep
+        their owner.
         """
         if self.boundaries is None:
             raise ConfigurationError(
@@ -294,83 +196,21 @@ class VersionedShardMap:
                 f"split boundary {boundary!r} duplicates an existing "
                 "range boundary"
             )
-        source = self.owners[j]
-        if target is None:
-            target = self._shards
-        if not 0 <= target <= self._shards:
-            raise ConfigurationError(
-                f"split target shard {target} out of range "
-                f"(have {self._shards} shards; {self._shards} adds one)"
-            )
-        if target == source:
-            raise ConfigurationError(
-                f"split target shard {target} already owns the range "
-                f"containing {boundary!r}"
-            )
-        high = self.boundaries[j] if j < len(self.boundaries) else None
+        target = self.shards
         delta = ShardMapDelta(
             epoch=self.epoch + 1,
-            kind="split",
-            source=source,
+            source=self.owners[j],
             target=target,
             low=boundary,
-            high=high,
+            high=self.boundaries[j] if j < len(self.boundaries) else None,
         )
-        return VersionedShardMap(
-            boundaries=self.boundaries[: j] + [boundary] + self.boundaries[j:],
-            owners=self.owners[: j + 1] + [target] + self.owners[j + 1 :],
-            shards=max(self._shards, target + 1),
-            epoch=self.epoch + 1,
-            delta=delta,
+        return ShardMap(
+            target + 1,
+            self.boundaries[:j] + (boundary,) + self.boundaries[j:],
+            self.owners[: j + 1] + (target,) + self.owners[j + 1 :],
+            self.epoch + 1,
+            delta,
         )
-
-    def merge(self, index: int) -> "VersionedShardMap":
-        """Successor epoch with boundary ``index`` removed.
-
-        The range *above* the boundary is absorbed into the shard owning
-        the range below it; its keys are the moving delta.  The vacated
-        shard index keeps existing (possibly owning nothing) so indices
-        stay stable.
-        """
-        if self.boundaries is None:
-            raise ConfigurationError(
-                f"cannot merge a {self.describe()} map: only range maps "
-                "have contiguous key ranges to move"
-            )
-        if not 0 <= index < len(self.boundaries):
-            raise ConfigurationError(
-                f"no range boundary {index} to merge out "
-                f"(have {len(self.boundaries)})"
-            )
-        if self.owners[index + 1] == self.owners[index]:
-            raise ConfigurationError(
-                f"ranges on both sides of boundary {index} already live on "
-                f"shard {self.owners[index]}; nothing to merge"
-            )
-        low = self.boundaries[index]
-        high = (
-            self.boundaries[index + 1]
-            if index + 1 < len(self.boundaries)
-            else None
-        )
-        delta = ShardMapDelta(
-            epoch=self.epoch + 1,
-            kind="merge",
-            source=self.owners[index + 1],
-            target=self.owners[index],
-            low=low,
-            high=high,
-        )
-        return VersionedShardMap(
-            boundaries=self.boundaries[:index] + self.boundaries[index + 1 :],
-            owners=self.owners[: index + 1] + self.owners[index + 2 :],
-            shards=self._shards,
-            epoch=self.epoch + 1,
-            delta=delta,
-        )
-
-    def __repr__(self) -> str:
-        return f"VersionedShardMap({self.describe()})"
 
 
 def resolve_shard_map(shard_map: "str | ShardMap", shards: int | None) -> ShardMap:
@@ -379,9 +219,9 @@ def resolve_shard_map(shard_map: "str | ShardMap", shards: int | None) -> ShardM
     if isinstance(shard_map, str):
         n = 4 if shards is None else shards
         if shard_map == "range":
-            return RangeShardMap.uniform(n)
+            return ShardMap.uniform(n)
         if shard_map == "hash":
-            return HashShardMap(n)
+            return ShardMap.hash(n)
         raise ConfigurationError(
             f"unknown shard map {shard_map!r}; choose 'range' or 'hash' "
             "or pass a ShardMap instance"

@@ -1,8 +1,8 @@
 """Live resharding: online migration of a key range between shard suites.
 
 A :class:`Resharder` executes one :class:`~repro.shard.maps.ShardMapDelta`
-— the range a :meth:`~repro.shard.maps.VersionedShardMap.split` or
-``merge`` moved — against a running
+— the range a :meth:`~repro.shard.maps.ShardMap.split` moved onto a
+brand-new shard — against a running
 :class:`~repro.shard.sharded.ShardedDirectory`, in three phases patterned
 after :class:`~repro.repl.bootstrap.ReplicaJoin`:
 
@@ -10,10 +10,12 @@ after :class:`~repro.repl.bootstrap.ReplicaJoin`:
   source suite (merging entry and covering-gap versions across a read
   quorum of replicas, exactly the weighted-voting read rule) and ship
   the present keys to every target replica in one ``rep_reconcile``
-  message each.  Ghosts — entries dominated by a covering gap
-  elsewhere — are filtered here, so deleted keys are never resurrected
-  on the target.  Clients keep reading and writing the source; nothing
-  forwards their writes, whoever issues them.
+  message each.  The target suite is new and empty, so every copied
+  version lands: versions from one suite mean nothing to a suite that
+  already holds some of its own.  Ghosts — entries dominated by a
+  covering gap elsewhere — are filtered here, so deleted keys are never
+  resurrected on the target.  Clients keep reading and writing the
+  source; nothing forwards their writes, whoever issues them.
 * **CUTOVER** — compare the two suites' authoritative views of the
   range, heal every difference (whatever was written, rewritten or
   deleted on the source since the copy) as one quorum-paying wave of
@@ -47,6 +49,7 @@ from repro.core.errors import (
 from repro.core.entries import LookupReply
 from repro.core.keys import HIGH, wrap
 from repro.repl.bootstrap import admin_call, ship_pieces
+from repro.shard.maps import ShardMapDelta
 
 _MISSING = object()
 
@@ -126,12 +129,8 @@ def authoritative_range(cluster: Any, delta: Any) -> dict[Any, Any]:
 class ReshardRecord:
     """The audit trail of one range migration, filled in as it runs."""
 
-    epoch: int
-    kind: str
-    source: int
-    target: int
-    low: Any
-    high: Any | None
+    #: The range that moved, from which shard to which, at which epoch.
+    delta: ShardMapDelta
     #: ``payload -> version`` of every present key at copy time.
     copied: dict[Any, int] = field(default_factory=dict)
     #: Authoritative keys handed over at cutover.
@@ -140,21 +139,30 @@ class ReshardRecord:
     steps: int = 0
 
     def summary(self) -> dict[str, Any]:
-        """Every field, the two collections as their sizes."""
+        """The delta and every field, the two collections as their sizes
+        (the ``RESHARD`` replies' body)."""
+        delta = self.delta
         return {
-            **vars(self),
+            "epoch": delta.epoch,
+            "kind": "split",
+            "source": delta.source,
+            "target": delta.target,
+            "low": delta.low,
+            "high": delta.high,
             "copied": len(self.copied),
+            "moved": self.moved,
             "violations": len(self.violations),
+            "steps": self.steps,
         }
 
 
 class Resharder:
     """Phase-driven migration of one key range between shard suites.
 
-    Construct via :meth:`ShardedDirectory.begin_split` /
-    ``begin_merge``, then pump :meth:`step` (or :meth:`run`) with client
-    traffic interleaved between steps — that interleaving is the point:
-    no phase blocks the directory.  Phases advance
+    Construct via :meth:`ShardedDirectory.begin_split`, which adds the
+    empty target shard first, then pump :meth:`step` (or :meth:`run`)
+    with client traffic interleaved between steps — that interleaving is
+    the point: no phase blocks the directory.  Phases advance
     ``copy -> cutover -> drain -> done``; :meth:`abort` exits cleanly
     from any phase before cutover installs the new epoch.
     """
@@ -162,25 +170,12 @@ class Resharder:
     PHASES = ("copy", "cutover", "drain", "done", "aborted")
 
     def __init__(self, directory: Any, new_map: Any) -> None:
-        delta = new_map.delta
-        if delta is None:
-            raise ConfigurationError(
-                "successor map carries no delta; derive it with "
-                "split()/merge() on the current map"
-            )
         self.directory = directory
         self.new_map = new_map
-        self.delta = delta
+        self.delta = new_map.delta
         self.phase = "copy"
         #: What the auditor reads once the migration retires.
-        self.record = ReshardRecord(
-            epoch=new_map.epoch,
-            kind=delta.kind,
-            source=delta.source,
-            target=delta.target,
-            low=delta.low,
-            high=delta.high,
-        )
+        self.record = ReshardRecord(self.delta)
         #: Authoritative ``{payload: value}`` of the range at cutover.
         self.moved: dict[Any, Any] = {}
 
@@ -229,9 +224,10 @@ class Resharder:
     def abort(self) -> None:
         """Stop cleanly without installing the successor epoch.
 
-        Data already copied to a target that was never routed to is
-        unreachable and harmless.  Illegal after cutover: the epoch is
-        installed and only DRAIN remains.
+        The target shard goes with whatever was copied to it: no map
+        ever routed to it, and the next split's target must be new and
+        empty.  Illegal after cutover: the epoch is installed and only
+        DRAIN remains.
         """
         if self.done:
             return
@@ -241,6 +237,7 @@ class Resharder:
                 "let DRAIN finish"
             )
         self.phase = "aborted"
+        self.directory.remove_shard()
         if self.directory.resharder is self:
             self.directory.resharder = None
 
@@ -252,10 +249,6 @@ class Resharder:
             facts = authoritative_range_facts(
                 directory.clusters[self.source], self.delta
             )
-            # The target is added once the source can be read, so a
-            # split aborted for want of a read quorum leaves no shard.
-            if self.target == len(directory.clusters):
-                directory.add_shard()
             target_cluster = directory.clusters[self.target]
             pieces = [
                 ("entry", wrap(payload), reply.version, reply.value)

@@ -42,7 +42,7 @@ from repro.core.batch import BATCH_KINDS, BatchOp, BatchOutcome
 from repro.core.errors import ConfigurationError, StaleEpochError
 from repro.core.interface import register_directory
 from repro.net.network import Network
-from repro.shard.maps import ShardMap, VersionedShardMap, resolve_shard_map
+from repro.shard.maps import ShardMap, resolve_shard_map
 
 
 class _ShardedTxnManager:
@@ -84,8 +84,8 @@ class _ShardedTxnManager:
 class ShardedDirectory:
     """N independent replica suites routed by a shard map.
 
-    Build one with :meth:`create`; the raw constructor takes already
-    wired per-shard clusters (every cluster must sit on ``network``).
+    Build one with :meth:`create`: the constructor takes what it wires,
+    one cluster per shard the map routes to, every one on ``network``.
     """
 
     def __init__(
@@ -93,27 +93,21 @@ class ShardedDirectory:
         shard_map: ShardMap,
         clusters: Sequence[DirectoryCluster],
         network: Network,
-        metrics: Any = None,
+        metrics: Any,
+        base_spec: ClusterSpec,
     ) -> None:
-        shard_map = VersionedShardMap.wrap(shard_map)
-        if shard_map.shards != len(clusters):
-            raise ConfigurationError(
-                f"shard map routes {shard_map.shards} shards but "
-                f"{len(clusters)} clusters were supplied"
-            )
-        if not clusters:
-            raise ConfigurationError("need at least one shard")
-        for cluster in clusters:
-            if cluster.network is not network:
-                raise ConfigurationError(
-                    "every shard must share the sharded directory's network"
-                )
         self.shard_map = shard_map
         self.clusters = list(clusters)
         #: The network every shard shares: fault injection, partitions
         #: and traffic stats reach through here, on either clock.
         self.network = network
-        self._metrics = metrics
+        #: The ROOT registry: shard metrics appear under ``shard<i>.``,
+        #: cross-shard metrics (``shard.routed``, retry counters)
+        #: unprefixed.
+        self.metrics = metrics
+        # The per-shard recipe: a live split stamps out its brand-new
+        # shard suite on the same substrate (add_shard).
+        self._base_spec = base_spec
         #: Operations routed to each shard (by shard index).
         self.routed = [0] * len(self.clusters)
         #: Shard that served the most recent operation; ``txn_manager``'s
@@ -130,14 +124,11 @@ class ShardedDirectory:
             cluster.suite.delete_stats = first.delete_stats
         #: Every epoch's map, keyed by epoch; routing reads ``shard_map``,
         #: redirects (:meth:`require_epoch`) consult the history.
-        self.map_history: dict[int, VersionedShardMap] = {
-            shard_map.epoch: shard_map
-        }
+        self.map_history: dict[int, ShardMap] = {shard_map.epoch: shard_map}
         #: The in-flight migration, when a reshard is running.
         self.resharder: Any = None
         #: Completed migrations (``ReshardRecord``), oldest first.
         self.reshard_log: list[Any] = []
-        self._base_spec: "ClusterSpec | None" = None
         self._detector: Any = None
         self._closed = False
         self.metrics.provider(
@@ -168,8 +159,8 @@ class ShardedDirectory:
         a ``shard<i>``-scoped view of the shared registry.
 
         ``shard_map`` is ``"range"`` (uniform float split of ``[0, 1)``),
-        ``"hash"``, or a :class:`ShardMap` instance; ``shards`` defaults
-        to the instance's count, else 4.
+        ``"hash"``, or a :class:`ShardMap`; ``shards`` defaults to the
+        map's count, else 4.
         """
         base = spec if isinstance(spec, ClusterSpec) else ClusterSpec(spec)
         resolved_map = resolve_shard_map(shard_map, shards)
@@ -184,11 +175,7 @@ class ShardedDirectory:
             )
             for i in range(resolved_map.shards)
         ]
-        sharded = cls(resolved_map, clusters, network, metrics=root_metrics)
-        # Remember the per-shard recipe so a live split can stamp out a
-        # brand-new shard suite on the same substrate (add_shard).
-        sharded._base_spec = base
-        return sharded
+        return cls(resolved_map, clusters, network, root_metrics, base)
 
     # -- substrate ----------------------------------------------------------
 
@@ -240,13 +227,7 @@ class ShardedDirectory:
 
     def shard_for(self, key: Any) -> int:
         """Owning shard index for ``key`` (no routing counter bump)."""
-        index = self.shard_map.shard_of(key)
-        if not 0 <= index < len(self.clusters):
-            raise ConfigurationError(
-                f"shard map sent {key!r} to shard {index}, "
-                f"but only {len(self.clusters)} shards exist"
-            )
-        return index
+        return self.shard_map.shard_of(key)
 
     def note_routed(self, index: int, n: int = 1) -> None:
         """Record ``n`` operations routed to shard ``index``.
@@ -289,7 +270,7 @@ class ShardedDirectory:
         """The current shard-map epoch (0 until the first reshard)."""
         return self.shard_map.epoch
 
-    def install_map(self, new_map: VersionedShardMap) -> None:
+    def install_map(self, new_map: ShardMap) -> None:
         """Flip routing to the successor epoch (the Resharder's CUTOVER)."""
         if new_map.epoch != self.shard_map.epoch + 1:
             raise ConfigurationError(
@@ -322,28 +303,21 @@ class ShardedDirectory:
         ):
             raise StaleEpochError(current, key=key)
 
-    def begin_split(self, boundary: Any, target: "int | None" = None) -> Any:
+    def begin_split(self, boundary: Any) -> Any:
         """Start migrating ``[boundary, old_high)`` out of the shard that
-        owns ``boundary`` — by default onto a brand-new shard.  Returns
-        the :class:`~repro.shard.reshard.Resharder`; pump its ``step()``
-        with client traffic interleaved."""
-        return self._begin(self.shard_map.split(boundary, target))
-
-    def begin_merge(self, index: int) -> Any:
-        """Start merging the range above boundary ``index`` into the
-        shard below it.  Returns the Resharder (see :meth:`begin_split`)."""
-        return self._begin(self.shard_map.merge(index))
-
-    def _begin(self, new_map: VersionedShardMap) -> Any:
+        owns ``boundary`` onto a brand-new, empty shard, added here.
+        Returns the :class:`~repro.shard.reshard.Resharder`; pump its
+        ``step()`` with client traffic interleaved."""
         from repro.shard.reshard import Resharder
 
         if self.resharder is not None and not self.resharder.done:
             raise ConfigurationError(
                 "a reshard is already in flight; finish or abort it first"
             )
-        resharder = Resharder(self, new_map)
-        self.resharder = resharder
-        return resharder
+        new_map = self.shard_map.split(boundary)
+        self.add_shard()
+        self.resharder = Resharder(self, new_map)
+        return self.resharder
 
     def reshard_status(self) -> dict[str, Any]:
         """Epoch and migration state for ``RESHARD STATUS`` / ``repro top``."""
@@ -361,11 +335,6 @@ class ShardedDirectory:
         """Grow the directory by one empty shard suite on the shared
         substrate (a split's target).  The new shard receives no traffic
         until a successor map routing to it is installed."""
-        if self._base_spec is None:
-            raise ConfigurationError(
-                "this ShardedDirectory was wired by hand; only instances "
-                "built by create() know the per-shard recipe for a new shard"
-            )
         index = len(self.clusters)
         cluster = DirectoryCluster.create(
             self._base_spec.for_shard(
@@ -381,6 +350,17 @@ class ShardedDirectory:
         self.clusters.append(cluster)
         self.routed.append(0)
         return cluster
+
+    def remove_shard(self) -> None:
+        """Take back the shard :meth:`add_shard` added last, and its
+        nodes: an aborted split's target, which no map ever routed to.
+        So the next split's target is new and empty too.  Its metrics
+        stay registered under its ``shard<i>`` scope, which the next
+        shard at that index takes over."""
+        cluster = self.clusters.pop()
+        self.routed.pop()
+        for placement in cluster.suite.placements.values():
+            self.network.remove_node(placement.node_id)
 
     def note_migrated(self, record: Any) -> None:
         """Metrics bump for one completed migration (Resharder calls it)."""
@@ -446,14 +426,6 @@ class ShardedDirectory:
     @property
     def config(self) -> Any:
         return self.clusters[0].config
-
-    @property
-    def metrics(self) -> Any:
-        """The ROOT registry: shard metrics appear under ``shard<i>.``,
-        cross-shard metrics (``shard.routed``, retry counters) unprefixed."""
-        if self._metrics is not None:
-            return self._metrics
-        return self.network.metrics
 
     @property
     def tracer(self) -> Any:

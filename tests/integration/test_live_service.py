@@ -327,12 +327,28 @@ class TestUnroutableMapRefused:
             with pytest.raises(ConfigurationError, match=r"\[0\.5\]"):
                 DirectoryService(d)
 
+    def test_range_map_refusal_is_one_line(self):
+        """What ``serve --shard-map range`` used to print and exit on:
+        the refusal is one line naming the map and its boundaries, so a
+        caller can report it as is."""
+        from repro.core.errors import ConfigurationError
+
+        spec = ClusterSpec(config="1-1-1", seed=3, transport="asyncio")
+        with ShardedDirectory.create(spec, shards=2, shard_map="range") as d:
+            with pytest.raises(ConfigurationError) as refused:
+                DirectoryService(d)
+        (line,) = str(refused.value).splitlines()
+        assert line.startswith(
+            "shard map range[2] splits at [0.5], which do not compare "
+            "with the string keys the wire carries"
+        )
+
     def test_string_boundaries_and_one_shard_are_served(self):
-        from repro.shard.maps import RangeShardMap
+        from repro.shard.maps import ShardMap
 
         spec = ClusterSpec(config="1-1-1", seed=3, transport="asyncio")
         for options in (
-            {"shards": 2, "shard_map": RangeShardMap(["m"])},
+            {"shards": 2, "shard_map": ShardMap.range(["m"])},
             {"shards": 1},  # a range map with no boundary routes anything
         ):
             with ShardedDirectory.create(spec, **options) as d:

@@ -69,7 +69,7 @@ from repro.service.protocol import (
     read_frame_sync,
 )
 from repro.service.server import DirectoryService
-from repro.shard.maps import RangeShardMap
+from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
 
 
@@ -80,7 +80,7 @@ def _directory(**fields):
         **fields,
     )
     return ShardedDirectory.create(
-        spec, shards=2, shard_map=RangeShardMap(["m"])
+        spec, shards=2, shard_map=ShardMap.range(["m"])
     )
 
 

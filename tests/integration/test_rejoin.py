@@ -21,7 +21,7 @@ from repro.repl import (
     divergent_pieces,
     wipe_replica,
 )
-from repro.shard import RangeShardMap, ShardedDirectory
+from repro.shard import ShardMap, ShardedDirectory
 from repro.sim.driver import SimulationSpec, run_simulation
 
 
@@ -318,7 +318,7 @@ class TestRejoinDuringSplit:
         rng = random.Random(f"rejoin-during-{join_during}")
         spec = ClusterSpec(config="3-2-2", seed=7)
         with ShardedDirectory.create(
-            spec, shards=2, shard_map=RangeShardMap(["m"])
+            spec, shards=2, shard_map=ShardMap.range(["m"])
         ) as d:
             model = {}
             for i in range(16):

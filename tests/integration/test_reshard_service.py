@@ -15,7 +15,6 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
-import sys
 import threading
 
 import pytest
@@ -26,7 +25,7 @@ from repro.service import protocol, wire
 from repro.service import server
 from repro.service.client import DirectoryClient, ServiceUnavailableError
 from repro.service.server import DirectoryService
-from repro.shard.maps import RangeShardMap
+from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
 
 
@@ -34,7 +33,7 @@ from repro.shard.sharded import ShardedDirectory
 def service():
     spec = ClusterSpec(config="3-2-2", seed=13, transport="asyncio")
     with ShardedDirectory.create(
-        spec, shards=2, shard_map=RangeShardMap(["m"])
+        spec, shards=2, shard_map=ShardMap.range(["m"])
     ) as d:
         with DirectoryService(d).start() as svc:
             yield svc
@@ -184,111 +183,6 @@ class TestRoutingAtExecution:
             assert c.get("key09") == "late-write"
 
 
-class TestSplitIntoABusyShard:
-    """Pipelined writers into a split's target while the split lands.
-
-    A split aimed at an *existing* shard copies into, and heals, the
-    replicas its target's clients are writing through.  Each phase step
-    and each drain is one loop callback, so the two interleave between
-    steps and never inside one; what this holds, black-box, is that the
-    interleaving loses nothing: every writer's last value survives, the
-    moved range arrives whole, and no lock is left behind.
-    """
-
-    WRITERS = 2
-    BURST = 16
-
-    def test_pipelined_writers_on_the_target_while_a_split_lands(self):
-        spec = ClusterSpec(
-            config="3-2-2", seed=21, transport="asyncio", fanout="parallel"
-        )
-        with ShardedDirectory.create(
-            spec, shards=2, shard_map=RangeShardMap(["m"])
-        ) as d, DirectoryService(d).start() as svc:
-            moved = {f"g{i:02d}": f"v{i}" for i in range(32)}
-            with DirectoryClient(svc.host, svc.port) as c:
-                with c.pipeline() as p:
-                    for key, value in moved.items():
-                        p.set(key, value)
-                    p.set("a-stays", "put")
-
-            models = [{} for _ in range(self.WRITERS)]
-            failures: list = []
-            writing = [threading.Event() for _ in range(self.WRITERS)]
-            stop = threading.Event()
-
-            def writer(w: int) -> None:
-                # Keys >= "m": shard 1 (the split's target) before,
-                # during and after.  SETs and GETs take point locks
-                # only, so nothing here can collide with the moved
-                # range's locks.
-                try:
-                    with DirectoryClient(svc.host, svc.port) as client:
-                        for burst in range(400):
-                            with client.pipeline() as p:
-                                slots = []
-                                for i in range(self.BURST):
-                                    key = f"w{w}k{(burst * 7 + i) % 48:02d}"
-                                    value = f"{burst}.{i}"
-                                    slots.append(p.set(key, value))
-                                    models[w][key] = value
-                            failures.extend(
-                                s.error for s in slots if s.error is not None
-                            )
-                            writing[w].set()
-                            if stop.is_set():
-                                return
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    failures.append(exc)
-                finally:
-                    writing[w].set()
-
-            async def split_onto_shard_1():
-                # What RESHARD SPLIT does, with the one argument the
-                # verb cannot carry: an existing target.
-                resharder = await svc._admin_on_shard(d.begin_split, "g", 1)
-                while not resharder.done:
-                    await svc._admin_on_shard(resharder.step)
-
-            threads = [
-                threading.Thread(target=writer, args=(w,))
-                for w in range(self.WRITERS)
-            ]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-4)
-            try:
-                for thread in threads:
-                    thread.start()
-                for event in writing:
-                    assert event.wait(timeout=30)
-                svc.network.submit(split_onto_shard_1())
-                stop.set()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-            finally:
-                stop.set()
-                sys.setswitchinterval(interval)
-
-            assert failures == []
-            record = d.reshard_log[-1]
-            assert (record.source, record.target) == (0, 1)
-            assert record.moved == len(moved) and record.violations == []
-            auditor = d.make_auditor()
-            auditor.run()
-            auditor.audit_reshard()
-            assert auditor.report.violations == []
-            expected = {"a-stays": "put", **moved}
-            for model in models:
-                expected.update(model)
-            assert d.authoritative_state() == expected
-            assert d.shard_for("g00") == 1 and d.shard_for("a-stays") == 0
-            for cluster in d.clusters:
-                cluster.check_invariants()
-                for rep in cluster.representatives.values():
-                    assert rep.locks.is_idle()
-
-
 class TestSplitWithoutReadQuorum:
     def test_split_is_unavailable_within_the_step_bound_then_succeeds(self):
         """One shard with two of its three replicas down cannot be read,
@@ -298,7 +192,7 @@ class TestSplitWithoutReadQuorum:
         replicas are back the same split runs to DONE."""
         spec = ClusterSpec(config="3-2-2", seed=13, transport="asyncio")
         with ShardedDirectory.create(
-            spec, shards=1, shard_map=RangeShardMap([])
+            spec, shards=1, shard_map=ShardMap.range([])
         ) as d:
             cluster = d.clusters[0]
             begun = []
@@ -450,7 +344,7 @@ class TestRedirectContractOnSimTransport:
     def test_stale_epoch_redirect_and_refresh(self):
         spec = ClusterSpec(config="3-2-2", seed=13)  # simulated network
         with ShardedDirectory.create(
-            spec, shards=2, shard_map=RangeShardMap(["m"])
+            spec, shards=2, shard_map=ShardMap.range(["m"])
         ) as d, DirectoryService(d) as svc:
             for i in range(16):
                 d.insert(f"key{i:02d}", f"v{i}")

@@ -31,7 +31,7 @@ from repro.core.suite import DirectorySuite
 from repro.net.failures import LossEvent, ScriptedLoss
 from repro.service.protocol import encode_command
 from repro.service.server import DirectoryService
-from repro.shard.maps import RangeShardMap
+from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
 from tests.unit.test_batch import _SplitQuorums
 
@@ -47,7 +47,7 @@ def _directory(served, **fields):
         **fields,
     )
     return ShardedDirectory.create(
-        spec, shards=2, shard_map=RangeShardMap(["m"])
+        spec, shards=2, shard_map=ShardMap.range(["m"])
     )
 
 

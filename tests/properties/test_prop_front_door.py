@@ -46,7 +46,7 @@ from repro.core.errors import (
 )
 from repro.service import protocol, server
 from repro.service.protocol import ReplyError, encode_command
-from repro.shard.maps import RangeShardMap
+from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
 
 # -- the reference: the task-per-request front door ---------------------------
@@ -375,7 +375,7 @@ KEYED = {
 
 def _twin(**fields: Any) -> ShardedDirectory:
     spec = ClusterSpec(config="3-2-2", seed=13, **fields)
-    d = ShardedDirectory.create(spec, shards=2, shard_map=RangeShardMap(["m"]))
+    d = ShardedDirectory.create(spec, shards=2, shard_map=ShardMap.range(["m"]))
     for key in PRELOAD:
         d.insert(key, f"v{key}")
     d.begin_split("g").run()  # epoch 0 -> 1: [g, m) moves to shard 2

@@ -26,7 +26,7 @@ from repro.cluster import ClusterSpec
 from repro.service import protocol
 from repro.service.protocol import ReplyError, encode_command
 from repro.service.server import DirectoryService
-from repro.shard.maps import RangeShardMap
+from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
 
 VERBS = sorted(DirectoryService._VERBS) + ["FOO", ""]
@@ -76,7 +76,7 @@ def _served() -> "tuple[ShardedDirectory, DirectoryService]":
     spec = ClusterSpec(
         config="3-2-2", seed=5, transport="asyncio", fanout="parallel"
     )
-    d = ShardedDirectory.create(spec, shards=2, shard_map=RangeShardMap(["m"]))
+    d = ShardedDirectory.create(spec, shards=2, shard_map=ShardMap.range(["m"]))
     return d, DirectoryService(d).start()
 
 

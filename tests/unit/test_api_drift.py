@@ -76,8 +76,7 @@ def test_key_surface_is_exported():
         "DirectoryCluster",
         "ShardedDirectory",
         "ShardMap",
-        "RangeShardMap",
-        "HashShardMap",
+        "ShardMapDelta",
         "ShardAuditor",
         "register_directory",
         "directory_factories",

@@ -92,6 +92,18 @@ class TestRunSimulation:
                 SystemExit,
                 id="serve--pipeline-depth",
             ),
+            *(
+                pytest.param(
+                    functools.partial(
+                        build_parser().parse_args, ["serve", flag, value]
+                    ),
+                    SystemExit,
+                    id=f"serve{flag}",
+                )
+                for flag, value in (
+                    ("--shard-map", "hash"), ("--store", "sorted"),
+                )
+            ),
         ],
     )
     def test_removed_options_are_refused(self, build, refusal):

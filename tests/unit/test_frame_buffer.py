@@ -93,6 +93,15 @@ def _comparable(frames: list) -> list:
     ]
 
 
+def test_an_error_quoting_a_key_with_a_line_break_stays_one_frame():
+    # A DELETE of the absent key "\n0" is answered -NOTFOUND <key>.
+    data = encode_error("NOTFOUND", "\n0\r") + encode_simple("OK")
+    stream = io.BytesIO(data)
+    reply = read_frame_sync(stream)
+    assert (reply.code, reply.detail) == ("NOTFOUND", "\\n0\\r")
+    assert read_frame_sync(stream) == "OK"
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 10_000])
 def test_three_readers_one_answer_however_the_bytes_arrive(chunk):
     data = b"".join(FRAMES) + encode_error("NOTFOUND", "some key")

@@ -10,21 +10,17 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core.errors import ConfigurationError, StaleEpochError
+from repro.core.keys import wrap
 from repro.service.client import DirectoryClient
 from repro.service.server import DirectoryService
-from repro.shard import (
-    RangeShardMap,
-    ReshardController,
-    ShardedDirectory,
-    VersionedShardMap,
-)
+from repro.shard import ReshardController, ShardedDirectory, ShardMap
 
 
 def make_directory(boundaries=("m",), seed=7, config="3-2-2"):
     return ShardedDirectory.create(
         ClusterSpec(config=config, seed=seed),
         shards=len(boundaries) + 1,
-        shard_map=RangeShardMap(list(boundaries)),
+        shard_map=ShardMap.range(list(boundaries)),
     )
 
 
@@ -92,7 +88,7 @@ class TestResharderPhases:
             model = seeded(d)
             d.begin_split("key08").run()
             record = d.reshard_log[-1]
-            assert (record.low, record.high) == ("key08", "m")
+            assert (record.delta.low, record.delta.high) == ("key08", "m")
             assert record.moved == 8  # key08..key15
             assert record.violations == []
             for key, value in model.items():
@@ -204,7 +200,7 @@ class TestWritesDuringMigration:
     def _wire(self):
         spec = ClusterSpec(config="3-2-2", seed=7, transport="asyncio")
         with ShardedDirectory.create(
-            spec, shards=2, shard_map=RangeShardMap(["m"])
+            spec, shards=2, shard_map=ShardMap.range(["m"])
         ) as d, DirectoryService(d).start() as svc, DirectoryClient(
             svc.host, svc.port
         ) as client:
@@ -334,7 +330,7 @@ class TestFinalStateOracle:
             d.begin_split("key08").run()
             record = d.reshard_log[-1]
             # Sabotage: resurrect a moved key on its old owner.
-            d.clusters[record.source].suite.insert("key09x", "ghost")
+            d.clusters[record.delta.source].suite.insert("key09x", "ghost")
             auditor = d.make_auditor()
             auditor.audit_reshard()
             assert any(
@@ -343,7 +339,79 @@ class TestFinalStateOracle:
             )
 
 
+    def test_audit_reshard_catches_a_target_version_below_the_copy(self):
+        # One replica holds the whole target suite, so lowering its
+        # copied entry lowers the best version any target replica has.
+        with make_directory(config="1-1-1") as d:
+            seeded(d)
+            d.begin_split("key08").run()
+            record = d.reshard_log[-1]
+            copied = record.copied["key09"]
+            (rep,) = d.clusters[record.delta.target].representatives.values()
+            rep.store.insert(wrap("key09"), copied - 1, "v9")
+            auditor = d.make_auditor()
+            auditor.audit_reshard()
+            assert [
+                (v.key, v.detail) for v in auditor.report.violations
+            ] == [
+                (
+                    "key09",
+                    f"target fact version {copied - 1} regressed below "
+                    f"copy-time version {copied}",
+                )
+            ]
+
+    def test_audit_reshard_catches_an_orphan_outside_any_moved_range(self):
+        with make_directory() as d:
+            seeded(d)
+            d.begin_split("key08").run()
+            # "a0" routes to shard 0 at every epoch; plant it on shard 2.
+            d.clusters[2].suite.insert("a0", "orphan")
+            auditor = d.make_auditor()
+            auditor.audit_reshard()
+            assert [
+                (v.replica, v.key, v.detail) for v in auditor.report.violations
+            ] == [
+                (
+                    "s2",
+                    "a0",
+                    "authoritative on shard 2 but epoch 1 routes it to "
+                    "shard 0",
+                )
+            ]
+
+
 class TestAbortAndClose:
+    def test_an_aborted_split_takes_its_shard_with_it(self):
+        """A split aborted after its COPY filled the new shard: the shard
+        goes, so the next split's target is new and empty, and nothing
+        the aborted copy left can turn up as authoritative anywhere."""
+        with make_directory() as d:
+            model = {key: key for key in ("a", "h1", "h2", "k", "q")}
+            for key, value in model.items():
+                d.insert(key, value)
+            auditor = d.make_auditor()
+            first = d.begin_split("g")
+            first.step()  # COPY: the new shard 2 holds h1, h2 and k
+            assert first.phase == "cutover"
+            filled = d.clusters[first.target]
+            assert filled.suite.authoritative_state() == {
+                "h1": "h1", "h2": "h2", "k": "k"
+            }
+            auditor.run()  # adopts the filled shard...
+            first.abort()
+            assert len(d.clusters) == 2 and d.routed == [4, 1]
+            second = d.begin_split("p").run()
+            assert second.target == 2
+            assert d.clusters[2] is not filled
+            assert d.clusters[2].suite.authoritative_state() == {"q": "q"}
+            assert d.authoritative_state() == model
+            auditor.run()  # ...and audits its successor, not it
+            assert [a.cluster for a in auditor.auditors] == d.clusters
+            auditor.audit_reshard()
+            assert auditor.report.violations == []
+            assert_audits_clean(d)
+
     def test_abort_mid_copy_leaves_old_epoch_authoritative(self):
         with make_directory() as d:
             model = seeded(d)
@@ -393,7 +461,7 @@ class TestAbortAndClose:
         d = ShardedDirectory.create(
             ClusterSpec(config="1-1-1", seed=7, transport="asyncio"),
             shards=2,
-            shard_map=RangeShardMap(["m"]),
+            shard_map=ShardMap.range(["m"]),
         )
         seeded(d, n=8)
         d.begin_split("key04").run()  # 3 suites after the split
@@ -427,7 +495,7 @@ class TestReshardController:
     def test_auto_splits_hot_shard_under_skew(self):
         spec = ClusterSpec(config="3-2-2", seed=11)
         with ShardedDirectory.create(
-            spec, shards=4, shard_map=RangeShardMap.uniform(4)
+            spec, shards=4, shard_map=ShardMap.uniform(4)
         ) as d:
             controller = ReshardController(
                 d, hot_factor=2.0, max_splits=1, window=500.0
@@ -446,13 +514,13 @@ class TestReshardController:
             controller.finish()
             assert d.epoch == 1
             assert len(d.reshard_log) == 1
-            assert d.reshard_log[0].source == 0
+            assert d.reshard_log[0].delta.source == 0
             assert_audits_clean(d)
 
     def test_max_splits_bounds_the_controller(self):
         spec = ClusterSpec(config="1-1-1", seed=3)
         with ShardedDirectory.create(
-            spec, shards=2, shard_map=RangeShardMap.uniform(2)
+            spec, shards=2, shard_map=ShardMap.uniform(2)
         ) as d:
             controller = ReshardController(
                 d, hot_factor=1.5, max_splits=0, window=500.0
@@ -471,9 +539,9 @@ class TestReshardController:
                 ReshardController(d, hot_factor=1.0)
 
     def test_single_epoch_wrap_is_free(self):
-        # A never-resharded directory: plain maps wrap at epoch 0.
+        # A never-resharded directory: its map is at epoch 0.
         with make_directory() as d:
-            assert isinstance(d.shard_map, VersionedShardMap)
+            assert isinstance(d.shard_map, ShardMap)
             assert d.epoch == 0
             assert d.resharder is None
             seeded(d, n=4)

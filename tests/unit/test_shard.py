@@ -16,21 +16,16 @@ from repro.core.errors import (
 from repro.core.quorum import StickyQuorumPolicy
 from repro.net.network import Network, uniform_latency
 from repro.obs.metrics import MetricsRegistry
-from repro.shard import (
-    HashShardMap,
-    RangeShardMap,
-    ShardMap,
-    ShardedDirectory,
-    VersionedShardMap,
-    resolve_shard_map,
-)
+from repro.shard import ShardMap, ShardedDirectory, resolve_shard_map
 
 # -- shard maps -----------------------------------------------------------------
 
 
 class TestRangeShardMap:
+    """The range form: :meth:`ShardMap.range` and :meth:`ShardMap.uniform`."""
+
     def test_routing_by_boundaries(self):
-        m = RangeShardMap([0.25, 0.5, 0.75])
+        m = ShardMap.range([0.25, 0.5, 0.75])
         assert m.shards == 4
         assert m.shard_of(0.0) == 0
         assert m.shard_of(0.24) == 0
@@ -39,7 +34,7 @@ class TestRangeShardMap:
         assert m.shard_of(0.99) == 3
 
     def test_uniform_split_covers_evenly(self):
-        m = RangeShardMap.uniform(8)
+        m = ShardMap.uniform(8)
         counts = [0] * 8
         rng = random.Random(0)
         for _ in range(8000):
@@ -48,54 +43,59 @@ class TestRangeShardMap:
         assert min(counts) > 800  # each ~1000, uniform keys
 
     def test_single_shard_owns_everything(self):
-        m = RangeShardMap.uniform(1)
+        m = ShardMap.uniform(1)
         assert m.shards == 1
         assert m.shard_of(0.0) == m.shard_of(0.999) == 0
 
     def test_boundaries_must_increase(self):
         with pytest.raises(ConfigurationError):
-            RangeShardMap([0.5, 0.5])
+            ShardMap.range([0.5, 0.5])
         with pytest.raises(ConfigurationError):
-            RangeShardMap([0.7, 0.2])
+            ShardMap.range([0.7, 0.2])
 
     def test_duplicate_boundary_names_the_offender(self):
         with pytest.raises(
             ConfigurationError,
             match=r"duplicate range boundary 'm' at positions 1 and 2",
         ):
-            RangeShardMap(["f", "m", "m", "t"])
+            ShardMap.range(["f", "m", "m", "t"])
 
     def test_empty_string_boundary_rejected(self):
         with pytest.raises(
             ConfigurationError, match=r"boundary 1 is the empty string"
         ):
-            RangeShardMap(["a", ""])
+            ShardMap.range(["a", ""])
 
     def test_non_increasing_message_names_both_boundaries(self):
         with pytest.raises(
             ConfigurationError,
             match=r"boundary 'b' at position 1 does not sort above 'q'",
         ):
-            RangeShardMap(["q", "b"])
+            ShardMap.range(["q", "b"])
 
     def test_uniform_validation(self):
         with pytest.raises(ConfigurationError):
-            RangeShardMap.uniform(0)
+            ShardMap.uniform(0)
         with pytest.raises(ConfigurationError):
-            RangeShardMap.uniform(4, low=1.0, high=1.0)
+            ShardMap.uniform(4, low=1.0, high=1.0)
 
     def test_is_a_shard_map(self):
-        assert isinstance(RangeShardMap.uniform(2), ShardMap)
+        m = ShardMap.uniform(2)
+        assert isinstance(m, ShardMap)
+        assert m.describe() == "range[2]"
+        assert (m.boundaries, m.owners) == ((0.5,), (0, 1))
 
 
 class TestHashShardMap:
+    """The hash form: :meth:`ShardMap.hash`."""
+
     def test_stable_across_instances(self):
-        a, b = HashShardMap(8), HashShardMap(8)
+        a, b = ShardMap.hash(8), ShardMap.hash(8)
         keys = [random.Random(1).random() for _ in range(200)]
         assert [a.shard_of(k) for k in keys] == [b.shard_of(k) for k in keys]
 
     def test_in_range_and_spread(self):
-        m = HashShardMap(8)
+        m = ShardMap.hash(8)
         rng = random.Random(2)
         counts = [0] * 8
         for _ in range(8000):
@@ -106,12 +106,12 @@ class TestHashShardMap:
     def test_spreads_skewed_keys_where_range_does_not(self):
         # Keys concentrated near 0.0: a range split piles onto shard 0,
         # the hash split stays balanced.  This asymmetry is the reason
-        # HashShardMap exists.
+        # the hash form exists.
         rng = random.Random(3)
         keys = [rng.random() ** 4 for _ in range(4000)]
         range_counts = [0] * 8
         hash_counts = [0] * 8
-        rmap, hmap = RangeShardMap.uniform(8), HashShardMap(8)
+        rmap, hmap = ShardMap.uniform(8), ShardMap.hash(8)
         for k in keys:
             range_counts[rmap.shard_of(k)] += 1
             hash_counts[hmap.shard_of(k)] += 1
@@ -120,42 +120,49 @@ class TestHashShardMap:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            HashShardMap(0)
+            ShardMap.hash(0)
 
     def test_is_a_shard_map(self):
-        assert isinstance(HashShardMap(2), ShardMap)
+        m = ShardMap.hash(2)
+        assert isinstance(m, ShardMap)
+        assert (m.boundaries, m.owners, m.epoch, m.delta) == (
+            None, None, 0, None
+        )
 
     def test_describe_names_bucket_count(self):
         # ``hash[n]`` is the documented literal form; reports and BENCH
         # documents key on it.
-        assert HashShardMap(8).describe() == "hash[8]"
-        assert HashShardMap(1).describe() == "hash[1]"
+        assert ShardMap.hash(8).describe() == "hash[8]"
+        assert ShardMap.hash(1).describe() == "hash[1]"
 
 
 class TestVersionedShardMap:
-    def test_wrap_starts_at_epoch_zero_and_routes_identically(self):
-        base = RangeShardMap(["g", "p"])
-        v = VersionedShardMap.wrap(base)
-        assert v.epoch == 0
-        assert v.delta is None
-        assert v.describe() == base.describe()
-        for key in ["a", "g", "h", "p", "z"]:
-            assert v.shard_of(key) == base.shard_of(key)
-        assert isinstance(v, ShardMap)
+    """Epochs: :meth:`ShardMap.split` and the delta it carries."""
 
-    def test_wrap_is_idempotent(self):
-        v = VersionedShardMap.wrap(RangeShardMap(["m"]))
-        assert VersionedShardMap.wrap(v) is v
+    def test_starts_at_epoch_zero(self):
+        m = ShardMap.range(["g", "p"])
+        assert m.epoch == 0
+        assert m.delta is None
+        assert m.describe() == "range[3]"
+        assert [m.shard_of(k) for k in ["a", "g", "h", "p", "z"]] == [
+            0, 1, 1, 2, 2
+        ]
+
+    def test_is_an_immutable_value(self):
+        m = ShardMap.range(["m"])
+        assert m == ShardMap.range(["m"]) and m != ShardMap.hash(2)
+        with pytest.raises(AttributeError):
+            m.epoch = 1
 
     def test_split_bumps_epoch_and_names_the_moved_range(self):
-        v = VersionedShardMap.wrap(RangeShardMap(["g", "p"]))
+        v = ShardMap.range(["g", "p"])
         succ = v.split("c")
         assert succ.epoch == 1
         assert succ.shards == v.shards + 1
         delta = succ.delta
-        assert delta.kind == "split"
+        assert delta.epoch == 1
         assert delta.source == 0
-        assert delta.target == v.shards  # default: a brand-new shard
+        assert delta.target == v.shards  # always a brand-new shard
         assert (delta.low, delta.high) == ("c", "g")
         # Only keys inside the delta's range change owner.
         assert succ.shard_of("a") == 0
@@ -165,67 +172,42 @@ class TestVersionedShardMap:
         assert v.epoch == 0  # the predecessor is immutable
 
     def test_split_of_last_range_has_open_high_end(self):
-        succ = VersionedShardMap.wrap(RangeShardMap(["g"])).split("t")
+        succ = ShardMap.range(["g"]).split("t")
         assert succ.delta.source == 1
         assert (succ.delta.low, succ.delta.high) == ("t", None)
         assert succ.delta.covers("zzz")
         assert not succ.delta.covers("s")
 
-    def test_split_to_existing_target_shard(self):
-        v = VersionedShardMap.wrap(RangeShardMap(["g", "p"]))
-        succ = v.split("c", target=2)
-        assert succ.shards == v.shards  # no new shard
-        assert succ.shard_of("d") == 2
-
     def test_split_rejects_existing_boundary_and_bad_target(self):
-        v = VersionedShardMap.wrap(RangeShardMap(["g", "p"]))
+        v = ShardMap.range(["g", "p"])
         with pytest.raises(ConfigurationError):
             v.split("g")
         with pytest.raises(ConfigurationError):
-            v.split("c", target=7)
-        with pytest.raises(ConfigurationError):
-            v.split("c", target=0)  # target == source moves nothing
-
-    def test_merge_bumps_epoch_and_reassigns_range(self):
-        v = VersionedShardMap.wrap(RangeShardMap(["g", "p"]))
-        succ = v.merge(1)
-        assert succ.epoch == 1
-        delta = succ.delta
-        assert delta.kind == "merge"
-        assert (delta.source, delta.target) == (2, 1)
-        assert (delta.low, delta.high) == ("p", None)
-        assert succ.shard_of("z") == 1
-
-    def test_merge_rejects_out_of_range_and_same_owner(self):
-        v = VersionedShardMap.wrap(RangeShardMap(["g", "p"]))
-        with pytest.raises(ConfigurationError):
-            v.merge(2)
-        # A merge whose two sides already share an owner would copy a
-        # range onto itself and then drain-delete it — data loss.
-        same = VersionedShardMap(boundaries=["m"], owners=[0, 0], shards=1)
-        with pytest.raises(ConfigurationError):
-            same.merge(0)
-        folded = v.merge(1).merge(0)
-        assert folded.epoch == 2
-        assert folded.shard_of("z") == 0
+            v.split("c").split("c")
+        # Every target is a bad one: a split lands on a new shard only.
+        with pytest.raises(TypeError):
+            v.split("c", target=2)
+        with pytest.raises(TypeError):
+            v.split("c", 2)
 
     def test_epochs_chain_through_repeated_splits(self):
-        v = VersionedShardMap.wrap(RangeShardMap.uniform(2))
+        v = ShardMap.uniform(2)
         a = v.split(0.25)
         b = a.split(0.75)
         assert (v.epoch, a.epoch, b.epoch) == (0, 1, 2)
         assert "e2" in b.describe()
         assert b.shards == 4
+        assert (a.delta.target, b.delta.target) == (2, 3)
 
     def test_delegate_maps_split_is_rejected(self):
-        v = VersionedShardMap.wrap(HashShardMap(4))
+        # A hash map has no contiguous ranges to move.
+        v = ShardMap.hash(4)
         assert v.epoch == 0
-        assert v.shard_of("k") == HashShardMap(4).shard_of("k")
         with pytest.raises(ConfigurationError):
             v.split("m")
 
     def test_ranges_tile_the_key_space(self):
-        succ = VersionedShardMap.wrap(RangeShardMap(["g", "p"])).split("c")
+        succ = ShardMap.range(["g", "p"]).split("c")
         ranges = succ.ranges()
         assert ranges[0][0] is None and ranges[-1][1] is None
         for (_, high, _), (low, _, _) in zip(ranges, ranges[1:]):
@@ -234,12 +216,12 @@ class TestVersionedShardMap:
 
 class TestResolveShardMap:
     def test_names(self):
-        assert isinstance(resolve_shard_map("range", 4), RangeShardMap)
-        assert isinstance(resolve_shard_map("hash", 4), HashShardMap)
+        assert resolve_shard_map("range", 4) == ShardMap.uniform(4)
+        assert resolve_shard_map("hash", 4) == ShardMap.hash(4)
         assert resolve_shard_map("range", None).shards == 4  # default
 
     def test_instance_passthrough_and_mismatch(self):
-        m = HashShardMap(8)
+        m = ShardMap.hash(8)
         assert resolve_shard_map(m, 8) is m
         assert resolve_shard_map(m, None) is m
         with pytest.raises(ConfigurationError):
@@ -452,25 +434,6 @@ class TestShardedDirectory:
         # Every batch kind is a wave kind, upsert and discard included.
         outcomes = sd.execute_wave([("upsert", 0.1, "x"), ("discard", 0.9)])
         assert [o.value for o in outcomes] == [None, 0]
-
-    def test_mismatched_map_and_clusters_rejected(self):
-        net = Network()
-        spec = ClusterSpec(seed=0)
-        clusters = [
-            DirectoryCluster.create(
-                spec.for_shard(i, net, net.metrics.scoped(f"shard{i}"))
-            )
-            for i in range(2)
-        ]
-        with pytest.raises(ConfigurationError):
-            ShardedDirectory(RangeShardMap.uniform(3), clusters, net)
-
-    def test_foreign_network_rejected(self):
-        sd = ShardedDirectory.create(ClusterSpec(config="3-2-2", seed=0), shards=2)
-        with pytest.raises(ConfigurationError):
-            ShardedDirectory(
-                RangeShardMap.uniform(2), sd.clusters, Network()
-            )
 
     def test_spec_plus_keywords_rejected(self):
         with pytest.raises(TypeError):
