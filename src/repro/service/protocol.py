@@ -15,22 +15,27 @@ arguments); replies are any of the above.  The front door
 (:mod:`repro.service.server`) carries plain strings in them, so a
 session really does look like talking to a tiny redis.
 
-Encoders return ``bytes`` to hand to a transport.  There is one
-decoder, :func:`read_frame`, a coroutine written against the two reads
-of an :class:`asyncio.StreamReader` (``readline``, ``readexactly``), and
-three thin readers to run it over: the stream reader itself (the asyncio
-clients), a blocking binary file (:func:`read_frame_sync`), and bytes
-already received (:class:`FrameBuffer`, what the front door's
-connections parse from).  Only the first ever suspends; over the other
-two the coroutine is stepped once and finishes inside that step.  All
-return the same Python shapes: ``list`` for arrays, ``str`` for
+Encoders return ``bytes`` to hand to a transport.  There are two
+decoders of the one grammar.  :func:`read_frame` is a coroutine written
+against the two reads of an :class:`asyncio.StreamReader` (``readline``,
+``readexactly``); the asyncio clients run it over the stream reader
+itself, and :func:`read_frame_sync` over a blocking binary file, where
+it never suspends and is stepped once.  :class:`FrameBuffer` is what the
+front door's connections decode from: bytes already received, read
+synchronously in one pass, nesting kept on an explicit stack, and a
+frame that straddles deliveries resumed where it stopped — it also says
+whether the frame is a command array, so the server need not walk it.
+Both return the same Python shapes: ``list`` for arrays, ``str`` for
 bulk/simple strings, ``None`` for null, ``int`` for integers, and
 :class:`ReplyError` *instances* (returned, not raised — the caller
 decides) for error replies.  Anything a peer can get wrong — an unknown
 type byte, a length that is not a number, bytes that are not UTF-8, a
 line past the reader's limit — raises :class:`ProtocolError` and
-nothing else; the connection's framing is lost at that point, so
-servers answer once and hang up.
+nothing else, with the same message from either decoder; the
+connection's framing is lost at that point, so servers answer once and
+hang up.  ``tests/properties/test_prop_frame_decoders.py`` holds the two
+decoders equal, read for read, over random bytes cut into random
+deliveries.
 """
 
 from __future__ import annotations
@@ -271,25 +276,37 @@ class IncompleteFrame(Exception):
 
 
 class FrameBuffer:
-    """The two reads :func:`_parse` awaits, over bytes already received.
+    """Bytes a socket delivered, decoded one frame at a time, never blocking.
 
     ``feed`` appends what a socket delivered; :meth:`read_frame` takes
-    one frame off the front.  Neither coroutine ever suspends: a read
-    past the end of the buffer raises :class:`IncompleteFrame` instead,
-    and :meth:`read_frame` leaves the buffer where the frame began, so a
-    frame that straddles two deliveries is parsed again from its start
-    once more bytes are in.  Once ``eof`` is set the buffer reads like a
-    file at end-of-file: a short line is returned as it is and a short
-    bulk is the peer closing mid-frame.
+    one frame off the front.  It decodes what :func:`read_frame` decodes,
+    value for value and error for error, but synchronously and in one
+    pass: nested arrays are an explicit stack, not recursion, so no
+    depth is too deep, and a frame whose last byte has not arrived
+    raises :class:`IncompleteFrame` and is resumed where it stopped once
+    more bytes are in — its open arrays and its offset are kept — so a
+    frame trickled in over many deliveries costs one pass, not one per
+    delivery.  Its bytes stay buffered until it completes, so the
+    unconsumed part of the buffer is what it would be had the frame been
+    parsed again from its start.  Once ``eof`` is set the buffer reads
+    like a file at end-of-file: a short line is taken as it is (and is
+    unterminated) and a short bulk is the peer closing mid-frame.
     """
 
-    __slots__ = ("_data", "_pos", "eof")
+    __slots__ = ("_data", "_pos", "_partial", "eof", "command")
 
     def __init__(self) -> None:
         self._data = bytearray()
+        #: Where the next frame, or the one in progress, begins.
         self._pos = 0
+        #: Where the frame in progress stopped, offsets relative to
+        #: ``_pos`` (see :meth:`read_frame`).
+        self._partial: "tuple[Any, ...] | None" = None
         #: Set by the owner when the peer has sent its last byte.
         self.eof = False
+        #: Whether the frame last returned is a command array: a
+        #: non-empty array whose every element is a string.
+        self.command = False
 
     def feed(self, data: bytes) -> None:
         if self._pos:
@@ -297,47 +314,133 @@ class FrameBuffer:
             self._pos = 0
         self._data += data
 
-    async def readline(self) -> bytes:
-        start = self._pos
-        newline = self._data.find(b"\n", start)
-        if newline < 0:
-            if len(self._data) - start > LINE_LIMIT:
-                raise ValueError(
-                    "Separator is not found, and chunk exceed the limit"
-                )
-            if not self.eof:
-                raise IncompleteFrame
-            newline = len(self._data) - 1
-        elif newline - start > LINE_LIMIT:
-            raise ValueError(
-                "Separator is found, but chunk is longer than limit"
-            )
-        self._pos = newline + 1
-        return bytes(self._data[start : self._pos])
-
-    async def readexactly(self, n: int) -> bytes:
-        start, end = self._pos, self._pos + n
-        if end > len(self._data):
-            if self.eof:
-                raise ConnectionError("peer closed mid-bulk")
-            raise IncompleteFrame
-        self._pos = end
-        return bytes(self._data[start:end])
-
     def read_frame(self) -> Any:
-        """:func:`read_frame` over the buffer, without blocking.
+        """Take one frame off the buffer, as :func:`read_frame` reads it.
 
-        Raises :class:`IncompleteFrame` (buffer untouched) when the
+        Raises :class:`IncompleteFrame` (nothing consumed) when the
         frame's last byte has not arrived, ``ConnectionError`` at a
-        clean end-of-file, :class:`ProtocolError` as the decoder does.
+        clean end-of-file, :class:`ProtocolError` as :func:`read_frame`
+        does; after an error the buffer has consumed what that decoder's
+        reads would have.  Sets :attr:`command`.
         """
-        start = self._pos
-        if start == len(self._data) and not self.eof:
-            raise IncompleteFrame  # every burst ends here: skip the parse
+        data, pos = self._data, self._pos
+        size = len(data)
+        if self._partial is None:
+            # The next line starts at scan, and holds no "\n" before
+            # seen; bulk is the length of a bulk whose bytes start at
+            # scan; items is the innermost open array, with left
+            # elements to go, and outer holds the arrays around it.
+            scan = seen = pos
+            bulk = items = None
+            left, outer, command = 0, [], False
+        else:
+            scan, seen, bulk, items, left, outer, command = self._partial
+            self._partial = None
+            scan += pos
+            seen += pos
         try:
-            read_frame(self).send(None)
-        except StopIteration as done:
-            return done.value
-        except IncompleteFrame:
-            self._pos = start
+            while True:
+                if bulk is None:
+                    nl = data.find(b"\n", seen)
+                    if nl < 0:
+                        if size - scan > LINE_LIMIT:
+                            raise ValueError(
+                                "Separator is not found, and chunk exceed "
+                                "the limit"
+                            )
+                        if not self.eof:
+                            self._partial = (
+                                scan - pos, size - pos, None, items, left,
+                                outer, command,
+                            )
+                            raise IncompleteFrame
+                        start, scan = scan, size
+                        if start == size:
+                            raise ConnectionError(
+                                "peer closed the connection"
+                                if items is None
+                                else "peer closed mid-array"
+                            )
+                        raise _unterminated(data[start:size])
+                    if nl - scan > LINE_LIMIT:
+                        raise ValueError(
+                            "Separator is found, but chunk is longer than "
+                            "limit"
+                        )
+                    start = scan
+                    scan = seen = nl + 1
+                    if nl == start or data[nl - 1] != 13:  # no "\r\n"
+                        raise _unterminated(data[start:scan])
+                    kind, body = data[start], data[start + 1 : nl - 1]
+                    if kind == 36:  # "$"
+                        bulk = int(body)
+                        if bulk == -1:
+                            bulk = value = None
+                            plain = False
+                        elif not 0 <= bulk <= MAX_FRAME:
+                            raise ProtocolError(
+                                f"bulk length out of range: {bulk}"
+                            )
+                    elif kind == 42:  # "*"
+                        n = int(body)
+                        if not 0 <= n <= MAX_FRAME:
+                            raise ProtocolError(
+                                f"array length out of range: {n}"
+                            )
+                        if n:
+                            if items is None:
+                                command = True  # until a non-string
+                            else:
+                                outer.append((items, left))
+                            items, left = [], n
+                            continue
+                        value, plain = [], False
+                    elif kind == 43:  # "+"
+                        value, plain = body.decode(), True
+                    elif kind == 45:  # "-"
+                        code, _, detail = body.decode().partition(" ")
+                        value, plain = ReplyError(code, detail), False
+                    elif kind == 58:  # ":"
+                        value, plain = int(body), False
+                    else:
+                        kind = bytes(data[start : start + 1])
+                        raise ProtocolError(f"unknown frame type {kind!r}")
+                if bulk is not None:
+                    end = scan + bulk
+                    if end + 2 > size:
+                        if self.eof:
+                            raise ConnectionError("peer closed mid-bulk")
+                        self._partial = (
+                            scan - pos, scan - pos, bulk, items, left,
+                            outer, command,
+                        )
+                        raise IncompleteFrame
+                    start, bulk = scan, None
+                    scan = seen = end + 2  # the terminator is not checked
+                    value, plain = data[start:end].decode(), True
+                # Place the value, closing every array it completes.
+                while items is not None:
+                    if not (plain or outer):
+                        command = False
+                    items.append(value)
+                    left -= 1
+                    if left:
+                        break
+                    value, plain = items, False
+                    items, left = outer.pop() if outer else (None, 0)
+                if items is None:
+                    self._pos = scan
+                    self.command = command
+                    return value
+        except ValueError as exc:
+            # int() on a bad length, bytes that are not UTF-8, or the
+            # line limit: the peer's doing, all of them.
+            self._pos = scan
+            raise ProtocolError(f"malformed frame: {exc}") from None
+        except (ProtocolError, ConnectionError):
+            self._pos = scan
             raise
+
+
+def _unterminated(line: bytearray) -> ProtocolError:
+    return ProtocolError(f"unterminated frame line: {bytes(line[:64])!r}")

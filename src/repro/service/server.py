@@ -633,7 +633,9 @@ class _Connection(asyncio.Protocol):
                 reply = protocol.encode_error("ERR", f"protocol {exc}")
                 owed.append(_WaveItem(self._flush, reply=reply))
             else:
-                owed.append(service._request(frame, self._flush))
+                owed.append(
+                    service._request(frame, self._flush, self.buffer.command)
+                )
                 if service._refills:
                     service._refilled()
         reading = len(owed) < self.depth and not self._finished
@@ -777,15 +779,17 @@ class DirectoryService:
 
     # -- the serving path ----------------------------------------------------
 
-    def _request(self, frame: Any, link: Any) -> _WaveItem:
+    def _request(
+        self, frame: Any, link: Any, is_command: bool
+    ) -> _WaveItem:
         """Take one request frame for ``link`` and return its reply slot:
         answered at once if malformed or misrouted, queued (no task) for
-        the next :meth:`_drain` if keyed, run as a task if admin."""
-        if (
-            not isinstance(frame, list)
-            or not frame
-            or not all(isinstance(p, str) for p in frame)
-        ):
+        the next :meth:`_drain` if keyed, run as a task if admin.
+
+        ``is_command`` says whether ``frame`` is a command array (a
+        non-empty list of strings): the socket's decoder knows it, and
+        :meth:`_dispatch` works it out."""
+        if not is_command:
             reply = protocol.encode_error("ERR", "expected a command array")
             return _WaveItem(link, reply=reply)
         self._ops.inc()
@@ -794,9 +798,12 @@ class DirectoryService:
             # Trailing @-metadata (trace id, client epoch) is stripped
             # before arity checks; unknown or malformed fields are
             # ignored, never errors.
-            parts, trace, epoch = protocol.split_meta(frame)
-            if not parts:
-                raise _Usage("expected a command array")
+            if frame[-1][:1] == "@":
+                parts, trace, epoch = protocol.split_meta(frame)
+                if not parts:
+                    raise _Usage("expected a command array")
+            else:
+                parts, trace, epoch = frame, None, None
             command, args = parts[0].upper(), parts[1:]
             row = self._VERBS.get(command)
             if row is None:
@@ -843,8 +850,15 @@ class DirectoryService:
         """:meth:`_request`, awaited: a front door over a simulated
         directory, or a test placing ops between callbacks, calls this."""
         fut = asyncio.get_running_loop().create_future()
+        is_command = (
+            isinstance(frame, list)
+            and bool(frame)
+            and all(isinstance(p, str) for p in frame)
+        )
         # ``fut`` is done early only if the awaiting task was cancelled.
-        item = self._request(frame, lambda: fut.done() or fut.set_result(0))
+        item = self._request(
+            frame, lambda: fut.done() or fut.set_result(0), is_command
+        )
         if item.reply is None:
             await fut
         return item.reply

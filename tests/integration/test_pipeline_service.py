@@ -57,7 +57,7 @@ from repro.cluster import ClusterSpec
 from repro.core.batch import _single
 from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
 from repro.core.quorum import PreferredQuorumPolicy
-from repro.service import server
+from repro.service import protocol, server
 from repro.service.client import (
     AsyncDirectoryClient,
     DirectoryClient,
@@ -927,6 +927,54 @@ def _ping(address) -> str:
         sock.sendall(encode_command("PING"))
         with sock.makefile("rb") as stream:
             return read_frame_sync(stream)
+
+
+class TestOnePassDecoding:
+    """The front door decodes its sockets in one synchronous pass."""
+
+    @pytest.mark.parametrize("depth", [100, 5000])
+    def test_any_depth_of_nesting_is_answered(self, service, caplog, depth):
+        # A nested array is no command; past the interpreter's recursion
+        # limit it used to drop the connection with no reply at all.
+        address = (service.host, service.port)
+        nested = b"*1\r\n" * depth + b":1\r\n"
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(nested + encode_command("PING"))
+                sock.shutdown(socket.SHUT_WR)
+                with sock.makefile("rb") as stream:
+                    received = stream.read()
+            assert received == (
+                encode_error("ERR", "expected a command array") + b"+PONG\r\n"
+            )
+            assert _ping(address) == "PONG"  # the next connection is served
+        assert not caplog.records, caplog.text
+
+    def test_no_coroutine_decodes_a_request(self, service, monkeypatch):
+        """With the coroutine decoder disabled, a pipelined burst written
+        in pieces is still answered in full: the server never steps it."""
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("the front door stepped the coroutine decoder")
+
+        burst = b"".join(
+            encode_command("SET", f"c{i}", f"v{i}") for i in range(10)
+        ) + b"".join(
+            encode_command("GET", f"c{i}", "@trace=t") for i in range(10)
+        )
+        monkeypatch.setattr(protocol, "_parse", disabled)
+        monkeypatch.setattr(protocol, "read_frame", disabled)
+        with socket.create_connection((service.host, service.port)) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for start in range(0, len(burst), 37):
+                sock.sendall(burst[start : start + 37])
+                time.sleep(0.001)
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as stream:
+                received = stream.read()
+        assert received == b"+OK\r\n" * 10 + b"".join(
+            b"$2\r\nv%d\r\n" % i for i in range(10)
+        )
 
 
 class TestMalformedFrames:

@@ -19,13 +19,18 @@ whose answers do not depend on timing (``PING``, ``SHARDS``,
 around it (see ``repro.service.server``), so it is only ever sent alone,
 to a quiescent directory.  The bursts run through ``_dispatch`` on a
 simulated directory and over real sockets on the asyncio transport,
-pipelined in one write and one request at a time.
+pipelined in one write, pipelined in pieces cut at random byte offsets
+(so frames straddle deliveries), and one request at a time.  The
+reference door decodes its socket with the buffer the front door had
+then (``stepped_framing``), so the socket runs referee the one-pass
+decoder too.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
@@ -48,6 +53,7 @@ from repro.service import protocol, server
 from repro.service.protocol import ReplyError, encode_command
 from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
+from tests.properties.stepped_framing import SteppedFrameBuffer
 
 # -- the reference: the task-per-request front door ---------------------------
 
@@ -131,7 +137,7 @@ class _ReferenceConnection(asyncio.Protocol):
         self.service = service
         self.depth = server._PIPELINE_DEPTH
         self.transport: Any = None
-        self.buffer = protocol.FrameBuffer()
+        self.buffer = SteppedFrameBuffer()
         self._owed: "deque[asyncio.Future]" = deque()
         self._reading = True
         self._writable = True
@@ -502,6 +508,21 @@ def _pipelined(address: Any, burst: Any) -> bytes:
         return _recv_all(sock)
 
 
+def _in_pieces(address: Any, burst_and_cuts: Any) -> bytes:
+    """Every reply byte the burst gets when written in pieces, cut at the
+    given offsets, a moment apart: frames straddle the reads."""
+    burst, cuts = burst_and_cuts
+    payload = b"".join(raw for _, raw in burst)
+    edges = sorted({0, len(payload)} | {cut % len(payload) for cut in cuts})
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for start, end in zip(edges, edges[1:]):
+            sock.sendall(payload[start:end])
+            time.sleep(0.002)
+        sock.shutdown(socket.SHUT_WR)
+        return _recv_all(sock)
+
+
 def _one_at_a_time(address: Any, burst: Any) -> "list[bytes]":
     """The raw reply to each request, sent only once the last is in."""
     replies = []
@@ -539,3 +560,22 @@ def test_depth_one_socket_answers_as_the_task_per_request_front_door(bursts):
     assert _socket_outcome(
         server.DirectoryService, bursts, _one_at_a_time
     ) == _socket_outcome(ReferenceService, bursts, _one_at_a_time)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    bursts=st.lists(
+        st.tuples(
+            st.lists(_request(), min_size=1, max_size=10),
+            st.lists(st.integers(min_value=1, max_value=10**6), max_size=6),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_a_burst_in_pieces_is_answered_as_the_task_per_request_front_door(
+    bursts,
+):
+    assert _socket_outcome(
+        server.DirectoryService, bursts, _in_pieces
+    ) == _socket_outcome(ReferenceService, bursts, _in_pieces)

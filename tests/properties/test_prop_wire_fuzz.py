@@ -9,7 +9,9 @@ server did not expect becomes — nothing is logged on the serving loop
 and nothing reaches stderr (no traceback anywhere), and a connection
 opened afterwards is still answered ``+PONG``.  Bytes that are not
 frames are answered ``-ERR protocol …`` and hung up on; that is the
-contract too.
+contract too.  Requests also arrive nested thousands of arrays deep
+and trickled in pieces cut at random offsets, so frames straddle the
+server's reads.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import io
 import logging
 import socket
+import time
 from typing import Any
 
 from hypothesis import given, settings
@@ -80,11 +83,19 @@ def _served() -> "tuple[ShardedDirectory, DirectoryService]":
     return d, DirectoryService(d).start()
 
 
-def _exchange(address: Any, payload: bytes) -> "list[Any]":
-    """Write ``payload``, half-close, and parse every reply frame."""
+def _exchange(address: Any, *pieces: bytes) -> "list[Any]":
+    """Write the pieces a moment apart, half-close, and parse every
+    reply frame."""
     with socket.create_connection(address, timeout=30) as sock:
-        sock.sendall(payload)
-        sock.shutdown(socket.SHUT_WR)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for i, piece in enumerate(pieces):
+                if i:
+                    time.sleep(0.0005)
+                sock.sendall(piece)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # hung up on: the bytes before were not frames
         chunks = []
         while True:
             try:
@@ -124,10 +135,10 @@ def _fuzz(payloads: Any, caplog: Any, capfd: Any) -> None:
         with caplog.at_level(logging.WARNING):
 
             @settings(deadline=None)
-            @given(payload=payloads)
-            def check(payload: bytes) -> None:
-                replies = _exchange(address, payload)
-                assert not _internal(replies), (payload, replies)
+            @given(pieces=payloads)
+            def check(pieces: "list[bytes]") -> None:
+                replies = _exchange(address, *pieces)
+                assert not _internal(replies), (pieces, replies)
                 assert _exchange(address, encode_command("PING")) == ["PONG"]
 
             check()
@@ -147,11 +158,56 @@ def test_random_bytes_never_fail_inside(caplog, capfd):
                 st.lists(_frame(), max_size=3).map(b"".join),
                 st.binary(max_size=24),
             ),
-        ),
+        ).map(lambda payload: [payload]),
         caplog,
         capfd,
     )
 
 
 def test_random_requests_with_metadata_never_fail_inside(caplog, capfd):
-    _fuzz(st.lists(_frame(), min_size=1, max_size=6).map(b"".join), caplog, capfd)
+    _fuzz(
+        st.lists(_frame(), min_size=1, max_size=6).map(
+            lambda frames: [b"".join(frames)]
+        ),
+        caplog,
+        capfd,
+    )
+
+
+#: A value nested ``depth`` arrays deep: one-element arrays, or pairs
+#: whose first element is an integer or a bulk.
+_nested = st.builds(
+    lambda level, depth, leaf: level * depth + leaf,
+    st.sampled_from([b"*1\r\n", b"*2\r\n:1\r\n", b"*2\r\n$1\r\nk\r\n"]),
+    st.integers(min_value=1, max_value=5000),
+    st.sampled_from([b":1\r\n", b"$-1\r\n", b"*0\r\n", b"$3\r\nGET\r\n"]),
+)
+
+
+def test_deeply_nested_frames_never_fail_inside(caplog, capfd):
+    _fuzz(
+        st.builds(
+            lambda nested, frames: [nested + b"".join(frames)],
+            _nested,
+            st.lists(_frame(), max_size=2),
+        ),
+        caplog,
+        capfd,
+    )
+
+
+@st.composite
+def _trickled(draw: Any) -> "list[bytes]":
+    """Requests (and now and then bytes that are not frames) cut into
+    pieces at random offsets, so frames straddle the server's reads."""
+    payload = b"".join(draw(st.lists(_frame(), min_size=1, max_size=4)))
+    payload += draw(st.just(b"") | st.binary(max_size=8) | _nested)
+    cuts = draw(
+        st.lists(st.integers(min_value=1, max_value=len(payload)), max_size=16)
+    )
+    edges = sorted({0, len(payload), *cuts})
+    return [payload[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def test_trickled_requests_never_fail_inside(caplog, capfd):
+    _fuzz(_trickled(), caplog, capfd)

@@ -1,19 +1,23 @@
-"""One decoder, three readers: the buffer-backed one agrees with the rest.
+"""Two decoders, three readers: the buffer's agrees with the stream's.
 
-``protocol.read_frame`` is the only RESP parser; :class:`FrameBuffer`
-runs it over bytes a socket has already delivered, the way
-``read_frame_sync`` runs it over a file and the asyncio clients run it
-over a ``StreamReader``.  What is held here: the three return the same
-frames and the same errors for the same bytes, however the bytes are
-cut up on arrival; a frame that has not fully arrived costs nothing and
-loses nothing; and the line limit is the ``StreamReader``'s own, message
-for message.
+``protocol.read_frame`` is the coroutine decoder the clients run over a
+``StreamReader`` and ``read_frame_sync`` runs over a file;
+:class:`FrameBuffer` decodes bytes a socket has already delivered in one
+synchronous pass.  What is held here: the three return the same frames
+and the same errors for the same bytes, however the bytes are cut up on
+arrival; a frame that has not fully arrived loses nothing and is resumed
+where it stopped, so trickling it in costs one pass; nesting has no
+depth limit; and the line limit is the ``StreamReader``'s own, message
+for message.  ``tests/properties/test_prop_frame_decoders.py`` holds the
+buffer to the coroutine decoder over random bytes and deliveries.
 """
 
 from __future__ import annotations
 
 import asyncio
 import io
+import time
+from typing import Any
 
 import pytest
 
@@ -191,3 +195,78 @@ def test_end_of_file_inside_a_frame():
         buffer.eof = True
         with pytest.raises(error):
             buffer.read_frame()
+
+
+def _timed_feed(
+    buffer: FrameBuffer, deliveries: "list[bytes]"
+) -> "tuple[Any, float]":
+    """Feed each delivery and read after it; the frame and the seconds
+    taken."""
+    frame, began = None, time.perf_counter()
+    for data in deliveries:
+        buffer.feed(data)
+        try:
+            frame = buffer.read_frame()
+        except IncompleteFrame:
+            pass
+    return frame, time.perf_counter() - began
+
+
+def test_a_frame_trickled_in_is_decoded_once():
+    # 50 deliveries of 4,096 elements (28 KiB each) into one open array.
+    # Decoded again from its first byte on every delivery, this took
+    # 13.7 s on a 2-vCPU guest (EXPERIMENTS.md, E42).
+    buffer = FrameBuffer()
+    buffer.feed(b"*%d\r\n" % (50 * 4096))
+    frame, took = _timed_feed(buffer, [b"$1\r\na\r\n" * 4096] * 50)
+    assert took < 1.0, took
+    assert frame == ["a"] * (50 * 4096) and buffer.command
+
+
+def test_a_set_dripped_a_byte_at_a_time_is_decoded_once():
+    key, value = "k" * protocol.LINE_LIMIT, "v" * protocol.LINE_LIMIT
+    data = encode_command("SET", key, value)
+    frame, took = _timed_feed(
+        FrameBuffer(), [data[i : i + 1] for i in range(len(data))]
+    )
+    assert frame == ["SET", key, value]
+    assert took < 1.0, took
+
+
+@pytest.mark.parametrize("depth", [100, 5000])
+def test_nesting_has_no_depth_limit(depth):
+    buffer = FrameBuffer()
+    buffer.feed(b"*1\r\n" * depth + b":1\r\n" + encode_command("PING"))
+    frame = buffer.read_frame()
+    assert not buffer.command
+    for _ in range(depth):
+        (frame,) = frame
+    assert frame == 1
+    assert buffer.read_frame() == ["PING"] and buffer.command
+
+
+@pytest.mark.parametrize(
+    "data, command",
+    [
+        (encode_command("GET", "k"), True),
+        (b"*1\r\n+GET\r\n", True),  # a simple string is a string too
+        (b"*2\r\n$3\r\nGET\r\n$-1\r\n", False),
+        (b"*2\r\n$3\r\nGET\r\n:1\r\n", False),
+        (b"*2\r\n$3\r\nGET\r\n*0\r\n", False),
+        (b"*2\r\n*1\r\n$1\r\nk\r\n$1\r\nk\r\n", False),
+        (b"*1\r\n-ERR x\r\n", False),
+        (b"*0\r\n", False),
+        (encode_bulk("GET"), False),
+        (encode_simple("GET"), False),
+    ],
+)
+def test_the_command_verdict_is_the_isinstance_walk(data, command):
+    buffer = FrameBuffer()
+    buffer.feed(data)
+    frame = buffer.read_frame()
+    walk = (
+        isinstance(frame, list)
+        and bool(frame)
+        and all(isinstance(part, str) for part in frame)
+    )
+    assert buffer.command is command is walk
