@@ -289,11 +289,7 @@ async def _open_loop_conn(
                 return
             try:
                 reply = await protocol.read_frame(reader)
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.IncompleteReadError,
-            ):
+            except (ConnectionError, OSError):
                 errors[0] += 1
                 return
             if isinstance(reply, protocol.ReplyError):

@@ -15,27 +15,27 @@ arguments); replies are any of the above.  The front door
 (:mod:`repro.service.server`) carries plain strings in them, so a
 session really does look like talking to a tiny redis.
 
-Encoders return ``bytes`` to hand to a transport.  There are two
-decoders of the one grammar.  :func:`read_frame` is a coroutine written
-against the two reads of an :class:`asyncio.StreamReader` (``readline``,
-``readexactly``); the asyncio clients run it over the stream reader
-itself, and :func:`read_frame_sync` over a blocking binary file, where
-it never suspends and is stepped once.  :class:`FrameBuffer` is what the
-front door's connections decode from: bytes already received, read
-synchronously in one pass, nesting kept on an explicit stack, and a
-frame that straddles deliveries resumed where it stopped — it also says
-whether the frame is a command array, so the server need not walk it.
-Both return the same Python shapes: ``list`` for arrays, ``str`` for
-bulk/simple strings, ``None`` for null, ``int`` for integers, and
-:class:`ReplyError` *instances* (returned, not raised — the caller
-decides) for error replies.  Anything a peer can get wrong — an unknown
-type byte, a length that is not a number, bytes that are not UTF-8, a
-line past the reader's limit — raises :class:`ProtocolError` and
-nothing else, with the same message from either decoder; the
-connection's framing is lost at that point, so servers answer once and
-hang up.  ``tests/properties/test_prop_frame_decoders.py`` holds the two
-decoders equal, read for read, over random bytes cut into random
-deliveries.
+Encoders return ``bytes`` to hand to a transport.  There is one
+decoder, :class:`FrameBuffer`: bytes already received, read
+synchronously in one pass, nesting kept on an explicit stack (so no
+depth is too deep), and a frame that straddles its feeds resumed where
+it stopped.  The front door's connections feed it what their sockets
+deliver, and it also says whether a frame is a command array, so the
+server need not walk it.  The clients read a frame with
+:func:`read_frame` (over an :class:`asyncio.StreamReader`) or
+:func:`read_frame_sync` (over a blocking binary file): each feeds a
+fresh buffer exactly what it asks for next — a line, or the rest of a
+bulk — so neither takes a byte past the frame off its stream.  Frames
+decode to ``list`` for arrays, ``str`` for bulk/simple strings, ``None``
+for null, ``int`` for integers, and :class:`ReplyError` *instances*
+(returned, not raised — the caller decides) for error replies.
+Anything a peer can get wrong — an unknown type byte, a length that is
+not a number, bytes that are not UTF-8, a line past :data:`LINE_LIMIT`
+— raises :class:`ProtocolError` and nothing else; the connection's
+framing is lost at that point, so servers answer once and hang up.
+``tests/properties/test_prop_frame_decoders.py`` holds the buffer to the
+coroutine-stepped decoder it replaced, and the two readers to the
+buffer, read for read, over random bytes cut into random deliveries.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ from repro.core.errors import ReproError
 #: Upper bound on one bulk string / array, a guard against a corrupt or
 #: hostile length header allocating unbounded memory (16 MiB).
 MAX_FRAME = 16 * 1024 * 1024
+
+#: The longest line any reader accepts, terminator excluded: the limit
+#: (and, in :class:`FrameBuffer`, the two messages) of an
+#: :class:`asyncio.StreamReader`, whether the line came off a socket's
+#: deliveries or a reader's line-by-line reads.  :func:`encode_error`
+#: cuts a detail so its line fits.
+LINE_LIMIT = 2**16
 
 
 class ProtocolError(ReproError):
@@ -95,11 +102,14 @@ def encode_simple(text: str) -> bytes:
 
 def encode_error(code: str, detail: str = "") -> bytes:
     """Frame an error reply (``-CODE detail``).  A detail can quote a
-    client's key, which may hold CR or LF; they are escaped, so the
-    reply stays one line."""
+    client's key, which may hold CR or LF and be of any length: CR and
+    LF are escaped, so the reply stays one line, and a detail too long
+    for :data:`LINE_LIMIT` is cut, at a character boundary, to fit."""
     detail = detail.replace("\r", "\\r").replace("\n", "\\n")
-    line = f"-{code} {detail}".rstrip()
-    return f"{line}\r\n".encode()
+    line = f"-{code} {detail}".rstrip().encode()
+    if len(line) >= LINE_LIMIT:  # the "\r" counts against the limit too
+        line = line[: LINE_LIMIT - 1].decode("utf-8", "ignore").encode()
+    return line + b"\r\n"
 
 
 def encode_integer(n: int) -> bytes:
@@ -184,113 +194,28 @@ def stamp_epoch(reply: bytes, epoch: int) -> bytes:
 # -- decoding ----------------------------------------------------------------
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Any:
-    """Read one frame; raises ``ConnectionError`` at clean EOF.
-
-    Error replies are *returned* as :class:`ReplyError` instances.
-    """
-    try:
-        line = await reader.readline()
-        if not line:
-            raise ConnectionError("peer closed the connection")
-        return await _parse(line, reader)
-    except ValueError as exc:
-        # int() on a bad length, a bulk that is not UTF-8, or the
-        # reader's line limit: the peer's doing, all of them.
-        raise ProtocolError(f"malformed frame: {exc}") from None
-
-
-async def _parse(line: bytes, reader: asyncio.StreamReader) -> Any:
-    if not line.endswith(b"\r\n"):
-        raise ProtocolError(f"unterminated frame line: {line[:64]!r}")
-    kind, body = line[:1], line[1:-2]
-    if kind == b"+":
-        return body.decode("utf-8")
-    if kind == b"-":
-        code, _, detail = body.decode("utf-8").partition(" ")
-        return ReplyError(code, detail)
-    if kind == b":":
-        return int(body)
-    if kind == b"$":
-        n = int(body)
-        if n == -1:
-            return None
-        if not 0 <= n <= MAX_FRAME:
-            raise ProtocolError(f"bulk length out of range: {n}")
-        data = await reader.readexactly(n + 2)
-        return data[:-2].decode("utf-8")
-    if kind == b"*":
-        n = int(body)
-        if not 0 <= n <= MAX_FRAME:
-            raise ProtocolError(f"array length out of range: {n}")
-        items = []
-        for _ in range(n):
-            element = await reader.readline()
-            if not element:
-                raise ConnectionError("peer closed mid-array")
-            items.append(await _parse(element, reader))
-        return items
-    raise ProtocolError(f"unknown frame type {kind!r}")
-
-
-class _FileReader:
-    """The two reads :func:`_parse` awaits, over a blocking binary file.
-
-    Neither coroutine ever suspends, which is what lets
-    :func:`read_frame_sync` run the parser to completion in one step.
-    """
-
-    def __init__(self, stream: BinaryIO) -> None:
-        self._stream = stream
-
-    async def readline(self) -> bytes:
-        return self._stream.readline()
-
-    async def readexactly(self, n: int) -> bytes:
-        data = self._stream.read(n)
-        if len(data) != n:
-            raise ConnectionError("peer closed mid-bulk")
-        return data
-
-
-def read_frame_sync(stream: BinaryIO) -> Any:
-    """:func:`read_frame` over a buffered binary file, blocking.
-
-    The same parser, not a copy: the coroutine is stepped once and, its
-    reader never suspending, finishes inside that step.
-    """
-    try:
-        read_frame(_FileReader(stream)).send(None)
-    except StopIteration as done:
-        return done.value
-
-
-#: The longest line a :class:`FrameBuffer` accepts, terminator excluded:
-#: the limit (and, below, the two messages) of the
-#: :class:`asyncio.StreamReader` the front door used to read through.
-LINE_LIMIT = 2**16
-
-
 class IncompleteFrame(Exception):
     """The buffered bytes end inside a frame; the rest has yet to arrive."""
 
 
 class FrameBuffer:
-    """Bytes a socket delivered, decoded one frame at a time, never blocking.
+    """Bytes received, decoded one frame at a time, never blocking.
 
     ``feed`` appends what a socket delivered; :meth:`read_frame` takes
-    one frame off the front.  It decodes what :func:`read_frame` decodes,
-    value for value and error for error, but synchronously and in one
-    pass: nested arrays are an explicit stack, not recursion, so no
-    depth is too deep, and a frame whose last byte has not arrived
-    raises :class:`IncompleteFrame` and is resumed where it stopped once
-    more bytes are in — its open arrays and its offset are kept — so a
-    frame trickled in over many deliveries costs one pass, not one per
+    one frame off the front, synchronously and in one pass: nested
+    arrays are an explicit stack, not recursion, so no depth is too
+    deep, and a frame whose last byte has not arrived raises
+    :class:`IncompleteFrame` and is resumed where it stopped once more
+    bytes are in — its open arrays and its offset are kept — so a frame
+    trickled in over many deliveries costs one pass, not one per
     delivery.  Its bytes stay buffered until it completes, so the
     unconsumed part of the buffer is what it would be had the frame been
     parsed again from its start.  Once ``eof`` is set the buffer reads
     like a file at end-of-file: a short line is taken as it is (and is
-    unterminated) and a short bulk is the peer closing mid-frame.
+    unterminated) and a short bulk is the peer closing mid-frame.  A
+    reader that must not take bytes past a frame off its stream asks
+    :meth:`wanted` what to read next and hands the result to
+    :meth:`take` (:func:`read_frame`, :func:`read_frame_sync`).
     """
 
     __slots__ = ("_data", "_pos", "_partial", "eof", "command")
@@ -314,14 +239,35 @@ class FrameBuffer:
             self._pos = 0
         self._data += data
 
+    def wanted(self) -> int:
+        """What the frame in progress needs next: 0 for a line, else the
+        bytes of its pending bulk not yet fed, terminator included."""
+        if self._partial is None:
+            return 0
+        scan, _, bulk = self._partial[:3]  # as :meth:`read_frame` keeps them
+        if bulk is None:
+            return 0
+        return self._pos + scan + bulk + 2 - len(self._data)
+
+    def take(self, data: bytes, size: int) -> Any:
+        """Feed what one read of :meth:`wanted`'s ``size`` returned, and
+        read on as :meth:`read_frame` does.  A read that came up short —
+        a line with no ``"\\n"``, a bulk cut off — means end-of-file."""
+        self.feed(data)
+        if (len(data) < size) if size else not data.endswith(b"\n"):
+            self.eof = True
+        return self.read_frame()
+
     def read_frame(self) -> Any:
-        """Take one frame off the buffer, as :func:`read_frame` reads it.
+        """Take one frame off the buffer.
 
         Raises :class:`IncompleteFrame` (nothing consumed) when the
         frame's last byte has not arrived, ``ConnectionError`` at a
-        clean end-of-file, :class:`ProtocolError` as :func:`read_frame`
-        does; after an error the buffer has consumed what that decoder's
-        reads would have.  Sets :attr:`command`.
+        clean end-of-file (``"peer closed the connection"``, or
+        ``"... mid-array"`` / ``"... mid-bulk"`` inside a frame), and
+        :class:`ProtocolError` for bytes that are no frame; after an
+        error the buffer has consumed the line or bulk it failed on.
+        Sets :attr:`command`.
         """
         data, pos = self._data, self._pos
         size = len(data)
@@ -444,3 +390,42 @@ class FrameBuffer:
 
 def _unterminated(line: bytearray) -> ProtocolError:
     return ProtocolError(f"unterminated frame line: {bytes(line[:64])!r}")
+
+
+async def read_frame(reader: asyncio.StreamReader) -> Any:
+    """Read one frame off a stream; raises ``ConnectionError`` at EOF.
+
+    Error replies are *returned* as :class:`ReplyError` instances.  The
+    stream's line-limit ``ValueError`` is a :class:`ProtocolError`.
+    """
+    buffer = FrameBuffer()
+    while True:
+        size = buffer.wanted()
+        try:
+            data = await (
+                reader.readexactly(size) if size else reader.readline()
+            )
+        except asyncio.IncompleteReadError as short:
+            data = short.partial
+        except ValueError as exc:
+            raise ProtocolError(f"malformed frame: {exc}") from None
+        try:
+            return buffer.take(data, size)
+        except IncompleteFrame:
+            pass
+
+
+def read_frame_sync(stream: BinaryIO) -> Any:
+    """:func:`read_frame` over a buffered binary file, blocking.
+
+    A line is read :data:`LINE_LIMIT` + 1 bytes at most, so one past
+    the limit is refused without being read whole.
+    """
+    buffer = FrameBuffer()
+    while True:
+        size = buffer.wanted()
+        data = stream.read(size) if size else stream.readline(LINE_LIMIT + 1)
+        try:
+            return buffer.take(data, size)
+        except IncompleteFrame:
+            pass

@@ -15,6 +15,7 @@ import socket
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
 from repro.obs.analyze import PHASES, _credit_phases, iter_op_spans
 from repro.obs.spans import Span
 from repro.service import protocol
@@ -227,6 +228,21 @@ class TestWireCompatibility:
             ),
         )
         assert reply == "PONG"
+
+    def test_an_error_quoting_a_key_past_the_line_limit_is_read(
+        self, client
+    ):
+        # The key is a bulk, which has no line limit; the -NOTFOUND and
+        # -KEYEXISTS lines quoting it are cut to fit the readers' limit.
+        key = "k" * 70_000
+        with pytest.raises(KeyNotPresentError):
+            client.delete(key)
+        client.insert(key, "v")
+        with pytest.raises(KeyAlreadyPresentError):
+            client.insert(key, "w")
+        assert client.get(key) == "v"  # the connection keeps serving
+        client.delete(key)
+        assert client.ping()
 
     def test_split_meta_rightmost_trace_wins(self):
         parts, trace, epoch = protocol.split_meta(

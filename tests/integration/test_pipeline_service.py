@@ -951,18 +951,17 @@ class TestOnePassDecoding:
         assert not caplog.records, caplog.text
 
     def test_no_coroutine_decodes_a_request(self, service, monkeypatch):
-        """With the coroutine decoder disabled, a pipelined burst written
-        in pieces is still answered in full: the server never steps it."""
+        """With the stream reader disabled, a pipelined burst written in
+        pieces is still answered in full: the server never runs it."""
 
         def disabled(*args, **kwargs):
-            raise AssertionError("the front door stepped the coroutine decoder")
+            raise AssertionError("the front door ran the stream reader")
 
         burst = b"".join(
             encode_command("SET", f"c{i}", f"v{i}") for i in range(10)
         ) + b"".join(
             encode_command("GET", f"c{i}", "@trace=t") for i in range(10)
         )
-        monkeypatch.setattr(protocol, "_parse", disabled)
         monkeypatch.setattr(protocol, "read_frame", disabled)
         with socket.create_connection((service.host, service.port)) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

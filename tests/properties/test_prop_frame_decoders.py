@@ -12,11 +12,23 @@ and fed to both; after each delivery each buffer is read until it raises
 (the live buffer's ``command`` against the ``isinstance`` walk over the
 old buffer's frame), the exception type and message, where
 ``IncompleteFrame`` was raised, and how many bytes each buffer left
-unconsumed.  ``protocol.read_frame`` over an ``asyncio.StreamReader``
-fed the same deliveries must read the same frames after the same
-deliveries, up to the same first error; it has no ``IncompleteFrame``
-(it waits instead), and a bulk cut short by end-of-file is its
-``IncompleteReadError`` where a buffer says ``peer closed mid-bulk``.
+unconsumed.
+
+The two readers decode through a fresh buffer each frame, feeding it
+only what it asks for.  ``protocol.read_frame`` over an
+``asyncio.StreamReader`` fed the same deliveries must read the same
+frames after the same deliveries, up to the same first error (it has no
+``IncompleteFrame``: it waits instead).  ``protocol.read_frame_sync``
+over a file holding every delivery (and so ending) must read those
+frames and that first error too — where the stream is left waiting
+without an end-of-file, the file's frames must begin with the stream's
+— and after each frame the bytes it left unread in the file must be
+those the stepped buffer left unconsumed plus those not yet delivered:
+it never reads past a frame.
+The file reader reads a line ``LINE_LIMIT + 1`` bytes at most, so it
+refuses any line over the limit with the stream reader's "not found"
+message, where a stream that held the whole line says "found, but ...
+longer"; between those two legs the two limit messages count as one.
 
 Inputs are byte soup (random bytes, and runs of RESP tokens), RESP
 values of every type nested a few levels, chains of one-element arrays
@@ -26,13 +38,14 @@ any of those mutated (bytes dropped, inserted or replaced, a range
 repeated, the end cut off).  An input is discarded only if the stepped
 decoder raised ``RecursionError`` on it, which the one-pass decoder
 never does.  The property runs twice: at the real line limit, and with
-the limit cut to 8 bytes (for both buffers and the stream reader alike),
+the limit cut to 8 bytes (for both buffers and both readers alike),
 so that ordinary frames cross it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 from typing import Any, Callable
 from unittest import mock
 
@@ -232,11 +245,6 @@ def _stream_log(
             while True:
                 try:
                     frame = await protocol.read_frame(reader)
-                except asyncio.IncompleteReadError:
-                    log.append(
-                        ("error", index, "ConnectionError", "peer closed mid-bulk")
-                    )
-                    return
                 except Exception as exc:
                     log.append(("error", index, type(exc).__name__, str(exc)))
                     return
@@ -269,6 +277,55 @@ def _as_stream(log: "list[tuple[Any, ...]]") -> "list[tuple[Any, ...]]":
     return seen
 
 
+#: The two ``StreamReader`` line-limit messages, as a decoder words them.
+_LIMIT_MESSAGES = {
+    "malformed frame: Separator is not found, and chunk exceed the limit",
+    "malformed frame: Separator is found, but chunk is longer than limit",
+}
+
+
+def _limits_as_one(message: str) -> str:
+    return "line over the limit" if message in _LIMIT_MESSAGES else message
+
+
+def _file_log(deliveries: "list[bytes]") -> "list[tuple[Any, ...]]":
+    """``protocol.read_frame_sync`` over a file of every delivery, up to
+    its first error; each frame with the bytes it left unread."""
+    data = b"".join(deliveries)
+    stream = io.BufferedReader(io.BytesIO(data))
+    log: "list[tuple[Any, ...]]" = []
+    while True:
+        try:
+            frame = protocol.read_frame_sync(stream)
+        except Exception as exc:
+            log.append(("error", type(exc).__name__, _limits_as_one(str(exc))))
+            return log
+        log.append(
+            ("frame", _plain(frame), _walk(frame), len(data) - stream.tell())
+        )
+
+
+def _as_file(
+    stream: "list[tuple[Any, ...]]", stepped: "list[tuple[Any, ...]]",
+    deliveries: "list[bytes]",
+) -> "list[tuple[Any, ...]]":
+    """The stream's reads as the file reader makes them: each frame's
+    unread bytes are what the stepped buffer left unconsumed after it
+    plus the deliveries still to come."""
+    unread = [
+        entry[-1] + sum(map(len, deliveries[entry[1] + 1 :]))
+        for entry in stepped
+        if entry[0] == "frame"
+    ]
+    seen = []
+    for entry in stream:
+        if entry[0] == "frame":
+            seen.append(("frame", *entry[2:], unread[len(seen)]))
+        else:
+            seen.append(("error", entry[2], _limits_as_one(entry[3])))
+    return seen
+
+
 @pytest.mark.parametrize("limit", [LINE_LIMIT, 8])
 @settings(deadline=None)
 @given(deliveries=_deliveries(), eof=st.booleans())
@@ -289,5 +346,11 @@ def test_the_one_pass_decoder_reads_what_the_stepped_one_read(
             FrameBuffer(), deliveries, eof,
             lambda buffer, frame: buffer.command,
         )
+        stream = _stream_log(deliveries, eof, limit)
+        file = _file_log(deliveries)
     assert one_pass == stepped
-    assert _stream_log(deliveries, eof, limit) == _as_stream(stepped)
+    assert stream == _as_stream(stepped)
+    expected = _as_file(stream, stepped, deliveries)
+    if not eof and (not expected or expected[-1][0] != "error"):
+        file = file[: len(expected)]  # a file ends; the stream still waits
+    assert file == expected

@@ -489,8 +489,8 @@ class _Tap:
     def __init__(self, stream: Any) -> None:
         self._stream, self.taken = stream, bytearray()
 
-    def readline(self) -> bytes:
-        line = self._stream.readline()
+    def readline(self, size: int = -1) -> bytes:
+        line = self._stream.readline(size)
         self.taken += line
         return line
 

@@ -1,15 +1,18 @@
-"""Two decoders, three readers: the buffer's agrees with the stream's.
+"""One decoder, three readers: the buffer, and the stream and file readers
+that feed it.
 
-``protocol.read_frame`` is the coroutine decoder the clients run over a
-``StreamReader`` and ``read_frame_sync`` runs over a file;
 :class:`FrameBuffer` decodes bytes a socket has already delivered in one
-synchronous pass.  What is held here: the three return the same frames
-and the same errors for the same bytes, however the bytes are cut up on
-arrival; a frame that has not fully arrived loses nothing and is resumed
-where it stopped, so trickling it in costs one pass; nesting has no
-depth limit; and the line limit is the ``StreamReader``'s own, message
-for message.  ``tests/properties/test_prop_frame_decoders.py`` holds the
-buffer to the coroutine decoder over random bytes and deliveries.
+synchronous pass; ``protocol.read_frame`` (over a ``StreamReader``) and
+``read_frame_sync`` (over a file) feed a fresh buffer what it asks for
+next.  What is held here: the three return the same frames and the same
+errors for the same bytes, however the bytes are cut up on arrival; a
+frame that has not fully arrived loses nothing and is resumed where it
+stopped, so trickling it in costs one pass; nesting has no depth limit
+on any reader; the line limit is the ``StreamReader``'s own, message
+for message; and an error reply is cut to fit it.
+``tests/properties/test_prop_frame_decoders.py`` holds the buffer to the
+coroutine-stepped decoder it replaced, and the readers to the buffer,
+over random bytes and deliveries.
 """
 
 from __future__ import annotations
@@ -179,6 +182,22 @@ def test_a_line_at_the_limit_still_parses():
     assert buffer.read_frame() == text
 
 
+def test_an_error_detail_is_cut_to_fit_the_line_limit():
+    room = protocol.LINE_LIMIT - len("-NOTFOUND \r")
+    longest = encode_error("NOTFOUND", "k" * room)
+    assert longest == b"-NOTFOUND " + b"k" * room + b"\r\n"  # not cut
+    assert encode_error("NOTFOUND", "k" * (room + 1)) == longest
+    # A character that would straddle the limit is dropped whole.
+    assert encode_error("NOTFOUND", "k" * (room - 2) + "é").endswith(
+        "é\r\n".encode()
+    )
+    cut = encode_error("NOTFOUND", "k" * (room - 1) + "é")
+    assert cut == b"-NOTFOUND " + b"k" * (room - 1) + b"\r\n"
+    for data in (longest, cut):
+        reply = read_frame_sync(io.BytesIO(data))
+        assert reply.code == "NOTFOUND" and len(reply.detail) <= room
+
+
 def test_end_of_file_inside_a_frame():
     # A short line is handed to the parser as it is (and is unterminated);
     # a short bulk or a missing element is the peer closing mid-frame.
@@ -235,14 +254,20 @@ def test_a_set_dripped_a_byte_at_a_time_is_decoded_once():
 
 @pytest.mark.parametrize("depth", [100, 5000])
 def test_nesting_has_no_depth_limit(depth):
+    data = b"*1\r\n" * depth + b":1\r\n" + encode_command("PING")
     buffer = FrameBuffer()
-    buffer.feed(b"*1\r\n" * depth + b":1\r\n" + encode_command("PING"))
+    buffer.feed(data)
     frame = buffer.read_frame()
     assert not buffer.command
-    for _ in range(depth):
-        (frame,) = frame
-    assert frame == 1
-    assert buffer.read_frame() == ["PING"] and buffer.command
+    ping = buffer.read_frame()
+    assert ping == ["PING"] and buffer.command
+    # The stream and file readers decode through the same buffer.
+    for frame, ping in (
+        [frame, ping], _via_stream_reader(data), _via_file(data)
+    ):
+        for _ in range(depth):
+            (frame,) = frame
+        assert frame == 1 and ping == ["PING"]
 
 
 @pytest.mark.parametrize(
