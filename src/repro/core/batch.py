@@ -47,14 +47,29 @@ Equivalence with sequential execution is exact, not approximate:
   key would have ended the search) absent at the new gap's version, so
   a later insert among them chains ``successor()`` off the gap it would
   have found on the replicas;
-* the wave's range locks are all taken before its single ``prepare``
-  round (the lock point), and its RepModify locks are held to the
-  commit, so the transaction is serializable as the whole sequence at
-  once.  A replica the wave only read answers ``prepare`` read-only
+* the wave's range locks are all taken before any replica votes (the
+  lock point), and its RepModify locks are held to the commit, so the
+  transaction is serializable as the whole sequence at once.  A
+  write-quorum member votes with the wave's last write to it — the
+  closing ``rep_insert_many``, or, in a wave that writes only by
+  deleting and whose deletes all went together, their
+  ``rep_coalesce_many`` — and is asked no ``prepare``: nothing is sent
+  to it after that write but the decision.  A write something may
+  follow — a dependent delete's flush, or its own coalesce — is never
+  marked; a wave whose last write was one of those asks its writers to
+  ``prepare`` as before.  A replica the
+  wave only read answers ``prepare`` read-only
   (:data:`~repro.txn.twopc.READ_ONLY`): it releases its RepLookup locks
   there, logs nothing and gets no ``commit``, which is two-phase locking
   after the lock point; a wave that wrote nothing anywhere logs no
-  decision and sends no phase two.
+  decision and sends no phase two;
+* a wave that only reads one key has no lock point to share: its read
+  round asks each member to release the key's lock with the reply, and
+  no 2PC message is sent at all — R messages.  A single-key read is
+  serializable at the instant it reads, because every writer of that
+  key holds its RepModify lock to its decision; a wave that reads two
+  keys keeps its ``prepare`` round, without which the two reads could
+  straddle a writer of both.
 
 **A wave's deletes walk once.**  Every round of a wave goes to one read
 quorum and one write quorum, each drawn once (:class:`_Wave`), and the
@@ -65,10 +80,11 @@ directions; one ``rep_lookup_many`` round judges all the candidates (a
 ghost costs the searches still under way one more pair of rounds
 between them); one ``rep_lookup_many`` per write-quorum member probes
 every boundary entry, one ``rep_insert_many`` installs the copies found
-missing, one ``rep_coalesce_many`` applies every range.  On fixed
-quorums that is ``R + (2R + 2W) + 2PC`` for a wave of deletes, however
-many.  Which deletes may go together is decided in three steps, and
-this is why the result is still the sequential one:
+missing, one ``rep_coalesce_many`` applies every range, carrying each
+member's vote.  On fixed quorums that is ``R + (2R + 2W) + W`` for a
+wave of deletes, however many: the read, the walk, and the ``commit``.
+Which deletes may go together is decided in three steps, and this is
+why the result is still the sequential one:
 
 1. *The presence pass* (:func:`_coalesce_independent`) replays the fold
    on presence alone, for no message.  Presence is a function of a
@@ -166,11 +182,18 @@ class BatchOutcome:
     would have raised (:class:`KeyAlreadyPresentError`,
     :class:`KeyNotPresentError`, or the availability error that aborted
     the op's own wave of one); :meth:`unwrap` re-raises it.
+
+    ``version`` is the entry-or-gap version the op observed or
+    installed: what a lookup, a refused write or a refused delete found
+    behind the key, a write's new version, or the version of the gap a
+    delete left.  It is the witness a history checker orders the key's
+    ops by; an op whose wave of one aborted has none.
     """
 
     op: BatchOp
     value: Any = None
     error: "ReproError | None" = None
+    version: Any = None
 
     @property
     def ok(self) -> bool:
@@ -237,13 +260,16 @@ def _grouped(
 ) -> "list[BatchOutcome]":
     outcomes = [BatchOutcome(op) for op in ops]
     counts = _Counts()
+    keys = list(dict.fromkeys(bkeys))
+    # Reads of one key only: released with their reply (module docstring).
+    release = len(keys) == 1 and all(op.kind == "lookup" for op in ops)
     with suite._op_span("batch", size=len(ops)), suite._transaction(
         read_only_votes=True
     ) as txn:
         wave = _Wave(suite, txn)
         state = {
             bkey: (reply.present, reply.version, reply.value)
-            for bkey, reply in wave.lookup(list(dict.fromkeys(bkeys))).items()
+            for bkey, reply in wave.lookup(keys, release).items()
         }
         # What the independent deletes left behind, coalesced already.
         coalesced = (
@@ -256,6 +282,7 @@ def _grouped(
         writes: dict[Any, tuple[Any, Any]] = {}
         for op, bkey, outcome in zip(ops, bkeys, outcomes):
             present, version, value = state[bkey]
+            outcome.version = version
             if op.kind == "lookup":
                 counts.lookups += 1
                 outcome.value = (present, value)
@@ -272,6 +299,7 @@ def _grouped(
                         suite._batch_rewalks.inc()
                         done = _walk_and_coalesce(wave, {bkey: version})[bkey]
                     low, high, gap_version, overhead = done
+                    outcome.version = gap_version
                     counts.overheads.append(overhead)
                     for other in state:
                         if low < other < high:
@@ -305,9 +333,10 @@ def _grouped(
             else:
                 counts.updates += 1
             new_version = suite.version_space.successor(version)
+            outcome.version = new_version
             state[bkey] = (True, new_version, op.value)
             writes[bkey] = (new_version, op.value)
-        wave.install(writes)
+        wave.install(writes, final=True)
     # Applied only after the commit: an aborted wave leaves the counting
     # to its ops' waves of one.
     suite.op_counts.lookups += counts.lookups
@@ -337,42 +366,57 @@ class _Wave:
             members = self._quorums[kind] = self.suite._collect_quorum(kind)
         return members
 
-    def round(self, kind: str, method: str, arg: list) -> "list[Any]":
+    def round(
+        self, kind: str, method: str, arg: list, ends: "str | None" = None
+    ) -> "list[Any]":
         """``method(arg)`` to each member of the ``kind`` quorum, one
-        message each whatever ``arg`` holds; values in member order."""
+        message each whatever ``arg`` holds; values in member order.
+        ``ends`` is :meth:`DirectorySuite._round`'s."""
         return self.suite._round(
             self.txn,
             [(rep, method, (arg,), len(arg)) for rep in self.quorum(kind)],
+            ends,
         )
 
-    def lookup(self, keys: "list[Any]") -> "dict[Any, LookupReply]":
+    def lookup(
+        self, keys: "list[Any]", release: bool = False
+    ) -> "dict[Any, LookupReply]":
         """One read round covering every key in ``keys``.
 
         A single ``rep_lookup_many`` message per read-quorum member (R
         messages, however many keys — the section 4 batching
         optimization), merged per key by highest version, the Figure 8
-        rule.
+        rule.  With ``release`` each member lets the transaction go with
+        its reply.
         """
         best: dict[Any, LookupReply | None] = dict.fromkeys(keys)
-        for replies in self.round("read", "rep_lookup_many", keys):
+        for replies in self.round(
+            "read", "rep_lookup_many", keys, "release" if release else None
+        ):
             for bkey, reply in zip(keys, replies):
                 if reply.beats(best[bkey]):
                     best[bkey] = reply
         return best  # type: ignore[return-value]  # quorum is never empty
 
-    def install(self, writes: "dict[Any, tuple[Any, Any]]") -> None:
+    def install(
+        self, writes: "dict[Any, tuple[Any, Any]]", final: bool = False
+    ) -> None:
         """Install the buffered entries on the write quorum and empty
         the buffer; with nothing buffered, nothing is chosen or sent.
 
         One ``rep_insert_many`` message per member (W messages total):
         the wave's redo records reach each replica's WAL as a group, so
-        the single shared 2PC round is a true group commit.
+        the single shared commit is a true group commit.  The wave's
+        closing install is ``final``: nothing follows it, so each message
+        carries its member's vote.
         """
         if not writes:
             return
         rows = [(bkey, *entry) for bkey, entry in writes.items()]
         writes.clear()
-        self.round("write", "rep_insert_many", rows)
+        self.round(
+            "write", "rep_insert_many", rows, "vote" if final else None
+        )
 
 
 def _coalesce_independent(
@@ -395,6 +439,7 @@ def _coalesce_independent(
     present = {bkey: entry[0] for bkey, entry in state.items()}
     touched: dict[Any, int] = {}
     walkers = []
+    installs = False
     for op, bkey in zip(ops, bkeys):
         kind, here = op.kind, present[bkey]
         if kind == "lookup":
@@ -407,6 +452,8 @@ def _coalesce_independent(
             continue
         if kind in _DELETES:
             walkers.append(bkey)
+        else:
+            installs = True
         present[bkey] = kind not in _DELETES
         touched[bkey] = touched.get(bkey, 0) + 1
     together = {
@@ -420,13 +467,17 @@ def _coalesce_independent(
         # Nothing touched but the walker itself, neighbours included.
         return bisect_right(line, succ.key) - bisect_left(line, pred.key) == 1
 
-    coalesced = _walk_and_coalesce(wave, together, independent)
+    # The coalesce is the wave's last write if nothing is installed and
+    # no walker waits for its turn (the ones this search finds
+    # dependent are checked there).
+    last = not installs and len(together) == len(walkers)
+    coalesced = _walk_and_coalesce(wave, together, independent, last)
     wave.suite._batch_walk_deletes.add(len(coalesced))
     return coalesced
 
 
 def _walk_and_coalesce(
-    wave: _Wave, walkers: "dict[Any, Any]", keep: Any = None
+    wave: _Wave, walkers: "dict[Any, Any]", keep: Any = None, last: bool = False
 ) -> "dict[Any, tuple]":
     """Figure 13 from the neighbour search on, for every key of
     ``walkers`` (``{key: its entry's version}``) at once.
@@ -441,7 +492,8 @@ def _walk_and_coalesce(
     and its entry's version, as :meth:`DirectorySuite._coalesce_around`
     computes it.  Returns ``{key: (low, high, new gap version,
     overhead)}``, ``overhead`` being what ``delete_stats.record_delete``
-    is owed.
+    is owed.  With ``last``, when ``keep`` let every walker go on, the
+    coalesce is the wave's last write and carries each member's vote.
 
     The keys must not lie in one another's neighbourhoods: the ranges
     are then disjoint, and a missing boundary two of them share is
@@ -486,7 +538,10 @@ def _walk_and_coalesce(
             )
             for k, (pred, succ) in found.items()
         ]
-        results = wave.round("write", "rep_coalesce_many", ranges)
+        final = last and len(found) == len(walkers)
+        results = wave.round(
+            "write", "rep_coalesce_many", ranges, "vote" if final else None
+        )
         done = {}
         for i, (bkey, each) in enumerate(zip(found, ranges)):
             removed = [result[i].removed.entries for result in results]

@@ -13,6 +13,14 @@ recovery rebuilds the store by replaying the committed prefix of the log,
 resolving in-doubt prepared transactions against the coordinator's
 decision log.
 
+A served wave (:mod:`repro.core.batch`) ends its transaction at a
+representative in one of three ways beside the classic ``prepare``: its
+last write here carries the vote (``prepare`` on
+:meth:`rep_insert_many` / :meth:`rep_coalesce_many`), a replica it only
+read votes read-only, or a read of one key is released with its reply
+(``release=True`` on :meth:`rep_lookup_many`).  A transaction that has
+voted here may do nothing more here.
+
 Beyond the paper's five operations, :meth:`rep_neighbors_batch` implements
 the optimization sketched in section 4: "if each member of a read quorum
 sends the results of three successive DirRepPredecessor and
@@ -28,7 +36,11 @@ import threading
 from typing import Any, Callable, Sequence
 
 from repro.core.entries import Entry, LookupReply, NeighborReply
-from repro.core.errors import SnapshotUnavailableError, WouldBlockError
+from repro.core.errors import (
+    SnapshotUnavailableError,
+    TransactionAbortedError,
+    WouldBlockError,
+)
 from repro.core.keys import BoundedKey, KeyRange
 from repro.core.versions import Version
 from repro.obs.metrics import MetricsRegistry
@@ -165,7 +177,19 @@ class DirectoryRepresentative:
         it stay locked.
 
         A point range is passed as the plain pair ``(key, key)``.
+
+        Every Figure 6 operation comes through here, so this is where a
+        transaction that has already voted is refused: its lock point
+        has passed, and anything more it did here would be a write (or
+        a lock) the vote did not cover.  That is a coordinator fault,
+        not a lost message, so it raises ``RuntimeError`` rather than an
+        error a caller would retry or fall back from.
         """
+        if txn_id in self._prepared:
+            raise RuntimeError(
+                f"representative {self.name}: transaction {txn_id} has "
+                "already voted"
+            )
         self._seen_txns.add(txn_id)
         blockers = self.locks.acquire_all(txn_id, mode, ranges)
         if blockers:
@@ -305,7 +329,7 @@ class DirectoryRepresentative:
 
     @_latched
     def rep_lookup_many(
-        self, txn_id: TxnId, keys: "list[BoundedKey]"
+        self, txn_id: TxnId, keys: "list[BoundedKey]", release: bool = False
     ) -> "list[LookupReply]":
         """DirRepLookup for a whole wave of keys in one message.
 
@@ -317,27 +341,54 @@ class DirectoryRepresentative:
         RepLookup(x, x) on every key, in order, with one lock-table call
         before any lookup (a refusal leaves the keys before it locked);
         replies are positional.
+
+        With ``release`` (a wave that only reads one key sends it), the
+        call is the whole transaction here: the lock is taken, the key
+        read, the lock released and the transaction forgotten before the
+        reply leaves, refused or not, and nothing is logged.  No
+        ``prepare`` or ``commit`` follows.  It must be the transaction's
+        first operation here, or releasing would drop locks it took
+        before; a re-sent one (its reply lost) finds it forgotten and
+        simply runs again.
         """
-        if keys:
-            self._lock(txn_id, LockMode.REP_LOOKUP, [(key, key) for key in keys])
-        lookup = self.store.lookup
-        return [lookup(key) for key in keys]
+        if release and txn_id in self._seen_txns:
+            raise RuntimeError(
+                f"representative {self.name}: transaction {txn_id} is "
+                "already under way here; a released read must be its only "
+                "operation"
+            )
+        try:
+            if keys:
+                self._lock(
+                    txn_id, LockMode.REP_LOOKUP, [(key, key) for key in keys]
+                )
+            lookup = self.store.lookup
+            return [lookup(key) for key in keys]
+        finally:
+            if release:
+                self._seen_txns.discard(txn_id)
+                self.locks.release_all(txn_id)
 
     @_latched
     def rep_insert_many(
-        self, txn_id: TxnId, rows: "list[tuple[BoundedKey, Version, Any]]"
+        self,
+        txn_id: TxnId,
+        rows: "list[tuple[BoundedKey, Version, Any]]",
+        prepare: "str | None" = None,
     ) -> None:
         """DirRepInsert for every folded final entry in one message.
 
         The write-side half of the grouped round's message batching: one
         message per write-quorum member installs the wave's final entry
         for every written key, and the redo records land in the WAL as
-        one group (the group commit — a single prepare/commit pair then
-        covers them all).  Locks RepModify(x, x) and notes an undo per
-        key, exactly as :meth:`rep_insert` does.
+        one group (the group commit — a single commit then covers them
+        all).  Locks RepModify(x, x) and notes an undo per key, exactly
+        as :meth:`rep_insert` does.
+
+        With ``prepare`` this is the transaction's last write here and
+        carries its vote (:meth:`_vote_with`): a reply is a yes.
         """
-        for row in rows:
-            self._insert(txn_id, *row)
+        self._vote_with(txn_id, prepare, rows, self._insert)
 
     @_latched
     def rep_coalesce(
@@ -357,6 +408,7 @@ class DirectoryRepresentative:
         self,
         txn_id: TxnId,
         ranges: "list[tuple[BoundedKey, BoundedKey, Version]]",
+        prepare: "str | None" = None,
     ) -> list:
         """DirRepCoalesce for every range a wave's deletes found, in one
         message.
@@ -364,9 +416,50 @@ class DirectoryRepresentative:
         ``ranges`` lists ``(low, high, version)``; each is locked,
         redo-logged, applied and given its own undo record exactly as
         :meth:`rep_coalesce` would, in order, and the results are
-        positional.
+        positional.  With ``prepare`` this is the transaction's last
+        write here and carries its vote (:meth:`_vote_with`).
         """
-        return [self._coalesce(txn_id, *each) for each in ranges]
+        return self._vote_with(txn_id, prepare, ranges, self._coalesce)
+
+    def _vote_with(
+        self,
+        txn_id: TxnId,
+        prepare: "str | None",
+        items: list,
+        apply: Callable,
+    ) -> list:
+        """``apply(txn_id, *item)`` for every item, in order; then, with
+        ``prepare``, the yes vote ``prepare`` would have cast.
+
+        The unsolicited vote: the coordinator marks a member's last write
+        of the transaction, so the prepare record is logged right behind
+        its redo records and the reply is the vote, which saves the
+        ``prepare`` round trip.  Once voted, the transaction takes
+        nothing more here (:meth:`_lock` refuses it).  The one exception
+        is this same message sent again after its reply was lost: the
+        vote is withdrawn, the writes re-applied (idempotent within the
+        transaction) and the vote cast again, all under the latch, so it
+        answers yes again and commits once.
+
+        ``prepare`` says whether the transaction was here before this
+        message: ``"first"`` if not, ``"again"`` if an earlier round of
+        it ran here.  ``"again"`` for a transaction this replica has not
+        seen since its last crash is the check :meth:`prepare` makes: the
+        earlier effects and locks were lost with the volatile state, so
+        the vote is refused before anything is applied, and the
+        transaction aborts.
+        """
+        if prepare == "again" and txn_id not in self._seen_txns:
+            raise TransactionAbortedError(
+                txn_id, f"representative {self.name} lost its earlier work"
+            )
+        if prepare:
+            self._prepared.discard(txn_id)
+        results = [apply(txn_id, *item) for item in items]
+        if prepare:
+            self.wal.log_prepare(txn_id)
+            self._prepared.add(txn_id)
+        return results
 
     def _coalesce(
         self, txn_id: TxnId, low: BoundedKey, high: BoundedKey, version: Version
@@ -399,7 +492,8 @@ class DirectoryRepresentative:
         That is two-phase locking after the lock point: the transaction
         takes no lock once ``prepare`` is sent, and its RepModify locks
         elsewhere stay held to the decision.  A re-asked ``prepare`` then
-        finds the transaction unseen and votes no.
+        finds the transaction unseen and votes no.  A member whose last
+        write carried its vote (:meth:`_vote_with`) is not asked at all.
         """
         if txn_id not in self._seen_txns:
             return False

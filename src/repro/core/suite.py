@@ -428,7 +428,9 @@ class DirectorySuite:
     # quorum rounds
     # ------------------------------------------------------------------
 
-    def _round(self, txn: Transaction, calls: list[tuple]) -> list[Any]:
+    def _round(
+        self, txn: Transaction, calls: list[tuple], ends: str | None = None
+    ) -> list[Any]:
         """Issue one quorum round; return its values in ``calls`` order.
 
         ``calls`` lists ``(rep, method, args[, payload_items])``, ``args``
@@ -457,18 +459,34 @@ class DirectorySuite:
         pairwise on abort), a second ``rep_coalesce`` finds the range
         already merged, and reads under held locks are stable — so a
         reply lost after the effect applied cannot double-apply anything.
+
+        ``ends`` marks a round that ends the transaction at its members
+        (:mod:`repro.core.batch`); it sends each call a trailing flag.
+        ``"vote"``: each call is its member's last write and carries its
+        vote, so a member that answers is recorded in ``txn.voted`` and
+        is sent no ``prepare``; the flag is ``"again"`` for a member
+        already enlisted (an earlier round ran there, which it must
+        still hold) and ``"first"`` for the rest.  ``"release"``: each
+        member reads, releases and forgets the transaction in the one
+        call (flag ``True``), so none is enlisted and 2PC has no one to
+        reach.
         """
         if not calls:
             return []
         placements = self.placements
         txn_id = txn.txn_id
         retries = self.rpc_retries
+        participants = txn.participants
+        flag = () if ends is None else (True,)
         members = []
         for rep, method, args, *payload in calls:
             place = placements[rep]
+            if ends == "vote":
+                flag = ("again" if rep in participants else "first",)
             members.append(RpcCall(
-                place.node_id, place.service_name, method, (txn_id, *args),
-                {}, payload[0] if payload else 1, retries, rep,
+                place.node_id, place.service_name, method,
+                (txn_id, *args, *flag), {}, payload[0] if payload else 1,
+                retries, rep,
             ))
         if self.fanout == "serial":
             scatters = [[member] for member in members]
@@ -480,7 +498,10 @@ class DirectorySuite:
         scatter = self.rpc.scatter
         add_width = self._fanout_width.add
         detector = self._detector
-        participants = txn.participants
+        # A released read leaves nothing behind to enlist.
+        if ends == "release":
+            participants = None
+        voted = txn.voted if ends == "vote" else None
         values = []
         for group in scatters:
             batch = scatter(group, label)
@@ -494,12 +515,18 @@ class DirectorySuite:
                         detector.record_ok(node_id)
                     elif isinstance(reply.error, NodeDownError):
                         detector.record_down(node_id)
-                if reply.effect_applied and reply.call.key not in participants:
+                if (
+                    participants is not None
+                    and reply.effect_applied
+                    and reply.call.key not in participants
+                ):
                     call = reply.call
                     txn.enlist(call.key, call.node_id, call.service_name)
             for reply in batch.complete_all():
                 if reply.error is not None:
                     raise reply.error
+                if voted is not None:
+                    voted.add(reply.call.key)
                 values.append(reply.value)
         return values
 
@@ -886,7 +913,10 @@ class _SuiteTransaction:
 
     ``read_only_votes`` is the commit protocol's: a wave's transaction
     (:mod:`repro.core.batch`) lets replicas it only read drop out at
-    prepare; every classic operation keeps the full two phases.
+    prepare, asks no ``prepare`` of those whose last write carried their
+    vote (``txn.voted``), and commits with nothing to send when a
+    released read enlisted no one; every classic operation keeps the
+    full two phases.
     """
 
     def __init__(self, suite: DirectorySuite, read_only_votes: bool) -> None:

@@ -583,6 +583,9 @@ class _Connection(asyncio.Protocol):
         #: No frame will be parsed again: end-of-file, or bytes that are
         #: not frames.  The socket closes once nothing is owed.
         self._finished = False
+        #: Requests this client still owes the window it was last sent
+        #: (:meth:`DirectoryService._expect_refills`).
+        self.refills = 0
 
     # -- asyncio.Protocol ------------------------------------------------------
 
@@ -612,6 +615,11 @@ class _Connection(asyncio.Protocol):
     def connection_lost(self, exc: "Exception | None") -> None:
         # Requests in flight still run; what they answer is dropped.
         self.transport = None
+        # Nor will the window this client owed come: a drain waiting
+        # for it goes now.
+        for _ in range(self.refills):
+            self.service._refilled()
+        self.refills = 0
         self.service._links.discard(self)
 
     # -- frames in -------------------------------------------------------------
@@ -636,7 +644,8 @@ class _Connection(asyncio.Protocol):
                 owed.append(
                     service._request(frame, self._flush, self.buffer.command)
                 )
-                if service._refills:
+                if self.refills:
+                    self.refills -= 1
                     service._refilled()
         reading = len(owed) < self.depth and not self._finished
         if reading != self._reading and self.transport is not None:
@@ -663,7 +672,7 @@ class _Connection(asyncio.Protocol):
             if transport is not None:
                 transport.write(b"".join(replies))
                 if len(replies) > 1:
-                    self.service._expect_refills(len(replies))
+                    self.service._expect_refills(self, len(replies))
         if transport is None:
             return  # connection lost: the answers had nowhere to go
         if self._finished:
@@ -891,7 +900,7 @@ class DirectoryService:
         if self._refills:
             loop = asyncio.get_running_loop()
             if waited or loop.time() >= self._refill_by:
-                self._refills = 0  # overdue: they are not coming
+                self._write_off_refills()  # overdue: they are not coming
             elif self._refills <= _REFILL_MOST:
                 self._lingering = loop.call_at(
                     self._refill_by, self._drain, True
@@ -916,8 +925,8 @@ class DirectoryService:
         for link in dict.fromkeys(item.link for item in pending):
             link()
 
-    def _expect_refills(self, count: int) -> None:
-        """A connection was just sent ``count`` > 1 replies in one write.
+    def _expect_refills(self, link: _Connection, count: int) -> None:
+        """``link`` was just sent ``count`` > 1 replies in one write.
 
         A client with that many requests in flight keeps a window, and
         answers a burst of replies with as many new requests, written
@@ -929,15 +938,29 @@ class DirectoryService:
         waits for them (:meth:`_drain`): its wave holds the windows
         whole.  A client that takes one reply at a time is owed nothing
         and never waited for.
+
+        The debt is the connection's own: only a frame from ``link``
+        pays it.  Were any frame to count, two clients taking turns —
+        each drain one window, the other client's requests arriving
+        while it runs — would each pay the other's debt, and the drain
+        would be released without the window it waits for, wave after
+        wave: taking turns would be as stable as going in step, and
+        which one a run falls into would be left to chance.
         """
         now = asyncio.get_running_loop().time()
         if now > self._refill_by:
-            self._refills = 0  # the last lot is overdue
+            self._write_off_refills()  # the last lot is overdue
+        link.refills += count
         self._refills += count
         self._refill_by = now + min(self._refills, _REFILL_MOST) * _REFILL_EACH
 
+    def _write_off_refills(self) -> None:
+        self._refills = 0
+        for link in self._links:
+            link.refills = 0
+
     def _refilled(self) -> None:
-        """A frame arrived while refills were owed; the last one in
+        """A frame arrived that a connection owed; the last one in
         releases the drain that waited for it."""
         self._refills -= 1
         if not self._refills and self._lingering is not None:

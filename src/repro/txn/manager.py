@@ -69,12 +69,14 @@ class TransactionManager:
         """Two-phase commit; raises TwoPhaseCommitError if forced to abort.
 
         ``read_only_votes`` is the coordinator's (a served wave passes
-        it): participants that wrote nothing drop out at prepare.
+        it): participants that wrote nothing drop out at prepare.  The
+        members in ``txn.voted`` voted with their last write and are not
+        asked again.
         """
         txn.require_active()
         txn.state = TxnState.PREPARING
         outcome = self.coordinator.commit(
-            txn.txn_id, txn.participants, read_only_votes
+            txn.txn_id, txn.participants, read_only_votes, txn.voted
         )
         if outcome.unreachable_at_completion:
             self._note_pending(

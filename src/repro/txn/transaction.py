@@ -43,6 +43,9 @@ class Transaction:
     state: TxnState = TxnState.ACTIVE
     participants: dict[str, Participant] = field(default_factory=dict)
     started_at: float = 0.0
+    #: Participants whose yes vote came back with their last write, so
+    #: the commit sends them no ``prepare``.
+    voted: set[str] = field(default_factory=set)
 
     def enlist(self, key: str, node_id: str, service_name: str) -> None:
         """Record that the representative at ``key`` joined the transaction.

@@ -4,8 +4,11 @@ Directory-suite modifications touch several representatives and must be
 all-or-nothing: a DirSuiteInsert that reached only part of its write quorum
 would break the quorum-intersection invariant.  The coordinator:
 
-1. **Prepare** — asks every participant to vote.  ``prepare`` has three
-   outcomes:
+1. **Prepare** — asks every participant that has not voted yet to vote
+   (a served wave's last write to a member carries that member's vote,
+   :meth:`~repro.core.representative.DirectoryRepresentative.rep_insert_many`;
+   such a *voted* member is counted yes and asked nothing).  ``prepare``
+   has three outcomes:
 
    * *yes* — the participant is reachable, still holds the
      transaction's state, and force-writes a prepare record to its log;
@@ -20,8 +23,9 @@ would break the quorum-intersection invariant.  The coordinator:
    durable in the coordinator's decision log *before* phase two, so a
    participant that crashes between prepare and commit can resolve its
    in-doubt transaction against the coordinator at recovery.  When every
-   voter was read-only there is nothing to decide: no decision is logged
-   and no phase two is sent.
+   voter was read-only, or there was no participant at all (a wave's
+   released read left none), there is nothing to decide: no decision is
+   logged and no phase two is sent.
 3. **Complete** — sends the decision to every reachable participant that
    did not vote read-only; unreachable prepared participants resolve
    later via the decision log.
@@ -132,6 +136,7 @@ class TwoPhaseCoordinator:
         txn_id: TxnId,
         participants: dict[str, Participant],
         read_only_votes: bool = False,
+        voted: "frozenset[str] | set[str]" = frozenset(),
     ) -> CommitOutcome:
         """Run 2PC; returns the outcome (never raises for participant loss).
 
@@ -147,17 +152,28 @@ class TwoPhaseCoordinator:
         transaction whose voters all did so commits with no decision
         logged and nothing more sent.  Without it every participant is
         run through both phases, bit for bit the classic protocol.
+
+        ``voted`` names participants whose yes vote is already in hand
+        (it rode on their last write): they are sent no ``prepare``, and
+        phase two reaches them as it reaches every other yes voter.
         """
-        replies = self._phase("prepare", txn_id, participants, read_only_votes)
+        replies = self._phase(
+            "prepare",
+            txn_id,
+            {n: p for n, p in participants.items() if n not in voted},
+            read_only_votes,
+        )
         votes = {
-            name: not isinstance(reply, NetworkError) and bool(reply)
-            for name, reply in replies.items()
+            name: name in voted
+            or not isinstance(replies[name], NetworkError)
+            and bool(replies[name])
+            for name in participants
         }
-        if read_only_votes and participants:
+        if read_only_votes:
             participants = {
                 n: part
                 for n, part in participants.items()
-                if replies[n] != READ_ONLY
+                if replies.get(n) != READ_ONLY
             }
             if not participants:
                 return CommitOutcome(True, votes)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -26,6 +27,21 @@ if _PROFILE == "ci":
     )
 if _PROFILE:
     settings.load_profile(_PROFILE)
+
+# When a property fails, hypothesis's pytest plugin imports
+# ``hypothesis.extra._patching`` to offer an explicit-example patch, and
+# that imports libcst, which warns "mypy_extensions.TypedDict is
+# deprecated" on import.  Under ``-W error::DeprecationWarning`` the
+# warning is raised inside the plugin's report hook, and pytest stops
+# with INTERNALERROR instead of naming the failing test and its example.
+# Importing the module once here, with that category ignored for the
+# import alone, leaves it cached; no warning of this project is touched.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture

@@ -421,6 +421,62 @@ class TestWindowRefill:
             sock.close()
         assert waves == [4]
 
+    def test_only_the_client_that_owes_a_refill_pays_it(
+        self, service, waves, monkeypatch
+    ):
+        """A owes a window of four; B, which owes nothing, sends one
+        request while A refills.  B's frame pays none of A's debt, so the
+        drain waits for all four of A's and runs one wave of five.  Were
+        any frame to count, A's third would release it, and two clients
+        taking turns would keep releasing each other's drains early."""
+        monkeypatch.setattr(server, "_REFILL_EACH", 60.0)
+        keys = [f"a{i}" for i in range(4)]  # one shard
+        a, a_reader = _connect(service)
+        b, b_reader = _connect(service)
+        try:
+            self._burst(a, a_reader, keys)
+            del waves[:]
+            b.sendall(encode_command("SET", "a0", "w"))
+            time.sleep(0.2)
+            for key in keys[:3]:
+                a.sendall(encode_command("SET", key, "v"))
+            time.sleep(0.2)
+            assert waves == [] and len(service._pending) == 4
+            a.sendall(encode_command("SET", keys[3], "v"))
+            assert read_frame_sync(b_reader) == "OK"
+            for _ in keys:
+                assert read_frame_sync(a_reader) == "OK"
+        finally:
+            a.close()
+            b.close()
+        assert waves == [5]
+
+    def test_a_client_that_hangs_up_owes_nothing(
+        self, service, waves, monkeypatch
+    ):
+        """A owes a window of four and hangs up instead of refilling it.
+        B's request, queued behind A's debt, runs as soon as A is gone,
+        not when the wait for A's window runs out."""
+        monkeypatch.setattr(server, "_REFILL_EACH", 60.0)
+        keys = [f"a{i}" for i in range(4)]  # one shard
+        a, a_reader = _connect(service)
+        b, b_reader = _connect(service)
+        try:
+            b.settimeout(30)
+            self._burst(a, a_reader, keys)
+            del waves[:]
+            b.sendall(encode_command("SET", "a0", "w"))
+            time.sleep(0.2)
+            assert waves == [] and len(service._pending) == 1
+            a_reader.close()  # the socket closes with its last file
+            a.close()
+            assert read_frame_sync(b_reader) == "OK"
+            assert service._refills == 0
+        finally:
+            a.close()
+            b.close()
+        assert waves == [1]
+
     def test_refills_that_never_come_cost_one_short_wait(
         self, service, monkeypatch
     ):
@@ -610,10 +666,10 @@ class TestMixedVerbBurst:
 class TestWaveOfOne:
     """A client with one request in flight is served by waves of one,
     through the engine every wave takes: a present key's ``DELETE``
-    pays the grouped walk's bill, ``SET`` what the classic path pays,
-    and ``GET`` the classic bill less its ``commit`` round — its
-    replicas only read, so they vote read-only and drop out at
-    ``prepare``."""
+    pays the grouped walk's bill, ``SET`` what the classic path pays
+    less its ``prepare`` round (the install carried the votes), and
+    ``GET`` its read round alone — one key read, released with the
+    reply."""
 
     REQUESTS = [
         ("GET", "k05"),
@@ -659,14 +715,15 @@ class TestWaveOfOne:
         r, w, two_pc = 2, 2, 4  # 3-2-2; two participants, two phases
         # One neighbour and one candidate round, one probe and one
         # coalesce round: the bill of a wave of deletes, of any size.
-        assert served[3] == r + (2 * r + 2 * w) + two_pc
+        # The coalesce carried the votes, so 2PC is its commit alone.
+        assert served[3] == r + (2 * r + 2 * w) + w
         # Figure 13 from the walk on: two searches of 2 + 2, 4 probes,
         # 2 coalesces.
         assert alone[3] == r + 14 + two_pc
-        # A GET: the read round and a prepare each member answers
-        # read-only (2R), where the classic lookup adds its commit.
-        assert (served[0], alone[0]) == (2 * r, r + two_pc)
-        assert served[1:3] == alone[1:3]
+        # A GET: the read round, released (R), where the classic lookup
+        # adds both phases.
+        assert (served[0], alone[0]) == (r, r + two_pc)
+        assert served[1:3] == [cost - w for cost in alone[1:3]]
 
 
 class TestNoTaskPerKeyedRequest:

@@ -19,11 +19,15 @@ Both draw waves of one too: they are how the front door serves a client
 with one request in flight.
 
 After every wave both also hold the commit protocol to its read-only
-votes: no replica still holds a lock, an undo record or a memory of the
-wave's transaction (a replica the wave only read let go at ``prepare``,
-the rest at ``commit``), the decision log gained the wave's decision
-exactly when some replica wrote, and the directory already equals the
-twin's.
+votes: no replica still holds a lock, an undo record, a vote or a
+memory of the wave's transaction (a replica the wave only read let go at
+``prepare`` or with its reply, the rest at ``commit``), the decision log
+gained the wave's decision exactly when some replica wrote, and the
+directory already equals the twin's.  And they hold each outcome's
+``version`` to the replicas: a key's versions never go backwards from op
+to op and wave to wave, and the last op on a key in a wave carries the
+highest version any replica holds for it after that wave (at most that,
+when a later delete in the wave coalesced a range that may cover it).
 
 The third runs short waves over seeded lossy links, so that many of them
 abort and re-run op by op as waves of one.  There is no twin to compare
@@ -42,7 +46,7 @@ from repro.core.batch import _ABORTS, BATCH_KINDS, BatchOp
 from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
 from repro.core.keys import wrap
 from repro.net.failures import LossyLinks
-from tests.unit.test_batch import _fallback
+from tests.unit.test_batch import _fallback, _highest_version
 
 ops = st.builds(
     BatchOp,
@@ -156,6 +160,7 @@ def test_waves_under_message_loss_keep_the_client_model(waves, seed, fanout):
             for rep in reps:
                 assert rep.locks.is_idle(), rep.name
                 assert not rep._undo and not rep._seen_txns, rep.name
+                assert not rep._prepared, rep.name
             assert cluster.suite.authoritative_state() == model
         auditor = cluster.make_auditor()
         auditor.run()
@@ -171,6 +176,7 @@ def _check(waves, **spec):
     ) as twin:
         reps = cluster.representatives.values()
         decisions = cluster.suite.txn_manager.decision_log.decisions
+        seen: dict = {}
         for wave in waves:
             lsns = [rep.wal.next_lsn for rep in reps]
             batched = cluster.suite.execute_batch(wave)
@@ -178,11 +184,15 @@ def _check(waves, **spec):
             for b, s in zip(batched, sequential, strict=True):
                 assert b.value == s.value, b.op
                 assert type(b.error) is type(s.error), b.op
+                assert b.version >= seen.get(b.op.key, b.version), b.op
+                seen[b.op.key] = b.version
+            _check_last_versions(cluster, batched)
             txn_id = cluster.suite.last_txn_id
             for rep in reps:
                 assert rep.locks.is_idle(), rep.name
                 assert txn_id not in rep._undo, rep.name
                 assert txn_id not in rep._seen_txns, rep.name
+                assert txn_id not in rep._prepared, rep.name
             wrote = [rep.wal.next_lsn for rep in reps] != lsns
             assert (txn_id in decisions) == wrote, wave
             assert (
@@ -194,3 +204,24 @@ def _check(waves, **spec):
         assert cluster.suite._batch_fallbacks.value == 0
         assert cluster.suite.op_counts == twin.suite.op_counts
         return cluster
+
+
+def _check_last_versions(cluster, outcomes):
+    """The last op on each key carries the version the replicas now hold
+    behind it, unless a later op deleted a present key: its coalesce may
+    have covered this one, at a newer gap version."""
+    coalesced = False
+    done = set()
+    for outcome in reversed(outcomes):
+        op = outcome.op
+        if op.key not in done:
+            done.add(op.key)
+            highest = _highest_version(cluster, op.key)
+            if coalesced:
+                assert outcome.version <= highest, op
+            else:
+                assert outcome.version == highest, op
+        if op.kind in ("delete", "discard") and outcome.ok and (
+            op.kind == "delete" or outcome.value == 1
+        ):
+            coalesced = True

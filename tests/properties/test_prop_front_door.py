@@ -142,6 +142,9 @@ class _ReferenceConnection(asyncio.Protocol):
         self._reading = True
         self._writable = True
         self._finished = False
+        # Refill debts are kept per connection, as the live door keeps
+        # them: they shape waves, never replies.
+        self.refills = 0
 
     def connection_made(self, transport: Any) -> None:
         self.transport = transport
@@ -165,6 +168,9 @@ class _ReferenceConnection(asyncio.Protocol):
 
     def connection_lost(self, exc: "Exception | None") -> None:
         self.transport = None
+        for _ in range(self.refills):
+            self.service._refilled()
+        self.refills = 0
         self.service._links.discard(self)
 
     def _parse(self) -> None:
@@ -189,7 +195,8 @@ class _ReferenceConnection(asyncio.Protocol):
                 task = loop.create_task(self.service._dispatch(frame))
                 task.add_done_callback(self._flush)
                 owed.append(task)
-                if self.service._refills:
+                if self.refills:
+                    self.refills -= 1
                     self.service._refilled()
         reading = len(owed) < self.depth and not self._finished
         if reading != self._reading and self.transport is not None:
@@ -218,7 +225,7 @@ class _ReferenceConnection(asyncio.Protocol):
             if transport is not None:
                 transport.write(b"".join(replies))
                 if len(replies) > 1:
-                    self.service._expect_refills(len(replies))
+                    self.service._expect_refills(self, len(replies))
         if transport is None:
             return
         if self._finished:
@@ -324,7 +331,7 @@ class ReferenceService(server.DirectoryService):
         if self._refills:
             loop = asyncio.get_running_loop()
             if waited or loop.time() >= self._refill_by:
-                self._refills = 0
+                self._write_off_refills()
             elif self._refills <= server._REFILL_MOST:
                 self._lingering = loop.call_at(
                     self._refill_by, self._drain, True

@@ -420,8 +420,9 @@ class TestDeletesInTheFold:
         (two searches of 2 + 2, 4 probes, 2 coalesces = 14) and a 2PC
         over two participants (4).  A wave of deletes on disjoint
         neighbourhoods pays one neighbour round and one candidate round
-        (2R), one probe round and one coalesce round (2W) — and that is
-        constant in n."""
+        (2R), one probe round and one coalesce round (2W), and only the
+        commit of 2PC (W): the coalesce carried each member's vote.  That
+        is constant in n."""
         c = make_cluster(quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]))
         for i in range(20):
             c.suite.insert(f"k{i:02d}", i)
@@ -434,7 +435,7 @@ class TestDeletesInTheFold:
                 [("delete", f"k{first + 2 * j:02d}") for j in range(n)]
             )
             assert all(o.ok for o in outcomes)
-            assert _messages(c) - before == 2 + (2 * 2 + 2 * 2) + 4
+            assert _messages(c) - before == 2 + (2 * 2 + 2 * 2) + 2
         walks = c.metrics.snapshot()["suite.batch.walk_deletes"]
         assert (walks["n"], walks["max"]) == (3, 5)
         assert c.suite._batch_rewalks.value == 0
@@ -469,7 +470,7 @@ class TestDeletesInTheFold:
             before = _messages(c)
             batched = c.suite.execute_batch(wave)
             extra = (1 if batch_size == 1 else 0) + 2
-            assert _messages(c) - before == 2 + 8 + extra + 4
+            assert _messages(c) - before == 2 + 8 + extra + 2
             _assert_same_wave(c, twin, batched, wave, script)
             # Each ghost went with the range around it.
             assert c.suite.delete_stats.deletions_while_coalescing.max == 1
@@ -495,7 +496,7 @@ class TestDeletesInTheFold:
             wave = [("delete", "k04"), ("delete", "k06")]
             before = _messages(c)
             batched = c.suite.execute_batch(wave)
-            assert _messages(c) - before == 2 + 8 + 1 + 4
+            assert _messages(c) - before == 2 + 8 + 1 + 2
             _assert_same_wave(c, twin, batched, wave, script)
             stats = c.suite.delete_stats.insertions_while_coalescing
             assert (stats.n, stats.max, stats.avg) == (2, 1, 0.5)
@@ -505,8 +506,10 @@ class TestDeletesInTheFold:
         """One transaction either way, counted as the insert or the
         update it turned out to be.  At this seed both draw a read and a
         write quorum that differ, so each touches all three replicas: the
-        classic path commits on all three (R + W + 2 × 3 = 10 a SET), and
-        the wave leaves the one it only read out of the commit (9)."""
+        classic path commits on all three (R + W + 2 × 3 = 10 a SET).  The
+        wave asks ``prepare`` of the one it only read and nothing more of
+        it, and the install carried the other two's votes (R + W + 1 + 2
+        = 7)."""
         counts, costs = [], []
         for run in (
             lambda suite, op: _single(suite, *op),
@@ -523,7 +526,7 @@ class TestDeletesInTheFold:
         assert counts[0] == counts[1]
         assert (counts[0]["inserts"], counts[0]["updates"]) == (2, 1)
         assert counts[0]["failed"] == 0
-        assert costs == [20, 18]
+        assert costs == [20, 14]
 
 
 class _SplitQuorums(QuorumPolicy):
@@ -554,7 +557,9 @@ def _spy(cluster):
 class TestReadOnlyVotes:
     """A replica the wave only read answers ``prepare`` read-only and is
     left out of phase two; a wave that wrote nowhere logs no decision and
-    sends no phase two.  Exact bills on fixed quorums, R = W = 2."""
+    sends no phase two; a wave that only reads one key sends no 2PC at
+    all.  Exact bills on fixed quorums, R = W = 2
+    (``tests/unit/test_wave_bill.py`` holds every kind to its bill)."""
 
     R = 2
 
@@ -581,6 +586,8 @@ class TestReadOnlyVotes:
     def test_a_read_only_wave_costs_2r_and_logs_nothing(
         self, make_cluster, n
     ):
+        """Sixteen keys: a read round and the read-only prepares.  One
+        key (n = 1): the read round alone, released with its reply."""
         c = make_cluster(quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]))
         for i in range(n):
             c.suite.insert(f"k{i:02d}", i)
@@ -591,7 +598,8 @@ class TestReadOnlyVotes:
         assert [o.value for o in outcomes] == [
             (True, i) for i in range(n - 1)
         ] + [(False, None)]
-        assert (messages, appended, added) == (2 * self.R, 0, {})
+        bill = self.R if n == 1 else 2 * self.R
+        assert (messages, appended, added) == (bill, 0, {})
 
     @pytest.mark.parametrize(
         "wave",
@@ -608,22 +616,19 @@ class TestReadOnlyVotes:
     def test_a_member_only_read_gets_prepare_and_no_commit(
         self, make_cluster
     ):
-        """Read quorum {A, B}, write quorum {B, C}: A only read.  The
-        classic path, the control, still commits on A."""
+        """Read quorum {A, B}, write quorum {B, C}: A only read, and B
+        and C voted with their install.  The classic path, the control,
+        still prepares and commits on all three."""
         c = make_cluster(quorum_policy=_SplitQuorums("AB", "BC"))
         log = _spy(c)
         outcomes, messages, appended, added = self._bill(
             c, [("upsert", "k", 1), ("lookup", "j")]
         )
         assert all(o.ok for o in outcomes)
-        assert log == {
-            "A": ["prepare"],
-            "B": ["prepare", "commit"],
-            "C": ["prepare", "commit"],
-        }
-        # R + W + 3 prepares + 2 commits; B and C log insert, prepare
+        assert log == {"A": ["prepare"], "B": ["commit"], "C": ["commit"]}
+        # R + W + 1 prepare + 2 commits; B and C log insert, prepare
         # and commit; one decision.
-        assert (messages, appended) == (2 + 2 + 3 + 2, 6)
+        assert (messages, appended) == (2 + 2 + 1 + 2, 6)
         assert list(added.values()) == ["commit"]
         for rep in log.values():
             rep.clear()
@@ -673,6 +678,197 @@ class TestReadOnlyVotes:
             pending = c.suite.txn_manager.pending_completions
             assert len(log.decisions) <= 1 + len(pending)
         assert c.suite.txn_manager.commits == 1000
+
+
+class TestVotesOnTheLastWrite:
+    """Faults on the commit a wave now runs: each write-quorum member's
+    last write carries its vote, and a read of one key is released with
+    its reply.  Read quorum {A, B}, write quorum {B, C}."""
+
+    @staticmethod
+    def _pair():
+        return (
+            _twin(quorum_policy=_SplitQuorums("AB", "BC")),
+            _twin(quorum_policy=_SplitQuorums("AB", "BC")),
+        )
+
+    @staticmethod
+    def _assert_idle(cluster):
+        for rep in cluster.representatives.values():
+            assert rep.locks.is_idle(), rep.name
+            assert not (rep._undo or rep._seen_txns or rep._prepared), rep.name
+
+    @staticmethod
+    def _records(cluster, name):
+        txn_id = cluster.suite.last_txn_id
+        return [
+            r.kind
+            for r in cluster.representatives[name].wal.records
+            if r.txn_id == txn_id
+        ]
+
+    def test_a_voter_that_crashes_before_phase_two_recovers_the_commit(
+        self, monkeypatch
+    ):
+        """B votes with its install and crashes before the ``commit``
+        reaches it.  The vote is on its log, so at recovery the
+        transaction is in doubt, and the decision log resolves it to
+        commit: B's store is the sequential twin's."""
+        c, twin = self._pair()
+        with c, twin:
+            for side in (c, twin):
+                side.suite.insert("k", 0)
+            coordinator = c.suite.txn_manager.coordinator
+            phase = coordinator._phase
+
+            def crash_before_commit(method, *args):
+                if method == "commit":
+                    c.crash("B")
+                return phase(method, *args)
+
+            monkeypatch.setattr(coordinator, "_phase", crash_before_commit)
+            wave = [("upsert", "k", 1), ("insert", "j", 2)]
+            batched = c.suite.execute_batch(wave)
+            monkeypatch.undo()
+            c.recover("B")
+            sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
+            _assert_same_outcomes(batched, sequential)
+            for name, rep in c.representatives.items():
+                assert (
+                    rep.store.snapshot()
+                    == twin.representatives[name].store.snapshot()
+                ), name
+            assert self._records(c, "B") == ["insert", "insert", "prepare"]
+            assert c.suite.txn_manager.resolve_pending() == 1
+            assert self._records(c, "B")[-1] == "commit"
+            self._assert_idle(c)
+            _assert_same_directory(c, twin, ["j", "k"])
+
+    def test_a_lost_reply_to_a_vote_is_sent_again_and_commits_once(self):
+        """The reply to B's vote-carrying install is lost.  Re-sent, the
+        install is applied again and votes yes again; B is asked no
+        ``prepare`` and gets one ``commit``."""
+        from repro.net.failures import LossEvent, ScriptedLoss
+
+        c, twin = self._pair()
+        with c, twin:
+            c.suite.rpc_retries = 2
+            for side in (c, twin):
+                side.suite.insert("k", 0)
+            node = c.suite.placements["B"].node_id
+            c.network.install_faults(
+                ScriptedLoss(
+                    [LossEvent("reply", node, "dir:B.rep_insert_many", 0)]
+                )
+            )
+            log = _spy(c)
+            wave = [("upsert", "k", 1)]
+            batched = c.suite.execute_batch(wave)
+            assert c.network.faults.fired
+            assert c.suite._batch_fallbacks.value == 0
+            assert log == {"A": ["prepare"], "B": ["commit"], "C": ["commit"]}
+            assert self._records(c, "B") == [
+                "insert", "prepare", "insert", "prepare", "commit"
+            ]
+            assert self._records(c, "C") == ["insert", "prepare", "commit"]
+            sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
+            _assert_same_outcomes(batched, sequential)
+            _assert_same_directory(c, twin, ["k"])
+            self._assert_idle(c)
+
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_a_lost_reply_to_a_released_read_leaves_nothing_behind(
+        self, retries
+    ):
+        """A released the read before its reply was lost.  Re-sent, or
+        re-run as the fallback's wave of one when nothing is re-sent,
+        the read answers, and no replica holds a lock or remembers a
+        transaction; no 2PC message is sent either way."""
+        from repro.net.failures import LossEvent, ScriptedLoss
+
+        c, twin = self._pair()
+        with c, twin:
+            c.suite.rpc_retries = retries
+            c.suite.insert("k", 0)
+            node = c.suite.placements["A"].node_id
+            c.network.install_faults(
+                ScriptedLoss(
+                    [LossEvent("reply", node, "dir:A.rep_lookup_many", 0)]
+                )
+            )
+            log = _spy(c)
+            (outcome,) = c.suite.execute_batch([("lookup", "k")])
+            assert c.network.faults.fired
+            assert outcome.value == (True, 0)
+            assert c.suite._batch_fallbacks.value == (retries == 0)
+            assert log == {"A": [], "B": [], "C": []}
+            self._assert_idle(c)
+
+    @pytest.mark.parametrize(
+        "wave, method, nth",
+        [
+            # B lost b's coalesce; the closing install votes.
+            ([("delete", "b"), ("upsert", "k", 1)], "rep_insert_many", 1),
+            # B lost the flush of bb and c's coalesce, the dependent
+            # walker's; the closing install votes.
+            (
+                [("insert", "bb", 1), ("delete", "c"), ("upsert", "k", 1)],
+                "rep_insert_many", 2,
+            ),
+            # B lost its read locks only.
+            ([("upsert", "k", 1), ("insert", "j", 2)], "rep_insert_many", 1),
+            # b and d walk together and their coalesce votes; B lost the
+            # walk's read locks.
+            ([("delete", "b"), ("delete", "d")], "rep_coalesce_many", 1),
+        ],
+    )
+    def test_a_voter_that_lost_the_earlier_rounds_refuses_to_vote(
+        self, monkeypatch, wave, method, nth
+    ):
+        """B served the wave's earlier rounds, then crashed and
+        recovered before its vote-carrying write: the locks and the
+        uncommitted effects it held are gone.  The write is marked as
+        the transaction's second visit, so B refuses it before applying
+        anything, the wave falls back, and every replica equals the
+        sequential twin's.  Were B to vote yes, the wave would commit
+        with B missing its earlier writes."""
+        c, twin = self._pair()
+        with c, twin:
+            for side in (c, twin):
+                for key in "abcdek":
+                    side.suite.insert(key, 0)
+
+            def bounce():
+                c.crash("B")
+                c.recover("B")
+
+            TestFallbackAndMetrics._before_round(
+                monkeypatch, c.suite, method, bounce, nth
+            )
+            batched = c.suite.execute_batch(wave)
+            monkeypatch.undo()
+            assert c.suite._batch_fallbacks.value == 1
+            sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
+            _assert_same_outcomes(batched, sequential)
+            for name, rep in c.representatives.items():
+                assert (
+                    rep.store.snapshot()
+                    == twin.representatives[name].store.snapshot()
+                ), name
+            self._assert_idle(c)
+            _assert_same_directory(c, twin, list("abcdejk"))
+
+    def test_a_write_after_the_vote_is_refused_loudly(self):
+        """A member refuses any Figure 6 operation of a transaction that
+        has voted there: a coordinator that marked a write final too
+        early fails, it does not fall back."""
+        with _twin(quorum_policy=_SplitQuorums("AB", "BC")) as c:
+            rep = c.representatives["B"]
+            rep.rep_insert_many(7, [(wrap("k"), 1, "v")], "first")
+            with pytest.raises(RuntimeError, match="already voted"):
+                rep.rep_lookup_many(7, [wrap("j")])
+            rep.abort(7)
+            assert rep.locks.is_idle() and not rep._prepared
 
 
 class TestWalkersShareOrWait:
@@ -851,12 +1047,12 @@ class TestFallbackAndMetrics:
         round is on the replicas."""
         send, seen = suite._round, []
 
-        def hooked(txn, calls):
+        def hooked(txn, calls, ends=None):
             if calls and calls[0][1] == method:
                 seen.append(method)
                 if len(seen) == nth:
                     then()
-            return send(txn, calls)
+            return send(txn, calls, ends)
 
         monkeypatch.setattr(suite, "_round", hooked)
 

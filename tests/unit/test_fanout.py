@@ -463,8 +463,10 @@ def record_sequences(mode, transport):
 #: did — was recorded with it.  The ``wave`` row's tail was re-recorded
 #: when a wave's transaction began to take read-only votes: B only read,
 #: so it answers ``prepare`` read-only and gets no ``commit``; the
-#: classic rows, which keep the full two phases, did not move.  Both
-#: transports produce the same table.
+#: classic rows, which keep the full two phases, did not move.  It was
+#: re-recorded again when a wave's closing install began to carry the
+#: votes of A and C: only B, which only read, is asked to ``prepare``.
+#: Both transports produce the same table.
 ROUND_SEQUENCES = {
     "serial": {
         "lookup": (
@@ -497,8 +499,7 @@ ROUND_SEQUENCES = {
             "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
             "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
             "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
-            "rep_insert_many@C prepare@B prepare@A prepare@C commit@A "
-            "commit@C"
+            "rep_insert_many@C prepare@B commit@A commit@C"
         ),
         "delete_h": (
             "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "
@@ -540,8 +541,7 @@ ROUND_SEQUENCES = {
             "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
             "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
             "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
-            "rep_insert_many@C prepare@B prepare@A prepare@C commit@A "
-            "commit@C"
+            "rep_insert_many@C prepare@B commit@A commit@C"
         ),
         "delete_h": (
             "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "

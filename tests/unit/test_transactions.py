@@ -271,6 +271,59 @@ class TestReadOnlyVotes:
         assert services["p1"].aborted == [7]
 
 
+class TestVotesInHand:
+    """Participants whose vote rode on their last write are asked
+    nothing in phase one and reached in phase two like any yes voter."""
+
+    def test_voted_participants_get_no_prepare(self):
+        net, rpc, services, participants = make_cluster([True, True, READ_ONLY])
+        log = DecisionLog()
+        before = net.stats.rpc_rounds
+        outcome = TwoPhaseCoordinator(rpc, log).commit(
+            7, participants, read_only_votes=True, voted={"p0", "p1"}
+        )
+        assert outcome.committed
+        assert outcome.votes == {"p0": True, "p1": True, "p2": True}
+        # One prepare (p2's, read-only), two commits.
+        assert net.stats.rpc_rounds - before == 3
+        assert log.outcome(7) == "commit"
+        assert [svc.prepared for svc in services.values()] == [[], [], [7]]
+        assert [svc.committed for svc in services.values()] == [[7], [7], []]
+
+    def test_every_participant_voted_sends_the_decision_only(self):
+        net, rpc, services, participants = make_cluster([True, True])
+        log = DecisionLog()
+        before = net.stats.rpc_rounds
+        outcome = TwoPhaseCoordinator(rpc, log).commit(
+            7, participants, read_only_votes=True, voted={"p0", "p1"}
+        )
+        assert outcome.committed
+        assert net.stats.rpc_rounds - before == 2
+        assert log.outcome(7) == "commit"
+        for svc in services.values():
+            assert (svc.prepared, svc.committed) == ([], [7])
+
+    def test_a_no_vote_aborts_the_voted_too(self):
+        net, rpc, services, participants = make_cluster([True, False])
+        outcome = TwoPhaseCoordinator(rpc, DecisionLog()).commit(
+            7, participants, read_only_votes=True, voted={"p0"}
+        )
+        assert not outcome.committed
+        assert services["p0"].aborted == [7]
+        assert services["p1"].aborted == [7]
+
+    def test_no_participant_commits_with_nothing_sent(self):
+        """A released read enlists no one: nothing to decide."""
+        net, rpc, services, participants = make_cluster([])
+        log = DecisionLog()
+        outcome = TwoPhaseCoordinator(rpc, log).commit(
+            7, {}, read_only_votes=True
+        )
+        assert outcome.committed
+        assert net.stats.rpc_rounds == 0
+        assert log.decisions == {}
+
+
 class TestBoundedDecisionLog:
     """The log keeps the latest fully acknowledged decision and every
     decision whose delivery is still pending — nothing else."""
