@@ -71,20 +71,23 @@ Equivalence with sequential execution is exact, not approximate:
   keys keeps its ``prepare`` round, without which the two reads could
   straddle a writer of both.
 
-**A wave's deletes walk once.**  Every round of a wave goes to one read
-quorum and one write quorum, each drawn once (:class:`_Wave`), and the
-deletes share their rounds as the lookups and installs do
-(:func:`_walk_and_coalesce`): one ``rep_neighbors_many`` message per
-read-quorum member carries every search of every delete, both
-directions; one ``rep_lookup_many`` round judges all the candidates (a
-ghost costs the searches still under way one more pair of rounds
-between them); one ``rep_lookup_many`` per write-quorum member probes
-every boundary entry, one ``rep_insert_many`` installs the copies found
-missing, one ``rep_coalesce_many`` applies every range, carrying each
-member's vote.  On fixed quorums that is ``R + (2R + 2W) + W`` for a
-wave of deletes, however many: the read, the walk, and the ``commit``.
-Which deletes may go together is decided in three steps, and this is
-why the result is still the sequential one:
+**A wave's deletes walk once, and read each neighbour once.**  Every
+round of a wave goes to one read quorum and one write quorum, each drawn
+once (:class:`_Wave`), and the deletes share their rounds as the lookups
+and installs do (:func:`_walk_and_coalesce`): one ``rep_neighbors_many``
+message per read-quorum member carries every search of every delete,
+both directions, and its replies are all the walk reads.  Each member's
+reply for a search's cursor is also its lookup of the search's
+candidate, under the lock the reply took, so the candidates are judged
+from them for no message (a ghost costs a refill only to the members
+whose stream it ran dry).  One ``rep_coalesce_many`` per write-quorum
+member then applies every range, carrying each range's bound entries —
+the member installs any it lacks first, under the range's RepModify
+lock, which is Figure 13's probe and copy — and each member's vote.  On
+fixed quorums that is ``R + (R + W) + W`` for a wave of deletes, however
+many: the read, the walk, and the ``commit``.  Which deletes may go
+together is decided in three steps, and this is why the result is
+still the sequential one:
 
 1. *The presence pass* (:func:`_coalesce_independent`) replays the fold
    on presence alone, for no message.  Presence is a function of a
@@ -482,18 +485,20 @@ def _walk_and_coalesce(
     """Figure 13 from the neighbour search on, for every key of
     ``walkers`` (``{key: its entry's version}``) at once.
 
-    Each round carries all of them: the searches step together
-    (:func:`_search`); ``keep(pred, succ)``, when given, then says which
-    walkers go on; one ``rep_lookup_many`` per write-quorum member
-    probes every boundary entry, one ``rep_insert_many`` installs the
-    copies found missing (on the members missing any), and one
-    ``rep_coalesce_many`` per member applies every range — each at one
-    more than the largest of the gap versions its own searches crossed
-    and its entry's version, as :meth:`DirectorySuite._coalesce_around`
-    computes it.  Returns ``{key: (low, high, new gap version,
-    overhead)}``, ``overhead`` being what ``delete_stats.record_delete``
-    is owed.  With ``last``, when ``keep`` let every walker go on, the
-    coalesce is the wave's last write and carries each member's vote.
+    The searches step together (:func:`_search`); ``keep(pred, succ)``,
+    when given, then says which walkers go on.  Then one
+    ``rep_coalesce_many`` per write-quorum member applies every range —
+    each at one more than the largest of the gap versions its own
+    searches crossed and its entry's version, as
+    :meth:`DirectorySuite._coalesce_around` computes it — and carries
+    each range's bound entries, which the member installs first where it
+    lacks them (Figure 13's boundary copies, with no probe round of their
+    own).  Returns ``{key: (low, high, new gap version, overhead)}``,
+    ``overhead`` being what ``delete_stats.record_delete`` is owed: the
+    entries each member's coalesce removed, and the copies installed
+    for this range, as each member counted them.  With ``last``, when
+    ``keep`` let every walker go on, the coalesce is the wave's last
+    write and carries each member's vote.
 
     The keys must not lie in one another's neighbourhoods: the ranges
     are then disjoint, and a missing boundary two of them share is
@@ -510,30 +515,17 @@ def _walk_and_coalesce(
             found = {k: nbs for k, nbs in found.items() if keep(*nbs)}
         if not found:
             return {}
-        boundaries = list(
-            {nb.key: None for pred, succ in found.values() for nb in (succ, pred)}
-        )
-        probes = wave.round("write", "rep_lookup_many", boundaries)
-        insertions = dict.fromkeys(found, 0)
-        installs = []
-        for rep, replies in zip(wave.quorum("write"), probes):
-            held = {k for k, reply in zip(boundaries, replies) if reply.present}
-            rows = []
-            for bkey, (pred, succ) in found.items():
-                for nb in (succ, pred):
-                    if nb.key not in held:
-                        held.add(nb.key)
-                        rows.append((nb.key, nb.version, nb.value))
-                        insertions[bkey] += 1
-            if rows:
-                installs.append((rep, "rep_insert_many", (rows,), len(rows)))
-        suite._round(wave.txn, installs)
         ranges = [
             (
                 pred.key,
                 succ.key,
                 suite.version_space.successor(
                     max(succ.max_gap_version, pred.max_gap_version, walkers[k])
+                ),
+                tuple(
+                    (nb.key, nb.version, nb.value)
+                    for nb in (succ, pred)
+                    if not (nb.key.is_low or nb.key.is_high)
                 ),
             )
             for k, (pred, succ) in found.items()
@@ -544,13 +536,13 @@ def _walk_and_coalesce(
         )
         done = {}
         for i, (bkey, each) in enumerate(zip(found, ranges)):
-            removed = [result[i].removed.entries for result in results]
+            removed = [result[i][0] for result in results]
             overhead = (
                 [len(entries) for entries in removed],
-                insertions[bkey],
+                sum(result[i][1] for result in results),
                 sum(1 for entries in removed for e in entries if e.key != bkey),
             )
-            done[bkey] = (*each, overhead)
+            done[bkey] = (*each[:3], overhead)
         return done
 
 
@@ -558,11 +550,14 @@ def _search(wave: _Wave, keys: "list[Any]") -> "dict[Any, tuple]":
     """The real predecessor and successor of every key in ``keys``:
     Figure 12, all searches stepping together.
 
-    A step is at most two rounds however many searches are still under
-    way: one ``rep_neighbors_many`` message to each read-quorum member
-    with a stream run dry, then one ``rep_lookup_many`` round over the
-    candidates.  A search whose candidate is present is over; one that
-    met a ghost steps past it with the rest.  Returns
+    A step sends one ``rep_neighbors_many`` message to each read-quorum
+    member with a stream run dry, carrying every search that needs it,
+    and none to the rest.  Each candidate is then judged from the
+    neighbour replies in hand (:meth:`_NeighborSearch.verdict`): every
+    member's reply for the cursor is its lookup of the candidate, under
+    the lock the reply took, so no lookup round is sent.  A search whose
+    candidate is present is over; one that met a ghost steps past it,
+    and costs a refill only where a member's stream ran dry.  Returns
     ``{key: (pred, succ)}`` as :class:`~repro.core.entries.RealNeighbor`.
     """
     suite, txn = wave.suite, wave.txn
@@ -602,10 +597,9 @@ def _search(wave: _Wave, keys: "list[Any]") -> "dict[Any, tuple]":
             for streams, batches in zip(dry.values(), fetched):
                 for stream, batch in zip(streams, batches):
                     stream.absorb(batch)
-        candidates = [search.candidate() for search in walking]
-        verdicts = wave.lookup(list(dict.fromkeys(candidates)))
-        for search, candidate in zip(walking, candidates):
-            search.settle(candidate, verdicts[candidate])
+        for search in walking:
+            candidate = search.candidate()
+            search.settle(candidate, search.verdict(candidate))
         walking = [search for search in walking if search.real is None]
     return {
         bkey: (pred.real, succ.real) for bkey, (succ, pred) in searches.items()

@@ -8,6 +8,7 @@ wire-level shapes of the replies in Figure 6 of the paper:
 * ``DirRepLookup``   returns (boolean, version, value)            → :class:`LookupReply`
 * ``DirRepPredecessor`` returns (key, version, version)           → :class:`NeighborReply`
 * ``DirRepSuccessor``   returns (key, version, version)           → :class:`NeighborReply`
+  (which also carries the neighbouring entry's value)
 
 plus :class:`Entry`, the stored triple itself, and :class:`SuiteLookupReply`,
 the result of the suite-level lookup in Figure 8.
@@ -73,14 +74,23 @@ class LookupReply:
 class NeighborReply:
     """Reply of ``DirRepPredecessor(x)`` / ``DirRepSuccessor(x)`` (Figure 6).
 
-    ``key`` and ``entry_version`` describe the neighboring entry (largest
-    key < x, or smallest key > x); ``gap_version`` is the version of the
-    gap between ``x`` and that neighbor.
+    ``key``, ``entry_version`` and ``value`` describe the neighboring
+    entry (largest key < x, or smallest key > x); ``gap_version`` is the
+    version of the gap between ``x`` and that neighbor.
+
+    The reply is therefore also what ``DirRepLookup`` would return, at
+    this representative, for any key ``y`` between ``x`` and the
+    neighbor inclusive: the entry itself for the neighbor, the gap's
+    version for every key before it.  A wave's neighbour search judges
+    its candidates from these replies, under the RepLookup lock the
+    reply already took over that range
+    (:meth:`repro.core.suite._NeighborSearch.verdict`).
     """
 
     key: BoundedKey
     entry_version: Version
     gap_version: Version
+    value: Any = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -313,7 +313,12 @@ class DirectoryRepresentative:
         self._insert(txn_id, key, version, value)
 
     def _insert(
-        self, txn_id: TxnId, key: BoundedKey, version: Version, value: Any
+        self,
+        txn_id: TxnId,
+        key: BoundedKey,
+        version: Version,
+        value: Any,
+        copied_for: "tuple | None" = None,
     ) -> None:
         self._lock(txn_id, LockMode.REP_MODIFY, ((key, key),))
         self.wal.log_insert(txn_id, key, version, value)
@@ -324,6 +329,7 @@ class DirectoryRepresentative:
                 key,
                 replaced=result.replaced,
                 split_gap_version=result.split_gap_version,
+                copied_for=copied_for,
             ),
         )
 
@@ -407,19 +413,43 @@ class DirectoryRepresentative:
     def rep_coalesce_many(
         self,
         txn_id: TxnId,
-        ranges: "list[tuple[BoundedKey, BoundedKey, Version]]",
+        ranges: "list[tuple[BoundedKey, BoundedKey, Version, tuple]]",
         prepare: "str | None" = None,
-    ) -> list:
-        """DirRepCoalesce for every range a wave's deletes found, in one
-        message.
+    ) -> "list[tuple[tuple[Entry, ...], int]]":
+        """DirRepCoalesce for every range a wave's deletes found, each
+        with the boundary copies it needs, in one message.
 
-        ``ranges`` lists ``(low, high, version)``; each is locked,
-        redo-logged, applied and given its own undo record exactly as
-        :meth:`rep_coalesce` would, in order, and the results are
-        positional.  With ``prepare`` this is the transaction's last
+        ``ranges`` lists ``(low, high, version, bounds)``, ``bounds``
+        being the range's non-sentinel bound entries as ``(key, version,
+        value)``.  In order, each range is locked RepModify(low, high) —
+        closed, so both bounds are covered — then every bound this
+        replica does not hold is installed as :meth:`rep_insert` would
+        (logged, with its undo record), and the range is coalesced as
+        :meth:`rep_coalesce` would.  "Held" is present at any version,
+        the rule Figure 13's probe applies.  A bound two ranges share
+        is installed for the first.
+
+        Replies are positional: per range, the entries its coalesce
+        removed here and how many bounds this transaction copied in for
+        it — both read from the transaction's undo records, so the same
+        message sent again after its reply was lost (which installs
+        nothing and removes nothing the second time) answers as the
+        first one did.  With ``prepare`` this is the transaction's last
         write here and carries its vote (:meth:`_vote_with`).
         """
-        return self._vote_with(txn_id, prepare, ranges, self._coalesce)
+        self._vote_with(txn_id, prepare, ranges, self._coalesce)
+        removed: dict[tuple, list[Entry]] = {item[:3]: [] for item in ranges}
+        copied = dict.fromkeys(removed, 0)
+        for record in self._undo.get(txn_id, ()):
+            if isinstance(record, UndoCoalesce):
+                entries = removed.get((record.low, record.high, record.version))
+                if entries is not None:
+                    entries.extend(record.removed.entries)
+            elif isinstance(record, UndoInsert) and record.copied_for in copied:
+                copied[record.copied_for] += 1
+        return [
+            (tuple(removed[item[:3]]), copied[item[:3]]) for item in ranges
+        ]
 
     def _vote_with(
         self,
@@ -427,7 +457,7 @@ class DirectoryRepresentative:
         prepare: "str | None",
         items: list,
         apply: Callable,
-    ) -> list:
+    ) -> None:
         """``apply(txn_id, *item)`` for every item, in order; then, with
         ``prepare``, the yes vote ``prepare`` would have cast.
 
@@ -455,21 +485,33 @@ class DirectoryRepresentative:
             )
         if prepare:
             self._prepared.discard(txn_id)
-        results = [apply(txn_id, *item) for item in items]
+        for item in items:
+            apply(txn_id, *item)
         if prepare:
             self.wal.log_prepare(txn_id)
             self._prepared.add(txn_id)
-        return results
 
     def _coalesce(
-        self, txn_id: TxnId, low: BoundedKey, high: BoundedKey, version: Version
+        self,
+        txn_id: TxnId,
+        low: BoundedKey,
+        high: BoundedKey,
+        version: Version,
+        bounds: tuple = (),
     ):
         # A KeyRange, not a plain pair: it refuses reversed bounds
         # (ValueError) before anything is locked or logged.
         self._lock(txn_id, LockMode.REP_MODIFY, (KeyRange(low, high),))
+        for key, entry_version, value in bounds:
+            if not self.store.contains(key):
+                self._insert(
+                    txn_id, key, entry_version, value, (low, high, version)
+                )
         self.wal.log_coalesce(txn_id, low, high, version)
         result = self.store.coalesce(low, high, version)
-        self._note_undo(txn_id, UndoCoalesce(low, high, result.removed))
+        self._note_undo(
+            txn_id, UndoCoalesce(low, high, result.removed, version)
+        )
         return result
 
     # ------------------------------------------------------------------

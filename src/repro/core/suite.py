@@ -784,10 +784,12 @@ class _NeighborSearch:
 
     Holds a :class:`_NeighborStream` per read-quorum member, the cursor
     the walk has reached, and the largest gap version any member has
-    reported on the way.  Who fills the streams and who looks the
-    candidates up is the caller's business: :meth:`_real_neighbor` does
-    both for one search, a wave does both for all of its searches at
-    once (:mod:`repro.core.batch`).
+    reported on the way.  Who fills the streams and who judges the
+    candidates is the caller's business: :meth:`_real_neighbor` fills
+    them for one search and looks each candidate up in a round of its
+    own (Figure 12), a wave fills them for all of its searches at once
+    and judges each candidate from the replies in hand (:meth:`verdict`,
+    :mod:`repro.core.batch`).
     """
 
     def __init__(
@@ -823,6 +825,31 @@ class _NeighborSearch:
             )
         assert candidate is not None  # quorum is never empty
         return candidate
+
+    def verdict(self, candidate: BoundedKey) -> LookupReply:
+        """DirSuiteLookup(``candidate``) read off the neighbour replies
+        already in hand, for no message.
+
+        Each member's reply for the cursor is its DirRepLookup of the
+        candidate: the entry, if the member's neighbour is the
+        candidate; else the candidate lies in the member's gap next to
+        the cursor, and the lookup would return that gap's version.  The
+        reply's RepLookup lock covers ``[cursor, neighbour]``, so nothing
+        has changed there since.  Merged in quorum order by
+        :meth:`LookupReply.beats` — Figure 8's rule, ties included.
+        """
+        best: LookupReply | None = None
+        for stream in self.streams.values():
+            reply = stream.reply_for(self.cursor)
+            here = (
+                LookupReply(True, reply.entry_version, reply.value)
+                if reply.key == candidate
+                else LookupReply(False, reply.gap_version)
+            )
+            if here.beats(best):
+                best = here
+        assert best is not None  # quorum is never empty
+        return best
 
     def settle(self, candidate: BoundedKey, reply: Any) -> None:
         """Take the suite-level verdict on ``candidate``: the real

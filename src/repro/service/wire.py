@@ -72,6 +72,7 @@ def encode_value(value: Any) -> Any:
                 encode_value(value.key),
                 value.entry_version,
                 value.gap_version,
+                encode_value(value.value),
             ]
         }
     if isinstance(value, Segment):
@@ -115,7 +116,9 @@ def decode_value(value: Any) -> Any:
             if tag == "__lr":
                 return LookupReply(body[0], body[1], decode_value(body[2]))
             if tag == "__nr":
-                return NeighborReply(decode_value(body[0]), body[1], body[2])
+                return NeighborReply(
+                    decode_value(body[0]), body[1], body[2], decode_value(body[3])
+                )
             if tag == "__seg":
                 return Segment(
                     tuple(decode_value(e) for e in body[0]), tuple(body[1])

@@ -178,7 +178,7 @@ class BTreeStore(RepresentativeStore):
             raise ValueError("LOW has no predecessor")
         leaf, i = self._strict_floor_position(key)
         pred = leaf.entries[i]
-        return NeighborReply(pred.key, pred.version, leaf.gaps[i])
+        return NeighborReply(pred.key, pred.version, leaf.gaps[i], pred.value)
 
     def successor(self, key: BoundedKey) -> NeighborReply:
         self.stats.neighbor_queries += 1
@@ -188,7 +188,7 @@ class BTreeStore(RepresentativeStore):
         succ = sleaf.entries[si]
         # Gap between key and its successor is the gap after key's floor.
         fleaf, fi = self._floor_position(key)
-        return NeighborReply(succ.key, succ.version, fleaf.gaps[fi])
+        return NeighborReply(succ.key, succ.version, fleaf.gaps[fi], succ.value)
 
     def contains(self, key: BoundedKey) -> bool:
         leaf = self._find_leaf(key)

@@ -124,7 +124,9 @@ class SkipListStore(RepresentativeStore):
         if key.is_low:
             raise ValueError("LOW has no predecessor")
         pred = self._find_preds(key)[0]
-        return NeighborReply(pred.key, pred.entry.version, pred.gap_after)
+        return NeighborReply(
+            pred.key, pred.entry.version, pred.gap_after, pred.entry.value
+        )
 
     def successor(self, key: BoundedKey) -> NeighborReply:
         self.stats.neighbor_queries += 1
@@ -135,7 +137,9 @@ class SkipListStore(RepresentativeStore):
         # successor is the floor node's gap-after.
         succ = floor.forward[0]
         assert succ is not None  # HIGH terminates every chain
-        return NeighborReply(succ.key, succ.entry.version, floor.gap_after)
+        return NeighborReply(
+            succ.key, succ.entry.version, floor.gap_after, succ.entry.value
+        )
 
     def contains(self, key: BoundedKey) -> bool:
         return self._node_for(key) is not None

@@ -66,7 +66,9 @@ class SortedStore(RepresentativeStore):
         pred = self._entries[i - 1]
         # The gap between pred and key is the gap immediately after pred,
         # whether or not key itself is stored.
-        return NeighborReply(pred.key, pred.version, self._gaps[i - 1])
+        return NeighborReply(
+            pred.key, pred.version, self._gaps[i - 1], pred.value
+        )
 
     def successor(self, key: BoundedKey) -> NeighborReply:
         self.stats.neighbor_queries += 1
@@ -74,7 +76,9 @@ class SortedStore(RepresentativeStore):
             raise ValueError("HIGH has no successor")
         i = bisect_right(self._keys, key)
         succ = self._entries[i]
-        return NeighborReply(succ.key, succ.version, self._gaps[i - 1])
+        return NeighborReply(
+            succ.key, succ.version, self._gaps[i - 1], succ.value
+        )
 
     def contains(self, key: BoundedKey) -> bool:
         return self._index_of(key) is not None

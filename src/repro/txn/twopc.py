@@ -190,7 +190,15 @@ class TwoPhaseCoordinator:
     def abort(
         self, txn_id: TxnId, participants: dict[str, Participant]
     ) -> tuple[str, ...]:
-        """Abort everywhere reachable; returns unreachable participant names."""
+        """Abort everywhere reachable; returns unreachable participant names.
+
+        A transaction that enlisted no one (a released read whose reply
+        was lost) has nothing to roll back and no one who could be in
+        doubt: nothing is logged or sent, and the acknowledged decision
+        the log keeps stays where it was.
+        """
+        if not participants:
+            return ()
         self.decision_log.decide(txn_id, "abort")
         return self._complete("abort", txn_id, participants)
 

@@ -37,12 +37,16 @@ class UndoInsert(UndoRecord):
     """Inverse of a DirRepInsert.
 
     Exactly one of ``replaced`` / ``split_gap_version`` is set, mirroring
-    :class:`repro.storage.interface.InsertResult`.
+    :class:`repro.storage.interface.InsertResult`.  ``copied_for`` names
+    the coalesce ``(low, high, version)`` a boundary copy was installed
+    for (:meth:`repro.core.representative.DirectoryRepresentative.rep_coalesce_many`),
+    and is None for any other insert.
     """
 
     key: BoundedKey
     replaced: Entry | None = None
     split_gap_version: Version | None = None
+    copied_for: "tuple | None" = None
 
     def apply(self, store: RepresentativeStore) -> None:
         if self.replaced is not None:
@@ -55,11 +59,16 @@ class UndoInsert(UndoRecord):
 
 @dataclass(frozen=True, slots=True)
 class UndoCoalesce(UndoRecord):
-    """Inverse of a DirRepCoalesce: restore the deleted segment."""
+    """Inverse of a DirRepCoalesce: restore the deleted segment.
+
+    ``version`` is the one the coalesce gave its gap; with ``low`` and
+    ``high`` it names the coalesce within its transaction.
+    """
 
     low: BoundedKey
     high: BoundedKey
     removed: Segment
+    version: Version | None = None
 
     def apply(self, store: RepresentativeStore) -> None:
         store.restore_segment(self.low, self.high, self.removed)

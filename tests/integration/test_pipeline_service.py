@@ -713,10 +713,11 @@ class TestWaveOfOne:
                 classic("SET", f"k{i:02d}", "v")
             alone = self._costs(twin, classic)
         r, w, two_pc = 2, 2, 4  # 3-2-2; two participants, two phases
-        # One neighbour and one candidate round, one probe and one
-        # coalesce round: the bill of a wave of deletes, of any size.
-        # The coalesce carried the votes, so 2PC is its commit alone.
-        assert served[3] == r + (2 * r + 2 * w) + w
+        # One neighbour round, whose replies judge the candidates, and
+        # one coalesce round, which carries any boundary copy: the bill
+        # of a wave of deletes, of any size.  The coalesce carried the
+        # votes, so 2PC is its commit alone.
+        assert served[3] == r + (r + w) + w
         # Figure 13 from the walk on: two searches of 2 + 2, 4 probes,
         # 2 coalesces.
         assert alone[3] == r + 14 + two_pc

@@ -34,10 +34,18 @@ abort and re-run op by op as waves of one.  There is no twin to compare
 with, because which ops fail depends on the draws.  Instead a client
 model holds every op that answered to what a sequential run owes it, and
 holds every failed op to having left no effect.
+
+The fourth referees the walk's verdicts directly.  A wave judges each
+candidate of its neighbour searches from the neighbour replies in hand,
+not by a lookup round; every such verdict must equal Figure 8's merge of
+what the read-quorum members' stores hold for the candidate, read there
+without a message, at the moment it is judged.
 """
 
 import random
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +53,7 @@ from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.batch import _ABORTS, BATCH_KINDS, BatchOp
 from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
 from repro.core.keys import wrap
+from repro.core.suite import _NeighborSearch
 from repro.net.failures import LossyLinks
 from tests.unit.test_batch import _fallback, _highest_version
 
@@ -105,6 +114,60 @@ def test_crowded_deletes_match_the_sequential_twin(
         round(walked.avg * walked.n) + suite._batch_rewalks.value
         == suite.delete_stats.insertions_while_coalescing.n
     )
+
+
+def _refereed(waves, neighbor_batch_size):
+    """Run ``waves`` with every verdict checked against the stores of the
+    members it was drawn from; returns how many candidates were ghosts."""
+    ghosts = 0
+    judge = _NeighborSearch.verdict
+    with DirectoryCluster.create(
+        ClusterSpec(
+            config="3-2-2", seed=5, neighbor_batch_size=neighbor_batch_size
+        )
+    ) as cluster:
+        reps = cluster.representatives
+
+        def verdict(search, candidate):
+            nonlocal ghosts
+            reply = judge(search, candidate)
+            best = None
+            for name in search.streams:  # the read quorum, in order
+                here = reps[name].store.lookup(candidate)
+                if here.beats(best):
+                    best = here
+            assert (reply.present, reply.version, reply.value) == (
+                best.present, best.version, best.value
+            ), candidate
+            ghosts += not reply.present
+            return reply
+
+        with mock.patch.object(_NeighborSearch, "verdict", verdict):
+            for wave in waves:
+                cluster.suite.execute_batch(wave)
+        assert cluster.suite._batch_fallbacks.value == 0
+    return ghosts
+
+
+@settings(max_examples=100, deadline=None)
+@given(waves=dense_waves, neighbor_batch_size=st.sampled_from([1, 3]))
+def test_a_verdict_is_the_candidates_lookup(waves, neighbor_batch_size):
+    _refereed(waves, neighbor_batch_size)
+
+
+@pytest.mark.parametrize("neighbor_batch_size", [1, 3])
+def test_the_verdict_referee_meets_ghosts(neighbor_batch_size):
+    """The property is only a referee if walks meet ghosts: on random
+    quorums, dense waves leave them behind wave after wave."""
+    rng = random.Random(45)
+    waves = [
+        [
+            BatchOp(rng.choice(("insert", "delete", "upsert")), rng.randrange(8), 1)
+            for _ in range(rng.randrange(1, 6))
+        ]
+        for _ in range(40)
+    ]
+    assert _refereed(waves, neighbor_batch_size) > 0
 
 
 lossy_waves = st.lists(

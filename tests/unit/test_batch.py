@@ -32,6 +32,7 @@ from repro.core.errors import (
 )
 from repro.core.keys import wrap
 from repro.core.quorum import PreferredQuorumPolicy, QuorumPolicy
+from tests.conftest import scripted_insert
 
 
 def _fallback(suite, op):
@@ -419,10 +420,10 @@ class TestDeletesInTheFold:
         a classic delete is a lookup (R = 2), Figure 13 from the walk on
         (two searches of 2 + 2, 4 probes, 2 coalesces = 14) and a 2PC
         over two participants (4).  A wave of deletes on disjoint
-        neighbourhoods pays one neighbour round and one candidate round
-        (2R), one probe round and one coalesce round (2W), and only the
-        commit of 2PC (W): the coalesce carried each member's vote.  That
-        is constant in n."""
+        neighbourhoods pays one neighbour round (R), whose replies judge
+        the candidates too, one coalesce round (W), and only the commit of
+        2PC (W): the coalesce carried each member's vote.  That is
+        constant in n."""
         c = make_cluster(quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]))
         for i in range(20):
             c.suite.insert(f"k{i:02d}", i)
@@ -435,7 +436,7 @@ class TestDeletesInTheFold:
                 [("delete", f"k{first + 2 * j:02d}") for j in range(n)]
             )
             assert all(o.ok for o in outcomes)
-            assert _messages(c) - before == 2 + (2 * 2 + 2 * 2) + 2
+            assert _messages(c) - before == 2 + (2 + 2) + 2
         walks = c.metrics.snapshot()["suite.batch.walk_deletes"]
         assert (walks["n"], walks["max"]) == (3, 5)
         assert c.suite._batch_rewalks.value == 0
@@ -445,10 +446,11 @@ class TestDeletesInTheFold:
         self, make_cluster, batch_size
     ):
         """A keeps ghosts right of k03 and right of k07 (their deletes
-        went to B and C).  Both searches step past theirs together: one
-        more candidate round (R) and, at one result a message, one more
-        neighbour message — to A alone, whose streams ran dry; three
-        results a message had the next neighbour in hand already."""
+        went to B and C).  Both searches judge theirs from the neighbour
+        replies in hand and step past them together: at one result a
+        message, one more neighbour message — to A alone, whose streams
+        ran dry; three results a message had the next neighbour in hand
+        already, and the ghosts cost nothing."""
         with _twin(
             quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]),
             neighbor_batch_size=batch_size,
@@ -469,18 +471,19 @@ class TestDeletesInTheFold:
             wave = [("delete", "k03"), ("delete", "k07"), ("delete", "k10")]
             before = _messages(c)
             batched = c.suite.execute_batch(wave)
-            extra = (1 if batch_size == 1 else 0) + 2
-            assert _messages(c) - before == 2 + 8 + extra + 2
+            extra = 1 if batch_size == 1 else 0
+            assert _messages(c) - before == 2 + (2 + 2) + extra + 2
             _assert_same_wave(c, twin, batched, wave, script)
             # Each ghost went with the range around it.
             assert c.suite.delete_stats.deletions_while_coalescing.max == 1
 
     def test_a_missing_boundary_is_installed_in_one_round(self, make_cluster):
         """k05 was inserted on B and C only, so A lacks the entry both
-        k04 and k06 end their ranges on: one install message (to A) on
-        top of the constant bill, and one insertion-while-coalescing,
-        which is the first delete's — the second finds the copy there,
-        as it would have in a sequential run."""
+        k04 and k06 end their ranges on.  Both ranges carry it in A's
+        coalesce message, the one round they share: no message on top of
+        the constant bill, and one insertion-while-coalescing, which is
+        the first delete's — the second finds the copy there, as it
+        would have in a sequential run."""
         with _twin(
             quorum_policy=PreferredQuorumPolicy(["A", "B", "C"])
         ) as twin:
@@ -496,7 +499,7 @@ class TestDeletesInTheFold:
             wave = [("delete", "k04"), ("delete", "k06")]
             before = _messages(c)
             batched = c.suite.execute_batch(wave)
-            assert _messages(c) - before == 2 + 8 + 1 + 2
+            assert _messages(c) - before == 2 + (2 + 2) + 2
             _assert_same_wave(c, twin, batched, wave, script)
             stats = c.suite.delete_stats.insertions_while_coalescing
             assert (stats.n, stats.max, stats.avg) == (2, 1, 0.5)
@@ -804,6 +807,33 @@ class TestVotesOnTheLastWrite:
             assert log == {"A": [], "B": [], "C": []}
             self._assert_idle(c)
 
+    def test_a_lost_released_read_keeps_the_acknowledged_commit(self):
+        """The released read's reply is lost and nothing is re-sent: the
+        wave aborts into its fallback.  It enlisted no one, so the abort
+        logs no decision, and the commit before it stays the one the
+        decision log keeps — the one ``ResilientSuite`` probes."""
+        from repro.net.failures import LossEvent, ScriptedLoss
+
+        c, twin = self._pair()
+        with c, twin:
+            c.suite.rpc_retries = 0
+            c.suite.insert("k", 0)
+            log = c.suite.txn_manager.decision_log
+            before = dict(log.decisions)
+            assert list(before.values()) == ["commit"]
+            node = c.suite.placements["A"].node_id
+            c.network.install_faults(
+                ScriptedLoss(
+                    [LossEvent("reply", node, "dir:A.rep_lookup_many", 0)]
+                )
+            )
+            (outcome,) = c.suite.execute_batch([("lookup", "k")])
+            assert c.network.faults.fired
+            assert c.suite._batch_fallbacks.value == 1
+            assert outcome.value == (True, 0)
+            assert log.decisions == before
+            self._assert_idle(c)
+
     @pytest.mark.parametrize(
         "wave, method, nth",
         [
@@ -869,6 +899,106 @@ class TestVotesOnTheLastWrite:
                 rep.rep_lookup_many(7, [wrap("j")])
             rep.abort(7)
             assert rep.locks.is_idle() and not rep._prepared
+
+
+class TestCopiesInTheCoalesce:
+    """Faults on the message that carries a delete's boundary copies and
+    its coalesce.  Read quorum {A, B}, write quorum {B, C}; C lacks ``f``,
+    the real successor of ``d``, so its coalesce installs ``f`` first."""
+
+    WAVES = {
+        # The coalesce is the wave's last write and carries the vote.
+        "voting": [("delete", "d")],
+        # The closing install carries the vote instead.
+        "plain": [("delete", "d"), ("upsert", "k", 1)],
+    }
+
+    @staticmethod
+    def _pair():
+        pair = TestVotesOnTheLastWrite._pair()
+        for side in pair:
+            for key in "bdh":
+                scripted_insert(side, "ABC", key, 1, key)
+            scripted_insert(side, "AB", "f", 1, "f")
+        return pair
+
+    @staticmethod
+    def _assert_twin(c, twin, batched, wave):
+        sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
+        _assert_same_outcomes(batched, sequential)
+        _assert_same_directory(c, twin, list("bdfhk"))
+        assert (
+            c.suite.delete_stats.as_table()
+            == twin.suite.delete_stats.as_table()
+        )
+        TestVotesOnTheLastWrite._assert_idle(c)
+
+    @pytest.mark.parametrize("wave", sorted(WAVES))
+    def test_a_lost_reply_is_sent_again_and_copies_once(self, wave):
+        """C's reply is lost and the message re-sent: C holds ``f`` by
+        then, so it installs nothing, and removes nothing; its reply still
+        counts the one copy and the one entry, from its undo records, so
+        the delete-overhead table is the twin's."""
+        from repro.net.failures import LossEvent, ScriptedLoss
+
+        wave = self.WAVES[wave]
+        c, twin = self._pair()
+        with c, twin:
+            c.suite.rpc_retries = 2
+            node = c.suite.placements["C"].node_id
+            c.network.install_faults(
+                ScriptedLoss(
+                    [LossEvent("reply", node, "dir:C.rep_coalesce_many", 0)]
+                )
+            )
+            batched = c.suite.execute_batch(wave)
+            assert c.network.faults.fired
+            assert c.suite._batch_fallbacks.value == 0
+            kinds = TestVotesOnTheLastWrite._records(c, "C")
+            assert kinds.count("coalesce") == 2
+            assert kinds.index("insert") < kinds.index("coalesce")
+            inserts = [
+                r.payload[0]
+                for r in c.representatives["C"].wal.records
+                if r.txn_id == c.suite.last_txn_id and r.kind == "insert"
+            ]
+            assert inserts.count(wrap("f")) == 1
+            copies = c.suite.delete_stats.insertions_while_coalescing
+            assert (copies.n, copies.max) == (1, 1)
+            self._assert_twin(c, twin, batched, wave)
+
+    def test_a_voter_that_installed_a_copy_recovers_it_before_the_coalesce(
+        self, monkeypatch
+    ):
+        """C's coalesce installed ``f``, coalesced and voted; C crashes
+        before the ``commit`` reaches it.  Recovery finds the transaction
+        in doubt, resolves it to commit, and replays the copy, then the
+        coalesce: C's store is the twin's."""
+        wave = self.WAVES["voting"]
+        c, twin = self._pair()
+        with c, twin:
+            coordinator = c.suite.txn_manager.coordinator
+            phase = coordinator._phase
+
+            def crash_before_commit(method, *args):
+                if method == "commit":
+                    c.crash("C")
+                return phase(method, *args)
+
+            monkeypatch.setattr(coordinator, "_phase", crash_before_commit)
+            batched = c.suite.execute_batch(wave)
+            monkeypatch.undo()
+            assert TestVotesOnTheLastWrite._records(c, "C") == [
+                "insert", "coalesce", "prepare"
+            ]
+            c.recover("C")
+            assert c.suite.txn_manager.resolve_pending() == 1
+            self._assert_twin(c, twin, batched, wave)
+            for name, rep in c.representatives.items():
+                assert (
+                    rep.store.snapshot()
+                    == twin.representatives[name].store.snapshot()
+                ), name
 
 
 class TestWalkersShareOrWait:
@@ -1064,14 +1194,18 @@ class TestFallbackAndMetrics:
         ("lookup", "a"),
     ]
 
-    def _lose(self, make_cluster, monkeypatch, crash):
+    def _lose(self, make_cluster, monkeypatch, crash, missing=""):
         """Run :attr:`WAVE` — b and e share their walk — with ``crash``
-        going down just before the coalesce round, on A and B always."""
+        going down just before the coalesce round, on A and B always;
+        the keys in ``missing`` were written to B and C only."""
         cluster = make_cluster(
             quorum_policy=PreferredQuorumPolicy(["A", "B", "C"])
         )
         suite = cluster.suite
         for key in "abcdefg":
+            suite.quorum_policy.preference = list(
+                "BCA" if key in missing else "ABC"
+            )
             suite.insert(key, 0)
         stores = {
             name: rep.store.snapshot()
@@ -1112,7 +1246,7 @@ class TestFallbackAndMetrics:
         assert after["deletes"] == ops["deletes"] + 2
         assert after["failed"] == ops["failed"] + 1 + 5
         assert suite.authoritative_state() == dict.fromkeys("abcdefg", 0)
-        return applied
+        return cluster, applied
 
     @staticmethod
     def _coalesce_records(cluster):
@@ -1126,7 +1260,7 @@ class TestFallbackAndMetrics:
     ):
         """The whole write quorum goes down with both ranges searched
         and probed and neither applied."""
-        applied = self._lose(make_cluster, monkeypatch, crash="AB")
+        _, applied = self._lose(make_cluster, monkeypatch, crash="AB")
         assert applied == {"A": 0, "B": 0, "C": 0}
 
     def test_quorum_lost_after_the_first_coalesce_aborts_the_wave_whole(
@@ -1135,8 +1269,30 @@ class TestFallbackAndMetrics:
         """B and C go down; A takes ``rep_coalesce_many`` — both ranges
         — and B never answers.  The wave aborts whole, and A puts each
         range back from its own undo record."""
-        applied = self._lose(make_cluster, monkeypatch, crash="BC")
+        _, applied = self._lose(make_cluster, monkeypatch, crash="BC")
         assert applied == {"A": 2, "B": 0, "C": 0}
+
+    def test_a_copy_made_by_the_aborted_coalesce_is_undone(
+        self, make_cluster, monkeypatch
+    ):
+        """As above, but A lacks ``c``, where b's range ends: A's
+        coalesce message installs it before both ranges, then the wave
+        aborts, and A takes the copy out again with them."""
+        cluster, applied = self._lose(
+            make_cluster, monkeypatch, crash="BC", missing="c"
+        )
+        assert applied == {"A": 2, "B": 0, "C": 0}
+        (aborted,) = {
+            r.txn_id
+            for r in cluster.representatives["A"].wal.records
+            if r.kind == "insert" and r.payload[0] == wrap("c")
+        }
+        assert [
+            r.kind
+            for r in cluster.representatives["A"].wal.records
+            if r.txn_id == aborted
+        ] == ["insert", "coalesce", "coalesce", "abort"]
+        assert not cluster.representatives["A"].contains(wrap("c"))
 
     def test_a_wave_that_falls_back_records_each_delete_once(
         self, cluster, monkeypatch

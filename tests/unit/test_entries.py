@@ -1,7 +1,13 @@
 """Unit tests for entry/reply record types."""
 
+import pytest
+
 from repro.core.entries import Entry, LookupReply, NeighborReply, RealNeighbor, SuiteLookupReply
 from repro.core.keys import LOW, wrap
+from repro.service import wire
+from repro.storage.btree import BTreeStore
+from repro.storage.skiplist import SkipListStore
+from repro.storage.sorted_store import SortedStore
 
 
 class TestEntry:
@@ -52,6 +58,18 @@ class TestRecordShapes:
     def test_neighbor_reply_fields(self):
         r = NeighborReply(wrap("a"), 4, 2)
         assert r.key == wrap("a") and r.entry_version == 4 and r.gap_version == 2
+
+    @pytest.mark.parametrize("store", [SortedStore, SkipListStore, BTreeStore])
+    def test_neighbor_reply_carries_the_neighbours_value(self, store):
+        """Every store fills it in, and the wire codec keeps it: a wave
+        judges a candidate, and copies a bound, from this reply alone."""
+        s = store()
+        for key in "bdf":
+            s.insert(wrap(key), 3, {"v": key})
+        pred, succ = s.predecessor(wrap("d")), s.successor(wrap("d"))
+        assert (pred.key, pred.value) == (wrap("b"), {"v": "b"})
+        assert (succ.key, succ.value) == (wrap("f"), {"v": "f"})
+        assert wire.decode_value(wire.encode_value(succ)) == succ
 
     def test_suite_lookup_reply_defaults(self):
         r = SuiteLookupReply(False, 0)

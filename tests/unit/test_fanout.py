@@ -466,7 +466,10 @@ def record_sequences(mode, transport):
 #: classic rows, which keep the full two phases, did not move.  It was
 #: re-recorded again when a wave's closing install began to carry the
 #: votes of A and C: only B, which only read, is asked to ``prepare``.
-#: Both transports produce the same table.
+#: And again when a wave's walk stopped sending rounds of lookups: each
+#: candidate is judged from the neighbour replies, and the boundary copy
+#: C lacks rides in its ``rep_coalesce_many``.  Both transports produce
+#: the same table.
 ROUND_SEQUENCES = {
     "serial": {
         "lookup": (
@@ -492,14 +495,11 @@ ROUND_SEQUENCES = {
         ),
         "wave": (
             "rep_lookup_many@B rep_lookup_many@A rep_neighbors_many@B "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_insert_many@A rep_insert_many@C rep_neighbors_many@B "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
-            "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
-            "rep_insert_many@C prepare@B commit@A commit@C"
+            "rep_neighbors_many@A rep_neighbors_many@A rep_insert_many@A "
+            "rep_insert_many@C rep_neighbors_many@B rep_neighbors_many@A "
+            "rep_neighbors_many@A rep_coalesce_many@A rep_coalesce_many@C "
+            "rep_insert_many@A rep_insert_many@C prepare@B commit@A "
+            "commit@C"
         ),
         "delete_h": (
             "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "
@@ -534,14 +534,11 @@ ROUND_SEQUENCES = {
         ),
         "wave": (
             "rep_lookup_many@B rep_lookup_many@A rep_neighbors_many@B "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_insert_many@A rep_insert_many@C rep_neighbors_many@B "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_neighbors_many@A rep_lookup_many@B rep_lookup_many@A "
-            "rep_lookup_many@A rep_lookup_many@C rep_insert_many@C "
-            "rep_coalesce_many@A rep_coalesce_many@C rep_insert_many@A "
-            "rep_insert_many@C prepare@B commit@A commit@C"
+            "rep_neighbors_many@A rep_neighbors_many@A rep_insert_many@A "
+            "rep_insert_many@C rep_neighbors_many@B rep_neighbors_many@A "
+            "rep_neighbors_many@A rep_coalesce_many@A rep_coalesce_many@C "
+            "rep_insert_many@A rep_insert_many@C prepare@B commit@A "
+            "commit@C"
         ),
         "delete_h": (
             "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "
@@ -575,8 +572,12 @@ class TestRoundSequence:
         assert "rep_lookup@A rep_lookup@A rep_insert@A" in parallel["delete_h"]
         # The wave's delete searched twice (with the rest of the wave,
         # then alone behind the flush: ``e`` landed next to it), each
-        # time stepping past the ghost on one more message to A, and
-        # installed the copy C lacked in one more.
+        # time stepping past the ghost on one more message to A.  From
+        # its first neighbour message on, nothing was looked up, and
+        # nothing installed but the flush and the closing install: the
+        # copy C lacked went in its coalesce.
         assert serial["wave"].count("rep_neighbors_many@A") == 4
         assert serial["wave"].count("rep_neighbors_many@B") == 2
-        assert "rep_insert_many@C rep_coalesce_many@A" in serial["wave"]
+        walk = serial["wave"].split("rep_neighbors_many", 1)[1]
+        assert "rep_lookup_many" not in walk
+        assert walk.count("rep_insert_many") == 4

@@ -323,6 +323,20 @@ class TestVotesInHand:
         assert net.stats.rpc_rounds == 0
         assert log.decisions == {}
 
+    def test_no_participant_aborts_with_nothing_logged_or_sent(self):
+        """Nobody can be in doubt about an abort that enlisted no one, so
+        the acknowledged commit before it is still the one the log keeps
+        (the one ``ResilientSuite`` probes)."""
+        net, rpc, services, participants = make_cluster([True, True])
+        log = DecisionLog()
+        coordinator = TwoPhaseCoordinator(rpc, log)
+        assert coordinator.commit(6, participants).committed
+        before = net.stats.rpc_rounds
+        assert coordinator.abort(7, {}) == ()
+        assert net.stats.rpc_rounds == before
+        assert log.decisions == {6: "commit"}
+        assert coordinator._acknowledged == 6
+
 
 class TestBoundedDecisionLog:
     """The log keeps the latest fully acknowledged decision and every
