@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import threading
 from typing import Any, Callable, Sequence
 
 from repro.core.entries import Entry, LookupReply, NeighborReply
@@ -55,38 +54,25 @@ from repro.txn.twopc import READ_ONLY
 from repro.txn.undo import UndoCoalesce, UndoInsert, UndoRecord
 
 
-def _latched(method):
-    """Run a service method under the representative's physical latch.
+#: Beside every ``rep_*`` method, the service methods a traced
+#: representative records, each as a ``rep:<name>.<method>`` span
+#: annotated with how many redo records the call appended.
+_TRACED = ("prepare", "commit", "abort", "checkpoint", "on_crash", "on_recover")
 
-    The plain wrapper is the only thing untraced representatives ever
-    execute — identical cost to having no tracing support at all.  A
-    traced variant (recording a ``rep:<name>.<method>`` span annotated
-    with how many redo records the call appended) hangs off the wrapper
-    as ``_traced_impl``; representatives built with a recording tracer
-    bind it per instance in ``__init__``.
-    """
 
-    name = method.__name__
+def _traced(rep: "DirectoryRepresentative", method: Callable) -> Callable:
+    label = f"rep:{rep.name}.{method.__name__}"
 
-    def wrapper(self, *args, **kwargs):
-        with self._latch:
-            return method(self, *args, **kwargs)
+    def traced(*args, **kwargs):
+        with rep.tracer.span(label) as span:
+            lsn_before = rep.wal._next_lsn
+            result = method(rep, *args, **kwargs)
+            appended = rep.wal._next_lsn - lsn_before
+            if appended:
+                span.set("wal_records", appended)
+            return result
 
-    def traced(self, *args, **kwargs):
-        with self._latch:
-            with self.tracer.span(f"rep:{self.name}.{name}") as span:
-                lsn_before = self.wal._next_lsn
-                result = method(self, *args, **kwargs)
-                appended = self.wal._next_lsn - lsn_before
-                if appended:
-                    span.set("wal_records", appended)
-                return result
-
-    wrapper.__name__ = traced.__name__ = method.__name__
-    wrapper.__doc__ = traced.__doc__ = method.__doc__
-    wrapper._traced_impl = traced
-    return wrapper
-
+    return traced
 
 
 class DirectoryRepresentative:
@@ -125,15 +111,12 @@ class DirectoryRepresentative:
         self.name = name
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled:
-            # Swap every latched service method for its traced variant on
-            # this instance; untraced representatives keep the plain
-            # class-level wrappers at zero added cost.
+            # Wrap each service method on this instance; untraced
+            # representatives run the plain methods at zero added cost.
             for attr in dir(type(self)):
-                traced = getattr(
-                    getattr(type(self), attr, None), "_traced_impl", None
-                )
-                if traced is not None:
-                    setattr(self, attr, traced.__get__(self))
+                if attr.startswith("rep_") or attr in _TRACED:
+                    method = getattr(type(self), attr)
+                    setattr(self, attr, _traced(self, method))
         self._store_factory = store_factory
         self.store: RepresentativeStore = store_factory()
         self.locks = LockTable()
@@ -159,11 +142,6 @@ class DirectoryRepresentative:
         self._checkpoint_policy = checkpoint_policy or CheckpointPolicy()
         self._commits_since_checkpoint = 0
         self._decision_outcomes = decision_outcomes or (lambda: frozenset())
-        # Physical latch (as distinct from the logical range locks): each
-        # service call runs under it, so multi-threaded clients (see
-        # repro.sim.threads) can never observe a store mid-mutation.
-        # Serial simulations pay one uncontended RLock acquire per call.
-        self._latch = threading.RLock()
 
     # ------------------------------------------------------------------
     # locking helper
@@ -202,7 +180,6 @@ class DirectoryRepresentative:
     # Figure 6 operations
     # ------------------------------------------------------------------
 
-    @_latched
     def rep_lookup(self, txn_id: TxnId, key: BoundedKey) -> LookupReply:
         """DirRepLookup(x): entry or gap version for x.
 
@@ -211,7 +188,6 @@ class DirectoryRepresentative:
         self._lock(txn_id, LockMode.REP_LOOKUP, ((key, key),))
         return self.store.lookup(key)
 
-    @_latched
     def rep_lookup_version(self, txn_id: TxnId, key: BoundedKey) -> Version:
         """Version-only DirRepLookup: the entry's or containing gap's version.
 
@@ -223,7 +199,6 @@ class DirectoryRepresentative:
         self._lock(txn_id, LockMode.REP_LOOKUP, ((key, key),))
         return self.store.lookup(key).version
 
-    @_latched
     def rep_predecessor(self, txn_id: TxnId, key: BoundedKey) -> NeighborReply:
         """DirRepPredecessor(x): nearest entry below x plus the gap version.
 
@@ -235,7 +210,6 @@ class DirectoryRepresentative:
         self._lock(txn_id, LockMode.REP_LOOKUP, ((reply.key, key),))
         return reply
 
-    @_latched
     def rep_successor(self, txn_id: TxnId, key: BoundedKey) -> NeighborReply:
         """DirRepSuccessor(x): nearest entry above x plus the gap version.
 
@@ -245,7 +219,6 @@ class DirectoryRepresentative:
         self._lock(txn_id, LockMode.REP_LOOKUP, ((key, reply.key),))
         return reply
 
-    @_latched
     def rep_neighbors_batch(
         self, txn_id: TxnId, key: BoundedKey, direction: str, count: int
     ) -> list[NeighborReply]:
@@ -258,7 +231,6 @@ class DirectoryRepresentative:
         """
         return self._neighbors(txn_id, key, direction, count)
 
-    @_latched
     def rep_neighbors_many(
         self, txn_id: TxnId, searches: "list[tuple[BoundedKey, str, int]]"
     ) -> "list[list[NeighborReply]]":
@@ -302,7 +274,6 @@ class DirectoryRepresentative:
             self._lock(txn_id, LockMode.REP_LOOKUP, (scanned,))
         return replies
 
-    @_latched
     def rep_insert(
         self, txn_id: TxnId, key: BoundedKey, version: Version, value: Any
     ) -> None:
@@ -333,7 +304,6 @@ class DirectoryRepresentative:
             ),
         )
 
-    @_latched
     def rep_lookup_many(
         self, txn_id: TxnId, keys: "list[BoundedKey]", release: bool = False
     ) -> "list[LookupReply]":
@@ -375,7 +345,6 @@ class DirectoryRepresentative:
                 self._seen_txns.discard(txn_id)
                 self.locks.release_all(txn_id)
 
-    @_latched
     def rep_insert_many(
         self,
         txn_id: TxnId,
@@ -396,7 +365,6 @@ class DirectoryRepresentative:
         """
         self._vote_with(txn_id, prepare, rows, self._insert)
 
-    @_latched
     def rep_coalesce(
         self, txn_id: TxnId, low: BoundedKey, high: BoundedKey, version: Version
     ):
@@ -409,7 +377,6 @@ class DirectoryRepresentative:
         """
         return self._coalesce(txn_id, low, high, version)
 
-    @_latched
     def rep_coalesce_many(
         self,
         txn_id: TxnId,
@@ -468,7 +435,7 @@ class DirectoryRepresentative:
         nothing more here (:meth:`_lock` refuses it).  The one exception
         is this same message sent again after its reply was lost: the
         vote is withdrawn, the writes re-applied (idempotent within the
-        transaction) and the vote cast again, all under the latch, so it
+        transaction) and the vote cast again, all in this one call, so it
         answers yes again and commits once.
 
         ``prepare`` says whether the transaction was here before this
@@ -518,7 +485,6 @@ class DirectoryRepresentative:
     # transaction protocol (called by the coordinator)
     # ------------------------------------------------------------------
 
-    @_latched
     def prepare(self, txn_id: TxnId, read_only_votes: bool = False) -> bool | str:
         """Phase one of 2PC: vote yes iff the transaction's state survives.
 
@@ -547,7 +513,6 @@ class DirectoryRepresentative:
         self._prepared.add(txn_id)
         return True
 
-    @_latched
     def commit(self, txn_id: TxnId) -> None:
         """Phase two: make the transaction's effects durable and visible."""
         self.wal.log_commit(txn_id)
@@ -558,7 +523,6 @@ class DirectoryRepresentative:
         self._commits_since_checkpoint += 1
         self._maybe_checkpoint()
 
-    @_latched
     def abort(self, txn_id: TxnId) -> None:
         """Roll the transaction back: apply undo records in reverse."""
         for record in reversed(self._undo.pop(txn_id, [])):
@@ -579,7 +543,6 @@ class DirectoryRepresentative:
         ):
             self.checkpoint()
 
-    @_latched
     def checkpoint(self) -> None:
         """Fold the current state into the log (must be quiescent)."""
         if self._undo:
@@ -594,7 +557,6 @@ class DirectoryRepresentative:
     # replica lifecycle (snapshot export, reconcile)
     # ------------------------------------------------------------------
 
-    @_latched
     def rep_export_snapshot(self):
         """A consistent snapshot of this replica's store, for a join,
         an anti-entropy sweep or a reshard's read.
@@ -607,7 +569,6 @@ class DirectoryRepresentative:
             raise SnapshotUnavailableError(self.name, len(self._undo))
         return self.store.snapshot()
 
-    @_latched
     def rep_reconcile(self, pieces) -> tuple[int, int]:
         """Monotone-merge peer facts into this replica; returns counts.
 
@@ -703,7 +664,6 @@ class DirectoryRepresentative:
                 return False
             cursor = reply.key
 
-    @_latched
     def rep_tiling_digest(self) -> str:
         """A digest of the full entry/gap tiling, for anti-entropy.
 
@@ -729,7 +689,6 @@ class DirectoryRepresentative:
     # crash / recovery (see repro.net.node.CrashAware)
     # ------------------------------------------------------------------
 
-    @_latched
     def on_crash(self) -> None:
         """Lose all volatile state: store, locks, undo, prepared set."""
         self.store = self._store_factory()
@@ -738,7 +697,6 @@ class DirectoryRepresentative:
         self._prepared = set()
         self._seen_txns = set()
 
-    @_latched
     def on_recover(self) -> None:
         """Rebuild the store from the log.
 

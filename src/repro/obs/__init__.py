@@ -3,7 +3,7 @@ registry.
 
 * :mod:`repro.obs.spans` — span trees per directory operation (suite op
   → quorum collection → RPC → representative store/WAL/lock work), with
-  a zero-cost :class:`NullTracer` default and a thread-safe
+  a zero-cost :class:`NullTracer` default and a single-owner
   :class:`RecordingTracer`;
 * :mod:`repro.obs.metrics` — named counters, histograms (built on
   :class:`~repro.core.stats.RunningStat`), gauges, and providers, one

@@ -23,12 +23,12 @@ the span trees each shard's :class:`~repro.obs.spans.RingTracer` holds):
 
 Everything is clock-agnostic: constructors take a ``now`` callable, so
 the same code runs under the simulated clock in tests and under
-:class:`~repro.service.aio.WallClock` in the real service.
+:class:`~repro.service.aio.WallClock` in the real service.  Like the
+registry, each primitive has one owner and takes no lock.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -124,14 +124,11 @@ class WindowedView:
         self._now = now
         self.window = window
         self._samples: deque[tuple[float, dict[str, int]]] = deque(maxlen=history)
-        self._lock = threading.Lock()
 
     def sample(self) -> float:
         """Snapshot the registry now; returns the sample timestamp."""
         t = self._now()
-        flat = flatten_numeric(self._metrics.snapshot())
-        with self._lock:
-            self._samples.append((t, flat))
+        self._samples.append((t, flatten_numeric(self._metrics.snapshot())))
         return t
 
     def reset(self) -> float:
@@ -142,19 +139,16 @@ class WindowedView:
         routing counts would misattribute a moved range's traffic to
         its old owner.  Returns the fresh baseline's timestamp.
         """
-        with self._lock:
-            self._samples.clear()
+        self._samples.clear()
         return self.sample()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
+        return len(self._samples)
 
     def rates(self, window: float | None = None) -> WindowRates:
         """Rates between the newest sample and the window's baseline."""
         span = self.window if window is None else float(window)
-        with self._lock:
-            samples = list(self._samples)
+        samples = list(self._samples)
         if len(samples) < 2:
             return WindowRates()
         end_t, end = samples[-1]
@@ -196,15 +190,15 @@ class RollingHistogram:
         self.window = window
         self.capacity = capacity
         self._samples: deque[tuple[float, float]] = deque()
-        self._lock = threading.Lock()
 
-    def observe(self, value: float, count: int = 1) -> None:
+    def observe(self, value: float, count: int = 1, at: float | None = None) -> None:
         """Record ``value`` — ``count`` times over when that many
-        operations shared the one measured interval (a batched wave)."""
-        t = self._now()
-        with self._lock:
-            self._samples.extend(((t, value),) * count)
-            self._prune(t)
+        operations shared the one measured interval (a batched wave) —
+        as observed ``at`` that instant (default: now), so a caller that
+        has just read the clock need not read it again."""
+        t = self._now() if at is None else at
+        self._samples.extend(((t, value),) * count)
+        self._prune(t)
 
     def _prune(self, t: float) -> None:
         horizon = t - self.window
@@ -214,9 +208,8 @@ class RollingHistogram:
             self._samples.popleft()
 
     def values(self) -> list[float]:
-        with self._lock:
-            self._prune(self._now())
-            return [v for _, v in self._samples]
+        self._prune(self._now())
+        return [v for _, v in self._samples]
 
     def snapshot(self) -> dict[str, float]:
         """``{"n","avg","max","p50","p90","p99"}`` over the live window."""
@@ -250,36 +243,32 @@ class SpaceSaving:
         self.capacity = capacity
         self._counts: dict[str, int] = {}
         self._errors: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def offer(self, key: str, n: int = 1) -> None:
         key = str(key)
-        with self._lock:
-            if key in self._counts:
-                self._counts[key] += n
-            elif len(self._counts) < self.capacity:
-                self._counts[key] = n
-                self._errors[key] = 0
-            else:
-                victim = min(self._counts, key=self._counts.__getitem__)
-                floor = self._counts.pop(victim)
-                self._errors.pop(victim)
-                self._counts[key] = floor + n
-                self._errors[key] = floor
+        if key in self._counts:
+            self._counts[key] += n
+        elif len(self._counts) < self.capacity:
+            self._counts[key] = n
+            self._errors[key] = 0
+        else:
+            victim = min(self._counts, key=self._counts.__getitem__)
+            floor = self._counts.pop(victim)
+            self._errors.pop(victim)
+            self._counts[key] = floor + n
+            self._errors[key] = floor
 
     def top(self, n: int | None = None) -> list[tuple[str, int, int]]:
         """``(key, count, error)`` rows, largest count first."""
-        with self._lock:
-            rows = sorted(
-                ((k, c, self._errors[k]) for k, c in self._counts.items()),
-                key=lambda row: row[1],
-                reverse=True,
-            )
+        rows = sorted(
+            ((k, c, self._errors[k]) for k, c in self._counts.items()),
+            key=lambda row: row[1],
+            reverse=True,
+        )
         return rows if n is None else rows[:n]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._counts)
+        return len(self._counts)
 
 
 def format_stats(stats: Mapping[str, Any]) -> str:

@@ -6,7 +6,7 @@ delete-overhead moments in :mod:`repro.core.stats`, hint hit rates on
 :class:`~repro.core.hints.HintedDirectory`.  The registry gives them all
 one namespace and one export call (:meth:`MetricsRegistry.snapshot`)
 without taking over their storage: cheap monotonic values become
-:class:`Counter`\\ s or :class:`Histogram`\\ s (a thin thread-safe shell
+:class:`Counter`\\ s or :class:`Histogram`\\ s (a thin named shell
 around :class:`~repro.core.stats.RunningStat`), while existing stat
 objects register lazily as *gauges* (a callable returning a value) or
 *providers* (a callable returning a whole mapping), so reading the
@@ -16,14 +16,13 @@ Metric names are dotted lowercase paths, e.g. ``net.traffic`` (provider),
 ``suite.quorum.read.selections`` (gauge), ``rep.A.wal.appends``
 (provider); see docs/OBSERVABILITY.md for the full catalog.
 
-All mutation is thread-safe: counters and histograms carry their own
-locks so concurrent client threads (:mod:`repro.sim.threads`) can
-publish without coordination.
+A registry has one owner and takes no lock: the thread that drives the
+directory (the serving loop, or the client holding the baton in
+:mod:`repro.sim.threads`); another thread reads it only while that is idle.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Mapping
 
 from repro.core.stats import RunningStat
@@ -32,25 +31,22 @@ from repro.core.stats import RunningStat
 class Counter:
     """A named, monotonically increasing integer."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._value = 0
-        self._lock = threading.Lock()
 
     def inc(self, n: int = 1) -> None:
         """Add ``n`` (default 1)."""
-        with self._lock:
-            self._value += n
+        self._value += n
 
     @property
     def value(self) -> int:
         return self._value
 
     def reset(self) -> None:
-        with self._lock:
-            self._value = 0
+        self._value = 0
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self._value})"
@@ -59,7 +55,7 @@ class Counter:
 class Histogram:
     """A named distribution: Welford moments plus max, via RunningStat."""
 
-    __slots__ = ("name", "stat", "_lock")
+    __slots__ = ("name", "stat")
 
     def __init__(
         self,
@@ -73,17 +69,14 @@ class Histogram:
             self.stat = stat
         else:
             self.stat = RunningStat(keep_samples, reservoir=reservoir)
-        self._lock = threading.Lock()
 
     def observe(self, x: float) -> None:
         """Record one sample."""
-        with self._lock:
-            self.stat.add(x)
+        self.stat.add(x)
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of retained samples (see RunningStat)."""
-        with self._lock:
-            return self.stat.percentile(q)
+        return self.stat.percentile(q)
 
     def snapshot(self) -> dict[str, float]:
         """``{"n", "avg", "max", "std_dev"}`` for this distribution.
@@ -91,24 +84,22 @@ class Histogram:
         When the underlying stat retains samples (``keep_samples`` or a
         ``reservoir``), ``p50``/``p90``/``p99`` are included too.
         """
-        with self._lock:
-            out = {
-                "n": self.stat.n,
-                "avg": self.stat.avg,
-                "max": self.stat.max,
-                "std_dev": self.stat.std_dev,
-            }
-            if self.stat.retained_samples:
-                out["p50"] = self.stat.percentile(50)
-                out["p90"] = self.stat.percentile(90)
-                out["p99"] = self.stat.percentile(99)
-            return out
+        out = {
+            "n": self.stat.n,
+            "avg": self.stat.avg,
+            "max": self.stat.max,
+            "std_dev": self.stat.std_dev,
+        }
+        if self.stat.retained_samples:
+            out["p50"] = self.stat.percentile(50)
+            out["p90"] = self.stat.percentile(90)
+            out["p99"] = self.stat.percentile(99)
+        return out
 
     def reset(self) -> None:
-        with self._lock:
-            self.stat = RunningStat(
-                self.stat.keep_samples, reservoir=self.stat.reservoir
-            )
+        self.stat = RunningStat(
+            self.stat.keep_samples, reservoir=self.stat.reservoir
+        )
 
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, n={self.stat.n})"
@@ -126,7 +117,6 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
         self._gauges: dict[str, Callable[[], Any]] = {}
@@ -136,12 +126,11 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter called ``name``."""
-        with self._lock:
-            self._check_free(name, allow="counter")
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = Counter(name)
-            return counter
+        self._check_free(name, allow="counter")
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def histogram(
         self,
@@ -154,54 +143,37 @@ class MetricsRegistry:
         :class:`RunningStat` as its storage (so legacy collectors become
         registry-readable without copying); ``reservoir`` bounds the
         sample store kept for percentile estimates."""
-        with self._lock:
-            self._check_free(name, allow="histogram")
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = Histogram(
-                    name, stat=stat, keep_samples=keep_samples,
-                    reservoir=reservoir,
-                )
-            return hist
+        self._check_free(name, allow="histogram")
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = Histogram(
+                name, stat=stat, keep_samples=keep_samples,
+                reservoir=reservoir,
+            )
+        return hist
 
     def gauge(self, name: str, fn: Callable[[], Any]) -> None:
         """Register a single read-on-demand value."""
-        with self._lock:
-            self._check_free(name, allow="gauge")
-            self._gauges[name] = fn
+        self._check_free(name, allow="gauge")
+        self._gauges[name] = fn
 
     def provider(self, name: str, fn: Callable[[], Mapping[str, Any]]) -> None:
         """Register a mapping-valued snapshot source under one name."""
-        with self._lock:
-            self._check_free(name, allow="provider")
-            self._providers[name] = fn
+        self._check_free(name, allow="provider")
+        self._providers[name] = fn
 
     def _check_free(self, name: str, allow: str) -> None:
-        kinds = {
-            "counter": self._counters,
-            "histogram": self._histograms,
-            "gauge": self._gauges,
-            "provider": self._providers,
-        }
-        for kind, table in kinds.items():
-            if kind != allow and name in table:
-                raise ValueError(
-                    f"metric name {name!r} is already a {kind}"
-                )
+        for kind in ("counter", "histogram", "gauge", "provider"):
+            if kind != allow and name in getattr(self, f"_{kind}s"):
+                raise ValueError(f"metric name {name!r} is already a {kind}")
 
     # -- reading ---------------------------------------------------------------
 
     def names(self) -> list[str]:
         """Every registered metric name, sorted."""
-        with self._lock:
-            return sorted(
-                [
-                    *self._counters,
-                    *self._histograms,
-                    *self._gauges,
-                    *self._providers,
-                ]
-            )
+        return sorted(
+            [*self._counters, *self._histograms, *self._gauges, *self._providers]
+        )
 
     def snapshot(self) -> dict[str, Any]:
         """All metrics as one plain dict.
@@ -210,30 +182,23 @@ class MetricsRegistry:
         ``{"n","avg","max","std_dev"}`` rows, gauges and providers to
         whatever their callables return right now.
         """
-        with self._lock:
-            counters = dict(self._counters)
-            histograms = dict(self._histograms)
-            gauges = dict(self._gauges)
-            providers = dict(self._providers)
         out: dict[str, Any] = {}
-        for name, counter in counters.items():
+        for name, counter in self._counters.items():
             out[name] = counter.value
-        for name, hist in histograms.items():
+        for name, hist in self._histograms.items():
             out[name] = hist.snapshot()
-        for name, fn in gauges.items():
+        # A gauge or provider may register a metric while it is read.
+        for name, fn in list(self._gauges.items()):
             out[name] = fn()
-        for name, fn in providers.items():
+        for name, fn in list(self._providers.items()):
             out[name] = dict(fn())
         return out
 
     def reset(self) -> None:
         """Zero every counter and histogram (gauges/providers are live)."""
-        with self._lock:
-            counters = list(self._counters.values())
-            histograms = list(self._histograms.values())
-        for counter in counters:
+        for counter in self._counters.values():
             counter.reset()
-        for hist in histograms:
+        for hist in self._histograms.values():
             hist.reset()
 
     # -- scoping ---------------------------------------------------------------
@@ -256,8 +221,7 @@ class ScopedMetricsRegistry:
 
     Exposes the registry's registration surface (``counter`` /
     ``histogram`` / ``gauge`` / ``provider``) with every name rewritten
-    to ``<prefix>.<name>``; storage and thread-safety live in the root
-    registry.  ``snapshot`` returns only this scope's slice, with the
+    to ``<prefix>.<name>``; storage lives in the root registry.  ``snapshot`` returns only this scope's slice, with the
     prefix stripped back off.
     """
 

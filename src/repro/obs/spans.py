@@ -13,13 +13,16 @@ Three tracers implement the same small surface:
   context manager; the only per-call cost at an instrumented site is an
   ``enabled`` attribute check (hot paths branch on it) or one singleton
   return.  Nothing is ever recorded.
-* :class:`RecordingTracer` — keeps a thread-local stack of open spans
-  (so concurrent client threads, as in
-  :class:`~repro.sim.threads.ThreadedClients`, each build their own
-  trees) and collects finished root spans under a lock.
+* :class:`RecordingTracer` — keeps one stack of open spans and collects
+  finished root spans.  A tracer has one owner: the thread that drives
+  the suite it is bound to (the serving loop, in the service).  Two
+  clients interleaving on one tracer would nest into each other's
+  trees, so a span that is not the innermost open one when it exits
+  fails ``"span exited out of order"`` rather than mixing them.
 * :class:`RingTracer` — a :class:`RecordingTracer` whose finished-root
   store is a bounded ring, for long-lived processes such as the asyncio
-  directory service where an unbounded trace log would leak.
+  directory service where an unbounded trace log would leak; a root
+  there may be *bare* (:meth:`RingTracer.keep_bare`), with no tree.
 
 Timestamps come from the simulated clock a cluster binds via
 :meth:`bind_clock`, so span durations are deterministic simulated time,
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import threading
 from typing import Any, Callable, Iterator
 
 
@@ -81,13 +83,26 @@ class Span:
     # -- context manager -------------------------------------------------------
 
     def __enter__(self) -> "Span":
-        assert self._tracer is not None, "span was not created by a tracer"
-        self._tracer._push(self)
+        # The tracer's push, inline: a span edge is one clock read.
+        tracer = self._tracer
+        stack = tracer._stack
+        if stack:
+            self.parent_id = stack[-1].span_id
+        self.start = tracer._now()
+        stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        assert self._tracer is not None
-        self._tracer._pop(self, exc_type)
+        tracer = self._tracer
+        stack = tracer._stack
+        assert stack and stack[-1] is self, "span exited out of order"
+        stack.pop()
+        self.end = tracer._now()
+        self.status = "ok" if exc_type is None else exc_type.__name__
+        if stack:
+            stack[-1].children.append(self)
+        else:
+            tracer._keep(self)
         return False  # never swallow the exception
 
     # -- recording -------------------------------------------------------------
@@ -204,15 +219,14 @@ NULL_TRACER = NullTracer()
 
 
 class RecordingTracer:
-    """Collects span trees, one stack of open spans per thread."""
+    """Collects span trees on one stack of open spans (one owner)."""
 
     enabled = True
 
     def __init__(self, now: Callable[[], float] | None = None) -> None:
         self._now = now or (lambda: 0.0)
         self._ids = itertools.count(1)
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._stack: list[Span] = []
         self._roots: list[Span] = []
 
     def bind_clock(self, now: Callable[[], float]) -> None:
@@ -227,31 +241,6 @@ class RecordingTracer:
         span._tracer = self
         return span
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _push(self, span: Span) -> None:
-        stack = self._stack()
-        if stack:
-            span.parent_id = stack[-1].span_id
-        span.start = self._now()
-        stack.append(span)
-
-    def _pop(self, span: Span, exc_type: type | None) -> None:
-        stack = self._stack()
-        assert stack and stack[-1] is span, "span exited out of order"
-        stack.pop()
-        span.end = self._now()
-        span.status = "ok" if exc_type is None else exc_type.__name__
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            with self._lock:
-                self._keep(span)
-
     def _keep(self, root: Span) -> None:
         self._roots.append(root)
 
@@ -259,18 +248,15 @@ class RecordingTracer:
 
     def finished_roots(self) -> list[Span]:
         """Completed root spans, in completion order."""
-        with self._lock:
-            return list(self._roots)
+        return list(self._roots)
 
     def current_span(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
+        """The innermost open span, if any."""
+        return self._stack[-1] if self._stack else None
 
     def reset(self) -> None:
         """Drop all finished roots (open spans keep accumulating)."""
-        with self._lock:
-            self._roots.clear()
+        self._roots.clear()
 
 
 class RingTracer(RecordingTracer):
@@ -278,14 +264,14 @@ class RingTracer(RecordingTracer):
 
     Long-lived processes (the asyncio directory service) cannot keep
     every span tree ever recorded; this variant retains only the most
-    recent ``capacity`` root spans, evicting the oldest — and fewer
-    when their trees are large: a root is whatever one ``with`` block
-    covered (a whole wave, in the service), so the ring also holds at
-    most ``capacity * SPANS_PER_ROOT`` spans, the newest root aside.
-    Open-span bookkeeping, clock binding, and ``finished_roots()``
-    behave exactly like the parent class, so trace analysis
-    (``profile_spans``, ``render_span``) works unchanged on whatever
-    the ring still holds.
+    recent ``capacity`` roots, evicting the oldest — and fewer when
+    their trees are large: a root is whatever one ``with`` block covered
+    (a whole wave, in the service), so the ring also holds at most
+    ``capacity * SPANS_PER_ROOT`` spans, the newest root aside.  A bare
+    root (:meth:`keep_bare`) counts as one span.  Open-span bookkeeping,
+    clock binding, and ``finished_roots()`` behave exactly like the
+    parent class, so trace analysis (``profile_spans``, ``render_span``)
+    works unchanged on whatever the ring still holds.
     """
 
     #: Spans the ring has room for, per root of ``capacity``: about what
@@ -303,14 +289,25 @@ class RingTracer(RecordingTracer):
         # uses (append / clear / list(...)), plus bounded eviction.
         self._roots = collections.deque(maxlen=capacity)  # type: ignore[assignment]
 
+    def keep_bare(
+        self, name: str, start: float, end: float, status: str, attrs: dict
+    ) -> None:
+        """Hold a finished root that has no tree below it.
+
+        It costs an id and a ring slot: the ring keeps the fields as
+        they are and builds the :class:`Span` when it is read.
+        """
+        self._roots.append(
+            (name, next(self._ids), None, start, end, status, attrs)
+        )
+
     def _keep(self, root: Span) -> None:
         """Append ``root``, then drop the oldest roots until the trees
         held fit ``capacity * SPANS_PER_ROOT`` spans — never ``root``.
 
         Ids are handed out in creation order, so the newest span — the
         end of the newest root's rightmost path — and the oldest root
-        are as far apart as the spans held (exact on one thread, the
-        service's case; a fair measure when several interleave).
+        are as far apart as the spans held.
         """
         roots = self._roots
         roots.append(root)
@@ -318,5 +315,16 @@ class RingTracer(RecordingTracer):
         while newest.children:
             newest = newest.children[-1]
         room = self.capacity * self.SPANS_PER_ROOT
-        while newest.span_id - roots[0].span_id >= room and len(roots) > 1:
+        while len(roots) > 1:
+            oldest = roots[0]
+            first = oldest.span_id if isinstance(oldest, Span) else oldest[1]
+            if newest.span_id - first < room:
+                break
             roots.popleft()
+
+    def finished_roots(self) -> list[Span]:
+        """Held roots, oldest first; a bare root becomes a childless span."""
+        return [
+            root if isinstance(root, Span) else Span(*root)
+            for root in self._roots
+        ]

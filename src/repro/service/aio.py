@@ -10,22 +10,22 @@ node is a method call on the hosted service, made on the calling thread:
 no socket, no codec, no thread hop.  ``service.rpc.calls`` is a gauge
 over the network's ``rpc_rounds``, so the paper's message cost reads as
 it did when every call crossed loopback TCP.  The ledger is bumped
-without a lock: exact under the front door, where one thread makes every
-call, while threads driving a directory directly can lose an increment
-between them, as they can on the simulator.
+without a lock, and is exact: one thread at a time calls through a
+network (the front door's loop thread, or the client holding the baton
+in :mod:`repro.sim.threads`).
 
 Threading model.  The transport owns one event loop on a background
 thread; the client-facing front door (:mod:`repro.service.server`) puts
 its listening socket there through :meth:`AsyncioTransport.submit` and
 serves from that thread alone — its suites, and through them the hosted
 replicas, run as loop callbacks.  The transport itself has no opinion:
-suite front-ends are synchronous, a hosted method executes on whichever
-thread called it (the loop under the front door, ordinary threads when a
-directory is driven directly), and what serializes the calls landing on
-one node is the hosted service's own lock — a representative's
-``_latch``, which every RPC-reachable method takes.  Arguments and
-results are shared by reference, so a hosted method must neither keep a
-caller's container nor hand out its own.
+suite front-ends are synchronous and a hosted method executes on
+whichever thread called it.  Nothing serializes two callers: a hosted
+representative takes no lock, so a directory that a front door serves is
+driven from the loop (:meth:`AsyncioTransport.submit`) or while the
+front door is idle, never from a second thread at the same time.
+Arguments and results are shared by reference, so a hosted method must
+neither keep a caller's container nor hand out its own.
 
 The fault surface is the network's: a crashed or partitioned target
 raises :class:`~repro.core.errors.NodeDownError` before anything is
@@ -59,17 +59,15 @@ _TICK_SECONDS = 0.001
 class WallClock:
     """Real time presented through the :class:`~repro.net.clock.Clock` slice.
 
-    ``now`` is monotonic seconds since construction.  ``advance`` maps
-    simulated ticks onto short real sleeps (``_TICK_SECONDS`` each) so
-    backoff loops written for the simulator behave sanely; ``advance_to``
-    sleeps until the target instant, never backwards.
+    ``now`` is :func:`time.monotonic` itself, so a served clock read is
+    one C call; only differences of it mean anything (``STATS`` reports
+    its uptime as one).  ``advance`` maps simulated ticks onto short real
+    sleeps (``_TICK_SECONDS`` each) so backoff loops written for the
+    simulator behave sanely; ``advance_to`` sleeps until the target
+    instant, never backwards.
     """
 
-    def __init__(self) -> None:
-        self._epoch = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._epoch
+    now = staticmethod(time.monotonic)
 
     def advance(self, delta: float) -> float:
         if delta > 0:
@@ -97,7 +95,6 @@ class AsyncioTransport(Network):
         stats = self.stats
         self.metrics.gauge("service.rpc.calls", lambda: stats.rpc_rounds)
         self._closed = False
-        self._lock = threading.Lock()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="repro-aio-transport", daemon=True
@@ -112,10 +109,9 @@ class AsyncioTransport(Network):
         return AsyncioEndpoint(self, origin=origin, tracer=tracer)
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        if self._closed:
+            return
+        self._closed = True
         # Queued even if the thread has not entered the loop yet, so a
         # transport closed straight after construction still stops.
         try:

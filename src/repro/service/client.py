@@ -53,7 +53,7 @@ argument.
 
 The admin plane rides the same socket: :meth:`DirectoryClient.stats`
 (windowed rates and per-shard breakdown), :meth:`DirectoryClient.slow`
-(slowest recent ops with their span trees), and
+(slowest recent ops, sampled ones with their span trees), and
 :meth:`DirectoryClient.metrics` (raw registry snapshot) decode the
 JSON bulk replies of ``STATS`` / ``SLOW`` / ``METRICS``.
 
@@ -467,7 +467,8 @@ class AsyncDirectoryClient:
         return json.loads(await self._request(*parts))
 
     async def slow(self, n: int = 10) -> list[dict[str, Any]]:
-        """``SLOW n``: the slowest recent ops, each with its span tree."""
+        """``SLOW n``: the slowest recent ops, each with its root span
+        (and the tree below it when its wave was sampled)."""
         return json.loads(await self._request("SLOW", str(n)))
 
     async def metrics(self) -> dict[str, Any]:

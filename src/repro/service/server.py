@@ -22,7 +22,7 @@ the verb table (:class:`_Verb`) each::
     SHARDS                   -> :N
     REJOIN [s<i>/]replica    -> +UP          | -ERR unknown replica ...
     STATS [window]           -> $json          (windowed rates, per shard)
-    SLOW [n]                 -> $json          (slowest recent ops + spans)
+    SLOW [n]                 -> $json          (slowest recent ops + roots)
     METRICS                  -> $json          (raw registry snapshot)
     SHARDMAP                 -> $json          (epoch, boundaries, owners)
     RESHARD STATUS           -> $json          (epoch + migration phase)
@@ -102,15 +102,16 @@ process — must bring its own thread or an awaitable scatter; it must not
 run on this loop.
 
 Live telemetry (:class:`ServiceTelemetry`) instruments the waves: every
-wave runs inside one root span — ``service:<VERB>`` for a wave of one,
-``service:BATCH`` for a wider one — recorded by a bounded per-shard
-:class:`~repro.obs.spans.RingTracer` (also bound into the shard's suite,
-so the op/quorum/commit tree nests beneath it, and ranked by ``SLOW``),
-feeds a rolling latency window and a
+wave leaves one timed root — ``service:<VERB>`` for a wave of one,
+``service:BATCH`` for a wider one — in a bounded per-shard
+:class:`~repro.obs.spans.RingTracer`, which ``SLOW`` ranks; one wave in
+``_SUBTREE_EVERY`` per shard also records the suite's op/quorum/commit
+tree beneath its root.  Each wave feeds a rolling latency window and a
 space-saving hot-key sketch, and bumps the directory's ``shard.routed``
 counter — which is what makes the ``STATS`` windowed rates meaningful in
-service mode.  The admin verbs that read it run between waves, on the
-same thread.
+service mode.  All of it is owned by the serving thread and takes no
+lock; the admin verbs that read it run between waves, on the same
+thread.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ from repro.core.errors import (
     TransactionError,
 )
 from repro.obs.live import RollingHistogram, SpaceSaving, WindowedView
-from repro.obs.spans import RingTracer
+from repro.obs.spans import NULL_TRACER, RingTracer
 from repro.service import protocol
 from repro.shard.sharded import ShardedDirectory
 
@@ -147,12 +148,19 @@ _STATS_WINDOW = 60.0
 #: twenty minutes of ``repro top`` at its 2 s poll, so a minute-wide
 #: window always finds a baseline at least that old.
 _STATS_SAMPLES = 600
-#: Roots in a shard's span ring (a root is one wave's tree), which is
-#: what ``SLOW n`` ranks at query time: with
+#: Roots in a shard's span ring (one per wave, bare or with its sampled
+#: tree), which is what ``SLOW n`` ranks at query time: with
 #: ``RingTracer.SPANS_PER_ROOT`` that is at most 4,096 spans, ≈ 2 MB a
-#: shard — the trees ``SLOW`` renders stay whole for the last several
-#: hundred waves and the server's memory does not follow its uptime.
+#: shard — the last several hundred waves stay ranked and the server's
+#: memory does not follow its uptime.
 _RING_ROOTS = 512
+#: One wave in this many, per shard, records the suite's span tree below
+#: its root; the others keep a bare root and run the suite untraced.  On
+#: the counted plane's ``serial_verbs`` a tree for every wave costs 34
+#: interpreter calls an op (442.8 against 408.4 with none): one in eight
+#: pays 4.7 (1.1 %), one in sixteen would save 2 more and halve the
+#: trees a 512-root ring holds, 64 to 32.
+_SUBTREE_EVERY = 8
 #: Keys a shard's hot-key sketch tracks: any key taking more than an
 #: eighth of the shard's traffic is guaranteed a slot, and ``repro top``
 #: has a column's room for fewer still.
@@ -162,13 +170,14 @@ _HOT_KEYS = 8
 class _ShardTelemetry:
     """One shard's live instrumentation, written only by its waves.
 
-    Installing it rebinds the shard suite's tracer to a bounded
-    :class:`RingTracer`, so the spans a wave opens below its
-    ``service:`` root all land in the same per-shard ring.  The RPC
-    endpoint and the representatives keep their construction-time null
-    tracer: the live plane's trees stop at the suite's quorum rounds
-    (an ``rpc:`` span on a free wall-clock link would be retimed to
-    close at its own start).
+    The shard's suite runs untraced, except during a wave whose subtree
+    is sampled (the first, then one in ``_SUBTREE_EVERY``): that wave
+    binds the shard's :class:`RingTracer` into the suite, so the spans
+    it opens below its ``service:`` root land in the same ring.  The
+    RPC endpoint and the representatives keep their construction-time
+    null tracer: the live plane's trees stop at the suite's quorum
+    rounds (an ``rpc:`` span on a free wall-clock link would be retimed
+    to close at its own start).
     """
 
     def __init__(
@@ -183,8 +192,10 @@ class _ShardTelemetry:
         self.cluster = cluster
         self._directory = directory
         self._recorded = recorded
+        self._now = now
         self.tracer = RingTracer(now, capacity=_RING_ROOTS)
-        cluster.suite.tracer = self.tracer
+        cluster.suite.tracer = NULL_TRACER
+        self._untraced = 0  # waves to run before the next sampled subtree
         self.latency = RollingHistogram(now, window=_STATS_WINDOW)
         self.hot_keys = SpaceSaving(_HOT_KEYS)
         # Registered eagerly (not on first failure) so the name exists
@@ -196,51 +207,67 @@ class _ShardTelemetry:
     def run(self, wave: "list[_WaveItem]") -> "list[Any]":
         """Execute one wave as one grouped transaction, fully instrumented.
 
-        One root span covers it (the suite's ``op:batch`` tree nests
-        beneath it): a wave of one is ``service:<VERB>`` with its
+        One root covers it: a wave of one is ``service:<VERB>`` with its
         ``key``, as the op alone would read, a wider wave
         ``service:BATCH`` with its ``size``; the rightmost client-stamped
-        trace id is adopted onto it.  The bookkeeping is per *operation*:
-        every op in a wave waited the wave's duration, so the rolling
-        percentiles stay per-op exactly when load arrives and
+        trace id is adopted onto it.  A sampled wave's root is a span
+        over the suite's ``op:batch`` tree; any other's is bare, two
+        clock reads and one ring entry.  The bookkeeping is per
+        *operation*: every op in a wave waited the wave's duration, so
+        the rolling percentiles stay per-op exactly when load arrives and
         ``latency.n`` keeps step with ``live.ops.recorded``.
         """
         size = len(wave)
         self._directory.note_routed(self.index, size)
         if size == 1:
-            head = wave[0]
-            span = self.tracer.span(
-                f"service:{head.row.verb}", key=head.key, shard=self.index
-            )
+            name = f"service:{wave[0].row.verb}"
+            attrs = {"key": wave[0].key, "shard": self.index}
         else:
-            span = self.tracer.span(
-                "service:BATCH", size=size, shard=self.index
-            )
+            name = "service:BATCH"
+            attrs = {"size": size, "shard": self.index}
         for item in reversed(wave):
             if item.trace is not None:
-                span.attrs["trace"] = item.trace
+                attrs["trace"] = item.trace
                 break
+        ops = [BatchOp(i.row.kind, i.key, i.value) for i in wave]
+        suite = self.cluster.suite
         outcomes: "list[Any] | None" = None
-        try:
-            with span:
-                outcomes = self.cluster.suite.execute_batch(
-                    [BatchOp(i.row.kind, i.key, i.value) for i in wave]
-                )
-            return outcomes
-        finally:
-            # The ``with`` block sealed the span (end timestamp and
-            # status) before this runs, success or failure.
-            self.latency.observe(span.duration, size)
-            for item in wave:
-                self.hot_keys.offer(item.key)
-            failed = (
-                size
-                if outcomes is None
-                else sum(1 for out in outcomes if out.error is not None)
-            )
-            if failed:
-                self.failed.inc(failed)
-            self._recorded.inc(size)
+        if self._untraced:
+            self._untraced -= 1
+            start = self._now()
+            status = "ok"
+            try:
+                outcomes = suite.execute_batch(ops)
+            except BaseException as exc:
+                status = type(exc).__name__
+                raise
+            finally:
+                end = self._now()
+                self.tracer.keep_bare(name, start, end, status, attrs)
+                self._account(wave, outcomes, start, end)
+        else:
+            self._untraced = _SUBTREE_EVERY - 1
+            root = self.tracer.span(name, **attrs)
+            suite.tracer = self.tracer
+            try:
+                with root:
+                    outcomes = suite.execute_batch(ops)
+            finally:  # the ``with`` block has sealed the root
+                suite.tracer = NULL_TRACER
+                self._account(wave, outcomes, root.start, root.end)
+        return outcomes
+
+    def _account(self, wave: list, outcomes: Any, start: float, end: float) -> None:
+        size = len(wave)
+        self.latency.observe(end - start, size, end)
+        for item in wave:
+            self.hot_keys.offer(item.key)
+        failed = size if outcomes is None else 0
+        for out in outcomes or ():
+            failed += out.error is not None
+        if failed:
+            self.failed.inc(failed)
+        self._recorded.inc(size)
 
 
 @dataclass(slots=True)
@@ -314,16 +341,15 @@ class ServiceTelemetry:
     Owns one :class:`WindowedView` over the whole registry plus one
     :class:`_ShardTelemetry` per shard, and assembles the ``STATS`` /
     ``SLOW`` / ``METRICS`` replies.  Readers and writers share the
-    serving loop's thread, so a reply is a consistent cut between two
-    waves.  (The structures underneath keep their own locks: the same
-    registries are reached from many threads when a directory is driven
-    without a front door.)
+    serving loop's thread, which owns everything here, so a reply is a
+    consistent cut between two waves and nothing takes a lock.
     """
 
     def __init__(self, directory: ShardedDirectory) -> None:
         network = directory.network
         self.directory = directory
         self.clock = network.clock
+        self._started = self.clock.now()
         self.metrics = network.metrics
         self.view = WindowedView(
             self.metrics,
@@ -334,21 +360,18 @@ class ServiceTelemetry:
         self._admin = self.metrics.counter("live.admin.requests")
         self._samples = self.metrics.counter("live.window.samples")
         self._recorded = self.metrics.counter("live.ops.recorded")
-        self.shards = [
-            self._make_shard(i, cluster)
-            for i, cluster in enumerate(directory.clusters)
-        ]
-
-    def _make_shard(self, index: int, cluster: Any) -> _ShardTelemetry:
-        return _ShardTelemetry(
-            index, cluster, self.directory, self.clock.now, self._recorded
-        )
+        self.shards: "list[_ShardTelemetry]" = []
+        self.ensure_shard(len(directory.clusters) - 1)
 
     def ensure_shard(self, index: int) -> None:
-        """Instrument shards a live split added since construction."""
+        """Instrument every shard up to ``index``: at construction, and
+        the shards a live split added since."""
         while len(self.shards) <= index:
             i = len(self.shards)
-            self.shards.append(self._make_shard(i, self.directory.clusters[i]))
+            self.shards.append(_ShardTelemetry(
+                i, self.directory.clusters[i], self.directory,
+                self.clock.now, self._recorded,
+            ))
 
     def sample(self) -> float:
         """Take a registry sample for the windowed view."""
@@ -402,7 +425,7 @@ class ServiceTelemetry:
             ),
         }
         return {
-            "clock": self.clock.now(),
+            "clock": self.clock.now() - self._started,
             "shards": len(self.shards),
             "epoch": self.directory.epoch,
             "reshard": self.directory.reshard_status(),
@@ -416,15 +439,14 @@ class ServiceTelemetry:
     def slow(self, n: int = 10) -> list[dict[str, Any]]:
         """The ``SLOW n`` reply body: the slowest of the waves every
         shard's span ring still holds, ranked across shards at query
-        time — the ring is the one record of a served op."""
+        time — the ring is the one record of a served op.  Bare roots
+        and sampled trees rank together; a bare root's ``span`` has no
+        children."""
         self._admin.inc()
-        # Admin work (a ``SIZE``'s walk, say) leaves ``op:`` roots in
-        # the same rings; only the waves are served ops.
         roots = [
             root
             for shard in self.shards
             for root in shard.tracer.finished_roots()
-            if root.name.startswith("service:")
         ]
         roots.sort(key=lambda root: root.duration, reverse=True)
         return [

@@ -63,8 +63,8 @@ class WriteAheadLog:
     the log publishes its per-kind append counts as the
     ``<metrics_prefix>.appends`` provider — monotonic even across
     checkpoint truncation, unlike ``len(log)``.  The counts themselves
-    are plain ints bumped on the append path without locking: appends
-    already run under the owning representative's latch.
+    are plain ints bumped on the append path without locking: one thread
+    at a time is ever inside the owning representative.
     """
 
     records: list[WalRecord] = field(default_factory=list)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 import random
+import threading
 import warnings
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import settings
 
 from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.keys import wrap
+from repro.core.representative import DirectoryRepresentative
 from repro.storage.btree import BTreeStore
 from repro.storage.sorted_store import SortedStore
 
@@ -42,6 +46,59 @@ try:
         import hypothesis.extra._patching  # noqa: F401
 except ImportError:
     pass
+
+
+# One thread inside a representative at a time.  A representative takes
+# no lock of its own: the serving loop is the only thread that calls a
+# served one, and the baton (repro.sim.threads) lets one client thread
+# run at a time.  Every public method is wrapped here, for the whole
+# test session (a traced representative wraps these in turn), to note
+# any call that enters a representative while another thread is inside
+# it; the autouse fixture below fails the test during which that
+# happened.
+_INSIDE_TOGETHER: "list[str]" = []
+
+
+def _one_thread_inside(method):
+    @functools.wraps(method)
+    def guarded(self, *args, **kwargs):
+        guard = self.__dict__.get("_one_thread")
+        if guard is None:
+            guard = self.__dict__.setdefault(
+                "_one_thread", [threading.Lock(), None]
+            )
+        me = threading.get_ident()
+        if guard[1] == me:  # re-entered by the thread already inside
+            return method(self, *args, **kwargs)
+        entered = guard[0].acquire(blocking=False)
+        if entered:
+            guard[1] = me
+        else:
+            _INSIDE_TOGETHER.append(f"{self.name}.{method.__name__}")
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            if entered:
+                guard[1] = None
+                guard[0].release()
+
+    return guarded
+
+
+for _name, _method in list(vars(DirectoryRepresentative).items()):
+    if _name.startswith("_") or not inspect.isfunction(_method):
+        continue
+    setattr(DirectoryRepresentative, _name, _one_thread_inside(_method))
+
+
+@pytest.fixture(autouse=True)
+def _one_thread_inside_a_replica():
+    del _INSIDE_TOGETHER[:]
+    yield
+    assert not _INSIDE_TOGETHER, (
+        "two threads were inside one representative at once: "
+        f"{sorted(set(_INSIDE_TOGETHER))}"
+    )
 
 
 @pytest.fixture

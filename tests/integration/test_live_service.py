@@ -11,6 +11,7 @@ promises.
 from __future__ import annotations
 
 import socket
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.obs.analyze import PHASES, _credit_phases, iter_op_spans
 from repro.obs.spans import Span
 from repro.service import protocol
 from repro.service.client import DirectoryClient
+from repro.service import server
 from repro.service.server import DirectoryService
 from repro.shard.sharded import ShardedDirectory
 
@@ -151,6 +153,95 @@ class TestSlowVerb:
         assert {entry["shard"] for entry in entries} == {0, 1}
         durations = [entry["duration"] for entry in entries]
         assert durations == sorted(durations, reverse=True)
+
+
+class TestSampledSubtrees:
+    """Every wave leaves a root; one in ``_SUBTREE_EVERY`` per shard
+    also records the suite's tree below it.  A fresh service, so each
+    shard's waves are counted from its first."""
+
+    @pytest.fixture()
+    def fresh(self):
+        spec = ClusterSpec(config="3-2-2", seed=11, transport="asyncio")
+        started = time.monotonic()
+        with ShardedDirectory.create(spec, shards=2, shard_map="hash") as d:
+            with DirectoryService(d).start() as svc:
+                yield svc, started
+
+    @staticmethod
+    def _drive(svc, n=40):
+        """``n`` waves of one (an unpipelined client), each stamped;
+        the trace ids each shard's waves carried, in order."""
+        stamped = {0: [], 1: []}
+        with DirectoryClient(svc.host, svc.port) as c:
+            for i in range(n):
+                key = f"k{i % 11}"
+                c.set(key, "v") if i % 3 else c.get(key)
+                stamped[svc.directory.shard_for(key)].append(c.last_trace)
+        return stamped
+
+    def test_every_wave_leaves_a_root_and_one_in_n_a_subtree(self, fresh):
+        svc, _ = fresh
+        stamped = self._drive(svc)
+        every = server._SUBTREE_EVERY
+        tiled = 0
+        for shard in svc.telemetry.shards:
+            roots = shard.tracer.finished_roots()
+            assert [r.attrs["trace"] for r in roots] == stamped[shard.index]
+            assert len(roots) > every  # the shard reached a second sample
+            for wave, root in enumerate(roots):
+                assert root.duration > 0 and root.status == "ok"
+                assert root.attrs["shard"] == shard.index
+                assert root.name in ("service:SET", "service:GET")
+                assert root.attrs["key"].startswith("k")
+                assert bool(root.children) == (wave % every == 0), wave
+                for op in iter_op_spans(root.children):
+                    sums = dict.fromkeys(PHASES, 0.0)
+                    _credit_phases(op, sums)
+                    assert sum(sums.values()) == pytest.approx(
+                        op.duration, abs=1e-12
+                    )
+                    tiled += 1
+        assert tiled >= 4
+
+    def test_slow_ranks_sampled_and_bare_roots_together(self, fresh):
+        svc, _ = fresh
+        self._drive(svc)
+        with DirectoryClient(svc.host, svc.port) as c:
+            entries = c.slow(1024)
+        held = sum(len(s.tracer.finished_roots()) for s in svc.telemetry.shards)
+        assert len(entries) == held == 40
+        durations = [e["duration"] for e in entries]
+        assert durations == sorted(durations, reverse=True)
+        sampled = [e for e in entries if e["span"]["children"]]
+        bare = [e for e in entries if not e["span"]["children"]]
+        assert sampled and bare
+        for entry in entries:
+            assert entry["duration"] == pytest.approx(
+                entry["span"]["end"] - entry["span"]["start"]
+            )
+            assert entry["verb"] in ("SET", "GET") and entry["trace"]
+
+    def test_latency_samples_match_recorded_ops_per_shard(self, fresh):
+        svc, _ = fresh
+        self._drive(svc)
+        with DirectoryClient(svc.host, svc.port) as c:
+            stats, snapshot = c.stats(), c.metrics()
+        assert snapshot["live.ops.recorded"] == 40
+        for name, row in stats["per_shard"].items():
+            assert row["latency"]["n"] == row["routed"] > 0, name
+        assert sum(
+            row["latency"]["n"] for row in stats["per_shard"].values()
+        ) == snapshot["live.ops.recorded"]
+
+    def test_stats_clock_reads_seconds_since_start(self, fresh):
+        svc, started = fresh
+        with DirectoryClient(svc.host, svc.port) as c:
+            first = c.stats()["clock"]
+            time.sleep(0.05)
+            second = c.stats()["clock"]
+        assert 0.0 <= first < second <= time.monotonic() - started
+        assert second - first >= 0.05
 
 
 class TestTracePropagation:

@@ -896,11 +896,13 @@ class TestStatsUnderBatching:
             if name.endswith("live.ops.failed")
         )
 
-    def test_stats_tell_how_the_deletes_walked(self, service):
+    def test_stats_tell_how_the_deletes_walked(self, service, monkeypatch):
         """Sixteen deletes far apart in one burst, then one written and
         deleted in the same burst: ``STATS`` says how many shared a walk
         and how many walked alone, and ``SLOW`` shows the ``batch:walk``
-        spans under the waves' ``op:batch``."""
+        spans under the waves' ``op:batch`` — every wave's, with every
+        subtree sampled."""
+        monkeypatch.setattr(server, "_SUBTREE_EVERY", 1)
         with DirectoryClient(service.host, service.port) as c:
             with c.pipeline() as pipe:
                 for i in range(64):

@@ -1,25 +1,44 @@
-"""Integration tests: real concurrent transactions against the cluster.
+"""Integration tests: concurrent transactions against the cluster.
 
-The paper's concurrency claim, executed rather than simulated: multiple
-threads run genuine suite operations simultaneously; range locks abort
-conflicting transactions (retried by the harness); and afterwards the
-directory must be exactly the union of what the clients committed.
+The paper's concurrency claim, executed rather than simulated: several
+client threads run genuine suite operations, interleaved one message at
+a time by the baton (:class:`~repro.sim.threads.BatonScheduler`); range
+locks abort conflicting transactions (retried by the harness); and
+afterwards the directory must be exactly what a serial replay of the
+committed operations leaves.
 
-Every case runs on both transports.  On the simulated one the client
-threads call the representatives directly; on ``transport="asyncio"``
-they do too since co-located replicas left the loopback sockets — the
-loop thread no longer serializes a node's calls, each representative's
-latch does, and these are the tests that hold it to that.  (The asyncio
-classes subclass the simulated ones rather than parametrize them, so
-the simulated cases keep the names they have always had.)
+The harness cases run on both transports.  On the simulated one the
+client threads call the representatives directly; on
+``transport="asyncio"`` they do too, since co-located replicas left the
+loopback sockets.  Either way only the thread holding the baton runs,
+so no representative is ever entered by two threads at once (the
+conftest guard holds every test to that).  The asyncio classes subclass
+the simulated ones rather than parametrize them, so the simulated cases
+keep the names they have always had.
+
+:class:`TestEveryOrder` walks every schedule of a small scope — two
+clients, two ops each, over three keys — within a preemption bound:
+one in tier-1, and a seeded sample beyond it.  Run this module as a
+script for the wider bound (CI does)::
+
+    PYTHONPATH=src python -m tests.integration.test_threaded_clients 2
 """
 
+import itertools
+import random
 import sys
+import threading
 
 import pytest
 
 from repro.cluster import ClusterSpec, DirectoryCluster
-from repro.sim.threads import ThreadedClients
+from repro.core.errors import (
+    KeyAlreadyPresentError,
+    KeyNotPresentError,
+    TransactionError,
+)
+from repro.obs.spans import RecordingTracer
+from repro.sim.threads import BatonScheduler, ThreadedClients
 
 
 class _OnTransport:
@@ -118,7 +137,8 @@ class _Asyncio:
     @pytest.fixture(autouse=True)
     def _preempt_often(self):
         # Switch threads ~500x more often than the default 5 ms, so a
-        # latch that failed to cover a call would be caught mid-mutation.
+        # baton that let two clients run at once would put two threads
+        # inside one representative, which the conftest guard fails.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -133,3 +153,306 @@ class TestPartitionedClientsAsyncio(_Asyncio, TestPartitionedClients):
 
 class TestContendedClientsAsyncio(_Asyncio, TestContendedClients):
     pass
+
+
+# -- serial replay ----------------------------------------------------------
+
+
+def _apply(model, op):
+    """One op on a dict model: its outcome, as the suite would answer."""
+    kind, key, value = op
+    present = key in model
+    if kind == "insert":
+        if present:
+            return "KeyAlreadyPresentError"
+        model[key] = value
+    elif not present:
+        return "KeyNotPresentError"
+    elif kind == "update":
+        model[key] = value
+    else:
+        del model[key]
+    return "ok"
+
+
+def _record_commits(suite):
+    """Which client entered each transaction commit that succeeded, in
+    the order they entered it.  Under strict two-phase locking every
+    lock is held by then and none yet released, so this order is a
+    serial order of the committed transactions."""
+    order, entries = [], itertools.count()
+    commit = suite.txn_manager.commit
+
+    def recording(txn, *args, **kwargs):
+        seq = next(entries)
+        commit(txn, *args, **kwargs)
+        order.append((seq, int(threading.current_thread().name[7:])))
+
+    suite.txn_manager.commit = recording
+    return order
+
+
+def _replay_commits(preload, order, committed_ops):
+    """Replay every client's committed ops in commit order; each must
+    be legal there.  Returns the model it leaves."""
+    model = dict(preload)
+    cursors = [iter(ops) for ops in committed_ops]
+    for _, client in sorted(order):
+        op = next(cursors[client])
+        assert _apply(model, op) == "ok", (op, model)
+    assert all(next(c, None) is None for c in cursors)
+    return model
+
+
+class TestBatonScheduler:
+    """The harness's own claims, on seeded runs of the baton."""
+
+    def test_committed_ops_equal_a_serial_replay(self):
+        for seed, partitions in ((21, True), (22, False), (23, False)):
+            cluster = DirectoryCluster.create(
+                ClusterSpec(config="3-2-2", seed=seed)
+            )
+            order = _record_commits(cluster.suite)
+            result = ThreadedClients(
+                cluster, n_clients=3, ops_per_client=40,
+                key_partitions=partitions, seed=seed,
+            ).run()
+            result.raise_errors()
+            replayed = _replay_commits(
+                {}, order, [r.committed_ops for r in result.reports]
+            )
+            assert cluster.suite.authoritative_state() == replayed
+            cluster.check_invariants()
+
+    def test_conflicting_transactions_abort_and_retry(self):
+        cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=24))
+        result = ThreadedClients(
+            cluster, n_clients=3, ops_per_client=40, key_partitions=False,
+            seed=24,
+        ).run()
+        result.raise_errors()
+        assert result.lock_conflicts > 0
+        assert all(rep.locks.is_idle() for rep in cluster.representatives.values())
+
+    def test_bodies_report_their_errors_and_the_hook_goes(self):
+        cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=25))
+
+        def fails():
+            cluster.suite.lookup(1.0)
+            raise ValueError("the body's own")
+
+        def works():
+            cluster.suite.insert(2.0, "v")
+
+        scheduler = BatonScheduler(
+            cluster.network, lambda runnable, current: runnable[-1]
+        )
+        failed, worked = scheduler.run([fails, works])
+        assert isinstance(failed, ValueError) and worked is None
+        assert "service_for" not in vars(cluster.network)
+        assert cluster.suite.lookup(2.0) == (True, "v")
+
+    def test_a_shared_recording_tracer_fails_loudly(self):
+        """One tracer, one stack: interleaved clients must not nest
+        into each other's trees, so the run fails instead."""
+        tracer = RecordingTracer()
+        cluster = DirectoryCluster.create(
+            ClusterSpec(config="3-2-2", seed=26, tracer=tracer)
+        )
+        result = ThreadedClients(
+            cluster, n_clients=2, ops_per_client=5, seed=26, max_retries=5
+        ).run()
+        with pytest.raises(AssertionError, match="span exited out of order"):
+            result.raise_errors()
+
+
+# -- every order of a small scope ----------------------------------------------
+
+#: Two clients, two ops each, over the keys 1, 2 and 3: (preloaded
+#: entries, each client's program).
+SCOPES = {
+    "disjoint": (
+        {2: "p"},
+        [[("insert", 1, "a"), ("update", 1, "b")],
+         [("insert", 3, "c"), ("delete", 3, None)]],
+    ),
+    "contended": (
+        {},
+        [[("insert", 2, "a"), ("delete", 2, None)],
+         [("insert", 2, "b"), ("update", 2, "c")]],
+    ),
+    "neighbours": (
+        {1: "p", 2: "q", 3: "r"},
+        [[("delete", 1, None), ("insert", 1, "a")],
+         [("delete", 3, None), ("delete", 2, None)]],
+    ),
+}
+
+
+class _Script:
+    """A chooser that follows a prefix of decisions, then lets the
+    client holding the baton run on (never preempts), and records
+    every decision it made."""
+
+    def __init__(self, prefix, probe):
+        self.prefix, self.probe = prefix, probe
+        self.trace = []  # (options, picked index, current)
+
+    def __call__(self, runnable, current):
+        self.probe()
+        options = list(runnable)
+        if len(self.trace) < len(self.prefix):
+            pick = self.prefix[len(self.trace)]
+        else:
+            pick = options.index(current) if current in options else 0
+        self.trace.append((options, pick, current))
+        return options[pick]
+
+
+def _preemptions(trace, picks):
+    return sum(
+        1
+        for (options, _, current), pick in zip(trace, picks)
+        if current in options and options[pick] != current
+    )
+
+
+def _merges(programs):
+    """Every serial order of the programs' ops that keeps each
+    program's own order."""
+    slots = [i for i, program in enumerate(programs) for _ in program]
+    for order in set(itertools.permutations(slots)):
+        cursors = [iter(program) for program in programs]
+        yield [(i, next(cursors[i])) for i in order]
+
+
+def _run_schedule(scope, choose_for):
+    """One run of ``scope`` under the chooser ``choose_for(probe)``
+    builds; checks it and returns (chooser, stats)."""
+    preload, programs = SCOPES[scope]
+    cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=1))
+    for key, value in preload.items():
+        cluster.suite.insert(key, value)
+    order = _record_commits(cluster.suite)
+    reps = list(cluster.representatives.values())
+    stats = {"overlapped": False, "conflicts": 0}
+
+    def probe():
+        holders = set().union(*(rep.locks.holders() for rep in reps))
+        stats["overlapped"] |= len(holders) > 1
+
+    chooser = choose_for(probe)
+    scheduler = BatonScheduler(cluster.network, chooser)
+    outcomes = [[] for _ in programs]
+
+    def client(i):
+        for kind, key, value in programs[i]:
+            args = (key,) if value is None else (key, value)
+            for _attempt in range(50):
+                try:
+                    getattr(cluster.suite, kind)(*args)
+                    outcomes[i].append("ok")
+                    break
+                except (KeyAlreadyPresentError, KeyNotPresentError) as exc:
+                    outcomes[i].append(type(exc).__name__)
+                    break
+                except TransactionError:
+                    stats["conflicts"] += 1
+                    scheduler.back_off()
+            else:
+                raise AssertionError(f"{kind} {key} never got its locks")
+
+    errors = scheduler.run([lambda i=i: client(i) for i in range(len(programs))])
+    assert errors == [None] * len(programs), errors
+    state = cluster.suite.authoritative_state()
+    # Outcomes and state are those of some serial order of the ops ...
+    serial = []
+    for merge in _merges(programs):
+        model, answers = dict(preload), [[] for _ in programs]
+        for i, op in merge:
+            answers[i].append(_apply(model, op))
+        serial.append((answers, model))
+    assert (outcomes, state) in serial
+    # ... and commit order is one.
+    committed = [
+        [op for op, out in zip(program, outs) if out == "ok"]
+        for program, outs in zip(programs, outcomes)
+    ]
+    assert _replay_commits(preload, order, committed) == state
+    cluster.check_invariants()
+    assert all(rep.locks.is_idle() and not rep._undo for rep in reps)
+    return chooser, stats
+
+
+def explore(scope, bound):
+    """Run ``scope`` under every schedule with at most ``bound``
+    preemptions (a switch away from a client that could have run on);
+    yields each run's stats."""
+    stack = [[]]
+    while stack:
+        prefix = stack.pop()
+        script, stats = _run_schedule(
+            scope, lambda probe: _Script(prefix, probe)
+        )
+        yield stats
+        picks = [pick for _, pick, _ in script.trace]
+        for i in range(len(prefix), len(script.trace)):
+            options, default, _ = script.trace[i]
+            for alt in range(len(options)):
+                branch = picks[:i] + [alt]
+                if alt != default and _preemptions(script.trace, branch) <= bound:
+                    stack.append(branch)
+
+
+def _tally(runs):
+    runs = list(runs)
+    return (
+        len(runs),
+        sum(s["overlapped"] for s in runs),
+        sum(s["conflicts"] > 0 for s in runs),
+    )
+
+
+class TestEveryOrder:
+    @pytest.mark.parametrize("scope", sorted(SCOPES))
+    def test_every_schedule_within_one_preemption(self, scope):
+        runs, overlapped, conflicted = _tally(explore(scope, 1))
+        assert runs > 40
+        if scope == "disjoint":
+            # Writers on disjoint keys really run side by side.
+            assert overlapped > 0
+        if scope == "contended":
+            assert conflicted > 0
+
+    @pytest.mark.parametrize("scope", sorted(SCOPES))
+    def test_a_seeded_slice_of_unbounded_schedules(self, scope):
+        rng = random.Random(f"baton-{scope}")
+        runs = [
+            _run_schedule(
+                scope,
+                lambda probe: lambda runnable, current: (
+                    probe(), rng.choice(runnable)
+                )[1],
+            )[1]
+            for _ in range(60)
+        ]
+        _, overlapped, conflicted = _tally(runs)
+        assert overlapped > 0
+
+
+def main(argv):
+    bound = int(argv[1]) if len(argv) > 1 else 2
+    total = 0
+    for scope in sorted(SCOPES):
+        runs, overlapped, conflicted = _tally(explore(scope, bound))
+        total += runs
+        print(
+            f"{scope}: {runs} interleavings checked, {overlapped} with "
+            f"both clients holding locks, {conflicted} with a "
+            "lock-conflict abort and retry"
+        )
+    print(f"{total} interleavings checked within {bound} preemptions")
+
+
+if __name__ == "__main__":
+    main(sys.argv)

@@ -198,6 +198,18 @@ class TestRollingHistogram:
         assert snap["p99"] == pytest.approx(99.0, abs=1.0)
         assert snap["max"] == 100.0
 
+    def test_a_sample_taken_at_a_given_instant_reads_no_clock(self):
+        clock = FakeWallClock()
+        reads = []
+        hist = RollingHistogram(
+            lambda: reads.append(1) or clock.now(), window=10.0
+        )
+        hist.observe(5.0, 2, at=0.0)  # the instant a wave ended
+        assert reads == []
+        clock.advance(11.0)
+        hist.observe(1.0, at=clock.now())
+        assert hist.snapshot()["n"] == 1  # the first two aged out
+
     def test_capacity_bounds_burst(self):
         clock = FakeWallClock()
         hist = RollingHistogram(clock.now, window=60.0, capacity=10)
@@ -300,6 +312,51 @@ class TestRingTracer:
         for i in range(6):
             record(f"op:{i}", 1)  # 3 spans: the root bound takes over
         assert held() == ([f"op:{i}" for i in range(2, 6)], 12)
+
+    def test_bare_roots_become_childless_spans_when_read(self):
+        tracer = RingTracer(capacity=4)
+        with tracer.span("service:SET", key="a") as sampled:
+            with tracer.span("op:batch"):
+                pass
+        attrs = {"key": "b", "shard": 1, "trace": "t-1"}
+        tracer.keep_bare("service:GET", 2.0, 2.5, "ok", attrs)
+        tracer.keep_bare("service:DEL", 3.0, 3.25, "NodeDownError", {})
+        first, bare, failed = tracer.finished_roots()
+        assert first is sampled and len(first.children) == 1
+        assert (bare.name, bare.start, bare.end, bare.duration) == (
+            "service:GET", 2.0, 2.5, 0.5
+        )
+        assert bare.attrs == attrs and bare.children == []
+        assert bare.parent_id is None and bare.span_id > first.span_id
+        assert failed.status == "NodeDownError"
+        assert failed.span_id == bare.span_id + 1
+        # Read twice, a bare root is the same root.
+        assert tracer.finished_roots()[1].to_dict() == bare.to_dict()
+
+    def test_bare_roots_count_one_span_each(self):
+        """A bare root takes a ring slot and one span of room, so the
+        count bound evicts it and the span bound measures past it."""
+        tracer = RingTracer(capacity=3)
+        for i in range(5):
+            tracer.keep_bare(f"bare:{i}", i, i + 1, "ok", {})
+        assert [r.name for r in tracer.finished_roots()] == [
+            "bare:2", "bare:3", "bare:4"
+        ]
+
+        def tree(spans):
+            with tracer.span("tree"):
+                for _ in range(spans - 1):
+                    with tracer.span("rpc"):
+                        pass
+
+        room = 3 * RingTracer.SPANS_PER_ROOT
+        tree(room - 2)  # with the two newest bare roots: the room, exactly
+        assert [r.name for r in tracer.finished_roots()] == [
+            "bare:3", "bare:4", "tree"
+        ]
+        tracer.keep_bare("bare:5", 5, 6, "ok", {})
+        tree(room - 1)  # leaves room for one bare root
+        assert [r.name for r in tracer.finished_roots()] == ["bare:5", "tree"]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
