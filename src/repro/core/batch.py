@@ -33,7 +33,7 @@ Equivalence with sequential execution is exact, not approximate:
   the number assigned to the *n*-th write of a key is identical to what
   *n* sequential transactions would have assigned;
 * only the final folded entry per key is installed — one
-  ``rep_insert_many`` message per write-quorum member carries them
+  ``rep_write_many`` message per write-quorum member carries them
   all — so the committed state matches the
   sequential run bit for bit (intermediate versions only ever existed
   transiently there too);
@@ -50,14 +50,16 @@ Equivalence with sequential execution is exact, not approximate:
 * the wave's range locks are all taken before any replica votes (the
   lock point), and its RepModify locks are held to the commit, so the
   transaction is serializable as the whole sequence at once.  A
-  write-quorum member votes with the wave's last write to it — the
-  closing ``rep_insert_many``, or, in a wave that writes only by
-  deleting and whose deletes all went together, their
-  ``rep_coalesce_many`` — and is asked no ``prepare``: nothing is sent
-  to it after that write but the decision.  A write something may
-  follow — a dependent delete's flush, or its own coalesce — is never
-  marked; a wave whose last write was one of those asks its writers to
-  ``prepare`` as before.  A replica the
+  write-quorum member votes with the wave's closing write to it — one
+  ``rep_write_many`` carrying every independent delete's coalesce and
+  every final entry — and is asked no ``prepare``: nothing is sent to it
+  after that write but the decision.  A write something may follow — a
+  dependent delete's flush, or its own coalesce — is never marked; a
+  wave whose writes all went before its closing write (a wave whose
+  last write was a dependent delete's coalesce) asks its writers to
+  ``prepare`` as before.  The write quorum is drawn inside the read
+  quorum (:meth:`~repro.core.quorum.QuorumPolicy.choose`'s ``within``),
+  so at R ≥ W every member written was read; a replica the
   wave only read answers ``prepare`` read-only
   (:data:`~repro.txn.twopc.READ_ONLY`): it releases its RepLookup locks
   there, logs nothing and gets no ``commit``, which is two-phase locking
@@ -74,20 +76,22 @@ Equivalence with sequential execution is exact, not approximate:
 **A wave's deletes walk once, and read each neighbour once.**  Every
 round of a wave goes to one read quorum and one write quorum, each drawn
 once (:class:`_Wave`), and the deletes share their rounds as the lookups
-and installs do (:func:`_walk_and_coalesce`): one ``rep_neighbors_many``
+and installs do (:func:`_walk`): one ``rep_neighbors_many``
 message per read-quorum member carries every search of every delete,
 both directions, and its replies are all the walk reads.  Each member's
 reply for a search's cursor is also its lookup of the search's
 candidate, under the lock the reply took, so the candidates are judged
 from them for no message (a ghost costs a refill only to the members
-whose stream it ran dry).  One ``rep_coalesce_many`` per write-quorum
-member then applies every range, carrying each range's bound entries —
-the member installs any it lacks first, under the range's RepModify
-lock, which is Figure 13's probe and copy — and each member's vote.  On
-fixed quorums that is ``R + (R + W) + W`` for a wave of deletes, however
-many: the read, the walk, and the ``commit``.  Which deletes may go
-together is decided in three steps, and this is why the result is
-still the sequential one:
+whose stream it ran dry).  The closing ``rep_write_many`` to each
+write-quorum member then applies every range, carrying each range's
+bound entries — the member installs any it lacks first, under the
+range's RepModify lock, which is Figure 13's probe and copy — before the
+wave's final entries and the member's vote.  At R = W that is
+``R + (R + W) + W`` for a wave of deletes and writes, however many, when
+its deletes all went together: the read, the walk, the closing write
+and the ``commit`` (at R > W each member only read adds its read-only
+``prepare``).  Which deletes may go together is decided in three
+steps, and this is why the result is still the sequential one:
 
 1. *The presence pass* (:func:`_coalesce_independent`) replays the fold
    on presence alone, for no message.  Presence is a function of a
@@ -110,20 +114,31 @@ still the sequential one:
    have disjoint open ranges (each other's keys lie outside
    ``[pred, succ]``; at most they meet at a boundary neither deletes),
    so their coalesces commute with each other and with every other op:
-   they are applied together, first, each at
+   they are applied together, last, in the closing write, each at
    ``successor(max(gap versions its searches crossed, its entry's
-   version))`` exactly as Figure 13 computes it.  The result is
-   quorum-independent for the reason the classic delete's is: any read
-   quorum meets the write quorum of whichever coalesce last covered
-   each point of the range.
+   version))`` exactly as Figure 13 computes it.  Applying them last
+   is safe because nothing before them reaches their ranges: an
+   independent walker's ``pred`` and ``succ`` are present entries the
+   wave does not touch, and a coalesce removes only entries strictly
+   inside its real neighbours, so no coalesce of the wave removes them;
+   a dependent walk (below) therefore stops at them from outside and
+   never reads inside an independent range, and its own range meets
+   one at a shared bound at most.  The final entries the same message
+   installs lie outside every independent range's closed
+   neighbourhood, so the message's order — ranges, then entries —
+   changes nothing.  The result is quorum-independent for the reason
+   the classic delete's is: any read quorum meets the write quorum of
+   whichever coalesce last covered each point of the range.
 3. *A dependent walker* — a neighbour the wave inserted, rewrote or
    removed, a range another delete overlaps, its own key written
    earlier or later in the wave — keeps its place in arrival order.
    What it must read is the directory as the ops before it left it, and
    part of that exists only in the fold's write buffer: so it first
-   *flushes* the buffer (``rep_insert_many`` to the wave's write
-   quorum, which the wave's read quorum intersects), then runs the same
-   grouped walk with itself alone, then updates the fold range-wide.
+   *flushes* the buffer (a ``rep_write_many`` of the buffered entries
+   to the wave's write quorum, which the wave's read quorum
+   intersects), then runs the same grouped walk with itself alone and
+   coalesces its range at once (a ``rep_write_many`` with no entries),
+   then updates the fold range-wide.
    Unflushed, the walk would pass a neighbour inserted a moment ago by,
    coalesce over it, and the entry — installed afterwards below the new
    gap's version — would read as absent.
@@ -154,7 +169,6 @@ from repro.core.errors import (
     TransactionError,
 )
 from repro.core.suite import _NeighborSearch
-from repro.obs.spans import NULL_SPAN
 
 #: Operation kinds :func:`execute_batch` accepts — every keyed verb the
 #: front door has.  ``discard`` is ``delete``'s lenient form: 1 if the
@@ -261,20 +275,28 @@ def execute_batch(suite: Any, ops: Any) -> "list[BatchOutcome]":
 def _grouped(
     suite: Any, ops: "list[BatchOp]", bkeys: "list[Any]"
 ) -> "list[BatchOutcome]":
+    if suite.tracer.enabled:
+        with suite._op_span("batch", size=len(ops)):
+            return _fold(suite, ops, bkeys)
+    return _fold(suite, ops, bkeys)
+
+
+def _fold(
+    suite: Any, ops: "list[BatchOp]", bkeys: "list[Any]"
+) -> "list[BatchOutcome]":
     outcomes = [BatchOutcome(op) for op in ops]
     counts = _Counts()
     keys = list(dict.fromkeys(bkeys))
     # Reads of one key only: released with their reply (module docstring).
     release = len(keys) == 1 and all(op.kind == "lookup" for op in ops)
-    with suite._op_span("batch", size=len(ops)), suite._transaction(
-        read_only_votes=True
-    ) as txn:
+    with suite._transaction(read_only_votes=True) as txn:
         wave = _Wave(suite, txn)
         state = {
             bkey: (reply.present, reply.version, reply.value)
             for bkey, reply in wave.lookup(keys, release).items()
         }
-        # What the independent deletes left behind, coalesced already.
+        # The independent deletes' ranges, found already; they are
+        # coalesced by the closing write.
         coalesced = (
             {}
             if _DELETES.isdisjoint({op.kind for op in ops})
@@ -293,17 +315,18 @@ def _grouped(
             if op.kind in _DELETES:
                 counts.deletes += 1
                 if present:
-                    done = coalesced.get(bkey)
-                    if done is None:
+                    found = coalesced.get(bkey)
+                    if found is None:
                         # Dependent: its walk reads the replicas, which
                         # must hold what a sequential run would have
                         # left there by now.
-                        wave.install(writes)
+                        wave.write({}, writes)
                         suite._batch_rewalks.inc()
-                        done = _walk_and_coalesce(wave, {bkey: version})[bkey]
-                    low, high, gap_version, overhead = done
+                        ranges = _walk(wave, {bkey: version})
+                        counts.overheads += wave.write(ranges, {}).values()
+                        found = ranges[bkey]
+                    low, high, gap_version = found[:3]
                     outcome.version = gap_version
-                    counts.overheads.append(overhead)
                     for other in state:
                         if low < other < high:
                             state[other] = (False, gap_version, None)
@@ -339,7 +362,7 @@ def _grouped(
             outcome.version = new_version
             state[bkey] = (True, new_version, op.value)
             writes[bkey] = (new_version, op.value)
-        wave.install(writes, final=True)
+        counts.overheads += wave.write(coalesced, writes, final=True).values()
     # Applied only after the commit: an aborted wave leaves the counting
     # to its ops' waves of one.
     suite.op_counts.lookups += counts.lookups
@@ -354,7 +377,9 @@ def _grouped(
 
 class _Wave:
     """What every round of one wave shares: the transaction, and one
-    read and one write quorum, each drawn when a round first needs it."""
+    read and one write quorum, each drawn when a round first needs it —
+    the write quorum inside the read quorum, which every wave draws
+    first (:meth:`~repro.core.quorum.QuorumPolicy.choose`'s ``within``)."""
 
     __slots__ = ("suite", "txn", "_quorums")
 
@@ -366,18 +391,21 @@ class _Wave:
     def quorum(self, kind: str) -> "list[str]":
         members = self._quorums.get(kind)
         if members is None:
-            members = self._quorums[kind] = self.suite._collect_quorum(kind)
+            members = self._quorums[kind] = self.suite._collect_quorum(
+                kind, self._quorums.get("read")
+            )
         return members
 
     def round(
-        self, kind: str, method: str, arg: list, ends: "str | None" = None
+        self, kind: str, method: str, args: tuple, ends: "str | None" = None
     ) -> "list[Any]":
-        """``method(arg)`` to each member of the ``kind`` quorum, one
-        message each whatever ``arg`` holds; values in member order.
-        ``ends`` is :meth:`DirectorySuite._round`'s."""
+        """``method(*args)`` to each member of the ``kind`` quorum, one
+        message each whatever the lists in ``args`` hold; values in
+        member order.  ``ends`` is :meth:`DirectorySuite._round`'s."""
+        items = sum(map(len, args))
         return self.suite._round(
             self.txn,
-            [(rep, method, (arg,), len(arg)) for rep in self.quorum(kind)],
+            [(rep, method, args, items) for rep in self.quorum(kind)],
             ends,
         )
 
@@ -394,39 +422,57 @@ class _Wave:
         """
         best: dict[Any, LookupReply | None] = dict.fromkeys(keys)
         for replies in self.round(
-            "read", "rep_lookup_many", keys, "release" if release else None
+            "read", "rep_lookup_many", (keys,), "release" if release else None
         ):
             for bkey, reply in zip(keys, replies):
                 if reply.beats(best[bkey]):
                     best[bkey] = reply
         return best  # type: ignore[return-value]  # quorum is never empty
 
-    def install(
-        self, writes: "dict[Any, tuple[Any, Any]]", final: bool = False
-    ) -> None:
-        """Install the buffered entries on the write quorum and empty
-        the buffer; with nothing buffered, nothing is chosen or sent.
+    def write(
+        self,
+        ranges: "dict[Any, tuple]",
+        writes: "dict[Any, tuple[Any, Any]]",
+        final: bool = False,
+    ) -> "dict[Any, tuple]":
+        """Coalesce ``ranges`` (``{deleted key: (low, high, version,
+        bounds)}``, from :func:`_walk`), then install the buffered
+        entries, on the write quorum, and empty the buffer; with nothing
+        to write, nothing is chosen or sent.
 
-        One ``rep_insert_many`` message per member (W messages total):
-        the wave's redo records reach each replica's WAL as a group, so
-        the single shared commit is a true group commit.  The wave's
-        closing install is ``final``: nothing follows it, so each message
-        carries its member's vote.
+        One ``rep_write_many`` message per member (W messages total):
+        the redo records reach each replica's WAL as a group, so the
+        single shared commit is a true group commit.  The wave's closing
+        write is ``final``: nothing follows it, so each message carries
+        its member's vote.  Returns ``{deleted key: overhead}``, what
+        ``delete_stats.record_delete`` is owed: the entries each member's
+        coalesce removed, and the copies installed for this range, as
+        each member counted them.
         """
-        if not writes:
-            return
+        if not (ranges or writes):
+            return {}
         rows = [(bkey, *entry) for bkey, entry in writes.items()]
         writes.clear()
-        self.round(
-            "write", "rep_insert_many", rows, "vote" if final else None
+        results = self.round(
+            "write", "rep_write_many", (list(ranges.values()), rows),
+            "vote" if final else None,
         )
+        done = {}
+        for i, bkey in enumerate(ranges):
+            removed = [result[i][0] for result in results]
+            done[bkey] = (
+                [len(entries) for entries in removed],
+                sum(result[i][1] for result in results),
+                sum(1 for entries in removed for e in entries if e.key != bkey),
+            )
+        return done
 
 
 def _coalesce_independent(
     wave: _Wave, ops: "list[BatchOp]", bkeys: "list[Any]", state: dict
 ) -> "dict[Any, tuple]":
-    """Walk and coalesce, together and ahead of the fold, every delete
-    of the wave that commutes with the rest of it.
+    """Walk, together and ahead of the fold, every delete of the wave
+    that commutes with the rest of it.
 
     The presence pass replays the fold on presence alone — which is a
     function of each key's own ops, since a coalesce only ever removes
@@ -436,13 +482,12 @@ def _coalesce_independent(
     touches once search together, against the replicas as they stood
     before the wave; one is *independent* when no other touched key lies
     in the closed neighbourhood ``[pred, succ]`` it found.  Returns
-    ``{key: (low, high, gap version, overhead)}`` for those; the fold
-    meets every other walker in its turn.
+    :func:`_walk`'s ranges for those, which the wave's closing write
+    coalesces; the fold meets every other walker in its turn.
     """
     present = {bkey: entry[0] for bkey, entry in state.items()}
     touched: dict[Any, int] = {}
     walkers = []
-    installs = False
     for op, bkey in zip(ops, bkeys):
         kind, here = op.kind, present[bkey]
         if kind == "lookup":
@@ -455,8 +500,6 @@ def _coalesce_independent(
             continue
         if kind in _DELETES:
             walkers.append(bkey)
-        else:
-            installs = True
         present[bkey] = kind not in _DELETES
         touched[bkey] = touched.get(bkey, 0) + 1
     together = {
@@ -470,35 +513,26 @@ def _coalesce_independent(
         # Nothing touched but the walker itself, neighbours included.
         return bisect_right(line, succ.key) - bisect_left(line, pred.key) == 1
 
-    # The coalesce is the wave's last write if nothing is installed and
-    # no walker waits for its turn (the ones this search finds
-    # dependent are checked there).
-    last = not installs and len(together) == len(walkers)
-    coalesced = _walk_and_coalesce(wave, together, independent, last)
-    wave.suite._batch_walk_deletes.add(len(coalesced))
-    return coalesced
+    found = _walk(wave, together, independent)
+    wave.suite._batch_walk_deletes.add(len(found))
+    return found
 
 
-def _walk_and_coalesce(
-    wave: _Wave, walkers: "dict[Any, Any]", keep: Any = None, last: bool = False
+def _walk(
+    wave: _Wave, walkers: "dict[Any, Any]", keep: Any = None
 ) -> "dict[Any, tuple]":
-    """Figure 13 from the neighbour search on, for every key of
-    ``walkers`` (``{key: its entry's version}``) at once.
+    """Figure 13's neighbour search and new gap version, for every key
+    of ``walkers`` (``{key: its entry's version}``) at once.
 
     The searches step together (:func:`_search`); ``keep(pred, succ)``,
-    when given, then says which walkers go on.  Then one
-    ``rep_coalesce_many`` per write-quorum member applies every range —
-    each at one more than the largest of the gap versions its own
-    searches crossed and its entry's version, as
-    :meth:`DirectorySuite._coalesce_around` computes it — and carries
-    each range's bound entries, which the member installs first where it
-    lacks them (Figure 13's boundary copies, with no probe round of their
-    own).  Returns ``{key: (low, high, new gap version, overhead)}``,
-    ``overhead`` being what ``delete_stats.record_delete`` is owed: the
-    entries each member's coalesce removed, and the copies installed
-    for this range, as each member counted them.  With ``last``, when
-    ``keep`` let every walker go on, the coalesce is the wave's last
-    write and carries each member's vote.
+    when given, then says which walkers go on.  Returns ``{key: (low,
+    high, version, bounds)}``, the range :meth:`_Wave.write` coalesces:
+    its new gap's version is one more than the largest of the gap
+    versions its own searches crossed and its entry's version, as
+    :meth:`DirectorySuite._coalesce_around` computes it, and ``bounds``
+    are its non-sentinel bound entries, which the write installs first
+    where a member lacks them (Figure 13's boundary copies, with no
+    probe round of their own).
 
     The keys must not lie in one another's neighbourhoods: the ranges
     are then disjoint, and a missing boundary two of them share is
@@ -507,43 +541,28 @@ def _walk_and_coalesce(
     """
     suite = wave.suite
     tracer = suite.tracer
-    with tracer.span(
-        "batch:walk", deletes=len(walkers)
-    ) if tracer.enabled else NULL_SPAN:
+    if tracer.enabled:
+        with tracer.span("batch:walk", deletes=len(walkers)):
+            found = _search(wave, list(walkers))
+    else:
         found = _search(wave, list(walkers))
-        if keep is not None:
-            found = {k: nbs for k, nbs in found.items() if keep(*nbs)}
-        if not found:
-            return {}
-        ranges = [
-            (
-                pred.key,
-                succ.key,
-                suite.version_space.successor(
-                    max(succ.max_gap_version, pred.max_gap_version, walkers[k])
-                ),
-                tuple(
-                    (nb.key, nb.version, nb.value)
-                    for nb in (succ, pred)
-                    if not (nb.key.is_low or nb.key.is_high)
-                ),
-            )
-            for k, (pred, succ) in found.items()
-        ]
-        final = last and len(found) == len(walkers)
-        results = wave.round(
-            "write", "rep_coalesce_many", ranges, "vote" if final else None
+    successor = suite.version_space.successor
+    return {
+        k: (
+            pred.key,
+            succ.key,
+            successor(
+                max(succ.max_gap_version, pred.max_gap_version, walkers[k])
+            ),
+            tuple(
+                (nb.key, nb.version, nb.value)
+                for nb in (succ, pred)
+                if not (nb.key.is_low or nb.key.is_high)
+            ),
         )
-        done = {}
-        for i, (bkey, each) in enumerate(zip(found, ranges)):
-            removed = [result[i][0] for result in results]
-            overhead = (
-                [len(entries) for entries in removed],
-                sum(result[i][1] for result in results),
-                sum(1 for entries in removed for e in entries if e.key != bkey),
-            )
-            done[bkey] = (*each[:3], overhead)
-        return done
+        for k, (pred, succ) in found.items()
+        if keep is None or keep(pred, succ)
+    }
 
 
 def _search(wave: _Wave, keys: "list[Any]") -> "dict[Any, tuple]":

@@ -20,6 +20,15 @@ Suites call :meth:`QuorumPolicy.choose`, which first consults a bound
 failure detector (see :mod:`repro.net.detector`) so that retries under
 fault injection avoid representatives recently seen dead, instead of
 re-rolling the same doomed quorum.
+
+A served wave (:mod:`repro.core.batch`) draws its write quorum *inside*
+the read quorum it drew first (``within`` on :meth:`QuorumPolicy.choose`):
+at R ≥ W a W-vote prefix of it, at R < W all of it topped up by the
+policy.  Every member the wave writes is then one it read, and at R = W
+the two quorums are one: no member is left only read, to be sent a
+read-only ``prepare`` and to keep the ghosts of the wave's deletes — the
+section 5 remark above, applied within one transaction.  The classic
+path draws the two independently, as the paper's simulations do.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ class QuorumPolicy(abc.ABC):
         available: list[str],
         config: SuiteConfig,
         rng: random.Random,
+        within: "list[str] | None" = None,
     ) -> list[str]:
         """Screen suspects out of ``available``, then :meth:`select`.
 
@@ -71,6 +81,13 @@ class QuorumPolicy(abc.ABC):
         quorum, the full candidate list is used unchanged (and a
         ``suite.quorum.<kind>.suspect_fallbacks`` counter ticks), so a
         stale suspicion can never make an operation less available.
+
+        ``within`` (a served wave passes its read quorum when it draws
+        its write quorum) nests the draw: the quorum is the shortest
+        prefix of ``within``'s screened members that carries the votes,
+        with no draw of its own; only when they carry too few is it
+        all of them topped up, in the order :meth:`select` draws, from
+        the rest.
         """
         if self.detector is not None:
             trusted = [
@@ -89,7 +106,16 @@ class QuorumPolicy(abc.ABC):
                     self.metrics.counter(
                         f"suite.quorum.{kind}.suspect_fallbacks"
                     ).inc()
-        return self.select(kind, available, config, rng)
+        if within is None:
+            return self.select(kind, available, config, rng)
+        needed = self.quorum_size(kind, config)
+        inner = [name for name in within if name in available]
+        if sum(config.votes[name] for name in inner) < needed:
+            inner += [
+                name for name in self.select(kind, available, config, rng)
+                if name not in inner
+            ]
+        return self._greedy_fill(inner, config, needed, kind)
 
     @abc.abstractmethod
     def select(

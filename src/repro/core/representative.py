@@ -16,7 +16,7 @@ decision log.
 A served wave (:mod:`repro.core.batch`) ends its transaction at a
 representative in one of three ways beside the classic ``prepare``: its
 last write here carries the vote (``prepare`` on
-:meth:`rep_insert_many` / :meth:`rep_coalesce_many`), a replica it only
+:meth:`rep_write_many`), a replica it only
 read votes read-only, or a read of one key is released with its reply
 (``release=True`` on :meth:`rep_lookup_many`).  A transaction that has
 voted here may do nothing more here.
@@ -139,6 +139,8 @@ class DirectoryRepresentative:
         # last crash; prepare() votes no for unknown transactions because
         # their effects (if any) were lost with the volatile state.
         self._seen_txns: set[TxnId] = set()
+        # Transactions whose logged work here a crash lost: refused.
+        self._lost: set[TxnId] = set()
         self._checkpoint_policy = checkpoint_policy or CheckpointPolicy()
         self._commits_since_checkpoint = 0
         self._decision_outcomes = decision_outcomes or (lambda: frozenset())
@@ -152,7 +154,8 @@ class DirectoryRepresentative:
     ) -> None:
         """Lock every range in order, or raise WouldBlockError at the
         first refusal (never queue on this sync path); the ranges before
-        it stay locked.
+        it stay locked.  A transaction whose writes here a crash lost
+        (:meth:`on_recover`) is refused with ``TransactionAbortedError``.
 
         A point range is passed as the plain pair ``(key, key)``.
 
@@ -167,6 +170,10 @@ class DirectoryRepresentative:
             raise RuntimeError(
                 f"representative {self.name}: transaction {txn_id} has "
                 "already voted"
+            )
+        if txn_id in self._lost:
+            raise TransactionAbortedError(
+                txn_id, f"representative {self.name} lost its earlier work"
             )
         self._seen_txns.add(txn_id)
         blockers = self.locks.acquire_all(txn_id, mode, ranges)
@@ -345,26 +352,6 @@ class DirectoryRepresentative:
                 self._seen_txns.discard(txn_id)
                 self.locks.release_all(txn_id)
 
-    def rep_insert_many(
-        self,
-        txn_id: TxnId,
-        rows: "list[tuple[BoundedKey, Version, Any]]",
-        prepare: "str | None" = None,
-    ) -> None:
-        """DirRepInsert for every folded final entry in one message.
-
-        The write-side half of the grouped round's message batching: one
-        message per write-quorum member installs the wave's final entry
-        for every written key, and the redo records land in the WAL as
-        one group (the group commit — a single commit then covers them
-        all).  Locks RepModify(x, x) and notes an undo per key, exactly
-        as :meth:`rep_insert` does.
-
-        With ``prepare`` this is the transaction's last write here and
-        carries its vote (:meth:`_vote_with`): a reply is a yes.
-        """
-        self._vote_with(txn_id, prepare, rows, self._insert)
-
     def rep_coalesce(
         self, txn_id: TxnId, low: BoundedKey, high: BoundedKey, version: Version
     ):
@@ -377,14 +364,16 @@ class DirectoryRepresentative:
         """
         return self._coalesce(txn_id, low, high, version)
 
-    def rep_coalesce_many(
+    def rep_write_many(
         self,
         txn_id: TxnId,
         ranges: "list[tuple[BoundedKey, BoundedKey, Version, tuple]]",
+        rows: "list[tuple[BoundedKey, Version, Any]]",
         prepare: "str | None" = None,
     ) -> "list[tuple[tuple[Entry, ...], int]]":
-        """DirRepCoalesce for every range a wave's deletes found, each
-        with the boundary copies it needs, in one message.
+        """Every write a wave sends this member at once: DirRepCoalesce
+        for each range its deletes found, with the boundary copies each
+        needs, then DirRepInsert for each folded final entry.
 
         ``ranges`` lists ``(low, high, version, bounds)``, ``bounds``
         being the range's non-sentinel bound entries as ``(key, version,
@@ -394,17 +383,49 @@ class DirectoryRepresentative:
         (logged, with its undo record), and the range is coalesced as
         :meth:`rep_coalesce` would.  "Held" is present at any version,
         the rule Figure 13's probe applies.  A bound two ranges share
-        is installed for the first.
+        is installed for the first.  Then each of ``rows`` is installed
+        as :meth:`rep_insert` would, and the redo records land in the WAL
+        as one group (the group commit — a single commit then covers them
+        all).
 
         Replies are positional: per range, the entries its coalesce
         removed here and how many bounds this transaction copied in for
         it — both read from the transaction's undo records, so the same
         message sent again after its reply was lost (which installs
         nothing and removes nothing the second time) answers as the
-        first one did.  With ``prepare`` this is the transaction's last
-        write here and carries its vote (:meth:`_vote_with`).
+        first one did.
+
+        With ``prepare`` this is the transaction's last write here and
+        carries its vote: the prepare record is logged right behind the
+        redo records and the reply is the yes vote, which saves the
+        ``prepare`` round trip.  Once voted, the transaction takes
+        nothing more here (:meth:`_lock` refuses it).  The one exception
+        is this same message sent again after its reply was lost: the
+        vote is withdrawn, the writes re-applied (idempotent within the
+        transaction) and the vote cast again, all in this one call, so it
+        answers yes again and commits once.  ``prepare`` says whether the
+        transaction was here before this message: ``"first"`` if not,
+        ``"again"`` if an earlier round of it ran here.  ``"again"`` for
+        a transaction this replica has not seen since its last crash is
+        the check :meth:`prepare` makes: the earlier effects and locks
+        were lost with the volatile state, so the vote is refused before
+        anything is applied, and the transaction aborts.
         """
-        self._vote_with(txn_id, prepare, ranges, self._coalesce)
+        if prepare == "again" and txn_id not in self._seen_txns:
+            raise TransactionAbortedError(
+                txn_id, f"representative {self.name} lost its earlier work"
+            )
+        if prepare:
+            self._prepared.discard(txn_id)
+        for item in ranges:
+            self._coalesce(txn_id, *item)
+        for row in rows:
+            self._insert(txn_id, *row)
+        if prepare:
+            self.wal.log_prepare(txn_id)
+            self._prepared.add(txn_id)
+        if not ranges:
+            return []
         removed: dict[tuple, list[Entry]] = {item[:3]: [] for item in ranges}
         copied = dict.fromkeys(removed, 0)
         for record in self._undo.get(txn_id, ()):
@@ -417,46 +438,6 @@ class DirectoryRepresentative:
         return [
             (tuple(removed[item[:3]]), copied[item[:3]]) for item in ranges
         ]
-
-    def _vote_with(
-        self,
-        txn_id: TxnId,
-        prepare: "str | None",
-        items: list,
-        apply: Callable,
-    ) -> None:
-        """``apply(txn_id, *item)`` for every item, in order; then, with
-        ``prepare``, the yes vote ``prepare`` would have cast.
-
-        The unsolicited vote: the coordinator marks a member's last write
-        of the transaction, so the prepare record is logged right behind
-        its redo records and the reply is the vote, which saves the
-        ``prepare`` round trip.  Once voted, the transaction takes
-        nothing more here (:meth:`_lock` refuses it).  The one exception
-        is this same message sent again after its reply was lost: the
-        vote is withdrawn, the writes re-applied (idempotent within the
-        transaction) and the vote cast again, all in this one call, so it
-        answers yes again and commits once.
-
-        ``prepare`` says whether the transaction was here before this
-        message: ``"first"`` if not, ``"again"`` if an earlier round of
-        it ran here.  ``"again"`` for a transaction this replica has not
-        seen since its last crash is the check :meth:`prepare` makes: the
-        earlier effects and locks were lost with the volatile state, so
-        the vote is refused before anything is applied, and the
-        transaction aborts.
-        """
-        if prepare == "again" and txn_id not in self._seen_txns:
-            raise TransactionAbortedError(
-                txn_id, f"representative {self.name} lost its earlier work"
-            )
-        if prepare:
-            self._prepared.discard(txn_id)
-        for item in items:
-            apply(txn_id, *item)
-        if prepare:
-            self.wal.log_prepare(txn_id)
-            self._prepared.add(txn_id)
 
     def _coalesce(
         self,
@@ -501,7 +482,7 @@ class DirectoryRepresentative:
         takes no lock once ``prepare`` is sent, and its RepModify locks
         elsewhere stay held to the decision.  A re-asked ``prepare`` then
         finds the transaction unseen and votes no.  A member whose last
-        write carried its vote (:meth:`_vote_with`) is not asked at all.
+        write carried its vote (:meth:`rep_write_many`) is not asked at all.
         """
         if txn_id not in self._seen_txns:
             return False
@@ -528,6 +509,7 @@ class DirectoryRepresentative:
         for record in reversed(self._undo.pop(txn_id, [])):
             record.apply(self.store)
         self.wal.log_abort(txn_id)
+        self._lost.discard(txn_id)
         self._prepared.discard(txn_id)
         self._seen_txns.discard(txn_id)
         self.locks.release_all(txn_id)
@@ -702,12 +684,18 @@ class DirectoryRepresentative:
 
         In-doubt prepared transactions are resolved against the
         coordinator's decision log: decided-commit ⇒ replayed; anything
-        else ⇒ presumed abort (not replayed).
+        else ⇒ presumed abort (not replayed).  Every transaction whose
+        records are then not replayed is lost here, and refused if it
+        comes back, so a later round cannot have a replica vote for
+        writes it no longer holds.
         """
         self.store = self._store_factory()
         in_doubt = self.wal.in_doubt_txns()
         resolved_commit = in_doubt & set(self._decision_outcomes())
         self.wal.replay_into(self.store, extra_committed=resolved_commit)
+        records = self.wal.records
+        ended = {r.txn_id for r in records if r.kind in ("commit", "abort")}
+        self._lost = {r.txn_id for r in records} - ended - resolved_commit
 
     # ------------------------------------------------------------------
     # introspection (tests, statistics, figures)

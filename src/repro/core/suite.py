@@ -394,8 +394,11 @@ class DirectorySuite:
             return available
         return self.membership.voting(available)
 
-    def _collect_quorum(self, kind: str) -> list[str]:
-        """CollectReadQuorum / CollectWriteQuorum.
+    def _collect_quorum(
+        self, kind: str, within: "list[str] | None" = None
+    ) -> list[str]:
+        """CollectReadQuorum / CollectWriteQuorum; ``within`` nests the
+        draw in another quorum (:meth:`QuorumPolicy.choose`).
 
         Mid-join, a write quorum is additionally *widened* with every
         available non-voting (bootstrapping) member: they receive the
@@ -407,12 +410,12 @@ class DirectorySuite:
         if tracer.enabled:
             with tracer.span(f"quorum:{kind}") as span:
                 members = self.quorum_policy.choose(
-                    kind, self._eligible(), self.config, self.rng
+                    kind, self._eligible(), self.config, self.rng, within
                 )
                 span.set("members", list(members))
         else:
             members = self.quorum_policy.choose(
-                kind, self._eligible(), self.config, self.rng
+                kind, self._eligible(), self.config, self.rng, within
             )
         self._quorum_members[kind].add(len(members))
         if kind == "write" and not self.membership.all_up:
@@ -687,7 +690,7 @@ class DirectorySuite:
         """Delete a present ``key`` by coalescing from real predecessor to
         successor — Figure 13 after its lookup, one delete at a time (a
         wave runs the same steps for all of its deletes at once:
-        :func:`repro.core.batch._walk_and_coalesce`).  Returns the
+        :func:`repro.core.batch._walk` and ``_Wave.write``).  Returns the
         coalesced range, the new gap's version, and the arguments
         ``delete_stats.record_delete`` is owed once the transaction has
         committed.

@@ -6,7 +6,7 @@ would break the quorum-intersection invariant.  The coordinator:
 
 1. **Prepare** — asks every participant that has not voted yet to vote
    (a served wave's last write to a member carries that member's vote,
-   :meth:`~repro.core.representative.DirectoryRepresentative.rep_insert_many`;
+   :meth:`~repro.core.representative.DirectoryRepresentative.rep_write_many`;
    such a *voted* member is counted yes and asked nothing).  ``prepare``
    has three outcomes:
 

@@ -39,7 +39,7 @@ class UndoInsert(UndoRecord):
     Exactly one of ``replaced`` / ``split_gap_version`` is set, mirroring
     :class:`repro.storage.interface.InsertResult`.  ``copied_for`` names
     the coalesce ``(low, high, version)`` a boundary copy was installed
-    for (:meth:`repro.core.representative.DirectoryRepresentative.rep_coalesce_many`),
+    for (:meth:`repro.core.representative.DirectoryRepresentative.rep_write_many`),
     and is None for any other insert.
     """
 

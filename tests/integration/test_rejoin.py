@@ -114,6 +114,27 @@ class TestOnlineJoin:
         assert cluster.representative("B").contains(wrap("fresh"))
         assert suite.lookup("fresh") == (True, 99)
 
+    def test_a_wave_during_a_join_writes_the_joiner_too(self):
+        """A wave draws its write quorum inside its read quorum, which a
+        joining replica is never in; the joiner is still sent the wave's
+        one write, deletes' coalesces included."""
+        from tests.unit.test_fanout import _tap
+
+        cluster = _cluster(config="3-2-2")
+        suite = cluster.suite
+        suite.membership.set_state("B", ReplicaState.JOINING)
+        log = []
+        _tap(cluster, log)
+        outcomes = suite.execute_batch(
+            [("upsert", "fresh", 99), ("delete", "k010")]
+        )
+        assert all(outcome.ok for outcome in outcomes)
+        assert "rep_lookup_many@B" not in log
+        assert log.count("rep_write_many@B") == 1
+        joiner = cluster.representative("B")
+        assert joiner.contains(wrap("fresh"))
+        assert not joiner.contains(wrap("k010"))
+
     def test_join_survives_donor_crash(self):
         # Every up voting peer is a donor.  One that crashes between
         # join steps drops out of the next step, and the join finishes

@@ -39,13 +39,13 @@ from tests.unit.test_batch import _SplitQuorums
 def _directory(served, **fields):
     """Two range shards split at "m"; on the asyncio network when
     ``served``, else on the simulated one."""
-    spec = ClusterSpec(
-        config="3-2-2",
-        seed=17,
-        fanout="parallel",
+    spec = ClusterSpec(**{
+        "config": "3-2-2",
+        "seed": 17,
+        "fanout": "parallel",
         **({"transport": "asyncio"} if served else {}),
         **fields,
-    )
+    })
     return ShardedDirectory.create(
         spec, shards=2, shard_map=ShardMap.range(["m"])
     )
@@ -147,9 +147,10 @@ class TestFaultsOnTheServedPath:
         return served, twin, fallbacks
 
     def test_a_lost_read_only_prepare_reply(self, break_classic):
-        """A only reads, so its ``prepare`` is answered read-only and A
-        forgets the transaction; the reply is lost, the re-asked A votes
-        no, and the wave aborts into waves of one."""
+        """A only reads (3-3-2: a wave writes the first two members it
+        read), so its ``prepare`` is answered read-only and A forgets the
+        transaction; the reply is lost, the re-asked A votes no, and the
+        wave aborts into waves of one."""
 
         def lose_a_prepare_reply(d):
             d.network.install_faults(
@@ -161,7 +162,8 @@ class TestFaultsOnTheServedPath:
         served, twin, fallbacks = self._run(
             break_classic,
             lose_a_prepare_reply,
-            quorum_policy=lambda: _SplitQuorums("AB", "BC"),
+            config="3-3-2",
+            quorum_policy=lambda: _SplitQuorums("BCA", "BC"),
         )
         assert served == twin
         assert fallbacks >= 1

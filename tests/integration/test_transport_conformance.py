@@ -205,7 +205,7 @@ class TestByReference:
             cluster.suite.insert(name, name.upper())
 
         rows = [(wrap("x"), 1000, "vx"), (wrap("y"), 1000, "vy")]
-        rpc("rep_insert_many", 9001, rows)
+        rpc("rep_write_many", 9001, [], rows)
         rpc("commit", 9001)
         before = state()
         rows[0] = (wrap("x"), 2000, "overwritten by the caller")

@@ -76,7 +76,17 @@ def _messages(cluster):
 def _twin(**spec):
     """A 3-2-2 cluster at this suite's seed: sim-serial — the sequential
     side of a comparison — unless ``spec`` says otherwise."""
-    return DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=11, **spec))
+    return DirectoryCluster.create(
+        ClusterSpec(**{"config": "3-2-2", "seed": 11, **spec})
+    )
+
+
+def _only_a_read():
+    """Spec fields for read quorum {B, C, A}, write quorum {B, C} on
+    3-3-2: a wave draws its write quorum inside its read quorum, so a
+    member it only reads needs R > W; A is that member on the classic
+    path and in a wave alike."""
+    return dict(config="3-3-2", quorum_policy=_SplitQuorums("BCA", "BC"))
 
 
 def _assert_same_directory(cluster, twin, keys):
@@ -507,12 +517,12 @@ class TestDeletesInTheFold:
 
     def test_a_set_counts_the_same_alone_and_in_a_wave(self, make_cluster):
         """One transaction either way, counted as the insert or the
-        update it turned out to be.  At this seed both draw a read and a
-        write quorum that differ, so each touches all three replicas: the
-        classic path commits on all three (R + W + 2 × 3 = 10 a SET).  The
-        wave asks ``prepare`` of the one it only read and nothing more of
-        it, and the install carried the other two's votes (R + W + 1 + 2
-        = 7)."""
+        update it turned out to be.  At this seed the classic path draws
+        a read and a write quorum that differ, so it touches all three
+        replicas and commits on all three (R + W + 2 × 3 = 10 a SET).  The
+        wave draws its write quorum inside its read quorum: the install
+        carried both members' votes, and nothing but the ``commit``
+        follows (R + W + W = 6)."""
         counts, costs = [], []
         for run in (
             lambda suite, op: _single(suite, *op),
@@ -529,12 +539,13 @@ class TestDeletesInTheFold:
         assert counts[0] == counts[1]
         assert (counts[0]["inserts"], counts[0]["updates"]) == (2, 1)
         assert counts[0]["failed"] == 0
-        assert costs == [20, 14]
+        assert costs == [20, 12]
 
 
 class _SplitQuorums(QuorumPolicy):
     """Fixed quorums that differ: every read from ``read``, every write
-    to ``write``."""
+    to ``write`` — a classic write.  A wave's write quorum is the first
+    W members of ``read`` (:meth:`QuorumPolicy.choose`'s ``within``)."""
 
     def __init__(self, read: str, write: str) -> None:
         self.members = {"read": list(read), "write": list(write)}
@@ -619,10 +630,10 @@ class TestReadOnlyVotes:
     def test_a_member_only_read_gets_prepare_and_no_commit(
         self, make_cluster
     ):
-        """Read quorum {A, B}, write quorum {B, C}: A only read, and B
-        and C voted with their install.  The classic path, the control,
-        still prepares and commits on all three."""
-        c = make_cluster(quorum_policy=_SplitQuorums("AB", "BC"))
+        """Read quorum {B, C, A}, write quorum {B, C} (3-3-2): A only
+        read, and B and C voted with their install.  The classic path,
+        the control, still prepares and commits on all three."""
+        c = make_cluster(**_only_a_read())
         log = _spy(c)
         outcomes, messages, appended, added = self._bill(
             c, [("upsert", "k", 1), ("lookup", "j")]
@@ -631,7 +642,7 @@ class TestReadOnlyVotes:
         assert log == {"A": ["prepare"], "B": ["commit"], "C": ["commit"]}
         # R + W + 1 prepare + 2 commits; B and C log insert, prepare
         # and commit; one decision.
-        assert (messages, appended) == (2 + 2 + 1 + 2, 6)
+        assert (messages, appended) == (3 + 2 + 1 + 2, 6)
         assert list(added.values()) == ["commit"]
         for rep in log.values():
             rep.clear()
@@ -644,9 +655,7 @@ class TestReadOnlyVotes:
         back op by op, and answers what it would have answered."""
         from repro.net.failures import LossEvent, ScriptedLoss
 
-        with _twin(quorum_policy=_SplitQuorums("AB", "BC")) as c, _twin(
-            quorum_policy=_SplitQuorums("AB", "BC")
-        ) as twin:
+        with _twin(**_only_a_read()) as c, _twin(**_only_a_read()) as twin:
             c.suite.rpc_retries = 2
             for side in (c, twin):
                 side.suite.insert("k", 0)
@@ -686,13 +695,13 @@ class TestReadOnlyVotes:
 class TestVotesOnTheLastWrite:
     """Faults on the commit a wave now runs: each write-quorum member's
     last write carries its vote, and a read of one key is released with
-    its reply.  Read quorum {A, B}, write quorum {B, C}."""
+    its reply.  Read quorum {B, C, A}, write quorum {B, C} (3-3-2)."""
 
     @staticmethod
     def _pair():
         return (
-            _twin(quorum_policy=_SplitQuorums("AB", "BC")),
-            _twin(quorum_policy=_SplitQuorums("AB", "BC")),
+            _twin(**_only_a_read()),
+            _twin(**_only_a_read()),
         )
 
     @staticmethod
@@ -761,7 +770,7 @@ class TestVotesOnTheLastWrite:
             node = c.suite.placements["B"].node_id
             c.network.install_faults(
                 ScriptedLoss(
-                    [LossEvent("reply", node, "dir:B.rep_insert_many", 0)]
+                    [LossEvent("reply", node, "dir:B.rep_write_many", 0)]
                 )
             )
             log = _spy(c)
@@ -835,25 +844,23 @@ class TestVotesOnTheLastWrite:
             self._assert_idle(c)
 
     @pytest.mark.parametrize(
-        "wave, method, nth",
+        "wave, nth",
         [
-            # B lost b's coalesce; the closing install votes.
-            ([("delete", "b"), ("upsert", "k", 1)], "rep_insert_many", 1),
+            # B lost the walk's read locks; the closing write carries
+            # b's coalesce and k, and votes.
+            ([("delete", "b"), ("upsert", "k", 1)], 1),
             # B lost the flush of bb and c's coalesce, the dependent
-            # walker's; the closing install votes.
-            (
-                [("insert", "bb", 1), ("delete", "c"), ("upsert", "k", 1)],
-                "rep_insert_many", 2,
-            ),
+            # walker's; the closing write votes.
+            ([("insert", "bb", 1), ("delete", "c"), ("upsert", "k", 1)], 3),
             # B lost its read locks only.
-            ([("upsert", "k", 1), ("insert", "j", 2)], "rep_insert_many", 1),
-            # b and d walk together and their coalesce votes; B lost the
-            # walk's read locks.
-            ([("delete", "b"), ("delete", "d")], "rep_coalesce_many", 1),
+            ([("upsert", "k", 1), ("insert", "j", 2)], 1),
+            # b and d walk together and their closing coalesce votes; B
+            # lost the walk's read locks.
+            ([("delete", "b"), ("delete", "d")], 1),
         ],
     )
     def test_a_voter_that_lost_the_earlier_rounds_refuses_to_vote(
-        self, monkeypatch, wave, method, nth
+        self, monkeypatch, wave, nth
     ):
         """B served the wave's earlier rounds, then crashed and
         recovered before its vote-carrying write: the locks and the
@@ -873,7 +880,7 @@ class TestVotesOnTheLastWrite:
                 c.recover("B")
 
             TestFallbackAndMetrics._before_round(
-                monkeypatch, c.suite, method, bounce, nth
+                monkeypatch, c.suite, "rep_write_many", bounce, nth
             )
             batched = c.suite.execute_batch(wave)
             monkeypatch.undo()
@@ -892,9 +899,9 @@ class TestVotesOnTheLastWrite:
         """A member refuses any Figure 6 operation of a transaction that
         has voted there: a coordinator that marked a write final too
         early fails, it does not fall back."""
-        with _twin(quorum_policy=_SplitQuorums("AB", "BC")) as c:
+        with _twin() as c:
             rep = c.representatives["B"]
-            rep.rep_insert_many(7, [(wrap("k"), 1, "v")], "first")
+            rep.rep_write_many(7, [], [(wrap("k"), 1, "v")], "first")
             with pytest.raises(RuntimeError, match="already voted"):
                 rep.rep_lookup_many(7, [wrap("j")])
             rep.abort(7)
@@ -903,13 +910,14 @@ class TestVotesOnTheLastWrite:
 
 class TestCopiesInTheCoalesce:
     """Faults on the message that carries a delete's boundary copies and
-    its coalesce.  Read quorum {A, B}, write quorum {B, C}; C lacks ``f``,
+    its coalesce — the wave's closing write, which carries the vote.
+    Read quorum {B, C, A}, write quorum {B, C} (3-3-2); C lacks ``f``,
     the real successor of ``d``, so its coalesce installs ``f`` first."""
 
     WAVES = {
-        # The coalesce is the wave's last write and carries the vote.
+        # The closing write coalesces, and installs nothing.
         "voting": [("delete", "d")],
-        # The closing install carries the vote instead.
+        # The closing write coalesces, then installs ``k``.
         "plain": [("delete", "d"), ("upsert", "k", 1)],
     }
 
@@ -948,7 +956,7 @@ class TestCopiesInTheCoalesce:
             node = c.suite.placements["C"].node_id
             c.network.install_faults(
                 ScriptedLoss(
-                    [LossEvent("reply", node, "dir:C.rep_coalesce_many", 0)]
+                    [LossEvent("reply", node, "dir:C.rep_write_many", 0)]
                 )
             )
             batched = c.suite.execute_batch(wave)
@@ -1002,8 +1010,8 @@ class TestCopiesInTheCoalesce:
 
 
 class TestWalkersShareOrWait:
-    """The wave's deletes search together and the independent ones
-    coalesce together, ahead of the fold; a dependent one waits for its
+    """The wave's deletes search together, ahead of the fold, and the
+    independent ones coalesce in the closing write; a dependent one waits for its
     turn, flushes, and walks alone.  One case per clause of the rule,
     each against a sequential twin on the same fixed quorums — so the
     delete-overhead table and the op counts compare exactly too — and
@@ -1221,7 +1229,7 @@ class TestFallbackAndMetrics:
                 cluster.crash(name)
 
         self._before_round(
-            monkeypatch, suite, "rep_coalesce_many", lose_the_quorum
+            monkeypatch, suite, "rep_write_many", lose_the_quorum
         )
         outcomes = suite.execute_batch(self.WAVE)
         assert suite._batch_fallbacks.value == fallbacks + 1
@@ -1266,9 +1274,10 @@ class TestFallbackAndMetrics:
     def test_quorum_lost_after_the_first_coalesce_aborts_the_wave_whole(
         self, make_cluster, monkeypatch
     ):
-        """B and C go down; A takes ``rep_coalesce_many`` — both ranges
-        — and B never answers.  The wave aborts whole, and A puts each
-        range back from its own undo record."""
+        """B and C go down; A takes the closing ``rep_write_many`` —
+        both ranges, then gg and g — and B never answers.  The wave
+        aborts whole, and A puts each range back from its own undo
+        record."""
         _, applied = self._lose(make_cluster, monkeypatch, crash="BC")
         assert applied == {"A": 2, "B": 0, "C": 0}
 
@@ -1276,8 +1285,8 @@ class TestFallbackAndMetrics:
         self, make_cluster, monkeypatch
     ):
         """As above, but A lacks ``c``, where b's range ends: A's
-        coalesce message installs it before both ranges, then the wave
-        aborts, and A takes the copy out again with them."""
+        closing write installs it before b's range and votes, then the
+        wave aborts, and A takes the copy out again with the rest."""
         cluster, applied = self._lose(
             make_cluster, monkeypatch, crash="BC", missing="c"
         )
@@ -1291,17 +1300,20 @@ class TestFallbackAndMetrics:
             r.kind
             for r in cluster.representatives["A"].wal.records
             if r.txn_id == aborted
-        ] == ["insert", "coalesce", "coalesce", "abort"]
+        ] == [
+            "insert", "coalesce", "coalesce", "insert", "insert", "prepare",
+            "abort",
+        ]
         assert not cluster.representatives["A"].contains(wrap("c"))
 
     def test_a_wave_that_falls_back_records_each_delete_once(
         self, cluster, monkeypatch
     ):
-        """The quorum is lost for one round only — the second coalesce
-        round, with the shared one on every replica that took it.  The
-        wave aborts, and the fallback then succeeds: same answers, same
-        directory as a twin that never failed, and one delete-overhead
-        sample per delete."""
+        """The quorum is lost for one round only — b's coalesce, the
+        dependent walker's, with the flush of bb before it on every
+        replica that took it.  The wave aborts, and the fallback then
+        succeeds: same answers, same directory as a twin that never
+        failed, and one delete-overhead sample per delete."""
         suite = cluster.suite
         wave = [
             ("insert", "bb", 1),
@@ -1319,11 +1331,12 @@ class TestFallbackAndMetrics:
                 suite.insert(key, 0)
                 twin.suite.insert(key, 0)
             self._before_round(
-                monkeypatch, suite, "rep_coalesce_many", fail_this_round, nth=2
+                monkeypatch, suite, "rep_write_many", fail_this_round, nth=2
             )
             batched = suite.execute_batch(wave)
             assert suite._batch_fallbacks.value == 1
-            # d shared (and was undone); b was walking alone.
+            # d shared its walk (its coalesce waited for the closing
+            # write); b was walking alone.
             assert suite._batch_walk_deletes.max == 1
             assert suite._batch_rewalks.value == 1
             sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]

@@ -381,9 +381,9 @@ class TestFanoutModes:
 
 #: Every method a suite or its 2PC coordinator sends a representative.
 _WIRE_METHODS = (
-    "rep_lookup", "rep_insert", "rep_lookup_many", "rep_insert_many",
+    "rep_lookup", "rep_insert", "rep_lookup_many", "rep_write_many",
     "rep_neighbors_batch", "rep_coalesce", "rep_neighbors_many",
-    "rep_coalesce_many", "prepare", "commit", "abort",
+    "prepare", "commit", "abort",
 )
 
 
@@ -468,8 +468,14 @@ def record_sequences(mode, transport):
 #: votes of A and C: only B, which only read, is asked to ``prepare``.
 #: And again when a wave's walk stopped sending rounds of lookups: each
 #: candidate is judged from the neighbour replies, and the boundary copy
-#: C lacks rides in its ``rep_coalesce_many``.  Both transports produce
-#: the same table.
+#: C lacks rides in its ``rep_coalesce_many``.  And again when a wave
+#: began to write once, to members it read: its write quorum is drawn
+#: inside its read quorum ({B, A}, so no one is asked ``prepare``), every
+#: write it sends is a ``rep_write_many``, and ``h``'s rewrite and ``k``
+#: ride one closing write.  ``delete_h`` moved with it: the wave draws one
+#: random quorum fewer, so the classic delete after it draws other
+#: quorums, and the copy it installs is ``e`` on C.  Both transports
+#: produce the same table.
 ROUND_SEQUENCES = {
     "serial": {
         "lookup": (
@@ -495,19 +501,18 @@ ROUND_SEQUENCES = {
         ),
         "wave": (
             "rep_lookup_many@B rep_lookup_many@A rep_neighbors_many@B "
-            "rep_neighbors_many@A rep_neighbors_many@A rep_insert_many@A "
-            "rep_insert_many@C rep_neighbors_many@B rep_neighbors_many@A "
-            "rep_neighbors_many@A rep_coalesce_many@A rep_coalesce_many@C "
-            "rep_insert_many@A rep_insert_many@C prepare@B commit@A "
-            "commit@C"
+            "rep_neighbors_many@A rep_neighbors_many@A rep_write_many@B "
+            "rep_write_many@A rep_neighbors_many@B rep_neighbors_many@A "
+            "rep_neighbors_many@A rep_write_many@B rep_write_many@A "
+            "rep_write_many@B rep_write_many@A commit@B commit@A"
         ),
         "delete_h": (
-            "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "
-            "rep_neighbors_batch@B rep_lookup@C rep_lookup@B "
-            "rep_neighbors_batch@C rep_neighbors_batch@A rep_lookup@A "
-            "rep_lookup@B rep_lookup@C rep_lookup@C rep_lookup@A "
-            "rep_insert@A rep_lookup@A rep_coalesce@C rep_coalesce@A "
-            "prepare@C prepare@B prepare@A commit@C commit@B commit@A"
+            "rep_lookup@A rep_lookup@C rep_neighbors_batch@C "
+            "rep_neighbors_batch@A rep_lookup@C rep_lookup@B "
+            "rep_neighbors_batch@C rep_neighbors_batch@B rep_lookup@C "
+            "rep_lookup@A rep_lookup@C rep_lookup@C rep_insert@C "
+            "rep_lookup@B rep_lookup@B rep_coalesce@C rep_coalesce@B "
+            "prepare@A prepare@C prepare@B commit@A commit@C commit@B"
         ),
     },
     "parallel": {
@@ -534,19 +539,18 @@ ROUND_SEQUENCES = {
         ),
         "wave": (
             "rep_lookup_many@B rep_lookup_many@A rep_neighbors_many@B "
-            "rep_neighbors_many@A rep_neighbors_many@A rep_insert_many@A "
-            "rep_insert_many@C rep_neighbors_many@B rep_neighbors_many@A "
-            "rep_neighbors_many@A rep_coalesce_many@A rep_coalesce_many@C "
-            "rep_insert_many@A rep_insert_many@C prepare@B commit@A "
-            "commit@C"
+            "rep_neighbors_many@A rep_neighbors_many@A rep_write_many@B "
+            "rep_write_many@A rep_neighbors_many@B rep_neighbors_many@A "
+            "rep_neighbors_many@A rep_write_many@B rep_write_many@A "
+            "rep_write_many@B rep_write_many@A commit@B commit@A"
         ),
         "delete_h": (
-            "rep_lookup@C rep_lookup@B rep_neighbors_batch@C "
-            "rep_neighbors_batch@B rep_lookup@C rep_lookup@B "
-            "rep_neighbors_batch@C rep_neighbors_batch@A rep_lookup@A "
-            "rep_lookup@B rep_lookup@C rep_lookup@C rep_lookup@A "
-            "rep_lookup@A rep_insert@A rep_coalesce@C rep_coalesce@A "
-            "prepare@C prepare@B prepare@A commit@C commit@B commit@A"
+            "rep_lookup@A rep_lookup@C rep_neighbors_batch@C "
+            "rep_neighbors_batch@A rep_lookup@C rep_lookup@B "
+            "rep_neighbors_batch@C rep_neighbors_batch@B rep_lookup@C "
+            "rep_lookup@A rep_lookup@C rep_lookup@C rep_lookup@B "
+            "rep_lookup@B rep_insert@C rep_coalesce@C rep_coalesce@B "
+            "prepare@A prepare@C prepare@B commit@A commit@C commit@B"
         ),
     },
 }
@@ -568,16 +572,18 @@ class TestRoundSequence:
         assert serial["delete"].count("rep_neighbors_batch@C") >= 3
         # Serial installs a missing neighbour right after its probe;
         # parallel probes every pair first.
-        assert "rep_lookup@A rep_insert@A rep_lookup@A" in serial["delete_h"]
-        assert "rep_lookup@A rep_lookup@A rep_insert@A" in parallel["delete_h"]
+        assert "rep_lookup@C rep_insert@C rep_lookup@B" in serial["delete_h"]
+        assert "rep_lookup@B rep_lookup@B rep_insert@C" in parallel["delete_h"]
         # The wave's delete searched twice (with the rest of the wave,
         # then alone behind the flush: ``e`` landed next to it), each
         # time stepping past the ghost on one more message to A.  From
         # its first neighbour message on, nothing was looked up, and
-        # nothing installed but the flush and the closing install: the
-        # copy C lacked went in its coalesce.
+        # nothing written but the flush, the delete's coalesce and the
+        # closing write, each to the two members the wave read.
         assert serial["wave"].count("rep_neighbors_many@A") == 4
         assert serial["wave"].count("rep_neighbors_many@B") == 2
         walk = serial["wave"].split("rep_neighbors_many", 1)[1]
         assert "rep_lookup_many" not in walk
-        assert walk.count("rep_insert_many") == 4
+        assert walk.count("rep_write_many@A") == 3
+        assert walk.count("rep_write_many@B") == 3
+        assert "prepare" not in serial["wave"]

@@ -225,3 +225,44 @@ class TestDetectorScreening:
         policy = RandomQuorumPolicy()
         quorum = policy.choose("read", ["A", "B", "C"], CFG_322, random.Random(5))
         assert sum(CFG_322.votes[n] for n in quorum) >= 2
+
+    def test_the_nested_draw_does_not_put_a_screened_suspect_back(self):
+        """B is in the read quorum the write quorum is drawn inside, but
+        suspected by the time the write quorum is drawn: the draw tops
+        the rest of the read quorum up from the trusted members."""
+        policy = RandomQuorumPolicy()
+        policy.bind_detector(_FixedDetector({"B"}))
+        for seed in range(20):
+            quorum = policy.choose(
+                "write", ["A", "B", "C"], CFG_322, random.Random(seed),
+                within=["B", "A"],
+            )
+            assert quorum == ["A", "C"]
+
+
+class TestNestedDraw:
+    """A served wave's write quorum, drawn inside its read quorum."""
+
+    def test_r_at_least_w_takes_a_prefix_and_draws_nothing(self):
+        config = SuiteConfig.from_xyz("5-4-3")
+        rng = random.Random(6)
+        state = rng.getstate()
+        quorum = RandomQuorumPolicy().choose(
+            "write", list("ABCDE"), config, rng, within=list("DBEA")
+        )
+        assert quorum == list("DBE")
+        assert rng.getstate() == state
+
+    def test_r_below_w_is_the_read_quorum_topped_up_by_the_policy(self):
+        policy = PreferredQuorumPolicy(["C", "D", "A", "B"])
+        quorum = policy.choose(
+            "write", list("ABCD"), CFG_423, random.Random(7),
+            within=["B", "A"],
+        )
+        assert quorum == ["B", "A", "C"]
+
+    def test_a_read_member_gone_since_the_read_is_replaced(self):
+        quorum = PreferredQuorumPolicy(["A", "B", "C"]).choose(
+            "write", ["A", "C"], CFG_322, random.Random(8), within=["B", "A"]
+        )
+        assert quorum == ["A", "C"]

@@ -373,9 +373,9 @@ class TestShardedDirectory:
 
         assert all(o.ok for o in outcomes)
         # A wave of one insert is one grouped transaction: R, W with the
-        # votes, a prepare to the member it only read and the commit, 14
-        # ticks at 3-2-2 (the classic insert pays 20).
-        assert one_op == pytest.approx(14)
+        # votes (to the members it read) and the commit, 12 ticks at
+        # 3-2-2 (the classic insert pays 20).
+        assert one_op == pytest.approx(12)
         assert serial_ticks == pytest.approx(2 * one_op)
         # The two inserts hit different shards, so the wave costs the
         # slower one, not the sum.

@@ -1,36 +1,41 @@
-"""The exact message bill of a wave of one, for every kind and quorum pair.
+"""The exact message bill of a wave, for every kind and quorum pair.
 
 A wave costs its rounds plus what is left of two-phase commit once the
 last write has carried each writer's vote and a read of one key has been
-released with its reply.  In closed form (:func:`bill`), with read quorum
-``Rq`` and write quorum ``Wq``:
+released with its reply.  A wave draws its write quorum ``Wq`` inside its
+read quorum ``Rq``: the first W members of it when R ≥ W.  In closed
+form (:func:`bill`):
 
 * a ``lookup`` is its read round, released: ``R``;
 * an op the fold refuses (an ``insert`` of a present key, an ``update``
   or ``delete`` of an absent one) reads, then asks each member it read
   for a read-only vote: ``R + R``;
-* a write reads, installs with the vote (``W``), asks ``prepare`` of
-  the members it only read (``|Rq - Wq|``) and commits on the ones it
-  wrote (``W``);
-* a delete of a present key does too, with Figure 13's walk in place of
-  the install: a neighbour round (``R``), whose replies also judge each
-  candidate, and the vote-carrying coalesce (``W``), which carries the
+* a write reads, sends each member of ``Wq`` one closing write that
+  carries its vote (``W``), asks ``prepare`` of the members it only read
+  (``|Rq - Wq|``, none when R = W) and commits on the ones it wrote
+  (``W``);
+* a delete of a present key does too, with Figure 13's walk before the
+  closing write: a neighbour round (``R``), whose replies also judge
+  each candidate; the closing write carries the coalesce and its
   boundary copies.  A ghost adds a refill message to each read-quorum
   member whose stream it ran dry, and a missing copy adds nothing.
 
 Every kind of :data:`~repro.core.batch.BATCH_KINDS`, with its key
-present and absent, over all nine (read, write) quorum pairs of 3-2-2,
-on a directory every replica holds in full.  Beside the count, each
-member's 2PC messages are held to the rule that produced it: ``prepare``
-only to a member that has not voted, ``commit`` only to one that wrote,
-nothing at all after a released read.
+present and absent, over all nine (read, classic write) quorum pairs of
+3-2-2 — where a wave writes its read quorum whatever a classic write
+would draw — and over the three read quorums of 3-3-2, where the member
+a wave reads last is only read.  Beside the count, each member's 2PC
+messages are held to the rule that produced it: ``prepare`` only to a
+member that has not voted, ``commit`` only to one that wrote, nothing at
+all after a released read.
 
-Then the delete walk's own terms, each against the sequential twin: a
-ghost only the member outside the write quorum holds, a bound one
-write-quorum member lacks, two independent deletes, and a dependent
-one, which flushes the wave's writes and walks again.  After a wave's
-first ``rep_neighbors_many`` nothing is looked up or installed by a
-message of its own, but for that flush.
+Then the delete walk's own terms and waves of two and three, each
+against the sequential twin: a ghost only the member outside the write
+quorum holds, a bound one write-quorum member lacks, independent
+deletes beside an insert or an update — one write message to each
+write-quorum member after the walk, however many ops — and a dependent
+delete, which flushes the wave's writes, walks again and coalesces
+before the closing write.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ from tests.unit.test_batch import (
 from tests.unit.test_fanout import _tap
 
 QUORUMS = ["AB", "AC", "BC"]
+#: Read quorums of 3-3-2, each with its last member only read.
+WIDE_READS = ["ABC", "BCA", "CAB"]
 #: Keys every replica holds; ``d`` is the present key, ``c`` the absent
 #: one, and each has real neighbours on every replica.
 KEYS = "bdf"
@@ -65,6 +72,12 @@ def writes(kind: str, present: bool) -> bool:
     return kind == "upsert" or not present
 
 
+def nested(read: str) -> str:
+    """The write quorum a wave draws inside read quorum ``read`` — its
+    first two members, W = 2 at 3-2-2 and 3-3-2 alike."""
+    return read[:2]
+
+
 def bill(
     kind: str, present: bool, read: str, write: str, refills: int = 0
 ) -> int:
@@ -75,8 +88,8 @@ def bill(
         return r
     if not writes(kind, present):
         return r + r
-    work = r + refills + w if kind in _DELETES else w
-    return r + work + len(set(read) - set(write)) + w
+    walk = r + refills if kind in _DELETES else 0
+    return r + walk + w + len(set(read) - set(write)) + w
 
 
 def twopc(kind: str, present: bool, read: str, write: str) -> dict:
@@ -92,6 +105,30 @@ def twopc(kind: str, present: bool, read: str, write: str) -> dict:
         for name in write:
             log[name].append("commit")
     return log
+
+
+def _pays_its_bill(kind, present, read, write, **spec):
+    """A wave of one ``kind`` op on fixed quorums: ``read``, and
+    ``write`` for a classic write, which the wave does not use."""
+    with _twin(quorum_policy=_SplitQuorums(read, write), **spec) as cluster:
+        for key in KEYS:
+            scripted_insert(cluster, "ABC", key, 1, key)
+        log = _spy(cluster)
+        net = cluster.network.stats
+        before = net.rpc_rounds
+        (outcome,) = cluster.suite.execute_batch(
+            [(kind, "d" if present else "c", 1)]
+        )
+        write = nested(read)
+        assert net.rpc_rounds - before == bill(kind, present, read, write)
+        assert log == twopc(kind, present, read, write)
+        assert outcome.ok == (
+            kind in ("lookup", "upsert", "discard") or writes(kind, present)
+        )
+        assert cluster.suite._batch_fallbacks.value == 0
+        for rep in cluster.representatives.values():
+            assert rep.locks.is_idle(), rep.name
+            assert not (rep._undo or rep._seen_txns or rep._prepared), rep.name
 
 
 CASES = [
@@ -110,46 +147,61 @@ CASES = [
     ],
 )
 def test_a_wave_of_one_pays_its_bill(kind, present, read, write):
-    with _twin(quorum_policy=_SplitQuorums(read, write)) as cluster:
-        for key in KEYS:
-            scripted_insert(cluster, "ABC", key, 1, key)
-        log = _spy(cluster)
-        net = cluster.network.stats
-        before = net.rpc_rounds
-        (outcome,) = cluster.suite.execute_batch(
-            [(kind, "d" if present else "c", 1)]
-        )
-        assert net.rpc_rounds - before == bill(kind, present, read, write)
-        assert log == twopc(kind, present, read, write)
-        assert outcome.ok == (
-            kind in ("lookup", "upsert", "discard") or writes(kind, present)
-        )
-        assert cluster.suite._batch_fallbacks.value == 0
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle(), rep.name
-            assert not (rep._undo or rep._seen_txns or rep._prepared), rep.name
+    """At 3-2-2 the classic write quorum ``write`` does not move a wave:
+    it writes the members it read, so none is only read."""
+    assert nested(read) == read
+    _pays_its_bill(kind, present, read, write)
 
 
-# -- the walk's own terms -----------------------------------------------------
+WIDE_CASES = [
+    (kind, present, read)
+    for kind, present in itertools.product(BATCH_KINDS, (True, False))
+    for read in WIDE_READS
+]
+
+
+@pytest.mark.parametrize(
+    "kind,present,read",
+    WIDE_CASES,
+    ids=[
+        f"{kind}-{'present' if present else 'absent'}-r{read}"
+        for kind, present, read in WIDE_CASES
+    ],
+)
+def test_a_wave_of_one_pays_its_bill_when_r_exceeds_w(kind, present, read):
+    """3-3-2: the wave writes the first two members it read, and asks
+    the third, which it only read, for a read-only ``prepare``."""
+    _pays_its_bill(kind, present, read, nested(read), config="3-3-2")
+
+
+# -- the walk's own terms, and waves of two and three -------------------------
 
 #: Keys every replica holds before each case below.
 WALK_KEYS = "bdfhj"
 #: What a walk may send after its first ``rep_neighbors_many``.
-WALK = {"rep_neighbors_many", "rep_coalesce_many", "prepare", "commit"}
+WALK = {"rep_neighbors_many", "rep_write_many", "prepare", "commit"}
+#: ``(config, read quorum)``: R = W on 3-2-2, R > W on 3-3-2.  Either
+#: way the wave writes B and C; on 3-3-2 it only reads A.
+SHAPES = [("3-2-2", "BC"), ("3-3-2", "BCA")]
+SHAPE_IDS = [f"{read}-{nested(read)}" for _, read in SHAPES]
 
 
-def _walk_case(read, write, wave, plant=None, **spec):
-    """Run ``wave`` over :data:`WALK_KEYS` on fixed quorums, after
-    ``plant(cluster)`` (both sides), against the sequential twin.
-    Returns the cluster's messages and, in order, each one's
-    ``method@member``."""
+def _walk_case(config, read, wave, plant=None, keys=WALK_KEYS, **spec):
+    """Run ``wave`` over ``keys`` on fixed quorums — ``read``, and its
+    first two members to write — after ``plant(cluster)`` (both sides),
+    against the sequential twin.  Returns the messages the wave cost,
+    each one's ``method@member`` in order, and the cluster's
+    delete-overhead statistics."""
     sides = [
-        _twin(quorum_policy=_SplitQuorums(read, write), **spec)
+        _twin(
+            config=config, quorum_policy=_SplitQuorums(read, nested(read)),
+            **spec,
+        )
         for _ in range(2)
     ]
     with sides[0] as cluster, sides[1] as twin:
         for side in sides:
-            for key in WALK_KEYS:
+            for key in keys:
                 scripted_insert(side, "ABC", key, 1, key)
             if plant is not None:
                 plant(side)
@@ -159,8 +211,7 @@ def _walk_case(read, write, wave, plant=None, **spec):
         batched = cluster.suite.execute_batch(wave)
         spent = cluster.network.stats.rpc_rounds - before
         _assert_same_wave(
-            cluster, twin, batched, wave,
-            [("insert", key) for key in WALK_KEYS],
+            cluster, twin, batched, wave, [("insert", key) for key in keys]
         )
         for rep in cluster.representatives.values():
             assert rep.locks.is_idle(), rep.name
@@ -174,72 +225,132 @@ def _after_the_walk_starts(log):
     return methods[methods.index("rep_neighbors_many"):]
 
 
+def _one_write_each(log, read):
+    """One write message to each write-quorum member — after the walk,
+    since nothing is written before it — and none to any other."""
+    written = sorted(row for row in log if row.startswith("rep_write_many@"))
+    assert written == [f"rep_write_many@{m}" for m in sorted(nested(read))]
+
+
 @pytest.mark.parametrize("batch_size", [1, 3])
 def test_a_ghost_outside_the_write_quorum_costs_a_refill_to_its_holder(
     batch_size,
 ):
-    """``e`` is deleted on B and C alone, so A — read, never written —
-    keeps it as a ghost next to ``d``.  Judged from the replies in hand
-    (B's gap outranks A's entry), it is stepped past: at one result a
-    message A's stream runs dry and is refilled, one message to A
-    alone; at three A sent the next neighbour already."""
+    """3-3-2, so a wave has a member it only reads.  ``e`` is deleted on
+    B and C alone, so A — read, never written — keeps it as a ghost next
+    to ``d``.  Judged from the replies in hand (B's gap outranks A's
+    entry), it is stepped past: at one result a message A's stream runs
+    dry and is refilled, one message to A alone; at three A sent the
+    next neighbour already."""
 
     def plant(side):
         scripted_insert(side, "ABC", "e", 1, "e")
-        side.suite.quorum_policy.members["read"] = ["B", "C"]
         side.suite.delete("e")
-        side.suite.quorum_policy.members["read"] = ["A", "B"]
         assert side.representatives["A"].contains(wrap("e"))
 
     refills = 1 if batch_size == 1 else 0
     spent, log, _ = _walk_case(
-        "AB", "BC", [("delete", "d")], plant, neighbor_batch_size=batch_size
+        "3-3-2", "BCA", [("delete", "d")], plant,
+        neighbor_batch_size=batch_size,
     )
-    assert spent == bill("delete", True, "AB", "BC", refills)
+    assert spent == bill("delete", True, "BCA", "BC", refills)
     assert log.count("rep_neighbors_many@A") == 1 + refills
     assert log.count("rep_neighbors_many@B") == 1
     assert set(_after_the_walk_starts(log)) <= WALK
 
 
-@pytest.mark.parametrize("read,write", [("BC", "BC"), ("AB", "BC")])
-def test_a_missing_bound_travels_in_the_coalesce(read, write):
-    """C lacks ``ff``, ``f``'s real successor: the coalesce to C carries
-    it, C installs it first, and that is the delete's one copy — for no
-    message more."""
+@pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
+def test_a_missing_bound_travels_in_the_coalesce(config, read):
+    """C lacks ``ff``, ``f``'s real successor: the closing write to C
+    carries it, C installs it first, and that is the delete's one copy —
+    for no message more."""
 
     def plant(side):
         scripted_insert(side, "AB", "ff", 1, "ff")
 
-    spent, log, stats = _walk_case(read, write, [("delete", "f")], plant)
-    assert spent == bill("delete", True, read, write)
+    spent, log, stats = _walk_case(config, read, [("delete", "f")], plant)
+    assert spent == bill("delete", True, read, nested(read))
     assert set(_after_the_walk_starts(log)) <= WALK
     copies = stats.insertions_while_coalescing
     assert (copies.n, copies.max) == (1, 1)
 
 
-@pytest.mark.parametrize("read,write", [("BC", "BC"), ("AB", "BC")])
-def test_two_independent_deletes_cost_what_one_does(read, write):
+@pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
+def test_two_independent_deletes_cost_what_one_does(config, read):
     """``(b, f)`` and ``(f, j)`` meet at ``f``, which neither deletes:
-    one walk, one coalesce message a member, one vote."""
+    one walk, one closing write a member, one vote."""
     spent, log, _ = _walk_case(
-        read, write, [("delete", "d"), ("discard", "h")]
+        config, read, [("delete", "d"), ("discard", "h")]
     )
-    assert spent == bill("delete", True, read, write)
+    assert spent == bill("delete", True, read, nested(read))
     assert set(_after_the_walk_starts(log)) <= WALK
+    _one_write_each(log, read)
 
 
-@pytest.mark.parametrize("read,write", [("BC", "BC"), ("AB", "BC")])
-def test_a_dependent_delete_flushes_then_walks(read, write):
+@pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
+def test_an_insert_beside_an_independent_delete_costs_what_the_delete_does(
+    config, read
+):
+    """``i`` lies outside ``d``'s neighbourhood ``[b, f]``: the insert
+    rides the closing write that coalesces ``d``'s range, so the wave
+    costs what the delete alone does."""
+    spent, log, _ = _walk_case(
+        config, read, [("insert", "i", 1), ("delete", "d")]
+    )
+    assert spent == bill("delete", True, read, nested(read))
+    assert set(_after_the_walk_starts(log)) <= WALK
+    _one_write_each(log, read)
+
+
+@pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
+def test_two_independent_deletes_and_an_update_cost_what_one_delete_does(
+    config, read
+):
+    """``d`` and ``h`` walk together, and ``l`` lies outside both
+    neighbourhoods: two ranges and one entry in one closing write a
+    member."""
+    spent, log, stats = _walk_case(
+        config, read,
+        [("delete", "d"), ("update", "l", 2), ("delete", "h")],
+        keys="bdfhjl",
+    )
+    assert spent == bill("delete", True, read, nested(read))
+    assert set(_after_the_walk_starts(log)) <= WALK
+    _one_write_each(log, read)
+    assert stats.deletions_while_coalescing.n == 2
+
+
+@pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
+def test_a_dependent_delete_flushes_then_walks(config, read):
     """``e`` lands inside ``d``'s neighbourhood, so the shared search's
     finding is set aside: the flush installs ``e`` (``W``), ``d`` walks
-    again (``R``) and coalesces (``W``).  Neither write is the last, so
-    every member is asked ``prepare``."""
+    again (``R``) and coalesces (``W``).  Neither write is the last, and
+    nothing is left for a closing write, so every member is asked
+    ``prepare``."""
     spent, log, _ = _walk_case(
-        read, write, [("insert", "e", 1), ("delete", "d")]
+        config, read, [("insert", "e", 1), ("delete", "d")]
     )
-    r, w = len(read), len(write)
-    assert spent == r + r + w + r + w + len(set(read) | set(write)) + w
+    r, w = len(read), 2
+    assert spent == r + r + w + r + w + r + w
     after = _after_the_walk_starts(log)
-    flush = after.index("rep_insert_many")
-    assert after[flush:flush + w] == ["rep_insert_many"] * w
+    flush = after.index("rep_write_many")
+    assert after[flush:flush + w] == ["rep_write_many"] * w
     assert set(after[:flush] + after[flush + w:]) <= WALK
+
+
+@pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
+def test_an_independent_and_a_dependent_delete(config, read):
+    """``e`` makes ``d`` dependent; ``h``'s neighbourhood ``[f, j]`` is
+    untouched, so ``h`` stays independent.  The read (``R``) and the
+    shared search (``R``); then ``d``'s turn: the flush of ``e``
+    (``W``), ``d``'s walk (``R``) and coalesce (``W``); then the closing
+    write, ``h``'s range with the votes (``W``), the read-only
+    ``prepare``s and the ``commit`` (``W``)."""
+    spent, log, _ = _walk_case(
+        config, read, [("insert", "e", 1), ("delete", "d"), ("delete", "h")]
+    )
+    r, w = len(read), 2
+    assert spent == r + r + w + r + w + w + (r - w) + w
+    assert set(_after_the_walk_starts(log)) <= WALK
+    writes = [row for row in log if row.startswith("rep_write_many@")]
+    assert len(writes) == 3 * w
