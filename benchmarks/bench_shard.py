@@ -35,6 +35,12 @@ This experiment replays the same seeded operation stream in fixed
 Every run on either path finishes with zero failed ops, one final size
 across shard counts, and a clean merged invariant audit across all
 shards.
+
+The max-not-sum wave clock models shards running in parallel, each on
+its own replicas' time.  The served stack has one serving thread, and
+its shards take turns (docs/SERVICE.md, "Concurrency"), so these
+speedup curves describe the algorithm's shard-level parallelism, not
+what ``repro serve`` achieves with more ``--shards``.
 """
 
 from benchmarks.conftest import WAVE_PATHS, emit_bench, run_once

@@ -401,7 +401,11 @@ def cmd_load(args: argparse.Namespace) -> int:
         rates=rates,
         duration=args.duration,
     )
-    result = run_load(spec, bench_dir=args.bench_dir or None)
+    try:
+        result = run_load(spec, bench_dir=args.bench_dir or None)
+    except ConnectionRefusedError as exc:
+        print(f"repro-load: cannot connect: {exc}", file=sys.stderr)
+        return 1
     if result["mode"] == "open":
         for point in result["latency_curve"]:
             print(
@@ -590,6 +594,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The repro command-line parser."""
     parser = argparse.ArgumentParser(
@@ -758,13 +769,13 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_argument_group("batching")
     g.add_argument(
         "--batch-max",
-        type=int,
+        type=_positive_int,
         default=128,
         help="max ops per batched wave on one shard (1 = the unbatched "
         "control: every wave is one op)",
     )
     g = p.add_argument_group("sharding")
-    g.add_argument("--shards", type=int, default=4)
+    g.add_argument("--shards", type=_positive_int, default=4)
     g = p.add_argument_group("listener")
     g.add_argument("--host", default="127.0.0.1")
     g.add_argument(
@@ -937,7 +948,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point (returns a process exit code)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigurationError as exc:
+        print(f"repro-{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -15,7 +15,7 @@ decision log.
 
 A served wave (:mod:`repro.core.batch`) ends its transaction at a
 representative in one of three ways beside the classic ``prepare``: its
-last write here carries the vote (``prepare`` on
+last write here carries the vote (``vote=True`` on
 :meth:`rep_write_many`), a replica it only
 read votes read-only, or a read of one key is released with its reply
 (``release=True`` on :meth:`rep_lookup_many`).  A transaction that has
@@ -37,7 +37,6 @@ from typing import Any, Callable, Sequence
 from repro.core.entries import Entry, LookupReply, NeighborReply
 from repro.core.errors import (
     SnapshotUnavailableError,
-    TransactionAbortedError,
     WouldBlockError,
 )
 from repro.core.keys import BoundedKey, KeyRange
@@ -139,8 +138,6 @@ class DirectoryRepresentative:
         # last crash; prepare() votes no for unknown transactions because
         # their effects (if any) were lost with the volatile state.
         self._seen_txns: set[TxnId] = set()
-        # Transactions whose logged work here a crash lost: refused.
-        self._lost: set[TxnId] = set()
         self._checkpoint_policy = checkpoint_policy or CheckpointPolicy()
         self._commits_since_checkpoint = 0
         self._decision_outcomes = decision_outcomes or (lambda: frozenset())
@@ -154,26 +151,20 @@ class DirectoryRepresentative:
     ) -> None:
         """Lock every range in order, or raise WouldBlockError at the
         first refusal (never queue on this sync path); the ranges before
-        it stay locked.  A transaction whose writes here a crash lost
-        (:meth:`on_recover`) is refused with ``TransactionAbortedError``.
+        it stay locked.
 
         A point range is passed as the plain pair ``(key, key)``.
 
         Every Figure 6 operation comes through here, so this is where a
-        transaction that has already voted is refused: its lock point
-        has passed, and anything more it did here would be a write (or
-        a lock) the vote did not cover.  That is a coordinator fault,
-        not a lost message, so it raises ``RuntimeError`` rather than an
-        error a caller would retry or fall back from.
+        transaction that has already voted is refused — past its lock
+        point, anything more would be a write or lock the vote did not
+        cover.  That is a coordinator fault, so it raises ``RuntimeError``,
+        which no caller retries or falls back from.
         """
         if txn_id in self._prepared:
             raise RuntimeError(
                 f"representative {self.name}: transaction {txn_id} has "
                 "already voted"
-            )
-        if txn_id in self._lost:
-            raise TransactionAbortedError(
-                txn_id, f"representative {self.name} lost its earlier work"
             )
         self._seen_txns.add(txn_id)
         blockers = self.locks.acquire_all(txn_id, mode, ranges)
@@ -369,7 +360,7 @@ class DirectoryRepresentative:
         txn_id: TxnId,
         ranges: "list[tuple[BoundedKey, BoundedKey, Version, tuple]]",
         rows: "list[tuple[BoundedKey, Version, Any]]",
-        prepare: "str | None" = None,
+        vote: bool = False,
     ) -> "list[tuple[tuple[Entry, ...], int]]":
         """Every write a wave sends this member at once: DirRepCoalesce
         for each range its deletes found, with the boundary copies each
@@ -389,39 +380,25 @@ class DirectoryRepresentative:
         all).
 
         Replies are positional: per range, the entries its coalesce
-        removed here and how many bounds this transaction copied in for
-        it — both read from the transaction's undo records, so the same
-        message sent again after its reply was lost (which installs
-        nothing and removes nothing the second time) answers as the
-        first one did.
+        removed here and how many bounds it copied in, read from the
+        transaction's undo records, so a message re-sent after its reply
+        was lost answers as the first one did.
 
-        With ``prepare`` this is the transaction's last write here and
-        carries its vote: the prepare record is logged right behind the
-        redo records and the reply is the yes vote, which saves the
-        ``prepare`` round trip.  Once voted, the transaction takes
-        nothing more here (:meth:`_lock` refuses it).  The one exception
-        is this same message sent again after its reply was lost: the
-        vote is withdrawn, the writes re-applied (idempotent within the
-        transaction) and the vote cast again, all in this one call, so it
-        answers yes again and commits once.  ``prepare`` says whether the
-        transaction was here before this message: ``"first"`` if not,
-        ``"again"`` if an earlier round of it ran here.  ``"again"`` for
-        a transaction this replica has not seen since its last crash is
-        the check :meth:`prepare` makes: the earlier effects and locks
-        were lost with the volatile state, so the vote is refused before
-        anything is applied, and the transaction aborts.
+        With ``vote`` this is the transaction's last write here and
+        carries its vote: the prepare record is logged behind the redo
+        records and the reply is the yes vote, saving the ``prepare``
+        round trip.  Once voted, the transaction takes nothing more here
+        (:meth:`_lock`), except this same message re-sent after its
+        reply was lost: it withdraws the vote, re-applies the writes
+        (idempotent within the transaction) and votes again.
         """
-        if prepare == "again" and txn_id not in self._seen_txns:
-            raise TransactionAbortedError(
-                txn_id, f"representative {self.name} lost its earlier work"
-            )
-        if prepare:
+        if vote:
             self._prepared.discard(txn_id)
         for item in ranges:
             self._coalesce(txn_id, *item)
         for row in rows:
             self._insert(txn_id, *row)
-        if prepare:
+        if vote:
             self.wal.log_prepare(txn_id)
             self._prepared.add(txn_id)
         if not ranges:
@@ -467,12 +444,8 @@ class DirectoryRepresentative:
     # ------------------------------------------------------------------
 
     def prepare(self, txn_id: TxnId, read_only_votes: bool = False) -> bool | str:
-        """Phase one of 2PC: vote yes iff the transaction's state survives.
-
-        The representative votes yes only for transactions it has seen
-        since its last crash: if the node crashed mid-transaction, that
-        transaction's effects here were lost with the volatile store, so
-        a yes vote would commit a torn write.
+        """Phase one of 2PC: vote yes only for a transaction seen here
+        since the last crash, whose effects a crash did not take.
 
         With ``read_only_votes`` (a served wave's coordinator asks so), a
         transaction that wrote nothing here — no undo record — gets the
@@ -509,7 +482,6 @@ class DirectoryRepresentative:
         for record in reversed(self._undo.pop(txn_id, [])):
             record.apply(self.store)
         self.wal.log_abort(txn_id)
-        self._lost.discard(txn_id)
         self._prepared.discard(txn_id)
         self._seen_txns.discard(txn_id)
         self.locks.release_all(txn_id)
@@ -684,18 +656,13 @@ class DirectoryRepresentative:
 
         In-doubt prepared transactions are resolved against the
         coordinator's decision log: decided-commit ⇒ replayed; anything
-        else ⇒ presumed abort (not replayed).  Every transaction whose
-        records are then not replayed is lost here, and refused if it
-        comes back, so a later round cannot have a replica vote for
-        writes it no longer holds.
+        else ⇒ presumed abort (not replayed).  A transaction that comes
+        back is the coordinator's to refuse (``DirectorySuite._round``).
         """
         self.store = self._store_factory()
         in_doubt = self.wal.in_doubt_txns()
         resolved_commit = in_doubt & set(self._decision_outcomes())
         self.wal.replay_into(self.store, extra_committed=resolved_commit)
-        records = self.wal.records
-        ended = {r.txn_id for r in records if r.kind in ("commit", "abort")}
-        self._lost = {r.txn_id for r in records} - ended - resolved_commit
 
     # ------------------------------------------------------------------
     # introspection (tests, statistics, figures)

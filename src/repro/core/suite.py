@@ -41,6 +41,7 @@ from repro.core.errors import (
     NodeDownError,
     ReproError,
     SentinelKeyError,
+    TransactionAbortedError,
 )
 from repro.core.keys import LOW, BoundedKey, wrap
 from repro.core.quorum import QuorumPolicy, RandomQuorumPolicy
@@ -448,11 +449,13 @@ class DirectorySuite:
         Each scatter's side channels are absorbed before its gather.
         Detector evidence is fed for every member (a timeout strike per
         lost exchange, down/ok for the final outcome).  Every member
-        whose call actually executed — including ones that then timed
-        out on a lost reply — is enlisted in the transaction if it is
-        not already, so 2PC reaches each representative that may hold
-        locks or undo state; a member that never executed (down target,
-        every request lost) holds nothing and stays un-enlisted.
+        whose call executed — a lost reply's too — is enlisted if it is
+        not already, with its reply's incarnation, so 2PC reaches each
+        representative that may hold locks or undo state; one that never
+        executed holds nothing.  This is the one place a restart is
+        noticed: a later reply from a later incarnation — a replica that
+        lost the transaction's locks and effects — fails with
+        ``TransactionAbortedError``, raised in issue order.
 
         A member that times out is re-issued up to ``rpc_retries`` times
         within its scatter before the timeout surfaces (and aborts the
@@ -464,15 +467,12 @@ class DirectorySuite:
         reply lost after the effect applied cannot double-apply anything.
 
         ``ends`` marks a round that ends the transaction at its members
-        (:mod:`repro.core.batch`); it sends each call a trailing flag.
+        (:mod:`repro.core.batch`); it sends each call a trailing ``True``.
         ``"vote"``: each call is its member's last write and carries its
         vote, so a member that answers is recorded in ``txn.voted`` and
-        is sent no ``prepare``; the flag is ``"again"`` for a member
-        already enlisted (an earlier round ran there, which it must
-        still hold) and ``"first"`` for the rest.  ``"release"``: each
-        member reads, releases and forgets the transaction in the one
-        call (flag ``True``), so none is enlisted and 2PC has no one to
-        reach.
+        is sent no ``prepare``.  ``"release"``: each member reads,
+        releases and forgets the transaction in the one call, so none is
+        enlisted and 2PC has no one to reach.
         """
         if not calls:
             return []
@@ -484,8 +484,6 @@ class DirectorySuite:
         members = []
         for rep, method, args, *payload in calls:
             place = placements[rep]
-            if ends == "vote":
-                flag = ("again" if rep in participants else "first",)
             members.append(RpcCall(
                 place.node_id, place.service_name, method,
                 (txn_id, *args, *flag), {}, payload[0] if payload else 1,
@@ -518,13 +516,17 @@ class DirectorySuite:
                         detector.record_ok(node_id)
                     elif isinstance(reply.error, NodeDownError):
                         detector.record_down(node_id)
-                if (
-                    participants is not None
-                    and reply.effect_applied
-                    and reply.call.key not in participants
-                ):
+                if participants is not None and reply.effect_applied:
                     call = reply.call
-                    txn.enlist(call.key, call.node_id, call.service_name)
+                    if call.key not in participants:
+                        txn.enlist(
+                            call.key, call.node_id, call.service_name,
+                            reply.incarnation,
+                        )
+                    elif participants[call.key].incarnation != reply.incarnation:
+                        reply.error = reply.error or TransactionAbortedError(
+                            txn_id, f"representative {call.key} restarted"
+                        )
             for reply in batch.complete_all():
                 if reply.error is not None:
                     raise reply.error

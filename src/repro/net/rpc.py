@@ -76,11 +76,13 @@ class RpcReply:
     True for every delivered exchange and for lost *replies*, False for
     lost requests and down targets — which is what decides whether the
     target must be enlisted in the surrounding transaction.
+    ``incarnation`` is the target node's restart count
+    (``Node.recoveries``) read after the method last ran there.
     """
 
     __slots__ = (
         "call", "value", "error", "app_error", "arrival",
-        "attempts", "timeouts", "effect_applied",
+        "attempts", "timeouts", "effect_applied", "incarnation",
     )
 
     def __init__(self, call: RpcCall) -> None:
@@ -92,6 +94,7 @@ class RpcReply:
         self.attempts = 0
         self.timeouts = 0
         self.effect_applied = False
+        self.incarnation = 0
 
     @property
     def ok(self) -> bool:
@@ -224,6 +227,7 @@ class RpcEndpoint:
             batch_span = NULL_SPAN
         faults = net.faults
         latency = net.latency
+        nodes = net._nodes
         service_for = net.service_for
         stats = net.stats
         by_method = stats.by_method
@@ -292,6 +296,8 @@ class RpcEndpoint:
                     reply.value = bound(*call.args, **call.kwargs)
                 except Exception as exc:
                     error = exc
+                if reply.effect_applied:
+                    reply.incarnation = nodes[node_id].recoveries
                 if traced:
                     if messages is not None:
                         span.set("messages", messages)

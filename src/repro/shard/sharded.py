@@ -164,7 +164,7 @@ class ShardedDirectory:
         """
         base = spec if isinstance(spec, ClusterSpec) else ClusterSpec(spec)
         resolved_map = resolve_shard_map(shard_map, shards)
-
+        base.suite_config()  # refused before a network (or its thread) exists
         network = base.resolve_network()
         root_metrics = (
             base.metrics if base.metrics is not None else network.metrics
@@ -385,6 +385,10 @@ class ShardedDirectory:
         quorum rounds, here applied across shards.  Rewinding the clock
         to the start needs ``clock.travel``, so this runs on the
         simulated clock only (``WallClock`` has no ``travel``).
+
+        That clock models shards running in parallel.  ``repro serve``
+        has one serving thread, whose shards take turns (docs/SERVICE.md,
+        "Concurrency"), so ``BENCH_shard.json``'s speedups do not predict it.
 
         Returns one :class:`~repro.core.batch.BatchOutcome` per op, in
         input order; per-op failures are captured there, not raised:

@@ -29,10 +29,12 @@ class TxnState(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Participant:
-    """Where to find an enlisted representative."""
+    """Where to find an enlisted representative, and which incarnation
+    of its node (``Node.recoveries``) answered the transaction first."""
 
     node_id: str
     service_name: str
+    incarnation: int = 0
 
 
 @dataclass
@@ -47,16 +49,17 @@ class Transaction:
     #: the commit sends them no ``prepare``.
     voted: set[str] = field(default_factory=set)
 
-    def enlist(self, key: str, node_id: str, service_name: str) -> None:
-        """Record that the representative at ``key`` joined the transaction.
-
-        Every reply of every round enlists its replica, so a participant
-        already enlisted costs a state check and a dict lookup.
-        """
+    def enlist(
+        self, key: str, node_id: str, service_name: str, incarnation: int = 0
+    ) -> None:
+        """Record that the representative at ``key`` joined the transaction
+        from its node's ``incarnation``; a second call changes nothing."""
         if self.state is not TxnState.ACTIVE:
             self.require_active()
         if key not in self.participants:
-            self.participants[key] = Participant(node_id, service_name)
+            self.participants[key] = Participant(
+                node_id, service_name, incarnation
+            )
 
     def require_active(self) -> None:
         """Raise unless the transaction can still do work."""

@@ -16,9 +16,16 @@ from repro.core.errors import (
     KeyNotPresentError,
     NetworkError,
     QuorumUnavailableError,
+    TransactionAbortedError,
     TransactionError,
 )
+from repro.core.keys import wrap
+from repro.core.quorum import PreferredQuorumPolicy
+from repro.core.suite import DirectorySuite
 from repro.net.failures import RandomFailures
+from repro.obs.metrics import MetricsRegistry
+from repro.txn.ids import TxnIdGenerator
+from repro.txn.manager import TransactionManager
 
 
 class TestSingleCrash:
@@ -154,6 +161,56 @@ class TestAtomicity:
         else:
             # The bounced representative was not in the write quorum.
             assert suite.lookup("y") == (True, 2)
+
+    def test_a_restart_between_an_updates_rounds_aborts_it(self):
+        """Client 1's ``update`` reads {A, B}; B restarts, losing the
+        RepLookup lock it held on ``k``; client 2 — another suite over
+        the same replicas, with its own endpoint and transaction
+        manager — updates ``k`` on {C, B} and is acknowledged; then
+        client 1 installs on {B, C}.  Both read version 1, so were
+        client 1 to commit, both updates would be acknowledged at
+        version 2 and client 2's would be silently gone.  B's reply to
+        the install comes from a later incarnation than the one client
+        1 enlisted, so client 1 aborts and ``"two"`` stands."""
+        cluster = DirectoryCluster.create(
+            ClusterSpec(
+                config="3-2-2", seed=15,
+                quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]),
+            )
+        )
+        with cluster:
+            cluster.suite.insert("k", "zero")
+            manager = TransactionManager(cluster.network.endpoint("client-2"))
+            # Its own ids, clear of client 1's.
+            manager._ids = TxnIdGenerator(1_000)
+            client2 = DirectorySuite(
+                cluster.suite.config,
+                cluster.suite.placements,
+                cluster.network,
+                manager.rpc,
+                manager,
+                quorum_policy=PreferredQuorumPolicy(["C", "B", "A"]),
+                metrics=MetricsRegistry(),
+            )
+
+            class _ThenBC(PreferredQuorumPolicy):
+                def select(self, kind, available, config, rng):
+                    if kind == "read":
+                        return ["A", "B"]
+                    cluster.crash("B")
+                    cluster.recover("B")
+                    client2.update("k", "two")
+                    return ["B", "C"]
+
+            cluster.suite.quorum_policy = _ThenBC(["A", "B", "C"])
+            with pytest.raises(TransactionAbortedError):
+                cluster.suite.update("k", "one")
+            cluster.suite.quorum_policy = PreferredQuorumPolicy(["B", "C", "A"])
+            assert cluster.suite.lookup("k") == (True, "two")
+            for name in "BC":
+                reply = cluster.representative(name).store.lookup(wrap("k"))
+                assert (reply.version, reply.value) == (2, "two"), name
+            cluster.check_invariants()
 
 
 class TestChurnWithRandomFailures:

@@ -864,11 +864,12 @@ class TestVotesOnTheLastWrite:
     ):
         """B served the wave's earlier rounds, then crashed and
         recovered before its vote-carrying write: the locks and the
-        uncommitted effects it held are gone.  The write is marked as
-        the transaction's second visit, so B refuses it before applying
-        anything, the wave falls back, and every replica equals the
-        sequential twin's.  Were B to vote yes, the wave would commit
-        with B missing its earlier writes."""
+        uncommitted effects it held are gone.  B's reply to the write
+        comes from a later incarnation than the one the transaction
+        enlisted, so the coordinator refuses the vote: the wave aborts
+        (B rolls back what the write applied), falls back, and every
+        replica equals the sequential twin's.  Were the vote counted,
+        the wave would commit with B missing its earlier writes."""
         c, twin = self._pair()
         with c, twin:
             for side in (c, twin):
@@ -901,7 +902,7 @@ class TestVotesOnTheLastWrite:
         early fails, it does not fall back."""
         with _twin() as c:
             rep = c.representatives["B"]
-            rep.rep_write_many(7, [], [(wrap("k"), 1, "v")], "first")
+            rep.rep_write_many(7, [], [(wrap("k"), 1, "v")], True)
             with pytest.raises(RuntimeError, match="already voted"):
                 rep.rep_lookup_many(7, [wrap("j")])
             rep.abort(7)

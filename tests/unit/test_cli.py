@@ -1,6 +1,8 @@
 """Unit tests for the command-line interface."""
 
 import shlex
+import socket
+import threading
 
 import pytest
 
@@ -312,3 +314,52 @@ class TestProfileAuditBench:
         )
         assert code == 0
 
+
+
+class TestBadConfigurations:
+    """A configuration the CLI cannot serve or simulate ends in one line
+    and a non-zero status, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["serve", "--config", "3-4-2"], "read quorum 4 out of range"),
+            (["serve", "--config", "bogus"], "bad x-y-z spec: 'bogus'"),
+            (
+                ["simulate", "--config", "3-4-2", "--ops", "10"],
+                "read quorum 4 out of range",
+            ),
+        ],
+        ids=["serve-3-4-2", "serve-bogus", "simulate-3-4-2"],
+    )
+    def test_a_refused_config_is_one_line(self, capsys, argv, reason):
+        threads = threading.active_count()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro-{argv[0]}: ") and reason in line
+        # Refused before the service's loop thread was started.
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("flag", ["--shards", "--batch-max"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_serve_counts_must_be_positive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "Traceback" not in err
+
+    def test_load_against_a_closed_port_is_one_line(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        code = main([
+            "load", "--port", str(port), "--ops", "10",
+            "--connections", "1", "--bench-dir", "",
+        ])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro-load: cannot connect: ")
+        assert f"('127.0.0.1', {port})" in line
