@@ -226,7 +226,7 @@ class DirectoryCluster:
         metrics = spec.metrics if spec.metrics is not None else network.metrics
         tracer.bind_clock(network.clock.now)
         rpc = network.endpoint(origin="client", tracer=tracer)
-        txn_manager = TransactionManager(rpc, clock_now=network.clock.now)
+        txn_manager = TransactionManager(rpc)
 
         placements: dict[str, Placement] = {}
         representatives: dict[str, DirectoryRepresentative] = {}

@@ -18,11 +18,12 @@ class ReproError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class ConfigurationError(ReproError):
-    """A suite or representative was configured inconsistently.
+class ConfigurationError(ReproError, ValueError):
+    """A suite, run or load was configured inconsistently or out of range.
 
     Raised, for example, when the read and write quorum sizes do not satisfy
-    the weighted-voting intersection constraint R + W > total votes.
+    the weighted-voting intersection constraint R + W > total votes, or a
+    count is negative.  The CLI turns it into a one-line refusal.
     """
 
 

@@ -134,10 +134,6 @@ class DirectoryRepresentative:
             )
         self._undo: dict[TxnId, list[UndoRecord]] = {}
         self._prepared: set[TxnId] = set()
-        # Transactions that have performed any operation here since the
-        # last crash; prepare() votes no for unknown transactions because
-        # their effects (if any) were lost with the volatile state.
-        self._seen_txns: set[TxnId] = set()
         self._checkpoint_policy = checkpoint_policy or CheckpointPolicy()
         self._commits_since_checkpoint = 0
         self._decision_outcomes = decision_outcomes or (lambda: frozenset())
@@ -166,7 +162,6 @@ class DirectoryRepresentative:
                 f"representative {self.name}: transaction {txn_id} has "
                 "already voted"
             )
-        self._seen_txns.add(txn_id)
         blockers = self.locks.acquire_all(txn_id, mode, ranges)
         if blockers:
             raise WouldBlockError(txn_id, blockers)
@@ -318,14 +313,14 @@ class DirectoryRepresentative:
 
         With ``release`` (a wave that only reads one key sends it), the
         call is the whole transaction here: the lock is taken, the key
-        read, the lock released and the transaction forgotten before the
-        reply leaves, refused or not, and nothing is logged.  No
-        ``prepare`` or ``commit`` follows.  It must be the transaction's
-        first operation here, or releasing would drop locks it took
-        before; a re-sent one (its reply lost) finds it forgotten and
-        simply runs again.
+        read and the lock released before the reply leaves, refused or
+        not, and nothing is logged.  No ``prepare`` or ``commit``
+        follows.  It must be the transaction's first operation here, or
+        releasing would drop locks it took before, so it is refused while
+        the transaction holds a lock here; a re-sent one (its reply lost)
+        finds none held and simply runs again.
         """
-        if release and txn_id in self._seen_txns:
+        if release and self.locks.holds(txn_id):
             raise RuntimeError(
                 f"representative {self.name}: transaction {txn_id} is "
                 "already under way here; a released read must be its only "
@@ -340,7 +335,6 @@ class DirectoryRepresentative:
             return [lookup(key) for key in keys]
         finally:
             if release:
-                self._seen_txns.discard(txn_id)
                 self.locks.release_all(txn_id)
 
     def rep_coalesce(
@@ -444,23 +438,25 @@ class DirectoryRepresentative:
     # ------------------------------------------------------------------
 
     def prepare(self, txn_id: TxnId, read_only_votes: bool = False) -> bool | str:
-        """Phase one of 2PC: vote yes only for a transaction seen here
-        since the last crash, whose effects a crash did not take.
+        """Phase one of 2PC: log a prepare record and vote yes.
+
+        A replica restarted since the transaction's first call here has
+        lost its locks and effects; its reply carries the later
+        incarnation, which the coordinator counts as a no vote
+        (:meth:`~repro.txn.twopc.TwoPhaseCoordinator._phase`).
 
         With ``read_only_votes`` (a served wave's coordinator asks so), a
         transaction that wrote nothing here — no undo record — gets the
         :data:`~repro.txn.twopc.READ_ONLY` vote instead: its RepLookup
-        locks are released now, it is forgotten, and nothing is logged.
-        That is two-phase locking after the lock point: the transaction
-        takes no lock once ``prepare`` is sent, and its RepModify locks
-        elsewhere stay held to the decision.  A re-asked ``prepare`` then
-        finds the transaction unseen and votes no.  A member whose last
-        write carried its vote (:meth:`rep_write_many`) is not asked at all.
+        locks are released now and nothing is logged.  That is two-phase
+        locking after the lock point: the transaction takes no lock once
+        ``prepare`` is sent, and its RepModify locks elsewhere stay held
+        to the decision.  A re-asked ``prepare`` (the reply was lost)
+        finds no undo record still and answers read-only again.  A member
+        whose last write carried its vote (:meth:`rep_write_many`) is not
+        asked at all.
         """
-        if txn_id not in self._seen_txns:
-            return False
         if read_only_votes and txn_id not in self._undo:
-            self._seen_txns.discard(txn_id)
             self.locks.release_all(txn_id)
             return READ_ONLY
         self.wal.log_prepare(txn_id)
@@ -472,7 +468,6 @@ class DirectoryRepresentative:
         self.wal.log_commit(txn_id)
         self._undo.pop(txn_id, None)
         self._prepared.discard(txn_id)
-        self._seen_txns.discard(txn_id)
         self.locks.release_all(txn_id)
         self._commits_since_checkpoint += 1
         self._maybe_checkpoint()
@@ -483,7 +478,6 @@ class DirectoryRepresentative:
             record.apply(self.store)
         self.wal.log_abort(txn_id)
         self._prepared.discard(txn_id)
-        self._seen_txns.discard(txn_id)
         self.locks.release_all(txn_id)
 
     # ------------------------------------------------------------------
@@ -596,7 +590,6 @@ class DirectoryRepresentative:
             if wrote:
                 self.wal.log_commit(admin_txn)
             self.locks.release_all(admin_txn)
-            self._seen_txns.discard(admin_txn)
         return (applied, skipped)
 
     def _gap_dominates(self, low: BoundedKey, high: BoundedKey, version) -> bool:
@@ -649,7 +642,6 @@ class DirectoryRepresentative:
         self.locks = LockTable()
         self._undo = {}
         self._prepared = set()
-        self._seen_txns = set()
 
     def on_recover(self) -> None:
         """Rebuild the store from the log.

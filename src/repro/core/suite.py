@@ -452,9 +452,10 @@ class DirectorySuite:
         whose call executed — a lost reply's too — is enlisted if it is
         not already, with its reply's incarnation, so 2PC reaches each
         representative that may hold locks or undo state; one that never
-        executed holds nothing.  This is the one place a restart is
-        noticed: a later reply from a later incarnation — a replica that
-        lost the transaction's locks and effects — fails with
+        executed holds nothing.  This is where a round notices a restart
+        (:meth:`~repro.txn.twopc.TwoPhaseCoordinator._phase` does the same
+        for ``prepare``): a later reply from a later incarnation — a
+        replica that lost the transaction's locks and effects — fails with
         ``TransactionAbortedError``, raised in issue order.
 
         A member that times out is re-issued up to ``rpc_retries`` times
@@ -470,9 +471,9 @@ class DirectorySuite:
         (:mod:`repro.core.batch`); it sends each call a trailing ``True``.
         ``"vote"``: each call is its member's last write and carries its
         vote, so a member that answers is recorded in ``txn.voted`` and
-        is sent no ``prepare``.  ``"release"``: each member reads,
-        releases and forgets the transaction in the one call, so none is
-        enlisted and 2PC has no one to reach.
+        is sent no ``prepare``.  ``"release"``: each member reads and
+        releases in the one call, so none is enlisted and 2PC has no one
+        to reach.
         """
         if not calls:
             return []

@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.errors import ConfigurationError
 from repro.core.stats import percentile
 from repro.obs.bench import bench_payload, write_bench
 from repro.service import protocol
@@ -68,7 +69,8 @@ class LoadSpec:
     a single timed window at that offered ops/s, ``rates`` sweeps a
     window per point (and wins if both are set).  ``ops`` bounds a
     closed-loop run; open-loop windows are bounded by ``duration``
-    seconds each instead.
+    seconds each instead.  A value out of range raises
+    :class:`~repro.core.errors.ConfigurationError`.
     """
 
     host: str = "127.0.0.1"
@@ -92,31 +94,31 @@ class LoadSpec:
 
     def __post_init__(self) -> None:
         if self.ops < 1:
-            raise ValueError(f"ops must be >= 1: {self.ops}")
+            raise ConfigurationError(f"ops must be >= 1: {self.ops}")
         if self.connections < 1:
-            raise ValueError(f"connections must be >= 1: {self.connections}")
+            raise ConfigurationError(f"connections must be >= 1: {self.connections}")
         if self.keyspace < 1:
-            raise ValueError(f"keyspace must be >= 1: {self.keyspace}")
+            raise ConfigurationError(f"keyspace must be >= 1: {self.keyspace}")
         if len(self.mix) != 3 or abs(sum(self.mix) - 1.0) > 1e-9:
-            raise ValueError(f"mix weights must sum to 1: {self.mix!r}")
+            raise ConfigurationError(f"mix weights must sum to 1: {self.mix!r}")
         if not 0.0 <= self.hot_fraction <= 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"hot_fraction must be in [0, 1]: {self.hot_fraction}"
             )
         if self.hot_keys < 1:
-            raise ValueError(f"hot_keys must be >= 1: {self.hot_keys}")
+            raise ConfigurationError(f"hot_keys must be >= 1: {self.hot_keys}")
         if self.pipeline < 1:
-            raise ValueError(f"pipeline must be >= 1: {self.pipeline}")
+            raise ConfigurationError(f"pipeline must be >= 1: {self.pipeline}")
         if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be > 0: {self.rate}")
+            raise ConfigurationError(f"rate must be > 0: {self.rate}")
         if self.rates is not None:
             object.__setattr__(self, "rates", tuple(self.rates))
             if not self.rates or any(r <= 0 for r in self.rates):
-                raise ValueError(
+                raise ConfigurationError(
                     f"rates must be a non-empty tuple of > 0: {self.rates!r}"
                 )
         if self.duration <= 0:
-            raise ValueError(f"duration must be > 0: {self.duration}")
+            raise ConfigurationError(f"duration must be > 0: {self.duration}")
 
     @property
     def open_loop(self) -> bool:

@@ -21,6 +21,7 @@ from typing import Any
 from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.batch import _single
 from repro.core.errors import (
+    ConfigurationError,
     KeyAlreadyPresentError,
     KeyNotPresentError,
     NetworkError,
@@ -188,28 +189,37 @@ class SimulationResult:
 
 
 def check_spec(spec: SimulationSpec) -> None:
-    """Raise :class:`ValueError` for knobs that contradict each other.
+    """Raise :class:`ConfigurationError` for a knob out of range or
+    knobs that contradict each other.
 
-    :func:`run_simulation` calls it before building anything; a caller
-    that turns the error into a usage message calls it first itself.
+    :func:`run_simulation` calls it before building anything.
     """
+    for name in ("directory_size", "operations", "retries", "shards",
+                 "crash_at", "rejoin_at", "antientropy_every"):
+        if (count := getattr(spec, name)) < 0:
+            raise ConfigurationError(f"{name} must be >= 0: {count}")
+    if (batch := spec.neighbor_batch_size) < 1:
+        raise ConfigurationError(f"neighbor_batch_size must be >= 1: {batch}")
+    for name in ("loss", "reply_loss"):
+        if (p := getattr(spec, name)) is not None and not 0.0 <= p <= 1.0:
+            raise ConfigurationError(f"{name} out of [0,1]: {p}")
     if (spec.crash_at or spec.rejoin_at or spec.antientropy_every) and (
         spec.shards > 0
     ):
-        raise ValueError(
+        raise ConfigurationError(
             "replica lifecycle scripting (crash_at / rejoin_at / "
             "antientropy_every) needs a single cluster; got shards="
             f"{spec.shards}"
         )
     if spec.wipe and not spec.crash_at:
-        raise ValueError("wipe erases the crashed replica; it needs crash_at")
+        raise ConfigurationError("wipe erases the crashed replica; it needs crash_at")
     if spec.crash_at and spec.rejoin_at and spec.rejoin_at <= spec.crash_at:
-        raise ValueError(
+        raise ConfigurationError(
             f"rejoin_at ({spec.rejoin_at}) must come after crash_at "
             f"({spec.crash_at})"
         )
     if spec.auto_reshard and spec.shards <= 0:
-        raise ValueError(
+        raise ConfigurationError(
             f"auto_reshard needs a sharded run; got shards={spec.shards}"
         )
 
@@ -457,7 +467,7 @@ class _LifecycleScript:
         names = list(cluster.suite.config.names)
         self.replica = spec.rejoin_replica or names[-1]
         if self.replica not in names:
-            raise ValueError(f"unknown rejoin_replica {self.replica!r}")
+            raise ConfigurationError(f"unknown rejoin_replica {self.replica!r}")
         self.join: Any = None
         self.completed_at = -1
         self.join_report: AuditReport | None = None

@@ -296,6 +296,10 @@ class LockTable:
         """Transactions currently holding at least one lock."""
         return set(self._holders)
 
+    def holds(self, txn_id: TxnId) -> bool:
+        """True if ``txn_id`` holds at least one lock."""
+        return txn_id in self._holders
+
     def waits_for_edges(self) -> list[tuple[TxnId, TxnId]]:
         """(waiter, blocker) pairs for the deadlock detector."""
         edges: list[tuple[TxnId, TxnId]] = []

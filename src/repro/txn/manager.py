@@ -1,9 +1,9 @@
 """The client-side transaction manager.
 
 One manager serves one suite front-end: it allocates transaction ids,
-tracks live transactions, commits them with two-phase commit, aborts them
-(rolling back every enlisted representative), and runs deadlock detection
-over the lock tables of a cluster when asked.
+commits transactions with two-phase commit, aborts them (rolling back
+every enlisted representative), and re-delivers decisions that did not
+reach every participant.
 
 The paper delegates all of this to "a flexible underlying transaction
 mechanism"; this module plus :mod:`repro.txn.locks`,
@@ -12,17 +12,11 @@ mechanism"; this module plus :mod:`repro.txn.locks`,
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
-from repro.core.errors import (
-    InvalidTransactionStateError,
-    TransactionAbortedError,
-    TwoPhaseCommitError,
-)
+from repro.core.errors import InvalidTransactionStateError, TwoPhaseCommitError
 from repro.net.rpc import RpcEndpoint
-from repro.txn.deadlock import detect_deadlock
 from repro.txn.ids import TxnId, TxnIdGenerator
-from repro.txn.locks import LockTable
 from repro.txn.transaction import Participant, Transaction, TxnState
 from repro.txn.twopc import DecisionLog, TwoPhaseCoordinator
 
@@ -34,19 +28,13 @@ _MISSING = object()
 class TransactionManager:
     """Begin / commit / abort for suite-level transactions."""
 
-    def __init__(
-        self,
-        rpc: RpcEndpoint,
-        clock_now: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, rpc: RpcEndpoint) -> None:
         self.rpc = rpc
         self._ids = TxnIdGenerator()
-        self._live: dict[TxnId, Transaction] = {}
         self.decision_log = DecisionLog()
         #: Runs the commit protocol; the suite that owns this manager
         #: sets its ``parallel`` to match its own ``fanout``.
         self.coordinator = TwoPhaseCoordinator(rpc, self.decision_log)
-        self._now = clock_now or (lambda: 0.0)
         self.commits = 0
         self.aborts = 0
         #: Decided transactions whose decision could not be delivered to
@@ -61,9 +49,7 @@ class TransactionManager:
 
     def begin(self) -> Transaction:
         """Start a new transaction."""
-        txn = Transaction(self._ids.next_id(), started_at=self._now())
-        self._live[txn.txn_id] = txn
-        return txn
+        return Transaction(self._ids.next_id())
 
     def commit(self, txn: Transaction, read_only_votes: bool = False) -> None:
         """Two-phase commit; raises TwoPhaseCommitError if forced to abort.
@@ -86,11 +72,9 @@ class TransactionManager:
         if outcome.committed:
             txn.state = TxnState.COMMITTED
             self.commits += 1
-            self._live.pop(txn.txn_id, None)
             return
         txn.state = TxnState.ABORTED
         self.aborts += 1
-        self._live.pop(txn.txn_id, None)
         no_votes = sorted(n for n, v in outcome.votes.items() if not v)
         raise TwoPhaseCommitError(
             f"transaction {txn.txn_id} aborted in prepare phase; "
@@ -110,12 +94,6 @@ class TransactionManager:
             self._note_pending(txn, "abort", unreachable)
         txn.state = TxnState.ABORTED
         self.aborts += 1
-        self._live.pop(txn.txn_id, None)
-
-    def abort_and_raise(self, txn: Transaction, reason: str = "") -> None:
-        """Abort, then surface the failure to the caller."""
-        self.abort(txn, reason)
-        raise TransactionAbortedError(txn.txn_id, reason)
 
     # -- decision re-delivery ---------------------------------------------------
 
@@ -165,19 +143,3 @@ class TransactionManager:
             else:
                 del self.pending_completions[txn_id]
         return delivered
-
-    # -- introspection -----------------------------------------------------------
-
-    def live_transactions(self) -> list[Transaction]:
-        """Transactions begun but not yet finished."""
-        return list(self._live.values())
-
-    def run_deadlock_detection(
-        self, lock_tables: Iterable[LockTable]
-    ) -> tuple[tuple[TxnId, ...], TxnId] | None:
-        """Global deadlock check over a cluster's lock tables.
-
-        Returns ``(cycle, victim)`` if a deadlock exists (the caller aborts
-        the victim), else None.
-        """
-        return detect_deadlock([t.waits_for_edges() for t in lock_tables])

@@ -44,7 +44,6 @@ class Transaction:
     txn_id: TxnId
     state: TxnState = TxnState.ACTIVE
     participants: dict[str, Participant] = field(default_factory=dict)
-    started_at: float = 0.0
     #: Participants whose yes vote came back with their last write, so
     #: the commit sends them no ``prepare``.
     voted: set[str] = field(default_factory=set)

@@ -10,15 +10,18 @@ would break the quorum-intersection invariant.  The coordinator:
    such a *voted* member is counted yes and asked nothing).  ``prepare``
    has three outcomes:
 
-   * *yes* — the participant is reachable, still holds the
-     transaction's state, and force-writes a prepare record to its log;
-   * *no* — it is unreachable, timed out, or has no record of the
-     transaction (a crash took its effects), which forces abort;
+   * *yes* — the participant is reachable and force-writes a prepare
+     record to its log;
+   * *no* — it is unreachable, timed out, or answers from a later
+     incarnation than the one it joined the transaction from (a restart
+     took its locks and effects: the coordinator notices it here, as
+     :meth:`~repro.core.suite.DirectorySuite._round` does in the suite's
+     rounds), which forces abort;
    * :data:`READ_ONLY` — offered only when the coordinator asks for it
      (a served wave's transaction, :mod:`repro.core.batch`): the
-     participant wrote nothing, so it released its RepLookup locks,
-     forgot the transaction and logged nothing.  It counts as yes and
-     drops out of phase two — the textbook read-only vote.
+     participant wrote nothing, so it released its RepLookup locks and
+     logged nothing.  It counts as yes and drops out of phase two — the
+     textbook read-only vote.
 2. **Decide** — all-yes ⇒ commit, otherwise abort.  The decision is made
    durable in the coordinator's decision log *before* phase two, so a
    participant that crashes between prepare and commit can resolve its
@@ -48,8 +51,8 @@ from repro.txn.ids import TxnId
 from repro.txn.transaction import Participant
 
 #: The third answer to ``prepare``: the participant holds no undo state
-#: for the transaction, has released its locks and forgotten it, and
-#: takes no part in phase two.
+#: for the transaction, has released its locks, and takes no part in
+#: phase two.
 READ_ONLY = "read-only"
 
 
@@ -237,14 +240,15 @@ class TwoPhaseCoordinator:
 
         Returns, per participant name and in ``participants`` order, what
         the call returned or the :class:`NetworkError` that stood once
-        its retries ran out.  Each member re-asks a timeout up to
+        its retries ran out; a reply from a later incarnation than the
+        participant joined from reads ``False``, a no vote (phase two
+        reads only the errors).  Each member re-asks a timeout up to
         ``completion_retries`` times (the participant is up; only
         messages are being dropped), and that is safe in both phases:
-        prepare re-logs its record and returns the same vote, completion
-        is idempotent.  Re-asking is safe but no longer vote-preserving
-        for a read-only voter: it forgot the transaction when it answered,
-        so a prepare re-asked after that reply was lost gets a no vote,
-        and the transaction aborts.  A crashed participant fails at once.
+        prepare re-logs its record and returns the same vote — a
+        read-only voter, holding no undo record, answers read-only again
+        — and completion is idempotent.  A crashed participant fails at
+        once.
 
         This is the only place ``parallel`` is read: parallel sends the
         round as one scatter, serial as one scatter per participant, each
@@ -265,10 +269,15 @@ class TwoPhaseCoordinator:
         for members in [calls] if self.parallel else [[call] for call in calls]:
             for reply in self.rpc.scatter(members, label=method).complete_all():
                 error = reply.error
+                key = reply.call.key
                 if error is None:
-                    replies[reply.call.key] = reply.value
+                    replies[key] = (
+                        reply.value
+                        if reply.incarnation == participants[key].incarnation
+                        else False
+                    )
                 elif isinstance(error, NetworkError):
-                    replies[reply.call.key] = error
+                    replies[key] = error
                 else:  # pragma: no cover - 2PC methods raise no app errors
                     raise error
         return replies

@@ -63,8 +63,8 @@ class TestCrossRepresentativeDeadlock:
         assert detect_deadlock([rep_b.locks.waits_for_edges()]) is None
 
         # ...but the global detector does.
-        found = manager.run_deadlock_detection(
-            [rep_a.locks, rep_b.locks]
+        found = detect_deadlock(
+            [rep_a.locks.waits_for_edges(), rep_b.locks.waits_for_edges()]
         )
         assert found is not None
         cycle, victim = found

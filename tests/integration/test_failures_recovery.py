@@ -132,7 +132,7 @@ class TestAtomicity:
         suite = cluster.suite
         suite.insert("x", 1)
         # Crash + instant recovery of a representative between a rep-level
-        # operation and the commit: prepare must vote no.
+        # operation and the commit: its later incarnation must abort it.
         rep_names = list(cluster.representatives)
         target = rep_names[0]
 

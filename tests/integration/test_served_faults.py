@@ -148,16 +148,16 @@ class TestFaultsOnTheServedPath:
 
     def test_a_lost_read_only_prepare_reply(self, break_classic):
         """A only reads (3-3-2: a wave writes the first two members it
-        read), so its ``prepare`` is answered read-only and A forgets the
-        transaction; the reply is lost, the re-asked A votes no, and the
-        wave aborts into waves of one."""
+        read), so its ``prepare`` is answered read-only; the reply is
+        lost, the re-asked A, still holding no undo record, answers
+        read-only again, and the wave commits with no fallback."""
+        losses = []
 
         def lose_a_prepare_reply(d):
-            d.network.install_faults(
-                ScriptedLoss(
-                    [LossEvent("reply", "s0:node-A", "dir:A.prepare", 0)]
-                )
-            )
+            losses.append(ScriptedLoss(
+                [LossEvent("reply", "s0:node-A", "dir:A.prepare", 0)]
+            ))
+            d.network.install_faults(losses[-1])
 
         served, twin, fallbacks = self._run(
             break_classic,
@@ -165,8 +165,9 @@ class TestFaultsOnTheServedPath:
             config="3-3-2",
             quorum_policy=lambda: _SplitQuorums("BCA", "BC"),
         )
+        assert [loss.exhausted for loss in losses] == [True, True]
         assert served == twin
-        assert fallbacks >= 1
+        assert fallbacks == 0
         assert b"-ERR" not in served and b"-UNAVAILABLE" not in served
 
     def test_two_of_three_replicas_partitioned(self, break_classic):

@@ -23,8 +23,16 @@ fault at a time:
   for the rest of the wave.
 
 Each at ``rpc_retries`` 0 and 1 (:class:`~repro.net.failures.
-ScriptedLoss` for the losses).  Then every replica is recovered and
-pending decisions resolved, and the run must show:
+ScriptedLoss` for the losses).  When the wave returns, before anything
+is recovered:
+
+* every member whose log holds the wave's prepare record and neither
+  its commit nor its abort finds the wave's decision in the
+  coordinator's ``DecisionLog``, and it is commit exactly when the wave
+  committed (did not fall back).
+
+Then every replica is recovered and pending decisions resolved, and the
+run must show:
 
 * each op's outcome is the sequential twin's (a wave that aborted
   re-runs its ops as waves of one, which answer the same) — but for an
@@ -34,12 +42,11 @@ pending decisions resolved, and the run must show:
 * the directory is the twin's, and the invariant auditor finds every
   current version on a write quorum;
 * every replica's store equals its own WAL replay;
-* no replica keeps a lock, undo record, ``_prepared`` vote or
-  ``_seen_txns`` entry;
+* no replica keeps a lock, undo record or ``_prepared`` vote;
 * a member that restarts after its first message of the wave and
   before its vote makes the wave fall back (``suite.batch.fallbacks``
-  grows by one): the coordinator sees the later incarnation in its
-  reply, or the member, having forgotten the transaction, votes no;
+  grows by one): the coordinator sees the later incarnation in the
+  member's reply, to a suite round or to ``prepare``;
 * whatever a restarted member logged of the wave after the restart ends
   with the commit or the abort — and with one of them after a restart
   mid-wave;
@@ -179,10 +186,21 @@ def _inject(cluster, sequence, index, fault, restarted):
     return down
 
 
+def _assert_decided(cluster, txn, committed):
+    """Every member in doubt about ``txn`` can learn its decision from
+    the log, and the decision is the one the wave reported."""
+    decision = cluster.suite.txn_manager.decision_log.outcome(txn)
+    for name, rep in cluster.representatives.items():
+        if txn in rep.wal.in_doubt_txns():
+            assert decision == ("commit" if committed else "abort"), (
+                name, decision,
+            )
+
+
 def _assert_clean(cluster):
     for name, rep in cluster.representatives.items():
         assert rep.locks.is_idle(), name
-        assert not (rep._undo or rep._seen_txns or rep._prepared), name
+        assert not (rep._undo or rep._prepared), name
         replayed = rep._store_factory()
         rep.wal.replay_into(
             replayed,
@@ -215,7 +233,11 @@ def run_case(config, order, name, index, fault, retries):
         restarted = {}
         down = _inject(cluster, sequence, index, fault, restarted)
         fallbacks = cluster.suite._batch_fallbacks.value
+        # Transaction ids are sequential: the wave's is the next one.
+        wave_txn = cluster.suite.last_txn_id + 1
         batched = cluster.suite.execute_batch(wave)
+        fell_back = cluster.suite._batch_fallbacks.value - fallbacks
+        _assert_decided(cluster, wave_txn, committed=not fell_back)
         cluster.network.install_faults(None)
         for member in down:
             cluster.recover(member)
@@ -229,7 +251,6 @@ def run_case(config, order, name, index, fault, retries):
         _assert_same_outcomes(done, sequential)
         _assert_same_directory(cluster, twin, KEYS)
         _assert_clean(cluster)
-        fell_back = cluster.suite._batch_fallbacks.value - fallbacks
         if restarted:
             rep, txn = restarted["rep"], restarted["txn"]
             logged = [

@@ -593,7 +593,7 @@ class TestReadOnlyVotes:
         )
         added = {t: d for t, d in log.decisions.items() if t not in decisions}
         for rep in reps:
-            assert rep.locks.is_idle() and not rep._seen_txns
+            assert rep.locks.is_idle()
         return outcomes, _messages(cluster) - messages, appended, added
 
     @pytest.mark.parametrize("n", [1, 16])
@@ -649,10 +649,10 @@ class TestReadOnlyVotes:
         _single(c.suite, "upsert", "k", 2)
         assert all(rep == ["prepare", "commit"] for rep in log.values())
 
-    def test_a_lost_read_only_reply_aborts_the_wave_into_its_fallback(self):
-        """The reply to A's read-only vote is lost; re-asked, A has
-        forgotten the transaction and says no.  The wave aborts, falls
-        back op by op, and answers what it would have answered."""
+    def test_a_lost_read_only_reply_re_asked_commits_the_wave(self):
+        """The reply to A's read-only vote is lost; re-asked, A still
+        wrote nothing and answers read-only again.  The wave commits as
+        it would have, with no fallback, and answers the twin's."""
         from repro.net.failures import LossEvent, ScriptedLoss
 
         with _twin(**_only_a_read()) as c, _twin(**_only_a_read()) as twin:
@@ -666,13 +666,14 @@ class TestReadOnlyVotes:
             wave = [("upsert", "k", 1), ("lookup", "k"), ("insert", "k", 2)]
             batched = c.suite.execute_batch(wave)
             assert c.network.faults.fired
-            assert c.suite._batch_fallbacks.value == 1
+            assert c.suite._batch_fallbacks.value == 0
             sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
             _assert_same_outcomes(batched, sequential)
             assert [o.value for o in batched[:2]] == [None, (True, 1)]
             _assert_same_directory(c, twin, ["k"])
             for rep in c.representatives.values():
-                assert rep.locks.is_idle() and not rep._undo
+                assert rep.locks.is_idle(), rep.name
+                assert not (rep._undo or rep._prepared), rep.name
 
     def test_the_decision_log_stays_bounded(self, make_cluster):
         """1,000 waves, most of them writing: the log holds the latest
@@ -708,7 +709,7 @@ class TestVotesOnTheLastWrite:
     def _assert_idle(cluster):
         for rep in cluster.representatives.values():
             assert rep.locks.is_idle(), rep.name
-            assert not (rep._undo or rep._seen_txns or rep._prepared), rep.name
+            assert not (rep._undo or rep._prepared), rep.name
 
     @staticmethod
     def _records(cluster, name):

@@ -351,6 +351,56 @@ class TestBadConfigurations:
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["simulate", "--shards", "-1"], "shards must be >= 0: -1"),
+            (["simulate", "--ops", "-5"], "operations must be >= 0: -5"),
+            (["simulate", "--size", "-3"], "directory_size must be >= 0: -3"),
+            (["simulate", "--crash-at", "-2"], "crash_at must be >= 0: -2"),
+            (["simulate", "--retries", "-1"], "retries must be >= 0: -1"),
+            (["simulate", "--loss", "1.5"], "loss out of [0,1]: 1.5"),
+            (
+                ["simulate", "--batch", "0"],
+                "neighbor_batch_size must be >= 1: 0",
+            ),
+            (
+                ["simulate", "--crash-at", "5", "--rejoin-replica", "Z"],
+                "unknown rejoin_replica 'Z'",
+            ),
+            (["load", "--port", "1", "--ops", "-5"], "ops must be >= 1: -5"),
+        ],
+        ids=[
+            "shards", "ops", "size", "crash-at", "retries", "loss", "batch",
+            "rejoin-replica", "load-ops",
+        ],
+    )
+    def test_a_value_out_of_range_is_one_line(self, capsys, argv, reason):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"repro-{argv[0]}: {reason}"]
+
+    @pytest.mark.parametrize("command", ["serve", "load", "top"])
+    @pytest.mark.parametrize("value", ["99999", "65536", "-1", "x"])
+    def test_a_port_out_of_range_is_refused(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--port", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --port: not a port number: " in err
+        assert "Traceback" not in err
+
+    def test_a_bad_rate_list_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["load", "--port", "1", "--rates", "1,x"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --rates: not a rate list: '1,x'" in err
+        assert build_parser().parse_args(
+            ["load", "--port", "1", "--rates", "200,600"]
+        ).rates == (200.0, 600.0)
+
     def test_load_against_a_closed_port_is_one_line(self, capsys):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))

@@ -138,7 +138,7 @@ class TestRunSimulation:
         acquired = 0
         for rep in cluster.representatives.values():
             assert rep.locks.is_idle(), rep.name
-            assert not rep._undo and not rep._seen_txns, rep.name
+            assert not rep._undo, rep.name
             acquired += rep.locks.stats.acquisitions
         assert acquired > 2000  # the locks were taken, not skipped
 

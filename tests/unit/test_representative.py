@@ -233,13 +233,6 @@ class TestCrashRecovery:
         assert not rep.contains(wrap("b"))
         assert rep.contains(wrap("a"))
 
-    def test_prepare_votes_no_for_unseen_txn(self):
-        rep = loaded_rep()
-        rep.rep_insert(2, wrap("b"), 1, "B")
-        rep.on_crash()
-        rep.on_recover()
-        assert rep.prepare(2) is False  # effects were lost
-
     def test_prepare_votes_yes_for_seen_txn(self):
         rep = loaded_rep()
         rep.rep_insert(2, wrap("b"), 1, "B")
@@ -282,7 +275,7 @@ class TestReadOnlyVote:
         appended = len(rep.wal)
         assert rep.prepare(2, True) == READ_ONLY
         assert len(rep.wal) == appended
-        assert 2 not in rep._seen_txns and 2 not in rep._prepared
+        assert 2 not in rep._prepared
         assert rep.locks.is_idle()
         # Another transaction's conflicting RepModify is granted at once.
         rep.rep_insert(3, wrap("b"), 1, "B")
@@ -302,19 +295,16 @@ class TestReadOnlyVote:
                 rep.rep_lookup(3, wrap("b"))
         assert list(twins[0].wal.records) == list(twins[1].wal.records)
 
-    def test_an_unseen_transaction_still_gets_a_no(self):
-        rep = loaded_rep()
-        assert rep.prepare(7, True) is False
-        rep.rep_lookup(2, wrap("a"))
-        rep.on_crash()  # the read's locks went with the volatile state
-        rep.on_recover()
-        assert rep.prepare(2, True) is False
-
-    def test_a_prepare_re_asked_after_a_read_only_reply_gets_a_no(self):
+    def test_a_re_asked_prepare_is_read_only_again(self):
+        """The reply was lost: the reader still holds no undo record,
+        so it answers as it did, logging nothing and holding no lock."""
         rep = loaded_rep()
         rep.rep_lookup(2, wrap("a"))
+        appended = len(rep.wal)
         assert rep.prepare(2, True) == READ_ONLY
-        assert rep.prepare(2, True) is False
+        assert rep.prepare(2, True) == READ_ONLY
+        assert len(rep.wal) == appended
+        assert rep.locks.is_idle() and 2 not in rep._prepared
 
     def test_the_classic_prepare_keeps_a_reader_to_the_commit(self):
         rep = loaded_rep()
