@@ -76,21 +76,23 @@ Equivalence with sequential execution is exact, not approximate:
 **A wave's deletes walk once, and read each neighbour once.**  Every
 round of a wave goes to one read quorum and one write quorum, each drawn
 once (:class:`_Wave`), and the deletes share their rounds as the lookups
-and installs do (:func:`_walk`): one ``rep_neighbors_many``
-message per read-quorum member carries every search of every delete,
-both directions, and its replies are all the walk reads.  Each member's
-reply for a search's cursor is also its lookup of the search's
-candidate, under the lock the reply took, so the candidates are judged
-from them for no message (a ghost costs a refill only to the members
-whose stream it ran dry).  The closing ``rep_write_many`` to each
-write-quorum member then applies every range, carrying each range's
-bound entries — the member installs any it lacks first, under the
-range's RepModify lock, which is Figure 13's probe and copy — before the
-wave's final entries and the member's vote.  At R = W that is
-``R + (R + W) + W`` for a wave of deletes and writes, however many, when
-its deletes all went together: the read, the walk, the closing write
-and the ``commit`` (at R > W each member only read adds its read-only
-``prepare``).  Which deletes may go together is decided in three
+and installs do (:func:`_walk`): the read round's ``rep_lookup_many``
+carries the first step of every search of every key the wave deletes,
+both directions, and its neighbour replies are what the walk reads.
+Each member's reply for a search's cursor is also its lookup of the
+search's candidate, under the lock the reply took, so the candidates are
+judged from them for no message; a ghost costs a ``rep_neighbors_many``
+refill only to the members whose stream it ran dry.  The closing
+``rep_write_many`` to each write-quorum member then applies every range,
+carrying each range's bound entries — the member installs any it lacks
+first, under the range's RepModify lock, which is Figure 13's probe and
+copy — before the wave's final entries and the member's vote.  At R = W
+that is ``R + W + W`` for a wave of deletes and writes, however many,
+when its deletes all went together and met no ghost: the read, the
+closing write and the ``commit`` (at R > W each member only read adds
+its read-only ``prepare``) — what a wave of inserts costs.  A delete the
+fold refuses searched for nothing, at no message: its steps rode a read
+that was sent anyway.  Which deletes may go together is decided in three
 steps, and this is why the result is still the sequential one:
 
 1. *The presence pass* (:func:`_coalesce_independent`) replays the fold
@@ -102,7 +104,15 @@ steps, and this is why the result is still the sequential one:
    (refused ops write nothing) before anything is sent.
 2. *The shared search* runs, ahead of the fold and against the replicas
    as they stood before the wave, for every walker whose key the wave
-   touches exactly once.  A walker is *independent* when no other key
+   touches exactly once.  Its first step is already in hand: nothing is
+   written between the read round and this search, and both run in one
+   transaction against one read quorum, so each member's neighbour
+   batches in its read reply are exactly what a first
+   ``rep_neighbors_many`` would have returned, under the same RepLookup
+   locks, taken one round earlier and still before the lock point.
+   Only this search reads those batches; a dependent walker (step 3)
+   walks after a flush and reads the replicas afresh.  A walker is
+   *independent* when no other key
    the wave writes or deletes lies in the closed neighbourhood
    ``[pred, succ]`` it found.  Then nothing the wave does before it
    could have changed what its search reads — its key, both real
@@ -287,21 +297,24 @@ def _fold(
     outcomes = [BatchOutcome(op) for op in ops]
     counts = _Counts()
     keys = list(dict.fromkeys(bkeys))
+    deleted = [bkey for op, bkey in zip(ops, bkeys) if op.kind in _DELETES]
     # Reads of one key only: released with their reply (module docstring).
     release = len(keys) == 1 and all(op.kind == "lookup" for op in ops)
     with suite._transaction(read_only_votes=True) as txn:
         wave = _Wave(suite, txn)
         state = {
             bkey: (reply.present, reply.version, reply.value)
-            for bkey, reply in wave.lookup(keys, release).items()
+            for bkey, reply in wave.lookup(
+                keys, list(dict.fromkeys(deleted)), release
+            ).items()
         }
-        # The independent deletes' ranges, found already; they are
-        # coalesced by the closing write.
-        coalesced = (
-            {}
-            if _DELETES.isdisjoint({op.kind for op in ops})
-            else _coalesce_independent(wave, ops, bkeys, state)
-        )
+        coalesced = {}
+        if deleted:
+            # The independent deletes' ranges, found already; they are
+            # coalesced by the closing write.  A dependent walk follows
+            # a flush, so it must read the replicas afresh.
+            coalesced = _coalesce_independent(wave, ops, bkeys, state)
+            wave.primed = {}
         # Final folded entry per written key, in first-write order,
         # not yet on any replica.
         writes: dict[Any, tuple[Any, Any]] = {}
@@ -381,12 +394,16 @@ class _Wave:
     the write quorum inside the read quorum, which every wave draws
     first (:meth:`~repro.core.quorum.QuorumPolicy.choose`'s ``within``)."""
 
-    __slots__ = ("suite", "txn", "_quorums")
+    __slots__ = ("suite", "txn", "_quorums", "primed")
 
     def __init__(self, suite: Any, txn: Any) -> None:
         self.suite = suite
         self.txn = txn
         self._quorums: dict[str, list[str]] = {}
+        #: ``{(key, direction): [batch per read-quorum member]}``: the
+        #: first step of each delete's search, read with the wave's keys
+        #: (:meth:`lookup`); the shared search starts from them.
+        self.primed: dict[tuple, list] = {}
 
     def quorum(self, kind: str) -> "list[str]":
         members = self._quorums.get(kind)
@@ -410,23 +427,38 @@ class _Wave:
         )
 
     def lookup(
-        self, keys: "list[Any]", release: bool = False
+        self, keys: "list[Any]", deleted: "list[Any]", release: bool = False
     ) -> "dict[Any, LookupReply]":
-        """One read round covering every key in ``keys``.
+        """One read round covering every key in ``keys``, and the first
+        step of both neighbour searches of every key in ``deleted``.
 
         A single ``rep_lookup_many`` message per read-quorum member (R
         messages, however many keys — the section 4 batching
         optimization), merged per key by highest version, the Figure 8
-        rule.  With ``release`` each member lets the transaction go with
-        its reply.
+        rule.  Each member's neighbour batches are kept in
+        :attr:`primed`, in member order.  With ``release`` each member
+        lets the transaction go with its reply.
         """
+        size = self.suite.neighbor_batch_size
+        searches = [
+            (bkey, direction, size)
+            for bkey in deleted
+            for direction in ("succ", "pred")
+        ]
         best: dict[Any, LookupReply | None] = dict.fromkeys(keys)
-        for replies in self.round(
-            "read", "rep_lookup_many", (keys,), "release" if release else None
-        ):
+        rounds = self.round(
+            "read", "rep_lookup_many", (keys, searches),
+            "release" if release else None,
+        )
+        for replies in rounds:
             for bkey, reply in zip(keys, replies):
                 if reply.beats(best[bkey]):
                     best[bkey] = reply
+        if searches:
+            self.primed = {
+                search[:2]: [replies[i] for replies in rounds]
+                for i, search in enumerate(searches, len(keys))
+            }
         return best  # type: ignore[return-value]  # quorum is never empty
 
     def write(
@@ -569,9 +601,11 @@ def _search(wave: _Wave, keys: "list[Any]") -> "dict[Any, tuple]":
     """The real predecessor and successor of every key in ``keys``:
     Figure 12, all searches stepping together.
 
-    A step sends one ``rep_neighbors_many`` message to each read-quorum
-    member with a stream run dry, carrying every search that needs it,
-    and none to the rest.  Each candidate is then judged from the
+    A search whose first step rode the read round starts from it
+    (:attr:`_Wave.primed`).  A step sends one ``rep_neighbors_many``
+    message to each read-quorum member with a stream run dry, carrying
+    every search that needs it, and none to the rest.  Each candidate is
+    then judged from the
     neighbour replies in hand (:meth:`_NeighborSearch.verdict`): every
     member's reply for the cursor is its lookup of the candidate, under
     the lock the reply took, so no lookup round is sent.  A search whose
@@ -581,13 +615,17 @@ def _search(wave: _Wave, keys: "list[Any]") -> "dict[Any, tuple]":
     """
     suite, txn = wave.suite, wave.txn
     readers = wave.quorum("read")
-    searches = {
-        bkey: [
-            _NeighborSearch(suite, readers, bkey, direction)
-            for direction in ("succ", "pred")
-        ]
-        for bkey in keys
-    }
+    primed = wave.primed
+    searches: dict[Any, list[_NeighborSearch]] = {}
+    for bkey in keys:
+        pair = searches[bkey] = []
+        for direction in ("succ", "pred"):
+            search = _NeighborSearch(suite, readers, bkey, direction)
+            for stream, batch in zip(
+                search.streams.values(), primed.get((bkey, direction), ())
+            ):
+                stream.absorb(batch)
+            pair.append(search)
     walking = [search for pair in searches.values() for search in pair]
     while walking:
         while True:

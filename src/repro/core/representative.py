@@ -233,9 +233,10 @@ class DirectoryRepresentative:
         ``searches`` lists ``(key, direction, count)``; replies are
         positional, each exactly what its own ``rep_neighbors_batch``
         would have returned, under the same locks.  A wave's deletes
-        search both directions of every key this way
-        (:mod:`repro.core.batch`), so a step of all their walks costs
-        one message per read-quorum member.
+        take the first step of both directions of every key in its read
+        round (:meth:`rep_lookup_many`'s ``searches``) and refill here
+        (:mod:`repro.core.batch`), so a step of all their walks past a
+        ghost costs one message per read-quorum member it ran dry.
         """
         return [self._neighbors(txn_id, *search) for search in searches]
 
@@ -298,9 +299,14 @@ class DirectoryRepresentative:
         )
 
     def rep_lookup_many(
-        self, txn_id: TxnId, keys: "list[BoundedKey]", release: bool = False
-    ) -> "list[LookupReply]":
-        """DirRepLookup for a whole wave of keys in one message.
+        self,
+        txn_id: TxnId,
+        keys: "list[BoundedKey]",
+        searches: "Sequence[tuple[BoundedKey, str, int]]" = (),
+        release: bool = False,
+    ) -> "list[Any]":
+        """DirRepLookup for a whole wave of keys in one message, then the
+        first step of each of the wave's neighbour searches.
 
         The section 4 batching optimization applied to the grouped
         quorum round (:mod:`repro.core.batch`): instead of one
@@ -308,10 +314,15 @@ class DirectoryRepresentative:
         per member carries every distinct key in the wave, so a wave's
         read round costs R messages regardless of its size.  Locks
         RepLookup(x, x) on every key, in order, with one lock-table call
-        before any lookup (a refusal leaves the keys before it locked);
-        replies are positional.
+        before any lookup (a refusal leaves the keys before it locked).
+        ``searches`` lists ``(key, direction, count)`` as
+        :meth:`rep_neighbors_many` takes them, each run after the lookups
+        under the locks it would have taken.  Replies are positional: one
+        :class:`~repro.core.entries.LookupReply` per key, then one
+        neighbour batch per search.
 
-        With ``release`` (a wave that only reads one key sends it), the
+        With ``release`` (a wave that only reads one key sends it, with
+        no search), the
         call is the whole transaction here: the lock is taken, the key
         read and the lock released before the reply leaves, refused or
         not, and nothing is logged.  No ``prepare`` or ``commit``
@@ -332,7 +343,11 @@ class DirectoryRepresentative:
                     txn_id, LockMode.REP_LOOKUP, [(key, key) for key in keys]
                 )
             lookup = self.store.lookup
-            return [lookup(key) for key in keys]
+            replies: list[Any] = [lookup(key) for key in keys]
+            if searches:
+                neighbors = self._neighbors
+                replies += [neighbors(txn_id, *search) for search in searches]
+            return replies
         finally:
             if release:
                 self.locks.release_all(txn_id)

@@ -81,7 +81,7 @@ class TransactionManager:
             f"no-votes/unreachable: {no_votes}"
         )
 
-    def abort(self, txn: Transaction, reason: str = "") -> None:
+    def abort(self, txn: Transaction) -> None:
         """Roll back everywhere reachable and mark the transaction aborted."""
         if txn.is_finished:
             if txn.state is TxnState.ABORTED:

@@ -252,8 +252,12 @@ class TwoPhaseCoordinator:
 
         This is the only place ``parallel`` is read: parallel sends the
         round as one scatter, serial as one scatter per participant, each
-        gathered before the next is issued.
+        gathered before the next is issued.  With no participant to ask
+        (every voter's vote rode its last write, or a released read
+        enlisted no one) nothing is sent at all.
         """
+        if not participants:
+            return {}
         calls = [
             RpcCall(
                 node_id=part.node_id,

@@ -665,9 +665,10 @@ class TestMixedVerbBurst:
 
 class TestWaveOfOne:
     """A client with one request in flight is served by waves of one,
-    through the engine every wave takes: a present key's ``DELETE``
-    pays the grouped walk's bill, ``SET`` what the classic path pays
-    less its ``prepare`` round (the install carried the votes), and
+    through the engine every wave takes: ``SET`` pays what the classic
+    path pays less its ``prepare`` round (the install carried the
+    votes), a present key's ``DELETE`` what ``SET`` does (its walk's
+    first step rode the read round), and
     ``GET`` its read round alone — one key read, released with the
     reply."""
 
@@ -713,11 +714,12 @@ class TestWaveOfOne:
                 classic("SET", f"k{i:02d}", "v")
             alone = self._costs(twin, classic)
         r, w, two_pc = 2, 2, 4  # 3-2-2; two participants, two phases
-        # One neighbour round, whose replies judge the candidates, and
-        # one coalesce round, which carries any boundary copy: the bill
-        # of a wave of deletes, of any size.  The coalesce carried the
-        # votes, so 2PC is its commit alone.
-        assert served[3] == r + (r + w) + w
+        # The read round carries the walk's first neighbour step, whose
+        # replies judge the candidates, and one coalesce round carries
+        # any boundary copy: the bill of a wave of deletes, of any size,
+        # and of a SET.  The coalesce carried the votes, so 2PC is its
+        # commit alone.
+        assert served[3] == r + w + w == served[1]
         # Figure 13 from the walk on: two searches of 2 + 2, 4 probes,
         # 2 coalesces.
         assert alone[3] == r + 14 + two_pc

@@ -33,6 +33,7 @@ from repro.core.errors import (
 from repro.core.keys import wrap
 from repro.core.quorum import PreferredQuorumPolicy, QuorumPolicy
 from tests.conftest import scripted_insert
+from tests.unit.test_fanout import _tap
 
 
 def _fallback(suite, op):
@@ -101,6 +102,13 @@ def _assert_same_directory(cluster, twin, keys):
         assert _highest_version(cluster, key) == _highest_version(twin, key), key
     cluster.check_invariants()
     twin.check_invariants()
+
+
+def _assert_idle(cluster):
+    """No replica keeps a lock, an undo record or a vote."""
+    for rep in cluster.representatives.values():
+        assert rep.locks.is_idle(), rep.name
+        assert not (rep._undo or rep._prepared), rep.name
 
 
 def _assert_same_outcomes(batched, sequential):
@@ -409,7 +417,8 @@ class TestDeletesInTheFold:
 
     def test_deletes_of_absent_keys_cost_no_message(self, make_cluster):
         """Refused from the fold state: the wave with them sends what
-        the wave without them sends."""
+        the wave without them sends.  Their keys' neighbours were scanned
+        in the read message, and the scan's locks go with the read's."""
         wave = [("upsert", "a", 1), ("delete", "b"), ("lookup", "c")]
         refused = [("delete", "x"), ("discard", "y"), ("delete", "b")]
         costs = []
@@ -420,6 +429,7 @@ class TestDeletesInTheFold:
             before = _messages(c)
             outcomes = c.suite.execute_batch(wave + extra)
             costs.append(_messages(c) - before)
+            _assert_idle(c)
         assert isinstance(outcomes[3].error, KeyNotPresentError)
         assert outcomes[4].value == 0
         assert isinstance(outcomes[5].error, KeyNotPresentError)
@@ -430,10 +440,11 @@ class TestDeletesInTheFold:
         a classic delete is a lookup (R = 2), Figure 13 from the walk on
         (two searches of 2 + 2, 4 probes, 2 coalesces = 14) and a 2PC
         over two participants (4).  A wave of deletes on disjoint
-        neighbourhoods pays one neighbour round (R), whose replies judge
-        the candidates too, one coalesce round (W), and only the commit of
+        neighbourhoods pays its read round (R), which carries the first
+        neighbour step of every search, whose replies judge the
+        candidates too, one coalesce round (W), and only the commit of
         2PC (W): the coalesce carried each member's vote.  That is
-        constant in n."""
+        constant in n, and what a wave of inserts costs."""
         c = make_cluster(quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]))
         for i in range(20):
             c.suite.insert(f"k{i:02d}", i)
@@ -446,7 +457,7 @@ class TestDeletesInTheFold:
                 [("delete", f"k{first + 2 * j:02d}") for j in range(n)]
             )
             assert all(o.ok for o in outcomes)
-            assert _messages(c) - before == 2 + (2 + 2) + 2
+            assert _messages(c) - before == 2 + 2 + 2
         walks = c.metrics.snapshot()["suite.batch.walk_deletes"]
         assert (walks["n"], walks["max"]) == (3, 5)
         assert c.suite._batch_rewalks.value == 0
@@ -458,9 +469,9 @@ class TestDeletesInTheFold:
         """A keeps ghosts right of k03 and right of k07 (their deletes
         went to B and C).  Both searches judge theirs from the neighbour
         replies in hand and step past them together: at one result a
-        message, one more neighbour message — to A alone, whose streams
-        ran dry; three results a message had the next neighbour in hand
-        already, and the ghosts cost nothing."""
+        message, one neighbour message — to A alone, whose streams ran
+        dry; three results a message had the next neighbour in hand
+        already, from the read round, and the ghosts cost nothing."""
         with _twin(
             quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]),
             neighbor_batch_size=batch_size,
@@ -482,7 +493,7 @@ class TestDeletesInTheFold:
             before = _messages(c)
             batched = c.suite.execute_batch(wave)
             extra = 1 if batch_size == 1 else 0
-            assert _messages(c) - before == 2 + (2 + 2) + extra + 2
+            assert _messages(c) - before == 2 + extra + 2 + 2
             _assert_same_wave(c, twin, batched, wave, script)
             # Each ghost went with the range around it.
             assert c.suite.delete_stats.deletions_while_coalescing.max == 1
@@ -509,11 +520,68 @@ class TestDeletesInTheFold:
             wave = [("delete", "k04"), ("delete", "k06")]
             before = _messages(c)
             batched = c.suite.execute_batch(wave)
-            assert _messages(c) - before == 2 + (2 + 2) + 2
+            assert _messages(c) - before == 2 + 2 + 2
             _assert_same_wave(c, twin, batched, wave, script)
             stats = c.suite.delete_stats.insertions_while_coalescing
             assert (stats.n, stats.max, stats.avg) == (2, 1, 0.5)
             assert c.representatives["A"].contains(wrap("k05"))
+
+    @staticmethod
+    def _fixed(make_cluster, keys="bdfhj"):
+        """A cluster here and a sim-serial twin, on quorums that do not
+        move (A and B of 3-2-2), each holding ``keys`` everywhere."""
+        fixed = dict(quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]))
+        c, twin = make_cluster(**fixed), _twin(**fixed)
+        script = [("insert", key, 0) for key in keys]
+        _drive(c, script)
+        _drive(twin, script)
+        return c, twin, script
+
+    def test_a_present_delete_sends_no_neighbour_message(self, make_cluster):
+        """With no ghost in its way, a delete's walk is the first step
+        its read round carried: no ``rep_neighbors_many`` at all, and the
+        wave costs what an insert's does — read, closing write, commit."""
+        c, twin, script = self._fixed(make_cluster)
+        with twin:
+            log = []
+            _tap(c, log)
+            before = _messages(c)
+            batched = c.suite.execute_batch([("delete", "d")])
+            assert _messages(c) - before == 2 + 2 + 2
+            assert not [row for row in log if "rep_neighbors" in row]
+            assert log[:2] == ["rep_lookup_many@A", "rep_lookup_many@B"]
+            _assert_same_wave(c, twin, batched, [("delete", "d")], script)
+            before = _messages(c)
+            c.suite.execute_batch([("insert", "d", 1)])
+            assert _messages(c) - before == 2 + 2 + 2
+        _assert_idle(c)
+
+    def test_a_delete_made_dependent_by_its_neighbour_reads_afresh(
+        self, make_cluster
+    ):
+        """``e`` lands between ``d`` and its real successor ``f``: the
+        shared search's finding (from the batches the read carried) is
+        set aside, the wave flushes ``e`` and ``d`` walks again, with a
+        neighbour message to each member, and finds ``e``.  Had the
+        walk read the read round's batches, it would have coalesced
+        ``(b, f)`` over the ``e`` just written."""
+        c, twin, script = self._fixed(make_cluster)
+        with twin:
+            log = []
+            _tap(c, log)
+            wave = [("insert", "e", 1), ("delete", "d"), ("discard", "h")]
+            batched = c.suite.execute_batch(wave)
+            _assert_same_wave(c, twin, batched, wave, script)
+            assert c.suite.authoritative_state() == {
+                "b": 0, "e": 1, "f": 0, "j": 0,
+            }
+            assert c.suite._batch_rewalks.value == 1
+            flush = log.index("rep_write_many@A")
+            assert sorted(log[flush + 2:flush + 4]) == [
+                "rep_neighbors_many@A", "rep_neighbors_many@B",
+            ]
+            assert log.count("rep_neighbors_many@A") == 1
+        _assert_idle(c)
 
     def test_a_set_counts_the_same_alone_and_in_a_wave(self, make_cluster):
         """One transaction either way, counted as the insert or the
@@ -706,12 +774,6 @@ class TestVotesOnTheLastWrite:
         )
 
     @staticmethod
-    def _assert_idle(cluster):
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle(), rep.name
-            assert not (rep._undo or rep._prepared), rep.name
-
-    @staticmethod
     def _records(cluster, name):
         txn_id = cluster.suite.last_txn_id
         return [
@@ -754,7 +816,7 @@ class TestVotesOnTheLastWrite:
             assert self._records(c, "B") == ["insert", "insert", "prepare"]
             assert c.suite.txn_manager.resolve_pending() == 1
             assert self._records(c, "B")[-1] == "commit"
-            self._assert_idle(c)
+            _assert_idle(c)
             _assert_same_directory(c, twin, ["j", "k"])
 
     def test_a_lost_reply_to_a_vote_is_sent_again_and_commits_once(self):
@@ -787,7 +849,7 @@ class TestVotesOnTheLastWrite:
             sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
             _assert_same_outcomes(batched, sequential)
             _assert_same_directory(c, twin, ["k"])
-            self._assert_idle(c)
+            _assert_idle(c)
 
     @pytest.mark.parametrize("retries", [0, 2])
     def test_a_lost_reply_to_a_released_read_leaves_nothing_behind(
@@ -815,7 +877,7 @@ class TestVotesOnTheLastWrite:
             assert outcome.value == (True, 0)
             assert c.suite._batch_fallbacks.value == (retries == 0)
             assert log == {"A": [], "B": [], "C": []}
-            self._assert_idle(c)
+            _assert_idle(c)
 
     def test_a_lost_released_read_keeps_the_acknowledged_commit(self):
         """The released read's reply is lost and nothing is re-sent: the
@@ -842,7 +904,7 @@ class TestVotesOnTheLastWrite:
             assert c.suite._batch_fallbacks.value == 1
             assert outcome.value == (True, 0)
             assert log.decisions == before
-            self._assert_idle(c)
+            _assert_idle(c)
 
     @pytest.mark.parametrize(
         "wave, nth",
@@ -894,7 +956,7 @@ class TestVotesOnTheLastWrite:
                     rep.store.snapshot()
                     == twin.representatives[name].store.snapshot()
                 ), name
-            self._assert_idle(c)
+            _assert_idle(c)
             _assert_same_directory(c, twin, list("abcdejk"))
 
     def test_a_write_after_the_vote_is_refused_loudly(self):
@@ -941,7 +1003,7 @@ class TestCopiesInTheCoalesce:
             c.suite.delete_stats.as_table()
             == twin.suite.delete_stats.as_table()
         )
-        TestVotesOnTheLastWrite._assert_idle(c)
+        _assert_idle(c)
 
     @pytest.mark.parametrize("wave", sorted(WAVES))
     def test_a_lost_reply_is_sent_again_and_copies_once(self, wave):

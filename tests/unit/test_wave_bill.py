@@ -14,9 +14,9 @@ form (:func:`bill`):
   carries its vote (``W``), asks ``prepare`` of the members it only read
   (``|Rq - Wq|``, none when R = W) and commits on the ones it wrote
   (``W``);
-* a delete of a present key does too, with Figure 13's walk before the
-  closing write: a neighbour round (``R``), whose replies also judge
-  each candidate; the closing write carries the coalesce and its
+* a delete of a present key costs what a write does: the read round
+  carries Figure 13's first neighbour step too, whose replies also judge
+  each candidate, and the closing write carries the coalesce and its
   boundary copies.  A ghost adds a refill message to each read-quorum
   member whose stream it ran dry, and a missing copy adds nothing.
 
@@ -88,7 +88,7 @@ def bill(
         return r
     if not writes(kind, present):
         return r + r
-    walk = r + refills if kind in _DELETES else 0
+    walk = refills if kind in _DELETES else 0
     return r + walk + w + len(set(read) - set(write)) + w
 
 
@@ -178,7 +178,7 @@ def test_a_wave_of_one_pays_its_bill_when_r_exceeds_w(kind, present, read):
 
 #: Keys every replica holds before each case below.
 WALK_KEYS = "bdfhj"
-#: What a walk may send after its first ``rep_neighbors_many``.
+#: What a wave with a delete may send after its read round.
 WALK = {"rep_neighbors_many", "rep_write_many", "prepare", "commit"}
 #: ``(config, read quorum)``: R = W on 3-2-2, R > W on 3-3-2.  Either
 #: way the wave writes B and C; on 3-3-2 it only reads A.
@@ -219,10 +219,13 @@ def _walk_case(config, read, wave, plant=None, keys=WALK_KEYS, **spec):
         return spent, log, cluster.suite.delete_stats
 
 
-def _after_the_walk_starts(log):
-    """The methods sent from the wave's first ``rep_neighbors_many`` on."""
+def _after_the_read(log):
+    """The methods sent after the wave's read round, which carried the
+    first step of its walk."""
     methods = [row.split("@")[0] for row in log]
-    return methods[methods.index("rep_neighbors_many"):]
+    reads = methods.count("rep_lookup_many")
+    assert methods[:reads] == ["rep_lookup_many"] * reads
+    return methods[reads:]
 
 
 def _one_write_each(log, read):
@@ -241,7 +244,7 @@ def test_a_ghost_outside_the_write_quorum_costs_a_refill_to_its_holder(
     to ``d``.  Judged from the replies in hand (B's gap outranks A's
     entry), it is stepped past: at one result a message A's stream runs
     dry and is refilled, one message to A alone; at three A sent the
-    next neighbour already."""
+    next neighbour already, in its read reply."""
 
     def plant(side):
         scripted_insert(side, "ABC", "e", 1, "e")
@@ -254,9 +257,9 @@ def test_a_ghost_outside_the_write_quorum_costs_a_refill_to_its_holder(
         neighbor_batch_size=batch_size,
     )
     assert spent == bill("delete", True, "BCA", "BC", refills)
-    assert log.count("rep_neighbors_many@A") == 1 + refills
-    assert log.count("rep_neighbors_many@B") == 1
-    assert set(_after_the_walk_starts(log)) <= WALK
+    assert log.count("rep_neighbors_many@A") == refills
+    assert log.count("rep_neighbors_many@B") == 0
+    assert set(_after_the_read(log)) <= WALK
 
 
 @pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
@@ -270,7 +273,7 @@ def test_a_missing_bound_travels_in_the_coalesce(config, read):
 
     spent, log, stats = _walk_case(config, read, [("delete", "f")], plant)
     assert spent == bill("delete", True, read, nested(read))
-    assert set(_after_the_walk_starts(log)) <= WALK
+    assert set(_after_the_read(log)) <= WALK
     copies = stats.insertions_while_coalescing
     assert (copies.n, copies.max) == (1, 1)
 
@@ -283,7 +286,7 @@ def test_two_independent_deletes_cost_what_one_does(config, read):
         config, read, [("delete", "d"), ("discard", "h")]
     )
     assert spent == bill("delete", True, read, nested(read))
-    assert set(_after_the_walk_starts(log)) <= WALK
+    assert set(_after_the_read(log)) <= WALK
     _one_write_each(log, read)
 
 
@@ -298,7 +301,7 @@ def test_an_insert_beside_an_independent_delete_costs_what_the_delete_does(
         config, read, [("insert", "i", 1), ("delete", "d")]
     )
     assert spent == bill("delete", True, read, nested(read))
-    assert set(_after_the_walk_starts(log)) <= WALK
+    assert set(_after_the_read(log)) <= WALK
     _one_write_each(log, read)
 
 
@@ -315,7 +318,7 @@ def test_two_independent_deletes_and_an_update_cost_what_one_delete_does(
         keys="bdfhjl",
     )
     assert spent == bill("delete", True, read, nested(read))
-    assert set(_after_the_walk_starts(log)) <= WALK
+    assert set(_after_the_read(log)) <= WALK
     _one_write_each(log, read)
     assert stats.deletions_while_coalescing.n == 2
 
@@ -323,16 +326,16 @@ def test_two_independent_deletes_and_an_update_cost_what_one_delete_does(
 @pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
 def test_a_dependent_delete_flushes_then_walks(config, read):
     """``e`` lands inside ``d``'s neighbourhood, so the shared search's
-    finding is set aside: the flush installs ``e`` (``W``), ``d`` walks
-    again (``R``) and coalesces (``W``).  Neither write is the last, and
-    nothing is left for a closing write, so every member is asked
-    ``prepare``."""
+    finding, read with the wave's keys, is set aside: the flush installs
+    ``e`` (``W``), ``d`` walks again (``R``) and coalesces (``W``).
+    Neither write is the last, and nothing is left for a closing write,
+    so every member is asked ``prepare``."""
     spent, log, _ = _walk_case(
         config, read, [("insert", "e", 1), ("delete", "d")]
     )
     r, w = len(read), 2
-    assert spent == r + r + w + r + w + r + w
-    after = _after_the_walk_starts(log)
+    assert spent == r + w + r + w + r + w
+    after = _after_the_read(log)
     flush = after.index("rep_write_many")
     assert after[flush:flush + w] == ["rep_write_many"] * w
     assert set(after[:flush] + after[flush + w:]) <= WALK
@@ -341,8 +344,8 @@ def test_a_dependent_delete_flushes_then_walks(config, read):
 @pytest.mark.parametrize("config,read", SHAPES, ids=SHAPE_IDS)
 def test_an_independent_and_a_dependent_delete(config, read):
     """``e`` makes ``d`` dependent; ``h``'s neighbourhood ``[f, j]`` is
-    untouched, so ``h`` stays independent.  The read (``R``) and the
-    shared search (``R``); then ``d``'s turn: the flush of ``e``
+    untouched, so ``h`` stays independent.  The read, carrying the
+    shared search's first step (``R``); then ``d``'s turn: the flush of ``e``
     (``W``), ``d``'s walk (``R``) and coalesce (``W``); then the closing
     write, ``h``'s range with the votes (``W``), the read-only
     ``prepare``s and the ``commit`` (``W``)."""
@@ -350,7 +353,7 @@ def test_an_independent_and_a_dependent_delete(config, read):
         config, read, [("insert", "e", 1), ("delete", "d"), ("delete", "h")]
     )
     r, w = len(read), 2
-    assert spent == r + r + w + r + w + w + (r - w) + w
-    assert set(_after_the_walk_starts(log)) <= WALK
+    assert spent == r + w + r + w + w + (r - w) + w
+    assert set(_after_the_read(log)) <= WALK
     writes = [row for row in log if row.startswith("rep_write_many@")]
     assert len(writes) == 3 * w
