@@ -65,13 +65,19 @@ Equivalence with sequential execution is exact, not approximate:
   there, logs nothing and gets no ``commit``, which is two-phase locking
   after the lock point; a wave that wrote nothing anywhere logs no
   decision and sends no phase two;
-* a wave that only reads one key has no lock point to share: its read
-  round asks each member to release the key's lock with the reply, and
-  no 2PC message is sent at all — R messages.  A single-key read is
-  serializable at the instant it reads, because every writer of that
-  key holds its RepModify lock to its decision; a wave that reads two
-  keys keeps its ``prepare`` round, without which the two reads could
-  straddle a writer of both.
+* a wave that only reads, however many keys, has no lock point to
+  share: its read round asks each member to release the keys' locks
+  with the reply, and no 2PC message is sent at all — R messages.  Each
+  key's read is linearizable at the instant it reads, because every
+  writer of that key holds its RepModify lock to its decision, and
+  linearizability is local (Herlihy & Wing): a history is linearizable
+  when each key's sub-history is.  Each request is its own op, so that
+  is the client contract.  What is given up is the *wave*'s serial
+  place: two of its reads may straddle a pair of writers, one read
+  after the later writer and the other before the earlier one.  Only a
+  writer that runs between the wave's messages can show that, which on
+  the served stack none does (docs/CORRECTNESS.md, "The read-only
+  release"; :mod:`repro.obs.history` referees the contract).
 
 **A wave's deletes walk once, and read each neighbour once.**  Every
 round of a wave goes to one read quorum and one write quorum, each drawn
@@ -298,8 +304,8 @@ def _fold(
     counts = _Counts()
     keys = list(dict.fromkeys(bkeys))
     deleted = [bkey for op, bkey in zip(ops, bkeys) if op.kind in _DELETES]
-    # Reads of one key only: released with their reply (module docstring).
-    release = len(keys) == 1 and all(op.kind == "lookup" for op in ops)
+    # A wave that only reads is released with its reply (module docstring).
+    release = all(op.kind == "lookup" for op in ops)
     with suite._transaction(read_only_votes=True) as txn:
         wave = _Wave(suite, txn)
         state = {

@@ -17,8 +17,8 @@ A served wave (:mod:`repro.core.batch`) ends its transaction at a
 representative in one of three ways beside the classic ``prepare``: its
 last write here carries the vote (``vote=True`` on
 :meth:`rep_write_many`), a replica it only
-read votes read-only, or a read of one key is released with its reply
-(``release=True`` on :meth:`rep_lookup_many`).  A transaction that has
+read votes read-only, or a wave that only reads is released with its
+reply (``release=True`` on :meth:`rep_lookup_many`).  A transaction that has
 voted here may do nothing more here.
 
 Beyond the paper's five operations, :meth:`rep_neighbors_batch` implements
@@ -321,11 +321,10 @@ class DirectoryRepresentative:
         :class:`~repro.core.entries.LookupReply` per key, then one
         neighbour batch per search.
 
-        With ``release`` (a wave that only reads one key sends it, with
-        no search), the
-        call is the whole transaction here: the lock is taken, the key
-        read and the lock released before the reply leaves, refused or
-        not, and nothing is logged.  No ``prepare`` or ``commit``
+        With ``release`` (a wave that only reads sends it, however many
+        keys, with no search), the call is the whole transaction here:
+        every key's lock is taken, the keys read and the locks released
+        before the reply leaves, refused or not, and nothing is logged.  No ``prepare`` or ``commit``
         follows.  It must be the transaction's first operation here, or
         releasing would drop locks it took before, so it is refused while
         the transaction holds a lock here; a re-sent one (its reply lost)

@@ -21,7 +21,9 @@ wave, read quorum) triple must show:
   behind every key and in every gap, on sound stores
   (test_batch's ``_assert_same_directory``);
 * no fallback: the wave committed as one transaction;
-* no lock, undo record or ``_prepared`` vote left on any replica.
+* no lock, undo record or ``_prepared`` vote left on any replica;
+* the history — the wave, then a read of every key — is linearizable
+  per key (:meth:`repro.obs.history.History.check`).
 
 Each triple starts from its state by restoring every replica's store in
 both clusters, so one pair of clusters serves every triple.
@@ -30,7 +32,8 @@ Tier-1 checks depth 1 whole and a third of depth 2 (the states first
 reached by a step on quorum {B, C}).  Run as a module
 (``python -m tests.integration.test_delete_wave_scope [depth]``, depth
 3 by default) it checks every state to ``depth``, prints how many
-states and triples it checked, and exits non-zero on any failure.
+states and triples it checked and how many histories ``check()``
+accepted, and exits non-zero on any failure.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.batch import _DELETES, BATCH_KINDS, BatchOp
 from repro.core.keys import wrap
 from repro.core.quorum import PreferredQuorumPolicy
+from repro.obs.history import History
 from tests.unit.test_batch import (
     _assert_same_directory,
     _assert_same_outcomes,
     _drive,
     _fallback,
+    _held,
 )
 
 KEYS = "bdf"
@@ -120,7 +125,8 @@ def check(cluster, twin, state, wave, order):
         _restore(side, state)
         side.suite.quorum_policy.preference = list(order)
     fallbacks = cluster.suite._batch_fallbacks.value
-    batched = cluster.suite.execute_batch(wave)
+    history = History(_held(cluster, KEYS))
+    batched = history.run("client", cluster.suite.execute_batch, wave)
     sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
     _assert_same_outcomes(batched, sequential)
     _assert_same_directory(cluster, twin, KEYS)
@@ -128,6 +134,9 @@ def check(cluster, twin, state, wave, order):
     for rep in cluster.representatives.values():
         assert rep.locks.is_idle(), rep.name
         assert not (rep._undo or rep._prepared), rep.name
+    history.run("reader", cluster.suite.execute_batch,
+                [("lookup", key) for key in KEYS])
+    history.check()
 
 
 def sweep(states, stop_at_first=True):
@@ -195,10 +204,13 @@ def main(argv) -> int:
     checked, failures = sweep(states, stop_at_first=False)
     for state, wave, order in failures:
         print("FAILED", order, wave, file=sys.stderr)
+    # check() runs last in each triple: every triple that passed is a
+    # history it accepted.
     print(
         f"depth {depth}: {len(states)} states, {len(WAVES)} waves, "
         f"{len(ORDERS)} read quorums: {checked} triples checked, "
-        f"{len(failures)} failed"
+        f"{len(failures)} failed; check() accepted "
+        f"{checked - len(failures)} histories"
     )
     return 1 if failures else 0
 

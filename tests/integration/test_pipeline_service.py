@@ -29,7 +29,8 @@ asyncio front door three ways:
   and answers byte for byte what the classic one-op path answers on a
   twin directory;
 * waves of one — a client with one request in flight takes the same
-  engine, and a lone ``DELETE`` pays the grouped walk's bill;
+  engine, and a lone ``DELETE`` pays the grouped walk's bill; a burst
+  of ``GET`` is one wave that pays what a lone ``GET`` does;
 * no task per keyed request — a keyed op is queued and answered without
   one, an admin verb takes exactly one, and a ``SIZE`` counts every op
   pipelined before it.
@@ -727,6 +728,35 @@ class TestWaveOfOne:
         # adds both phases.
         assert (served[0], alone[0]) == (r, r + two_pc)
         assert served[1:3] == [cost - w for cost in alone[1:3]]
+
+    def test_a_burst_of_gets_on_one_shard_is_one_wave_of_r(self, monkeypatch):
+        """Sixteen GETs in one write, half of them absent, are one wave
+        released with its reply: the read round a lone GET pays."""
+        waves: list = []
+        process = server._ShardBatcher._process
+
+        def recording(batcher, wave):
+            waves.append(len(wave))
+            process(batcher, wave)
+
+        monkeypatch.setattr(server._ShardBatcher, "_process", recording)
+        fixed = {
+            "quorum_policy": lambda: PreferredQuorumPolicy(["A", "B", "C"])
+        }
+        keys = [f"a{i:02d}" for i in range(16)]  # all below "m": one shard
+        with _directory(**fixed) as d, DirectoryService(d).start() as svc:
+            with DirectoryClient(svc.host, svc.port) as c:
+                for key in keys[::2]:
+                    c.set(key, "v")
+            metrics = d.network.metrics
+            before = metrics.snapshot()["service.rpc.calls"]
+            del waves[:]
+            answers = TestMixedVerbBurst._answers(
+                svc, b"".join(encode_command("GET", key) for key in keys)
+            )
+            assert waves == [16]
+            assert metrics.snapshot()["service.rpc.calls"] - before == 2
+        assert answers == b"$1\r\nv\r\n$-1\r\n" * 8
 
 
 class TestNoTaskPerKeyedRequest:

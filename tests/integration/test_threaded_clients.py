@@ -18,8 +18,10 @@ keep the names they have always had.
 
 :class:`TestEveryOrder` walks every schedule of a small scope — two
 clients, two ops each, over three keys — within a preemption bound:
-one in tier-1, and a seeded sample beyond it.  Run this module as a
-script for the wider bound (CI does)::
+one in tier-1, and a seeded sample beyond it.  Every schedule's history
+must pass :meth:`repro.obs.history.History.check`.  Run this module as
+a script for the wider bound (CI does); it prints how many histories
+``check()`` accepted and exits non-zero unless it accepted them all::
 
     PYTHONPATH=src python -m tests.integration.test_threaded_clients 2
 """
@@ -32,13 +34,17 @@ import threading
 import pytest
 
 from repro.cluster import ClusterSpec, DirectoryCluster
+from repro.core.batch import BatchOp, BatchOutcome
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
     TransactionError,
 )
+from repro.core.quorum import PreferredQuorumPolicy
+from repro.obs.history import History
 from repro.obs.spans import RecordingTracer
 from repro.sim.threads import BatonScheduler, ThreadedClients
+from tests.unit.test_batch import _held
 
 
 class _OnTransport:
@@ -269,7 +275,8 @@ class TestBatonScheduler:
 # -- every order of a small scope ----------------------------------------------
 
 #: Two clients, two ops each, over the keys 1, 2 and 3: (preloaded
-#: entries, each client's program).
+#: entries, each client's program).  An op is a classic call, or a list
+#: of lookups run as one wave by ``execute_batch``.
 SCOPES = {
     "disjoint": (
         {2: "p"},
@@ -286,7 +293,66 @@ SCOPES = {
         [[("delete", 1, None), ("insert", 1, "a")],
          [("delete", 3, None), ("delete", 2, None)]],
     ),
+    # One wave reads 1 and 2, released at each member with its reply,
+    # while the other client updates 2 (W'), then 1 (W).
+    "straddle": (
+        {1: "p", 2: "q"},
+        [[[("lookup", 1), ("lookup", 2)]],
+         [("update", 2, "b"), ("update", 1, "a")]],
+    ),
 }
+KEYS = (1, 2, 3)
+#: Each op's preferred-quorum order, for the scopes that fix them.  The
+#: wave reads {A, C}; W' writes {A, B} and W writes {B, C}, so a wave
+#: that reads A before W' and C after W finds 1 after W and 2 before
+#: W': the straddle docs/CORRECTNESS.md allows a read-only wave.
+ORDERS = {"straddle": [["ACB"], ["ABC", "BCA"]]}
+
+
+class _EachOpsQuorum(PreferredQuorumPolicy):
+    """The preferred order of the op each client thread runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.orders = {}
+
+    def select(self, kind, available, config, rng):
+        name = threading.current_thread().name
+        self.preference = list(self.orders.get(name, "ABC"))
+        return super().select(kind, available, config, rng)
+
+
+def _tap_versions(suite):
+    """``{thread ident: version}``: what a classic op's
+    :attr:`BatchOutcome.version` would be — the version its first
+    lookup read (``"read"``), and the gap its delete left (``"gap"``)."""
+    seen = {}
+    lookup, coalesce = suite._suite_lookup, suite._coalesce_around
+
+    def first_lookup(txn, key):
+        reply = lookup(txn, key)
+        seen.setdefault((threading.get_ident(), "read"), reply.version)
+        return reply
+
+    def gap(txn, key, version):
+        found = coalesce(txn, key, version)
+        seen[threading.get_ident(), "gap"] = found[2]
+        return found
+
+    suite._suite_lookup, suite._coalesce_around = first_lookup, gap
+    return seen
+
+
+def _straddles(history):
+    """Whether the wave read 1 after W and 2 before W' (``ORDERS``)."""
+    ops = {(op.client, op.kind, op.key): op for op in history.ops}
+    read_1, read_2 = ops[0, "lookup", 1], ops[0, "lookup", 2]
+    written_2, written_1 = ops[1, "update", 2], ops[1, "update", 1]
+    return (
+        written_2.ret < written_1.invoke
+        and read_1.version == written_1.version
+        and read_2.version < written_2.version
+    )
 
 
 class _Script:
@@ -330,12 +396,20 @@ def _run_schedule(scope, choose_for):
     """One run of ``scope`` under the chooser ``choose_for(probe)``
     builds; checks it and returns (chooser, stats)."""
     preload, programs = SCOPES[scope]
-    cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=1))
+    orders = ORDERS.get(scope)
+    policy = _EachOpsQuorum() if orders else None
+    cluster = DirectoryCluster.create(
+        ClusterSpec(config="3-2-2", seed=1, quorum_policy=policy)
+    )
     for key, value in preload.items():
         cluster.suite.insert(key, value)
+    history = History(_held(cluster, KEYS))
+    versions = _tap_versions(cluster.suite)
+    successor = cluster.suite.version_space.successor
+    commit = cluster.suite.txn_manager.commit
     order = _record_commits(cluster.suite)
     reps = list(cluster.representatives.values())
-    stats = {"overlapped": False, "conflicts": 0}
+    stats = {"overlapped": False, "conflicts": 0, "straddle": False}
 
     def probe():
         holders = set().union(*(rep.locks.holders() for rep in reps))
@@ -345,42 +419,80 @@ def _run_schedule(scope, choose_for):
     scheduler = BatonScheduler(cluster.network, chooser)
     outcomes = [[] for _ in programs]
 
+    def wave(i, ops):
+        for _attempt in range(50):
+            batched = history.run(i, cluster.suite.execute_batch, ops)
+            if not any(isinstance(o.error, TransactionError) for o in batched):
+                return
+            stats["conflicts"] += 1
+            scheduler.back_off()
+        raise AssertionError(f"{ops} never got its locks")
+
+    def classic(i, kind, key, value):
+        args = (key,) if value is None else (key, value)
+        calls = history.invoke(i, [(kind, key, value)])
+        done = BatchOutcome(BatchOp(kind, key, value))
+        me = threading.get_ident()
+        for _attempt in range(50):
+            versions.pop((me, "read"), None)
+            versions.pop((me, "gap"), None)
+            try:
+                getattr(cluster.suite, kind)(*args)
+                outcomes[i].append("ok")
+                done.version = (
+                    versions[me, "gap"] if kind == "delete"
+                    else successor(versions[me, "read"])
+                )
+                break
+            except (KeyAlreadyPresentError, KeyNotPresentError) as exc:
+                outcomes[i].append(type(exc).__name__)
+                done.error, done.version = exc, versions[me, "read"]
+                break
+            except TransactionError:
+                stats["conflicts"] += 1
+                scheduler.back_off()
+        else:
+            raise AssertionError(f"{kind} {key} never got its locks")
+        history.complete(calls, [done])
+
     def client(i):
-        for kind, key, value in programs[i]:
-            args = (key,) if value is None else (key, value)
-            for _attempt in range(50):
-                try:
-                    getattr(cluster.suite, kind)(*args)
-                    outcomes[i].append("ok")
-                    break
-                except (KeyAlreadyPresentError, KeyNotPresentError) as exc:
-                    outcomes[i].append(type(exc).__name__)
-                    break
-                except TransactionError:
-                    stats["conflicts"] += 1
-                    scheduler.back_off()
+        for n, op in enumerate(programs[i]):
+            if policy is not None:
+                policy.orders[threading.current_thread().name] = orders[i][n]
+            if isinstance(op, list):
+                wave(i, op)
             else:
-                raise AssertionError(f"{kind} {key} never got its locks")
+                classic(i, *op)
 
     errors = scheduler.run([lambda i=i: client(i) for i in range(len(programs))])
     assert errors == [None] * len(programs), errors
     state = cluster.suite.authoritative_state()
-    # Outcomes and state are those of some serial order of the ops ...
-    serial = []
-    for merge in _merges(programs):
-        model, answers = dict(preload), [[] for _ in programs]
-        for i, op in merge:
-            answers[i].append(_apply(model, op))
-        serial.append((answers, model))
-    assert (outcomes, state) in serial
-    # ... and commit order is one.
-    committed = [
-        [op for op, out in zip(program, outs) if out == "ok"]
-        for program, outs in zip(programs, outcomes)
-    ]
-    assert _replay_commits(preload, order, committed) == state
     cluster.check_invariants()
     assert all(rep.locks.is_idle() and not rep._undo for rep in reps)
+    # A read-only wave has no serial place (module docstring): there,
+    # the history alone is the referee.
+    if not any(isinstance(op, list) for program in programs for op in program):
+        # Outcomes and state are those of some serial order of the ops ...
+        serial = []
+        for merge in _merges(programs):
+            model, answers = dict(preload), [[] for _ in programs]
+            for i, op in merge:
+                answers[i].append(_apply(model, op))
+            serial.append((answers, model))
+        assert (outcomes, state) in serial
+        # ... and commit order is one.
+        committed = [
+            [op for op, out in zip(program, outs) if out == "ok"]
+            for program, outs in zip(programs, outcomes)
+        ]
+        assert _replay_commits(preload, order, committed) == state
+    # The history ends with a read of every key.
+    cluster.suite.txn_manager.commit = commit
+    history.run("reader", cluster.suite.execute_batch,
+                [("lookup", key) for key in KEYS])
+    history.check()
+    if scope == "straddle":
+        stats["straddle"] = _straddles(history)
     return chooser, stats
 
 
@@ -410,19 +522,24 @@ def _tally(runs):
         len(runs),
         sum(s["overlapped"] for s in runs),
         sum(s["conflicts"] > 0 for s in runs),
+        sum(s["straddle"] for s in runs),
     )
 
 
 class TestEveryOrder:
     @pytest.mark.parametrize("scope", sorted(SCOPES))
     def test_every_schedule_within_one_preemption(self, scope):
-        runs, overlapped, conflicted = _tally(explore(scope, 1))
-        assert runs > 40
+        runs, overlapped, conflicted, straddled = _tally(explore(scope, 1))
+        # The straddle scope's reader sends two messages, not eight.
+        assert runs > (10 if scope == "straddle" else 40)
         if scope == "disjoint":
             # Writers on disjoint keys really run side by side.
             assert overlapped > 0
         if scope == "contended":
             assert conflicted > 0
+        if scope == "straddle":
+            # Without it the scope would show nothing the contract allows.
+            assert straddled > 0
 
     @pytest.mark.parametrize("scope", sorted(SCOPES))
     def test_a_seeded_slice_of_unbounded_schedules(self, scope):
@@ -436,22 +553,28 @@ class TestEveryOrder:
             )[1]
             for _ in range(60)
         ]
-        _, overlapped, conflicted = _tally(runs)
-        assert overlapped > 0
+        _, overlapped, _, _ = _tally(runs)
+        if scope != "straddle":  # a released read holds no lock between messages
+            assert overlapped > 0
 
 
 def main(argv):
     bound = int(argv[1]) if len(argv) > 1 else 2
     total = 0
     for scope in sorted(SCOPES):
-        runs, overlapped, conflicted = _tally(explore(scope, bound))
+        runs, overlapped, conflicted, straddled = _tally(explore(scope, bound))
         total += runs
         print(
             f"{scope}: {runs} interleavings checked, {overlapped} with "
             f"both clients holding locks, {conflicted} with a "
-            "lock-conflict abort and retry"
+            f"lock-conflict abort and retry, {straddled} straddling"
         )
-    print(f"{total} interleavings checked within {bound} preemptions")
+    # A history check() rejects raises out of the walk, so every
+    # interleaving counted is a history it accepted.
+    print(
+        f"{total} interleavings checked within {bound} preemptions; "
+        f"check() accepted {total} histories"
+    )
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Every single fault of a wave's messages, one at a time.
 
 Six waves between them send every shape of message a wave has: a read
-released with its reply, a two-key read whose members answer
-``prepare`` read-only, a write refused from the fold beside one that is
-installed, the closing ``rep_write_many`` that coalesces independent
+released with its reply, a read of two keys beside a write the fold
+refuses, whose members answer ``prepare`` read-only, a write refused
+from the fold beside one that is installed, the closing
+``rep_write_many`` that coalesces independent
 deletes and installs the final entries with the vote, a dependent
 delete's flush and its own coalesce, and a closing write that only
 coalesces — besides the shared walk (past a ghost, with a boundary copy
@@ -51,13 +52,21 @@ run must show:
   with the commit or the abort — and with one of them after a restart
   mid-wave;
 * when the wave committed without falling back (a lost reply was sent
-  again), the delete-overhead table is the twin's.
+  again), the delete-overhead table is the twin's;
+* the history — the wave, then a read of every key — is linearizable
+  per key (:meth:`repro.obs.history.History.check`).
+
+A case is named by its message as ``method@member#k:fault``, the k-th
+delivery of ``method`` to ``member`` in the wave: a change to a wave's
+messages fails ``test_each_wave_sends_its_recorded_messages`` rather
+than moving a case onto another message.  (The tier-1 ids keep the
+message's index, ``{wave}-{index}-{fault}-r{retries}``.)
 
 Run as a module (``python -m tests.integration.test_wave_faults``) it
 sweeps wider: every wave, every message and every fault at
 ``rpc_retries`` 0, 1 and 2, over every read-quorum order of 3-2-2 and
-3-3-2.  It prints how many cases it ran and exits non-zero on any
-failure.
+3-3-2.  It prints how many cases it ran and how many histories
+``check()`` accepted, and exits non-zero on any failure.
 """
 
 from __future__ import annotations
@@ -74,11 +83,13 @@ from repro.core.errors import QuorumUnavailableError, RpcTimeoutError
 from repro.core.keys import wrap
 from repro.core.quorum import PreferredQuorumPolicy
 from repro.net.failures import LossEvent, ScriptedLoss
+from repro.obs.history import History
 from tests.unit.test_batch import (
     _assert_same_directory,
     _assert_same_outcomes,
     _drive,
     _fallback,
+    _held,
 )
 from tests.unit.test_fanout import _tap
 
@@ -104,8 +115,9 @@ DELETE_WAVES = {
 WAVES = {
     # One key read: each member releases it with its reply, no 2PC.
     "released-read": [("lookup", "d")],
-    # Two keys read: the members answer ``prepare`` read-only.
-    "two-key-read": [("lookup", "b"), ("lookup", "d")],
+    # Two keys read, b by an insert the fold refuses: the wave is not
+    # read-only, so its members answer ``prepare`` read-only.
+    "two-key-read": [("lookup", "d"), ("insert", "b", 1)],
     # b is present, so its insert is refused for no message; k's upsert
     # is the closing write.
     "refused-write": [("insert", "b", 1), ("upsert", "k", 1)],
@@ -146,6 +158,15 @@ def _record(config, order, name):
         _tap(cluster, log)
         cluster.suite.execute_batch(WAVES[name])
         return [tuple(row.split("@")) for row in log]
+
+
+def _labels(sequence):
+    """``method@member#k`` for each message: its k-th delivery of
+    ``method`` to ``member``."""
+    return [
+        f"{method}@{member}#{sequence[:i].count((method, member))}"
+        for i, (method, member) in enumerate(sequence)
+    ]
 
 
 def _inject(cluster, sequence, index, fault, restarted):
@@ -235,7 +256,8 @@ def run_case(config, order, name, index, fault, retries):
         fallbacks = cluster.suite._batch_fallbacks.value
         # Transaction ids are sequential: the wave's is the next one.
         wave_txn = cluster.suite.last_txn_id + 1
-        batched = cluster.suite.execute_batch(wave)
+        history = History(_held(cluster, KEYS))
+        batched = history.run("client", cluster.suite.execute_batch, wave)
         fell_back = cluster.suite._batch_fallbacks.value - fallbacks
         _assert_decided(cluster, wave_txn, committed=not fell_back)
         cluster.network.install_faults(None)
@@ -266,6 +288,9 @@ def run_case(config, order, name, index, fault, retries):
                 cluster.suite.delete_stats.as_table()
                 == twin.suite.delete_stats.as_table()
             )
+        history.run("reader", cluster.suite.execute_batch,
+                    [("lookup", key) for key in KEYS])
+        history.check()
 
 
 def _cases(shapes, waves, retries):
@@ -282,6 +307,45 @@ def _cases(shapes, waves, retries):
 CASES = _cases([("3-2-2", "ABC")], WAVES, (0, 1)) + _cases(
     [("3-3-2", "BCA")], DELETE_WAVES, (0, 1)
 )
+_READ = "rep_lookup_many@A#0 rep_lookup_many@B#0"
+_BILL = "rep_write_many@A#0 rep_write_many@B#0 commit@A#0 commit@B#0"
+_FIRST = "rep_lookup_many@B#0 rep_lookup_many@C#0 rep_lookup_many@A#0 " \
+    "rep_neighbors_many@B#0 rep_write_many@B#0 rep_write_many@C#0"
+_LAST = "prepare@A#0 commit@B#0 commit@C#0"
+#: The messages of each tier-1 wave, which its cases are named by.
+SEQUENCES = {
+    ("3-2-2", "ABC", "released-read"): _READ,
+    ("3-2-2", "ABC", "two-key-read"): f"{_READ} prepare@A#0 prepare@B#0",
+    ("3-2-2", "ABC", "refused-write"): f"{_READ} {_BILL}",
+    ("3-2-2", "ABC", "insert-and-independent-delete"):
+        f"{_READ} rep_neighbors_many@B#0 {_BILL}",
+    ("3-2-2", "ABC", "independent-and-dependent-delete"):
+        f"{_READ} rep_neighbors_many@B#0 rep_write_many@A#0 "
+        "rep_write_many@B#0 rep_neighbors_many@A#0 rep_neighbors_many@B#1 "
+        "rep_neighbors_many@B#2 rep_write_many@A#1 rep_write_many@B#1 "
+        "rep_write_many@A#2 rep_write_many@B#2 commit@A#0 commit@B#0",
+    ("3-2-2", "ABC", "delete-only"): f"{_READ} rep_neighbors_many@B#0 {_BILL}",
+    ("3-3-2", "BCA", "insert-and-independent-delete"): f"{_FIRST} {_LAST}",
+    ("3-3-2", "BCA", "independent-and-dependent-delete"):
+        f"{_FIRST} rep_neighbors_many@B#1 rep_neighbors_many@C#0 "
+        "rep_neighbors_many@A#0 rep_neighbors_many@B#2 rep_write_many@B#1 "
+        f"rep_write_many@C#1 rep_write_many@B#2 rep_write_many@C#2 {_LAST}",
+    ("3-3-2", "BCA", "delete-only"): f"{_FIRST} {_LAST}",
+}
+
+
+def case_id(config, order, name, index, fault, retries):
+    """``{config}-{order}-{wave}-{method@member#k}:{fault}-r{retries}``."""
+    label = _labels(_record(config, order, name))[index]
+    return f"{config}-{order}-{name}-{label}:{fault}-r{retries}"
+
+
+def test_each_wave_sends_its_recorded_messages():
+    """A change to a wave's messages is a change to its cases: re-record
+    this table, and name the cases it adds and drops."""
+    assert {
+        shape: " ".join(_labels(_record(*shape))) for shape in SEQUENCES
+    } == SEQUENCES
 
 
 @pytest.mark.parametrize(
@@ -303,9 +367,12 @@ def main() -> int:
             run_case(*case)
         except Exception:
             failed += 1
-            print("FAILED", "-".join(map(str, case)), file=sys.stderr)
+            print("FAILED", case_id(*case), file=sys.stderr)
             traceback.print_exc()
-    print(f"{len(cases)} cases checked, {failed} failed")
+    # run_case checks the history last, so every case that passed is a
+    # history check() accepted.
+    print(f"{len(cases)} cases checked, {failed} failed; "
+          f"check() accepted {len(cases) - failed} histories")
     return 1 if failed else 0
 
 

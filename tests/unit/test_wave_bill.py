@@ -1,12 +1,13 @@
 """The exact message bill of a wave, for every kind and quorum pair.
 
 A wave costs its rounds plus what is left of two-phase commit once the
-last write has carried each writer's vote and a read of one key has been
-released with its reply.  A wave draws its write quorum ``Wq`` inside its
+last write has carried each writer's vote and a wave that only reads has
+been released with its reply.  A wave draws its write quorum ``Wq`` inside its
 read quorum ``Rq``: the first W members of it when R ≥ W.  In closed
 form (:func:`bill`):
 
-* a ``lookup`` is its read round, released: ``R``;
+* a ``lookup`` is its read round, released: ``R`` — and so is a wave
+  of lookups of any number of keys;
 * an op the fold refuses (an ``insert`` of a present key, an ``update``
   or ``delete`` of an absent one) reads, then asks each member it read
   for a read-only vote: ``R + R``;
@@ -172,6 +173,46 @@ def test_a_wave_of_one_pays_its_bill_when_r_exceeds_w(kind, present, read):
     """3-3-2: the wave writes the first two members it read, and asks
     the third, which it only read, for a read-only ``prepare``."""
     _pays_its_bill(kind, present, read, nested(read), config="3-3-2")
+
+
+READ_ONLY_CASES = [
+    (config, read, n)
+    for config, reads in (("3-2-2", QUORUMS), ("3-3-2", WIDE_READS))
+    for read in reads
+    for n in (2, 3, 16)
+]
+
+
+@pytest.mark.parametrize(
+    "config,read,n",
+    READ_ONLY_CASES,
+    ids=[f"{config}-r{read}-{n}" for config, read, n in READ_ONLY_CASES],
+)
+def test_a_read_only_wave_costs_r_at_any_width(config, read, n):
+    """Lookups of ``n`` keys, present and absent: the read round alone,
+    released, with no 2PC message, no WAL record and no decision."""
+    quorums = _SplitQuorums(read, nested(read))
+    with _twin(config=config, quorum_policy=quorums) as cluster:
+        for key in KEYS:
+            scripted_insert(cluster, "ABC", key, 1, key)
+        log = _spy(cluster)
+        reps = list(cluster.representatives.values())
+        lsns = [rep.wal.next_lsn for rep in reps]
+        decisions = dict(cluster.suite.txn_manager.decision_log.decisions)
+        before = cluster.network.stats.rpc_rounds
+        keys = "abcdefghijklmnop"[:n]
+        outcomes = cluster.suite.execute_batch([("lookup", key) for key in keys])
+        assert cluster.network.stats.rpc_rounds - before == len(read)
+        assert [o.value for o in outcomes] == [
+            (True, key) if key in KEYS else (False, None) for key in keys
+        ]
+        assert log == {name: [] for name in "ABC"}
+        assert [rep.wal.next_lsn for rep in reps] == lsns
+        assert cluster.suite.txn_manager.decision_log.decisions == decisions
+        assert cluster.suite._batch_fallbacks.value == 0
+        for rep in reps:
+            assert rep.locks.is_idle(), rep.name
+            assert not (rep._undo or rep._prepared), rep.name
 
 
 # -- the walk's own terms, and waves of two and three -------------------------
