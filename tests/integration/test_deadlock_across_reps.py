@@ -12,6 +12,7 @@ import pytest
 from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.errors import WouldBlockError
 from repro.core.keys import wrap
+from tests.scope import assert_clean
 
 
 @pytest.fixture
@@ -83,9 +84,8 @@ class TestCrossRepresentativeDeadlock:
         rep_call(cluster, "B", "rep_insert", t1.txn_id, wrap("y"), 1, "v")
         manager.commit(t1)
         assert cluster.suite.lookup("x") == (True, "v") or True  # quorum luck
-        # Both lock tables fully drained.
-        assert rep_a.locks.is_idle()
-        assert rep_b.locks.is_idle()
+        # Every lock table fully drained.
+        assert_clean(cluster)
 
     def test_victim_rollback_leaves_no_trace(self, cluster):
         manager = cluster.suite.txn_manager

@@ -1,39 +1,39 @@
 """Every wave of up to two ops that deletes, from every state a 3-2-2
-directory reaches over three keys, under every read quorum.
+directory reaches over three keys.
 
-The states are generated breadth-first from the empty directory.  A
-step is one classic ``insert``, ``update`` or ``delete`` of one key,
-under one of the three quorums of 3-2-2 (a preferred-quorum order, as
-test_batch's ``_drive`` takes it), and a state is every replica's
-tiling: its entries and gap versions.  A state at most ``depth`` steps
-from the empty directory is in scope.  Depth 2 already holds the
-corners a wave's walk must get right: a ghost one member keeps (a key
-inserted on one quorum and deleted on another), and a present entry one
-member lacks.
+The states are :func:`tests.scope.reachable`'s: breadth-first from the
+empty directory, a step being one classic ``insert``, ``update`` or
+``delete`` of one key under one of the three quorums of 3-2-2, and a
+state every replica's tiling.  A state at most ``depth`` steps from the
+empty directory is in scope.  Depth 2 already holds the corners a
+wave's walk must get right: a ghost one member keeps (a key inserted on
+one quorum and deleted on another), and a present entry one member
+lacks.
 
 From each state, every wave of one or two ops over the three keys that
 holds a ``delete`` or ``discard`` runs through ``execute_batch`` under
-each read quorum, and op by op through the sequential twin (test_batch's
-``_fallback``) from the same state on the same quorums.  Each (state,
-wave, read quorum) triple must show:
+read quorum {A, B}, and op by op through the sequential twin from the
+same state.  Each such triple (state, wave, read quorum) must show what
+:func:`tests.scope.check` asks of a case, and no fallback: the wave
+committed as one transaction.
 
-* the twin's outcomes, ``authoritative_state()``, and highest version
-  behind every key and in every gap, on sound stores
-  (test_batch's ``_assert_same_directory``);
-* no fallback: the wave committed as one transaction;
-* no lock, undo record or ``_prepared`` vote left on any replica;
-* the history — the wave, then a read of every key — is linearizable
-  per key (:meth:`repro.obs.history.History.check`).
+One read quorum stands for all three.  The reachable states are closed
+under renaming the replicas A→B→C→A, and that renaming maps the run
+from a state under {A, B} onto the run from the renamed state under
+{B, C}, message for message; so each triple checked stands for three,
+one under each read quorum.
+``test_a_renamed_run_is_the_same_run`` holds the premise on every
+depth-1 state and every wave.
 
-Each triple starts from its state by restoring every replica's store in
-both clusters, so one pair of clusters serves every triple.
-
-Tier-1 checks depth 1 whole and a third of depth 2 (the states first
-reached by a step on quorum {B, C}).  Run as a module
+Each triple starts from its state by restoring every replica in both
+clusters (:func:`tests.scope.restore`), so one pair of clusters serves
+every triple.  Tier-1 checks every state to depth 2.  Run as a module
 (``python -m tests.integration.test_delete_wave_scope [depth]``, depth
 3 by default) it checks every state to ``depth``, prints how many
-states and triples it checked and how many histories ``check()``
-accepted, and exits non-zero on any failure.
+states and triples it checked, the three times as many they stand for
+and how many histories ``check()`` accepted, and exits non-zero on any
+failure, naming each failed triple by its state's place in
+breadth-first order and its wave.
 """
 
 from __future__ import annotations
@@ -41,25 +41,11 @@ from __future__ import annotations
 import sys
 import traceback
 
-from repro.cluster import ClusterSpec, DirectoryCluster
-from repro.core.batch import _DELETES, BATCH_KINDS, BatchOp
+from repro.core.batch import _DELETES, BATCH_KINDS
 from repro.core.keys import wrap
-from repro.core.quorum import PreferredQuorumPolicy
-from repro.obs.history import History
-from tests.unit.test_batch import (
-    _assert_same_directory,
-    _assert_same_outcomes,
-    _drive,
-    _fallback,
-    _held,
-)
+from tests import scope
 
 KEYS = "bdf"
-#: Preferred-quorum orders: read and write quorum {A, B}, {B, C}, {C, A}.
-ORDERS = ("ABC", "BCA", "CAB")
-#: The steps that change a replica: ``upsert`` is one of the first two,
-#: ``discard`` the last, and a classic ``lookup`` repairs nothing.
-STEPS = [(kind, key) for kind in ("insert", "update", "delete") for key in KEYS]
 OPS = [(kind, key) for kind in BATCH_KINDS for key in KEYS]
 #: Every wave of one or two ops that holds a delete; a write's value is
 #: its place in the wave, so the fold's order shows in what is read.
@@ -77,139 +63,100 @@ WAVES = [
 ]
 
 
-def _cluster():
-    return DirectoryCluster.create(
-        ClusterSpec(
-            config="3-2-2", seed=3,
-            quorum_policy=PreferredQuorumPolicy(list(ORDERS[0])),
-        )
-    )
-
-
-def _state(cluster):
-    """Every replica's tiling, in member order."""
-    return tuple(
-        rep.store.snapshot() for rep in cluster.representatives.values()
-    )
-
-
-def _restore(cluster, state):
-    for rep, snapshot in zip(cluster.representatives.values(), state):
-        rep.store.restore(snapshot)
-
-
-def reachable(depth):
-    """``{state: the order of the step that first reached it}``,
-    breadth-first from the empty directory (``None`` for it)."""
-    with _cluster() as cluster:
-        found = {_state(cluster): None}
-        frontier = list(found)
-        for _ in range(depth):
-            reached = []
-            for state in frontier:
-                for order in ORDERS:
-                    for kind, key in STEPS:
-                        _restore(cluster, state)
-                        _drive(cluster, [("prefer", order), (kind, key, 0)])
-                        after = _state(cluster)
-                        if after not in found:
-                            found[after] = order
-                            reached.append(after)
-            frontier = reached
-    return found
-
-
-def check(cluster, twin, state, wave, order):
-    """One triple; raises on any failed check."""
-    for side in (cluster, twin):
-        _restore(side, state)
-        side.suite.quorum_policy.preference = list(order)
-    fallbacks = cluster.suite._batch_fallbacks.value
-    history = History(_held(cluster, KEYS))
-    batched = history.run("client", cluster.suite.execute_batch, wave)
-    sequential = [_fallback(twin.suite, BatchOp(*op)) for op in wave]
-    _assert_same_outcomes(batched, sequential)
-    _assert_same_directory(cluster, twin, KEYS)
-    assert cluster.suite._batch_fallbacks.value == fallbacks
-    for rep in cluster.representatives.values():
-        assert rep.locks.is_idle(), rep.name
-        assert not (rep._undo or rep._prepared), rep.name
-    history.run("reader", cluster.suite.execute_batch,
-                [("lookup", key) for key in KEYS])
-    history.check()
-
-
 def sweep(states, stop_at_first=True):
-    """Every wave under every read quorum from each of ``states``;
+    """Every wave from each of ``states`` under read quorum {A, B};
     returns ``(triples checked, failures)``."""
     checked, failures = 0, []
-    with _cluster() as cluster, _cluster() as twin:
-        for state in states:
+    with scope.build() as cluster, scope.build() as twin:
+        for number, state in enumerate(states):
             for wave in WAVES:
-                for order in ORDERS:
-                    checked += 1
-                    try:
-                        check(cluster, twin, state, wave, order)
-                    except Exception:
-                        if stop_at_first:
-                            raise
-                        failures.append((state, wave, order))
-                        traceback.print_exc()
+                checked += 1
+                try:
+                    for side in (cluster, twin):
+                        scope.restore(side, state)
+                    assert not scope.check(cluster, twin, wave, KEYS)
+                except Exception:
+                    if stop_at_first:
+                        raise
+                    failures.append((number, wave))
+                    traceback.print_exc()
     return checked, failures
 
 
-def _tier_one():
-    """Depth 1 whole, and the depth-2 states first reached by a step
-    on {B, C}: a third of depth 2, so tier-1 stays short."""
-    shallow = reachable(1)
-    return [
-        state for state, order in reachable(2).items()
-        if state in shallow or order == "BCA"
-    ]
+def _rotate(state, turns):
+    """``state`` with each replica's tiling on the member ``turns``
+    steps on, A→B→C→A."""
+    return state[-turns:] + state[:-turns]
 
 
-def _corners(state):
-    """``(ghost, missing)``: whether some member holds an entry its key's
-    highest version says is gone, and whether some member lacks a
-    present key's entry."""
-    ghost = missing = False
-    for key in KEYS:
-        replies = [snapshot.lookup(wrap(key)) for snapshot in state]
-        best = None
-        for reply in replies:
-            if reply.beats(best):
-                best = reply
-        held = [reply.present for reply in replies]
-        ghost |= not best.present and any(held)
-        missing |= best.present and not all(held)
-    return ghost, missing
+def test_a_renamed_run_is_the_same_run():
+    """From every depth-1 state, every wave under read quorum {A, B}
+    runs as it does renamed A→B→C→A once or twice, from the renamed
+    state under {B, C} or {C, A}: the same outcomes and versions, the
+    same directory, the same delete-overhead table, the same replica
+    tilings and the same messages, renamed back."""
+    states = scope.reachable(2, KEYS)
+    assert {_rotate(state, 1) for state in states} == set(states)
+    with scope.build() as cluster:
+        log = []
+        scope.tap(cluster, log)
+        for state in scope.reachable(1, KEYS):
+            for wave in WAVES:
+                runs = []
+                for turns, order in enumerate(scope.ORDERS):
+                    scope.restore(cluster, _rotate(state, turns), order)
+                    del log[:]
+                    outcomes = cluster.suite.execute_batch(wave)
+                    runs.append((
+                        [(o.value, type(o.error), o.version)
+                         for o in outcomes],
+                        cluster.suite.authoritative_state(),
+                        cluster.suite.delete_stats.as_table(),
+                        _rotate(scope.state_of(cluster), -turns),
+                        # Members renamed back (methods are lower case).
+                        " ".join(log).translate(str.maketrans(order, "ABC")),
+                    ))
+                assert runs[1] == runs[0], (state, wave)
+                assert runs[2] == runs[0], (state, wave)
 
 
 def test_the_scope_holds_the_corners():
-    """The tier-1 slice reaches a ghost and a missing copy."""
-    corners = [_corners(state) for state in _tier_one()]
-    assert any(ghost for ghost, _ in corners)
-    assert any(missing for _, missing in corners)
+    """Tier-1's states reach a ghost (a member holds an entry its key's
+    highest version says is gone) and a missing copy (a member lacks a
+    present key's entry)."""
+    ghost = missing = False
+    with scope.build() as cluster:
+        for state in scope.reachable(2, KEYS):
+            scope.restore(cluster, state)
+            for key, (_, present, _) in scope.held(cluster, KEYS).items():
+                held = [
+                    rep.contains(wrap(key))
+                    for rep in cluster.representatives.values()
+                ]
+                ghost |= not present and any(held)
+                missing |= present and not all(held)
+    assert ghost and missing
 
 
 def test_every_delete_wave_matches_the_twin():
-    states = _tier_one()
+    states = scope.reachable(2, KEYS)
     checked, _ = sweep(states)
-    assert checked == len(states) * len(WAVES) * len(ORDERS)
+    assert checked == len(states) * len(WAVES)
 
 
 def main(argv) -> int:
     depth = int(argv[0]) if argv else 3
-    states = reachable(depth)
+    states = scope.reachable(depth, KEYS)
     checked, failures = sweep(states, stop_at_first=False)
-    for state, wave, order in failures:
-        print("FAILED", order, wave, file=sys.stderr)
-    # check() runs last in each triple: every triple that passed is a
+    for number, wave in failures:
+        print("FAILED state", number, wave, file=sys.stderr)
+    # check() runs the history last: every triple that passed is a
     # history it accepted.
     print(
-        f"depth {depth}: {len(states)} states, {len(WAVES)} waves, "
-        f"{len(ORDERS)} read quorums: {checked} triples checked, "
-        f"{len(failures)} failed; check() accepted "
+        f"depth {depth}: {len(states)} states, {len(WAVES)} waves, read "
+        f"quorum {{A, B}}: {checked} triples checked, standing for "
+        f"{len(scope.ORDERS) * checked} under the {len(scope.ORDERS)} read "
+        f"quorums; {len(failures)} failed; check() accepted "
         f"{checked - len(failures)} histories"
     )
     return 1 if failures else 0

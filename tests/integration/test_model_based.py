@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
 from repro.core.quorum import StickyQuorumPolicy
+from tests.scope import assert_clean
 
 
 def run_model_check(cluster, n_ops, seed, key_space=50):
@@ -119,9 +120,8 @@ def test_locking_enabled_behaves_like_dict():
     # Serial transactions; every representative takes its range locks.
     cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=7))
     run_model_check(cluster, n_ops=400, seed=21)
-    # Everything committed: every lock table must be idle.
-    for rep in cluster.representatives.values():
-        assert rep.locks.is_idle()
+    # Everything committed: every replica must be clean.
+    assert_clean(cluster)
 
 
 def test_version_numbers_never_regress():

@@ -72,6 +72,7 @@ from repro.service.protocol import (
 from repro.service.server import DirectoryService
 from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
+from tests.scope import assert_clean
 
 
 def _directory(**fields):
@@ -646,9 +647,7 @@ class TestMixedVerbBurst:
                 cluster.suite.authoritative_state()
                 for cluster in svc.directory.clusters
             ]
-            for cluster in svc.directory.clusters:
-                for rep in cluster.representatives.values():
-                    assert rep.locks.is_idle()
+            assert_clean(svc.directory)
         with _directory() as twin:
             self._classic(twin, [("SET", "a1", "old"), ("SET", "z1", "old")])
             assert answers == self._classic(twin, burst)

@@ -118,13 +118,13 @@ class TestOnlineJoin:
         """A wave draws its write quorum inside its read quorum, which a
         joining replica is never in; the joiner is still sent the wave's
         one write, deletes' coalesces included."""
-        from tests.unit.test_fanout import _tap
+        from tests.scope import tap
 
         cluster = _cluster(config="3-2-2")
         suite = cluster.suite
         suite.membership.set_state("B", ReplicaState.JOINING)
         log = []
-        _tap(cluster, log)
+        tap(cluster, log)
         outcomes = suite.execute_batch(
             [("upsert", "fresh", 99), ("delete", "k010")]
         )

@@ -33,6 +33,7 @@ from repro.service.protocol import encode_command
 from repro.service.server import DirectoryService
 from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
+from tests.scope import assert_clean
 from tests.unit.test_batch import _SplitQuorums
 
 
@@ -101,9 +102,7 @@ def _assert_audits_clean(directory):
     auditor.run()
     auditor.audit_reshard()
     assert auditor.report.violations == []
-    for cluster in directory.clusters:
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle() and not rep._undo
+    assert_clean(directory)
 
 
 PRELOAD = [("SET", key, "v0") for key in ("a1", "a2", "z1")]

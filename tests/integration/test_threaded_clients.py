@@ -44,7 +44,7 @@ from repro.core.quorum import PreferredQuorumPolicy
 from repro.obs.history import History
 from repro.obs.spans import RecordingTracer
 from repro.sim.threads import BatonScheduler, ThreadedClients
-from tests.unit.test_batch import _held
+from tests.scope import assert_clean, held
 
 
 class _OnTransport:
@@ -84,8 +84,7 @@ class TestPartitionedClients(_OnTransport):
     def test_lock_tables_drain(self, make_cluster):
         cluster = make_cluster(seed=7)
         ThreadedClients(cluster, n_clients=3, ops_per_client=40, seed=8).run()
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle()
+        assert_clean(cluster)
 
     def test_cross_partition_lock_traffic_occurs(self, make_cluster):
         # Deletes read-lock across gap boundaries into neighbors'
@@ -124,8 +123,7 @@ class TestContendedClients(_OnTransport):
         ).run()
         result.raise_errors()
         cluster.check_invariants()
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle()
+        assert_clean(cluster)
         # Every present key's value was committed by some client.
         state = cluster.suite.authoritative_state()
         committed_values = set()
@@ -238,7 +236,7 @@ class TestBatonScheduler:
         ).run()
         result.raise_errors()
         assert result.lock_conflicts > 0
-        assert all(rep.locks.is_idle() for rep in cluster.representatives.values())
+        assert_clean(cluster)
 
     def test_bodies_report_their_errors_and_the_hook_goes(self):
         cluster = DirectoryCluster.create(ClusterSpec(config="3-2-2", seed=25))
@@ -403,7 +401,7 @@ def _run_schedule(scope, choose_for):
     )
     for key, value in preload.items():
         cluster.suite.insert(key, value)
-    history = History(_held(cluster, KEYS))
+    history = History(held(cluster, KEYS))
     versions = _tap_versions(cluster.suite)
     successor = cluster.suite.version_space.successor
     commit = cluster.suite.txn_manager.commit
@@ -468,7 +466,7 @@ def _run_schedule(scope, choose_for):
     assert errors == [None] * len(programs), errors
     state = cluster.suite.authoritative_state()
     cluster.check_invariants()
-    assert all(rep.locks.is_idle() and not rep._undo for rep in reps)
+    assert_clean(cluster)
     # A read-only wave has no serial place (module docstring): there,
     # the history alone is the referee.
     if not any(isinstance(op, list) for program in programs for op in program):

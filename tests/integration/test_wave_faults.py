@@ -4,15 +4,15 @@ Six waves between them send every shape of message a wave has: a read
 released with its reply, a read of two keys beside a write the fold
 refuses, whose members answer ``prepare`` read-only, a write refused
 from the fold beside one that is installed, the closing
-``rep_write_many`` that coalesces independent
-deletes and installs the final entries with the vote, a dependent
+``rep_write_many`` that coalesces independent deletes and installs the
+final entries with the vote, a dependent
 delete's flush and its own coalesce, and a closing write that only
 coalesces — besides the shared walk (past a ghost, with a boundary copy
 to make) and two-phase commit.  The waves run on 3-2-2, where the write
 quorum is the read quorum, and the three delete waves also on 3-3-2
 with read quorum {B, C, A} and write quorum {B, C}, where A only reads
 and votes read-only.  Each wave's fault-free message sequence is
-recorded (test_fanout's ``_tap``); then, for every message in it, one
+recorded (:func:`tests.scope.tap`); then, for every message in it, one
 fault at a time:
 
 * the request is lost;
@@ -24,43 +24,23 @@ fault at a time:
   for the rest of the wave.
 
 Each at ``rpc_retries`` 0 and 1 (:class:`~repro.net.failures.
-ScriptedLoss` for the losses).  When the wave returns, before anything
-is recovered:
+ScriptedLoss` for the losses).  Every case must show what
+:func:`tests.scope.check` asks of a case, and besides:
 
-* every member whose log holds the wave's prepare record and neither
-  its commit nor its abort finds the wave's decision in the
-  coordinator's ``DecisionLog``, and it is commit exactly when the wave
-  committed (did not fall back).
-
-Then every replica is recovered and pending decisions resolved, and the
-run must show:
-
-* each op's outcome is the sequential twin's (a wave that aborted
-  re-runs its ops as waves of one, which answer the same) — but for an
-  op whose wave of one found too few replicas up, which the twin skips:
-  that is only met while a crashed member is still down, at 3-3-2,
-  whose read quorum is every replica;
-* the directory is the twin's, and the invariant auditor finds every
-  current version on a write quorum;
-* every replica's store equals its own WAL replay;
-* no replica keeps a lock, undo record or ``_prepared`` vote;
 * a member that restarts after its first message of the wave and
   before its vote makes the wave fall back (``suite.batch.fallbacks``
   grows by one): the coordinator sees the later incarnation in the
   member's reply, to a suite round or to ``prepare``;
 * whatever a restarted member logged of the wave after the restart ends
   with the commit or the abort — and with one of them after a restart
-  mid-wave;
-* when the wave committed without falling back (a lost reply was sent
-  again), the delete-overhead table is the twin's;
-* the history — the wave, then a read of every key — is linearizable
-  per key (:meth:`repro.obs.history.History.check`).
+  mid-wave.
 
-A case is named by its message as ``method@member#k:fault``, the k-th
-delivery of ``method`` to ``member`` in the wave: a change to a wave's
+A case is named by its message (:func:`tests.scope.case_id`),
+``config-order-wave-method@member#k:fault-rN``: a change to a wave's
 messages fails ``test_each_wave_sends_its_recorded_messages`` rather
-than moving a case onto another message.  (The tier-1 ids keep the
-message's index, ``{wave}-{index}-{fault}-r{retries}``.)
+than moving a case onto another message.  The tier-1 pytest ids keep
+the message's index, ``{wave}-{index}-{fault}-r{retries}``, and a
+failing tier-1 case names its message in a note.
 
 Run as a module (``python -m tests.integration.test_wave_faults``) it
 sweeps wider: every wave, every message and every fault at
@@ -78,20 +58,10 @@ import traceback
 
 import pytest
 
-from repro.cluster import ClusterSpec, DirectoryCluster
-from repro.core.errors import QuorumUnavailableError, RpcTimeoutError
+from repro.core.errors import RpcTimeoutError
 from repro.core.keys import wrap
-from repro.core.quorum import PreferredQuorumPolicy
 from repro.net.failures import LossEvent, ScriptedLoss
-from repro.obs.history import History
-from tests.unit.test_batch import (
-    _assert_same_directory,
-    _assert_same_outcomes,
-    _drive,
-    _fallback,
-    _held,
-)
-from tests.unit.test_fanout import _tap
+from tests import scope
 
 #: Present on every replica, but for ``f`` (A lacks it, so deleting
 #: ``d`` copies it in) and ``e`` (a ghost B keeps beside ``d``).
@@ -136,37 +106,20 @@ SHAPES = [
 ]
 
 
-def _cluster(config, order):
-    cluster = DirectoryCluster.create(
-        ClusterSpec(
-            config=config, seed=3,
-            quorum_policy=PreferredQuorumPolicy(["A", "B", "C"]),
-        )
-    )
-    _drive(cluster, SETUP)
-    assert cluster.representatives["B"].contains(wrap("e"))
-    assert not cluster.representatives["A"].contains(wrap("f"))
-    cluster.suite.quorum_policy.preference = list(order)
-    return cluster
+def test_the_setup_plants_a_ghost_and_a_missing_copy():
+    with scope.build("3-2-2", SETUP) as cluster:
+        assert cluster.representatives["B"].contains(wrap("e"))
+        assert not cluster.representatives["A"].contains(wrap("f"))
 
 
 @functools.cache
 def _record(config, order, name):
     """The fault-free run's messages, ``(method, member)`` each."""
-    with _cluster(config, order) as cluster:
+    with scope.build(config, SETUP, order) as cluster:
         log = []
-        _tap(cluster, log)
+        scope.tap(cluster, log)
         cluster.suite.execute_batch(WAVES[name])
         return [tuple(row.split("@")) for row in log]
-
-
-def _labels(sequence):
-    """``method@member#k`` for each message: its k-th delivery of
-    ``method`` to ``member``."""
-    return [
-        f"{method}@{member}#{sequence[:i].count((method, member))}"
-        for i, (method, member) in enumerate(sequence)
-    ]
 
 
 def _inject(cluster, sequence, index, fault, restarted):
@@ -207,33 +160,6 @@ def _inject(cluster, sequence, index, fault, restarted):
     return down
 
 
-def _assert_decided(cluster, txn, committed):
-    """Every member in doubt about ``txn`` can learn its decision from
-    the log, and the decision is the one the wave reported."""
-    decision = cluster.suite.txn_manager.decision_log.outcome(txn)
-    for name, rep in cluster.representatives.items():
-        if txn in rep.wal.in_doubt_txns():
-            assert decision == ("commit" if committed else "abort"), (
-                name, decision,
-            )
-
-
-def _assert_clean(cluster):
-    for name, rep in cluster.representatives.items():
-        assert rep.locks.is_idle(), name
-        assert not (rep._undo or rep._prepared), name
-        replayed = rep._store_factory()
-        rep.wal.replay_into(
-            replayed,
-            extra_committed=rep.wal.in_doubt_txns()
-            & set(rep._decision_outcomes()),
-        )
-        assert replayed.snapshot() == rep.store.snapshot(), name
-    auditor = cluster.make_auditor()
-    auditor.run()
-    assert auditor.report.violations == []
-
-
 def _restarts_mid_wave(sequence, index):
     """A restart before message ``index`` falls between its member's
     first message of the wave and its vote: the member had a message
@@ -247,32 +173,13 @@ def _restarts_mid_wave(sequence, index):
 
 def run_case(config, order, name, index, fault, retries):
     """One fault at one message of one wave; raises on any failed check."""
-    wave = WAVES[name]
     sequence = _record(config, order, name)
-    with _cluster(config, order) as cluster, _cluster(config, order) as twin:
+    shape = (config, SETUP, order)
+    with scope.build(*shape) as cluster, scope.build(*shape) as twin:
         cluster.suite.rpc_retries = retries
         restarted = {}
         down = _inject(cluster, sequence, index, fault, restarted)
-        fallbacks = cluster.suite._batch_fallbacks.value
-        # Transaction ids are sequential: the wave's is the next one.
-        wave_txn = cluster.suite.last_txn_id + 1
-        history = History(_held(cluster, KEYS))
-        batched = history.run("client", cluster.suite.execute_batch, wave)
-        fell_back = cluster.suite._batch_fallbacks.value - fallbacks
-        _assert_decided(cluster, wave_txn, committed=not fell_back)
-        cluster.network.install_faults(None)
-        for member in down:
-            cluster.recover(member)
-        cluster.suite.txn_manager.resolve_pending()
-        done = [
-            outcome for outcome in batched
-            if not isinstance(outcome.error, QuorumUnavailableError)
-        ]
-        assert down or len(done) == len(wave)
-        sequential = [_fallback(twin.suite, outcome.op) for outcome in done]
-        _assert_same_outcomes(done, sequential)
-        _assert_same_directory(cluster, twin, KEYS)
-        _assert_clean(cluster)
+        fell_back = scope.check(cluster, twin, WAVES[name], KEYS, down)
         if restarted:
             rep, txn = restarted["rep"], restarted["txn"]
             logged = [
@@ -283,14 +190,6 @@ def run_case(config, order, name, index, fault, retries):
                 assert fell_back == 1, logged
                 assert logged, logged
             assert not logged or logged[-1] in ("commit", "abort"), logged
-        if not fell_back:
-            assert (
-                cluster.suite.delete_stats.as_table()
-                == twin.suite.delete_stats.as_table()
-            )
-        history.run("reader", cluster.suite.execute_batch,
-                    [("lookup", key) for key in KEYS])
-        history.check()
 
 
 def _cases(shapes, waves, retries):
@@ -336,27 +235,31 @@ SEQUENCES = {
 
 def case_id(config, order, name, index, fault, retries):
     """``{config}-{order}-{wave}-{method@member#k}:{fault}-r{retries}``."""
-    label = _labels(_record(config, order, name))[index]
-    return f"{config}-{order}-{name}-{label}:{fault}-r{retries}"
+    label = scope.case_id(_record(config, order, name), index, fault)
+    return f"{config}-{order}-{name}-{label}-r{retries}"
 
 
 def test_each_wave_sends_its_recorded_messages():
     """A change to a wave's messages is a change to its cases: re-record
     this table, and name the cases it adds and drops."""
     assert {
-        shape: " ".join(_labels(_record(*shape))) for shape in SEQUENCES
+        shape: " ".join(scope.labels(_record(*shape))) for shape in SEQUENCES
     } == SEQUENCES
 
 
 @pytest.mark.parametrize(
-    "config,order,name,index,fault,retries", CASES,
+    "case", CASES,
     ids=[
         ("" if c == "3-2-2" else f"{c}-{o}-") + f"{n}-{i}-{f}-r{r}"
         for c, o, n, i, f, r in CASES
     ],
 )
-def test_one_fault_at_one_message(config, order, name, index, fault, retries):
-    run_case(config, order, name, index, fault, retries)
+def test_one_fault_at_one_message(case):
+    try:
+        run_case(*case)
+    except Exception as exc:
+        exc.add_note(case_id(*case))
+        raise
 
 
 def main() -> int:
@@ -369,8 +272,8 @@ def main() -> int:
             failed += 1
             print("FAILED", case_id(*case), file=sys.stderr)
             traceback.print_exc()
-    # run_case checks the history last, so every case that passed is a
-    # history check() accepted.
+    # check() runs the history last, so every case that passed is a
+    # history it accepted.
     print(f"{len(cases)} cases checked, {failed} failed; "
           f"check() accepted {len(cases) - failed} histories")
     return 1 if failed else 0

@@ -52,10 +52,14 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.batch import _ABORTS, BATCH_KINDS, BatchOp
 from repro.core.errors import KeyAlreadyPresentError, KeyNotPresentError
-from repro.core.keys import wrap
 from repro.core.suite import _NeighborSearch
 from repro.net.failures import LossyLinks
-from tests.unit.test_batch import _fallback, _highest_version
+from tests.scope import (
+    assert_clean,
+    assert_same_outcomes,
+    held,
+    highest_version,
+)
 
 ops = st.builds(
     BatchOp,
@@ -75,18 +79,6 @@ dense_ops = st.builds(
 dense_waves = st.lists(
     st.lists(dense_ops, min_size=1, max_size=10), min_size=2, max_size=8
 )
-
-
-def _versions(cluster):
-    """The highest version any replica holds at every key, and at a
-    point in every gap between two keys."""
-    return [
-        max(
-            rep.store.lookup(wrap(point / 2)).version
-            for rep in cluster.representatives.values()
-        )
-        for point in range(-1, 32)
-    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,7 +203,6 @@ def test_waves_under_message_loss_keep_the_client_model(waves, seed, fanout):
                 request_loss=0.05, reply_loss=0.05, rng=random.Random(seed)
             )
         )
-        reps = cluster.representatives.values()
         model: dict = {}
         for wave in waves:
             for outcome in cluster.suite.execute_batch(wave):
@@ -220,10 +211,7 @@ def test_waves_under_message_loss_keep_the_client_model(waves, seed, fanout):
                 value, error = _expect(model, outcome.op)
                 assert type(outcome.error) is (error or type(None)), outcome
                 assert outcome.value == value, outcome
-            for rep in reps:
-                assert rep.locks.is_idle(), rep.name
-                assert not rep._undo, rep.name
-                assert not rep._prepared, rep.name
+            assert_clean(cluster)
             assert cluster.suite.authoritative_state() == model
         auditor = cluster.make_auditor()
         auditor.run()
@@ -243,14 +231,15 @@ def _check(waves, **spec):
         for wave in waves:
             lsns = [rep.wal.next_lsn for rep in reps]
             batched = cluster.suite.execute_batch(wave)
-            sequential = [_fallback(twin.suite, op) for op in wave]
-            for b, s in zip(batched, sequential, strict=True):
-                assert b.value == s.value, b.op
-                assert type(b.error) is type(s.error), b.op
+            assert_same_outcomes(batched, twin, wave)
+            for b in batched:
                 assert b.version >= seen.get(b.op.key, b.version), b.op
                 seen[b.op.key] = b.version
             _check_last_versions(cluster, batched)
             txn_id = cluster.suite.last_txn_id
+            # Narrower than assert_clean on purpose: this wave's own
+            # transaction left no undo record or vote, the same id the
+            # decision-log clause below asks about.
             for rep in reps:
                 assert rep.locks.is_idle(), rep.name
                 assert txn_id not in rep._undo, rep.name
@@ -261,7 +250,9 @@ def _check(waves, **spec):
                 cluster.suite.authoritative_state()
                 == twin.suite.authoritative_state()
             )
-        assert _versions(cluster) == _versions(twin)
+        # Every key, and a point in every gap between two keys.
+        probes = [point / 2 for point in range(-1, 32)]
+        assert held(cluster, probes) == held(twin, probes)
         cluster.check_invariants()
         assert cluster.suite._batch_fallbacks.value == 0
         assert cluster.suite.op_counts == twin.suite.op_counts
@@ -278,7 +269,7 @@ def _check_last_versions(cluster, outcomes):
         op = outcome.op
         if op.key not in done:
             done.add(op.key)
-            highest = _highest_version(cluster, op.key)
+            highest = highest_version(cluster, op.key)
             if coalesced:
                 assert outcome.version <= highest, op
             else:

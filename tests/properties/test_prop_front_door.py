@@ -54,6 +54,7 @@ from repro.service.protocol import ReplyError, encode_command
 from repro.shard.maps import ShardMap
 from repro.shard.sharded import ShardedDirectory
 from tests.properties.stepped_framing import SteppedFrameBuffer
+from tests.scope import assert_clean
 
 # -- the reference: the task-per-request front door ---------------------------
 
@@ -443,9 +444,7 @@ def _counts(svc: server.DirectoryService) -> "tuple[int, int]":
 
 def _settled(d: ShardedDirectory) -> "list[dict[Any, Any]]":
     """Every shard's state; asserts nothing is held and audits are clean."""
-    for cluster in d.clusters:
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle() and not rep._undo, rep.name
+    assert_clean(d)
     auditor = d.make_auditor()
     auditor.run()
     assert auditor.report.violations == []

@@ -24,7 +24,7 @@ from repro.core.batch import BATCH_KINDS, BatchOp
 from repro.shard import ShardedDirectory
 from repro.sim.driver import SimulationSpec, run_simulation
 from repro.sim.workload import OpMix
-from tests.unit.test_batch import _fallback
+from tests.scope import assert_clean, assert_same_outcomes
 
 CHURNY = OpMix(insert=2, update=2, delete=2, lookup=2)
 
@@ -136,24 +136,16 @@ def test_sharded_waves_match_the_sequential_twin(waves, shards, shard_map):
         for cluster in sharded.clusters:
             _timed(cluster.suite, spans)
         clock = sharded.network.clock
-        reps = sharded.representatives.values()
         for wave in waves:
             spans.clear()
             start = clock.now()
             outcomes = sharded.execute_wave(wave)
-            sequential = [_fallback(twin.suite, op) for op in wave]
-            for got, want in zip(outcomes, sequential, strict=True):
-                assert got.op == want.op
-                assert got.value == want.value, got.op
-                assert type(got.error) is type(want.error), got.op
+            assert_same_outcomes(outcomes, twin, wave)
             assert (
                 sharded.authoritative_state()
                 == twin.suite.authoritative_state()
             )
-            for rep in reps:
-                assert rep.locks.is_idle(), rep.name
-                assert not rep._undo, rep.name
-                assert not rep._prepared, rep.name
+            assert_clean(sharded)
             # Every group starts at the wave's start, one per shard the
             # wave touched, and the wave costs the slowest of them.
             groups = {sharded.shard_for(op.key) for op in wave}

@@ -16,6 +16,7 @@ from repro.sim.driver import (
 )
 from repro.service.server import DirectoryService
 from repro.sim.workload import OpMix
+from tests.scope import assert_clean
 
 
 def small_spec(**overrides):
@@ -135,11 +136,11 @@ class TestRunSimulation:
         assert result.audit_report.ok, result.audit_report.render()
         (cluster,) = built
         assert not cluster.suite.txn_manager.pending_completions
-        acquired = 0
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle(), rep.name
-            assert not rep._undo, rep.name
-            acquired += rep.locks.stats.acquisitions
+        assert_clean(cluster)
+        acquired = sum(
+            rep.locks.stats.acquisitions
+            for rep in cluster.representatives.values()
+        )
         assert acquired > 2000  # the locks were taken, not skipped
 
     def test_btree_store_runs(self):

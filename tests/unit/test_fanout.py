@@ -23,6 +23,7 @@ from repro.net.rpc import RpcCall, RpcEndpoint
 from repro.obs.spans import RecordingTracer
 from repro.sim.driver import SimulationSpec, run_simulation
 from repro.sim.workload import OpMix
+from tests.scope import tap
 
 
 class _Tally:
@@ -379,26 +380,6 @@ class TestFanoutModes:
 
 # -- the message sequence of each verb, pinned -------------------------------
 
-#: Every method a suite or its 2PC coordinator sends a representative.
-_WIRE_METHODS = (
-    "rep_lookup", "rep_insert", "rep_lookup_many", "rep_write_many",
-    "rep_neighbors_batch", "rep_coalesce", "rep_neighbors_many",
-    "prepare", "commit", "abort",
-)
-
-
-def _tap(cluster, log):
-    """Append ``method@member`` to ``log`` for every message delivered."""
-    for name, rep in cluster.representatives.items():
-        for method in _WIRE_METHODS:
-            def tapped(*args, _inner=getattr(rep, method),
-                       _row=f"{method}@{name}", **kwargs):
-                log.append(_row)
-                return _inner(*args, **kwargs)
-
-            setattr(rep, method, tapped)
-
-
 def record_sequences(mode, transport):
     """``{verb: "method@member ..."}`` for one scripted 3-2-2 run.
 
@@ -423,7 +404,7 @@ def record_sequences(mode, transport):
         suite.delete("f")
         cluster.recover("C")
         log: list = []
-        _tap(cluster, log)
+        tap(cluster, log)
         sequences = {}
 
         def take(verb, fn, *args):

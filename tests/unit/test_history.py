@@ -17,17 +17,15 @@ from __future__ import annotations
 import pytest
 
 import repro.core.batch as batch
-from repro.cluster import ClusterSpec, DirectoryCluster
 from repro.core.batch import BatchOp, BatchOutcome
 from repro.core.errors import (
     KeyAlreadyPresentError,
     KeyNotPresentError,
     TransactionAbortedError,
 )
-from repro.core.quorum import PreferredQuorumPolicy
 from repro.core.representative import DirectoryRepresentative
 from repro.obs.history import History, HistoryViolation
-from tests.unit.test_batch import _held
+from tests.scope import build, held
 
 
 def _op(history, client, op, version, value=None, error=None):
@@ -190,19 +188,13 @@ class TestClauses:
 # -- planted defects ----------------------------------------------------------
 
 
-def _cluster(order="ABC"):
-    return DirectoryCluster.create(ClusterSpec(
-        config="3-2-2", seed=1, quorum_policy=PreferredQuorumPolicy(list(order)),
-    ))
-
-
 def _read_beside_an_undecided_write():
     """A writer installs ``a`` on {A, B}; before its decision a wave
     reads ``a``, the writer aborts, and a second wave reads ``a``."""
-    with _cluster() as cluster:
+    with build() as cluster:
         suite = cluster.suite
         suite.insert("a", 0)
-        history = History(_held(cluster, ["a"]))
+        history = History(held(cluster, ["a"]))
         write = history.invoke("writer", [("update", "a", 1)])
         with pytest.raises(TransactionAbortedError):
             with suite._transaction() as txn:
@@ -218,9 +210,9 @@ def _read_beside_an_undecided_write():
 
 def _read_after_a_write_elsewhere():
     """``a`` updated on {B, C}, then read on {A, B}."""
-    with _cluster("BCA") as cluster:
+    with build(order="BCA") as cluster:
         cluster.suite.insert("a", 0)
-        history = History(_held(cluster, ["a", "b"]))
+        history = History(held(cluster, ["a", "b"]))
         history.run("writer", cluster.suite.execute_batch, [("update", "a", 1)])
         cluster.suite.quorum_policy.preference = list("ABC")
         history.run("reader", cluster.suite.execute_batch,
@@ -229,11 +221,11 @@ def _read_after_a_write_elsewhere():
 
 
 def _delete_then_read():
-    with _cluster() as cluster:
+    with build() as cluster:
         for key in "abc":
             cluster.suite.insert(key, 0)
         cluster.suite.update("b", 1)
-        history = History(_held(cluster, "abc"))
+        history = History(held(cluster, "abc"))
         history.run("client", cluster.suite.execute_batch, [("delete", "b")])
         history.run("reader", cluster.suite.execute_batch,
                     [("lookup", key) for key in "abc"])

@@ -54,7 +54,7 @@ from tests.unit.test_batch import (
     _spy,
     _twin,
 )
-from tests.unit.test_fanout import _tap
+from tests.scope import assert_clean, tap
 
 QUORUMS = ["AB", "AC", "BC"]
 #: Read quorums of 3-3-2, each with its last member only read.
@@ -127,9 +127,7 @@ def _pays_its_bill(kind, present, read, write, **spec):
             kind in ("lookup", "upsert", "discard") or writes(kind, present)
         )
         assert cluster.suite._batch_fallbacks.value == 0
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle(), rep.name
-            assert not (rep._undo or rep._prepared), rep.name
+        assert_clean(cluster)
 
 
 CASES = [
@@ -210,9 +208,7 @@ def test_a_read_only_wave_costs_r_at_any_width(config, read, n):
         assert [rep.wal.next_lsn for rep in reps] == lsns
         assert cluster.suite.txn_manager.decision_log.decisions == decisions
         assert cluster.suite._batch_fallbacks.value == 0
-        for rep in reps:
-            assert rep.locks.is_idle(), rep.name
-            assert not (rep._undo or rep._prepared), rep.name
+        assert_clean(cluster)
 
 
 # -- the walk's own terms, and waves of two and three -------------------------
@@ -247,16 +243,14 @@ def _walk_case(config, read, wave, plant=None, keys=WALK_KEYS, **spec):
             if plant is not None:
                 plant(side)
         log = []
-        _tap(cluster, log)
+        tap(cluster, log)
         before = cluster.network.stats.rpc_rounds
         batched = cluster.suite.execute_batch(wave)
         spent = cluster.network.stats.rpc_rounds - before
         _assert_same_wave(
             cluster, twin, batched, wave, [("insert", key) for key in keys]
         )
-        for rep in cluster.representatives.values():
-            assert rep.locks.is_idle(), rep.name
-            assert not (rep._undo or rep._prepared), rep.name
+        assert_clean(cluster)
         return spent, log, cluster.suite.delete_stats
 
 
