@@ -35,12 +35,12 @@ ScriptedLoss` for the losses).  Every case must show what
   with the commit or the abort — and with one of them after a restart
   mid-wave.
 
-A case is named by its message (:func:`tests.scope.case_id`),
-``config-order-wave-method@member#k:fault-rN``: a change to a wave's
-messages fails ``test_each_wave_sends_its_recorded_messages`` rather
-than moving a case onto another message.  The tier-1 pytest ids keep
-the message's index, ``{wave}-{index}-{fault}-r{retries}``, and a
-failing tier-1 case names its message in a note.
+The sweep names a case by its message (:func:`case_id`),
+``config-order-wave-method@member#k:fault-rN``.  The tier-1 pytest ids
+keep the message's index, ``{wave}-{index}-{fault}-r{retries}``;
+``test_each_wave_sends_its_recorded_messages`` pins each tier-1 wave's
+messages (:data:`SEQUENCES`, in the order of its indices), so a change
+to them fails there rather than moving an id onto another message.
 
 Run as a module (``python -m tests.integration.test_wave_faults``) it
 sweeps wider: every wave, every message and every fault at
@@ -106,8 +106,9 @@ SHAPES = [
 ]
 
 
-def test_the_setup_plants_a_ghost_and_a_missing_copy():
-    with scope.build("3-2-2", SETUP) as cluster:
+@pytest.mark.parametrize("config", ["3-2-2", "3-3-2"])
+def test_the_setup_plants_a_ghost_and_a_missing_copy(config):
+    with scope.build(config, SETUP) as cluster:
         assert cluster.representatives["B"].contains(wrap("e"))
         assert not cluster.representatives["A"].contains(wrap("f"))
 
@@ -235,8 +236,8 @@ SEQUENCES = {
 
 def case_id(config, order, name, index, fault, retries):
     """``{config}-{order}-{wave}-{method@member#k}:{fault}-r{retries}``."""
-    label = scope.case_id(_record(config, order, name), index, fault)
-    return f"{config}-{order}-{name}-{label}-r{retries}"
+    label = scope.labels(_record(config, order, name))[index]
+    return f"{config}-{order}-{name}-{label}:{fault}-r{retries}"
 
 
 def test_each_wave_sends_its_recorded_messages():
@@ -255,11 +256,7 @@ def test_each_wave_sends_its_recorded_messages():
     ],
 )
 def test_one_fault_at_one_message(case):
-    try:
-        run_case(*case)
-    except Exception as exc:
-        exc.add_note(case_id(*case))
-        raise
+    run_case(*case)
 
 
 def main() -> int:

@@ -21,17 +21,17 @@ What every case must show is :func:`check`:
   every key and in every gap (:func:`assert_same_directory`);
 * when the wave did not fall back, the delete-overhead table
   (``delete_stats``) is the twin's;
-* every replica is clean and its store is its own WAL replay
-  (:func:`assert_clean`), and the invariant auditor finds every current
-  version on a write quorum;
+* every replica is clean (:func:`assert_clean`) and its store is its
+  own WAL replay, and the invariant auditor finds every current version
+  on a write quorum;
 * the history — the wave, then a read of every key — is linearizable
   per key (:meth:`repro.obs.history.History.check`).
 
 A case that injects a fault is named by the message it hits,
-:func:`case_id`: ``method@member#k:fault``, the k-th delivery of
-``method`` to ``member`` in the wave's fault-free run (:func:`tap`
-records it), so a change to a wave's messages cannot silently move a
-name onto another message.
+:func:`labels`' ``method@member#k``: the k-th delivery of ``method`` to
+``member`` in the wave's fault-free run (:func:`tap` records it), so a
+change to a wave's messages cannot silently move a name onto another
+message.
 """
 
 from __future__ import annotations
@@ -222,29 +222,14 @@ def labels(sequence):
     ]
 
 
-def case_id(sequence, index, fault):
-    """``method@member#k:fault``: ``fault`` at message ``index``."""
-    return f"{labels(sequence)[index]}:{fault}"
-
-
 # -- what a case must show --------------------------------------------------
 
 
-def assert_clean(cluster, replay=False):
-    """No replica keeps a lock, an undo record or a ``_prepared`` vote;
-    with ``replay``, every replica's store is also its own WAL replay,
-    in-doubt transactions the decision log committed counted in."""
+def assert_clean(cluster):
+    """No replica keeps a lock, an undo record or a ``_prepared`` vote."""
     for name, rep in cluster.representatives.items():
         assert rep.locks.is_idle(), name
         assert not (rep._undo or rep._prepared), name
-        if replay:
-            replayed = rep._store_factory()
-            rep.wal.replay_into(
-                replayed,
-                extra_committed=rep.wal.in_doubt_txns()
-                & set(rep._decision_outcomes()),
-            )
-            assert replayed.snapshot() == rep.store.snapshot(), name
 
 
 def check(cluster, twin, wave, keys, down=()):
@@ -281,7 +266,17 @@ def check(cluster, twin, wave, keys, down=()):
         assert (
             suite.delete_stats.as_table() == twin.suite.delete_stats.as_table()
         )
-    assert_clean(cluster, replay=True)
+    assert_clean(cluster)
+    # Each store is its own WAL replay, in-doubt transactions the
+    # decision log committed counted in.
+    for name, rep in cluster.representatives.items():
+        replayed = rep._store_factory()
+        rep.wal.replay_into(
+            replayed,
+            extra_committed=rep.wal.in_doubt_txns()
+            & set(rep._decision_outcomes()),
+        )
+        assert replayed.snapshot() == rep.store.snapshot(), name
     auditor = cluster.make_auditor()
     auditor.run()
     assert auditor.report.violations == []
