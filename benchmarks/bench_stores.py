@@ -1,20 +1,23 @@
-"""Microbenchmarks of the two representative stores.
+"""Microbenchmarks of every representative store in ``STORE_FACTORIES``.
 
 Not a paper table — an engineering check that the B-tree representation
-section 5 proposes scales as expected (logarithmic point operations) and
-that the simulation default (the sorted-array store) is the right choice
-at simulation sizes.
+section 5 proposes, and the skip-list beside it, scale as expected
+(logarithmic point operations) and that the simulation default (the
+sorted-array store) is the right choice at simulation sizes.  Each
+benchmark runs once per backend the cluster can be built with.
 """
 
 import random
 
 import pytest
 
+from repro.cluster import STORE_FACTORIES
 from repro.core.keys import wrap
-from repro.storage.btree import BTreeStore
-from repro.storage.sorted_store import SortedStore
 
 SIZES = [1_000, 10_000]
+STORES = pytest.mark.parametrize(
+    "store_cls", list(STORE_FACTORIES.values()), ids=list(STORE_FACTORIES)
+)
 
 
 def loaded(store_cls, n, **kwargs):
@@ -25,9 +28,7 @@ def loaded(store_cls, n, **kwargs):
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize(
-    "store_cls", [SortedStore, BTreeStore], ids=["sorted", "btree"]
-)
+@STORES
 def test_lookup_performance(benchmark, store_cls, size):
     store = loaded(store_cls, size)
     rng = random.Random(1)
@@ -40,9 +41,7 @@ def test_lookup_performance(benchmark, store_cls, size):
     benchmark(work)
 
 
-@pytest.mark.parametrize(
-    "store_cls", [SortedStore, BTreeStore], ids=["sorted", "btree"]
-)
+@STORES
 def test_insert_delete_churn(benchmark, store_cls):
     rng = random.Random(2)
 
@@ -56,9 +55,7 @@ def test_insert_delete_churn(benchmark, store_cls):
     benchmark.pedantic(work, rounds=3, iterations=1)
 
 
-@pytest.mark.parametrize(
-    "store_cls", [SortedStore, BTreeStore], ids=["sorted", "btree"]
-)
+@STORES
 def test_neighbor_scan_performance(benchmark, store_cls):
     store = loaded(store_cls, 5_000)
     rng = random.Random(3)

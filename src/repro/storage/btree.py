@@ -28,16 +28,10 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
 from repro.core.entries import Entry, LookupReply, NeighborReply
-from repro.core.errors import CoalesceBoundsError, SentinelKeyError, StoreCorruptionError
+from repro.core.errors import SentinelKeyError, StoreCorruptionError
 from repro.core.keys import HIGH, LOW, BoundedKey
 from repro.core.versions import LOWEST_VERSION, Version
-from repro.storage.interface import (
-    CoalesceResult,
-    InsertResult,
-    RepresentativeStore,
-    Segment,
-    StoreSnapshot,
-)
+from repro.storage.interface import InsertResult, RepresentativeStore, StoreSnapshot
 
 _DEFAULT_ORDER = 16
 
@@ -71,6 +65,18 @@ class _Internal:
         return len(self.keys)
 
 
+def _even_slices(n: int, capacity: int) -> Iterator[slice]:
+    """``n`` items cut into ``ceil(n / capacity)`` runs whose sizes differ
+    by at most one, so that no run is below half of ``capacity`` when
+    there is more than one."""
+    count = max(1, -(-n // capacity))
+    base, extra = divmod(n, count)
+    stop = 0
+    for i in range(count):
+        start, stop = stop, stop + base + (i < extra)
+        yield slice(start, stop)
+
+
 class BTreeStore(RepresentativeStore):
     """B+-tree implementation of :class:`RepresentativeStore`.
 
@@ -86,7 +92,6 @@ class BTreeStore(RepresentativeStore):
         initial_gap_version: Version = LOWEST_VERSION,
         order: int = _DEFAULT_ORDER,
     ) -> None:
-        super().__init__()
         if order < 4:
             raise ValueError(f"B-tree order must be >= 4, got {order}")
         self._order = order
@@ -164,7 +169,6 @@ class BTreeStore(RepresentativeStore):
     # ------------------------------------------------------------------
 
     def lookup(self, key: BoundedKey) -> LookupReply:
-        self.stats.lookups += 1
         leaf, i = self._floor_position(key)
         if leaf.keys[i] == key:
             entry = leaf.entries[i]
@@ -173,7 +177,6 @@ class BTreeStore(RepresentativeStore):
         return LookupReply(False, leaf.gaps[i], None)
 
     def predecessor(self, key: BoundedKey) -> NeighborReply:
-        self.stats.neighbor_queries += 1
         if key.is_low:
             raise ValueError("LOW has no predecessor")
         leaf, i = self._strict_floor_position(key)
@@ -181,7 +184,6 @@ class BTreeStore(RepresentativeStore):
         return NeighborReply(pred.key, pred.version, leaf.gaps[i], pred.value)
 
     def successor(self, key: BoundedKey) -> NeighborReply:
-        self.stats.neighbor_queries += 1
         if key.is_high:
             raise ValueError("HIGH has no successor")
         sleaf, si = self._strict_ceiling_position(key)
@@ -214,14 +216,15 @@ class BTreeStore(RepresentativeStore):
     def entry_count(self) -> int:
         return self._count - 2
 
-    def _first_leaf(self) -> _Leaf:
-        node = self._root
+    @staticmethod
+    def _leftmost(node: _Leaf | _Internal) -> _Leaf:
+        """The first leaf under ``node``."""
         while isinstance(node, _Internal):
             node = node.children[0]
         return node
 
     def iter_entries(self) -> Iterator[Entry]:
-        leaf: _Leaf | None = self._first_leaf()
+        leaf: _Leaf | None = self._leftmost(self._root)
         while leaf is not None:
             yield from leaf.entries
             leaf = leaf.next
@@ -229,7 +232,7 @@ class BTreeStore(RepresentativeStore):
     def iter_gap_versions(self) -> Iterator[Version]:
         """Gap versions in order; the trailing gap field of HIGH is skipped."""
         gaps: list[Version] = []
-        leaf: _Leaf | None = self._first_leaf()
+        leaf: _Leaf | None = self._leftmost(self._root)
         while leaf is not None:
             gaps.extend(leaf.gaps)
             leaf = leaf.next
@@ -247,7 +250,6 @@ class BTreeStore(RepresentativeStore):
         if i < len(leaf.keys) and leaf.keys[i] == key:
             replaced = leaf.entries[i]
             leaf.entries[i] = Entry(key, version, value)
-            self.stats.overwrites += 1
             return InsertResult(replaced=replaced)
         # New entry: it splits the gap after its strict floor, and both
         # halves keep the old gap version.
@@ -257,7 +259,6 @@ class BTreeStore(RepresentativeStore):
         leaf.entries.insert(i, Entry(key, version, value))
         leaf.gaps.insert(i, split_gap)
         self._count += 1
-        self.stats.inserts += 1
         if len(leaf) > self._order:
             self._split(leaf, path)
         return InsertResult(split_gap_version=split_gap)
@@ -305,8 +306,8 @@ class BTreeStore(RepresentativeStore):
     # deletion
     # ------------------------------------------------------------------
 
-    def _delete_key(self, key: BoundedKey) -> Entry:
-        """Remove the entry for ``key`` (which must exist); rebalance."""
+    def _delete(self, key: BoundedKey) -> Entry:
+        """Remove the entry for ``key`` and its gap-after; rebalance."""
         leaf, path = self._find_leaf_path(key)
         i = bisect_left(leaf.keys, key)
         if i >= len(leaf.keys) or leaf.keys[i] != key:
@@ -328,18 +329,17 @@ class BTreeStore(RepresentativeStore):
             if isinstance(node, _Internal) and len(node.children) == 1:
                 self._root = node.children[0]
             return
-        size = len(node.keys) if isinstance(node, _Internal) else len(node)
-        if size >= self._min_fill:
+        if len(node) >= self._min_fill:
             return
         parent, idx = path[-1]
         left_sib = parent.children[idx - 1] if idx > 0 else None
         right_sib = (
             parent.children[idx + 1] if idx + 1 < len(parent.children) else None
         )
-        if left_sib is not None and self._node_size(left_sib) > self._min_fill:
+        if left_sib is not None and len(left_sib) > self._min_fill:
             self._borrow_from_left(parent, idx, left_sib, node)
             return
-        if right_sib is not None and self._node_size(right_sib) > self._min_fill:
+        if right_sib is not None and len(right_sib) > self._min_fill:
             self._borrow_from_right(parent, idx, node, right_sib)
             return
         # Merge with a sibling; removal of a separator may underflow parent.
@@ -349,10 +349,6 @@ class BTreeStore(RepresentativeStore):
             assert right_sib is not None
             self._merge(parent, idx, node, right_sib)
         self._rebalance(parent, path[:-1])
-
-    @staticmethod
-    def _node_size(node: _Leaf | _Internal) -> int:
-        return len(node.keys)
 
     def _borrow_from_left(
         self,
@@ -417,162 +413,54 @@ class BTreeStore(RepresentativeStore):
         del parent.children[sep_idx + 1]
 
     # ------------------------------------------------------------------
-    # store mutators built on the tree primitives
+    # gap-after fields
     # ------------------------------------------------------------------
 
-    def coalesce(
-        self, low: BoundedKey, high: BoundedKey, version: Version
-    ) -> CoalesceResult:
-        if not self.contains(low):
-            raise CoalesceBoundsError(low)
-        if not self.contains(high):
-            raise CoalesceBoundsError(high)
-        if not low < high:
-            raise CoalesceBoundsError(high)
-        victims = self.entries_between(low, high)
-        old_gaps: list[Version] = [self._gap_after(low)]
-        for entry in victims:
-            old_gaps.append(self._gap_after(entry.key))
-        for entry in victims:
-            self._delete_key(entry.key)
-        self._set_gap_after(low, version)
-        self.stats.coalesces += 1
-        self.stats.entries_removed_by_coalesce += len(victims)
-        return CoalesceResult(
-            removed=Segment(entries=victims, gap_versions=tuple(old_gaps)),
-            new_version=version,
-        )
-
-    def _gap_after(self, key: BoundedKey) -> Version:
+    def _stored_position(self, key: BoundedKey) -> tuple[_Leaf, int]:
         leaf, i = self._floor_position(key)
         if leaf.keys[i] != key:
             raise KeyError(f"{key!r} is not a stored entry")
+        return leaf, i
+
+    def _gap_after(self, key: BoundedKey) -> Version:
+        leaf, i = self._stored_position(key)
         return leaf.gaps[i]
 
     def _set_gap_after(self, key: BoundedKey, version: Version) -> None:
-        leaf, i = self._floor_position(key)
-        if leaf.keys[i] != key:
-            raise KeyError(f"{key!r} is not a stored entry")
+        leaf, i = self._stored_position(key)
         leaf.gaps[i] = version
-
-    def remove_entry(self, key: BoundedKey, merged_gap_version: Version) -> Entry:
-        if key.is_sentinel:
-            raise SentinelKeyError(key)
-        pred = self.predecessor(key)
-        removed = self._delete_key(key)
-        self._set_gap_after(pred.key, merged_gap_version)
-        return removed
-
-    def restore_segment(
-        self, low: BoundedKey, high: BoundedKey, segment: Segment
-    ) -> None:
-        if not self.contains(low) or not self.contains(high):
-            raise StoreCorruptionError("restore bounds are not stored entries")
-        if self.entries_between(low, high):
-            raise StoreCorruptionError("restore target range is not empty")
-        self._set_gap_after(low, segment.gap_versions[0])
-        for entry, gap_after in zip(segment.entries, segment.gap_versions[1:]):
-            if not (low < entry.key < high):
-                raise StoreCorruptionError(
-                    f"segment entry {entry.key!r} outside ({low!r}, {high!r})"
-                )
-            self.insert(entry.key, entry.version, entry.value)
-            self.stats.inserts -= 1  # raw restore is not a logical insert
-            self._set_gap_after(entry.key, gap_after)
 
     # ------------------------------------------------------------------
     # snapshots / integrity
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> StoreSnapshot:
-        entries = tuple(self.iter_entries())
-        gaps = tuple(self.iter_gap_versions())
-        return StoreSnapshot(entries=entries, gap_versions=gaps)
-
     def restore(self, snap: StoreSnapshot) -> None:
-        n = len(snap.entries)
-        gaps_padded = list(snap.gap_versions) + [LOWEST_VERSION]
-        # Distribute entries evenly over ceil(n / order) leaves so that no
-        # leaf is underfull (even splits keep every leaf >= order // 2 when
-        # more than one leaf is needed).
-        num_leaves = max(1, -(-n // self._order))
-        base, extra = divmod(n, num_leaves)
+        gaps = [*snap.gap_versions, LOWEST_VERSION]
         leaves: list[_Leaf] = []
-        pos = 0
-        for i in range(num_leaves):
-            size = base + (1 if i < extra else 0)
+        for part in _even_slices(len(snap.entries), self._order):
             leaf = _Leaf()
-            leaf.keys = [e.key for e in snap.entries[pos : pos + size]]
-            leaf.entries = list(snap.entries[pos : pos + size])
-            leaf.gaps = gaps_padded[pos : pos + size]
+            leaf.entries = list(snap.entries[part])
+            leaf.keys = [e.key for e in leaf.entries]
+            leaf.gaps = gaps[part]
             if leaves:
                 leaf.prev = leaves[-1]
                 leaves[-1].next = leaf
             leaves.append(leaf)
-            pos += size
-        self._count = n
-        self._root = leaves[0]
-        self._rebuild_index(leaves)
-
-    def _rebuild_index(self, leaves: list[_Leaf]) -> None:
-        """Build internal levels above a fresh leaf chain.
-
-        Children are grouped evenly into ``ceil(n / (order + 1))`` parents
-        per level, which keeps every internal node at or above minimum
-        occupancy.
-        """
+        self._count = len(snap.entries)
+        # Internal levels above the fresh leaf chain, ``order + 1``
+        # children a parent at most.
         level: list[_Leaf | _Internal] = list(leaves)
         while len(level) > 1:
-            num_parents = max(1, -(-len(level) // (self._order + 1)))
-            base, extra = divmod(len(level), num_parents)
             parents: list[_Leaf | _Internal] = []
-            pos = 0
-            for i in range(num_parents):
-                size = base + (1 if i < extra else 0)
-                group = level[pos : pos + size]
+            for part in _even_slices(len(level), self._order + 1):
                 parent = _Internal()
-                parent.children = list(group)
-                parent.keys = [self._subtree_min(c) for c in group[1:]]
+                parent.children = level[part]
+                parent.keys = [self._leftmost(c).keys[0] for c in parent.children[1:]]
                 parents.append(parent)
-                pos += size
             level = parents
         self._root = level[0]
 
-    def _leftmost_leaf_raw(self) -> _Leaf:
-        node = self._root
-        while isinstance(node, _Internal):
-            node = node.children[0]
-        return node
-
-    @staticmethod
-    def _subtree_min(node: _Leaf | _Internal) -> BoundedKey:
-        while isinstance(node, _Internal):
-            node = node.children[0]
-        return node.keys[0]
-
-    def check_invariants(self) -> None:
-        entries = list(self.iter_entries())
-        if not entries or not entries[0].key.is_low:
-            raise StoreCorruptionError("first entry is not LOW")
-        if not entries[-1].key.is_high:
-            raise StoreCorruptionError("last entry is not HIGH")
-        if len(entries) != self._count:
-            raise StoreCorruptionError(
-                f"count {self._count} != {len(entries)} entries present"
-            )
-        for a, b in zip(entries, entries[1:]):
-            if not a.key < b.key:
-                raise StoreCorruptionError(
-                    f"keys out of order: {a.key!r} !< {b.key!r}"
-                )
-        gaps = list(self.iter_gap_versions())
-        if len(gaps) != len(entries) - 1:
-            raise StoreCorruptionError(
-                f"{len(entries)} entries but {len(gaps)} gaps"
-            )
-        for g in gaps:
-            if g < LOWEST_VERSION:
-                raise StoreCorruptionError(f"negative gap version {g}")
+    def _check_structure(self) -> None:
         self._check_node(self._root, is_root=True, lo=None, hi=None)
         self._check_leaf_links()
 
@@ -612,7 +500,7 @@ class BTreeStore(RepresentativeStore):
         return heights.pop() + 1
 
     def _check_leaf_links(self) -> None:
-        leaf: _Leaf | None = self._leftmost_leaf_raw()
+        leaf: _Leaf | None = self._leftmost(self._root)
         prev: _Leaf | None = None
         while leaf is not None:
             if leaf.prev is not prev:

@@ -17,9 +17,17 @@ Two *raw* mutators — ``remove_entry`` and ``restore_segment`` — exist only
 so the transaction layer can undo ``insert`` and ``coalesce`` on abort and
 so recovery can rebuild state; suite code never calls them directly.
 
+The tiling's rules live here, once: :class:`RepresentativeStore` writes
+``coalesce``, both raw mutators, ``snapshot`` and ``check_invariants``
+over the public queries and four hooks each backend supplies
+(``_gap_after``, ``_set_gap_after``, ``_delete`` and
+``_check_structure``), so a backend keeps only its container.
+
 Concrete implementations: :class:`repro.storage.sorted_store.SortedStore`
-(bisect-based reference) and :class:`repro.storage.btree.BTreeStore` (the
-B-tree representation section 5 of the paper envisions).
+(bisect-based reference and the cluster default),
+:class:`repro.storage.btree.BTreeStore` (the B-tree representation
+section 5 of the paper envisions) and
+:class:`repro.storage.skiplist.SkipListStore`.
 """
 
 from __future__ import annotations
@@ -27,12 +35,18 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import pairwise
 from operator import attrgetter
 from typing import Any, Iterator
 
 from repro.core.entries import Entry, LookupReply, NeighborReply
+from repro.core.errors import (
+    CoalesceBoundsError,
+    SentinelKeyError,
+    StoreCorruptionError,
+)
 from repro.core.keys import BoundedKey
-from repro.core.versions import Version
+from repro.core.versions import LOWEST_VERSION, Version
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,32 +136,14 @@ class StoreSnapshot:
         return LookupReply(False, self.gap_versions[idx - 1])
 
 
-@dataclass
-class StoreStats:
-    """Mutation counters a store keeps for the benchmark harness."""
-
-    inserts: int = 0
-    overwrites: int = 0
-    coalesces: int = 0
-    entries_removed_by_coalesce: int = 0
-    lookups: int = 0
-    neighbor_queries: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        for name in vars(self):
-            setattr(self, name, 0)
-
-
 class RepresentativeStore(abc.ABC):
     """Abstract base class for representative stores.
 
     Keys handed to every method must be :class:`BoundedKey` instances; the
-    representative layer is responsible for wrapping user payloads.
+    representative layer is responsible for wrapping user payloads.  A
+    backend supplies the queries, ``insert``, ``restore`` and the four
+    container hooks; the tiling's rules are written here over those.
     """
-
-    def __init__(self) -> None:
-        self.stats = StoreStats()
 
     # -- queries ----------------------------------------------------------
 
@@ -198,6 +194,27 @@ class RepresentativeStore(abc.ABC):
     def iter_gap_versions(self) -> Iterator[Version]:
         """Gap versions in key order (``entry_count() + 1`` of them)."""
 
+    # -- container hooks ----------------------------------------------------
+    # Section 5 keeps each gap's version in the entry bounding it below.
+
+    @abc.abstractmethod
+    def _gap_after(self, key: BoundedKey) -> Version:
+        """Version of the gap after stored entry ``key``."""
+
+    @abc.abstractmethod
+    def _set_gap_after(self, key: BoundedKey, version: Version) -> None:
+        """Set the version of the gap after stored entry ``key``."""
+
+    @abc.abstractmethod
+    def _delete(self, key: BoundedKey) -> Entry:
+        """Unlink and return the entry for ``key`` and the gap after it
+        (``KeyError`` if none is stored)."""
+
+    @abc.abstractmethod
+    def _check_structure(self) -> None:
+        """Raise ``StoreCorruptionError`` if the container's own shape,
+        which the queries cannot show, is broken."""
+
     # -- mutators ---------------------------------------------------------
 
     @abc.abstractmethod
@@ -210,7 +227,6 @@ class RepresentativeStore(abc.ABC):
         rejected.
         """
 
-    @abc.abstractmethod
     def coalesce(
         self, low: BoundedKey, high: BoundedKey, version: Version
     ) -> CoalesceResult:
@@ -219,47 +235,110 @@ class RepresentativeStore(abc.ABC):
         The covered gaps merge into a single gap with version ``version``
         (``DirRepCoalesce``).  Raises
         :class:`~repro.core.errors.CoalesceBoundsError` if either bound is
-        not a stored entry, per Figure 6.
+        not a stored entry, per Figure 6, or if ``low`` is not below
+        ``high``.
         """
+        if not self.contains(low):
+            raise CoalesceBoundsError(low)
+        if not self.contains(high):
+            raise CoalesceBoundsError(high)
+        if not low < high:
+            raise CoalesceBoundsError(high)
+        victims = self.entries_between(low, high)
+        old_gaps = [self._gap_after(low)]
+        old_gaps.extend(self._gap_after(entry.key) for entry in victims)
+        for entry in victims:
+            self._delete(entry.key)
+        self._set_gap_after(low, version)
+        return CoalesceResult(
+            removed=Segment(entries=victims, gap_versions=tuple(old_gaps)),
+            new_version=version,
+        )
 
     # -- raw mutators (undo / recovery only) -------------------------------
 
-    @abc.abstractmethod
     def remove_entry(self, key: BoundedKey, merged_gap_version: Version) -> Entry:
         """Physically remove one entry, merging its two gaps.
 
         Only the undo machinery calls this (to reverse an ``insert`` that
-        created a new entry).  Returns the removed entry.
+        created a new entry).  Returns the removed entry; raises
+        ``KeyError`` if none is stored for ``key``.
         """
+        if key.is_sentinel:
+            raise SentinelKeyError(key)
+        pred = self.predecessor(key)
+        removed = self._delete(key)
+        self._set_gap_after(pred.key, merged_gap_version)
+        return removed
 
-    @abc.abstractmethod
     def restore_segment(
         self, low: BoundedKey, high: BoundedKey, segment: Segment
     ) -> None:
         """Re-install a previously coalesced segment between two entries.
 
         Only the undo machinery calls this (to reverse a ``coalesce``).
-        ``low`` and ``high`` must currently be adjacent stored entries.
+        ``low`` and ``high`` must currently be adjacent stored entries,
+        and the segment's keys must ascend strictly between them; both
+        are checked before anything changes, and a failure raises
+        ``StoreCorruptionError``.
         """
+        if (
+            not self.contains(low)
+            or not self.contains(high)
+            or self.entries_between(low, high)
+        ):
+            raise StoreCorruptionError(
+                f"restore bounds {low!r}, {high!r} are not adjacent entries"
+            )
+        keys = [low, *(entry.key for entry in segment.entries), high]
+        if not all(a < b for a, b in pairwise(keys)):
+            raise StoreCorruptionError(
+                f"segment keys {keys[1:-1]!r} do not ascend strictly "
+                f"inside ({low!r}, {high!r})"
+            )
+        self._set_gap_after(low, segment.gap_versions[0])
+        for entry, gap_after in zip(segment.entries, segment.gap_versions[1:]):
+            self.insert(entry.key, entry.version, entry.value)
+            self._set_gap_after(entry.key, gap_after)
 
     # -- snapshots / integrity ---------------------------------------------
 
-    @abc.abstractmethod
     def snapshot(self) -> StoreSnapshot:
         """Full copy of the logical state."""
+        return StoreSnapshot(
+            entries=tuple(self.iter_entries()),
+            gap_versions=tuple(self.iter_gap_versions()),
+        )
 
     @abc.abstractmethod
     def restore(self, snap: StoreSnapshot) -> None:
         """Replace the logical state with ``snap``."""
 
-    @abc.abstractmethod
     def check_invariants(self) -> None:
-        """Raise ``StoreCorruptionError`` if internal invariants fail.
+        """Raise ``StoreCorruptionError`` if the tiling is broken.
 
-        Invariants common to all stores: keys strictly increasing, first
-        entry LOW and last entry HIGH, one gap version per inter-entry
-        interval, all versions non-negative.
+        First entry LOW and last entry HIGH, keys strictly increasing, one
+        gap version per inter-entry interval, ``entry_count()`` entries
+        between the sentinels and no negative version; then the
+        backend's own :meth:`_check_structure`.
         """
+        entries = tuple(self.iter_entries())
+        gaps = tuple(self.iter_gap_versions())
+        if not entries or not entries[0].key.is_low:
+            raise StoreCorruptionError("first entry is not LOW")
+        if not entries[-1].key.is_high:
+            raise StoreCorruptionError("last entry is not HIGH")
+        for a, b in pairwise(entries):
+            if not a.key < b.key:
+                raise StoreCorruptionError(f"keys out of order: {a.key!r} !< {b.key!r}")
+        if len(gaps) != len(entries) - 1:
+            raise StoreCorruptionError(f"{len(entries)} entries but {len(gaps)} gaps")
+        if len(entries) != self.entry_count() + 2:
+            raise StoreCorruptionError(f"entry_count() is not {len(entries) - 2}")
+        for version in (*(entry.version for entry in entries), *gaps):
+            if version < LOWEST_VERSION:
+                raise StoreCorruptionError(f"negative version {version}")
+        self._check_structure()
 
     # -- conveniences shared by implementations ----------------------------
 

@@ -23,16 +23,10 @@ import random
 from typing import Any, Iterator
 
 from repro.core.entries import Entry, LookupReply, NeighborReply
-from repro.core.errors import CoalesceBoundsError, SentinelKeyError, StoreCorruptionError
+from repro.core.errors import SentinelKeyError, StoreCorruptionError
 from repro.core.keys import HIGH, LOW, BoundedKey
 from repro.core.versions import LOWEST_VERSION, Version
-from repro.storage.interface import (
-    CoalesceResult,
-    InsertResult,
-    RepresentativeStore,
-    Segment,
-    StoreSnapshot,
-)
+from repro.storage.interface import InsertResult, RepresentativeStore, StoreSnapshot
 
 _MAX_LEVEL = 24
 _P = 0.5
@@ -65,7 +59,6 @@ class SkipListStore(RepresentativeStore):
         initial_gap_version: Version = LOWEST_VERSION,
         seed: int = 0x5EED,
     ) -> None:
-        super().__init__()
         self._rng = random.Random(seed)
         # LOW is the head node (max height); HIGH is an ordinary node.
         self._head = _Node(Entry(LOW, LOWEST_VERSION, None), initial_gap_version, _MAX_LEVEL)
@@ -113,14 +106,12 @@ class SkipListStore(RepresentativeStore):
     # ------------------------------------------------------------------
 
     def lookup(self, key: BoundedKey) -> LookupReply:
-        self.stats.lookups += 1
         node = self._floor_node(key)
         if node.key == key:
             return LookupReply(True, node.entry.version, node.entry.value)
         return LookupReply(False, node.gap_after, None)
 
     def predecessor(self, key: BoundedKey) -> NeighborReply:
-        self.stats.neighbor_queries += 1
         if key.is_low:
             raise ValueError("LOW has no predecessor")
         pred = self._find_preds(key)[0]
@@ -129,7 +120,6 @@ class SkipListStore(RepresentativeStore):
         )
 
     def successor(self, key: BoundedKey) -> NeighborReply:
-        self.stats.neighbor_queries += 1
         if key.is_high:
             raise ValueError("HIGH has no successor")
         floor = self._floor_node(key)
@@ -182,7 +172,6 @@ class SkipListStore(RepresentativeStore):
         if existing is not None and existing.key == key:
             replaced = existing.entry
             existing.entry = Entry(key, version, value)
-            self.stats.overwrites += 1
             return InsertResult(replaced=replaced)
         split_gap = preds[0].gap_after
         node = _Node(Entry(key, version, value), split_gap, self._random_height())
@@ -190,11 +179,25 @@ class SkipListStore(RepresentativeStore):
             node.forward[level] = preds[level].forward[level]
             preds[level].forward[level] = node
         self._count += 1
-        self.stats.inserts += 1
         return InsertResult(split_gap_version=split_gap)
 
-    def _unlink(self, key: BoundedKey) -> _Node:
-        """Remove and return the node for ``key`` (which must exist)."""
+    # ------------------------------------------------------------------
+    # container hooks
+    # ------------------------------------------------------------------
+
+    def _stored_node(self, key: BoundedKey) -> _Node:
+        node = self._node_for(key)
+        if node is None:
+            raise KeyError(f"{key!r} is not a stored entry")
+        return node
+
+    def _gap_after(self, key: BoundedKey) -> Version:
+        return self._stored_node(key).gap_after
+
+    def _set_gap_after(self, key: BoundedKey, version: Version) -> None:
+        self._stored_node(key).gap_after = version
+
+    def _delete(self, key: BoundedKey) -> Entry:
         preds = self._find_preds(key)
         node = preds[0].forward[0]
         if node is None or node.key != key:
@@ -203,131 +206,32 @@ class SkipListStore(RepresentativeStore):
             if preds[level].forward[level] is node:
                 preds[level].forward[level] = node.forward[level]
         self._count -= 1
-        return node
-
-    def coalesce(
-        self, low: BoundedKey, high: BoundedKey, version: Version
-    ) -> CoalesceResult:
-        low_node = self._node_for(low)
-        if low_node is None:
-            raise CoalesceBoundsError(low)
-        if self._node_for(high) is None:
-            raise CoalesceBoundsError(high)
-        if not low < high:
-            raise CoalesceBoundsError(high)
-        removed_entries: list[Entry] = []
-        old_gaps: list[Version] = [low_node.gap_after]
-        node = low_node.forward[0]
-        while node is not None and node.key < high:
-            removed_entries.append(node.entry)
-            old_gaps.append(node.gap_after)
-            node = node.forward[0]
-        for entry in removed_entries:
-            self._unlink(entry.key)
-        low_node.gap_after = version
-        self.stats.coalesces += 1
-        self.stats.entries_removed_by_coalesce += len(removed_entries)
-        return CoalesceResult(
-            removed=Segment(
-                entries=tuple(removed_entries), gap_versions=tuple(old_gaps)
-            ),
-            new_version=version,
-        )
-
-    # ------------------------------------------------------------------
-    # raw mutators
-    # ------------------------------------------------------------------
-
-    def remove_entry(self, key: BoundedKey, merged_gap_version: Version) -> Entry:
-        if key.is_sentinel:
-            raise SentinelKeyError(key)
-        preds = self._find_preds(key)
-        node = self._unlink(key)
-        preds[0].gap_after = merged_gap_version
         return node.entry
-
-    def restore_segment(
-        self, low: BoundedKey, high: BoundedKey, segment: Segment
-    ) -> None:
-        low_node = self._node_for(low)
-        if low_node is None or self._node_for(high) is None:
-            raise StoreCorruptionError("restore bounds are not stored entries")
-        if self.entries_between(low, high):
-            raise StoreCorruptionError("restore target range is not empty")
-        low_node.gap_after = segment.gap_versions[0]
-        for entry, gap_after in zip(segment.entries, segment.gap_versions[1:]):
-            if not (low < entry.key < high):
-                raise StoreCorruptionError(
-                    f"segment entry {entry.key!r} outside ({low!r}, {high!r})"
-                )
-            self.insert(entry.key, entry.version, entry.value)
-            self.stats.inserts -= 1  # raw restore is not a logical insert
-            restored = self._node_for(entry.key)
-            assert restored is not None
-            restored.gap_after = gap_after
 
     # ------------------------------------------------------------------
     # snapshots / integrity
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> StoreSnapshot:
-        entries = tuple(self.iter_entries())
-        gaps = tuple(self.iter_gap_versions())
-        return StoreSnapshot(entries=entries, gap_versions=gaps)
-
     def restore(self, snap: StoreSnapshot) -> None:
         self.__init__(seed=self._rng.randrange(2**31))  # fresh chains
-        for i, entry in enumerate(snap.entries):
-            if entry.key.is_sentinel:
-                continue
-            self.insert(entry.key, entry.version, entry.value)
-            self.stats.inserts -= 1
+        for entry in snap.entries:
+            if not entry.key.is_sentinel:
+                self.insert(entry.key, entry.version, entry.value)
         # Re-apply gap versions onto the rebuilt chain.
         node: _Node | None = self._head
         for gap in snap.gap_versions:
             assert node is not None
             node.gap_after = gap
             node = node.forward[0]
-        self._count = len(snap.entries)
 
-    def check_invariants(self) -> None:
-        entries = list(self.iter_entries())
-        if not entries or not entries[0].key.is_low:
-            raise StoreCorruptionError("first entry is not LOW")
-        if not entries[-1].key.is_high:
-            raise StoreCorruptionError("last entry is not HIGH")
-        if len(entries) != self._count:
-            raise StoreCorruptionError(
-                f"count {self._count} != {len(entries)} entries present"
-            )
-        for a, b in zip(entries, entries[1:]):
-            if not a.key < b.key:
-                raise StoreCorruptionError(
-                    f"keys out of order: {a.key!r} !< {b.key!r}"
-                )
-        gaps = list(self.iter_gap_versions())
-        if len(gaps) != len(entries) - 1:
-            raise StoreCorruptionError(
-                f"{len(entries)} entries but {len(gaps)} gaps"
-            )
-        for g in gaps:
-            if g < LOWEST_VERSION:
-                raise StoreCorruptionError(f"negative gap version {g}")
-        self._check_tower_links()
-
-    def _check_tower_links(self) -> None:
+    def _check_structure(self) -> None:
         """Every level's chain must be a sorted subsequence of level 0."""
-        level0 = []
-        node: _Node | None = self._head
-        while node is not None:
-            level0.append(node.key)
-            node = node.forward[0]
-        level0_set = set(level0)
+        linked = {entry.key for entry in self.iter_entries()}
         for level in range(1, _MAX_LEVEL):
-            node = self._head
+            node: _Node | None = self._head
             prev_key = None
             while node is not None:
-                if node.key not in level0_set:
+                if node.key not in linked:
                     raise StoreCorruptionError(
                         f"level {level} references an unlinked node"
                     )

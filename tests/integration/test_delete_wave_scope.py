@@ -26,6 +26,13 @@ one under each read quorum.
 wave, on every depth-1 state and on every depth-2 state that holds a
 ghost.
 
+Under read quorum {A, B} no wave sends C anything, so on 3-2-2 the
+scope never walks past a ghost or refills on the member outside its
+read quorum.  ``test_3_3_2_ghosts_send_the_third_member_a_refill`` runs
+every wave from the depth-2 3-3-2 states that hold a ghost, where the
+read quorum is every member and C is written by no wave under order
+ABC; a 3-3-2 CI sweep is still owed.
+
 Each triple starts from its state by restoring every replica in both
 clusters (:func:`tests.scope.restore`), so one pair of clusters serves
 every triple.  Tier-1 checks every state to depth 2.  Run as a module
@@ -150,6 +157,32 @@ def test_the_scope_holds_the_corners():
             corners.add(_corners(cluster))
     assert any(ghost for ghost, _ in corners)
     assert any(missing for _, missing in corners)
+
+
+def test_3_3_2_ghosts_send_the_third_member_a_refill():
+    """On 3-3-2 a wave reads every member and, under order ABC, writes
+    {A, B}, so a ghost C keeps is the wave's to step past.  From each of
+    the nine depth-2 3-3-2 states that hold a ghost, every wave commits
+    as one transaction and shows what :func:`tests.scope.check` asks,
+    and some wave sends C a ``rep_neighbors_many``."""
+    with scope.build("3-3-2") as cluster, scope.build("3-3-2") as twin:
+        ghosts = []
+        for state in scope.reachable(2, KEYS, "3-3-2"):
+            scope.restore(cluster, state)
+            if _corners(cluster)[0]:
+                ghosts.append(state)
+        assert len(ghosts) == 9
+        log = []
+        scope.tap(cluster, log)
+        refills = 0
+        for state in ghosts:
+            for wave in WAVES:
+                for side in (cluster, twin):
+                    scope.restore(side, state)
+                del log[:]
+                assert not scope.check(cluster, twin, wave, KEYS), (state, wave)
+                refills += "rep_neighbors_many@C" in log
+    assert refills
 
 
 def test_every_delete_wave_matches_the_twin():

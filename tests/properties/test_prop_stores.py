@@ -1,10 +1,11 @@
-"""Stateful property tests: both stores against a reference model.
+"""Stateful property tests: the three stores against a reference model.
 
 The model is a plain sorted dict of key -> (version, value) plus a gap
 map derived lazily; instead of modelling gaps independently we assert the
-*differential* property — SortedStore and BTreeStore always agree exactly
-— plus structural invariants and a handful of model facts (presence,
-values, neighbor keys) that are easy to state independently.
+*differential* property — SortedStore, BTreeStore and SkipListStore
+always agree exactly — plus structural invariants and a handful of model
+facts (presence, values, neighbor keys) that are easy to state
+independently.
 
 Rules draw a small integer and map it through :meth:`StorePair.payload`;
 :class:`StringStorePair` maps it to the wire's key shape instead

@@ -46,9 +46,9 @@ from repro.core.quorum import PreferredQuorumPolicy
 from repro.core.stats import DeleteOverheadStats
 from repro.obs.history import History
 
-#: Preferred-quorum orders of 3-2-2: read and write quorum {A, B},
-#: {B, C}, {C, A}.  Each is the one before with every replica renamed
-#: A→B→C→A.
+#: Preferred-quorum orders: on 3-2-2 the read and write quorum {A, B},
+#: {B, C}, {C, A}; on 3-3-2 the same write quorums, every member read.
+#: Each is the one before with every replica renamed A→B→C→A.
 ORDERS = ("ABC", "BCA", "CAB")
 #: Every method a suite or its 2PC coordinator sends a representative.
 _WIRE_METHODS = (
@@ -183,8 +183,8 @@ def restore(cluster, state, order="ABC"):
 
 
 @functools.cache
-def reachable(depth, keys):
-    """Every state at most ``depth`` steps from the empty 3-2-2
+def reachable(depth, keys, config="3-2-2"):
+    """Every state at most ``depth`` steps from the empty ``config``
     directory, breadth-first.  A step is one classic ``insert``,
     ``update`` or ``delete`` of one of ``keys`` under one of
     :data:`ORDERS`: ``upsert`` is one of the first two, ``discard`` the
@@ -192,7 +192,7 @@ def reachable(depth, keys):
     steps = [
         (kind, key) for kind in ("insert", "update", "delete") for key in keys
     ]
-    with build() as cluster:
+    with build(config) as cluster:
         found = {state_of(cluster): None}
         frontier = list(found)
         for _ in range(depth):

@@ -1,11 +1,13 @@
-"""Unit tests for representative stores (run against both implementations).
+"""Unit tests for representative stores (run against every implementation).
 
-The ``store`` fixture parameterizes every test over SortedStore and
-BTreeStore, so the semantics below are pinned for both.
+The ``store`` fixture parameterizes every test over SortedStore,
+BTreeStore and SkipListStore, so the semantics below are pinned for all
+three.
 """
 
 import pytest
 
+from repro.core.entries import Entry
 from repro.core.errors import (
     CoalesceBoundsError,
     SentinelKeyError,
@@ -247,15 +249,32 @@ class TestSnapshotRestore:
         assert store.entries_between(wrap(2), wrap(3)) == ()
 
 
-class TestStoreStats:
-    def test_counters(self, store):
-        store.insert(wrap("a"), 1, "A")
-        store.insert(wrap("a"), 2, "A2")
-        store.lookup(wrap("a"))
-        store.predecessor(wrap("a"))
-        assert store.stats.inserts == 1
-        assert store.stats.overwrites == 1
-        assert store.stats.lookups == 1
-        assert store.stats.neighbor_queries == 1
-        store.stats.reset()
-        assert store.stats.inserts == 0
+# -- the tiling contract, one for every backend ------------------------------
+
+
+def test_restore_segment_with_an_out_of_range_entry_changes_nothing(store):
+    fill_store(store, ["a", "d"])
+    store.coalesce(wrap("a"), wrap("d"), 5)
+    before = store.snapshot()
+    bad = Segment(
+        entries=(Entry(wrap("b"), 1, "B"), Entry(wrap("z"), 1, "Z")),
+        gap_versions=(2, 3, 4),
+    )
+    with pytest.raises(StoreCorruptionError):
+        store.restore_segment(wrap("a"), wrap("d"), bad)
+    assert store.snapshot() == before
+    store.check_invariants()
+
+
+def test_restore_segment_refuses_reversed_bounds(store):
+    fill_store(store, ["a", "d"])
+    before = store.snapshot()
+    with pytest.raises(StoreCorruptionError):
+        store.restore_segment(wrap("d"), wrap("a"), Segment())
+    assert store.snapshot() == before
+
+
+def test_negative_entry_version_fails_check_invariants(store):
+    store.insert(wrap("a"), -1, "A")
+    with pytest.raises(StoreCorruptionError):
+        store.check_invariants()
