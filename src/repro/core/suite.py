@@ -52,6 +52,7 @@ from repro.net.rpc import RpcCall
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPAN, NULL_TRACER
 from repro.repl.lifecycle import SuiteMembership
+from repro.storage.interface import MergedTiling
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
 
@@ -760,29 +761,26 @@ class DirectorySuite:
     # debugging / test support
     # ------------------------------------------------------------------
 
-    def authoritative_state(self) -> dict[Any, Any]:
-        """The directory's true contents, resolved key by key.
+    def merged_tiling(self) -> MergedTiling:
+        """The up representatives' stores as one :class:`MergedTiling`.
 
-        For every key appearing on any representative, run a full-votes
-        read (all available representatives) and keep the highest-version
-        verdict.  Test-only: it peeks at every replica directly.
+        Test and audit support: it peeks at every replica directly.
         """
         network = self.network
-        reps = [
-            network.local_service(place.node_id, place.service_name)
-            for place in self.placements.values()
-            if network.is_up(place.node_id)
-        ]
-        state: dict[Any, Any] = {}
-        for bkey in {entry.key for rep in reps for entry in rep.user_entries()}:
-            best: LookupReply | None = None
-            for rep in reps:
-                reply = rep.store.lookup(bkey)
-                if reply.beats(best):
-                    best = reply
-            if best is not None and best.present:
-                state[bkey.payload] = best.value
-        return state
+        return MergedTiling(
+            {
+                name: network.local_service(
+                    place.node_id, place.service_name
+                ).store
+                for name, place in self.placements.items()
+                if network.is_up(place.node_id)
+            }
+        )
+
+    def authoritative_state(self) -> dict[Any, Any]:
+        """The directory's true contents: every key the up
+        representatives together hold present, with its value."""
+        return self.merged_tiling().state()
 
 
 class _NeighborSearch:

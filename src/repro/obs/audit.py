@@ -31,9 +31,11 @@ or on demand:
 The auditor reads stores directly (no RPCs, no network traffic), so it
 never perturbs the simulation it is checking.  It publishes
 ``audit.checks`` / ``audit.violations`` counters and accumulates a
-structured :class:`AuditReport`.  The cluster parameter is duck-typed
-(``config`` / ``network`` / ``suite.placements`` / ``representatives``)
-to keep this module import-light.
+structured :class:`AuditReport`.  Every cross-replica fact it checks
+comes from the suite's
+:class:`~repro.storage.interface.MergedTiling` of the up replicas.  The
+cluster parameter is duck-typed (``config`` / ``metrics`` /
+``suite.merged_tiling``) to keep this module import-light.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import StoreCorruptionError
-from repro.core.keys import HIGH, LOW, BoundedKey
+from repro.storage.interface import MergedTiling
 
 
 @dataclass(frozen=True)
@@ -130,26 +132,6 @@ class InvariantAuditor:
         #: Cumulative report over every :meth:`run` call.
         self.report = AuditReport()
 
-    # -- replica access (duck-typed) ---------------------------------------
-
-    def _up_replicas(self) -> dict[str, Any]:
-        """Name → representative, for replicas whose node is up."""
-        suite = self.cluster.suite
-        out = {}
-        for name, place in suite.placements.items():
-            if self.cluster.network.is_up(place.node_id):
-                out[name] = self.cluster.representatives[name]
-        return out
-
-    def _all_voting_up(self) -> bool:
-        config = self.cluster.config
-        suite = self.cluster.suite
-        for name in config.voting_names():
-            place = suite.placements[name]
-            if not self.cluster.network.is_up(place.node_id):
-                return False
-        return True
-
     # -- the audit ---------------------------------------------------------
 
     def run(self, model: dict[Any, Any] | None = None) -> AuditReport:
@@ -162,45 +144,38 @@ class InvariantAuditor:
         and the ``audit.*`` counters.
         """
         report = AuditReport(runs=1)
-        reps = self._up_replicas()
-        votes = self.cluster.config.votes
-        write_quorum = self.cluster.config.write_quorum
+        merged = self.cluster.suite.merged_tiling()
+        config = self.cluster.config
+        votes, write_quorum = config.votes, config.write_quorum
         # Quorum intersection is also suspended while a replica is
         # rejoining: a joiner's store legitimately trails until cutover
         # (that trailing is the very thing the join is repairing), and
         # its votes are not being counted meanwhile.  audit_join() is
         # the check that proves the gap closed.
         membership = getattr(self.cluster.suite, "membership", None)
-        quorum_checkable = self._all_voting_up() and (
-            membership is None or membership.all_up
-        )
+        quorum_checkable = merged.tilings.keys() >= set(
+            config.voting_names()
+        ) and (membership is None or membership.all_up)
 
         # Invariant 1: each replica's entries+gaps tile [LOW, HIGH].
-        for name, rep in reps.items():
+        for name, store in merged.tilings.items():
             report.checks += 1
             try:
-                rep.store.check_invariants()
+                store.check_invariants()
             except StoreCorruptionError as exc:
                 self._flag(report, "tiling", name, "[LOW .. HIGH]", str(exc))
 
-        # Union of stored keys: the finite skeleton that, with the gap
-        # probes below, covers the infinite key space.
-        union: set[BoundedKey] = set()
-        for rep in reps.values():
-            for entry in rep.store.user_entries():
-                union.add(entry.key)
-        ordered = sorted(union)
-        report.keys_audited = len(ordered)
+        # The union of stored keys is the finite skeleton that, with the
+        # gap probes below, covers the infinite key space.
+        report.keys_audited = len(merged.keys)
 
         # Invariants 2+3 per stored key: max-version agreement, and the
         # max version mustered by >= W votes.
-        authoritative: dict[BoundedKey, tuple[bool, Any]] = {}
-        for key in ordered:
-            replies = {
-                name: rep.store.lookup(key) for name, rep in reps.items()
+        for key in merged.keys:
+            vmax = merged.best(key).version
+            holders = {
+                n: r for n, r in merged.facts(key).items() if r.version == vmax
             }
-            vmax = max(r.version for r in replies.values())
-            holders = {n: r for n, r in replies.items() if r.version == vmax}
             verdicts = {(r.present, r.value) for r in holders.values()}
             report.checks += 1
             if len(verdicts) > 1:
@@ -216,8 +191,6 @@ class InvariantAuditor:
                         for n, r in sorted(holders.items())
                     ),
                 )
-            first = next(iter(holders.values()))
-            authoritative[key] = (first.present, first.value)
             if quorum_checkable:
                 report.checks += 1
                 held = sum(votes.get(n, 0) for n in holders)
@@ -231,19 +204,14 @@ class InvariantAuditor:
                         f"< write quorum {write_quorum}",
                     )
 
-        # Invariant 3 per empty interval: between consecutive union keys
-        # no replica stores an entry, so each replica's successor probe
-        # yields the one gap version covering the whole interval; the
-        # maximum must again be on >= W votes.
-        bounds = [LOW, *ordered, HIGH]
-        for a, b in zip(bounds, bounds[1:]):
+        # Invariant 3 per empty interval: no replica stores a key inside
+        # it, so each replica's gap above its low bound covers all of it;
+        # the maximum must again be on >= W votes.
+        for a, b in merged.intervals():
             report.intervals_audited += 1
-            gaps = {
-                name: rep.store.successor(a).gap_version
-                for name, rep in reps.items()
-            }
             if quorum_checkable:
                 report.checks += 1
+                gaps = merged.gaps_above(a)
                 gmax = max(gaps.values())
                 held = sum(
                     votes.get(n, 0) for n, g in gaps.items() if g == gmax
@@ -259,17 +227,9 @@ class InvariantAuditor:
                     )
 
         # Invariant 4: ghost census and (optionally) the model diff.
-        for name, rep in reps.items():
-            for entry in rep.store.user_entries():
-                present, _ = authoritative[entry.key]
-                if not present:
-                    report.ghosts += 1
+        report.ghosts = merged.ghosts()
         if model is not None:
-            derived = {
-                key.payload: value
-                for key, (present, value) in authoritative.items()
-                if present
-            }
+            derived = merged.state()
             for payload in sorted(
                 set(derived) | set(model), key=repr
             ):
@@ -310,8 +270,8 @@ class InvariantAuditor:
         All failures are flagged under the ``join`` check.
         """
         report = AuditReport(runs=1)
-        reps = self._up_replicas()
-        if joiner not in reps:
+        merged = self.cluster.suite.merged_tiling()
+        if joiner not in merged.tilings:
             report.checks += 1
             self._flag(
                 report, "join", joiner, "", "joiner is not up after join"
@@ -319,7 +279,7 @@ class InvariantAuditor:
             self._checks.inc(report.checks)
             self.report.merge(report)
             return report
-        store = reps[joiner].store
+        store = merged.tilings[joiner]
 
         report.checks += 1
         try:
@@ -327,21 +287,14 @@ class InvariantAuditor:
         except StoreCorruptionError as exc:
             self._flag(report, "join", joiner, "[LOW .. HIGH]", str(exc))
 
-        union: set[BoundedKey] = set()
-        for rep in reps.values():
-            for entry in rep.store.user_entries():
-                union.add(entry.key)
-        ordered = sorted(union)
-        report.keys_audited = len(ordered)
-
-        for key in ordered if len(reps) > 1 else []:
-            mine = store.lookup(key)
-            peers = {
-                name: rep.store.lookup(key)
-                for name, rep in reps.items()
-                if name != joiner
-            }
-            vmax = max(r.version for r in peers.values())
+        report.keys_audited = len(merged.keys)
+        peers = MergedTiling(
+            {n: t for n, t in merged.tilings.items() if n != joiner}
+        )
+        for key in merged.keys if peers.tilings else []:
+            mine = merged.facts(key)[joiner]
+            best = peers.best(key)
+            vmax = best.version
             report.checks += 1
             if mine.version > vmax:
                 self._flag(
@@ -355,26 +308,18 @@ class InvariantAuditor:
                     f"stale after join: version {mine.version} "
                     f"< authoritative {vmax}",
                 )
-            else:
-                best = next(
-                    r for r in peers.values() if r.version == vmax
+            elif (mine.present, mine.value) != (best.present, best.value):
+                self._flag(
+                    report, "join", joiner, repr(key),
+                    f"version {vmax} disagrees with peers: "
+                    f"{'present' if mine.present else 'absent'}"
+                    f"/{mine.value!r}",
                 )
-                if (mine.present, mine.value) != (best.present, best.value):
-                    self._flag(
-                        report, "join", joiner, repr(key),
-                        f"version {vmax} disagrees with peers: "
-                        f"{'present' if mine.present else 'absent'}"
-                        f"/{mine.value!r}",
-                    )
 
-        bounds = [LOW, *ordered, HIGH]
-        for a, b in zip(bounds, bounds[1:]):
+        for a, b in merged.intervals():
             report.intervals_audited += 1
             report.checks += 1
-            gaps = {
-                name: rep.store.successor(a).gap_version
-                for name, rep in reps.items()
-            }
+            gaps = merged.gaps_above(a)
             gmax = max(gaps.values())
             if gaps[joiner] != gmax:
                 self._flag(

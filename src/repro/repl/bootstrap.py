@@ -33,12 +33,12 @@ never blocks the workload it is racing.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Any
 
 from repro.core.errors import NetworkError, SnapshotUnavailableError
+from repro.core.keys import LOW
 from repro.repl.lifecycle import ReplicaState
-from repro.storage.interface import StoreSnapshot
+from repro.storage.interface import MergedTiling, StoreSnapshot
 
 #: Reconcile pieces: ``("entry", key, version, value)`` installs an entry
 #: where strictly newer; ``("gap", low, high, version)`` installs a gap
@@ -63,33 +63,25 @@ def divergent_pieces(
     definition, dominated by some gap version, so on a replica holding
     the gap the ghost's version never beats the covering-gap fact.
     """
-    keys = [e.key for e in target.entries]
-    entry_versions = [e.version for e in target.entries]
-    gaps = list(target.gap_versions)
-
-    def min_fact_in(low: Any, high: Any) -> Any:
-        # Everything the target stores strictly inside (low, high):
-        # entries with low < key < high, plus every gap segment
-        # overlapping the open interval (gap j spans keys[j]..keys[j+1];
-        # it overlaps iff keys[j] < high and keys[j+1] > low, i.e.
-        # lo - 1 <= j < hi).  The range is never empty: the interval is
-        # inside [LOW, HIGH] and the sentinels bound the tiling.
-        lo = bisect_right(keys, low)
-        hi = bisect_left(keys, high)
-        facts = entry_versions[lo:hi] + gaps[lo - 1 : hi]
-        return min(facts)
-
+    merged = MergedTiling({"source": source, "target": target})
     pieces: list[Piece] = []
-    for entry in source.entries:
-        if entry.key.is_sentinel:
-            continue
-        if entry.version > target.lookup(entry.key).version:
-            pieces.append(("entry", entry.key, entry.version, entry.value))
-    for i, gap_version in enumerate(source.gap_versions):
-        low = source.entries[i].key
-        high = source.entries[i + 1].key
-        if gap_version > min_fact_in(low, high):
-            pieces.append(("gap", low, high, gap_version))
+    for key in merged.keys:
+        facts = merged.facts(key)
+        mine = facts["source"]
+        if mine.present and mine.version > facts["target"].version:
+            pieces.append(("entry", key, mine.version, mine.value))
+    # One source gap spans the merged intervals up to the next source
+    # key; ``inside`` gathers the target facts met within it.
+    low, inside = LOW, []
+    for a, b in merged.intervals():
+        gaps = merged.gaps_above(a)
+        inside.append(gaps["target"])
+        if b.is_high or merged.facts(b)["source"].present:
+            if gaps["source"] > min(inside):
+                pieces.append(("gap", low, b, gaps["source"]))
+            low, inside = b, []
+        else:
+            inside.append(merged.facts(b)["target"].version)
     return pieces
 
 

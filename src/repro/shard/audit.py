@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.core.keys import wrap
 from repro.obs.audit import AuditReport, AuditViolation, InvariantAuditor
+from repro.storage.interface import MergedTiling
 
 
 class ShardAuditor:
@@ -129,21 +130,19 @@ class ShardAuditor:
                 )
         # 3. version monotonicity across the move
         target_cluster = sharded.clusters[delta.target]
-        suite = target_cluster.suite
-        reps = {
-            name: target_cluster.representatives[name]
-            for name in suite._available()
-        }
+        target = MergedTiling(
+            {
+                name: target_cluster.representatives[name].store
+                for name in target_cluster.suite._available()
+            }
+        )
         for payload, copied_version in sorted(
             rec.copied.items(), key=lambda item: wrap(item[0])
         ):
             report.checks += 1
-            if not reps:
+            if not target.tilings:
                 break
-            best = max(
-                rep.store.lookup(wrap(payload)).version
-                for rep in reps.values()
-            )
+            best = target.best(wrap(payload)).version
             if best < copied_version:
                 report.violations.append(
                     AuditViolation(

@@ -50,6 +50,7 @@ from repro.core.entries import LookupReply
 from repro.core.keys import HIGH, wrap
 from repro.repl.bootstrap import admin_call, ship_pieces
 from repro.shard.maps import ShardMapDelta
+from repro.storage.interface import MergedTiling
 
 _MISSING = object()
 
@@ -78,8 +79,8 @@ def authoritative_range_facts(cluster: Any, delta: Any) -> dict[Any, LookupReply
 
     Exports a snapshot from every up voting replica over the suite's RPC
     endpoint (paying latency like any lifecycle traffic) and keeps, per
-    key, the reply that :meth:`LookupReply.beats` the others — entry
-    versions and covering-gap versions compete, exactly as in the
+    key, the :class:`~repro.storage.interface.MergedTiling`'s best fact —
+    entry versions and covering-gap versions compete, exactly as in the
     paper's read.  Returns ``{payload: reply}`` for every user key in
     the range the suite holds as present; a key some replica stores but
     a dominating gap elsewhere beats is a ghost, and is left out.
@@ -88,30 +89,20 @@ def authoritative_range_facts(cluster: Any, delta: Any) -> dict[Any, LookupReply
     when a replica cannot export right now (transient; retry later).
     """
     suite = cluster.suite
-    snapshots = [
-        admin_call(suite, name, "rep_export_snapshot")
-        for name in _quorum_members(cluster, "reshard read")
-    ]
-    # [low, high) of user keys; ``high=None`` runs to the sentinel.  The
-    # sentinels themselves fall outside any such range.
+    merged = MergedTiling(
+        {
+            name: admin_call(suite, name, "rep_export_snapshot")
+            for name in _quorum_members(cluster, "reshard read")
+        }
+    )
+    # [low, high) of user keys; ``high=None`` runs to the sentinel.
     low_k = wrap(delta.low)
     high_k = HIGH if delta.high is None else wrap(delta.high)
-    candidates = {
-        entry.key
-        for snapshot in snapshots
-        for entry in snapshot.entries
-        if low_k <= entry.key < high_k
+    return {
+        key.payload: best
+        for key in merged.keys
+        if low_k <= key < high_k and (best := merged.best(key)).present
     }
-    facts: dict[Any, LookupReply] = {}
-    for key in candidates:
-        best = None
-        for snapshot in snapshots:
-            reply = snapshot.lookup(key)
-            if reply.beats(best):
-                best = reply
-        if best.present:
-            facts[key.payload] = best
-    return facts
 
 
 def authoritative_range(cluster: Any, delta: Any) -> dict[Any, Any]:

@@ -529,17 +529,15 @@ def _audit_boundary(
 
 
 def count_ghosts(cluster: DirectoryCluster) -> int:
-    """Total stale entries across replicas.
+    """Total stale entries across the up replicas, shard by shard.
 
     A ghost is a stored entry whose key is no longer present in the
-    directory (its highest-version information is a gap).  Measurement
-    aid: peeks at every replica directly.
+    directory (its highest-version information is a gap): the auditor's
+    census, :meth:`~repro.storage.interface.MergedTiling.ghosts`.
+    Measurement aid: peeks at every replica directly.
     """
-    truth = set(cluster.suite.authoritative_state())
-    total = 0
-    for rep in cluster.representatives.values():
-        total += sum(1 for e in rep.user_entries() if e.key.payload not in truth)
-    return total
+    shards = getattr(cluster, "clusters", [cluster])
+    return sum(shard.suite.merged_tiling().ghosts() for shard in shards)
 
 
 def _apply_model(model: dict[Any, Any], op: Operation) -> None:
@@ -558,6 +556,16 @@ def _correct_workload(workload: UniformWorkload, op: Operation) -> None:
         workload.note_insert(op.key)
 
 
+def _sweep(
+    name: str, values: list[Any], **spec_kwargs: Any
+) -> dict[Any, SimulationResult]:
+    """One simulation per value of the spec field ``name``."""
+    return {
+        value: run_simulation(SimulationSpec(**{name: value}, **spec_kwargs))
+        for value in values
+    }
+
+
 def run_figure14_grid(
     configs: list[str],
     directory_size: int = 100,
@@ -566,17 +574,10 @@ def run_figure14_grid(
     **spec_kwargs: Any,
 ) -> dict[str, SimulationResult]:
     """One simulation per configuration — the Figure 14 sweep."""
-    results: dict[str, SimulationResult] = {}
-    for config in configs:
-        spec = SimulationSpec(
-            config=config,
-            directory_size=directory_size,
-            operations=operations,
-            seed=seed,
-            **spec_kwargs,
-        )
-        results[config] = run_simulation(spec)
-    return results
+    return _sweep(
+        "config", configs, directory_size=directory_size,
+        operations=operations, seed=seed, **spec_kwargs,
+    )
 
 
 def run_figure15_sizes(
@@ -587,14 +588,7 @@ def run_figure15_sizes(
     **spec_kwargs: Any,
 ) -> dict[int, SimulationResult]:
     """One simulation per directory size — the Figure 15 detail table."""
-    results: dict[int, SimulationResult] = {}
-    for size in sizes:
-        spec = SimulationSpec(
-            config=config,
-            directory_size=size,
-            operations=operations,
-            seed=seed,
-            **spec_kwargs,
-        )
-        results[size] = run_simulation(spec)
-    return results
+    return _sweep(
+        "directory_size", sizes, config=config,
+        operations=operations, seed=seed, **spec_kwargs,
+    )

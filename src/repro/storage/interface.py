@@ -23,6 +23,9 @@ over the public queries and four hooks each backend supplies
 (``_gap_after``, ``_set_gap_after``, ``_delete`` and
 ``_check_structure``), so a backend keeps only its container.
 
+:class:`MergedTiling` is Figure 8's merge over several tilings, live
+or snapshot: every check and repair that compares replicas reads it.
+
 Concrete implementations: :class:`repro.storage.sorted_store.SortedStore`
 (bisect-based reference and the cluster default),
 :class:`repro.storage.btree.BTreeStore` (the B-tree representation
@@ -33,11 +36,11 @@ section 5 of the paper envisions) and
 from __future__ import annotations
 
 import abc
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import pairwise
 from operator import attrgetter
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.core.entries import Entry, LookupReply, NeighborReply
 from repro.core.errors import (
@@ -45,7 +48,7 @@ from repro.core.errors import (
     SentinelKeyError,
     StoreCorruptionError,
 )
-from repro.core.keys import BoundedKey
+from repro.core.keys import HIGH, LOW, BoundedKey
 from repro.core.versions import LOWEST_VERSION, Version
 
 
@@ -124,8 +127,7 @@ class StoreSnapshot:
         """What ``DirRepLookup(key)`` answered on the store this copies.
 
         The entry for ``key``, or the version of the gap covering it —
-        the fact every cross-replica comparison (anti-entropy diff,
-        reshard's quorum read) ranks with :meth:`LookupReply.beats`.
+        the fact :class:`MergedTiling` compares across replicas.
         """
         idx = bisect_left(self.entries, key, key=attrgetter("key"))
         if idx < len(self.entries) and self.entries[idx].key == key:
@@ -134,6 +136,84 @@ class StoreSnapshot:
         # entries[idx - 1] < key < entries[idx]; idx >= 1 because LOW
         # sorts below every other key.
         return LookupReply(False, self.gap_versions[idx - 1])
+
+    def successor(self, key: BoundedKey) -> NeighborReply:
+        """What ``DirRepSuccessor(key)`` answered on the store this copies."""
+        if key.is_high:
+            raise ValueError("HIGH has no successor")
+        idx = bisect_right(self.entries, key, key=attrgetter("key"))
+        succ = self.entries[idx]
+        return NeighborReply(
+            succ.key, succ.version, self.gap_versions[idx - 1], succ.value
+        )
+
+    def user_entries(self) -> tuple[Entry, ...]:
+        """All non-sentinel entries in key order."""
+        return tuple(e for e in self.entries if not e.key.is_sentinel)
+
+
+class MergedTiling:
+    """What several tilings hold together, by Figure 8's merge.
+
+    Built from ``{name: tiling}``, each a live store or a
+    :class:`StoreSnapshot`.  :attr:`keys`, the ordered union of their
+    stored user keys, is the finite skeleton: no tiling stores a key
+    inside one of :meth:`intervals`, so comparing at every key and above
+    every bound compares the whole key space.  The best fact at a key is
+    the one :meth:`LookupReply.beats` keeps, ties to the first tiling.
+    Facts read are kept: build one per question, on tilings at rest.
+    """
+
+    def __init__(self, tilings: Mapping[str, Any]) -> None:
+        self.tilings = dict(tilings)
+        self.keys = sorted(
+            {e.key for t in self.tilings.values() for e in t.user_entries()}
+        )
+        self._facts: dict[BoundedKey, dict[str, LookupReply]] = {}
+
+    def intervals(self) -> Iterator[tuple[BoundedKey, BoundedKey]]:
+        """Each pair of neighbouring bounds of ``[LOW, *keys, HIGH]``."""
+        return pairwise([LOW, *self.keys, HIGH])
+
+    def facts(self, key: BoundedKey) -> dict[str, LookupReply]:
+        """Each tiling's fact at ``key``: its entry, or its covering gap."""
+        facts = self._facts.get(key)
+        if facts is None:
+            facts = self._facts[key] = {
+                name: tiling.lookup(key) for name, tiling in self.tilings.items()
+            }
+        return facts
+
+    def gaps_above(self, key: BoundedKey) -> dict[str, Version]:
+        """Each tiling's version of the gap just above ``key``."""
+        return {
+            name: tiling.successor(key).gap_version
+            for name, tiling in self.tilings.items()
+        }
+
+    def best(self, key: BoundedKey) -> LookupReply:
+        """The fact at ``key`` a read of every tiling answers."""
+        best = None
+        for reply in self.facts(key).values():
+            if reply.beats(best):
+                best = reply
+        return best
+
+    def state(self) -> dict[Any, Any]:
+        """``{payload: value}`` of every key whose best fact is present."""
+        return {
+            key.payload: best.value
+            for key in self.keys
+            if (best := self.best(key)).present
+        }
+
+    def ghosts(self) -> int:
+        """Stored entries, over every tiling, whose best fact is absent."""
+        return sum(
+            sum(reply.present for reply in self.facts(key).values())
+            for key in self.keys
+            if not self.best(key).present
+        )
 
 
 class RepresentativeStore(abc.ABC):

@@ -45,6 +45,7 @@ from repro.core.keys import wrap
 from repro.core.quorum import PreferredQuorumPolicy
 from repro.core.stats import DeleteOverheadStats
 from repro.obs.history import History
+from repro.storage.interface import MergedTiling
 
 #: Preferred-quorum orders: on 3-2-2 the read and write quorum {A, B},
 #: {B, C}, {C, A}; on 3-3-2 the same write quorums, every member read.
@@ -88,13 +89,12 @@ def held(cluster, keys):
     """``{key: (version, present, value)}``, what each key holds: the
     reply with the highest version any replica has behind it.  Where a
     :class:`~repro.obs.history.History` of the cluster starts."""
+    merged = MergedTiling(
+        {name: rep.store for name, rep in cluster.representatives.items()}
+    )
     result = {}
     for key in keys:
-        bounded, best = wrap(key), None
-        for rep in cluster.representatives.values():
-            reply = rep.store.lookup(bounded)
-            if reply.beats(best):
-                best = reply
+        best = merged.best(wrap(key))
         result[key] = (best.version, best.present, best.value)
     return result
 

@@ -71,3 +71,13 @@ class TestConveniences:
         directory.delete("bob")
         assert directory.lookup("alice") == (True, 3)
         assert directory.lookup("bob") == (False, None)
+
+    def test_suite_close_stops_the_transport_loop_thread(self):
+        cluster = DirectoryCluster.create(
+            ClusterSpec(config="3-2-2", seed=1, transport="asyncio")
+        )
+        thread = cluster.network._thread
+        cluster.suite.insert("k", "v")
+        assert thread.is_alive()
+        cluster.suite.close()
+        assert not thread.is_alive()

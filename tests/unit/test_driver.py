@@ -15,6 +15,7 @@ from repro.sim.driver import (
     run_simulation,
 )
 from repro.service.server import DirectoryService
+from repro.shard.sharded import ShardedDirectory
 from repro.sim.workload import OpMix
 from tests.scope import assert_clean
 
@@ -177,6 +178,31 @@ class TestRunSimulation:
         for node in cluster.network.nodes():
             node.recover()
         assert len(cluster.suite.authoritative_state()) == result.final_size
+
+
+class TestGhostCensus:
+    """``count_ghosts`` is the auditor's census — shard by shard on a
+    sharded directory."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DirectoryCluster.create(ClusterSpec("3-2-2", seed=4)),
+            lambda: ShardedDirectory.create(
+                ClusterSpec("3-2-2", seed=4), shards=2, shard_map="hash"
+            ),
+        ],
+        ids=["cluster", "sharded"],
+    )
+    def test_count_ghosts_is_the_auditors_census(self, build):
+        with build() as cluster:
+            for i in range(60):
+                cluster.suite.insert(f"k{i:02d}", i)
+            for i in range(0, 60, 2):
+                cluster.suite.delete(f"k{i:02d}")
+            ghosts = driver.count_ghosts(cluster)
+            assert ghosts > 0
+            assert ghosts == cluster.make_auditor().run().ghosts
 
 
 class TestGrids:

@@ -7,12 +7,15 @@ from repro.core.errors import ConfigurationError
 from repro.core.keys import HIGH, LOW, wrap
 from repro.core.representative import DirectoryRepresentative
 from repro.repl import (
+    AntiEntropySweeper,
     ReplicaState,
     SuiteMembership,
     divergent_pieces,
     wipe_replica,
 )
+from repro.storage.interface import MergedTiling
 from repro.storage.sorted_store import SortedStore
+from tests import scope
 
 
 class TestMembershipMachine:
@@ -117,6 +120,15 @@ class TestDivergentPieces:
         assert [p[0] for p in pieces] == ["gap"]
         assert pieces[0][3] == 7
 
+    def test_gap_newer_than_part_of_the_interval_is_shipped(self):
+        # Source deleted "b" (gap version 7); the target still stores it
+        # and has since rewritten "d" at 9: the gap beats "b" there.
+        src = _store([("b", 3, "B"), ("d", 4, "D")], coalesce=(LOW, HIGH, 7))
+        dst = _store([("b", 3, "B"), ("d", 9, "D2")])
+        assert divergent_pieces(src.snapshot(), dst.snapshot()) == [
+            ("gap", LOW, HIGH, 7)
+        ]
+
     def test_ghost_never_propagates(self):
         # Target deleted "b" at version 7; source still holds the ghost
         # entry (version 3).  The covering gap beats it: nothing ships.
@@ -143,3 +155,29 @@ class TestWipeReplica:
         assert rep.wal.next_lsn == high  # LSNs are never reused
         cluster.recover("A")  # empty log replays to an empty store
         assert rep.entry_count() == 0
+
+
+@pytest.mark.parametrize("config, depth", [("3-2-2", 3), ("3-3-2", 2)])
+def test_one_sweep_round_converges_every_reachable_state(config, depth):
+    """From every state a few classic steps from empty, one anti-entropy
+    round leaves every tiling equal, and so ghost-free, without moving
+    the directory: the best fact at every key and the highest gap
+    version over every interval of the state's skeleton are unchanged.
+    A second round then has nothing to repair."""
+    with scope.build(config) as cluster:
+        sweeper = AntiEntropySweeper(cluster)
+        for state in scope.reachable(depth, "bdf", config):
+            scope.restore(cluster, state)
+            before = MergedTiling(dict(zip(cluster.representatives, state)))
+            sweeper.sweep_all()
+            tilings = scope.state_of(cluster)
+            assert tilings.count(tilings[0]) == len(tilings), state
+            after = cluster.suite.merged_tiling()
+            assert after.ghosts() == 0, state
+            for key in before.keys:
+                assert after.best(key) == before.best(key), (state, key)
+            for low, _ in before.intervals():
+                assert max(after.gaps_above(low).values()) == max(
+                    before.gaps_above(low).values()
+                ), (state, low)
+            assert sweeper.sweep_all() == 0, state

@@ -278,3 +278,36 @@ def test_negative_entry_version_fails_check_invariants(store):
     store.insert(wrap("a"), -1, "A")
     with pytest.raises(StoreCorruptionError):
         store.check_invariants()
+
+
+# -- a snapshot answers as the store it copies ---------------------------------
+
+
+def _copied(store):
+    """``store`` filled, coalesced and split again, its snapshot, and
+    probes at every stored key and between each two."""
+    fill_store(store, ["b", "d", "f", "h"])
+    store.coalesce(wrap("b"), wrap("f"), 7)
+    store.insert(wrap("e"), 8, "E")
+    probes = [LOW, *map(wrap, ["a", "b", "c", "e", "ee", "f", "g", "h", "i"])]
+    return store.snapshot(), probes
+
+
+def test_snapshot_lookup_answers_as_the_store(store):
+    snap, probes = _copied(store)
+    for key in [*probes, HIGH]:
+        assert snap.lookup(key) == store.lookup(key), key
+
+
+def test_snapshot_successor_answers_as_the_store(store):
+    snap, probes = _copied(store)
+    for key in probes:
+        assert snap.successor(key) == store.successor(key), key
+    for tiling in (store, snap):
+        with pytest.raises(ValueError):
+            tiling.successor(HIGH)
+
+
+def test_snapshot_user_entries_are_the_store_s(store):
+    snap, _ = _copied(store)
+    assert snap.user_entries() == store.user_entries()
